@@ -95,8 +95,7 @@ fn bench_litmus(c: &mut Criterion) {
 }
 
 /// The shared exact-search kernel across all three operational machines
-/// (SC / TSO / PSO), packed-or-interned memo keys against the legacy
-/// alloc-per-probe representation, on one contended generated workload.
+/// (SC / TSO / PSO) on one contended generated workload.
 fn bench_model_kernel(c: &mut Criterion) {
     use vermem_trace::gen::{gen_sc_trace, GenConfig};
     let (trace, _) = gen_sc_trace(&GenConfig {
@@ -107,30 +106,19 @@ fn bench_model_kernel(c: &mut Criterion) {
         seed: 4242,
         ..Default::default()
     });
-    let configs = [
-        ("kernel", KernelConfig::default()),
-        (
-            "legacy-keys",
-            KernelConfig {
-                legacy_keys: true,
-                ..Default::default()
-            },
-        ),
-    ];
+    let cfg = KernelConfig::default();
     let mut g = c.benchmark_group("fig6/model-kernel");
     for model in [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso] {
-        for (name, cfg) in &configs {
-            g.bench_with_input(
-                BenchmarkId::new(format!("{model}"), name),
-                &(&trace, cfg),
-                |b, (t, cfg)| {
-                    b.iter(|| {
-                        let (verdict, _) = verify_model_operational(t, model, cfg);
-                        assert!(verdict.is_consistent());
-                    });
-                },
-            );
-        }
+        g.bench_with_input(
+            BenchmarkId::new(format!("{model}"), "kernel"),
+            &trace,
+            |b, t| {
+                b.iter(|| {
+                    let (verdict, _) = verify_model_operational(t, model, &cfg);
+                    assert!(verdict.is_consistent());
+                });
+            },
+        );
     }
     g.finish();
 }

@@ -9,20 +9,18 @@
 //! cargo run --release -p vermem-bench --bin experiments -- --json # BENCH_vmc.json
 //! ```
 //!
-//! `--json` runs the E-PAR thread ladder, the memo-key ablation, the
-//! E-KERNEL operational-machine ablation (SC/TSO/PSO on the shared
-//! exact-search kernel, packed/interned vs legacy memo keys), the E-TIER
-//! tiered-verification ablation (closure frontline vs exact-only, per
-//! trace family), the E-AXIOM declared-model ablation (every `ModelSpec`
-//! model through the operational compiler, the SAT compiler, and — for the
-//! base models — the verbatim legacy machines, plus the RA polynomial-tier
-//! decision-rate probe), the E-STREAM streaming-engine family (sustained ops/s,
-//! p99 detection latency, and the bounded-memory peak-retained-windows
-//! probe at 1/4/16 concurrent streams), and the observability-overhead
-//! probe, and writes machine-readable receipts (per-case medians, op/s,
-//! speedup vs 1 thread, memo hit/miss counts, per-model key-allocation
-//! counts, per-tier address accounting, enabled-vs-disabled obs cost) to
-//! `BENCH_vmc.json` in the current directory. Set `VERMEM_BENCH_FAST=1` to shrink instance sizes and
+//! `--json` runs the E-PAR thread ladder, the E-PRUNE inference-layer
+//! ablation, the E-TIER tiered-verification ablation (closure frontline vs
+//! exact-only, per trace family), the E-AXIOM declared-model ablation
+//! (every `ModelSpec` model through the operational compiler and the SAT
+//! compiler, plus the RA polynomial-tier decision-rate probe), the
+//! E-STREAM streaming-engine family (sustained ops/s, p99 detection
+//! latency, and the bounded-memory peak-retained-windows probe at 1/4/16
+//! concurrent streams), the E-HOTPATH fixed ingest workload, and the
+//! observability-overhead probes, and writes machine-readable receipts
+//! (per-case medians, op/s, speedup vs 1 thread, prune counters, per-tier
+//! address accounting, enabled-vs-disabled obs cost) to `BENCH_vmc.json`
+//! in the current directory. Set `VERMEM_BENCH_FAST=1` to shrink instance sizes and
 //! repetitions for smoke-test runs.
 //!
 //! `--metrics` prints the unified run report (counters/gauges/histograms
@@ -38,8 +36,8 @@ use vermem_coherence::{
     VmcVerifier,
 };
 use vermem_consistency::{
-    merge_coherent_schedules, solve_sc_backtracking, verify_axiom, verify_model_operational,
-    AxiomConfig, Engine, KernelConfig, MemoryModel, MergeOutcome, ModelId,
+    merge_coherent_schedules, solve_sc_backtracking, verify_axiom, AxiomConfig, Engine,
+    KernelConfig, MergeOutcome, ModelId,
 };
 use vermem_reductions::{
     example_fig_4_2, reduce_3sat_restricted, reduce_3sat_rmw, reduce_sat_to_lrc, reduce_sat_to_vmc,
@@ -90,8 +88,8 @@ fn main() {
         .iter()
         .find(|a| !a.starts_with("--"))
         .cloned()
-        // Bare `--json` means "produce the receipts": run only E-PAR + the
-        // memo ablation rather than the whole console suite.
+        // Bare `--json` means "produce the receipts": run only E-PAR and
+        // the ablations it bundles rather than the whole console suite.
         .unwrap_or_else(|| {
             if json {
                 "epar".to_string()
@@ -140,10 +138,6 @@ fn main() {
     if filter == "eprune" {
         // Included in `epar`'s receipt run; also runnable standalone.
         e_prune();
-    }
-    if filter == "ekernel" {
-        // Included in `epar`'s receipt run; also runnable standalone.
-        e_kernel();
     }
     if filter == "etier" {
         // Included in `epar`'s receipt run; also runnable standalone.
@@ -708,8 +702,8 @@ fn e_online_checker() {
 }
 
 // ---------------------------------------------------------------------------
-// E-PAR: the parallel per-address engine (thread ladder) and the memo-key
-// ablation, with optional machine-readable receipts (BENCH_vmc.json).
+// E-PAR: the parallel per-address engine (thread ladder), with optional
+// machine-readable receipts (BENCH_vmc.json).
 // ---------------------------------------------------------------------------
 struct ParPoint {
     jobs: usize,
@@ -725,16 +719,6 @@ struct ParCase {
     points: Vec<ParPoint>,
 }
 
-struct MemoRow {
-    case: String,
-    config: &'static str,
-    secs: f64,
-    states: u64,
-    memo_hits: u64,
-    memo_misses: u64,
-    verdict: &'static str,
-}
-
 /// One row of the E-PRUNE inference-layer ablation: a blow-up instance
 /// solved under one [`PruneConfig`], with every prune counter recorded.
 struct PruneRow {
@@ -748,21 +732,6 @@ struct PruneRow {
     symmetry_prunes: u64,
     nogood_hits: u64,
     nogoods_learned: u64,
-    verdict: &'static str,
-}
-
-/// One row of the E-KERNEL ablation: an operational consistency machine
-/// (SC / TSO / PSO) on the shared exact-search kernel, timed under the
-/// packed/interned memo keys and under the legacy alloc-per-probe
-/// representation, with the key-allocation count recorded for each.
-struct ModelKernelRow {
-    model: &'static str,
-    case: String,
-    config: &'static str,
-    secs: f64,
-    states: u64,
-    memo_misses: u64,
-    key_allocs: u64,
     verdict: &'static str,
 }
 
@@ -794,7 +763,7 @@ struct TierRow {
 }
 
 fn e_par_scaling(write_json: bool) {
-    header("E-PAR  parallel per-address verification: thread ladder + memo ablation");
+    header("E-PAR  parallel per-address verification: thread ladder");
     let fast = std::env::var("VERMEM_BENCH_FAST").is_ok();
     let reps = if fast { 3 } else { 7 };
     let host = vermem_util::pool::available_jobs();
@@ -860,39 +829,16 @@ fn e_par_scaling(write_json: bool) {
         }
     }
 
-    let memo = memo_ablation(reps, fast);
-    println!("\nmemo-key ablation (single thread, E-5.1/E-5.2 reduction instances):");
-    println!(
-        "{:>14} {:>18} {:>12} {:>10} {:>10} {:>10} {:>10}",
-        "case", "config", "median (ms)", "states", "hits", "misses", "verdict"
-    );
-    for r in &memo {
-        println!(
-            "{:>14} {:>18} {:>12.3} {:>10} {:>10} {:>10} {:>10}",
-            r.case,
-            r.config,
-            r.secs * 1e3,
-            r.states,
-            r.memo_hits,
-            r.memo_misses,
-            r.verdict
-        );
-    }
-
     let prune = prune_ablation(reps, fast);
     println!("\nE-PRUNE inference-layer ablation (single thread, same instances):");
     print_prune_table(&prune);
-
-    let model_kernel = model_kernel_ablation(reps, fast);
-    println!("\nE-KERNEL operational machines on the shared kernel (memo-key ablation):");
-    print_model_kernel_table(&model_kernel);
 
     let tier = tier_ablation(reps, fast);
     println!("\nE-TIER tiered verification (closure frontline vs exact-only):");
     print_tier_table(&tier);
 
     let (axiom, ra_probe) = axiom_ablation(reps, fast);
-    println!("\nE-AXIOM declared models (operational compiler vs SAT vs legacy):");
+    println!("\nE-AXIOM declared models (operational compiler vs SAT):");
     print_axiom_table(&axiom, &ra_probe);
 
     let (estream, bounded) = estream_bench(reps, fast);
@@ -900,7 +846,7 @@ fn e_par_scaling(write_json: bool) {
     print_estream_table(&estream, &bounded);
 
     let hotpath = hotpath_ablation(reps);
-    println!("\nE-HOTPATH dense-slab ingest structures vs the std-HashMap baseline:");
+    println!("\nE-HOTPATH fixed ingest workload on the dense-slab structures:");
     print_hotpath_table(&hotpath);
 
     let obs = obs_overhead_probe(reps, fast);
@@ -929,169 +875,13 @@ fn e_par_scaling(write_json: bool) {
         std::fs::write(
             path,
             bench_json(
-                host,
-                &cases,
-                &memo,
-                &prune,
-                &model_kernel,
-                &tier,
-                &axiom,
-                &ra_probe,
-                &estream,
-                &hotpath,
-                &bounded,
-                &obs,
+                host, &cases, &prune, &tier, &axiom, &ra_probe, &estream, &hotpath, &bounded, &obs,
                 &live_obs,
             ),
         )
         .expect("write BENCH_vmc.json");
         println!("\nwrote {path}");
     }
-}
-
-/// E-KERNEL: the VSC / TSO / PSO operational machines all run on the shared
-/// exact-search kernel; this ablation times each against the legacy
-/// SipHash'd `Vec<u64>` memo keys on contended generated workloads. Both
-/// key representations memoize the same state set, so states (and verdicts)
-/// must be identical per (model, case); the kernel path must never allocate
-/// *more* key storage than the legacy alloc-per-probe path.
-fn model_kernel_ablation(reps: usize, fast: bool) -> Vec<ModelKernelRow> {
-    let ops = if fast { 16 } else { 48 };
-    let instances: [(String, Trace); 2] = [
-        (
-            // Multi-address workload: memo keys exceed two words, so the
-            // kernel tier interns them (one allocation per *fresh* state).
-            format!("gen-3p-{ops}ops-2addrs"),
-            gen_sc_trace(&GenConfig {
-                procs: 3,
-                total_ops: ops,
-                addrs: 2,
-                value_reuse: 0.6,
-                seed: 4242,
-                ..Default::default()
-            })
-            .0,
-        ),
-        (
-            // Single-address workload: SC keys fit two words and the fast
-            // memo tier allocates nothing at all.
-            format!("gen-3p-{ops}ops-1addr"),
-            gen_sc_trace(&GenConfig {
-                procs: 3,
-                total_ops: ops,
-                addrs: 1,
-                value_reuse: 0.7,
-                seed: 99,
-                ..Default::default()
-            })
-            .0,
-        ),
-    ];
-    let configs: [(&'static str, KernelConfig); 2] = [
-        ("kernel", KernelConfig::default()),
-        (
-            "legacy-keys",
-            KernelConfig {
-                legacy_keys: true,
-                ..Default::default()
-            },
-        ),
-    ];
-    let models: [MemoryModel; 3] = [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso];
-    let mut rows = Vec::new();
-    for (case, trace) in &instances {
-        for model in models {
-            let mut per_config: Vec<(u64, u64)> = Vec::new(); // (states, key_allocs)
-            for (name, cfg) in &configs {
-                // One instrumented run for stats + the key-alloc counter
-                // (delta of the global obs counter around the run).
-                let was = vermem_util::obs::enabled();
-                vermem_util::obs::set_enabled(true);
-                let allocs_before = key_alloc_counter();
-                let (verdict, stats) = verify_model_operational(trace, model, cfg);
-                let key_allocs = key_alloc_counter() - allocs_before;
-                vermem_util::obs::set_enabled(was);
-                if !was {
-                    vermem_util::obs::reset();
-                }
-                let verdict_str = if verdict.is_consistent() {
-                    "consistent"
-                } else if verdict.is_violating() {
-                    "violating"
-                } else {
-                    "unknown"
-                };
-                per_config.push((stats.states, key_allocs));
-                let secs = median_secs(reps, || {
-                    let _ = verify_model_operational(trace, model, cfg);
-                })
-                .max(1e-12);
-                rows.push(ModelKernelRow {
-                    model: model.name(),
-                    case: case.clone(),
-                    config: name,
-                    secs,
-                    states: stats.states,
-                    memo_misses: stats.memo_misses,
-                    key_allocs,
-                    verdict: verdict_str,
-                });
-            }
-            let [(kernel_states, kernel_allocs), (legacy_states, legacy_allocs)] = per_config[..]
-            else {
-                unreachable!("two configs per (model, case)");
-            };
-            assert_eq!(
-                kernel_states, legacy_states,
-                "{case}/{model}: memo representations must visit identical state sets"
-            );
-            assert!(
-                kernel_allocs <= legacy_allocs,
-                "{case}/{model}: kernel keys allocated more than legacy ({kernel_allocs} > {legacy_allocs})"
-            );
-        }
-    }
-    rows
-}
-
-/// Read the cumulative `kernel.memo.key_allocs` counter from the global
-/// observability registry (0 if never recorded).
-fn key_alloc_counter() -> u64 {
-    vermem_util::obs::snapshot()
-        .counters
-        .get("kernel.memo.key_allocs")
-        .copied()
-        .unwrap_or(0)
-}
-
-fn print_model_kernel_table(rows: &[ModelKernelRow]) {
-    println!(
-        "{:>22} {:>6} {:>12} {:>12} {:>9} {:>9} {:>10} {:>11}",
-        "case", "model", "config", "median (ms)", "states", "misses", "key allocs", "verdict"
-    );
-    for r in rows {
-        println!(
-            "{:>22} {:>6} {:>12} {:>12.3} {:>9} {:>9} {:>10} {:>11}",
-            r.case,
-            r.model,
-            r.config,
-            r.secs * 1e3,
-            r.states,
-            r.memo_misses,
-            r.key_allocs,
-            r.verdict
-        );
-    }
-}
-
-/// Console-only entry for the E-KERNEL ablation (`experiments ekernel`);
-/// the `--json` receipt run includes the same rows in BENCH_vmc.json.
-fn e_kernel() {
-    header("E-KERNEL  one exact-search kernel: SC/TSO/PSO memo-key ablation");
-    let fast = std::env::var("VERMEM_BENCH_FAST").is_ok();
-    let reps = if fast { 3 } else { 7 };
-    let rows = model_kernel_ablation(reps, fast);
-    print_model_kernel_table(&rows);
 }
 
 /// The E-TIER trace families: realistic protocol captures (healthy and
@@ -1296,9 +1086,7 @@ fn e_tier() {
 /// One row of the E-AXIOM ablation: one declared model (`ModelSpec`) run
 /// through one of its engines over one trace family, with verdict-class
 /// counts. Parity is asserted in-harness: every engine must match the SAT
-/// oracle on consistency, and the compiled engine must be bit-identical
-/// (verdict value *and* `SearchStats`) to the verbatim legacy machines for
-/// the three machine-backed base models.
+/// oracle on consistency.
 struct AxiomRow {
     model: &'static str,
     engine: &'static str,
@@ -1372,9 +1160,9 @@ fn axiom_families(fast: bool) -> Vec<(&'static str, Vec<Trace>)> {
     ]
 }
 
-/// E-AXIOM: every declared model through each engine that supports it,
-/// timed per (family, model, engine), with the compiled/SAT/legacy parity
-/// contract re-asserted on every trace the rows are built from.
+/// E-AXIOM: every declared model through both engines, timed per (family,
+/// model, engine), with compiled/SAT parity re-asserted on every trace the
+/// rows are built from.
 fn axiom_ablation(reps: usize, fast: bool) -> (Vec<AxiomRow>, RaFrontlineProbe) {
     let families = axiom_families(fast);
     let mut rows = Vec::new();
@@ -1396,10 +1184,7 @@ fn axiom_ablation(reps: usize, fast: bool) -> (Vec<AxiomRow>, RaFrontlineProbe) 
                     .is_consistent()
                 })
                 .collect();
-            for engine in [Engine::Compiled, Engine::Legacy, Engine::Sat] {
-                if !engine.supports(id) {
-                    continue;
-                }
+            for engine in [Engine::Compiled, Engine::Sat] {
                 let cfg = AxiomConfig {
                     engine,
                     ..AxiomConfig::default()
@@ -1421,26 +1206,6 @@ fn axiom_ablation(reps: usize, fast: bool) -> (Vec<AxiomRow>, RaFrontlineProbe) 
                         id.name(),
                         engine.name()
                     );
-                    // Bit-identity vs the verbatim legacy machines (the
-                    // CoherenceOnly legacy dispatch is itself the SAT
-                    // oracle, so only the machine-backed models compare).
-                    if engine == Engine::Legacy
-                        && matches!(id, ModelId::Sc | ModelId::Tso | ModelId::Pso)
-                    {
-                        let compiled = verify_axiom(t, id, &AxiomConfig::default());
-                        assert_eq!(
-                            compiled.verdict,
-                            report.verdict,
-                            "E-AXIOM: {} compiled/legacy verdict drift ({family})",
-                            id.name()
-                        );
-                        assert_eq!(
-                            compiled.stats,
-                            report.stats,
-                            "E-AXIOM: {} compiled/legacy stats drift ({family})",
-                            id.name()
-                        );
-                    }
                 }
                 let secs = median_secs(reps, || {
                     for t in traces.iter() {
@@ -1527,7 +1292,7 @@ fn print_axiom_table(rows: &[AxiomRow], probe: &RaFrontlineProbe) {
 /// Console-only entry for the E-AXIOM ablation (`experiments eaxiom`);
 /// the `--json` receipt run includes the same rows in BENCH_vmc.json.
 fn e_axiom() {
-    header("E-AXIOM  declared models: operational compiler vs SAT vs legacy machines");
+    header("E-AXIOM  declared models: operational compiler vs SAT");
     let fast = std::env::var("VERMEM_BENCH_FAST").is_ok();
     let reps = if fast { 3 } else { 7 };
     let (rows, probe) = axiom_ablation(reps, fast);
@@ -1555,11 +1320,10 @@ struct EstreamRow {
     verdict_parity: bool,
 }
 
-/// One row of the E-HOTPATH ablation: the E-STREAM workload ingested with
-/// the dense-slab hot-path structures vs the pre-dense std-`HashMap`
-/// baseline (`HotPathConfig::legacy_structures`). The two strategies are
-/// bit-identical in every report field (asserted in-harness at jobs 1, 2
-/// and 8); only the wall time differs.
+/// One row of the E-HOTPATH receipt: the fixed ingest-dominated workload
+/// through the dense-slab stream engine. Verdicts, stats, tiers and
+/// detections are identical at jobs 1, 2 and 8 (asserted in-harness); the
+/// timed run is at jobs 1.
 struct HotpathRow {
     streams: usize,
     config: &'static str,
@@ -1567,9 +1331,6 @@ struct HotpathRow {
     events: u64,
     median_secs: f64,
     sustained_ops_per_sec: f64,
-    /// Legacy wall time over this configuration's wall time (1.0 on the
-    /// legacy rows by definition).
-    speedup_vs_legacy: f64,
     verdict_parity: bool,
 }
 
@@ -1664,7 +1425,7 @@ fn estream_bench(reps: usize, fast: bool) -> (Vec<EstreamRow>, BoundedMemoryProb
         temporal: true,
         verifier: VmcVerifier::new(),
         recorder: None,
-        hot_path: Default::default(),
+        ..Default::default()
     };
     let mut rows = Vec::new();
     for streams in [1usize, 4, 16] {
@@ -1739,7 +1500,7 @@ fn estream_bench(reps: usize, fast: bool) -> (Vec<EstreamRow>, BoundedMemoryProb
                 temporal: true,
                 verifier: VmcVerifier::new(),
                 recorder,
-                hot_path: Default::default(),
+                ..Default::default()
             },
         )
         .expect("stream decodes");
@@ -1828,30 +1589,23 @@ fn e_stream() {
     print_estream_table(&rows, &probe);
 }
 
-/// E-HOTPATH: the dense-slab storage ablation. The E-STREAM workload at
-/// 1/4/16 concurrent streams is ingested twice on the same binary — once
-/// with the dense index-addressed tables (the default), once with the
-/// pre-dense std-`HashMap` structures re-homed behind
-/// `HotPathConfig::legacy_structures` — after a parity pass asserting the
-/// two strategies produce bit-identical reports at jobs 1, 2 and 8.
+/// E-HOTPATH: a fixed ingest-dominated workload for the stream engine's
+/// dense-slab structures — the E-STREAM captures at 1/4/16 concurrent
+/// streams with longer histories — after a parity pass asserting the
+/// answer does not depend on the shard count (jobs 1, 2 and 8).
 fn hotpath_ablation(reps: usize) -> Vec<HotpathRow> {
     const WINDOW: usize = 256;
-    // Longer streams than E-STREAM: this ablation measures the *ingest*
-    // structures, so the workload must be ingest-dominated (the finish
-    // phase solves identical instances on both paths). The size is NOT
-    // reduced under VERMEM_BENCH_FAST — verify.sh gates the fast fresh
-    // rows' throughput against the committed full-mode receipt, so the
-    // two must measure the same workload (only `reps` differs).
+    // Longer streams than E-STREAM: this workload measures the *ingest*
+    // structures, so it must be ingest-dominated. The size is NOT reduced
+    // under VERMEM_BENCH_FAST — verify.sh gates the fast fresh rows'
+    // throughput against the committed full-mode receipt, so the two must
+    // measure the same workload (only `reps` differs).
     let instrs = 1_500;
-    let config = |legacy: bool, jobs: usize| vermem_coherence::StreamConfig {
+    let config = |jobs: usize| vermem_coherence::StreamConfig {
         window: Some(WINDOW),
         jobs,
         temporal: true,
-        verifier: VmcVerifier::new(),
-        recorder: None,
-        hot_path: vermem_coherence::HotPathConfig {
-            legacy_structures: legacy,
-        },
+        ..Default::default()
     };
     let mut rows = Vec::new();
     for streams in [1usize, 4, 16] {
@@ -1860,64 +1614,43 @@ fn hotpath_ablation(reps: usize) -> Vec<HotpathRow> {
             .iter()
             .map(|c| vermem_sim::event_stream_bytes(c).expect("SC capture streams"))
             .collect();
-        // Parity pass: the storage strategy must be unobservable in every
-        // report field, at every jobs rung.
+        // Parity pass: the shard count must be unobservable in the answer.
+        // (Memory metrics are per-shard peaks summed, so they may differ.)
         let mut events = 0u64;
         for bytes in &byte_streams {
-            for jobs in [1usize, 2, 8] {
-                let d = vermem_coherence::verify_stream_bytes(bytes, config(false, jobs))
-                    .expect("dense decodes");
-                let l = vermem_coherence::verify_stream_bytes(bytes, config(true, jobs))
-                    .expect("legacy decodes");
+            let one =
+                vermem_coherence::verify_stream_bytes(bytes, config(1)).expect("stream decodes");
+            for jobs in [2usize, 8] {
+                let r = vermem_coherence::verify_stream_bytes(bytes, config(jobs))
+                    .expect("stream decodes");
                 assert_eq!(
-                    d.verdict, l.verdict,
+                    r.verdict, one.verdict,
                     "E-HOTPATH: verdict drift at {jobs} jobs"
                 );
-                assert_eq!(d.stats, l.stats, "E-HOTPATH: stats drift at {jobs} jobs");
-                assert_eq!(d.tiers, l.tiers, "E-HOTPATH: tier drift at {jobs} jobs");
+                assert_eq!(r.stats, one.stats, "E-HOTPATH: stats drift at {jobs} jobs");
+                assert_eq!(r.tiers, one.tiers, "E-HOTPATH: tier drift at {jobs} jobs");
                 assert_eq!(
-                    d.detections, l.detections,
+                    r.detections, one.detections,
                     "E-HOTPATH: detection drift at {jobs} jobs"
                 );
-                assert_eq!(
-                    d.metrics, l.metrics,
-                    "E-HOTPATH: metric drift at {jobs} jobs"
-                );
-                if jobs == 1 {
-                    events += d.events;
-                }
             }
+            events += one.events;
         }
-        let time = |legacy: bool| {
-            median_secs(reps, || {
-                for bytes in &byte_streams {
-                    let report = vermem_coherence::verify_stream_bytes(bytes, config(legacy, 1))
-                        .expect("stream decodes");
-                    assert!(report.events > 0);
-                }
-            })
-            .max(1e-12)
-        };
-        let dense_secs = time(false);
-        let legacy_secs = time(true);
+        let secs = median_secs(reps, || {
+            for bytes in &byte_streams {
+                let report = vermem_coherence::verify_stream_bytes(bytes, config(1))
+                    .expect("stream decodes");
+                assert!(report.events > 0);
+            }
+        })
+        .max(1e-12);
         rows.push(HotpathRow {
             streams,
             config: "dense",
             jobs: 1,
             events,
-            median_secs: dense_secs,
-            sustained_ops_per_sec: events as f64 / dense_secs,
-            speedup_vs_legacy: legacy_secs / dense_secs,
-            verdict_parity: true,
-        });
-        rows.push(HotpathRow {
-            streams,
-            config: "legacy",
-            jobs: 1,
-            events,
-            median_secs: legacy_secs,
-            sustained_ops_per_sec: events as f64 / legacy_secs,
-            speedup_vs_legacy: 1.0,
+            median_secs: secs,
+            sustained_ops_per_sec: events as f64 / secs,
             verdict_parity: true,
         });
     }
@@ -1926,19 +1659,18 @@ fn hotpath_ablation(reps: usize) -> Vec<HotpathRow> {
 
 fn print_hotpath_table(rows: &[HotpathRow]) {
     println!(
-        "{:>8} {:>8} {:>5} {:>8} {:>12} {:>12} {:>9} {:>7}",
-        "streams", "config", "jobs", "events", "median (ms)", "ops/s", "speedup", "parity"
+        "{:>8} {:>8} {:>5} {:>8} {:>12} {:>12} {:>7}",
+        "streams", "config", "jobs", "events", "median (ms)", "ops/s", "parity"
     );
     for r in rows {
         println!(
-            "{:>8} {:>8} {:>5} {:>8} {:>12.3} {:>12.0} {:>8.2}x {:>7}",
+            "{:>8} {:>8} {:>5} {:>8} {:>12.3} {:>12.0} {:>7}",
             r.streams,
             r.config,
             r.jobs,
             r.events,
             r.median_secs * 1e3,
             r.sustained_ops_per_sec,
-            r.speedup_vs_legacy,
             r.verdict_parity
         );
     }
@@ -1947,7 +1679,7 @@ fn print_hotpath_table(rows: &[HotpathRow]) {
 /// Console-only entry for the E-HOTPATH ablation (`experiments ehotpath`);
 /// the `--json` receipt run includes the same rows in BENCH_vmc.json.
 fn e_hotpath() {
-    header("E-HOTPATH  dense-slab ingest structures vs the std-HashMap baseline");
+    header("E-HOTPATH  fixed ingest workload on the dense-slab structures");
     let fast = std::env::var("VERMEM_BENCH_FAST").is_ok();
     let reps = if fast { 3 } else { 7 };
     let rows = hotpath_ablation(reps);
@@ -2025,7 +1757,7 @@ fn live_obs_probe(reps: usize, fast: bool) -> LiveObsProbe {
         temporal: true,
         verifier: VmcVerifier::new(),
         recorder,
-        hot_path: Default::default(),
+        ..Default::default()
     };
     let recorder = || Some(vermem_coherence::RecorderConfig::default());
 
@@ -2104,92 +1836,9 @@ fn par_case(name: String, trace: &Trace, verifier: &VmcVerifier, reps: usize) ->
     }
 }
 
-/// Time the exact search with the overhauled memo keys (packed/interned
-/// FxHash) against the legacy SipHash'd `Vec<u32>` representation on the
-/// E-5.1/E-5.2 blow-up instances (forced-SAT at the wall and the
-/// over-constrained family), state-capped so the run is bounded: every
-/// visited state is a memo probe, so the table cost dominates. Both
-/// representations memoize the same state set, so the state counts (and
-/// verdicts) must agree; only the wall time differs.
-fn memo_ablation(reps: usize, fast: bool) -> Vec<MemoRow> {
-    let cap: u64 = if fast { 50_000 } else { 500_000 };
-    // Pruning off: this ablation isolates the memo *representation* cost on
-    // the full capped state set (the PR-4 inference layer would collapse
-    // the workload — its effect is measured separately by `prune_ablation`).
-    let configs: [(&'static str, SearchConfig); 2] = [
-        (
-            "fx-overhaul",
-            SearchConfig {
-                max_states: Some(cap),
-                prune: PruneConfig::none(),
-                ..Default::default()
-            },
-        ),
-        (
-            "legacy-memo-keys",
-            SearchConfig {
-                max_states: Some(cap),
-                legacy_memo_keys: true,
-                prune: PruneConfig::none(),
-                ..Default::default()
-            },
-        ),
-    ];
-    // E-5.1/E-5.2 cases at and past the exponential wall (see e5.1/e5.2):
-    // the forced-SAT family at m = 6 and the over-constrained family both
-    // exceed any practical cap, so the search does exactly `cap` states.
-    let wall = vermem_sat::random::gen_forced_sat(&RandomSatConfig::three_sat(6, 1.0, 31 * 6));
-    let overcons = gen_random_ksat(&RandomSatConfig::three_sat(3, 5.0, 93));
-    let instances: [(String, Trace); 3] = [
-        (
-            "e5.1-m6-wall".to_string(),
-            reduce_3sat_restricted(&wall).trace,
-        ),
-        (
-            "e5.1-overcons".to_string(),
-            reduce_3sat_restricted(&overcons).trace,
-        ),
-        (
-            "e5.2-overcons".to_string(),
-            reduce_3sat_rmw(&overcons).trace,
-        ),
-    ];
-    let mut rows = Vec::new();
-    for (case, trace) in &instances {
-        let mut state_counts = Vec::new();
-        for (name, cfg) in &configs {
-            let (verdict, stats) = solve_backtracking_with_stats(trace, Addr::ZERO, cfg);
-            let verdict_str = match verdict {
-                vermem_coherence::Verdict::Coherent(_) => "coherent",
-                vermem_coherence::Verdict::Incoherent(_) => "incoherent",
-                vermem_coherence::Verdict::Unknown => "capped",
-            };
-            state_counts.push(stats.states);
-            let secs = median_secs(reps, || {
-                let _ = solve_backtracking(trace, Addr::ZERO, cfg);
-            })
-            .max(1e-12);
-            rows.push(MemoRow {
-                case: case.clone(),
-                config: name,
-                secs,
-                states: stats.states,
-                memo_hits: stats.memo_hits,
-                memo_misses: stats.memo_misses,
-                verdict: verdict_str,
-            });
-        }
-        assert!(
-            state_counts.windows(2).all(|w| w[0] == w[1]),
-            "memo representations must visit identical state sets ({case})"
-        );
-    }
-    rows
-}
-
 /// E-PRUNE: the PR-4 inference-layer ablation on the E-5.1/E-5.2 blow-up
 /// instances. Each technique runs alone and all together, against the
-/// unpruned baseline, under the same state cap as `memo_ablation`. All
+/// unpruned baseline, under a state cap. All
 /// configurations must agree on the verdict (they provably do — the
 /// assertion enforces it), and every pruned configuration must explore at
 /// most the baseline's states (monotonicity).
@@ -2336,9 +1985,7 @@ fn e_prune() {
 fn bench_json(
     host: usize,
     cases: &[ParCase],
-    memo: &[MemoRow],
     prune: &[PruneRow],
-    model_kernel: &[ModelKernelRow],
     tier: &[TierRow],
     axiom: &[AxiomRow],
     ra_probe: &RaFrontlineProbe,
@@ -2350,7 +1997,7 @@ fn bench_json(
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"vermem-bench-vmc/v9\",\n");
+    s.push_str("  \"schema\": \"vermem-bench-vmc/v10\",\n");
     s.push_str(&format!("  \"host_parallelism\": {host},\n"));
     s.push_str("  \"par_verify\": [\n");
     for (i, c) in cases.iter().enumerate() {
@@ -2380,16 +2027,6 @@ fn bench_json(
         s.push_str(if i + 1 < cases.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ],\n");
-    s.push_str("  \"memo_ablation\": [\n");
-    for (i, r) in memo.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"case\": \"{}\", \"config\": \"{}\", \"median_secs\": {:.9}, \
-             \"states\": {}, \"memo_hits\": {}, \"memo_misses\": {}, \"verdict\": \"{}\"}}",
-            r.case, r.config, r.secs, r.states, r.memo_hits, r.memo_misses, r.verdict
-        ));
-        s.push_str(if i + 1 < memo.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
     s.push_str("  \"prune_ablation\": [\n");
     for (i, r) in prune.iter().enumerate() {
         s.push_str(&format!(
@@ -2410,21 +2047,6 @@ fn bench_json(
             r.verdict
         ));
         s.push_str(if i + 1 < prune.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"model_kernel\": [\n");
-    for (i, r) in model_kernel.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"model\": \"{}\", \"case\": \"{}\", \"config\": \"{}\", \
-             \"median_secs\": {:.9}, \"states\": {}, \"memo_misses\": {}, \
-             \"key_allocs\": {}, \"verdict\": \"{}\"}}",
-            r.model, r.case, r.config, r.secs, r.states, r.memo_misses, r.key_allocs, r.verdict
-        ));
-        s.push_str(if i + 1 < model_kernel.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
     }
     s.push_str("  ],\n");
     s.push_str("  \"tier_ablation\": [\n");
@@ -2501,15 +2123,13 @@ fn bench_json(
         s.push_str(&format!(
             "    {{\"streams\": {}, \"config\": \"{}\", \"jobs\": {}, \
              \"events\": {}, \"median_secs\": {:.9}, \
-             \"sustained_ops_per_sec\": {:.1}, \"speedup_vs_legacy\": {:.4}, \
-             \"verdict_parity\": {}}}",
+             \"sustained_ops_per_sec\": {:.1}, \"verdict_parity\": {}}}",
             r.streams,
             r.config,
             r.jobs,
             r.events,
             r.median_secs,
             r.sustained_ops_per_sec,
-            r.speedup_vs_legacy,
             r.verdict_parity
         ));
         s.push_str(if i + 1 < hotpath.len() { ",\n" } else { "\n" });

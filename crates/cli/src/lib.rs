@@ -9,7 +9,7 @@
 //!               [--tier closure,exact|exact] [--prune all|none|windows,symmetry,nogoods]
 //!               [--metrics[=json|text]] [--trace-out FILE]
 //! vermem sc <trace> [--model sc|tso|pso|coherence|ra|arm-dob]
-//!           [--engine compiled|legacy|sat] [--tier closure,exact|exact] [--budget N]
+//!           [--engine compiled|sat] [--tier closure,exact|exact] [--budget N]
 //!           [--metrics[=json|text]] [--trace-out FILE]
 //! vermem classify <trace>
 //! vermem explain <trace> [--addr N]
@@ -77,7 +77,7 @@ USAGE:
                 [--jobs N] [--tier SPEC] [--prune SPEC]
                 [--metrics[=json|text]] [--trace-out FILE]
   vermem sc <trace> [--model sc|tso|pso|coherence|ra|arm-dob]
-            [--engine compiled|legacy|sat] [--tier closure,exact|exact]
+            [--engine compiled|sat] [--tier closure,exact|exact]
             [--budget N] [--metrics[=json|text]] [--trace-out FILE]
   vermem classify <trace>
   vermem explain <trace> [--addr N]
@@ -108,8 +108,7 @@ windows,symmetry,nogoods (e.g. --prune=windows,nogoods).
 sc decides consistency under a declared memory model, compiled from its
 axioms: the serialization-based four plus 'ra' (Release–Acquire) and
 'arm-dob' (ARM-like dependency ordering). --engine picks the decider —
-'compiled' (default) lowers the model onto the exact-search kernel,
-'legacy' runs the verbatim pre-refactor machines (base models only),
+compiled' (default) lowers the model onto the exact-search kernel,
 'sat' runs the spec-to-CNF compiler. For models with a polynomial fast
 tier (ra), --tier exact disables it; the default pipeline tries the
 fast tier first and escalates only when it cannot decide.
@@ -505,17 +504,10 @@ fn cmd_sc(args: &Args, stdin: &str) -> Result<String, CliError> {
     })?;
     let engine = Engine::parse(args.flag("engine").unwrap_or("compiled")).ok_or_else(|| {
         err(format!(
-            "unknown engine '{}' (expected compiled|legacy|sat)",
+            "unknown engine '{}' (expected compiled|sat)",
             args.flag("engine").unwrap_or_default()
         ))
     })?;
-    if !engine.supports(model) {
-        return Err(err(format!(
-            "--engine {} has no implementation for model {}",
-            engine.name(),
-            model.name()
-        )));
-    }
     let budget = args.num::<u64>("budget", 0)?;
     let cfg = AxiomConfig {
         engine,
@@ -844,23 +836,11 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
         "forensics",
         "metrics",
         "trace-out",
-        "hot-path",
     ])?;
     let session = ObsSession::start(args)?;
     let window = parse_window(args)?;
     let jobs = args.num::<usize>("jobs", 0)?; // 0 = available_parallelism
     let chunk = args.num("chunk", 64 * 1024usize)?.max(1);
-    let hot_path = match args.flag("hot-path").unwrap_or("dense") {
-        "dense" => vermem_coherence::HotPathConfig::default(),
-        "legacy" => vermem_coherence::HotPathConfig {
-            legacy_structures: true,
-        },
-        other => {
-            return Err(err(format!(
-                "invalid --hot-path value '{other}' (expected dense|legacy)"
-            )))
-        }
-    };
     let obs_addr = args.flag("obs-addr").map(str::to_string);
     let forensics_dir = args.flag("forensics").map(std::path::PathBuf::from);
     // The flight recorder rides with --forensics; --obs-addr alone keeps
@@ -956,7 +936,7 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
             temporal,
             verifier: VmcVerifier::new(),
             recorder,
-            hot_path,
+            ..Default::default()
         });
         for piece in bytes.chunks(chunk) {
             let c0 = if live { obs::now_us() } else { 0 };
@@ -1418,27 +1398,13 @@ mod tests {
     #[test]
     fn sc_engine_selection() {
         let sb = "P0: W(0,1) R(1,0)\nP1: W(1,1) R(0,0)\n";
-        // All three engines agree on SB under TSO; the engine line names
-        // the decider that ran.
-        for engine in ["compiled", "legacy", "sat"] {
+        // Both engines agree on SB under TSO; the engine line names the
+        // decider that ran.
+        for engine in ["compiled", "sat"] {
             let out = run_ok(&["sc", "-", "--model", "tso", "--engine", engine], sb);
             assert!(out.contains("TSO: consistent"), "{engine}:\n{out}");
             assert!(out.contains(&format!("# engine={engine}")), "{out}");
         }
-        // RA has no legacy machine: explicit error, not a silent fallback.
-        let e = run(
-            &[
-                "sc".into(),
-                "-".into(),
-                "--model".into(),
-                "ra".into(),
-                "--engine".into(),
-                "legacy".into(),
-            ],
-            sb,
-        )
-        .expect_err("legacy RA must be rejected");
-        assert!(e.0.contains("no implementation"), "{}", e.0);
         let e = run(
             &["sc".into(), "-".into(), "--engine".into(), "brute".into()],
             sb,
@@ -1911,39 +1877,26 @@ mod tests {
     }
 
     #[test]
-    fn serve_hot_path_flag_is_checked() {
-        // `--hot-path` itself parses (both spellings of the ablation) ...
-        let out = run_ok(
-            &[
-                "serve",
-                "--streams",
-                "1",
-                "--instrs",
-                "20",
-                "--hot-path",
-                "legacy",
-            ],
-            "",
-        );
-        assert!(out.contains("stream"), "{out}");
-        // ... bad values are rejected ...
-        let e = run(&["serve".into(), "--hot-path".into(), "bogus".into()], "")
-            .expect_err("--hot-path bogus must fail");
-        assert!(e.0.contains("invalid --hot-path"), "{}", e.0);
-        // ... and an unknown flag alongside it still fails the flag check
-        // instead of slipping through.
+    fn retired_ablation_spellings_are_rejected() {
+        // The pre-refactor machines are gone: a typed error names the
+        // engines that exist.
+        let sb = "P0: W(0,1) R(1,0)\nP1: W(1,1) R(0,0)\n";
         let e = run(
-            &[
-                "serve".into(),
-                "--hot-path".into(),
-                "dense".into(),
-                "--hotpath".into(),
-                "dense".into(),
-            ],
-            "",
+            &["sc".into(), "-".into(), "--engine".into(), "legacy".into()],
+            sb,
         )
-        .expect_err("--hotpath (typo) must fail");
-        assert!(e.0.contains("unknown flag --hotpath"), "{}", e.0);
+        .expect_err("the legacy engine is retired");
+        assert!(
+            e.0.contains("unknown engine 'legacy' (expected compiled|sat)"),
+            "{}",
+            e.0
+        );
+        // The stream storage switch is gone too: its flag now fails the
+        // unknown-flag check like any other.
+        let flag = "hot-path";
+        let e = run(&["serve".into(), format!("--{flag}"), "dense".into()], "")
+            .expect_err("the storage switch is retired");
+        assert!(e.0.contains(&format!("unknown flag --{flag}")), "{}", e.0);
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //! ## Memoization hot path
 //!
 //! The visited-state set is the single hottest structure of the search: it
-//! is probed once per explored state. Two overhauls keep it cheap (see
-//! [`SearchConfig::legacy_memo_keys`] for the ablation baseline):
+//! is probed once per explored state. Two choices keep it cheap:
 //!
 //! * **Fx hashing** ([`vermem_util::hash`]) instead of SipHash — one
 //!   rotate/xor/multiply per word instead of a keyed cryptographic-ish
@@ -35,7 +34,6 @@
 
 use crate::verdict::{Verdict, Violation, ViolationKind};
 use crate::windows::{self, WindowOutcome, WindowTable};
-use std::collections::HashSet;
 use vermem_trace::{Addr, AddrOps, Op, OpRef, Schedule, Trace, Value};
 use vermem_util::hash::{FxHashMap, FxHashSet};
 use vermem_util::intern::SliceInterner;
@@ -153,10 +151,6 @@ pub struct SearchConfig {
     pub greedy_absorption: bool,
     /// Try writes whose value a blocked read demands first.
     pub hot_move_ordering: bool,
-    /// Use the pre-overhaul memo representation (SipHash set keyed by
-    /// `(Vec<u32>, Value)`, one heap allocation per probe) instead of the
-    /// packed/interned Fx representation. Ablation knob only.
-    pub legacy_memo_keys: bool,
     /// Inference-driven pruning techniques (PR 4). Defaults to all on.
     pub prune: PruneConfig,
 }
@@ -168,7 +162,6 @@ impl Default for SearchConfig {
             memoize: true,
             greedy_absorption: true,
             hot_move_ordering: true,
-            legacy_memo_keys: false,
             prune: PruneConfig::all(),
         }
     }
@@ -401,7 +394,7 @@ pub fn solve_escalated_ops_with_stats(
         per_proc,
         total,
         final_value,
-        visited: Visited::for_instance(per_proc, cfg),
+        visited: Visited::for_instance(per_proc),
         schedule: Vec::with_capacity(total),
         cfg: *cfg,
         stats: &mut stats,
@@ -428,7 +421,6 @@ pub fn solve_escalated_ops_with_stats(
     let memo_key_kind = match &search.visited {
         Visited::Packed(_) => "packed",
         Visited::Interned { .. } => "interned",
-        Visited::Legacy(_) => "legacy",
     };
     let depth_hist = search.depth_hist.take();
     drop(search);
@@ -464,9 +456,10 @@ pub fn solve_escalated_ops_with_stats(
 }
 
 /// The visited-state set, specialised to the instance shape (see the
-/// module docs). All three representations memoize exactly the set of
-/// `(frontier, value)` pairs; they differ only in key encoding and hasher,
-/// so the search explores the identical state sequence under each.
+/// module docs). Both representations memoize exactly the set of
+/// `(frontier, value)` pairs; they differ only in key encoding, so the
+/// search explores the identical state sequence under each (pinned at the
+/// 8/9-process and 255/256-op boundaries by `tests/golden_stats.rs`).
 enum Visited {
     /// ≤ 8 processes, ≤ 255 ops/process: the frontier packs into one `u64`
     /// (byte per process). Zero allocations per probe.
@@ -481,16 +474,11 @@ enum Visited {
         /// Visited `(frontier id, value)` pairs.
         seen: FxHashSet<(u32, Value)>,
     },
-    /// Pre-overhaul representation (SipHash, `Vec` key per probe); kept for
-    /// the memo-key ablation benchmark.
-    Legacy(HashSet<(Vec<u32>, Value)>),
 }
 
 impl Visited {
-    fn for_instance(per_proc: &[Vec<(OpRef, Op)>], cfg: &SearchConfig) -> Visited {
-        if cfg.legacy_memo_keys {
-            Visited::Legacy(HashSet::new())
-        } else if per_proc.len() <= 8 && per_proc.iter().all(|v| v.len() <= u8::MAX as usize) {
+    fn for_instance(per_proc: &[Vec<(OpRef, Op)>]) -> Visited {
+        if crate::kernel::frontier_packs(per_proc.iter().map(Vec::len)) {
             Visited::Packed(FxHashSet::default())
         } else {
             Visited::Interned {
@@ -515,7 +503,6 @@ impl Visited {
                 let (id, _) = ids.intern(frontier);
                 seen.insert((id, value))
             }
-            Visited::Legacy(set) => set.insert((frontier.to_vec(), value)),
         }
     }
 }
@@ -986,10 +973,6 @@ mod tests {
                 ..Default::default()
             },
             SearchConfig {
-                legacy_memo_keys: true,
-                ..Default::default()
-            },
-            SearchConfig {
                 prune: PruneConfig::none(),
                 ..Default::default()
             },
@@ -1009,7 +992,6 @@ mod tests {
                 memoize: false,
                 greedy_absorption: false,
                 hot_move_ordering: false,
-                legacy_memo_keys: false,
                 max_states: None,
                 prune: PruneConfig::none(),
             },
@@ -1045,54 +1027,6 @@ mod tests {
                     check_coherent_schedule(&t, Addr::ZERO, s).unwrap();
                 }
             }
-        }
-    }
-
-    #[test]
-    fn memo_representations_visit_identical_state_sequences() {
-        // Packed (≤8 procs), interned (forced by 9 procs) and legacy keys
-        // must agree on verdict *and* on the exact states/branches counts:
-        // the memo set contents are representation-independent.
-        use vermem_util::rng::StdRng;
-        let legacy = SearchConfig {
-            legacy_memo_keys: true,
-            ..Default::default()
-        };
-        for seed in 0..40u64 {
-            let mut rng = StdRng::seed_from_u64(777_000 + seed);
-            // 9 processes forces the interned representation; the same trace
-            // re-solved with legacy keys must match exactly.
-            let procs = 9;
-            let mut b = TraceBuilder::new();
-            for _ in 0..procs {
-                let len = rng.gen_range(0..=3);
-                let ops: Vec<Op> = (0..len)
-                    .map(|_| {
-                        let v = rng.gen_range(0..3u64);
-                        match rng.gen_range(0..3) {
-                            0 => Op::r(v),
-                            1 => Op::w(v),
-                            _ => Op::rw(v, rng.gen_range(0..3u64)),
-                        }
-                    })
-                    .collect();
-                b = b.proc(ops);
-            }
-            let t = b.build();
-            let (v_fast, s_fast) =
-                solve_backtracking_with_stats(&t, Addr::ZERO, &SearchConfig::default());
-            let (v_legacy, s_legacy) = solve_backtracking_with_stats(&t, Addr::ZERO, &legacy);
-            assert_eq!(v_fast, v_legacy, "seed {seed}: {t:?}");
-            assert_eq!(s_fast, s_legacy, "seed {seed}: {t:?}");
-        }
-        // And a packed-representation instance (2 procs), same exactness.
-        for seed in 0..40u64 {
-            let (t, _) = vermem_trace::gen::gen_hard_coherent(2, 6, 2, seed);
-            let (v_fast, s_fast) =
-                solve_backtracking_with_stats(&t, Addr::ZERO, &SearchConfig::default());
-            let (v_legacy, s_legacy) = solve_backtracking_with_stats(&t, Addr::ZERO, &legacy);
-            assert_eq!(v_fast, v_legacy, "seed {seed}");
-            assert_eq!(s_fast, s_legacy, "seed {seed}");
         }
     }
 

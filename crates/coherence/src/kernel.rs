@@ -1,5 +1,5 @@
-//! The model-agnostic exact-search kernel: **one** memoized backtracking
-//! engine under every operational consistency search.
+//! The model-agnostic exact-search kernel: one memoized backtracking
+//! engine under every declared consistency model's operational search.
 //!
 //! The paper's §6 lifts VMC hardness to the whole consistency family (VSC,
 //! VSCC, TSO, ...), and the verifiers for those models are instances of a
@@ -8,10 +8,13 @@
 //! memoize states already refuted, accept when every operation has
 //! committed. This module is that search, extracted from the engineering
 //! substrate of [`crate::backtrack`] and exposed behind the
-//! [`TransitionSystem`] trait so the VSC interleaving machine and the
-//! TSO/PSO store-buffer machines (in `vermem-consistency`) run on the same
-//! memo, budget, cancellation, statistics and observability stack as the
-//! production VMC engine.
+//! [`TransitionSystem`] trait so the machines compiled from `ModelSpec`
+//! declarations (in `vermem-consistency`) run on the same memo, budget,
+//! cancellation, statistics and observability stack.
+//!
+//! The single-address VMC search itself does not run here: it keeps its
+//! own DFS in [`crate::backtrack`], whose windows, symmetry breaking and
+//! nogood learning have no kernel hooks yet.
 //!
 //! ## What the kernel owns vs. what the system owns
 //!
@@ -33,21 +36,16 @@
 //! (≤ 2 words) are stored verbatim in a zero-allocation
 //! [`FxHashSet`] tier, longer keys are interned exactly once through
 //! [`SliceInterner`] and re-probed by dense id — because a colliding
-//! "already visited" answer would be an unsound refutation. The legacy
-//! representation ([`KernelConfig::legacy_keys`], the ablation baseline)
-//! keeps the same exactness but allocates a `Vec<u64>` per probe and pays
-//! SipHash, which is precisely the 2003-era `visited: HashSet<(Vec<_>,..)>`
-//! cost model this kernel replaces.
+//! "already visited" answer would be an unsound refutation.
 
 use crate::backtrack::SearchStats;
-use std::collections::HashSet;
 use vermem_trace::OpRef;
 use vermem_util::hash::FxHashSet;
 use vermem_util::intern::SliceInterner;
 use vermem_util::obs;
 use vermem_util::pool::CancelToken;
 
-/// Budget and ablation knobs for a kernel search. Flipping any knob
+/// Budget and pruning knobs for a kernel search. Flipping `feasibility`
 /// changes performance only, never verdicts.
 #[derive(Clone, Copy, Debug)]
 pub struct KernelConfig {
@@ -58,12 +56,6 @@ pub struct KernelConfig {
     /// refute states from which no completion can exist (counted in
     /// [`SearchStats::window_prunes`]). On by default.
     pub feasibility: bool,
-    /// Use the pre-kernel memo representation — a SipHash `HashSet`
-    /// keyed by a freshly allocated `Vec<u64>` per probe — instead of the
-    /// packed/interned Fx tiers. Ablation knob only: the memoized state
-    /// set, the explored state sequence and all [`SearchStats`] are
-    /// bit-identical under both representations.
-    pub legacy_keys: bool,
 }
 
 impl Default for KernelConfig {
@@ -71,7 +63,6 @@ impl Default for KernelConfig {
         KernelConfig {
             max_states: None,
             feasibility: true,
-            legacy_keys: false,
         }
     }
 }
@@ -196,71 +187,37 @@ pub fn frontier_packs(history_lens: impl ExactSizeIterator<Item = usize>) -> boo
     }
 }
 
-/// The visited-state set. Both representations memoize exactly the same
-/// key set; they differ only in encoding and hasher.
-enum Memo {
-    /// Two Fx-hashed tiers: keys of ≤ 2 words live length-tagged in a flat
-    /// set (zero allocations per probe); longer keys are interned once and
-    /// never re-allocated. Keys of different length are never equal, so
-    /// routing by length preserves exactness.
-    Fast {
-        small: FxHashSet<(u64, u64, u8)>,
-        long: SliceInterner<u64>,
-    },
-    /// The pre-kernel cost model: SipHash, one `Vec` allocation per probe.
-    Legacy {
-        seen: HashSet<Vec<u64>>,
-        probes: u64,
-    },
+/// The visited-state set: two Fx-hashed tiers. Keys of ≤ 2 words live
+/// length-tagged in a flat set (zero allocations per probe); longer keys
+/// are interned once and never re-allocated. Keys of different length are
+/// never equal, so routing by length preserves exactness.
+struct Memo {
+    small: FxHashSet<(u64, u64, u8)>,
+    long: SliceInterner<u64>,
 }
 
 impl Memo {
-    fn new(cfg: &KernelConfig) -> Memo {
-        if cfg.legacy_keys {
-            Memo::Legacy {
-                seen: HashSet::new(),
-                probes: 0,
-            }
-        } else {
-            Memo::Fast {
-                small: FxHashSet::default(),
-                long: SliceInterner::new(),
-            }
+    fn new() -> Memo {
+        Memo {
+            small: FxHashSet::default(),
+            long: SliceInterner::new(),
         }
     }
 
     /// Record `key`; true iff it was not already present.
     fn insert(&mut self, key: &[u64]) -> bool {
-        match self {
-            Memo::Fast { small, long } => match *key {
-                [] => small.insert((0, 0, 0)),
-                [a] => small.insert((a, 0, 1)),
-                [a, b] => small.insert((a, b, 2)),
-                _ => long.intern(key).1,
-            },
-            Memo::Legacy { seen, probes } => {
-                *probes += 1;
-                seen.insert(key.to_vec())
-            }
+        match *key {
+            [] => self.small.insert((0, 0, 0)),
+            [a] => self.small.insert((a, 0, 1)),
+            [a, b] => self.small.insert((a, b, 2)),
+            _ => self.long.intern(key).1,
         }
     }
 
-    /// Heap allocations attributable to key storage/probing: the receipt
-    /// metric behind the kernel-vs-legacy claim. Legacy allocates on every
-    /// probe; the fast tiers allocate once per distinct *long* key and
-    /// never for short keys.
+    /// Heap allocations attributable to key storage: one per distinct
+    /// *long* key, none for short keys.
     fn key_allocs(&self) -> u64 {
-        match self {
-            Memo::Fast { long, .. } => long.allocations(),
-            Memo::Legacy { probes, .. } => *probes,
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            Memo::Fast { .. } => "fast",
-            Memo::Legacy { .. } => "legacy",
-        }
+        self.long.allocations()
     }
 }
 
@@ -282,7 +239,7 @@ pub fn run_search<S: TransitionSystem>(
     let memoize = sys.memoize();
     let mut kernel = Kernel {
         sys,
-        memo: Memo::new(cfg),
+        memo: Memo::new(),
         memoize,
         commits: Vec::with_capacity(total),
         total,
@@ -317,7 +274,6 @@ pub fn run_search<S: TransitionSystem>(
         obs::counter_add("search.memo.misses", stats.memo_misses);
         obs::counter_add("search.window.prunes", stats.window_prunes);
         obs::counter_add("kernel.memo.key_allocs", memo.key_allocs());
-        obs::counter_add(&format!("kernel.memo.keys.{}", memo.kind()), 1);
         if let Some(h) = &depth_hist {
             obs::merge_histogram("search.depth", h);
         }
@@ -525,31 +481,6 @@ mod tests {
         assert!(stats.memo_hits > 0, "lattice re-entries must hit the memo");
     }
 
-    #[test]
-    fn legacy_keys_explore_the_identical_state_sequence() {
-        for n in 1..=4usize {
-            let run = |legacy: bool| {
-                let mut sys = Counters {
-                    vals: vec![0; n],
-                    limit: 2,
-                    accept: false,
-                };
-                run_search(
-                    &mut sys,
-                    &KernelConfig {
-                        legacy_keys: legacy,
-                        ..Default::default()
-                    },
-                    None,
-                )
-            };
-            let (o_fast, s_fast) = run(false);
-            let (o_legacy, s_legacy) = run(true);
-            assert_eq!(o_fast, o_legacy, "n={n}");
-            assert_eq!(s_fast, s_legacy, "n={n}");
-        }
-    }
-
     /// [`Counters`] with memoization opted out: the diamond lattice is
     /// re-explored as a tree.
     struct TreeCounters(Counters);
@@ -664,7 +595,7 @@ mod tests {
             accept: false,
         };
         let cfg = KernelConfig::default();
-        let mut memo_probe = Memo::new(&cfg);
+        let mut memo_probe = Memo::new();
         assert!(memo_probe.insert(&[1, 2]));
         assert!(!memo_probe.insert(&[1, 2]));
         assert_eq!(memo_probe.key_allocs(), 0, "2-word keys never allocate");
@@ -677,8 +608,7 @@ mod tests {
 
     #[test]
     fn memo_tiers_never_cross_collide() {
-        let cfg = KernelConfig::default();
-        let mut memo = Memo::new(&cfg);
+        let mut memo = Memo::new();
         // Same leading words, different lengths: all distinct keys.
         assert!(memo.insert(&[]));
         assert!(memo.insert(&[0]));

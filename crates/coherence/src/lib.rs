@@ -48,19 +48,20 @@
 //! surface while the stream is still running (the p99 detection latency is
 //! a first-class receipt), verdicts are bit-identical to a batch run over
 //! the same events, and the ingest hot path runs on allocation-free
-//! dense-slab tables (the pre-dense `HashMap` baseline survives behind
-//! [`HotPathConfig`] as the `--hot-path legacy` ablation). An optional
+//! dense-slab tables. An optional
 //! flight recorder ([`RecorderConfig`]) keeps a per-shard ring of recent
 //! windows and emits [`ForensicBundle`] JSONL on each detection.
 //!
 //! ## The exact-search kernel and declared memory models
 //!
-//! The exponential tier itself is one reusable engine: [`kernel`] owns the
-//! memo table, packed/interned keys, state budget and cancellation, and
-//! searches anything implementing [`TransitionSystem`]. The VMC
-//! backtracking solver is one client; the `vermem-consistency` crate's
-//! *axiom framework* is another — memory models (SC, TSO, PSO, RA,
-//! ARM-dob, coherence-only) are declared as `ModelSpec` **data** (relation
+//! The exponential tier of the consistency models is one reusable engine:
+//! [`kernel`] owns the memo table, packed/interned keys, state budget and
+//! cancellation, and searches anything implementing [`TransitionSystem`].
+//! (The single-address VMC solver in [`backtrack`] still runs its own DFS
+//! with the same key packing, because its windows, symmetry breaking and
+//! nogoods have no kernel hooks yet.) Its client is the
+//! `vermem-consistency` crate's *axiom framework* — memory models (SC, TSO,
+//! PSO, RA, ARM-dob, coherence-only) are declared as `ModelSpec` **data** (relation
 //! generators plus acyclicity/irreflexivity axioms) and lowered by an
 //! operational compiler onto this kernel, or by a SAT compiler onto CNF as
 //! a differential oracle:

@@ -67,23 +67,18 @@
 //! open-addressing Fx-hash maps, slabs and arenas of
 //! [`vermem_util::densemap`], per-process cursor vectors, and block decode
 //! through [`ChunkReader::next_batch`] — no per-event heap allocation, no
-//! SipHash. The monitor logic is generic over an internal `Tables`
-//! contract, so the pre-dense std-`HashMap` strategy shares every line of
-//! it and produces bit-identical reports by construction; it is kept
-//! selectable through [`HotPathConfig`] for the `e_hotpath` ablation.
+//! SipHash.
 
-mod legacy;
 mod tables;
 
 use crate::explain::{minimize_incoherent_core, ExplainConfig};
 use crate::online::{OnlineCause, OnlineViolation};
 use crate::verdict::Verdict;
 use crate::{SearchConfig, SearchStats, Strategy, Tier, TierStats, Violation, VmcVerifier};
-use legacy::LegacyTables;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::thread::JoinHandle;
-use tables::{AddrMap, DenseTables, Router, Tables};
+use tables::{DenseAddrMap, DenseRouter, DenseTables};
 use vermem_trace::binary::{ChunkReader, DecodeError, StreamEvent};
 use vermem_trace::{Addr, AddrOps, Op, OpRef, ProcId, ProcessHistory, Trace, Value};
 use vermem_util::json::JsonWriter;
@@ -135,7 +130,8 @@ pub struct StreamConfig {
     /// tiers; the ring's footprint is counted inside
     /// [`StreamMetrics::peak_retained_windows`].
     pub recorder: Option<RecorderConfig>,
-    /// Ingest-path storage ablation switch (see [`HotPathConfig`]).
+    /// Kept for source compatibility; selects nothing (see
+    /// [`HotPathConfig`]).
     pub hot_path: HotPathConfig,
 }
 
@@ -152,19 +148,11 @@ impl Default for StreamConfig {
     }
 }
 
-/// Ablation switch selecting the ingest-path storage strategy — the
-/// streaming analogue of `legacy_memo_keys` in [`SearchConfig`]: both
-/// strategies are first-class, run the same monitor code over different
-/// representations (dense slab tables vs std `HashMap`s — reports are
-/// bit-identical by construction), and exist side by side so the `e_hotpath` experiment
-/// can measure one against the other on the same binary.
+/// The ingest-path storage configuration. The engine has a single,
+/// dense storage strategy, so this has no fields and no settable value;
+/// it remains only so existing `StreamConfig` literals keep compiling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HotPathConfig {
-    /// Run the pre-dense std-`HashMap` structures and per-event decode
-    /// instead of the dense slab tables and block decode. Default `false`
-    /// (dense).
-    pub legacy_structures: bool,
-}
+pub struct HotPathConfig {}
 
 /// Flight-recorder knobs (see [`StreamConfig::recorder`]).
 #[derive(Clone, Copy, Debug)]
@@ -316,9 +304,9 @@ impl ForensicBundle {
 /// `with_final` gates the declared final value into the certificate
 /// solve: mid-stream the final constraint is not yet meaningful (the
 /// stream is still running), so only end-of-stream captures apply it.
-fn capture_bundle<T: Tables>(
+fn capture_bundle(
     rec: &RecorderConfig,
-    state: &AddrStream<T>,
+    state: &AddrStream,
     violation: OnlineViolation,
     issued_us: u64,
     detected_us: u64,
@@ -543,10 +531,8 @@ struct PendingRead {
 }
 
 /// Per-address streaming state: the greedy §5.2 monitor (summary), the
-/// read-map class bits, and the raw-op retention buffer. Generic over the
-/// [`Tables`] storage strategy — the monitor logic below is the single
-/// source of truth for both the dense and the legacy configuration.
-struct AddrStream<T: Tables> {
+/// read-map class bits, and the raw-op retention buffer.
+struct AddrStream {
     initial: Value,
     final_value: Option<Value>,
     // --- summary: the greedy placement monitor (cf. `crate::online`) ---
@@ -561,10 +547,10 @@ struct AddrStream<T: Tables> {
     /// Value of the most recent committed write.
     last_value: Option<Value>,
     /// The placement index, per-process cursors, deferred-read queues, and
-    /// write counts — the four tables the storage strategy owns. The
-    /// write-count table is O(distinct written values), the one
-    /// per-address map retirement does not bound (disclosed in DESIGN.md).
-    tables: T,
+    /// write counts. The write-count table is O(distinct written values),
+    /// the one per-address map retirement does not bound (disclosed in
+    /// DESIGN.md).
+    tables: DenseTables,
     pending_total: usize,
     /// Reusable scratch for the per-write deferred-read retry loop.
     retry_procs: Vec<u16>,
@@ -587,8 +573,8 @@ struct AddrStream<T: Tables> {
     windows: u64,
 }
 
-impl<T: Tables> AddrStream<T> {
-    fn new(procs: usize, initial: Value, final_value: Option<Value>) -> AddrStream<T> {
+impl AddrStream {
+    fn new(procs: usize, initial: Value, final_value: Option<Value>) -> AddrStream {
         AddrStream {
             initial,
             final_value,
@@ -596,7 +582,7 @@ impl<T: Tables> AddrStream<T> {
             live_from: 0,
             live_values: VecDeque::new(),
             last_value: None,
-            tables: T::new(procs, initial),
+            tables: DenseTables::new(procs, initial),
             pending_total: 0,
             retry_procs: Vec::new(),
             rmw_seen: false,
@@ -848,13 +834,13 @@ struct RoutedOp {
 }
 
 /// A worker's world: the addresses it owns plus its accounting.
-struct Shard<T: Tables> {
+struct Shard {
     window: Option<usize>,
     quantum: usize,
     temporal: bool,
     procs: usize,
     recorder: Option<RecorderConfig>,
-    addrs: T::AddrMap,
+    addrs: DenseAddrMap,
     detections: Vec<OnlineViolation>,
     latencies_us: Vec<u64>,
     /// `(issued_us, detected_us)` aligned with `detections`.
@@ -876,20 +862,20 @@ struct Shard<T: Tables> {
     retired_slots: u64,
 }
 
-impl<T: Tables> Shard<T> {
+impl Shard {
     fn new(
         window: Option<usize>,
         temporal: bool,
         procs: usize,
         recorder: Option<RecorderConfig>,
-    ) -> Shard<T> {
+    ) -> Shard {
         Shard {
             window,
             quantum: window.unwrap_or(UNBOUNDED_SLAB).max(1),
             temporal,
             procs,
             recorder,
-            addrs: T::AddrMap::default(),
+            addrs: DenseAddrMap::default(),
             detections: Vec::new(),
             latencies_us: Vec::new(),
             detect_meta: Vec::new(),
@@ -1028,8 +1014,8 @@ impl<T: Tables> Shard<T> {
 
 /// Everything frozen at end of input, awaiting (optional) replay and the
 /// final reduction.
-struct Ended<T: Tables> {
-    merged: BTreeMap<Addr, AddrStream<T>>,
+struct Ended {
+    merged: BTreeMap<Addr, AddrStream>,
     detections: Vec<OnlineViolation>,
     latencies_us: Vec<u64>,
     forensics: Vec<ForensicBundle>,
@@ -1041,10 +1027,10 @@ struct Ended<T: Tables> {
 
 /// A shard lane: its queue sender, the router-side batch under
 /// construction, and the worker handle.
-struct Lane<T: Tables> {
+struct Lane {
     sender: SpscSender<Vec<RoutedOp>>,
     batch: Vec<RoutedOp>,
-    handle: JoinHandle<Shard<T>>,
+    handle: JoinHandle<Shard>,
 }
 
 /// The sharded bounded-memory streaming verification engine.
@@ -1055,28 +1041,21 @@ struct Lane<T: Tables> {
 /// through [`ingest_replay`](StreamVerifier::ingest_replay) →
 /// [`finish`](StreamVerifier::finish). [`verify_stream_bytes`] wraps the
 /// whole dance for in-memory streams.
-///
-/// Internally this is an enum over the two [`HotPathConfig`] storage
-/// strategies; every method dispatches once and runs the shared generic
-/// engine.
 pub struct StreamVerifier {
-    inner: EngineKind,
-}
-
-/// The two monomorphizations of the generic engine.
-enum EngineKind {
-    Dense(Engine<DenseTables>),
-    Legacy(Engine<LegacyTables>),
-}
-
-/// Dispatch `$body` over whichever engine variant is live, binding `$e`.
-macro_rules! with_engine {
-    ($inner:expr, $e:ident => $body:expr) => {
-        match $inner {
-            EngineKind::Dense($e) => $body,
-            EngineKind::Legacy($e) => $body,
-        }
-    };
+    window: Option<usize>,
+    jobs: usize,
+    temporal: bool,
+    verifier: VmcVerifier,
+    recorder: Option<RecorderConfig>,
+    reader: ChunkReader,
+    procs: Option<u16>,
+    seq: u64,
+    router: DenseRouter,
+    inline: Option<Shard>,
+    lanes: Vec<Lane>,
+    ended: Option<Ended>,
+    /// Reusable block-decode buffer.
+    scratch_events: Vec<StreamEvent>,
 }
 
 impl StreamVerifier {
@@ -1089,97 +1068,13 @@ impl StreamVerifier {
             "Strategy::Sat needs a whole backing trace; the streaming engine \
              supports Auto and Backtracking"
         );
-        let inner = if config.hot_path.legacy_structures {
-            EngineKind::Legacy(Engine::new(config))
-        } else {
-            EngineKind::Dense(Engine::new(config))
-        };
-        StreamVerifier { inner }
-    }
-
-    /// Worker count in use (after resolving `jobs == 0`).
-    pub fn jobs(&self) -> usize {
-        with_engine!(&self.inner, e => e.jobs)
-    }
-
-    /// Operation events consumed so far.
-    pub fn events(&self) -> u64 {
-        with_engine!(&self.inner, e => e.seq)
-    }
-
-    /// Feed the next chunk of the binary stream (any chunking, including
-    /// mid-record splits). Decodes and routes every complete event.
-    pub fn ingest(&mut self, chunk: &[u8]) -> Result<(), DecodeError> {
-        with_engine!(&mut self.inner, e => e.ingest(chunk))
-    }
-
-    /// Declare end of input: validates the stream ended on a record
-    /// boundary, drains the shards, flushes still-deferred reads as
-    /// end-of-stream detections, and computes which addresses need a
-    /// replay pass.
-    pub fn end_input(&mut self) -> Result<(), DecodeError> {
-        with_engine!(&mut self.inner, e => e.end_input())
-    }
-
-    /// True if some escalated address had its retention buffer retired:
-    /// the caller must re-feed the stream through
-    /// [`ingest_replay`](StreamVerifier::ingest_replay) before
-    /// [`finish`](StreamVerifier::finish).
-    pub fn needs_replay(&self) -> bool {
-        with_engine!(&self.inner, e => e.needs_replay())
-    }
-
-    /// The addresses whose raw ops must be re-materialized.
-    pub fn replay_addrs(&self) -> Vec<Addr> {
-        with_engine!(&self.inner, e => e.replay_addrs())
-    }
-
-    /// Second pass over the same stream bytes: re-collects the raw ops of
-    /// replay addresses only (every other event is decoded and discarded).
-    pub fn ingest_replay(&mut self, chunk: &[u8]) -> Result<(), DecodeError> {
-        with_engine!(&mut self.inner, e => e.ingest_replay(chunk))
-    }
-
-    /// Run the final reduction and produce the report.
-    ///
-    /// Sealed addresses are decided by their summary; every other address
-    /// is solved by the exact tiered kernel (fanned out over the
-    /// work-stealing pool, reduced in ascending address order with the
-    /// same first-failure determinism as [`crate::verify_execution_par`]).
-    ///
-    /// Panics if a replay was needed but not provided.
-    pub fn finish(self) -> StreamReport {
-        with_engine!(self.inner, e => e.finish())
-    }
-}
-
-/// The generic engine body, monomorphized per storage strategy.
-struct Engine<T: Tables> {
-    window: Option<usize>,
-    jobs: usize,
-    temporal: bool,
-    verifier: VmcVerifier,
-    recorder: Option<RecorderConfig>,
-    reader: ChunkReader,
-    procs: Option<u16>,
-    seq: u64,
-    router: T::Router,
-    inline: Option<Shard<T>>,
-    lanes: Vec<Lane<T>>,
-    ended: Option<Ended<T>>,
-    /// Reusable block-decode buffer (dense path only).
-    scratch_events: Vec<StreamEvent>,
-}
-
-impl<T: Tables> Engine<T> {
-    fn new(config: StreamConfig) -> Engine<T> {
         let jobs = if config.jobs == 0 {
             available_jobs()
         } else {
             config.jobs
         }
         .max(1);
-        Engine {
+        StreamVerifier {
             window: config.window,
             jobs,
             temporal: config.temporal,
@@ -1188,7 +1083,7 @@ impl<T: Tables> Engine<T> {
             reader: ChunkReader::new(),
             procs: None,
             seq: 0,
-            router: T::Router::default(),
+            router: DenseRouter::default(),
             inline: None,
             lanes: Vec::new(),
             ended: None,
@@ -1196,41 +1091,41 @@ impl<T: Tables> Engine<T> {
         }
     }
 
-    fn ingest(&mut self, chunk: &[u8]) -> Result<(), DecodeError> {
+    /// Worker count in use (after resolving `jobs == 0`).
+    pub fn jobs(&self) -> usize {
+        self.jobs
+    }
+
+    /// Operation events consumed so far.
+    pub fn events(&self) -> u64 {
+        self.seq
+    }
+
+    /// Feed the next chunk of the binary stream (any chunking, including
+    /// mid-record splits). Decodes and routes every complete event.
+    pub fn ingest(&mut self, chunk: &[u8]) -> Result<(), DecodeError> {
         assert!(self.ended.is_none(), "ingest after end_input");
         self.reader.feed(chunk);
-        if T::BATCHED {
-            // Block decode: `next_batch` amortizes the per-event framing
-            // cost; completed events are routed even when the batch ends in
-            // a decode error (matching the per-event path, which routes
-            // every event up to the failing record).
-            let mut events = std::mem::take(&mut self.scratch_events);
-            loop {
-                events.clear();
-                let decoded = self.reader.next_batch(&mut events, BATCH);
-                for event in events.drain(..) {
-                    self.route(event);
-                }
-                match decoded {
-                    Ok(0) => break,
-                    Ok(_) => {}
-                    Err(e) => {
-                        self.scratch_events = events;
-                        return Err(e);
-                    }
-                }
+        // Block decode: `next_batch` amortizes the per-event framing cost;
+        // completed events are routed even when the batch ends in a decode
+        // error (every event up to the failing record is routed).
+        let mut events = std::mem::take(&mut self.scratch_events);
+        loop {
+            events.clear();
+            let decoded = self.reader.next_batch(&mut events, BATCH);
+            for event in events.drain(..) {
+                self.route(event);
             }
-            self.scratch_events = events;
-        } else {
-            loop {
-                match self.reader.next() {
-                    Ok(Some(event)) => self.route(event),
-                    Ok(None) => break,
-                    Err(DecodeError::NeedMoreBytes) => break,
-                    Err(e) => return Err(e),
+            match decoded {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) => {
+                    self.scratch_events = events;
+                    return Err(e);
                 }
             }
         }
+        self.scratch_events = events;
         Ok(())
     }
 
@@ -1253,7 +1148,7 @@ impl<T: Tables> Engine<T> {
                         let handle = std::thread::Builder::new()
                             .name(format!("vermem-stream-{i}"))
                             .spawn(move || {
-                                let mut shard: Shard<T> =
+                                let mut shard =
                                     Shard::new(window, temporal, usize::from(procs), recorder);
                                 while let Some(batch) = rx.recv() {
                                     for routed in batch {
@@ -1309,11 +1204,15 @@ impl<T: Tables> Engine<T> {
         }
     }
 
-    fn end_input(&mut self) -> Result<(), DecodeError> {
+    /// Declare end of input: validates the stream ended on a record
+    /// boundary, drains the shards, flushes still-deferred reads as
+    /// end-of-stream detections, and computes which addresses need a
+    /// replay pass.
+    pub fn end_input(&mut self) -> Result<(), DecodeError> {
         assert!(self.ended.is_none(), "end_input called twice");
         self.reader.finish()?;
 
-        let mut shards: Vec<Shard<T>> = Vec::new();
+        let mut shards: Vec<Shard> = Vec::new();
         if let Some(shard) = self.inline.take() {
             shards.push(shard);
         }
@@ -1330,7 +1229,7 @@ impl<T: Tables> Engine<T> {
             shards.push(handle.join().expect("stream shard panicked"));
         }
 
-        let mut merged: BTreeMap<Addr, AddrStream<T>> = BTreeMap::new();
+        let mut merged: BTreeMap<Addr, AddrStream> = BTreeMap::new();
         let mut detections: Vec<OnlineViolation> = Vec::new();
         let mut latencies_us: Vec<u64> = Vec::new();
         let mut forensics: Vec<ForensicBundle> = Vec::new();
@@ -1439,19 +1338,26 @@ impl<T: Tables> Engine<T> {
         Ok(())
     }
 
-    fn needs_replay(&self) -> bool {
+    /// True if some escalated address had its retention buffer retired:
+    /// the caller must re-feed the stream through
+    /// [`ingest_replay`](StreamVerifier::ingest_replay) before
+    /// [`finish`](StreamVerifier::finish).
+    pub fn needs_replay(&self) -> bool {
         let ended = self.ended.as_ref().expect("call end_input first");
         !ended
             .replay_set
             .is_subset(&ended.replay_store.keys().copied().collect())
     }
 
-    fn replay_addrs(&self) -> Vec<Addr> {
+    /// The addresses whose raw ops must be re-materialized.
+    pub fn replay_addrs(&self) -> Vec<Addr> {
         let ended = self.ended.as_ref().expect("call end_input first");
         ended.replay_set.iter().copied().collect()
     }
 
-    fn ingest_replay(&mut self, chunk: &[u8]) -> Result<(), DecodeError> {
+    /// Second pass over the same stream bytes: re-collects the raw ops of
+    /// replay addresses only (every other event is decoded and discarded).
+    pub fn ingest_replay(&mut self, chunk: &[u8]) -> Result<(), DecodeError> {
         let procs = usize::from(self.procs.unwrap_or(0));
         let ended = self
             .ended
@@ -1479,7 +1385,15 @@ impl<T: Tables> Engine<T> {
         Ok(())
     }
 
-    fn finish(mut self) -> StreamReport {
+    /// Run the final reduction and produce the report.
+    ///
+    /// Sealed addresses are decided by their summary; every other address
+    /// is solved by the exact tiered kernel (fanned out over the
+    /// work-stealing pool, reduced in ascending address order with the
+    /// same first-failure determinism as [`crate::verify_execution_par`]).
+    ///
+    /// Panics if a replay was needed but not provided.
+    pub fn finish(mut self) -> StreamReport {
         let mut ended = self.ended.take().expect("call end_input before finish");
 
         let mut span = vermem_util::span!("stream.finish");
@@ -1612,16 +1526,7 @@ mod tests {
             temporal,
             verifier: VmcVerifier::new(),
             recorder: None,
-            hot_path: HotPathConfig::default(),
-        }
-    }
-
-    fn legacy(window: Option<usize>, jobs: usize, temporal: bool) -> StreamConfig {
-        StreamConfig {
-            hot_path: HotPathConfig {
-                legacy_structures: true,
-            },
-            ..config(window, jobs, temporal)
+            ..Default::default()
         }
     }
 
@@ -2032,94 +1937,5 @@ mod tests {
         let v: Vec<u64> = (1..=100).collect();
         assert_eq!(percentile(&v, 99), Some(99));
         assert_eq!(percentile(&v, 50), Some(50));
-    }
-
-    /// Dense and legacy storage must produce the same report, field by
-    /// field, modulo wall-clock microseconds (latencies and capture
-    /// timestamps are obs-clock readings, so only their shapes compare).
-    fn assert_dense_legacy_identical(
-        bytes: &[u8],
-        cfg_d: StreamConfig,
-        cfg_l: StreamConfig,
-        tag: &str,
-    ) {
-        let d = verify_stream_bytes(bytes, cfg_d).expect("dense decodes");
-        let l = verify_stream_bytes(bytes, cfg_l).expect("legacy decodes");
-        assert_eq!(d.verdict, l.verdict, "{tag}: verdict");
-        assert_eq!(d.stats, l.stats, "{tag}: stats");
-        assert_eq!(d.tiers, l.tiers, "{tag}: tiers");
-        assert_eq!(d.addresses, l.addresses, "{tag}: addresses");
-        assert_eq!(d.events, l.events, "{tag}: events");
-        assert_eq!(d.detections, l.detections, "{tag}: detections");
-        assert_eq!(d.metrics, l.metrics, "{tag}: metrics");
-        assert_eq!(
-            d.detect_latencies_us.len(),
-            l.detect_latencies_us.len(),
-            "{tag}: latency count"
-        );
-        assert_eq!(d.forensics.len(), l.forensics.len(), "{tag}: bundle count");
-        for (bd, bl) in d.forensics.iter().zip(&l.forensics) {
-            assert_eq!(bd.violation, bl.violation, "{tag}: bundle violation");
-            assert_eq!(bd.window_ops, bl.window_ops, "{tag}: bundle window ops");
-            assert_eq!(bd.tier, bl.tier, "{tag}: bundle tier");
-        }
-    }
-
-    #[test]
-    fn dense_and_legacy_storage_agree_on_coherent_traces() {
-        for seed in [11, 12, 13] {
-            let bytes = encode_trace(&gen_trace(seed));
-            for jobs in [1, 2, 8] {
-                for window in [Some(16), Some(256), None] {
-                    assert_dense_legacy_identical(
-                        &bytes,
-                        config(window, jobs, false),
-                        legacy(window, jobs, false),
-                        &format!("seed {seed} jobs {jobs} window {window:?}"),
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dense_and_legacy_storage_agree_on_violations_and_forensics() {
-        // A stream with a read of a never-written value: end-of-stream
-        // detections, forensics, and the exact escalation all engage.
-        let events = vec![
-            (ProcId(0), Op::w(1u64)),
-            (ProcId(1), Op::r(9u64)),
-            (ProcId(1), Op::w(2u64)),
-            (ProcId(0), Op::r(2u64)),
-        ];
-        let bytes = encode_event_stream(2, &BTreeMap::new(), &BTreeMap::new(), &events);
-        for jobs in [1, 2, 8] {
-            assert_dense_legacy_identical(
-                &bytes,
-                recording(None, jobs, true),
-                StreamConfig {
-                    hot_path: HotPathConfig {
-                        legacy_structures: true,
-                    },
-                    ..recording(None, jobs, true)
-                },
-                &format!("violating stream jobs {jobs}"),
-            );
-        }
-    }
-
-    #[test]
-    fn dense_and_legacy_storage_agree_across_retirement_and_replay() {
-        // A long sealing stream with a tight window exercises retirement;
-        // verify_stream_bytes runs the replay pass when needed.
-        let bytes = sealing_stream(3, 2_000);
-        for jobs in [1, 2, 8] {
-            assert_dense_legacy_identical(
-                &bytes,
-                config(Some(16), jobs, true),
-                legacy(Some(16), jobs, true),
-                &format!("sealing stream jobs {jobs}"),
-            );
-        }
     }
 }

@@ -1,121 +1,32 @@
-//! The ingest-path storage contract, and its dense default.
+//! The ingest-path storage of the streaming engine.
 //!
-//! The per-event hot path of the streaming engine touches four per-address
-//! tables (the placement index, the per-process cursor map, the deferred
-//! read queues, the write-count class map) plus two router-level maps (the
-//! per-shard address table and the first-touch initial/final lookup). The
-//! [`Tables`] / [`Router`] / [`AddrMap`] traits pin down exactly those
-//! touches, so the monitor logic in `stream/mod.rs` is written *once* and
-//! the two storage strategies differ only in representation — which is why
-//! the dense and legacy configurations produce bit-identical reports by
-//! construction.
-//!
-//! [`DenseTables`] is the default: open-addressing Fx-hash maps
-//! ([`DenseMap`]), slab-allocated bucket lists with free-list + arena
-//! reuse ([`Slab`], [`Arena`]), and plain per-process vectors. Steady-state
-//! ingest performs no heap allocation and no SipHash — every structure
-//! reaches its working-set high-water mark and then only reuses memory
-//! (asserted by the counting-allocator harness in
-//! `tests/stream_alloc.rs`). The pre-dense std-`HashMap` strategy lives in
-//! [`super::legacy`] behind [`super::HotPathConfig`] for the `e_hotpath`
-//! ablation.
+//! The per-event hot path touches four per-address tables (the placement
+//! index, the per-process cursor map, the deferred read queues, the
+//! write-count class map) plus two router-level maps (the per-shard address
+//! table and the first-touch initial/final lookup). All of them are dense:
+//! open-addressing Fx-hash maps ([`DenseMap`]), slab-allocated bucket lists
+//! with free-list + arena reuse ([`Slab`], [`Arena`]), and plain
+//! per-process vectors. Steady-state ingest performs no heap allocation and
+//! no SipHash — every structure reaches its working-set high-water mark and
+//! then only reuses memory (asserted by the counting-allocator harness in
+//! `tests/stream_alloc.rs`).
 
 use super::{AddrStream, PendingRead};
 use std::collections::{BTreeMap, VecDeque};
 use vermem_trace::{Addr, Value};
 use vermem_util::densemap::{Arena, DenseMap, Slab};
 
-/// Per-address storage strategy for the greedy placement monitor.
-///
-/// Slot lists are sorted ascending (slots commit in ascending order and
-/// retire from the bottom); cursors use *presence* semantics — a process
-/// has no cursor until its first placed read or own write, and
-/// [`Tables::cursor_floor`] is the minimum over present cursors only.
-pub(crate) trait Tables: Sized + Send + 'static {
-    /// Router-level tables (initials/finals and the first-touch set).
-    type Router: Router;
-    /// The per-shard address table.
-    type AddrMap: AddrMap<Self>;
-    /// Whether ingest decodes through `ChunkReader::next_batch` (the block
-    /// decoder) instead of one `next()` call per event.
-    const BATCHED: bool;
-
-    /// Fresh tables for an address with `procs` processes, seeded with
-    /// `initial` current at slot 0.
-    fn new(procs: usize, initial: Value) -> Self;
-
-    // --- placement index: value → sorted live slots ---
-
-    /// Earliest live slot in `min..=max_slot` where `value` is current.
-    fn place(&self, max_slot: usize, value: Value, min: usize) -> Option<usize>;
-    /// Record that `slot` committed `value` (strictly ascending slots).
-    fn commit_slot(&mut self, value: Value, slot: usize);
-    /// Drop retired `slot` (the globally lowest live slot) for `value`.
-    fn retire_slot(&mut self, value: Value, slot: usize);
-
-    // --- per-process placement cursors ---
-
-    /// The cursor of `proc`, if it has one.
-    fn cursor(&self, proc: u16) -> Option<usize>;
-    /// Set (creating if absent) the cursor of `proc`.
-    fn set_cursor(&mut self, proc: u16, slot: usize);
-    /// Minimum over *present* cursors; `0` when no process has one.
-    fn cursor_floor(&self) -> usize;
-
-    // --- deferred reads, per process in program order ---
-
-    /// The deferred reads of `proc` (empty slice when none).
-    fn pending(&self, proc: u16) -> &[PendingRead];
-    /// Append a deferred read for `proc`.
-    fn pending_push(&mut self, proc: u16, pr: PendingRead);
-    /// Remove the first `n` deferred reads of `proc`.
-    fn pending_pop_front(&mut self, proc: u16, n: usize);
-    /// Move `proc`'s queue out wholesale (for drain-and-report loops that
-    /// also need `&mut self`); pair with [`Tables::pending_restore`] to
-    /// hand the emptied queue's capacity back.
-    fn pending_take(&mut self, proc: u16) -> Vec<PendingRead>;
-    /// Put a queue taken by [`Tables::pending_take`] back in place.
-    fn pending_restore(&mut self, proc: u16, queue: Vec<PendingRead>);
-    /// Push the processes that hold deferred reads, ascending, onto `out`.
-    fn pending_procs(&self, out: &mut Vec<u16>);
-
-    // --- read-map class write counts ---
-
-    /// Increment and return the number of times `value` has been written.
-    fn bump_write(&mut self, value: Value) -> u32;
-}
-
-/// Router-level tables: declared initial/final values plus the first-touch
-/// address set.
-pub(crate) trait Router: Default + Send + 'static {
-    /// Record a declared initial value.
-    fn set_initial(&mut self, addr: Addr, value: Value);
-    /// Record a declared final value.
-    fn set_final(&mut self, addr: Addr, value: Value);
-    /// First touch of `addr`: record it and return its
-    /// `(initial, declared final)`; `None` on every later touch.
-    fn first_touch(&mut self, addr: Addr) -> Option<(Value, Option<Value>)>;
-}
-
-/// The per-shard address table.
-pub(crate) trait AddrMap<T: Tables>: Default + Send {
-    /// The state of `addr`, if the shard has seen it.
-    fn get(&self, addr: Addr) -> Option<&AddrStream<T>>;
-    /// The state of `addr`, created by `make` on first touch.
-    fn get_or_insert_with(
-        &mut self,
-        addr: Addr,
-        make: impl FnOnce() -> AddrStream<T>,
-    ) -> &mut AddrStream<T>;
-    /// Move every entry into `out` (the end-of-stream merge).
-    fn drain_into(&mut self, out: &mut BTreeMap<Addr, AddrStream<T>>);
-}
-
 /// Cursor sentinel: the process has not placed a read or committed a write
 /// yet. Slots count committed writes, so a real cursor never reaches it.
 const NO_CURSOR: usize = usize::MAX;
 
-/// Dense, index-addressed tables: the allocation-free default.
+/// Dense, index-addressed per-address tables for the greedy placement
+/// monitor.
+///
+/// Slot lists are sorted ascending (slots commit in ascending order and
+/// retire from the bottom); cursors use *presence* semantics — a process
+/// has no cursor until its first placed read or own write, and
+/// [`DenseTables::cursor_floor`] is the minimum over present cursors only.
 pub(crate) struct DenseTables {
     /// `value → index into `buckets`` on the Fx hash stream.
     slot_lists: DenseMap<u64, u32>,
@@ -131,12 +42,10 @@ pub(crate) struct DenseTables {
     write_counts: DenseMap<u64, u32>,
 }
 
-impl Tables for DenseTables {
-    type Router = DenseRouter;
-    type AddrMap = DenseAddrMap<DenseTables>;
-    const BATCHED: bool = true;
-
-    fn new(procs: usize, initial: Value) -> Self {
+impl DenseTables {
+    /// Fresh tables for an address with `procs` processes, seeded with
+    /// `initial` current at slot 0.
+    pub(crate) fn new(procs: usize, initial: Value) -> Self {
         let mut t = DenseTables {
             slot_lists: DenseMap::new(),
             buckets: Slab::new(),
@@ -150,15 +59,17 @@ impl Tables for DenseTables {
         t
     }
 
+    /// Earliest live slot in `min..=max_slot` where `value` is current.
     #[inline]
-    fn place(&self, max_slot: usize, value: Value, min: usize) -> Option<usize> {
+    pub(crate) fn place(&self, max_slot: usize, value: Value, min: usize) -> Option<usize> {
         let &idx = self.slot_lists.get(value.0)?;
         let slots = self.buckets.get(idx).expect("indexed bucket is live");
         let i = slots.partition_point(|&s| s < min);
         slots.get(i).copied().filter(|&s| s <= max_slot)
     }
 
-    fn commit_slot(&mut self, value: Value, slot: usize) {
+    /// Record that `slot` committed `value` (strictly ascending slots).
+    pub(crate) fn commit_slot(&mut self, value: Value, slot: usize) {
         match self.slot_lists.get(value.0) {
             Some(&idx) => self
                 .buckets
@@ -174,7 +85,8 @@ impl Tables for DenseTables {
         }
     }
 
-    fn retire_slot(&mut self, value: Value, slot: usize) {
+    /// Drop retired `slot` (the globally lowest live slot) for `value`.
+    pub(crate) fn retire_slot(&mut self, value: Value, slot: usize) {
         let Some(&idx) = self.slot_lists.get(value.0) else {
             return;
         };
@@ -188,19 +100,22 @@ impl Tables for DenseTables {
         }
     }
 
+    /// The cursor of `proc`, if it has one.
     #[inline]
-    fn cursor(&self, proc: u16) -> Option<usize> {
+    pub(crate) fn cursor(&self, proc: u16) -> Option<usize> {
         let c = self.cursors[usize::from(proc)];
         (c != NO_CURSOR).then_some(c)
     }
 
+    /// Set (creating if absent) the cursor of `proc`.
     #[inline]
-    fn set_cursor(&mut self, proc: u16, slot: usize) {
+    pub(crate) fn set_cursor(&mut self, proc: u16, slot: usize) {
         debug_assert_ne!(slot, NO_CURSOR);
         self.cursors[usize::from(proc)] = slot;
     }
 
-    fn cursor_floor(&self) -> usize {
+    /// Minimum over *present* cursors; `0` when no process has one.
+    pub(crate) fn cursor_floor(&self) -> usize {
         self.cursors
             .iter()
             .copied()
@@ -209,29 +124,37 @@ impl Tables for DenseTables {
             .unwrap_or(0)
     }
 
+    /// The deferred reads of `proc`, in program order.
     #[inline]
-    fn pending(&self, proc: u16) -> &[PendingRead] {
+    pub(crate) fn pending(&self, proc: u16) -> &[PendingRead] {
         &self.deferred[usize::from(proc)]
     }
 
+    /// Append a deferred read for `proc`.
     #[inline]
-    fn pending_push(&mut self, proc: u16, pr: PendingRead) {
+    pub(crate) fn pending_push(&mut self, proc: u16, pr: PendingRead) {
         self.deferred[usize::from(proc)].push(pr);
     }
 
-    fn pending_pop_front(&mut self, proc: u16, n: usize) {
+    /// Remove the first `n` deferred reads of `proc`.
+    pub(crate) fn pending_pop_front(&mut self, proc: u16, n: usize) {
         self.deferred[usize::from(proc)].drain(..n);
     }
 
-    fn pending_take(&mut self, proc: u16) -> Vec<PendingRead> {
+    /// Move `proc`'s queue out wholesale (for drain-and-report loops that
+    /// also need `&mut self`); pair with [`DenseTables::pending_restore`]
+    /// to hand the emptied queue's capacity back.
+    pub(crate) fn pending_take(&mut self, proc: u16) -> Vec<PendingRead> {
         std::mem::take(&mut self.deferred[usize::from(proc)])
     }
 
-    fn pending_restore(&mut self, proc: u16, queue: Vec<PendingRead>) {
+    /// Put a queue taken by [`DenseTables::pending_take`] back in place.
+    pub(crate) fn pending_restore(&mut self, proc: u16, queue: Vec<PendingRead>) {
         self.deferred[usize::from(proc)] = queue;
     }
 
-    fn pending_procs(&self, out: &mut Vec<u16>) {
+    /// Push the processes that hold deferred reads, ascending, onto `out`.
+    pub(crate) fn pending_procs(&self, out: &mut Vec<u16>) {
         for (p, queue) in self.deferred.iter().enumerate() {
             if !queue.is_empty() {
                 out.push(p as u16);
@@ -239,15 +162,17 @@ impl Tables for DenseTables {
         }
     }
 
+    /// Increment and return the number of times `value` has been written.
     #[inline]
-    fn bump_write(&mut self, value: Value) -> u32 {
+    pub(crate) fn bump_write(&mut self, value: Value) -> u32 {
         let count = self.write_counts.get_or_insert_with(value.0, || 0);
         *count += 1;
         *count
     }
 }
 
-/// Dense router tables on the Fx hash stream (no SipHash per event).
+/// Router-level tables on the Fx hash stream: declared initial/final
+/// values plus the first-touch address set.
 #[derive(Default)]
 pub(crate) struct DenseRouter {
     initials: DenseMap<u32, Value>,
@@ -255,17 +180,21 @@ pub(crate) struct DenseRouter {
     seen: DenseMap<u32, ()>,
 }
 
-impl Router for DenseRouter {
-    fn set_initial(&mut self, addr: Addr, value: Value) {
+impl DenseRouter {
+    /// Record a declared initial value.
+    pub(crate) fn set_initial(&mut self, addr: Addr, value: Value) {
         self.initials.insert(addr.0, value);
     }
 
-    fn set_final(&mut self, addr: Addr, value: Value) {
+    /// Record a declared final value.
+    pub(crate) fn set_final(&mut self, addr: Addr, value: Value) {
         self.finals.insert(addr.0, value);
     }
 
+    /// First touch of `addr`: record it and return its
+    /// `(initial, declared final)`; `None` on every later touch.
     #[inline]
-    fn first_touch(&mut self, addr: Addr) -> Option<(Value, Option<Value>)> {
+    pub(crate) fn first_touch(&mut self, addr: Addr) -> Option<(Value, Option<Value>)> {
         if self.seen.insert(addr.0, ()).is_some() {
             return None;
         }
@@ -276,31 +205,29 @@ impl Router for DenseRouter {
     }
 }
 
-/// Dense per-shard address table.
-pub(crate) struct DenseAddrMap<T: Tables>(DenseMap<u32, AddrStream<T>>);
+/// The per-shard address table.
+#[derive(Default)]
+pub(crate) struct DenseAddrMap(DenseMap<u32, AddrStream>);
 
-impl<T: Tables> Default for DenseAddrMap<T> {
-    fn default() -> Self {
-        DenseAddrMap(DenseMap::new())
-    }
-}
-
-impl<T: Tables> AddrMap<T> for DenseAddrMap<T> {
+impl DenseAddrMap {
+    /// The state of `addr`, if the shard has seen it.
     #[inline]
-    fn get(&self, addr: Addr) -> Option<&AddrStream<T>> {
+    pub(crate) fn get(&self, addr: Addr) -> Option<&AddrStream> {
         self.0.get(addr.0)
     }
 
+    /// The state of `addr`, created by `make` on first touch.
     #[inline]
-    fn get_or_insert_with(
+    pub(crate) fn get_or_insert_with(
         &mut self,
         addr: Addr,
-        make: impl FnOnce() -> AddrStream<T>,
-    ) -> &mut AddrStream<T> {
+        make: impl FnOnce() -> AddrStream,
+    ) -> &mut AddrStream {
         self.0.get_or_insert_with(addr.0, make)
     }
 
-    fn drain_into(&mut self, out: &mut BTreeMap<Addr, AddrStream<T>>) {
+    /// Move every entry into `out` (the end-of-stream merge).
+    pub(crate) fn drain_into(&mut self, out: &mut BTreeMap<Addr, AddrStream>) {
         for (key, state) in self.0.drain() {
             out.insert(Addr(key), state);
         }

@@ -72,7 +72,7 @@ fn main() {
         temporal: false,
         verifier: VmcVerifier::new(),
         recorder: None,
-        hot_path: Default::default(),
+        ..Default::default()
     });
 
     const CHUNK: usize = 4096;

@@ -350,10 +350,6 @@ pub fn spec(id: ModelId) -> &'static ModelSpec {
 pub enum Engine {
     /// The operational compiler on the exact-search kernel (default).
     Compiled,
-    /// The pre-refactor hand-written machines (SC/TSO/PSO) or the legacy
-    /// SAT dispatch (coherence). Ablation baseline; RA and ARM-dob have
-    /// no legacy engine.
-    Legacy,
     /// The SAT compiler.
     Sat,
 }
@@ -363,7 +359,6 @@ impl Engine {
     pub fn parse(s: &str) -> Option<Engine> {
         match s {
             "compiled" => Some(Engine::Compiled),
-            "legacy" => Some(Engine::Legacy),
             "sat" => Some(Engine::Sat),
             _ => None,
         }
@@ -373,14 +368,8 @@ impl Engine {
     pub fn name(self) -> &'static str {
         match self {
             Engine::Compiled => "compiled",
-            Engine::Legacy => "legacy",
             Engine::Sat => "sat",
         }
-    }
-
-    /// Does this engine exist for `id`?
-    pub fn supports(self, id: ModelId) -> bool {
-        self != Engine::Legacy || id.base_model().is_some()
     }
 }
 
@@ -422,11 +411,6 @@ pub struct AxiomReport {
 }
 
 /// Verify `trace` under declared model `id`.
-///
-/// # Panics
-///
-/// With [`Engine::Legacy`] on a model that has no legacy engine
-/// (see [`Engine::supports`]).
 pub fn verify_axiom(trace: &Trace, id: ModelId, cfg: &AxiomConfig) -> AxiomReport {
     verify_axiom_with(trace, id, cfg, None)
 }
@@ -445,24 +429,9 @@ pub fn verify_axiom_with(
             stats: SearchStats::default(),
             tier: Tier::Exact,
         },
-        Engine::Legacy => {
-            let (verdict, stats) = crate::legacy::solve_legacy_with_stats(
-                trace,
-                id.base_model()
-                    .unwrap_or_else(|| panic!("no legacy engine for {}", id.name())),
-                &cfg.kernel,
-                cancel,
-            );
-            AxiomReport {
-                verdict,
-                stats,
-                tier: Tier::Exact,
-            }
-        }
         Engine::Compiled => {
-            // Polynomial per-address precheck (shared with the legacy
-            // engines): sound for every spec, because every spec carries a
-            // per-location coherence axiom.
+            // Polynomial per-address precheck: sound for every spec,
+            // because every spec carries a per-location coherence axiom.
             if let Some(v) = crate::vsc::precheck_sc(trace) {
                 return AxiomReport {
                     verdict: ConsistencyVerdict::Violating(v),
@@ -554,13 +523,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_support_matrix() {
-        for id in ModelId::ALL {
-            assert!(Engine::Compiled.supports(id));
-            assert!(Engine::Sat.supports(id));
-            assert_eq!(Engine::Legacy.supports(id), id.base_model().is_some());
+    fn engine_spellings_round_trip() {
+        for engine in [Engine::Compiled, Engine::Sat] {
+            assert_eq!(Engine::parse(engine.name()), Some(engine));
         }
-        assert_eq!(Engine::parse("compiled"), Some(Engine::Compiled));
+        assert_eq!(Engine::parse("legacy"), None);
         assert_eq!(Engine::parse("brute"), None);
     }
 

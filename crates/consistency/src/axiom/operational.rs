@@ -12,8 +12,9 @@
 //!   FIFO per process×address (PSO). The lowering reproduces the
 //!   pre-refactor hand-written machines **bit-identically** — same move
 //!   enumeration order, same exploration preference, same state-key
-//!   encoding — so verdicts, state sets and [`SearchStats`] match the
-//!   `legacy` engines exactly (pinned by the differential suites).
+//!   encoding — so verdicts, state sets and [`SearchStats`] match what
+//!   those machines produced (pinned by the golden file of
+//!   `tests/axiom_differential.rs`).
 //! * **Graph lowering** — every other spec (coherence-only, RA, ARM-dob)
 //!   compiles to the witness-construction machine of [`super::graph`],
 //!   which decides `rf` and `mo` directly and answers to the reference
@@ -141,7 +142,8 @@ fn no_schedule() -> ConsistencyVerdict {
 }
 
 /// The unified store-buffer machine: one [`TransitionSystem`] whose
-/// [`BufferKind`] parameter reproduces each legacy machine bit-identically.
+/// [`BufferKind`] parameter reproduces each pre-refactor machine
+/// bit-identically.
 /// Unused buffer structures stay empty (and cost nothing) under shapes
 /// that do not own them.
 struct CompiledMachine {
@@ -281,7 +283,7 @@ impl TransitionSystem for CompiledMachine {
     fn enabled_moves(&self, moves: &mut Vec<CompiledMove>) {
         let demanded = self.base.demanded();
         for p in 0..self.base.frontier.len() {
-            // Drains first, matching each shape's legacy enumeration
+            // Drains first, matching each shape's pre-refactor enumeration
             // order: the single FIFO head (ProcFifo) or every per-slot
             // head in ascending slot order (SlotFifo).
             match self.kind {

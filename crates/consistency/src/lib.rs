@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 
 pub mod axiom;
-mod legacy;
 pub mod litmus;
 pub mod lrc;
 mod machine;

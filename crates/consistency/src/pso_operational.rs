@@ -12,8 +12,7 @@
 //! enforcement table select the per-slot-FIFO buffer lowering — and this
 //! module only keeps the entry points. Differential tests pin the
 //! compiled semantics to the axiomatic [`crate::MemoryModel::Pso`]
-//! (write→write and write→read to different addresses relaxed) and to the
-//! verbatim pre-refactor machine in `crate::legacy`.
+//! (write→write and write→read to different addresses relaxed).
 
 use crate::axiom::{solve_compiled_with_stats, ModelId};
 use crate::verdict::ConsistencyVerdict;

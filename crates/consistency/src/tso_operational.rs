@@ -14,8 +14,8 @@
 //! [`crate::axiom::TSO_SPEC`] — the spec's relaxed store→load entries in
 //! its enforcement table select the per-process-FIFO buffer lowering —
 //! and this module only keeps the entry points (plus the differential
-//! tests, which now pin the compiled machine against both the axiomatic
-//! SAT oracle and the verbatim pre-refactor machine in `crate::legacy`).
+//! tests, which pin the compiled machine against the axiomatic SAT
+//! oracle; its statistics are pinned by a golden file).
 //! Exponential worst case, as it must be (§6.2: TSO verification is
 //! NP-hard).
 

@@ -12,9 +12,10 @@
 //! precheck and the SC entry points; the machine itself is *compiled*
 //! from [`crate::axiom::SC_SPEC`] by [`crate::axiom`]'s operational
 //! compiler onto [`vermem_coherence::kernel`] — the same engine that runs
-//! the production VMC search. The pre-refactor hand-written machine
-//! survives verbatim in `crate::legacy` as the ablation baseline, and
-//! the differential suite pins the two bit-identical.
+//! the TSO/PSO machines. Its verdicts and [`SearchStats`] are pinned by
+//! the golden file of `tests/axiom_differential.rs`, recorded while the
+//! pre-refactor hand-written machine still ran beside it and matched it
+//! bit for bit.
 
 use crate::axiom::{solve_compiled_with_stats, ModelId};
 use crate::verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};

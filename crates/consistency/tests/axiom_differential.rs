@@ -1,21 +1,23 @@
 //! Differential suite for the axiom framework: every declared model must
-//! give the same answer through the operational compiler, the SAT
-//! compiler, and (for the four base models) the verbatim pre-refactor
-//! legacy engines — across the litmus suite, generated workloads,
-//! fault-injected traces and unconstrained random traces. The RA fast
-//! tier must never mask the exact verdict, and must actually decide
+//! give the same answer through the operational compiler and the SAT
+//! compiler, and the four base models must also match the hand-written
+//! `sat_vsc` encoding — an oracle not derived from `ModelSpec` — across
+//! the litmus suite, generated workloads, fault-injected traces and
+//! unconstrained random traces. The compiled engine's verdicts and
+//! `SearchStats` on the same corpus are pinned by a golden file. The RA
+//! fast tier must never mask the exact verdict, and must actually decide
 //! healthy unique-value workloads.
 
+use std::fmt::Write as _;
 use vermem_coherence::TierConfig;
 use vermem_consistency::axiom::ra_fast::{self, FastOutcome};
 use vermem_consistency::{
-    litmus::all_litmus_tests, verify_axiom, AxiomConfig, Engine, KernelConfig, ModelId,
+    litmus::all_litmus_tests, solve_model_sat, verify_axiom, AxiomConfig, Engine, KernelConfig,
+    ModelId,
 };
 use vermem_trace::gen::{gen_sc_trace, inject_violation, GenConfig, ViolationKind};
 use vermem_trace::{Op, Trace, TraceBuilder};
 use vermem_util::rng::StdRng;
-
-const BASE: [ModelId; 3] = [ModelId::Sc, ModelId::Tso, ModelId::Pso];
 
 fn config(engine: Engine) -> AxiomConfig {
     AxiomConfig {
@@ -24,8 +26,8 @@ fn config(engine: Engine) -> AxiomConfig {
     }
 }
 
-/// Compiled (tiered and exact-only), SAT, and legacy-where-it-exists all
-/// agree on consistency for every declared model.
+/// Compiled (tiered and exact-only) and SAT agree on consistency for every
+/// declared model, and with the hand-written encoding wherever one exists.
 fn assert_engine_agreement(trace: &Trace, ctx: &str) {
     for id in ModelId::ALL {
         let sat = verify_axiom(trace, id, &config(Engine::Sat)).verdict;
@@ -52,58 +54,11 @@ fn assert_engine_agreement(trace: &Trace, ctx: &str) {
             "{ctx}: {} exact-only/sat drift",
             id.name()
         );
-        if Engine::Legacy.supports(id) {
-            let legacy = verify_axiom(trace, id, &config(Engine::Legacy)).verdict;
+        if let Some(model) = id.base_model() {
             assert_eq!(
-                legacy.is_consistent(),
-                sat.is_consistent(),
-                "{ctx}: {} legacy/sat drift",
-                id.name()
-            );
-        }
-    }
-}
-
-/// The refactor's bit-identity contract: for the three machine-backed base
-/// models the compiled engine must return the *same verdict value*
-/// (schedule included) and the same [`vermem_consistency::SearchStats`] as
-/// the verbatim legacy machines, under every kernel knob combination.
-fn assert_bit_identical_to_legacy(trace: &Trace, ctx: &str) {
-    for id in BASE {
-        for bits in 0..4u8 {
-            let kernel = KernelConfig {
-                feasibility: bits & 1 == 0,
-                legacy_keys: bits & 2 != 0,
-                ..KernelConfig::default()
-            };
-            let compiled = verify_axiom(
-                trace,
-                id,
-                &AxiomConfig {
-                    engine: Engine::Compiled,
-                    kernel,
-                    ..AxiomConfig::default()
-                },
-            );
-            let legacy = verify_axiom(
-                trace,
-                id,
-                &AxiomConfig {
-                    engine: Engine::Legacy,
-                    kernel,
-                    ..AxiomConfig::default()
-                },
-            );
-            assert_eq!(
-                compiled.verdict,
-                legacy.verdict,
-                "{ctx}: {} compiled/legacy verdict drift under {kernel:?}",
-                id.name()
-            );
-            assert_eq!(
-                compiled.stats,
-                legacy.stats,
-                "{ctx}: {} compiled/legacy stats drift under {kernel:?}",
+                tiered.is_consistent(),
+                solve_model_sat(trace, model).is_consistent(),
+                "{ctx}: {} compiled/hand-written encoding drift",
                 id.name()
             );
         }
@@ -133,14 +88,156 @@ fn arb_trace(rng: &mut StdRng) -> Trace {
     b.build()
 }
 
+fn litmus_traces() -> Vec<(String, Trace)> {
+    all_litmus_tests()
+        .into_iter()
+        .map(|t| (t.name.to_string(), t.trace))
+        .collect()
+}
+
+fn generated_traces() -> Vec<(String, Trace)> {
+    (0..5u64)
+        .map(|seed| {
+            let (t, _) = gen_sc_trace(&GenConfig {
+                procs: 3,
+                total_ops: 12,
+                addrs: 2,
+                value_reuse: 0.5,
+                seed: 60_000 + seed,
+                ..Default::default()
+            });
+            (format!("gen seed {seed}"), t)
+        })
+        .collect()
+}
+
+fn fault_injected_traces() -> Vec<(String, Trace)> {
+    let kinds = [
+        ViolationKind::CorruptReadValue,
+        ViolationKind::StaleRead,
+        ViolationKind::LostWrite,
+        ViolationKind::ReorderAdjacent,
+    ];
+    let mut out = Vec::new();
+    for (k, kind) in kinds.into_iter().enumerate() {
+        for seed in 0..3u64 {
+            let (t, _) = gen_sc_trace(&GenConfig {
+                procs: 3,
+                total_ops: 12,
+                addrs: 2,
+                value_reuse: 0.6,
+                seed: 61_000 + seed,
+                ..Default::default()
+            });
+            if let Some((bad, _)) = inject_violation(&t, kind, 9_500 + seed) {
+                out.push((format!("fault {k} seed {seed}"), bad));
+            }
+        }
+    }
+    out
+}
+
+fn random_traces() -> Vec<(String, Trace)> {
+    let mut rng = StdRng::seed_from_u64(0xAC51_0D1F);
+    (0..40u32)
+        .map(|case| (format!("random case {case}"), arb_trace(&mut rng)))
+        .collect()
+}
+
+/// The compiled engine on the whole corpus, one line per trace × model ×
+/// feasibility setting, then the E-5.2 budget-exhaustion family (the
+/// all-RMW 3SAT reduction of Figure 5.2 at clause ratio 5.0) for the
+/// three machine-backed base models.
+fn render_compiled() -> String {
+    let mut out = String::new();
+    let corpus = [
+        litmus_traces(),
+        generated_traces(),
+        fault_injected_traces(),
+        random_traces(),
+    ];
+    for (ctx, trace) in corpus.iter().flatten() {
+        for id in ModelId::ALL {
+            for feasibility in [true, false] {
+                let kernel = KernelConfig {
+                    feasibility,
+                    ..KernelConfig::default()
+                };
+                let r = verify_axiom(
+                    trace,
+                    id,
+                    &AxiomConfig {
+                        kernel,
+                        ..AxiomConfig::default()
+                    },
+                );
+                writeln!(
+                    out,
+                    "{ctx} | {} | feasibility={feasibility} | {:?} | {:?}",
+                    id.name(),
+                    r.verdict,
+                    r.stats
+                )
+                .unwrap();
+            }
+        }
+    }
+    let cnf = vermem_sat::random::gen_random_ksat(&vermem_sat::random::RandomSatConfig::three_sat(
+        3, 5.0, 93,
+    ));
+    let trace = vermem_reductions::reduce_3sat_rmw(&cnf).trace;
+    for id in [ModelId::Sc, ModelId::Tso, ModelId::Pso] {
+        for budget in [16u64, 64, 256] {
+            let r = verify_axiom(
+                &trace,
+                id,
+                &AxiomConfig {
+                    kernel: KernelConfig::with_budget(budget),
+                    ..AxiomConfig::default()
+                },
+            );
+            writeln!(
+                out,
+                "e5.2 3sat-rmw | {} | budget={budget} | {:?} | {:?}",
+                id.name(),
+                r.verdict,
+                r.stats
+            )
+            .unwrap();
+        }
+    }
+    out
+}
+
+#[test]
+fn compiled_engine_matches_golden_stats() {
+    let golden = include_str!("golden/axiom_stats.txt");
+    let actual = render_compiled();
+    let mut expected = golden.lines();
+    for (i, line) in actual.lines().enumerate() {
+        let want = expected
+            .next()
+            .unwrap_or_else(|| panic!("axiom_stats: unexpected extra line {}", i + 1));
+        assert_eq!(line, want, "axiom_stats: line {}", i + 1);
+    }
+    assert_eq!(expected.next(), None, "axiom_stats: missing lines");
+    // The budget family must actually exhaust the small budgets, or its
+    // lines pin nothing about budget behaviour.
+    assert!(
+        actual
+            .lines()
+            .filter(|l| l.starts_with("e5.2") && l.contains("Unknown"))
+            .count()
+            >= 3,
+        "E-5.2 family no longer exhausts its budgets"
+    );
+}
+
 #[test]
 fn litmus_expectations_hold_on_every_engine() {
     for test in all_litmus_tests() {
         for (&id, &allowed) in &test.expected_axiom {
-            for engine in [Engine::Compiled, Engine::Sat, Engine::Legacy] {
-                if !engine.supports(id) {
-                    continue;
-                }
+            for engine in [Engine::Compiled, Engine::Sat] {
                 let report = verify_axiom(&test.trace, id, &config(engine));
                 assert_eq!(
                     report.verdict.is_consistent(),
@@ -158,64 +255,35 @@ fn litmus_expectations_hold_on_every_engine() {
 
 #[test]
 fn litmus_traces_keep_engine_agreement() {
-    for test in all_litmus_tests() {
-        assert_engine_agreement(&test.trace, test.name);
-        assert_bit_identical_to_legacy(&test.trace, test.name);
+    for (ctx, trace) in litmus_traces() {
+        assert_engine_agreement(&trace, &ctx);
     }
 }
 
 #[test]
 fn generated_traces_keep_engine_agreement() {
-    for seed in 0..5u64 {
-        let (t, _) = gen_sc_trace(&GenConfig {
-            procs: 3,
-            total_ops: 12,
-            addrs: 2,
-            value_reuse: 0.5,
-            seed: 60_000 + seed,
-            ..Default::default()
-        });
-        assert_engine_agreement(&t, &format!("gen seed {seed}"));
-        assert_bit_identical_to_legacy(&t, &format!("gen seed {seed}"));
+    for (ctx, trace) in generated_traces() {
+        assert_engine_agreement(&trace, &ctx);
     }
 }
 
 #[test]
 fn fault_injected_traces_keep_engine_agreement() {
-    let kinds = [
-        ViolationKind::CorruptReadValue,
-        ViolationKind::StaleRead,
-        ViolationKind::LostWrite,
-        ViolationKind::ReorderAdjacent,
-    ];
-    let mut mutated = 0u32;
-    for (k, kind) in kinds.into_iter().enumerate() {
-        for seed in 0..3u64 {
-            let (t, _) = gen_sc_trace(&GenConfig {
-                procs: 3,
-                total_ops: 12,
-                addrs: 2,
-                value_reuse: 0.6,
-                seed: 61_000 + seed,
-                ..Default::default()
-            });
-            if let Some((bad, _)) = inject_violation(&t, kind, 9_500 + seed) {
-                assert_engine_agreement(&bad, &format!("fault {k} seed {seed}"));
-                assert_bit_identical_to_legacy(&bad, &format!("fault {k} seed {seed}"));
-                mutated += 1;
-            }
-        }
+    let traces = fault_injected_traces();
+    assert!(
+        traces.len() >= 6,
+        "too few injected traces: {}",
+        traces.len()
+    );
+    for (ctx, trace) in traces {
+        assert_engine_agreement(&trace, &ctx);
     }
-    assert!(mutated >= 6, "too few injected traces: {mutated}");
 }
 
 #[test]
 fn random_traces_keep_engine_agreement() {
-    let mut rng = StdRng::seed_from_u64(0xAC51_0D1F);
-    for case in 0..40u32 {
-        let t = arb_trace(&mut rng);
-        assert_engine_agreement(&t, &format!("random case {case}"));
-        assert_bit_identical_to_legacy(&t, &format!("random case {case}"));
+    for (ctx, trace) in random_traces() {
+        assert_engine_agreement(&trace, &ctx);
     }
 }
 

@@ -128,7 +128,7 @@ fn obs_toggle_changes_no_observable_result() {
                 temporal: true,
                 verifier: VmcVerifier::new(),
                 recorder: None,
-                hot_path: Default::default(),
+                ..Default::default()
             };
             let live_cfg = || StreamConfig {
                 recorder: Some(RecorderConfig::default()),

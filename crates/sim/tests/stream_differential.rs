@@ -31,7 +31,7 @@ fn stream_config(window: Option<usize>, jobs: usize, temporal: bool) -> StreamCo
         temporal,
         verifier: VmcVerifier::new(),
         recorder: None,
-        hot_path: Default::default(),
+        ..Default::default()
     }
 }
 

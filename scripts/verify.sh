@@ -65,17 +65,15 @@ if grep -rn 'visited: HashSet\|HashSet<(' crates/consistency/src; then
 fi
 echo "    ok"
 
-echo "==> axiom framework: transition systems only in the compilers + legacy ablation"
+echo "==> axiom framework: transition systems only in the compilers"
 # The PR-10 contract: memory models are declared as ModelSpec data and
 # lowered by the two compilers — axiom/operational.rs (buffer machines on
-# the shared kernel) and axiom/graph.rs (acyclicity models). The only
-# other TransitionSystem impls allowed in the consistency crate are the
-# verbatim pre-refactor machines preserved in legacy.rs behind
-# `--engine legacy`; a new impl anywhere else means a model grew its own
-# hand-rolled search again instead of a ModelSpec declaration.
+# the shared kernel) and axiom/graph.rs (acyclicity models). A
+# TransitionSystem impl anywhere else in the consistency crate means a
+# model grew its own hand-rolled search again instead of a ModelSpec
+# declaration.
 bad=$(grep -rl 'impl TransitionSystem' crates/consistency/src \
-    | grep -v -e '^crates/consistency/src/axiom/' \
-              -e '^crates/consistency/src/legacy.rs$' || true)
+    | grep -v -e '^crates/consistency/src/axiom/' || true)
 if [[ -n "$bad" ]]; then
     echo "hand-rolled transition systems outside the axiom compilers:" >&2
     echo "$bad" >&2
@@ -83,19 +81,14 @@ if [[ -n "$bad" ]]; then
 fi
 echo "    ok"
 
-echo "==> stream hot path: no std HashMap outside the legacy ablation module"
-# The PR-9 contract: the ingest hot path (stream engine, dense tables,
-# batch decoder) runs on index-addressed dense structures only. Hashed
-# containers may appear solely in crates/coherence/src/stream/legacy.rs,
-# the preserved pre-dense baseline behind `--hot-path legacy`. Doc
-# comments may *name* HashMap (they describe the ablation); code may not.
-hash_sites=$(grep -n 'HashMap' \
-    crates/coherence/src/stream/mod.rs \
-    crates/coherence/src/stream/tables.rs \
-    crates/trace/src/binary.rs \
-    | grep -vE ':[0-9]+:[[:space:]]*//' || true)
+echo "==> stream hot path: no std HashMap anywhere in the stream engine"
+# The PR-9 contract: the ingest hot path (every file of the stream engine,
+# plus the batch decoder) runs on index-addressed dense structures only.
+# No file is exempt, and neither are comments.
+hash_sites=$(grep -rn 'HashMap' crates/coherence/src/stream/ crates/trace/src/binary.rs \
+    || true)
 if [[ -n "$hash_sites" ]]; then
-    echo "std HashMap on the stream hot path (only legacy.rs may hash):" >&2
+    echo "std HashMap on the stream hot path:" >&2
     echo "$hash_sites" >&2
     exit 1
 fi
@@ -124,10 +117,9 @@ tmp=$(mktemp -d)
 python3 - "$tmp/BENCH_vmc.json" "BENCH_vmc.json" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
-assert d["schema"] == "vermem-bench-vmc/v9", d["schema"]
-assert d["par_verify"] and d["memo_ablation"] and d["prune_ablation"] \
-    and d["model_kernel"] and d["tier_ablation"] and d["eaxiom"] \
-    and d["estream"] and d["e_hotpath"], "empty receipts"
+assert d["schema"] == "vermem-bench-vmc/v10", d["schema"]
+assert d["par_verify"] and d["prune_ablation"] and d["tier_ablation"] \
+    and d["eaxiom"] and d["estream"] and d["e_hotpath"], "empty receipts"
 host = d["host_parallelism"]
 assert host >= 1, host
 for case in d["par_verify"]:
@@ -139,10 +131,6 @@ for case in d["par_verify"]:
     for p in case["points"]:
         assert p["median_secs"] > 0 and p["ops_per_sec"] > 0
         assert p["overhead_only"] == (p["jobs"] > host), p
-for row in d["memo_ablation"]:
-    assert row["memo_hits"] >= 0 and row["memo_misses"] > 0, row
-    assert row["states"] == row["memo_misses"], \
-        "every visited state is a memo miss: %r" % row
 
 # E-PRUNE shape: 5 configs per case, prune counters present, and within
 # each case every pruned config explores at most the baseline's states.
@@ -160,24 +148,6 @@ for case, rows in by_case.items():
     for cfg, row in rows.items():
         assert row["states"] <= base, \
             f"{case}/{cfg}: pruning grew the search ({row['states']} > {base})"
-
-# E-KERNEL shape: per (case, model) exactly the kernel and legacy-keys
-# configs; both walk the identical state set (memo_misses == states, as
-# memoization is integral to the kernel); the packed/interned key path
-# never allocates more key storage than legacy alloc-per-probe.
-mk_by = {}
-for row in d["model_kernel"]:
-    assert row["model"] in ("SC", "TSO", "PSO"), row
-    assert row["states"] > 0 and row["states"] == row["memo_misses"], row
-    assert row["verdict"] in ("consistent", "violating", "unknown"), row
-    mk_by.setdefault((row["case"], row["model"]), {})[row["config"]] = row
-for (case, model), rows in mk_by.items():
-    assert set(rows) == {"kernel", "legacy-keys"}, (case, model, sorted(rows))
-    k, l = rows["kernel"], rows["legacy-keys"]
-    assert k["states"] == l["states"], \
-        f"{case}/{model}: key representations visited different state sets"
-    assert k["key_allocs"] <= l["key_allocs"], \
-        f"{case}/{model}: kernel keys allocated more than legacy"
 
 # E-TIER shape: per family exactly the tiered and exact-only configs;
 # the tier split always accounts for every processed address; and the two
@@ -209,8 +179,8 @@ def tier_check(doc, which):
 tier_check(d, "fresh")
 
 # E-AXIOM shape: every declared model appears in every family through the
-# compiled and SAT engines (plus legacy for the four base models); all
-# engines report identical verdict-class counts (per-trace identity is
+# compiled and SAT engines; both engines report identical verdict-class
+# counts (per-trace identity is
 # asserted in-bench; the receipt re-checks the aggregates); the litmus
 # corpus actually separates the models; and the RA polynomial frontline
 # decides >= 90% of healthy unique-value generated traces.
@@ -219,7 +189,7 @@ def axiom_check(doc, which):
     for row in doc["eaxiom"]:
         assert row["model"] in ("SC", "TSO", "PSO", "Coherence", "RA",
                                 "ARM-dob"), row
-        assert row["engine"] in ("compiled", "legacy", "sat"), row
+        assert row["engine"] in ("compiled", "sat"), row
         assert row["traces"] > 0 and row["median_secs"] > 0, row
         assert row["consistent"] + row["violating"] + row["unknown"] \
             == row["traces"], row
@@ -229,9 +199,8 @@ def axiom_check(doc, which):
     assert {f for (f, _) in ax_by} == {"litmus", "generated",
                                        "fault-injected"}, sorted(ax_by)
     for (family, model), rows in ax_by.items():
-        want = {"compiled", "sat"} if model in ("RA", "ARM-dob") \
-            else {"compiled", "legacy", "sat"}
-        assert set(rows) == want, (which, family, model, sorted(rows))
+        assert set(rows) == {"compiled", "sat"}, \
+            (which, family, model, sorted(rows))
         for k in ("traces", "consistent", "violating", "unknown"):
             vals = {r[k] for r in rows.values()}
             assert len(vals) == 1, \
@@ -294,30 +263,21 @@ def estream_check(doc, which):
 
 estream_check(d, "fresh")
 
-# E-HOTPATH shape: per stream count {1, 4, 16} exactly the dense and
-# legacy storage configs, measured on the same workload; report identity
-# (verdict_parity) asserted in-bench at jobs {1, 2, 8}; legacy is its own
-# speedup baseline (1.0 by construction).
+# E-HOTPATH shape: one dense row per stream count {1, 4, 16}, measured on
+# the fixed 1,500-instruction captures; report identity across shard
+# counts (verdict_parity) asserted in-bench at jobs {1, 2, 8}.
 def hotpath_check(doc, which):
     rows = doc["e_hotpath"]
     assert [(r["streams"], r["config"]) for r in rows] == \
-        [(1, "dense"), (1, "legacy"), (4, "dense"), (4, "legacy"),
-         (16, "dense"), (16, "legacy")], \
+        [(1, "dense"), (4, "dense"), (16, "dense")], \
         (which, [(r["streams"], r["config"]) for r in rows])
     by = {}
     for r in rows:
         assert r["events"] > 0 and r["median_secs"] > 0, r
         assert r["sustained_ops_per_sec"] > 0, r
         assert r["verdict_parity"] is True, \
-            f"{which}: dense vs legacy report drift: {r}"
-        by[(r["streams"], r["config"])] = r
-    for s in (1, 4, 16):
-        dn, lg = by[(s, "dense")], by[(s, "legacy")]
-        assert dn["events"] == lg["events"], (which, s, "workload mismatch")
-        assert lg["speedup_vs_legacy"] == 1.0, lg
-        ratio = lg["median_secs"] / dn["median_secs"]
-        assert abs(dn["speedup_vs_legacy"] - ratio) < 0.05 * ratio, \
-            f"{which}: speedup column inconsistent with medians at {s} streams"
+            f"{which}: report drift across shard counts: {r}"
+        by[r["streams"]] = r
     return by
 
 fresh_hot = hotpath_check(d, "fresh")
@@ -332,7 +292,7 @@ assert ratio >= 5.0, f"e5.2 prune ratio regressed to {ratio:.1f}x (< 5x)"
 # not explore more states than the committed run plus 5% slack (decided
 # rows are cap-independent, so fast/full receipts are comparable).
 committed = json.load(open(sys.argv[2]))
-if committed.get("schema") == "vermem-bench-vmc/v9":
+if committed.get("schema") == "vermem-bench-vmc/v10":
     # The committed receipt must itself pass the tier, axiom, estream,
     # and hotpath shape checks — including the 90% healthy-sim frontline
     # gate, the 90% RA decision-rate gate, the streaming-vs-batch
@@ -342,19 +302,13 @@ if committed.get("schema") == "vermem-bench-vmc/v9":
     axiom_check(committed, "committed")
     estream_check(committed, "committed")
     comm_hot = hotpath_check(committed, "committed")
-    # Headline gate (PR-9): the committed full-reps receipt shows the
-    # dense structures >= 1.5x over the std-HashMap baseline at the
-    # 4-stream serve point.
-    headline = comm_hot[(4, "dense")]["speedup_vs_legacy"]
-    assert headline >= 1.5, \
-        f"committed 4-stream dense speedup regressed to {headline:.2f}x"
     # Throughput non-regression: E-HOTPATH measures the identical
     # workload under VERMEM_BENCH_FAST (only `reps` differs), so the
     # fresh dense rows must hold the committed throughput minus 10%
     # timing slack.
     for s in (1, 4, 16):
-        fresh_ops = fresh_hot[(s, "dense")]["sustained_ops_per_sec"]
-        comm_ops = comm_hot[(s, "dense")]["sustained_ops_per_sec"]
+        fresh_ops = fresh_hot[s]["sustained_ops_per_sec"]
+        comm_ops = comm_hot[s]["sustained_ops_per_sec"]
         assert fresh_ops >= comm_ops * 0.9, \
             (f"dense ingest throughput regressed at {s} streams: "
              f"{fresh_ops:.0f} < 90% of committed {comm_ops:.0f} ops/s")
@@ -382,16 +336,13 @@ assert live["median_secs_off"] > 0 and live["median_secs_on"] > 0, live
 assert live["verdict_identical"] is True, live
 assert live["forensic_bundles"] >= 0, live
 
-print(f"    ok ({len(d['par_verify'])} par cases, "
-      f"{len(d['memo_ablation'])} memo rows, {len(prune)} prune rows, "
-      f"{len(d['model_kernel'])} model-kernel rows, "
+print(f"    ok ({len(d['par_verify'])} par cases, {len(prune)} prune rows, "
       f"{len(d['tier_ablation'])} tier rows, "
       f"{len(d['eaxiom'])} axiom rows "
       f"(RA frontline {d['eaxiom_ra_frontline']['decision_rate']:.0%}), "
       f"{len(d['estream'])} estream rows, "
       f"{len(d['e_hotpath'])} hotpath rows "
-      f"(dense {fresh_hot[(4, 'dense')]['speedup_vs_legacy']:.2f}x at 4 "
-      f"streams), "
+      f"({fresh_hot[4]['sustained_ops_per_sec']:.0f} ops/s at 4 streams), "
       f"e5.2 prune ratio {ratio:.0f}x, "
       f"obs overhead {obs['enabled_overhead_pct']:+.2f}%, "
       f"live obs {live['enabled_overhead_pct']:+.2f}% "
