@@ -6,10 +6,7 @@
 use std::hint::black_box;
 use vermem_coherence::ExecutionVerdict;
 use vermem_consistency::litmus::all_litmus_tests;
-use vermem_consistency::{
-    merge_coherent_schedules, solve_model_sat, solve_sc_backtracking, verify_model_operational,
-    KernelConfig, MemoryModel,
-};
+use vermem_consistency::{merge_coherent_schedules, verify_axiom, AxiomConfig, ModelId};
 use vermem_reductions::{reduce_sat_to_lrc, reduce_sat_to_vscc};
 use vermem_sat::random::{gen_forced_sat, RandomSatConfig};
 use vermem_util::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -52,7 +49,8 @@ fn bench_vscc_stages(c: &mut Criterion) {
         let red = reduce_sat_to_vscc(&f);
         exact.bench_with_input(BenchmarkId::from_parameter(m), &red.trace, |b, t| {
             b.iter(|| {
-                assert!(solve_sc_backtracking(t, &KernelConfig::default()).is_consistent());
+                let report = verify_axiom(t, ModelId::Sc, &AxiomConfig::default());
+                assert!(report.verdict.is_consistent());
             });
         });
     }
@@ -81,20 +79,24 @@ fn bench_lrc(c: &mut Criterion) {
 fn bench_litmus(c: &mut Criterion) {
     let tests = all_litmus_tests();
     let mut g = c.benchmark_group("fig6/litmus-suite");
-    for model in MemoryModel::ALL {
-        g.bench_with_input(BenchmarkId::from_parameter(model), &tests, |b, tests| {
-            b.iter(|| {
-                for t in tests {
-                    let got = solve_model_sat(&t.trace, model).is_consistent();
-                    assert_eq!(got, t.expected[&model]);
-                }
-            });
-        });
+    for id in ModelId::ALL {
+        g.bench_with_input(
+            BenchmarkId::from_parameter(id.name()),
+            &tests,
+            |b, tests| {
+                b.iter(|| {
+                    for t in tests {
+                        let got = verify_axiom(&t.trace, id, &AxiomConfig::default());
+                        assert_eq!(got.verdict.is_consistent(), t.expected[&id]);
+                    }
+                });
+            },
+        );
     }
     g.finish();
 }
 
-/// The shared exact-search kernel across all three operational machines
+/// The shared exact-search kernel across the three buffer-lowered machines
 /// (SC / TSO / PSO) on one contended generated workload.
 fn bench_model_kernel(c: &mut Criterion) {
     use vermem_trace::gen::{gen_sc_trace, GenConfig};
@@ -106,19 +108,14 @@ fn bench_model_kernel(c: &mut Criterion) {
         seed: 4242,
         ..Default::default()
     });
-    let cfg = KernelConfig::default();
+    let cfg = AxiomConfig::default();
     let mut g = c.benchmark_group("fig6/model-kernel");
-    for model in [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso] {
-        g.bench_with_input(
-            BenchmarkId::new(format!("{model}"), "kernel"),
-            &trace,
-            |b, t| {
-                b.iter(|| {
-                    let (verdict, _) = verify_model_operational(t, model, &cfg);
-                    assert!(verdict.is_consistent());
-                });
-            },
-        );
+    for id in [ModelId::Sc, ModelId::Tso, ModelId::Pso] {
+        g.bench_with_input(BenchmarkId::new(id.name(), "kernel"), &trace, |b, t| {
+            b.iter(|| {
+                assert!(verify_axiom(t, id, &cfg).verdict.is_consistent());
+            });
+        });
     }
     g.finish();
 }

@@ -36,8 +36,7 @@ use vermem_coherence::{
     VmcVerifier,
 };
 use vermem_consistency::{
-    merge_coherent_schedules, solve_sc_backtracking, verify_axiom, AxiomConfig, Engine,
-    KernelConfig, MergeOutcome, ModelId,
+    merge_coherent_schedules, verify_axiom, AxiomConfig, Engine, MergeOutcome, ModelId,
 };
 use vermem_reductions::{
     example_fig_4_2, reduce_3sat_restricted, reduce_3sat_rmw, reduce_sat_to_lrc, reduce_sat_to_vmc,
@@ -546,7 +545,9 @@ fn e6_2_vscc() {
         let sat = solve_cdcl(&f).is_sat();
         let red = reduce_sat_to_vscc(&f);
         let coherent = vermem_coherence::verify_execution(&red.trace).is_coherent();
-        let sc = solve_sc_backtracking(&red.trace, &KernelConfig::default()).is_consistent();
+        let sc = verify_axiom(&red.trace, ModelId::Sc, &AxiomConfig::default())
+            .verdict
+            .is_consistent();
         println!(
             "{:>4} {:>6} {:>6} {:>10} {:>10} {:>10} {:>8}",
             m,
@@ -587,7 +588,7 @@ fn e_vscc_hardness() {
             MergeOutcome::Merged(_)
         );
         let t1 = Instant::now();
-        let _ = solve_sc_backtracking(&red.trace, &KernelConfig::default());
+        let _ = verify_axiom(&red.trace, ModelId::Sc, &AxiomConfig::default());
         let vsc_us = t1.elapsed().as_secs_f64() * 1e6;
         println!(
             "{m:>4} {:>8} {coh_us:>16.1} {vsc_us:>16.1} {merged:>10}",

@@ -14,10 +14,11 @@
 //!   [`Engine::Compiled`]) lowers a spec to a
 //!   [`vermem_coherence::TransitionSystem`] running on the existing
 //!   memo/budget/cancellation/observability kernel. Specs whose axioms
-//!   form a *single serialization order* (SC, TSO, PSO, coherence-only)
-//!   lower to store-buffer machines over the shared `MachineBase`; all
-//!   other specs (Release–Acquire, ARM-dob) lower to a witness-search
-//!   machine that decides `rf` and `mo` event by event;
+//!   form a *single serialization order* and whose enforcement table is
+//!   SC's, TSO's or PSO's lower to one store-buffer machine in the
+//!   matching buffer shape; all other specs (coherence-only,
+//!   Release–Acquire, ARM-dob) lower to a witness-search machine that
+//!   decides `rf` and `mo` event by event;
 //! * the **SAT compiler** ([`solve_spec_sat`]) lowers the same spec to a
 //!   CNF over read-selector, coherence-order and closure variables, so
 //!   every declared model gets an independent differential oracle for
@@ -48,17 +49,16 @@ mod sat;
 mod witness;
 
 pub use sat::{encode_spec, solve_spec_sat, SpecEncoding};
-pub use witness::{check_witness, RfCand, Witness};
+pub use witness::{check_model_schedule, check_witness, RfCand, Witness};
 
-use crate::models::MemoryModel;
-use crate::verdict::ConsistencyVerdict;
+use crate::verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
 use vermem_coherence::closure::Tier;
 use vermem_coherence::{KernelConfig, SearchStats, TierConfig};
 use vermem_trace::Trace;
 use vermem_util::pool::CancelToken;
 
-/// The declared models, a strict superset of the serialization-based
-/// [`MemoryModel`] vocabulary.
+/// The declared models: the crate's one model vocabulary. Each id names a
+/// [`ModelSpec`] in the registry ([`spec`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ModelId {
     /// Sequential consistency (VSC, Definition 6.1).
@@ -88,6 +88,17 @@ impl ModelId {
         ModelId::ArmDob,
     ];
 
+    /// The single-serialization models (the paper's §6.2 family), strongest
+    /// first: a trace is consistent iff one total order extends the spec's
+    /// preserved program order with every read seeing the latest write.
+    /// RA and ARM-dob are not serialization models.
+    pub const SERIALIZING: [ModelId; 4] = [
+        ModelId::Sc,
+        ModelId::Tso,
+        ModelId::Pso,
+        ModelId::CoherenceOnly,
+    ];
+
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -110,29 +121,6 @@ impl ModelId {
             "ra" => Some(ModelId::Ra),
             "arm-dob" => Some(ModelId::ArmDob),
             _ => None,
-        }
-    }
-
-    /// The serialization-based [`MemoryModel`] this id corresponds to, if
-    /// any (RA and ARM-dob are not single-serialization models).
-    pub fn base_model(self) -> Option<MemoryModel> {
-        match self {
-            ModelId::Sc => Some(MemoryModel::Sc),
-            ModelId::Tso => Some(MemoryModel::Tso),
-            ModelId::Pso => Some(MemoryModel::Pso),
-            ModelId::CoherenceOnly => Some(MemoryModel::CoherenceOnly),
-            ModelId::Ra | ModelId::ArmDob => None,
-        }
-    }
-}
-
-impl From<MemoryModel> for ModelId {
-    fn from(m: MemoryModel) -> ModelId {
-        match m {
-            MemoryModel::Sc => ModelId::Sc,
-            MemoryModel::Tso => ModelId::Tso,
-            MemoryModel::Pso => ModelId::Pso,
-            MemoryModel::CoherenceOnly => ModelId::CoherenceOnly,
         }
     }
 }
@@ -410,7 +398,47 @@ pub struct AxiomReport {
     pub tier: Tier,
 }
 
-/// Verify `trace` under declared model `id`.
+/// Static prechecks: per-address unreadable values / unproducible finals.
+/// Sound for every declared model, because every spec carries a
+/// per-location coherence axiom; every engine runs it first.
+pub fn precheck_sc(trace: &Trace) -> Option<ConsistencyViolation> {
+    for addr in trace.addresses() {
+        if let Some(v) = vermem_coherence::backtrack::precheck(trace, addr) {
+            return Some(ConsistencyViolation {
+                class: ViolationClass::PerAddressCoherence(v),
+            });
+        }
+    }
+    None
+}
+
+/// Verify `trace` under declared model `id`: the crate's one deciding
+/// entry point.
+///
+/// ```
+/// use vermem_consistency::{verify_axiom, AxiomConfig, ModelId};
+/// use vermem_trace::{Op, TraceBuilder};
+/// // Store buffering: each CPU misses the other's store.
+/// let sb = TraceBuilder::new()
+///     .proc([Op::write(0u32, 1u64), Op::read(1u32, 0u64)])
+///     .proc([Op::write(1u32, 1u64), Op::read(0u32, 0u64)])
+///     .build();
+/// let cfg = AxiomConfig::default();
+/// assert!(verify_axiom(&sb, ModelId::Sc, &cfg).verdict.is_violating());
+/// // TSO's per-process FIFO store buffer explains it.
+/// let tso = verify_axiom(&sb, ModelId::Tso, &cfg);
+/// assert!(tso.verdict.is_consistent());
+/// assert!(tso.stats.states > 0); // the compiled machine really searched
+///
+/// // A budget of one state is exhausted immediately: explicit Unknown,
+/// // never a silent give-up.
+/// let tight = AxiomConfig {
+///     kernel: vermem_consistency::KernelConfig::with_budget(1),
+///     ..AxiomConfig::default()
+/// };
+/// let report = verify_axiom(&sb, ModelId::Tso, &tight);
+/// assert!(report.verdict.unknown_stats().is_some());
+/// ```
 pub fn verify_axiom(trace: &Trace, id: ModelId, cfg: &AxiomConfig) -> AxiomReport {
     verify_axiom_with(trace, id, cfg, None)
 }
@@ -430,9 +458,7 @@ pub fn verify_axiom_with(
             tier: Tier::Exact,
         },
         Engine::Compiled => {
-            // Polynomial per-address precheck: sound for every spec,
-            // because every spec carries a per-location coherence axiom.
-            if let Some(v) = crate::vsc::precheck_sc(trace) {
+            if let Some(v) = precheck_sc(trace) {
                 return AxiomReport {
                     verdict: ConsistencyVerdict::Violating(v),
                     stats: SearchStats::default(),
@@ -456,21 +482,6 @@ pub fn verify_axiom_with(
             }
         }
     }
-}
-
-/// Compiled-engine entry point used by the thin per-model wrappers
-/// ([`crate::solve_sc_backtracking_with_stats`] and friends): no
-/// frontline, stats always from the exact search.
-pub(crate) fn solve_compiled_with_stats(
-    trace: &Trace,
-    id: ModelId,
-    cfg: &KernelConfig,
-    cancel: Option<&CancelToken>,
-) -> (ConsistencyVerdict, SearchStats) {
-    if let Some(v) = crate::vsc::precheck_sc(trace) {
-        return (ConsistencyVerdict::Violating(v), SearchStats::default());
-    }
-    operational::solve_compiled(trace, spec(id), cfg, cancel)
 }
 
 #[cfg(test)]
@@ -532,9 +543,229 @@ mod tests {
     }
 
     #[test]
-    fn base_model_round_trips() {
-        for m in MemoryModel::ALL {
-            assert_eq!(ModelId::from(m).base_model(), Some(m));
+    fn serializing_ids_are_the_specs_that_serialize() {
+        for id in ModelId::ALL {
+            assert_eq!(
+                ModelId::SERIALIZING.contains(&id),
+                witness::spec_serializes(spec(id)),
+                "{}",
+                id.name()
+            );
+        }
+    }
+
+    fn decide(t: &Trace, id: ModelId) -> ConsistencyVerdict {
+        verify_axiom(t, id, &AxiomConfig::default()).verdict
+    }
+
+    #[test]
+    fn empty_trace_is_consistent_under_every_model() {
+        for id in ModelId::ALL {
+            assert!(decide(&Trace::new(), id).is_consistent(), "{}", id.name());
+        }
+    }
+
+    #[test]
+    fn message_passing_pass_outcome_serializes_everywhere() {
+        use vermem_trace::{Op, TraceBuilder};
+        let t = TraceBuilder::new()
+            .proc([Op::write(0u32, 1u64), Op::write(1u32, 1u64)])
+            .proc([Op::read(1u32, 1u64), Op::read(0u32, 1u64)])
+            .build();
+        for id in ModelId::SERIALIZING {
+            let v = decide(&t, id);
+            let s = v.schedule().expect("allowed");
+            check_model_schedule(&t, id, s).unwrap();
+        }
+        assert!(
+            vermem_trace::check_sc_schedule(&t, decide(&t, ModelId::Sc).schedule().unwrap())
+                .is_ok()
+        );
+    }
+
+    #[test]
+    fn final_values_respected() {
+        use vermem_trace::{Op, TraceBuilder, Value};
+        let t = TraceBuilder::new()
+            .proc([Op::write(0u32, 1u64)])
+            .proc([Op::write(0u32, 2u64)])
+            .final_value(0u32, 1u64)
+            .build();
+        let unreachable = TraceBuilder::new()
+            .proc([Op::write(0u32, 1u64)])
+            .final_value(0u32, 9u64)
+            .build();
+        for id in ModelId::SERIALIZING {
+            let v = decide(&t, id);
+            let s = v.schedule().expect("orderable");
+            assert_eq!(
+                t.op(*s.refs().last().unwrap()).unwrap().written_value(),
+                Some(Value(1)),
+                "{}",
+                id.name()
+            );
+            assert!(decide(&unreachable, id).is_violating(), "{}", id.name());
+        }
+    }
+
+    #[test]
+    fn per_address_precheck_fires() {
+        use vermem_trace::{Op, TraceBuilder};
+        let t = TraceBuilder::new().proc([Op::read(3u32, 7u64)]).build();
+        for id in ModelId::ALL {
+            let report = verify_axiom(&t, id, &AxiomConfig::default());
+            assert_eq!(report.tier, Tier::Frontline, "{}", id.name());
+            match report.verdict {
+                ConsistencyVerdict::Violating(v) => {
+                    assert!(matches!(v.class, ViolationClass::PerAddressCoherence(_)))
+                }
+                other => panic!("{}: expected violation, got {other:?}", id.name()),
+            }
+        }
+    }
+
+    #[test]
+    fn tiny_budget_answers_unknown_with_stats() {
+        use vermem_trace::{Op, TraceBuilder};
+        // A contended instance a one-state budget cannot settle under any
+        // serialization model.
+        let t = TraceBuilder::new()
+            .proc([
+                Op::write(0u32, 1u64),
+                Op::write(1u32, 1u64),
+                Op::read(2u32, 0u64),
+            ])
+            .proc([
+                Op::write(1u32, 2u64),
+                Op::write(2u32, 1u64),
+                Op::read(0u32, 0u64),
+            ])
+            .proc([
+                Op::write(2u32, 2u64),
+                Op::write(0u32, 2u64),
+                Op::read(1u32, 0u64),
+            ])
+            .build();
+        let tight = AxiomConfig {
+            kernel: KernelConfig::with_budget(1),
+            ..AxiomConfig::default()
+        };
+        for id in ModelId::SERIALIZING {
+            match verify_axiom(&t, id, &tight).verdict {
+                ConsistencyVerdict::Unknown { stats } => assert!(stats.states >= 1),
+                other => panic!("{}: expected Unknown, got {other:?}", id.name()),
+            }
+        }
+    }
+
+    #[test]
+    fn generated_sc_traces_verify() {
+        for seed in 0..10 {
+            let (t, _) = vermem_trace::gen::gen_sc_trace(&vermem_trace::gen::GenConfig {
+                procs: 3,
+                total_ops: 24,
+                addrs: 3,
+                seed,
+                ..Default::default()
+            });
+            for id in ModelId::SERIALIZING {
+                let v = decide(&t, id);
+                let s = v
+                    .schedule()
+                    .unwrap_or_else(|| panic!("seed {seed} must be {}", id.name()));
+                check_model_schedule(&t, id, s).unwrap();
+            }
+        }
+    }
+
+    /// Exhaustive reference for the serialization models: some order of
+    /// all operations passes [`check_model_schedule`]. Enumerates every
+    /// permutation whose prefix is value-legal (reads see the latest write
+    /// to their address) and leaves program order and finals to the
+    /// checker.
+    fn brute_force(trace: &Trace, id: ModelId) -> bool {
+        use vermem_trace::{OpRef, Schedule};
+        fn rec(
+            trace: &Trace,
+            id: ModelId,
+            ops: &[(OpRef, vermem_trace::Op)],
+            used: &mut [bool],
+            memory: &mut std::collections::BTreeMap<vermem_trace::Addr, vermem_trace::Value>,
+            acc: &mut Vec<OpRef>,
+        ) -> bool {
+            if acc.len() == ops.len() {
+                let s = Schedule::from_refs(acc.iter().copied());
+                return check_model_schedule(trace, id, &s).is_ok();
+            }
+            for i in 0..ops.len() {
+                let (r, op) = ops[i];
+                let cur = memory
+                    .get(&op.addr())
+                    .copied()
+                    .unwrap_or_else(|| trace.initial(op.addr()));
+                if used[i] || op.read_value().is_some_and(|v| v != cur) {
+                    continue;
+                }
+                used[i] = true;
+                acc.push(r);
+                if let Some(v) = op.written_value() {
+                    memory.insert(op.addr(), v);
+                }
+                let found = rec(trace, id, ops, used, memory, acc);
+                memory.insert(op.addr(), cur);
+                acc.pop();
+                used[i] = false;
+                if found {
+                    return true;
+                }
+            }
+            false
+        }
+        let ops: Vec<_> = trace.iter_ops().collect();
+        let mut used = vec![false; ops.len()];
+        rec(
+            trace,
+            id,
+            &ops,
+            &mut used,
+            &mut Default::default(),
+            &mut Vec::new(),
+        )
+    }
+
+    #[test]
+    fn agrees_with_brute_force_on_tiny_instances() {
+        use vermem_trace::{Op, TraceBuilder};
+        use vermem_util::rng::StdRng;
+        for seed in 0..80u64 {
+            let mut rng = StdRng::seed_from_u64(40_000 + seed);
+            let procs = rng.gen_range(1..=3);
+            let mut b = TraceBuilder::new();
+            for _ in 0..procs {
+                let len = rng.gen_range(0..=3);
+                let ops: Vec<Op> = (0..len)
+                    .map(|_| {
+                        let a = rng.gen_range(0..2u32);
+                        let v = rng.gen_range(0..2u64);
+                        match rng.gen_range(0..3) {
+                            0 => Op::read(a, v),
+                            1 => Op::write(a, v),
+                            _ => Op::rmw(a, v, rng.gen_range(0..2u64)),
+                        }
+                    })
+                    .collect();
+                b = b.proc(ops);
+            }
+            let t = b.build();
+            for id in ModelId::SERIALIZING {
+                let got = verify_axiom(&t, id, &AxiomConfig::default()).verdict;
+                assert_eq!(
+                    got.is_consistent(),
+                    brute_force(&t, id),
+                    "seed {seed} under {}: {t:?}",
+                    id.name()
+                );
+            }
         }
     }
 }

@@ -6,8 +6,7 @@
 //! * **Buffer lowering** — specs whose axioms pin a single serialization
 //!   order ([`super::witness::spec_serializes`]) and whose enforcement
 //!   table matches a recognized machine shape compile to one unified
-//!   store-buffer machine over the shared
-//!   [`MachineBase`](crate::machine::MachineBase): no buffer (SC: every
+//!   store-buffer machine over [`MachineBase`]: no buffer (SC: every
 //!   issue takes effect atomically), one FIFO per process (TSO), or one
 //!   FIFO per process×address (PSO). The lowering reproduces the
 //!   pre-refactor hand-written machines **bit-identically** — same move
@@ -24,17 +23,31 @@
 //! single `ppo`-extending order with reads-see-latest exists iff some
 //! witness satisfies `acyclic(ppo ∪ rf ∪ mo ∪ fr)` plus atomicity and
 //! finals — is spelled out in DESIGN.md §4g.
+//!
+//! ## Supply-map semantics
+//!
+//! `supply[(slot, v)]` counts the *future memory-write events* of value `v`
+//! to `slot`: write-capable operations that have not yet taken global
+//! effect. The machine decrements at the moment the write hits memory —
+//! at issue for unbuffered writes and for RMWs, at drain for buffered
+//! stores — so a buffered-but-undrained store still counts as supply. This
+//! makes the feasibility refutation sound for every buffer shape: a
+//! frontier read (or final-value constraint) demanding `(slot, v)` while
+//! `memory[slot] != v` and `supply[(slot, v)] == 0` can never be satisfied,
+//! because memory can never hold `v` again.
 
 use super::graph::GraphMachine;
 use super::witness::{check_witness_ev, spec_serializes, witness_schedule, Events};
-use super::ModelSpec;
-use crate::machine::{outcome_to_verdict, MachineBase};
-use crate::models::{check_model_schedule, MemoryModel};
+use super::{ModelSpec, PSO_SPEC, SC_SPEC, TSO_SPEC};
+use crate::axiom::check_model_schedule;
 use crate::verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
 use std::collections::VecDeque;
-use vermem_coherence::kernel::{run_search, KernelConfig, KernelOutcome, TransitionSystem};
+use vermem_coherence::kernel::{
+    encode_frontier, frontier_packs, run_search, KernelConfig, KernelOutcome, TransitionSystem,
+};
 use vermem_coherence::SearchStats;
-use vermem_trace::{Op, OpRef, Schedule, Trace, Value};
+use vermem_trace::{Addr, Op, OpRef, Schedule, Trace, Value};
+use vermem_util::hash::FxHashMap;
 use vermem_util::pool::CancelToken;
 
 /// The store-buffer shapes the buffer lowering recognizes.
@@ -48,18 +61,6 @@ pub(crate) enum BufferKind {
     SlotFifo,
 }
 
-impl BufferKind {
-    /// The serialization model this machine shape decides — the oracle
-    /// for the lowering's witness debug-assert.
-    fn base_model(self) -> MemoryModel {
-        match self {
-            BufferKind::Atomic => MemoryModel::Sc,
-            BufferKind::ProcFifo => MemoryModel::Tso,
-            BufferKind::SlotFifo => MemoryModel::Pso,
-        }
-    }
-}
-
 /// How a spec lowers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Lowering {
@@ -69,28 +70,23 @@ pub(crate) enum Lowering {
     Graph,
 }
 
-/// Enforcement tables of the recognized machine shapes (classes: read,
-/// write, RMW).
-const SC_TABLE: [[bool; 3]; 3] = [[true; 3]; 3];
-const TSO_TABLE: [[bool; 3]; 3] = [[true, true, true], [false, true, true], [true, true, true]];
-const PSO_TABLE: [[bool; 3]; 3] = [[true, true, true], [false, false, true], [true, true, true]];
-
 /// Choose the lowering by inspecting the spec as data: the axiom shape
-/// first, then the enforcement table.
+/// first, then the enforcement table, compared against the tables of the
+/// declared SC, TSO and PSO specs (the machine shapes' source of truth).
 pub(crate) fn lowering(spec: &ModelSpec) -> Lowering {
     if !spec_serializes(spec) {
         return Lowering::Graph;
     }
     match spec.ppo_cross {
-        t if t == SC_TABLE => Lowering::Buffer(BufferKind::Atomic),
-        t if t == TSO_TABLE => Lowering::Buffer(BufferKind::ProcFifo),
-        t if t == PSO_TABLE => Lowering::Buffer(BufferKind::SlotFifo),
+        t if t == SC_SPEC.ppo_cross => Lowering::Buffer(BufferKind::Atomic),
+        t if t == TSO_SPEC.ppo_cross => Lowering::Buffer(BufferKind::ProcFifo),
+        t if t == PSO_SPEC.ppo_cross => Lowering::Buffer(BufferKind::SlotFifo),
         _ => Lowering::Graph,
     }
 }
 
 /// Run the compiled engine. Callers are responsible for the per-address
-/// precheck ([`crate::precheck_sc`]); this function only searches.
+/// precheck ([`super::precheck_sc`]); this function only searches.
 pub(crate) fn solve_compiled(
     trace: &Trace,
     spec: &ModelSpec,
@@ -101,15 +97,21 @@ pub(crate) fn solve_compiled(
         Lowering::Buffer(kind) => {
             let mut sys = CompiledMachine::new(trace, kind);
             let (outcome, stats) = run_search(&mut sys, cfg, cancel);
-            if let KernelOutcome::Accepted(commits) = &outcome {
-                let witness = Schedule::from_refs(commits.iter().copied());
-                debug_assert!(
-                    check_model_schedule(trace, kind.base_model(), &witness).is_ok(),
-                    "compiled {:?} machine produced an invalid commit order",
-                    kind
-                );
+            match outcome {
+                KernelOutcome::Accepted(commits) => {
+                    let witness = Schedule::from_refs(commits);
+                    debug_assert!(
+                        check_model_schedule(trace, spec.id, &witness).is_ok(),
+                        "compiled {:?} machine produced an invalid commit order",
+                        kind
+                    );
+                    (ConsistencyVerdict::Consistent(witness), stats)
+                }
+                KernelOutcome::Refuted => (no_schedule(), stats),
+                KernelOutcome::BudgetExhausted | KernelOutcome::Cancelled => {
+                    (ConsistencyVerdict::Unknown { stats }, stats)
+                }
             }
-            (outcome_to_verdict(outcome, stats), stats)
         }
         Lowering::Graph => {
             let ev = Events::new(trace);
@@ -139,6 +141,168 @@ fn no_schedule() -> ConsistencyVerdict {
     ConsistencyVerdict::Violating(ConsistencyViolation {
         class: ViolationClass::NoConsistentSchedule,
     })
+}
+
+/// The buffer-independent part of [`CompiledMachine`]'s state: program
+/// text, frontiers, dense memory, supply accounting and final-value
+/// constraints.
+struct MachineBase {
+    /// Program text, per process.
+    per_proc: Vec<Vec<Op>>,
+    /// Next program index to issue, per process.
+    frontier: Vec<u32>,
+    /// Touched addresses, sorted; index = *slot*.
+    addrs: Vec<Addr>,
+    /// Current memory value, by slot.
+    memory: Vec<Value>,
+    /// Remaining future memory-writes of `(slot, value)` (see module docs).
+    supply: FxHashMap<(u32, Value), u32>,
+    /// Final-value constraints as `(slot, value)`.
+    finals: Vec<(u32, Value)>,
+    /// A final-value constraint names an address no operation touches: the
+    /// machine can never accept.
+    finals_unmatched: bool,
+    /// Total number of operations (= commits in a complete run).
+    total: usize,
+    /// Whether the frontier packs into a single key word.
+    packed: bool,
+}
+
+impl MachineBase {
+    fn new(trace: &Trace) -> MachineBase {
+        let per_proc: Vec<Vec<Op>> = trace
+            .histories()
+            .iter()
+            .map(|h| h.iter().collect())
+            .collect();
+        let total = per_proc.iter().map(Vec::len).sum();
+        let addrs = trace.addresses(); // sorted + deduped
+        let memory: Vec<Value> = addrs.iter().map(|&a| trace.initial(a)).collect();
+
+        let mut supply: FxHashMap<(u32, Value), u32> = FxHashMap::default();
+        for ops in &per_proc {
+            for op in ops {
+                if let Some(v) = op.written_value() {
+                    let slot = addrs.binary_search(&op.addr()).expect("touched") as u32;
+                    *supply.entry((slot, v)).or_insert(0) += 1;
+                }
+            }
+        }
+
+        let mut finals = Vec::new();
+        let mut finals_unmatched = false;
+        for (&a, &v) in trace.final_values() {
+            match addrs.binary_search(&a) {
+                Ok(slot) => finals.push((slot as u32, v)),
+                Err(_) => finals_unmatched = true,
+            }
+        }
+
+        let packed = frontier_packs(per_proc.iter().map(Vec::len));
+        MachineBase {
+            frontier: vec![0; per_proc.len()],
+            per_proc,
+            addrs,
+            memory,
+            supply,
+            finals,
+            finals_unmatched,
+            total,
+            packed,
+        }
+    }
+
+    /// Slot of a touched address.
+    #[inline]
+    fn slot(&self, addr: Addr) -> u32 {
+        self.addrs.binary_search(&addr).expect("touched address") as u32
+    }
+
+    /// The next unissued operation of process `p`, if any.
+    #[inline]
+    fn next_op(&self, p: usize) -> Option<Op> {
+        self.per_proc[p].get(self.frontier[p] as usize).copied()
+    }
+
+    /// Reference to the next unissued operation of process `p`.
+    #[inline]
+    fn op_ref(&self, p: usize) -> OpRef {
+        OpRef::new(p as u16, self.frontier[p])
+    }
+
+    /// Are the final-value constraints satisfied by current memory?
+    fn finals_ok(&self) -> bool {
+        !self.finals_unmatched
+            && self
+                .finals
+                .iter()
+                .all(|&(s, v)| self.memory[s as usize] == v)
+    }
+
+    #[inline]
+    fn supply_of(&self, slot: u32, v: Value) -> u32 {
+        self.supply.get(&(slot, v)).copied().unwrap_or(0)
+    }
+
+    /// Account one write of `(slot, v)` taking global effect.
+    #[inline]
+    fn take_supply(&mut self, slot: u32, v: Value) {
+        *self.supply.get_mut(&(slot, v)).expect("counted") -= 1;
+    }
+
+    /// Undo [`MachineBase::take_supply`].
+    #[inline]
+    fn put_supply(&mut self, slot: u32, v: Value) {
+        *self.supply.get_mut(&(slot, v)).expect("counted") += 1;
+    }
+
+    /// Sound value-availability refutation, for every buffer shape: a
+    /// frontier read or final-value constraint demands `(slot, v)` while
+    /// memory differs and no future memory-write of `v` remains.
+    ///
+    /// (An RMW's own write counts toward supply even though it cannot feed
+    /// its own read — that only ever *withholds* a prune, never makes one
+    /// unsound.)
+    fn demand_infeasible(&self) -> bool {
+        for p in 0..self.frontier.len() {
+            if let Some(op) = self.next_op(p) {
+                if let Some(need) = op.read_value() {
+                    let s = self.slot(op.addr());
+                    if self.memory[s as usize] != need && self.supply_of(s, need) == 0 {
+                        return true;
+                    }
+                }
+            }
+        }
+        self.finals
+            .iter()
+            .any(|&(s, v)| self.memory[s as usize] != v && self.supply_of(s, v) == 0)
+    }
+
+    /// The `(slot, value)` pairs some frontier read is waiting for — used
+    /// to explore supplying moves first.
+    fn demanded(&self) -> Vec<(u32, Value)> {
+        let mut out = Vec::new();
+        for p in 0..self.frontier.len() {
+            if let Some(op) = self.next_op(p) {
+                if let Some(need) = op.read_value() {
+                    let s = self.slot(op.addr());
+                    if self.memory[s as usize] != need {
+                        out.push((s, need));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Canonical key prefix: the frontier (packed when the instance shape
+    /// allows) followed by the fixed-width memory image. The buffer state
+    /// is appended after it, length-prefixed.
+    fn key_base(&self, key: &mut Vec<u64>) {
+        encode_frontier(&self.frontier, self.packed, key);
+        key.extend(self.memory.iter().map(|v| v.0));
+    }
 }
 
 /// The unified store-buffer machine: one [`TransitionSystem`] whose

@@ -14,8 +14,9 @@
 //! by every completion — the soundness argument behind
 //! [`partial_infeasible`].
 
-use super::{Axiom, AxiomKind, ModelSpec, Rel};
-use vermem_trace::{Op, OpRef, Schedule, Trace, Value};
+use super::{spec, Axiom, AxiomKind, ModelId, ModelSpec, Rel};
+use std::collections::{BTreeMap, BTreeSet};
+use vermem_trace::{Addr, Op, OpRef, Schedule, ScheduleError, Trace, Value};
 
 /// One reads-from candidate for a read event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,6 +163,13 @@ pub(crate) fn op_class(op: Op) -> usize {
     }
 }
 
+/// Does `spec` preserve the program-order pair `x` (earlier) → `y`
+/// (later)? Same-address pairs always (coherence); cross-address pairs per
+/// [`ModelSpec::ppo_cross`]. This is [`Rel::Ppo`]'s membership test.
+pub(crate) fn preserves(spec: &ModelSpec, x: Op, y: Op) -> bool {
+    x.addr() == y.addr() || spec.ppo_cross[op_class(x)][op_class(y)]
+}
+
 /// Materialize one relation generator's edges from a (partial) witness.
 /// The SAT compiler calls this with the empty witness to enumerate the
 /// *static* relations (`po`, `po|loc`, `ppo`, `dob`), which do not depend
@@ -183,11 +191,7 @@ pub(crate) fn push_rel(
                         let keep = match rel {
                             Rel::Po => true,
                             Rel::PoLoc => same_addr,
-                            Rel::Ppo => {
-                                same_addr
-                                    || spec.ppo_cross[op_class(ev.ops[a as usize].1)]
-                                        [op_class(ev.ops[b as usize].1)]
-                            }
+                            Rel::Ppo => preserves(spec, ev.ops[a as usize].1, ev.ops[b as usize].1),
                             Rel::Dob => same_addr || ev.ops[a as usize].1.is_reading(),
                             _ => unreachable!(),
                         };
@@ -415,6 +419,111 @@ pub(crate) fn check_witness_ev(
     }
 }
 
+/// Check that `schedule` witnesses adherence of `trace` to the
+/// serialization model `id`: a permutation of all operations, honouring
+/// every program-order pair the spec preserves ([`ModelSpec::ppo_cross`]),
+/// with reads returning the immediately preceding same-address write and
+/// final values written last. For [`ModelId::Sc`] this coincides with
+/// [`vermem_trace::check_sc_schedule`].
+///
+/// # Panics
+///
+/// If `id` is not in [`ModelId::SERIALIZING`]: RA and ARM-dob have no
+/// single-serialization witness (check theirs with [`check_witness`]).
+pub fn check_model_schedule(
+    trace: &Trace,
+    id: ModelId,
+    schedule: &Schedule,
+) -> Result<(), ScheduleError> {
+    let spec = spec(id);
+    assert!(
+        spec_serializes(spec),
+        "{} is not a single-serialization model",
+        spec.name
+    );
+    // Permutation + duplicates + dangling (but NOT program order, which is
+    // model-relative here).
+    let expected = trace.num_ops();
+    let mut seen = BTreeSet::new();
+    for &r in schedule.refs() {
+        if trace.op(r).is_none() {
+            return Err(ScheduleError::DanglingRef(r));
+        }
+        if !seen.insert(r) {
+            return Err(ScheduleError::DuplicateOp(r));
+        }
+    }
+    if schedule.len() != expected {
+        return Err(ScheduleError::MissingOps {
+            expected,
+            found: schedule.len(),
+        });
+    }
+
+    // Preserved program order: every preserved pair of each process must
+    // appear in order.
+    let pos: BTreeMap<OpRef, usize> = schedule
+        .refs()
+        .iter()
+        .enumerate()
+        .map(|(i, &r)| (r, i))
+        .collect();
+    for (p, h) in trace.histories().iter().enumerate() {
+        for i in 0..h.len() {
+            for j in i + 1..h.len() {
+                let (x, y) = (h.op(i).expect("in range"), h.op(j).expect("in range"));
+                if preserves(spec, x, y) {
+                    let rx = OpRef::new(p as u16, i as u32);
+                    let ry = OpRef::new(p as u16, j as u32);
+                    if pos[&rx] > pos[&ry] {
+                        return Err(ScheduleError::ProgramOrder {
+                            earlier: rx,
+                            later: ry,
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    // Value legality per address.
+    let mut current: BTreeMap<Addr, Value> = BTreeMap::new();
+    for &r in schedule.refs() {
+        let op = trace.op(r).expect("validated");
+        let addr = op.addr();
+        let cur = current
+            .get(&addr)
+            .copied()
+            .unwrap_or_else(|| trace.initial(addr));
+        if let Some(read) = op.read_value() {
+            if read != cur {
+                return Err(ScheduleError::ReadValue {
+                    read: r,
+                    expected: cur,
+                    actual: read,
+                });
+            }
+        }
+        if let Some(written) = op.written_value() {
+            current.insert(addr, written);
+        }
+    }
+    for (&addr, &expected) in trace.final_values() {
+        let actual = current
+            .get(&addr)
+            .copied()
+            .unwrap_or_else(|| trace.initial(addr));
+        if actual != expected {
+            return Err(ScheduleError::FinalValue {
+                addr,
+                expected,
+                actual,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Does this spec's axiom set pin a single serialization order
 /// (an acyclicity axiom over `ppo ∪ rf ∪ mo ∪ fr`)?
 pub(crate) fn spec_serializes(spec: &ModelSpec) -> bool {
@@ -473,7 +582,7 @@ pub(crate) fn witness_schedule(spec: &ModelSpec, ev: &Events, w: &Witness) -> Sc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::axiom::{ARM_DOB_SPEC, RA_SPEC, SC_SPEC};
+    use crate::axiom::{ARM_DOB_SPEC, COHERENCE_SPEC, PSO_SPEC, RA_SPEC, SC_SPEC, TSO_SPEC};
     use vermem_trace::TraceBuilder;
 
     /// W(x)1 ; R(x)1 across two procs: the unique witness is valid.
@@ -585,5 +694,125 @@ mod tests {
         assert_eq!(check_witness_ev(&SC_SPEC, &ev, &w), Ok(()));
         let sched = witness_schedule(&SC_SPEC, &ev, &w);
         assert!(vermem_trace::check_sc_schedule(&t, &sched).is_ok());
+    }
+
+    fn sched(pairs: &[(u16, u32)]) -> Schedule {
+        pairs.iter().map(|&(p, i)| OpRef::new(p, i)).collect()
+    }
+
+    #[test]
+    fn same_address_always_preserved() {
+        let w = Op::write(0u32, 1u64);
+        let r = Op::read(0u32, 1u64);
+        for id in ModelId::ALL {
+            assert!(preserves(spec(id), w, r), "{}", id.name());
+            assert!(preserves(spec(id), r, w), "{}", id.name());
+        }
+    }
+
+    #[test]
+    fn tso_table_relaxes_only_store_load() {
+        let w = Op::write(0u32, 1u64);
+        let r = Op::read(1u32, 0u64);
+        let w2 = Op::write(1u32, 1u64);
+        let rmw = Op::rmw(1u32, 0u64, 1u64);
+        assert!(!preserves(&TSO_SPEC, w, r)); // W→R relaxed
+        assert!(preserves(&TSO_SPEC, w, w2)); // W→W kept
+        assert!(preserves(&TSO_SPEC, r, w)); // R→W kept
+        assert!(preserves(&TSO_SPEC, w, rmw)); // W→RMW kept
+        assert!(preserves(&TSO_SPEC, rmw, r)); // RMW→R kept
+    }
+
+    #[test]
+    fn pso_table_also_relaxes_store_store() {
+        let w = Op::write(0u32, 1u64);
+        let w2 = Op::write(1u32, 1u64);
+        let r = Op::read(1u32, 0u64);
+        let rmw = Op::rmw(1u32, 0u64, 1u64);
+        assert!(!preserves(&PSO_SPEC, w, w2));
+        assert!(!preserves(&PSO_SPEC, w, r));
+        assert!(preserves(&PSO_SPEC, r, w)); // loads still order
+        assert!(preserves(&PSO_SPEC, w, rmw)); // RMW orders
+    }
+
+    #[test]
+    fn coherence_table_keeps_nothing_cross_address() {
+        let r1 = Op::read(0u32, 0u64);
+        let r2 = Op::read(1u32, 0u64);
+        assert!(!preserves(&COHERENCE_SPEC, r1, r2));
+    }
+
+    /// SC ⊇ TSO ⊇ PSO ⊇ coherence-only, entry by entry: each serialization
+    /// model preserves a subset of the stronger one's pairs, so it allows
+    /// at least the stronger model's behaviours.
+    #[test]
+    fn ppo_tables_weaken_monotonically() {
+        for pair in ModelId::SERIALIZING.windows(2) {
+            let (strong, weak) = (spec(pair[0]), spec(pair[1]));
+            for x in 0..3 {
+                for y in 0..3 {
+                    assert!(
+                        strong.ppo_cross[x][y] || !weak.ppo_cross[x][y],
+                        "{} preserves [{x}][{y}] but {} does not",
+                        weak.name,
+                        strong.name
+                    );
+                }
+            }
+            assert_ne!(strong.ppo_cross, weak.ppo_cross, "{}", weak.name);
+        }
+    }
+
+    #[test]
+    fn model_schedule_checker_sc_matches_trace_checker() {
+        let t = TraceBuilder::new()
+            .proc([Op::write(0u32, 1u64), Op::write(1u32, 1u64)])
+            .proc([Op::read(1u32, 1u64), Op::read(0u32, 1u64)])
+            .build();
+        let good = sched(&[(0, 0), (0, 1), (1, 0), (1, 1)]);
+        assert!(check_model_schedule(&t, ModelId::Sc, &good).is_ok());
+        assert!(vermem_trace::check_sc_schedule(&t, &good).is_ok());
+    }
+
+    #[test]
+    fn store_buffering_schedule_valid_under_tso_not_sc() {
+        // SB: P0: W(x,1) R(y,0); P1: W(y,1) R(x,0).
+        let t = TraceBuilder::new()
+            .proc([Op::write(0u32, 1u64), Op::read(1u32, 0u64)])
+            .proc([Op::write(1u32, 1u64), Op::read(0u32, 0u64)])
+            .build();
+        // Reads first (bypassing the writes), then writes.
+        let s = sched(&[(0, 1), (1, 1), (0, 0), (1, 0)]);
+        assert!(check_model_schedule(&t, ModelId::Tso, &s).is_ok());
+        let err = check_model_schedule(&t, ModelId::Sc, &s).unwrap_err();
+        assert!(matches!(err, ScheduleError::ProgramOrder { .. }));
+    }
+
+    #[test]
+    fn value_rules_still_apply_under_weak_models() {
+        let t = TraceBuilder::new()
+            .proc([Op::write(0u32, 1u64)])
+            .proc([Op::read(0u32, 9u64)])
+            .build();
+        let s = sched(&[(0, 0), (1, 0)]);
+        let err = check_model_schedule(&t, ModelId::CoherenceOnly, &s).unwrap_err();
+        assert!(matches!(err, ScheduleError::ReadValue { .. }));
+    }
+
+    #[test]
+    fn completeness_checked() {
+        let t = TraceBuilder::new().proc([Op::w(1u64), Op::r(1u64)]).build();
+        let s = sched(&[(0, 0)]);
+        assert!(matches!(
+            check_model_schedule(&t, ModelId::Sc, &s),
+            Err(ScheduleError::MissingOps { .. })
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a single-serialization model")]
+    fn schedule_checker_rejects_non_serializing_models() {
+        let t = TraceBuilder::new().proc([Op::w(1u64)]).build();
+        let _ = check_model_schedule(&t, ModelId::Ra, &sched(&[(0, 0)]));
     }
 }

@@ -6,16 +6,15 @@
 //! (adapted to this crate's relaxed-order single-serialization semantics,
 //! which matches the usual axiomatic classifications for these tests).
 //!
-//! Since the axiom refactor every test carries expectations for *all six*
-//! declared models ([`ModelId`]): the four serialization-based models plus
-//! Release–Acquire and ARM-dob. The RA and ARM-dob columns are
+//! Every test carries expectations for *all six* declared models
+//! ([`ModelId`]): the four serialization-based models plus Release–Acquire
+//! and ARM-dob. The RA and ARM-dob columns are
 //! hand-derived from the declarative axioms ([`crate::axiom::RA_SPEC`],
 //! [`crate::axiom::ARM_DOB_SPEC`]) and pinned against both compilers by
 //! the differential suite — so a change to either compiler that flips a
 //! classic litmus outcome is caught here, not in production.
 
 use crate::axiom::ModelId;
-use crate::models::MemoryModel;
 use std::collections::BTreeMap;
 use vermem_trace::{Op, Trace, TraceBuilder};
 
@@ -27,21 +26,12 @@ pub struct LitmusTest {
     pub description: &'static str,
     /// The observed-outcome trace.
     pub trace: Trace,
-    /// For each serialization-based model: is the observed outcome
-    /// allowed? (The [`ModelId`] superset lives in [`expected_axiom`];
-    /// this map is kept for the many call sites indexed by
-    /// [`MemoryModel`].)
-    ///
-    /// [`expected_axiom`]: LitmusTest::expected_axiom
-    pub expected: BTreeMap<MemoryModel, bool>,
-    /// For each declared model — including RA and ARM-dob: is the observed
-    /// outcome allowed?
-    pub expected_axiom: BTreeMap<ModelId, bool>,
+    /// For each declared model: is the observed outcome allowed?
+    pub expected: BTreeMap<ModelId, bool>,
 }
 
 /// Build a test with its six-model expectation row
-/// (`[sc, tso, pso, coh, ra, dob]`). The base-four map is derived from the
-/// same row, so the two views can never drift apart.
+/// (`[sc, tso, pso, coh, ra, dob]`, the order of [`ModelId::ALL`]).
 fn case(
     name: &'static str,
     description: &'static str,
@@ -60,24 +50,11 @@ fn case(
         coh || (!pso && !ra && !dob),
         "{name}: coherence-only is the weakest model"
     );
-    let mut expected = BTreeMap::new();
-    expected.insert(MemoryModel::Sc, sc);
-    expected.insert(MemoryModel::Tso, tso);
-    expected.insert(MemoryModel::Pso, pso);
-    expected.insert(MemoryModel::CoherenceOnly, coh);
-    let mut expected_axiom = BTreeMap::new();
-    expected_axiom.insert(ModelId::Sc, sc);
-    expected_axiom.insert(ModelId::Tso, tso);
-    expected_axiom.insert(ModelId::Pso, pso);
-    expected_axiom.insert(ModelId::CoherenceOnly, coh);
-    expected_axiom.insert(ModelId::Ra, ra);
-    expected_axiom.insert(ModelId::ArmDob, dob);
     LitmusTest {
         name,
         description,
         trace,
-        expected,
-        expected_axiom,
+        expected: ModelId::ALL.into_iter().zip(allowed).collect(),
     }
 }
 
@@ -356,20 +333,25 @@ pub fn all_litmus_tests() -> Vec<LitmusTest> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::axiom::solve_spec_sat;
+    use crate::axiom::{solve_spec_sat, verify_axiom, AxiomConfig};
     use crate::sat_vsc::solve_model_sat;
-    use crate::vsc::solve_sc_backtracking;
-    use vermem_coherence::KernelConfig;
 
     #[test]
     fn litmus_suite_matches_expectations() {
+        // The serialization columns against the hand-written oracle.
         for test in all_litmus_tests() {
-            for (&model, &allowed) in &test.expected {
-                let got = solve_model_sat(&test.trace, model).is_consistent();
+            assert_eq!(test.expected.len(), ModelId::ALL.len(), "{}", test.name);
+            for id in ModelId::SERIALIZING {
+                let allowed = test.expected[&id];
+                let got = solve_model_sat(&test.trace, id).is_consistent();
                 assert_eq!(
-                    got, allowed,
+                    got,
+                    allowed,
                     "{} under {}: expected allowed={}, got {}",
-                    test.name, model, allowed, got
+                    test.name,
+                    id.name(),
+                    allowed,
+                    got
                 );
             }
         }
@@ -380,7 +362,7 @@ mod tests {
         // All six columns — including the hand-derived RA and ARM-dob
         // ones — against the spec-generic SAT compiler.
         for test in all_litmus_tests() {
-            for (&id, &allowed) in &test.expected_axiom {
+            for (&id, &allowed) in &test.expected {
                 let got = solve_spec_sat(&test.trace, crate::axiom::spec(id)).is_consistent();
                 assert_eq!(
                     got,
@@ -395,21 +377,13 @@ mod tests {
     }
 
     #[test]
-    fn base_columns_agree_between_views() {
+    fn sc_expectations_agree_with_compiled_engine() {
         for test in all_litmus_tests() {
-            for (&model, &allowed) in &test.expected {
-                assert_eq!(test.expected_axiom[&ModelId::from(model)], allowed);
-            }
-            assert_eq!(test.expected_axiom.len(), ModelId::ALL.len());
-        }
-    }
-
-    #[test]
-    fn sc_expectations_agree_with_backtracking() {
-        for test in all_litmus_tests() {
-            let expected = test.expected[&MemoryModel::Sc];
-            let got = solve_sc_backtracking(&test.trace, &KernelConfig::default()).is_consistent();
-            assert_eq!(got, expected, "{} under SC (backtracking)", test.name);
+            let expected = test.expected[&ModelId::Sc];
+            let got = verify_axiom(&test.trace, ModelId::Sc, &AxiomConfig::default())
+                .verdict
+                .is_consistent();
+            assert_eq!(got, expected, "{} under SC (compiled)", test.name);
         }
     }
 
@@ -417,18 +391,16 @@ mod tests {
     fn suite_is_nontrivial() {
         let tests = all_litmus_tests();
         assert!(tests.len() >= 10);
-        // Some test distinguishes every adjacent model pair.
-        let pairs = [
-            (MemoryModel::Sc, MemoryModel::Tso),
-            (MemoryModel::Tso, MemoryModel::Pso),
-            (MemoryModel::Pso, MemoryModel::CoherenceOnly),
-        ];
-        for (strong, weak) in pairs {
+        // Some test distinguishes every adjacent serialization-model pair.
+        for pair in ModelId::SERIALIZING.windows(2) {
+            let (strong, weak) = (pair[0], pair[1]);
             assert!(
                 tests
                     .iter()
                     .any(|t| !t.expected[&strong] && t.expected[&weak]),
-                "no test separates {strong} from {weak}"
+                "no test separates {} from {}",
+                strong.name(),
+                weak.name()
             );
         }
         // RA and ARM-dob are incomparable: some test splits them in each
@@ -439,9 +411,7 @@ mod tests {
             (ModelId::ArmDob, ModelId::Ra),
         ] {
             assert!(
-                tests
-                    .iter()
-                    .any(|t| t.expected_axiom[&a] && !t.expected_axiom[&b]),
+                tests.iter().any(|t| t.expected[&a] && !t.expected[&b]),
                 "no test allows {} while forbidding {}",
                 a.name(),
                 b.name()
@@ -451,7 +421,7 @@ mod tests {
             assert!(
                 tests
                     .iter()
-                    .any(|t| !t.expected_axiom[&id] && t.expected_axiom[&ModelId::CoherenceOnly]),
+                    .any(|t| !t.expected[&id] && t.expected[&ModelId::CoherenceOnly]),
                 "no test separates {} from coherence-only",
                 id.name()
             );

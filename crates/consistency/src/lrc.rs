@@ -2,7 +2,7 @@
 //!
 //! LRC *relaxes the coherence requirement itself*, so it cannot be expressed
 //! as a program-order relaxation over a single serialization (the
-//! [`crate::models`] framework). What LRC does guarantee — and what the
+//! serialization models of [`crate::axiom`], [`crate::ModelId::SERIALIZING`]). What LRC does guarantee — and what the
 //! paper's Figure 6.1 construction exploits — is that operations protected
 //! by acquire/release synchronization on a common lock appear serialized.
 //!

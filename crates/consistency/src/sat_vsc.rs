@@ -1,18 +1,49 @@
-//! Model-parametric SAT encoding for consistency verification.
+//! The hand-written serialization SAT encoding: the **test oracle** for
+//! the four serialization models. No production path calls it — every
+//! deciding entry point runs [`crate::verify_axiom`] — but the
+//! differential suites compare both compilers against it, because it is
+//! not derived from [`crate::ModelSpec`].
 //!
 //! Generalizes the VMC→SAT encoding of `vermem-coherence` to the whole
 //! trace and to relaxed consistency models: program-order pairs that the
 //! model *enforces* become compile-time constants, pairs it relaxes become
 //! free order variables (the store buffer may commit them either way), and
-//! read/value constraints apply per address. With [`MemoryModel::Sc`] this
+//! read/value constraints apply per address. With [`ModelId::Sc`] this
 //! decides VSC (Definition 6.1); with weaker models it decides adherence to
-//! TSO, PSO or bare coherence over a single global serialization.
+//! TSO, PSO or bare coherence over a single global serialization. The
+//! enforcement table (the private `enforces`) is written out by hand here
+//! and never read from a spec's `ppo_cross`: that is what keeps the oracle
+//! independent.
 
-use crate::models::{check_model_schedule, MemoryModel};
+use crate::axiom::{check_model_schedule, precheck_sc, ModelId};
 use crate::verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
-use crate::vsc::precheck_sc;
 use vermem_sat::{CdclSolver, Cnf, Lit, Model, SatResult, Var};
 use vermem_trace::{Op, OpRef, Schedule, Trace};
+
+/// Is the program-order pair `x` (earlier) → `y` (later) enforced in every
+/// valid schedule of serialization model `id`? Same-address order is
+/// always enforced (coherence's per-location serialization); atomic RMWs
+/// order with everything, as on SPARC/x86.
+///
+/// # Panics
+///
+/// If `id` is not one of [`ModelId::SERIALIZING`].
+fn enforces(id: ModelId, x: Op, y: Op) -> bool {
+    if x.addr() == y.addr() {
+        return true;
+    }
+    match id {
+        ModelId::Sc => true,
+        // Relax only pure-write → pure-read; RMWs order both ways.
+        ModelId::Tso => !(matches!(x, Op::Write { .. }) && matches!(y, Op::Read { .. })),
+        // W→R and W→W relaxed; an RMW on either side orders.
+        ModelId::Pso => !matches!(x, Op::Write { .. }) || y.is_rmw(),
+        ModelId::CoherenceOnly => false,
+        ModelId::Ra | ModelId::ArmDob => {
+            panic!("{} is not a single-serialization model", id.name())
+        }
+    }
+}
 
 #[derive(Clone, Copy)]
 enum Pair {
@@ -26,7 +57,7 @@ pub struct VscEncoding {
     ops: Vec<(OpRef, Op)>,
     order: Vec<Vec<Pair>>, // triangular: order[i][j-i-1] for i<j
     trivially_unsat: bool,
-    model: MemoryModel,
+    model: ModelId,
 }
 
 impl VscEncoding {
@@ -36,7 +67,7 @@ impl VscEncoding {
     }
 
     /// The model this encoding targets.
-    pub fn model(&self) -> MemoryModel {
+    pub fn model(&self) -> ModelId {
         self.model
     }
 
@@ -80,7 +111,11 @@ enum Term {
 }
 
 /// Build the CNF encoding of "`trace` has a schedule valid under `model`".
-pub fn encode_model(trace: &Trace, model: MemoryModel) -> VscEncoding {
+///
+/// # Panics
+///
+/// If `model` is not one of [`ModelId::SERIALIZING`].
+pub fn encode_model(trace: &Trace, model: ModelId) -> VscEncoding {
     let ops: Vec<(OpRef, Op)> = trace.iter_ops().collect();
     let n = ops.len();
     let mut cnf = Cnf::new();
@@ -93,7 +128,7 @@ pub fn encode_model(trace: &Trace, model: MemoryModel) -> VscEncoding {
             if ri.proc == rj.proc {
                 // iter_ops yields program order within a process: ri earlier.
                 debug_assert!(ri.index < rj.index);
-                if model.enforces(ops[i].1, ops[j].1) {
+                if enforces(model, ops[i].1, ops[j].1) {
                     row.push(Pair::Const(true));
                 } else {
                     row.push(Pair::Var(cnf.new_var()));
@@ -276,8 +311,13 @@ pub fn encode_model(trace: &Trace, model: MemoryModel) -> VscEncoding {
     enc
 }
 
-/// Decide adherence of `trace` to `model` via the SAT encoding.
-pub fn solve_model_sat(trace: &Trace, model: MemoryModel) -> ConsistencyVerdict {
+/// Decide adherence of `trace` to serialization model `model` via the
+/// hand-written SAT encoding (the test oracle; see the module docs).
+///
+/// # Panics
+///
+/// If `model` is not one of [`ModelId::SERIALIZING`].
+pub fn solve_model_sat(trace: &Trace, model: ModelId) -> ConsistencyVerdict {
     if let Some(v) = precheck_sc(trace) {
         return ConsistencyVerdict::Violating(v);
     }
@@ -306,8 +346,7 @@ pub fn solve_model_sat(trace: &Trace, model: MemoryModel) -> ConsistencyVerdict 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vsc::solve_sc_backtracking;
-    use vermem_coherence::KernelConfig;
+    use crate::axiom::{verify_axiom, AxiomConfig};
     use vermem_trace::{Op, TraceBuilder};
 
     fn sb_trace() -> Trace {
@@ -320,10 +359,10 @@ mod tests {
     #[test]
     fn store_buffering_tso_yes_sc_no() {
         let t = sb_trace();
-        assert!(solve_model_sat(&t, MemoryModel::Sc).is_violating());
-        assert!(solve_model_sat(&t, MemoryModel::Tso).is_consistent());
-        assert!(solve_model_sat(&t, MemoryModel::Pso).is_consistent());
-        assert!(solve_model_sat(&t, MemoryModel::CoherenceOnly).is_consistent());
+        assert!(solve_model_sat(&t, ModelId::Sc).is_violating());
+        assert!(solve_model_sat(&t, ModelId::Tso).is_consistent());
+        assert!(solve_model_sat(&t, ModelId::Pso).is_consistent());
+        assert!(solve_model_sat(&t, ModelId::CoherenceOnly).is_consistent());
     }
 
     #[test]
@@ -333,8 +372,8 @@ mod tests {
             .proc([Op::rmw(0u32, 0u64, 1u64), Op::read(1u32, 0u64)])
             .proc([Op::rmw(1u32, 0u64, 1u64), Op::read(0u32, 0u64)])
             .build();
-        assert!(solve_model_sat(&t, MemoryModel::Tso).is_violating());
-        assert!(solve_model_sat(&t, MemoryModel::CoherenceOnly).is_consistent());
+        assert!(solve_model_sat(&t, ModelId::Tso).is_violating());
+        assert!(solve_model_sat(&t, ModelId::CoherenceOnly).is_consistent());
     }
 
     #[test]
@@ -344,10 +383,10 @@ mod tests {
             .proc([Op::write(0u32, 1u64), Op::write(1u32, 1u64)])
             .proc([Op::read(1u32, 1u64), Op::read(0u32, 0u64)])
             .build();
-        assert!(solve_model_sat(&t, MemoryModel::Sc).is_violating());
-        assert!(solve_model_sat(&t, MemoryModel::Tso).is_violating()); // W→W and R→R kept
-        assert!(solve_model_sat(&t, MemoryModel::Pso).is_consistent()); // W→W relaxed
-        assert!(solve_model_sat(&t, MemoryModel::CoherenceOnly).is_consistent());
+        assert!(solve_model_sat(&t, ModelId::Sc).is_violating());
+        assert!(solve_model_sat(&t, ModelId::Tso).is_violating()); // W→W and R→R kept
+        assert!(solve_model_sat(&t, ModelId::Pso).is_consistent()); // W→W relaxed
+        assert!(solve_model_sat(&t, ModelId::CoherenceOnly).is_consistent());
     }
 
     #[test]
@@ -357,13 +396,13 @@ mod tests {
             .proc([Op::write(0u32, 1u64), Op::write(0u32, 2u64)])
             .proc([Op::read(0u32, 2u64), Op::read(0u32, 1u64)])
             .build();
-        for m in MemoryModel::ALL {
-            assert!(solve_model_sat(&t, m).is_violating(), "{m}");
+        for m in ModelId::SERIALIZING {
+            assert!(solve_model_sat(&t, m).is_violating(), "{}", m.name());
         }
     }
 
     #[test]
-    fn sat_sc_agrees_with_backtracking_on_random_traces() {
+    fn sat_sc_agrees_with_compiled_engine_on_random_traces() {
         use vermem_util::rng::StdRng;
         for seed in 0..50u64 {
             let mut rng = StdRng::seed_from_u64(60_000 + seed);
@@ -385,14 +424,20 @@ mod tests {
                 b = b.proc(ops);
             }
             let t = b.build();
-            let bt = solve_sc_backtracking(&t, &KernelConfig::default());
-            let sat = solve_model_sat(&t, MemoryModel::Sc);
+            let bt = verify_axiom(&t, ModelId::Sc, &AxiomConfig::default()).verdict;
+            let sat = solve_model_sat(&t, ModelId::Sc);
             assert_eq!(
                 bt.is_consistent(),
                 sat.is_consistent(),
                 "divergence on seed {seed}: {t:?}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a single-serialization model")]
+    fn oracle_rejects_non_serializing_models() {
+        let _ = solve_model_sat(&sb_trace(), ModelId::Ra);
     }
 
     #[test]
@@ -420,10 +465,10 @@ mod tests {
                 b = b.proc(ops);
             }
             let t = b.build();
-            let sc = solve_model_sat(&t, MemoryModel::Sc).is_consistent();
-            let tso = solve_model_sat(&t, MemoryModel::Tso).is_consistent();
-            let pso = solve_model_sat(&t, MemoryModel::Pso).is_consistent();
-            let coh = solve_model_sat(&t, MemoryModel::CoherenceOnly).is_consistent();
+            let sc = solve_model_sat(&t, ModelId::Sc).is_consistent();
+            let tso = solve_model_sat(&t, ModelId::Tso).is_consistent();
+            let pso = solve_model_sat(&t, ModelId::Pso).is_consistent();
+            let coh = solve_model_sat(&t, ModelId::CoherenceOnly).is_consistent();
             assert!(!sc || tso, "seed {seed}");
             assert!(!tso || pso, "seed {seed}");
             assert!(!pso || coh, "seed {seed}");

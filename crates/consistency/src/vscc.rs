@@ -13,10 +13,8 @@
 //! cheap merge fails, falls back to the exact VSC decision, reporting which
 //! stage settled the answer so the incompleteness is observable.
 
-use crate::models::MemoryModel;
-use crate::sat_vsc::solve_model_sat;
+use crate::axiom::{verify_axiom, AxiomConfig, Engine, ModelId};
 use crate::verdict::ConsistencyVerdict;
-use crate::vsc::solve_sc_backtracking;
 use crate::vsc_conflict::{merge_coherent_schedules, MergeOutcome};
 use std::collections::BTreeMap;
 use vermem_coherence::{ExecutionVerdict, KernelConfig, SearchStats, Violation};
@@ -32,16 +30,6 @@ pub enum SettledBy {
     FastMerge,
     /// The merge was cyclic; the exact VSC solver decided the instance.
     ExactFallback,
-}
-
-/// Backend for the exact fallback stage.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum VsccBackend {
-    /// Memoized backtracking search.
-    #[default]
-    Backtracking,
-    /// CDCL on the order-variable encoding.
-    Sat,
 }
 
 /// Full report from the VSCC pipeline.
@@ -61,11 +49,12 @@ pub struct VsccReport {
 
 /// Run the VSCC pipeline with default settings.
 pub fn verify_vscc(trace: &Trace) -> VsccReport {
-    verify_vscc_with(trace, VsccBackend::default(), &KernelConfig::default())
+    verify_vscc_with(trace, Engine::Compiled, &KernelConfig::default())
 }
 
-/// Run the VSCC pipeline with an explicit exact backend and budget.
-pub fn verify_vscc_with(trace: &Trace, backend: VsccBackend, cfg: &KernelConfig) -> VsccReport {
+/// Run the VSCC pipeline with an explicit engine for the exact fallback
+/// (the SC decision of [`verify_axiom`]) and kernel budget.
+pub fn verify_vscc_with(trace: &Trace, engine: Engine, cfg: &KernelConfig) -> VsccReport {
     // Stage 1: coherence per address.
     let schedules = match vermem_coherence::verify_execution(trace) {
         ExecutionVerdict::Coherent(s) => s,
@@ -101,10 +90,12 @@ pub fn verify_vscc_with(trace: &Trace, backend: VsccBackend, cfg: &KernelConfig)
         },
         MergeOutcome::Cyclic { .. } => {
             // Stage 3: exact decision.
-            let verdict = match backend {
-                VsccBackend::Backtracking => solve_sc_backtracking(trace, cfg),
-                VsccBackend::Sat => solve_model_sat(trace, MemoryModel::Sc),
+            let axiom = AxiomConfig {
+                engine,
+                kernel: *cfg,
+                ..AxiomConfig::default()
             };
+            let verdict = verify_axiom(trace, ModelId::Sc, &axiom).verdict;
             let misleading = verdict.is_consistent();
             VsccReport {
                 coherence: Ok(schedules),
@@ -224,18 +215,18 @@ mod tests {
             MergeOutcome::Cyclic { .. }
         ));
         // ...even though the trace IS sequentially consistent.
-        let exact = solve_sc_backtracking(&t, &KernelConfig::default());
+        let exact = verify_axiom(&t, ModelId::Sc, &AxiomConfig::default()).verdict;
         assert!(exact.is_consistent(), "trace must be SC");
     }
 
     #[test]
-    fn both_backends_agree() {
+    fn both_engines_agree() {
         let t = TraceBuilder::new()
             .proc([Op::write(0u32, 1u64), Op::read(1u32, 0u64)])
             .proc([Op::write(1u32, 1u64), Op::read(0u32, 0u64)])
             .build();
-        let a = verify_vscc_with(&t, VsccBackend::Backtracking, &KernelConfig::default());
-        let b = verify_vscc_with(&t, VsccBackend::Sat, &KernelConfig::default());
+        let a = verify_vscc_with(&t, Engine::Compiled, &KernelConfig::default());
+        let b = verify_vscc_with(&t, Engine::Sat, &KernelConfig::default());
         assert_eq!(a.verdict.is_consistent(), b.verdict.is_consistent());
     }
 }

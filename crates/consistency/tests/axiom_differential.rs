@@ -54,10 +54,10 @@ fn assert_engine_agreement(trace: &Trace, ctx: &str) {
             "{ctx}: {} exact-only/sat drift",
             id.name()
         );
-        if let Some(model) = id.base_model() {
+        if ModelId::SERIALIZING.contains(&id) {
             assert_eq!(
                 tiered.is_consistent(),
-                solve_model_sat(trace, model).is_consistent(),
+                solve_model_sat(trace, id).is_consistent(),
                 "{ctx}: {} compiled/hand-written encoding drift",
                 id.name()
             );
@@ -236,7 +236,7 @@ fn compiled_engine_matches_golden_stats() {
 #[test]
 fn litmus_expectations_hold_on_every_engine() {
     for test in all_litmus_tests() {
-        for (&id, &allowed) in &test.expected_axiom {
+        for (&id, &allowed) in &test.expected {
             for engine in [Engine::Compiled, Engine::Sat] {
                 let report = verify_axiom(&test.trace, id, &config(engine));
                 assert_eq!(

@@ -1,10 +1,10 @@
 //! Cross-validation of the consistency stack: the VSCC pipeline, the
-//! direct SC solvers, the model hierarchy, and the operational TSO machine
-//! semantics must all tell one coherent story on random traces.
+//! direct SC decision, the model hierarchy, and the compiled machines'
+//! operational semantics against the hand-written axiomatic oracle must
+//! all tell one coherent story on random traces.
 
 use vermem_consistency::{
-    solve_model_sat, solve_pso_operational, solve_sc_backtracking, solve_tso_operational,
-    verify_vscc, KernelConfig, MemoryModel, SettledBy,
+    solve_model_sat, verify_axiom, verify_vscc, AxiomConfig, ModelId, SettledBy,
 };
 use vermem_trace::{Op, Trace, TraceBuilder};
 use vermem_util::prop::PropConfig;
@@ -37,22 +37,29 @@ fn arb_trace(rng: &mut StdRng, size: usize) -> Trace {
     b.build()
 }
 
+/// The default (compiled, tiered) decision of `trace` under `id`.
+fn consistent(trace: &Trace, id: ModelId) -> bool {
+    verify_axiom(trace, id, &AxiomConfig::default())
+        .verdict
+        .is_consistent()
+}
+
 #[test]
 fn vscc_pipeline_agrees_with_direct_sc() {
     // The VSCC pipeline's final verdict equals the direct SC decision.
     prop_check!(PropConfig::with_cases(96), arb_trace, |trace: &Trace| {
-        let direct = solve_sc_backtracking(trace, &KernelConfig::default());
+        let direct = consistent(trace, ModelId::Sc);
         let report = verify_vscc(trace);
         // When coherence fails, SC fails too (coherence is necessary).
         prop_assert_eq!(
             report.verdict.is_consistent(),
-            direct.is_consistent(),
+            direct,
             "pipeline settled by {:?}",
             report.settled_by
         );
         // A fast merge success must mean the trace really is SC.
         if report.settled_by == SettledBy::FastMerge {
-            prop_assert!(direct.is_consistent());
+            prop_assert!(direct);
         }
         Ok(())
     });
@@ -60,15 +67,15 @@ fn vscc_pipeline_agrees_with_direct_sc() {
 
 #[test]
 fn model_hierarchy_is_monotone() {
-    // Model hierarchy: SC ⊆ TSO ⊆ PSO ⊆ CoherenceOnly.
+    // Serialization models: SC ⊆ TSO ⊆ PSO ⊆ CoherenceOnly. RA and
+    // ARM-dob sit between SC and coherence-only.
     prop_check!(PropConfig::with_cases(96), arb_trace, |trace: &Trace| {
-        let sc = solve_model_sat(trace, MemoryModel::Sc).is_consistent();
-        let tso = solve_model_sat(trace, MemoryModel::Tso).is_consistent();
-        let pso = solve_model_sat(trace, MemoryModel::Pso).is_consistent();
-        let coh = solve_model_sat(trace, MemoryModel::CoherenceOnly).is_consistent();
+        let [sc, tso, pso, coh, ra, dob] = ModelId::ALL.map(|id| consistent(trace, id));
         prop_assert!(!sc || tso);
         prop_assert!(!tso || pso);
         prop_assert!(!pso || coh);
+        prop_assert!(!sc || (ra && dob));
+        prop_assert!(coh || (!ra && !dob));
         // Coherence-only consistency equals per-address coherence.
         prop_assert_eq!(coh, vermem_coherence::verify_execution(trace).is_coherent());
         Ok(())
@@ -76,32 +83,15 @@ fn model_hierarchy_is_monotone() {
 }
 
 #[test]
-fn operational_tso_equals_axiomatic_tso() {
+fn operational_equals_axiomatic_for_serialization_models() {
+    // The compiled machines (buffer lowering for SC/TSO/PSO, graph
+    // lowering for coherence-only) against the hand-written encoding.
     prop_check!(PropConfig::with_cases(96), arb_trace, |trace: &Trace| {
-        let operational = solve_tso_operational(trace, &KernelConfig::default()).is_consistent();
-        let axiomatic = solve_model_sat(trace, MemoryModel::Tso).is_consistent();
-        prop_assert_eq!(operational, axiomatic);
-        Ok(())
-    });
-}
-
-#[test]
-fn operational_pso_equals_axiomatic_pso() {
-    prop_check!(PropConfig::with_cases(96), arb_trace, |trace: &Trace| {
-        let operational = solve_pso_operational(trace, &KernelConfig::default()).is_consistent();
-        let axiomatic = solve_model_sat(trace, MemoryModel::Pso).is_consistent();
-        prop_assert_eq!(operational, axiomatic);
-        Ok(())
-    });
-}
-
-#[test]
-fn sc_engines_agree() {
-    // SC backtracking and SC-via-SAT agree (redundant engines).
-    prop_check!(PropConfig::with_cases(96), arb_trace, |trace: &Trace| {
-        let bt = solve_sc_backtracking(trace, &KernelConfig::default()).is_consistent();
-        let sat = solve_model_sat(trace, MemoryModel::Sc).is_consistent();
-        prop_assert_eq!(bt, sat);
+        for id in ModelId::SERIALIZING {
+            let operational = consistent(trace, id);
+            let axiomatic = solve_model_sat(trace, id).is_consistent();
+            prop_assert_eq!(operational, axiomatic, "{}", id.name());
+        }
         Ok(())
     });
 }
@@ -116,7 +106,7 @@ fn coherence_only_matches_per_address_coherence_on_vscc_instances() {
         );
         let red = vermem_reductions::reduce_sat_to_vscc(&f);
         assert!(
-            solve_model_sat(&red.trace, MemoryModel::CoherenceOnly).is_consistent(),
+            consistent(&red.trace, ModelId::CoherenceOnly),
             "seed {seed}"
         );
     }

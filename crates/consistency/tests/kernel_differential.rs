@@ -1,22 +1,30 @@
-//! Differential suite for the shared exact-search kernel: every
-//! operational engine (SC backtracking, TSO, PSO) must agree with the
-//! axiomatic SAT oracle on every trace family, with feasibility pruning on
-//! and off — and budget-limited runs must be deterministic. (Budget
-//! exhaustion on the E-5.2 family is pinned, stats included, by the
-//! golden file of `axiom_differential.rs`.)
+//! Differential suite for the shared exact-search kernel: the compiled
+//! machine of every serialization model (SC, TSO and PSO on the buffer
+//! lowering, coherence-only on the graph lowering) must agree with the
+//! hand-written SAT oracle (`sat_vsc`) on every trace family, with
+//! feasibility pruning on and off — and budget-limited runs must be
+//! deterministic. (Budget exhaustion on the E-5.2 family is pinned, stats
+//! included, by the golden file of `axiom_differential.rs`.)
 
 use vermem_consistency::{
-    litmus::all_litmus_tests, solve_model_sat, verify_model_operational, KernelConfig, MemoryModel,
-    SearchStats,
+    litmus::all_litmus_tests, solve_model_sat, verify_axiom, AxiomConfig, AxiomReport,
+    KernelConfig, ModelId,
 };
 use vermem_trace::gen::{gen_sc_trace, inject_violation, GenConfig, ViolationKind};
 use vermem_trace::{Op, Trace, TraceBuilder};
 use vermem_util::rng::StdRng;
 
-/// The three operational engines (CoherenceOnly has no machine; its
-/// dispatch in `verify_model_operational` *is* the SAT oracle, so a
-/// differential there would be a tautology).
-const OPERATIONAL: [MemoryModel; 3] = [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso];
+/// The compiled engine under `kernel`, as `verify_axiom` runs it.
+fn compiled(trace: &Trace, id: ModelId, kernel: KernelConfig) -> AxiomReport {
+    verify_axiom(
+        trace,
+        id,
+        &AxiomConfig {
+            kernel,
+            ..AxiomConfig::default()
+        },
+    )
+}
 
 /// Kernel knob grid: default and feasibility off.
 fn knob_grid() -> [KernelConfig; 2] {
@@ -26,24 +34,26 @@ fn knob_grid() -> [KernelConfig; 2] {
     })
 }
 
-/// Assert the kernel-parity contract on one trace: every operational
-/// engine matches `solve_model_sat` for its model under every knob.
+/// Assert the kernel-parity contract on one trace: every compiled
+/// serialization model matches `solve_model_sat` under every knob.
 fn assert_kernel_parity(trace: &Trace, ctx: &str) {
-    for model in OPERATIONAL {
+    for model in ModelId::SERIALIZING {
         let oracle = solve_model_sat(trace, model).is_consistent();
         for cfg in knob_grid() {
-            let (verdict, _stats) = verify_model_operational(trace, model, &cfg);
+            let verdict = compiled(trace, model, cfg).verdict;
             assert!(
                 !matches!(
                     verdict,
                     vermem_consistency::ConsistencyVerdict::Unknown { .. }
                 ),
-                "{ctx}: {model} unbudgeted run returned Unknown under {cfg:?}"
+                "{ctx}: {} unbudgeted run returned Unknown under {cfg:?}",
+                model.name()
             );
             assert_eq!(
                 verdict.is_consistent(),
                 oracle,
-                "{ctx}: {model} operational/axiomatic drift under {cfg:?}"
+                "{ctx}: {} operational/axiomatic drift under {cfg:?}",
+                model.name()
             );
         }
     }
@@ -52,11 +62,20 @@ fn assert_kernel_parity(trace: &Trace, ctx: &str) {
 /// Budget-hit determinism: two identical tiny-budget runs must return the
 /// same verdict class *and* bit-identical stats.
 fn assert_budget_determinism(trace: &Trace, ctx: &str) {
-    for model in OPERATIONAL {
+    for id in ModelId::SERIALIZING {
+        let model = id.name();
         for budget in [1u64, 3, 16] {
             let cfg = KernelConfig::with_budget(budget);
-            let (v1, s1): (_, SearchStats) = verify_model_operational(trace, model, &cfg);
-            let (v2, s2) = verify_model_operational(trace, model, &cfg);
+            let AxiomReport {
+                verdict: v1,
+                stats: s1,
+                ..
+            } = compiled(trace, id, cfg);
+            let AxiomReport {
+                verdict: v2,
+                stats: s2,
+                ..
+            } = compiled(trace, id, cfg);
             assert_eq!(
                 v1.is_consistent(),
                 v2.is_consistent(),

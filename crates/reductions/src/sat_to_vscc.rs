@@ -169,7 +169,7 @@ impl VsccReduction {
 mod tests {
     use super::*;
     use vermem_coherence::verify_execution;
-    use vermem_consistency::{solve_sc_backtracking, KernelConfig};
+    use vermem_consistency::{verify_axiom, AxiomConfig, ConsistencyVerdict, ModelId};
     use vermem_sat::{solve_cdcl, Lit};
 
     fn cnf(clauses: &[&[i64]]) -> Cnf {
@@ -180,8 +180,12 @@ mod tests {
         f
     }
 
+    fn decide_sc(trace: &Trace) -> ConsistencyVerdict {
+        verify_axiom(trace, ModelId::Sc, &AxiomConfig::default()).verdict
+    }
+
     fn sc(trace: &Trace) -> bool {
-        solve_sc_backtracking(trace, &KernelConfig::default()).is_consistent()
+        decide_sc(trace).is_consistent()
     }
 
     #[test]
@@ -230,7 +234,7 @@ mod tests {
             };
             let f = vermem_sat::random::gen_random_ksat(&cfg);
             let red = reduce_sat_to_vscc(&f);
-            let verdict = solve_sc_backtracking(&red.trace, &KernelConfig::default());
+            let verdict = decide_sc(&red.trace);
             if let Some(s) = verdict.schedule() {
                 let model = red.extract_assignment(s);
                 assert_eq!(f.eval(&model), Some(true), "seed {seed}");

@@ -371,10 +371,12 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let verdict = vermem_consistency::solve_sc_backtracking(
+            let verdict = vermem_consistency::verify_axiom(
                 &cap.trace,
-                &vermem_consistency::KernelConfig::default(),
-            );
+                vermem_consistency::ModelId::Sc,
+                &vermem_consistency::AxiomConfig::default(),
+            )
+            .verdict;
             assert!(
                 verdict.is_consistent(),
                 "directory machine must be SC (seed {seed})"

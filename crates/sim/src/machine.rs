@@ -572,10 +572,12 @@ mod tests {
                 seed,
             });
             let cap = run_sc(&p, seed);
-            let verdict = vermem_consistency::solve_sc_backtracking(
+            let verdict = vermem_consistency::verify_axiom(
                 &cap.trace,
-                &vermem_consistency::KernelConfig::default(),
-            );
+                vermem_consistency::ModelId::Sc,
+                &vermem_consistency::AxiomConfig::default(),
+            )
+            .verdict;
             let s = verdict
                 .schedule()
                 .unwrap_or_else(|| panic!("SC-mode machine must produce SC traces (seed {seed})"));
@@ -633,15 +635,17 @@ mod tests {
             let r1 = cap.trace.histories()[1].ops()[1].read_value().unwrap();
             if r0 == Value(0) && r1 == Value(0) {
                 seen_relaxed = true;
-                let sc = vermem_consistency::solve_sc_backtracking(
-                    &cap.trace,
-                    &vermem_consistency::KernelConfig::default(),
-                );
+                let decide = |id| {
+                    vermem_consistency::verify_axiom(
+                        &cap.trace,
+                        id,
+                        &vermem_consistency::AxiomConfig::default(),
+                    )
+                    .verdict
+                };
+                let sc = decide(vermem_consistency::ModelId::Sc);
                 assert!(sc.is_violating(), "SB relaxed outcome must violate SC");
-                let tso = vermem_consistency::solve_model_sat(
-                    &cap.trace,
-                    vermem_consistency::MemoryModel::Tso,
-                );
+                let tso = decide(vermem_consistency::ModelId::Tso);
                 assert!(tso.is_consistent(), "SB relaxed outcome is TSO-legal");
                 break;
             }

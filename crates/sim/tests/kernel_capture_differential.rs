@@ -1,15 +1,17 @@
 //! Kernel parity on *captured* executions: traces recorded from the MESI
 //! simulator (healthy and fault-injected) must get the same verdict from
-//! each kernel-backed operational engine (SC, TSO, PSO) as from the
-//! axiomatic SAT oracle — with feasibility pruning on or off.
+//! each buffer-lowered compiled machine (SC, TSO, PSO) as from the
+//! hand-written SAT oracle — with feasibility pruning on or off.
+//! (Coherence-only runs on the graph lowering; its parity is checked on
+//! smaller traces by `consistency/tests/kernel_differential.rs`.)
 
 use vermem_consistency::{
-    solve_model_sat, verify_model_operational, ConsistencyVerdict, KernelConfig, MemoryModel,
+    solve_model_sat, verify_axiom, AxiomConfig, ConsistencyVerdict, KernelConfig, ModelId,
 };
 use vermem_sim::{random_program, FaultKind, FaultPlan, Machine, MachineConfig, WorkloadConfig};
 use vermem_trace::Trace;
 
-const OPERATIONAL: [MemoryModel; 3] = [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso];
+const BUFFER_LOWERED: [ModelId; 3] = [ModelId::Sc, ModelId::Tso, ModelId::Pso];
 
 fn knob_grid() -> [KernelConfig; 2] {
     [true, false].map(|feasibility| KernelConfig {
@@ -22,21 +24,27 @@ fn knob_grid() -> [KernelConfig; 2] {
 /// is sequentially consistent.
 fn assert_capture_parity(trace: &Trace, ctx: &str) -> bool {
     let mut sc = false;
-    for model in OPERATIONAL {
+    for model in BUFFER_LOWERED {
         let oracle = solve_model_sat(trace, model).is_consistent();
-        if model == MemoryModel::Sc {
+        if model == ModelId::Sc {
             sc = oracle;
         }
-        for cfg in knob_grid() {
-            let (verdict, _stats) = verify_model_operational(trace, model, &cfg);
+        for kernel in knob_grid() {
+            let cfg = AxiomConfig {
+                kernel,
+                ..AxiomConfig::default()
+            };
+            let verdict = verify_axiom(trace, model, &cfg).verdict;
             assert!(
                 !matches!(verdict, ConsistencyVerdict::Unknown { .. }),
-                "{ctx}: {model} unbudgeted capture run returned Unknown"
+                "{ctx}: {} unbudgeted capture run returned Unknown",
+                model.name()
             );
             assert_eq!(
                 verdict.is_consistent(),
                 oracle,
-                "{ctx}: {model} drift on capture under {cfg:?}"
+                "{ctx}: {} drift on capture under {kernel:?}",
+                model.name()
             );
         }
     }

@@ -3,10 +3,11 @@
 //! TSO machine satisfies TSO, the directory machine is SC, and both
 //! capture write orders that re-verify through the §5.2 fast path.
 
+use vermem_consistency::{verify_axiom, AxiomConfig, ConsistencyVerdict, ModelId};
 use vermem_sim::{
     DirectoryConfig, DirectoryMachine, Instr, Machine, MachineConfig, Program, RmwKind,
 };
-use vermem_trace::{Addr, Value};
+use vermem_trace::{Addr, Trace, Value};
 use vermem_util::prop::PropConfig;
 use vermem_util::rng::StdRng;
 use vermem_util::{prop_assert, prop_check};
@@ -40,6 +41,11 @@ fn arb_program(rng: &mut StdRng, size: usize) -> Program {
     Program::from_streams(streams)
 }
 
+/// The default (compiled) decision of `trace` under `id`.
+fn decide(trace: &Trace, id: ModelId) -> ConsistencyVerdict {
+    verify_axiom(trace, id, &AxiomConfig::default()).verdict
+}
+
 fn arb_case(rng: &mut StdRng, size: usize, max_seed: u64) -> (Program, u64) {
     let program = arb_program(rng, size);
     (program, rng.gen_range(0..max_seed))
@@ -58,10 +64,7 @@ fn snooping_sc_machine_is_sequentially_consistent() {
                     ..Default::default()
                 },
             );
-            let v = vermem_consistency::solve_sc_backtracking(
-                &cap.trace,
-                &vermem_consistency::KernelConfig::default(),
-            );
+            let v = decide(&cap.trace, ModelId::Sc);
             prop_assert!(v.is_consistent(), "trace: {:?}", cap.trace);
             Ok(())
         }
@@ -82,10 +85,7 @@ fn tso_machine_satisfies_tso() {
                     ..Default::default()
                 },
             );
-            let v = vermem_consistency::solve_model_sat(
-                &cap.trace,
-                vermem_consistency::MemoryModel::Tso,
-            );
+            let v = decide(&cap.trace, ModelId::Tso);
             prop_assert!(v.is_consistent(), "trace: {:?}", cap.trace);
             Ok(())
         }
@@ -105,10 +105,7 @@ fn directory_machine_is_sequentially_consistent() {
                     ..Default::default()
                 },
             );
-            let v = vermem_consistency::solve_sc_backtracking(
-                &cap.trace,
-                &vermem_consistency::KernelConfig::default(),
-            );
+            let v = decide(&cap.trace, ModelId::Sc);
             prop_assert!(v.is_consistent(), "trace: {:?}", cap.trace);
             Ok(())
         }

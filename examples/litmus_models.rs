@@ -7,36 +7,37 @@
 //! ```
 
 use vermem::consistency::litmus::all_litmus_tests;
-use vermem::consistency::{solve_model_sat, MemoryModel};
+use vermem::consistency::{verify_axiom, AxiomConfig, ModelId};
 
 fn main() {
     let tests = all_litmus_tests();
-    println!(
-        "{:<10} {:>4} {:>4} {:>4} {:>10}   description",
-        "test", "SC", "TSO", "PSO", "Coherence"
-    );
-    println!("{}", "-".repeat(86));
+    print!("{:<14}", "test");
+    for id in ModelId::ALL {
+        print!(" {:>9}", id.name());
+    }
+    println!("   description");
+    println!("{}", "-".repeat(110));
     let mut mismatches = 0;
     for test in &tests {
-        let mut cells = Vec::new();
-        for model in MemoryModel::ALL {
-            let got = solve_model_sat(&test.trace, model).is_consistent();
-            let expected = test.expected[&model];
+        print!("{:<14}", test.name);
+        for id in ModelId::ALL {
+            let got = verify_axiom(&test.trace, id, &AxiomConfig::default())
+                .verdict
+                .is_consistent();
+            let expected = test.expected[&id];
             if got != expected {
                 mismatches += 1;
             }
-            cells.push(match (got, got == expected) {
+            let cell = match (got, got == expected) {
                 (true, true) => "yes".to_string(),
                 (false, true) => "no".to_string(),
                 (g, false) => format!("{}!", if g { "yes" } else { "no" }),
-            });
+            };
+            print!(" {cell:>9}");
         }
-        println!(
-            "{:<10} {:>4} {:>4} {:>4} {:>10}   {}",
-            test.name, cells[0], cells[1], cells[2], cells[3], test.description
-        );
+        println!("   {}", test.description);
     }
-    println!("{}", "-".repeat(86));
+    println!("{}", "-".repeat(110));
     if mismatches == 0 {
         println!("all outcomes match the litmus literature ✓");
     } else {

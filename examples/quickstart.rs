@@ -6,7 +6,7 @@
 //! ```
 
 use vermem::coherence::{self, Verdict};
-use vermem::consistency::{self, MemoryModel};
+use vermem::consistency::{verify_axiom, AxiomConfig, ModelId};
 use vermem::trace::{Addr, Op, TraceBuilder};
 
 fn main() {
@@ -43,9 +43,11 @@ fn main() {
         .build();
     let coherent = coherence::verify_execution(&sb).is_coherent();
     println!("store-buffering outcome: coherent per address = {coherent}");
-    for model in MemoryModel::ALL {
-        let ok = consistency::verify_model(&sb, model).is_consistent();
-        println!("  allowed under {model:>9}: {ok}");
+    for id in ModelId::ALL {
+        let ok = verify_axiom(&sb, id, &AxiomConfig::default())
+            .verdict
+            .is_consistent();
+        println!("  allowed under {:>9}: {ok}", id.name());
     }
 
     // --- 4. The paper's worked example (Figure 4.2) ----------------------

@@ -53,7 +53,7 @@ echo "==> bench smoke (VERMEM_BENCH_FAST=1): thread-ladder bench runs"
 VERMEM_BENCH_FAST=1 cargo bench -q --offline -p vermem-bench --bench par_verify \
     > /dev/null
 
-echo "==> kernel substrate: no private memo plumbing in crates/consistency/src"
+echo "==> kernel substrate: no private memo plumbing, one model vocabulary"
 # The PR-5 contract: the operational searches (VSC/TSO/PSO) run on the
 # shared exact-search kernel (crates/coherence/src/kernel.rs), which owns
 # the memo table, budget, and cancellation. A `visited: HashSet` (or any
@@ -61,6 +61,16 @@ echo "==> kernel substrate: no private memo plumbing in crates/consistency/src"
 # grew its own memoization again.
 if grep -rn 'visited: HashSet\|HashSet<(' crates/consistency/src; then
     echo "private memo plumbing found in crates/consistency/src (use the kernel)" >&2
+    exit 1
+fi
+# One model vocabulary (ModelId + ModelSpec) and one
+# deciding entry point (verify_axiom). The retired second enum, its
+# bridges, the per-model wrapper modules and entry points, the second
+# litmus expectation map and the second engine selector must not come back.
+retired='MemoryModel\|tso_operational\|pso_operational\|solve_sc_backtracking'
+retired+='\|verify_model_operational\|VsccBackend\|base_model\|expected_axiom'
+if grep -rn "$retired" crates/ src/ tests/ examples/; then
+    echo "retired model vocabulary or entry point found (use ModelId + verify_axiom)" >&2
     exit 1
 fi
 echo "    ok"

@@ -2,14 +2,19 @@
 
 use vermem::coherence::{verify_execution, ExecutionVerdict};
 use vermem::consistency::{
-    merge_coherent_schedules, solve_sc_backtracking, verify_vscc, KernelConfig, MemoryModel,
-    MergeOutcome, SettledBy,
+    merge_coherent_schedules, verify_axiom, verify_vscc, AxiomConfig, ConsistencyVerdict,
+    MergeOutcome, ModelId, SettledBy,
 };
 use vermem::sim::{
     ping_pong, producer_consumer, random_program, shared_counter, Machine, MachineConfig,
     WorkloadConfig,
 };
 use vermem::trace::{check_coherent_schedule, check_sc_schedule};
+
+/// The default (compiled) decision of `trace` under `id`.
+fn decide(trace: &vermem::trace::Trace, id: ModelId) -> ConsistencyVerdict {
+    verify_axiom(trace, id, &AxiomConfig::default()).verdict
+}
 
 #[test]
 fn full_pipeline_on_random_workloads() {
@@ -39,7 +44,7 @@ fn full_pipeline_on_random_workloads() {
         }
 
         // SC (the machine without store buffers is SC).
-        let sc = solve_sc_backtracking(&cap.trace, &KernelConfig::default());
+        let sc = decide(&cap.trace, ModelId::Sc);
         check_sc_schedule(&cap.trace, sc.schedule().expect("SC machine")).unwrap();
 
         // The coherent witnesses merge into an SC schedule or the exact
@@ -97,12 +102,12 @@ fn tso_machine_traces_satisfy_tso_but_may_violate_sc() {
                 ..Default::default()
             },
         );
-        let tso = vermem::consistency::solve_model_sat(&cap.trace, MemoryModel::Tso);
+        let tso = decide(&cap.trace, ModelId::Tso);
         assert!(
             tso.is_consistent(),
             "TSO machine must satisfy TSO (seed {seed})"
         );
-        if solve_sc_backtracking(&cap.trace, &KernelConfig::default()).is_violating() {
+        if decide(&cap.trace, ModelId::Sc).is_violating() {
             sc_violations += 1;
         }
     }
@@ -130,7 +135,7 @@ fn vsc_conflict_merge_respects_hardware_write_order() {
         MergeOutcome::Cyclic { .. } => {
             // The particular witnesses may not merge (§6.3); the exact
             // solver must still find SC for the SC-mode machine.
-            assert!(solve_sc_backtracking(&cap.trace, &KernelConfig::default()).is_consistent());
+            assert!(decide(&cap.trace, ModelId::Sc).is_consistent());
         }
     }
 }
