@@ -1,7 +1,6 @@
-//! Ablation study for the exact VMC search — the design choices DESIGN.md
-//! calls out: memoization, greedy read absorption, demand-driven move
-//! ordering, and (PR-4) the three inference prunings. Each is toggled on
-//! the same hard instances.
+//! Ablation study for the exact VMC search: the three inference prunings
+//! of `PruneConfig`, each toggled on the same hard instances, plus the
+//! unpruned search as a baseline row.
 
 use std::hint::black_box;
 use vermem_coherence::{solve_backtracking, PruneConfig, SearchConfig};
@@ -10,38 +9,14 @@ use vermem_trace::gen::gen_hard_coherent;
 use vermem_trace::{Addr, Trace};
 use vermem_util::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-fn configs() -> Vec<(&'static str, SearchConfig)> {
-    // The historical PR-2 ablation axes are pinned to `PruneConfig::none()`
-    // so they keep measuring memo/absorption/ordering effects in isolation,
-    // not interactions with the PR-4 inference layer.
-    let base = SearchConfig {
+/// The search with the inference layer off: memoization, greedy read
+/// absorption and demand-driven move ordering alone. (These three are
+/// built into the search and have no switch.)
+fn full() -> SearchConfig {
+    SearchConfig {
         prune: PruneConfig::none(),
         ..Default::default()
-    };
-    vec![
-        ("full", base),
-        (
-            "no-memo",
-            SearchConfig {
-                memoize: false,
-                ..base
-            },
-        ),
-        (
-            "no-absorption",
-            SearchConfig {
-                greedy_absorption: false,
-                ..base
-            },
-        ),
-        (
-            "no-hot-order",
-            SearchConfig {
-                hot_move_ordering: false,
-                ..base
-            },
-        ),
-    ]
+    }
 }
 
 /// One row per prune setting — the E-PRUNE bench-harness counterpart of the
@@ -52,7 +27,6 @@ fn prune_configs() -> Vec<(&'static str, SearchConfig)> {
         // Bounded so the unpruned configuration cannot blow the bench
         // budget on the §5.2 instance; pruned configs finish far below it.
         max_states: Some(50_000),
-        ..Default::default()
     };
     vec![
         ("prune-none", spec("none")),
@@ -73,39 +47,33 @@ fn bench_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation/backtracking");
     g.sample_size(10);
     let traces: Vec<Trace> = (0..4).map(instance).collect();
-    for (name, cfg) in configs() {
-        g.bench_with_input(BenchmarkId::from_parameter(name), &traces, |b, traces| {
-            b.iter(|| {
-                for t in traces {
-                    assert!(solve_backtracking(t, Addr::ZERO, &cfg).is_coherent());
-                }
-            });
+    let cfg = full();
+    g.bench_with_input(BenchmarkId::from_parameter("full"), &traces, |b, traces| {
+        b.iter(|| {
+            for t in traces {
+                assert!(solve_backtracking(t, Addr::ZERO, &cfg).is_coherent());
+            }
         });
-    }
+    });
     g.finish();
 }
 
-/// Ablation on a larger constant-k instance, where memoization is the
-/// difference between polynomial and exponential behaviour.
+/// A larger constant-k instance, where memoization keeps the search
+/// polynomial.
 fn bench_ablation_constant_k(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation/constant-k");
     g.sample_size(10);
     let trace = gen_hard_coherent(3, 40, 2, 99).0;
-    for (name, cfg) in configs() {
-        // Skip no-memo at this size — it is the exponential configuration.
-        if name == "no-memo" {
-            continue;
-        }
-        g.bench_with_input(BenchmarkId::from_parameter(name), &trace, |b, t| {
-            b.iter(|| {
-                assert!(solve_backtracking(t, Addr::ZERO, &cfg).is_coherent());
-            });
+    let cfg = full();
+    g.bench_with_input(BenchmarkId::from_parameter("full"), &trace, |b, t| {
+        b.iter(|| {
+            assert!(solve_backtracking(t, Addr::ZERO, &cfg).is_coherent());
         });
-    }
+    });
     g.finish();
 }
 
-/// PR-4 prune ablation on the workloads where the inference layer bites:
+/// Prune ablation on the workloads where the inference layer bites:
 /// a hard coherent instance (windows/symmetry territory) and the §5.2 RMW
 /// reduction of an over-constrained random 3-SAT formula (the blow-up case
 /// where `prune-none` hits the state cap and `prune-all` finishes in

@@ -253,7 +253,6 @@ fn e5_reduction(title: &str, reduce: &dyn Fn(&vermem_sat::Cnf) -> Trace) {
     let cfg_capped = SearchConfig {
         max_states: Some(CAP),
         prune: PruneConfig::none(),
-        ..Default::default()
     };
     let mut points = Vec::new();
     let solve_row = |family: &str, m: u32, f: &vermem_sat::Cnf| -> (u64, bool) {
@@ -1698,7 +1697,6 @@ fn obs_overhead_probe(reps: usize, fast: bool) -> ObsOverhead {
     let cfg = SearchConfig {
         max_states: Some(cap),
         prune: PruneConfig::none(),
-        ..Default::default()
     };
     let overcons = gen_random_ksat(&RandomSatConfig::three_sat(3, 5.0, 93));
     let trace = reduce_3sat_rmw(&overcons).trace;
@@ -1876,7 +1874,6 @@ fn prune_ablation(reps: usize, fast: bool) -> Vec<PruneRow> {
             let cfg = SearchConfig {
                 max_states: Some(cap),
                 prune: *prune,
-                ..Default::default()
             };
             let (verdict, stats) = solve_backtracking_with_stats(trace, Addr::ZERO, &cfg);
             let verdict_str = match &verdict {

@@ -395,7 +395,6 @@ fn cmd_verify(args: &Args, stdin: &str) -> Result<String, CliError> {
         search: SearchConfig {
             max_states: (budget > 0).then_some(budget),
             prune: parse_prune(args)?,
-            ..Default::default()
         },
         tier: parse_tier(args)?,
     };

@@ -1,43 +1,46 @@
-//! Exact VMC decision by memoized backtracking search.
+//! Exact VMC decision: the single-address search as a
+//! [`TransitionSystem`] on the exact-search kernel ([`crate::kernel`]).
 //!
 //! Worst-case exponential — necessarily so, since VMC is NP-complete
 //! (Theorem 4.2) — but with two powerful admissible prunings:
 //!
-//! 1. **Greedy read absorption.** A pending read whose value matches the
-//!    current memory value can always be scheduled immediately: doing so
-//!    changes no state and only releases program-order successors, so any
-//!    coherent schedule can be rewritten into one that schedules it now.
-//! 2. **Memoization.** After greedy absorption, the search state is exactly
-//!    `(frontier, current value)`; re-entering a visited state cannot
-//!    succeed. For `k` processes this also bounds the state space
-//!    polynomially — O(n^k · n) states — so this same procedure *is* the
-//!    polynomial algorithm for the "constant processes" row of Figure 5.3
-//!    (cf. Gibbons & Korach's O(k·n^k) bound).
+//! 1. **Greedy read absorption** ([`TransitionSystem::absorb`]). A pending
+//!    read whose value matches the current memory value can always be
+//!    scheduled immediately: doing so changes no state and only releases
+//!    program-order successors, so any coherent schedule can be rewritten
+//!    into one that schedules it now.
+//! 2. **Memoization** (the kernel's memo). After greedy absorption, the
+//!    search state is exactly `(frontier, current value)`, keyed as
+//!    `[packed frontier, value]` — one byte per process when
+//!    [`crate::kernel::frontier_packs`] holds — or one word per process
+//!    plus the value; re-entering a visited state cannot succeed. For `k`
+//!    processes this also bounds the state space polynomially —
+//!    O(n^k · n) states — so this same procedure *is* the polynomial
+//!    algorithm for the "constant processes" row of Figure 5.3 (cf.
+//!    Gibbons & Korach's O(k·n^k) bound).
 //!
 //! Dead-end detection: a pending read needing value `v ≠ current` with no
-//! remaining writes of `v` can never be served; prune immediately.
+//! remaining writes of `v` can never be served; the state is refuted
+//! immediately (uncounted). Writes that some blocked read is waiting for
+//! are explored first.
 //!
-//! ## Memoization hot path
-//!
-//! The visited-state set is the single hottest structure of the search: it
-//! is probed once per explored state. Two choices keep it cheap:
-//!
-//! * **Fx hashing** ([`vermem_util::hash`]) instead of SipHash — one
-//!   rotate/xor/multiply per word instead of a keyed cryptographic-ish
-//!   permutation.
-//! * **Packed frontier keys** — with ≤ 8 processes and ≤ 255 operations
-//!   per process (every Figure 4/5 reduction and most practical traces),
-//!   the whole frontier packs into one `u64` (one byte per process), so a
-//!   visited probe allocates nothing. Larger instances fall back to an
-//!   *interned* frontier: each distinct frontier is boxed once, given a
-//!   dense `u32` id, and re-probes hash only `(id, value)`.
+//! The inference prunings of [`PruneConfig`] ride on the kernel's hooks:
+//! position windows reject branches in [`TransitionSystem::admit`], the
+//! nogood probe runs in [`TransitionSystem::refute`] (after the dead-end
+//! check) and nogoods are learned in [`TransitionSystem::exhausted`];
+//! symmetry breaking drops interchangeable moves as
+//! [`TransitionSystem::enabled_moves`] enumerates them.
 
+use crate::closure::{self, ClosureOutcome, Tier};
+use crate::kernel::{self, KernelConfig, KernelOutcome, TransitionSystem};
 use crate::verdict::{Verdict, Violation, ViolationKind};
-use crate::windows::{self, WindowOutcome, WindowTable};
+use crate::windows::WindowTable;
+use std::cell::Cell;
 use vermem_trace::{Addr, AddrOps, Op, OpRef, Schedule, Trace, Value};
 use vermem_util::hash::{FxHashMap, FxHashSet};
-use vermem_util::intern::SliceInterner;
 use vermem_util::obs;
+
+pub use crate::kernel::SearchStats;
 
 /// Which inference-driven prunings the exact search applies. All three
 /// are *admissible*: they shrink the explored tree but provably never
@@ -78,7 +81,7 @@ impl PruneConfig {
         }
     }
 
-    /// Every technique disabled — the PR-2 baseline search.
+    /// Every technique disabled.
     pub fn none() -> Self {
         PruneConfig {
             windows: false,
@@ -134,98 +137,15 @@ impl PruneConfig {
     }
 }
 
-/// Budget and ablation knobs for the exact search. The optimization
-/// switches exist for the ablation benchmarks (`bench/benches/ablation.rs`)
-/// and default to the fast configuration; flipping any of them changes
-/// performance only, never answers.
-#[derive(Clone, Copy, Debug)]
+/// Budget and pruning knobs for the exact search. Flipping a
+/// [`PruneConfig`] technique changes performance only, never answers.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SearchConfig {
     /// Maximum distinct states to visit before giving up with
     /// [`Verdict::Unknown`]. `None` = unlimited.
     pub max_states: Option<u64>,
-    /// Memoize visited `(frontier, value)` states (pruning 1 in the module
-    /// docs; also what makes the constant-k case polynomial).
-    pub memoize: bool,
-    /// Greedily absorb pending reads that match the current value
-    /// (pruning 2 in the module docs).
-    pub greedy_absorption: bool,
-    /// Try writes whose value a blocked read demands first.
-    pub hot_move_ordering: bool,
-    /// Inference-driven pruning techniques (PR 4). Defaults to all on.
+    /// Inference-driven pruning techniques. Defaults to all on.
     pub prune: PruneConfig,
-}
-
-impl Default for SearchConfig {
-    fn default() -> Self {
-        SearchConfig {
-            max_states: None,
-            memoize: true,
-            greedy_absorption: true,
-            hot_move_ordering: true,
-            prune: PruneConfig::all(),
-        }
-    }
-}
-
-/// Counters from a search run.
-///
-/// Plain always-on fields (not gated by observability): they are part of
-/// the determinism contract — identical whether `vermem_util::obs` is
-/// enabled or not, and summed field-wise by the parallel reducer
-/// ([`SearchStats::absorb`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SearchStats {
-    /// Distinct (post-absorption) states visited.
-    pub states: u64,
-    /// Branching decisions explored.
-    pub branches: u64,
-    /// Memo-table probes that found the state already visited (the
-    /// search subtree was pruned).
-    pub memo_hits: u64,
-    /// Memo-table probes that recorded a fresh state. `memo_misses`
-    /// equals `states` when memoization is on; both stay 0 when it is
-    /// off.
-    pub memo_misses: u64,
-    /// Branches skipped (or whole instances fast-rejected) by
-    /// feasibility-interval propagation ([`PruneConfig::windows`]).
-    pub window_prunes: u64,
-    /// Branches skipped by value-symmetry canonicalization
-    /// ([`PruneConfig::symmetry`]).
-    pub symmetry_prunes: u64,
-    /// States refuted by a learned nogood that was *not* an exact memo
-    /// repeat ([`PruneConfig::nogoods`]).
-    pub nogood_hits: u64,
-    /// Nogoods recorded from refuted subtrees.
-    pub nogoods_learned: u64,
-}
-
-impl SearchStats {
-    /// Field-wise summation — the reduction used by the parallel
-    /// engine when combining per-address runs.
-    pub fn absorb(&mut self, other: &SearchStats) {
-        self.states += other.states;
-        self.branches += other.branches;
-        self.memo_hits += other.memo_hits;
-        self.memo_misses += other.memo_misses;
-        self.window_prunes += other.window_prunes;
-        self.symmetry_prunes += other.symmetry_prunes;
-        self.nogood_hits += other.nogood_hits;
-        self.nogoods_learned += other.nogoods_learned;
-    }
-
-    /// Render as a `search` section of the unified run report (the one
-    /// shared pretty-printer in [`vermem_util::obs::report`]).
-    pub fn to_report(&self) -> vermem_util::obs::report::RunReportSection {
-        vermem_util::obs::report::RunReportSection::new("search")
-            .with("states", self.states)
-            .with("branches", self.branches)
-            .with("memo_hits", self.memo_hits)
-            .with("memo_misses", self.memo_misses)
-            .with("window_prunes", self.window_prunes)
-            .with("symmetry_prunes", self.symmetry_prunes)
-            .with("nogood_hits", self.nogood_hits)
-            .with("nogoods_learned", self.nogoods_learned)
-    }
 }
 
 /// Static prechecks shared by all solvers: values read but never written,
@@ -292,11 +212,6 @@ pub fn solve_backtracking_with_stats(
     (verdict, stats)
 }
 
-/// As [`solve_backtracking`], on a pre-built per-address index entry.
-pub fn solve_backtracking_ops(ops: &AddrOps, cfg: &SearchConfig) -> Verdict {
-    solve_backtracking_ops_with_stats(ops, cfg).0
-}
-
 /// As [`solve_backtracking_with_stats`], on a pre-built per-address index
 /// entry — the zero-rescan entry point used by the dispatcher and the
 /// parallel engine.
@@ -304,207 +219,74 @@ pub fn solve_backtracking_ops_with_stats(
     ops: &AddrOps,
     cfg: &SearchConfig,
 ) -> (Verdict, SearchStats) {
-    let mut stats = SearchStats::default();
-    if let Some(v) = precheck_ops(ops) {
-        return (Verdict::Incoherent(v), stats);
-    }
-
-    // Feasibility-interval propagation (PR 4, technique 1): a polynomial
-    // pre-pass that can decide the instance outright, and otherwise leaves
-    // per-op position windows for DFS branch pruning.
-    let mut window_table: Option<WindowTable> = None;
-    if cfg.prune.windows {
-        match windows::analyze(ops) {
-            WindowOutcome::Infeasible => {
-                // Equivalent to exhausting the search without a witness:
-                // report the same violation kind for first-violation parity
-                // with the unpruned engine.
-                stats.window_prunes = 1;
-                if obs::enabled() {
-                    obs::counter_add("search.window.prunes", stats.window_prunes);
-                    obs::counter_add("search.window.fast_reject", 1);
-                }
-                return (
-                    Verdict::Incoherent(Violation {
-                        addr: ops.addr(),
-                        kind: ViolationKind::SearchExhausted,
-                    }),
-                    stats,
-                );
-            }
-            WindowOutcome::Schedule(s) => {
-                if obs::enabled() {
-                    obs::counter_add("search.window.fast_accept", 1);
-                }
-                return (Verdict::Coherent(Schedule::from_refs(s)), stats);
-            }
-            WindowOutcome::Table(t) => window_table = Some(t),
-        }
-    }
-    solve_escalated_ops_with_stats(ops, cfg, window_table)
+    let (verdict, stats, _) = solve_tiered_ops(ops, cfg);
+    (verdict, stats)
 }
 
-/// Exact-tier **escalation** entry point: run the memoized DFS with the
+/// As [`solve_backtracking_ops_with_stats`], also naming the tier that
+/// decided. With `prune.windows` on, the precheck and feasibility-interval
+/// pre-pass are the closure frontline ([`closure::analyze_ops`]): it can
+/// decide the instance outright ([`Tier::Frontline`]), and otherwise hands
+/// its window table to the search ([`Tier::Exact`]).
+pub(crate) fn solve_tiered_ops(ops: &AddrOps, cfg: &SearchConfig) -> (Verdict, SearchStats, Tier) {
+    if !cfg.prune.windows {
+        if let Some(v) = precheck_ops(ops) {
+            return (Verdict::Incoherent(v), SearchStats::default(), Tier::Exact);
+        }
+        let (verdict, stats) = solve_escalated_ops_with_stats(ops, cfg, None);
+        return (verdict, stats, Tier::Exact);
+    }
+    match closure::analyze_ops(ops) {
+        (ClosureOutcome::Coherent(s), stats) => (Verdict::Coherent(s), stats, Tier::Frontline),
+        (ClosureOutcome::Violation(v), stats) => (Verdict::Incoherent(v), stats, Tier::Frontline),
+        (ClosureOutcome::Escalate(table), _) => {
+            let (verdict, stats) = solve_escalated_ops_with_stats(ops, cfg, Some(table));
+            (verdict, stats, Tier::Exact)
+        }
+    }
+}
+
+/// Exact-tier **escalation** entry point: run the memoized search with the
 /// [`WindowTable`] the closure frontline ([`crate::closure`]) already
 /// computed, instead of re-running the fixpoint analysis.
 ///
 /// Contract: the caller must have run [`precheck_ops`] (the frontline
 /// does), and `window` must be the table from that same analysis when
-/// `cfg.prune.windows` is on (`None` disables window pruning in the DFS,
+/// `cfg.prune.windows` is on (`None` disables window pruning in the search,
 /// matching `prune.windows = false`). Under that contract the result —
 /// verdict, witness, and [`SearchStats`] — is bit-identical to
-/// [`solve_backtracking_ops_with_stats`], which itself now delegates here
-/// after its inline pre-passes.
+/// [`solve_backtracking_ops_with_stats`], which delegates here after the
+/// frontline.
 pub fn solve_escalated_ops_with_stats(
     ops: &AddrOps,
     cfg: &SearchConfig,
     window_table: Option<WindowTable>,
 ) -> (Verdict, SearchStats) {
-    let mut stats = SearchStats::default();
-    let per_proc = ops.per_proc();
-    let total = ops.num_ops();
-    let initial = ops.initial();
-    let final_value = ops.final_value();
-
-    let mut remaining_writes: FxHashMap<Value, u32> = ops
-        .write_counts()
-        .iter()
-        .map(|(&v, &c)| (v, c as u32))
-        .collect();
-
-    // Hash-consed program-order suffix classes (computed only when a
-    // technique that consumes them is on): two `(proc, index)` positions
-    // share a class iff the op sequences from there to the end of their
-    // histories are identical. Class at index 0 is the *full-history*
-    // class used by nogood canonicalization.
-    let suffix_class = if cfg.prune.symmetry || cfg.prune.nogoods {
-        suffix_classes(per_proc)
-    } else {
-        Vec::new()
+    let mut sys = VmcSystem::new(ops, &cfg.prune, window_table);
+    let kernel_cfg = KernelConfig {
+        max_states: cfg.max_states,
+        ..KernelConfig::default()
     };
-    // Nogood learning only pays (and is only distinct from the memo table)
-    // when at least two processes have identical full histories.
-    let has_twins = cfg.prune.nogoods && {
-        let mut roots: Vec<u32> = suffix_class.iter().map(|c| c[0]).collect();
-        roots.sort_unstable();
-        roots.windows(2).any(|w| w[0] == w[1])
-    };
+    let (outcome, mut stats) = kernel::run_search(&mut sys, &kernel_cfg, None);
+    stats.symmetry_prunes = sys.symmetry_prunes.get();
 
-    let mut search = Search {
-        per_proc,
-        total,
-        final_value,
-        visited: Visited::for_instance(per_proc),
-        schedule: Vec::with_capacity(total),
-        cfg: *cfg,
-        stats: &mut stats,
-        budget_hit: false,
-        window: window_table,
-        suffix_class,
-        has_twins,
-        nogoods: FxHashSet::default(),
-        nogood_scratch: Vec::new(),
-        class_scratch: Vec::new(),
-        // Decide once per solve: a local depth histogram only when
-        // observability is recording, so the disabled hot path carries
-        // no `Option` update at all (the `if let` never matches).
-        depth_hist: if obs::enabled() {
-            Some(obs::Histogram::new())
-        } else {
-            None
-        },
-    };
-    let mut frontier = vec![0u32; per_proc.len()];
-    let found = search.dfs(&mut frontier, initial, &mut remaining_writes);
-    let budget_hit = search.budget_hit;
-    let schedule = std::mem::take(&mut search.schedule);
-    let memo_key_kind = match &search.visited {
-        Visited::Packed(_) => "packed",
-        Visited::Interned { .. } => "interned",
-    };
-    let depth_hist = search.depth_hist.take();
-    drop(search);
-
-    // Batch-flush the whole solve into the registry (one lock touch per
-    // address, never per state). `SearchStats` itself stays obs-free.
+    // The kernel flushed the counters every system shares; these fields
+    // only VMC sets.
     if obs::enabled() {
-        obs::counter_add("search.states", stats.states);
-        obs::counter_add("search.branches", stats.branches);
-        obs::counter_add("search.memo.hits", stats.memo_hits);
-        obs::counter_add("search.memo.misses", stats.memo_misses);
-        obs::counter_add("search.window.prunes", stats.window_prunes);
         obs::counter_add("search.symmetry.prunes", stats.symmetry_prunes);
         obs::counter_add("search.nogood.hits", stats.nogood_hits);
         obs::counter_add("search.nogood.learned", stats.nogoods_learned);
-        obs::counter_add(&format!("search.memo.keys.{memo_key_kind}"), 1);
-        if let Some(h) = &depth_hist {
-            obs::merge_histogram("search.depth", h);
-        }
     }
 
-    let verdict = if found {
-        Verdict::Coherent(Schedule::from_refs(schedule))
-    } else if budget_hit {
-        Verdict::Unknown
-    } else {
-        Verdict::Incoherent(Violation {
+    let verdict = match outcome {
+        KernelOutcome::Accepted(refs) => Verdict::Coherent(Schedule::from_refs(refs)),
+        KernelOutcome::Refuted => Verdict::Incoherent(Violation {
             addr: ops.addr(),
             kind: ViolationKind::SearchExhausted,
-        })
+        }),
+        KernelOutcome::BudgetExhausted | KernelOutcome::Cancelled => Verdict::Unknown,
     };
     (verdict, stats)
-}
-
-/// The visited-state set, specialised to the instance shape (see the
-/// module docs). Both representations memoize exactly the set of
-/// `(frontier, value)` pairs; they differ only in key encoding, so the
-/// search explores the identical state sequence under each (pinned at the
-/// 8/9-process and 255/256-op boundaries by `tests/golden_stats.rs`).
-enum Visited {
-    /// ≤ 8 processes, ≤ 255 ops/process: the frontier packs into one `u64`
-    /// (byte per process). Zero allocations per probe.
-    Packed(FxHashSet<(u64, Value)>),
-    /// General shape: intern each distinct frontier once, probe by dense id.
-    /// Allocates only on first sight of a frontier (the shared
-    /// [`vermem_util::intern`] machinery, also under the model-agnostic
-    /// kernel of [`crate::kernel`]).
-    Interned {
-        /// Frontier → dense id.
-        ids: SliceInterner<u32>,
-        /// Visited `(frontier id, value)` pairs.
-        seen: FxHashSet<(u32, Value)>,
-    },
-}
-
-impl Visited {
-    fn for_instance(per_proc: &[Vec<(OpRef, Op)>]) -> Visited {
-        if crate::kernel::frontier_packs(per_proc.iter().map(Vec::len)) {
-            Visited::Packed(FxHashSet::default())
-        } else {
-            Visited::Interned {
-                ids: SliceInterner::new(),
-                seen: FxHashSet::default(),
-            }
-        }
-    }
-
-    /// Record `(frontier, value)`; true if it was not already present.
-    fn insert(&mut self, frontier: &[u32], value: Value) -> bool {
-        match self {
-            Visited::Packed(set) => {
-                let mut key = 0u64;
-                for (p, &f) in frontier.iter().enumerate() {
-                    debug_assert!(f <= u8::MAX as u32 && p < 8, "packed key precondition");
-                    key |= u64::from(f) << (8 * p);
-                }
-                set.insert((key, value))
-            }
-            Visited::Interned { ids, seen } => {
-                let (id, _) = ids.intern(frontier);
-                seen.insert((id, value))
-            }
-        }
-    }
 }
 
 /// Hash-cons program-order suffixes from the back: `out[p][j]` is the
@@ -535,18 +317,31 @@ fn suffix_classes(per_proc: &[Vec<(OpRef, Op)>]) -> Vec<Vec<u32>> {
         .collect()
 }
 
-struct Search<'a> {
+/// One VMC move: schedule the next op of process `proc`. `prev` is the
+/// memory value before the move, restored by undo.
+#[derive(Clone, Copy, Debug)]
+struct VmcMove {
+    proc: usize,
+    prev: Value,
+}
+
+/// The single-address VMC machine: per-process frontiers over the
+/// address's operations, the current memory value, and how many writes of
+/// each value are still unscheduled.
+struct VmcSystem<'a> {
     per_proc: &'a [Vec<(OpRef, Op)>],
     total: usize,
     final_value: Option<Value>,
-    visited: Visited,
-    schedule: Vec<OpRef>,
-    cfg: SearchConfig,
-    stats: &'a mut SearchStats,
-    budget_hit: bool,
+    frontier: Vec<u32>,
+    current: Value,
+    remaining_writes: FxHashMap<Value, u32>,
+    /// Whether frontier entries pack one byte each (decided once, see
+    /// [`kernel::frontier_packs`]).
+    packed: bool,
     /// Surviving feasibility windows from [`crate::windows::analyze`]
     /// (`None` when the technique is off or the pre-pass was skipped).
     window: Option<WindowTable>,
+    symmetry: bool,
     /// Program-order suffix classes (see [`suffix_classes`]); empty when
     /// neither symmetry breaking nor nogood learning is on.
     suffix_class: Vec<Vec<u32>>,
@@ -562,223 +357,240 @@ struct Search<'a> {
     nogoods: FxHashSet<Box<[u64]>>,
     /// Key-construction scratch (probe allocates nothing).
     nogood_scratch: Vec<u64>,
-    /// Branch-time symmetry dedup scratch.
-    class_scratch: Vec<u32>,
-    /// `Some` only while observability is enabled: per-state schedule
-    /// depths, batch-merged into the registry at solve end.
-    depth_hist: Option<obs::Histogram>,
+    /// Moves dropped by symmetry breaking, tallied during enumeration
+    /// (which only borrows the machine) and added to the stats at the end.
+    symmetry_prunes: Cell<u64>,
 }
 
-impl Search<'_> {
-    /// Returns true if a completing schedule was found (left in
-    /// `self.schedule`).
-    fn dfs(
-        &mut self,
-        frontier: &mut Vec<u32>,
-        mut current: Value,
-        remaining_writes: &mut FxHashMap<Value, u32>,
-    ) -> bool {
-        // Greedy absorption of matching pure reads.
-        let absorbed_base = self.schedule.len();
-        if self.cfg.greedy_absorption {
-            loop {
-                let mut progressed = false;
-                #[allow(clippy::needless_range_loop)] // frontier is mutated by index
-                for p in 0..frontier.len() {
-                    while let Some(&(r, op)) = self.per_proc[p].get(frontier[p] as usize) {
-                        match op {
-                            Op::Read { value, .. } if value == current => {
-                                self.schedule.push(r);
-                                frontier[p] += 1;
-                                progressed = true;
-                            }
-                            _ => break,
-                        }
-                    }
-                }
-                if !progressed {
-                    break;
-                }
-            }
-        }
-
-        let undo = |s: &mut Self, frontier: &mut Vec<u32>| {
-            while s.schedule.len() > absorbed_base {
-                let r = s.schedule.pop().expect("non-empty");
-                frontier[r.proc.0 as usize] -= 1;
-            }
+impl<'a> VmcSystem<'a> {
+    fn new(ops: &'a AddrOps, prune: &PruneConfig, window: Option<WindowTable>) -> Self {
+        let per_proc = ops.per_proc();
+        // Hash-consed program-order suffix classes (computed only when a
+        // technique that consumes them is on).
+        let suffix_class = if prune.symmetry || prune.nogoods {
+            suffix_classes(per_proc)
+        } else {
+            Vec::new()
         };
+        // Nogood learning only pays (and is only distinct from the memo
+        // table) when at least two processes have identical full histories.
+        let has_twins = prune.nogoods && {
+            let mut roots: Vec<u32> = suffix_class.iter().map(|c| c[0]).collect();
+            roots.sort_unstable();
+            roots.windows(2).any(|w| w[0] == w[1])
+        };
+        VmcSystem {
+            per_proc,
+            total: ops.num_ops(),
+            final_value: ops.final_value(),
+            frontier: vec![0; per_proc.len()],
+            current: ops.initial(),
+            remaining_writes: ops
+                .write_counts()
+                .iter()
+                .map(|(&v, &c)| (v, c as u32))
+                .collect(),
+            packed: kernel::frontier_packs(per_proc.iter().map(Vec::len)),
+            window,
+            symmetry: prune.symmetry,
+            suffix_class,
+            has_twins,
+            nogoods: FxHashSet::default(),
+            nogood_scratch: Vec::new(),
+            symmetry_prunes: Cell::new(0),
+        }
+    }
 
-        // Completion check.
-        if self.schedule.len() == self.total {
-            if self.final_value.is_none_or(|f| f == current) {
-                return true;
-            }
-            undo(self, frontier);
-            return false;
-        }
+    /// The next unscheduled op of process `p`, if any.
+    fn next_op(&self, p: usize) -> Option<Op> {
+        self.per_proc[p]
+            .get(self.frontier[p] as usize)
+            .map(|&(_, op)| op)
+    }
 
-        // Memoization and budget.
-        if self.cfg.memoize {
-            if !self.visited.insert(frontier, current) {
-                self.stats.memo_hits += 1;
-                undo(self, frontier);
-                return false;
-            }
-            self.stats.memo_misses += 1;
-        }
-        self.stats.states += 1;
-        if let Some(h) = &mut self.depth_hist {
-            h.record(self.schedule.len() as u64);
-        }
-        if let Some(max) = self.cfg.max_states {
-            if self.stats.states > max {
-                self.budget_hit = true;
-                undo(self, frontier);
-                return false;
-            }
-        }
+    /// A value other than the current one with no write left to supply it.
+    fn starved(&self, v: Value) -> bool {
+        v != self.current && self.remaining_writes.get(&v).copied().unwrap_or(0) == 0
+    }
 
-        // Dead-end checks on blocked reads and the final value.
-        for (p, &f) in frontier.iter().enumerate() {
-            if let Some(&(_, op)) = self.per_proc[p].get(f as usize) {
-                if let Some(need) = op.read_value() {
-                    if need != current && remaining_writes.get(&need).copied().unwrap_or(0) == 0 {
-                        undo(self, frontier);
-                        return false;
+    /// Canonical nogood key of the current state, built in the scratch
+    /// buffer taken from `self`; the caller hands the buffer back.
+    fn nogood_key(&mut self) -> Vec<u64> {
+        let mut key = std::mem::take(&mut self.nogood_scratch);
+        build_nogood_key(&mut key, &self.suffix_class, &self.frontier, self.current);
+        key
+    }
+}
+
+// The kernel's recursive DFS calls these once per state or branch; left
+// to the inliner's defaults, several of them stay out of line there.
+impl TransitionSystem for VmcSystem<'_> {
+    type Move = VmcMove;
+
+    #[inline]
+    fn total_commits(&self) -> usize {
+        self.total
+    }
+
+    #[inline]
+    fn accepting(&self) -> bool {
+        self.final_value.is_none_or(|f| f == self.current)
+    }
+
+    #[inline]
+    fn absorb(&mut self, commits: &mut Vec<OpRef>) {
+        loop {
+            let mut progressed = false;
+            for p in 0..self.frontier.len() {
+                while let Some(&(r, Op::Read { value, .. })) =
+                    self.per_proc[p].get(self.frontier[p] as usize)
+                {
+                    if value != self.current {
+                        break;
                     }
+                    commits.push(r);
+                    self.frontier[p] += 1;
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+    }
+
+    #[inline]
+    fn retract_read(&mut self, r: OpRef) {
+        self.frontier[r.proc.0 as usize] -= 1;
+    }
+
+    #[inline]
+    fn infeasible(&self) -> bool {
+        false
+    }
+
+    #[inline]
+    fn state_key(&self, key: &mut Vec<u64>) {
+        kernel::encode_frontier(&self.frontier, self.packed, key);
+        key.push(self.current.0);
+    }
+
+    /// Writes and current-value RMWs (pending matching reads were
+    /// absorbed), writes whose value some blocked read is waiting for
+    /// first, each group in process order.
+    ///
+    /// Value-symmetry breaking: moves whose processes have identical
+    /// remaining suffixes are interchangeable — a coherent completion
+    /// taking one exists iff one taking the other does (role-swap of the
+    /// identical suffixes) — so only the first (lowest process id)
+    /// branches. Equal suffixes mean equal ops, hence equal hotness, so
+    /// the first of each class in exploration order is the lowest id.
+    #[inline]
+    fn enabled_moves(&self, moves: &mut Vec<VmcMove>) {
+        let mut demanded: FxHashSet<Value> = FxHashSet::default();
+        for p in 0..self.frontier.len() {
+            if let Some(need) = self.next_op(p).and_then(|op| op.read_value()) {
+                if need != self.current {
+                    demanded.insert(need);
                 }
             }
         }
-        if let Some(fv) = self.final_value {
-            if current != fv && remaining_writes.get(&fv).copied().unwrap_or(0) == 0 {
-                undo(self, frontier);
-                return false;
+        let class = |p: usize| self.suffix_class[p][self.frontier[p] as usize];
+        for hot in [true, false] {
+            for p in 0..self.frontier.len() {
+                let Some(op) = self.next_op(p) else { continue };
+                let enabled = match op {
+                    Op::Write { .. } => true,
+                    Op::Rmw { read, .. } => read == self.current,
+                    Op::Read { .. } => false,
+                };
+                if !enabled || op.written_value().is_some_and(|v| demanded.contains(&v)) != hot {
+                    continue;
+                }
+                if self.symmetry && moves.iter().any(|mv| class(mv.proc) == class(p)) {
+                    self.symmetry_prunes.set(self.symmetry_prunes.get() + 1);
+                    continue;
+                }
+                moves.push(VmcMove {
+                    proc: p,
+                    prev: self.current,
+                });
             }
         }
+    }
 
-        // Nogood probe (PR 4, technique 3): the canonical key erases
-        // process identity, so a hit means some permuted twin of this
-        // state was already refuted — and the instance is invariant under
-        // permutations of identical-history processes, so this state is
-        // refuted too. Probed after the memo insert so the
-        // `memo_misses == states` invariant is unchanged.
+    #[inline]
+    fn refute(&mut self, stats: &mut SearchStats) -> bool {
+        // Dead ends (uncounted): a blocked read, or the final value, needs
+        // a value no remaining write can supply.
+        let blocked = (0..self.frontier.len()).any(|p| {
+            self.next_op(p)
+                .and_then(|op| op.read_value())
+                .is_some_and(|v| self.starved(v))
+        });
+        if blocked || self.final_value.is_some_and(|f| self.starved(f)) {
+            return true;
+        }
+
+        // Nogood probe: the canonical key erases process identity, so a
+        // hit means some permuted twin of this state was already refuted —
+        // and the instance is invariant under permutations of
+        // identical-history processes, so this state is refuted too.
+        // Probed after the memo insert so `memo_misses == states` holds.
         if self.has_twins {
-            let mut key = std::mem::take(&mut self.nogood_scratch);
-            build_nogood_key(&mut key, &self.suffix_class, frontier, current);
+            let key = self.nogood_key();
             let hit = self.nogoods.contains(key.as_slice());
             self.nogood_scratch = key;
             if hit {
-                self.stats.nogood_hits += 1;
-                undo(self, frontier);
-                return false;
-            }
-        }
-
-        // Collect write-capable moves, preferring writes whose value some
-        // blocked read is waiting for.
-        let mut demanded: FxHashSet<Value> = FxHashSet::default();
-        for (p, &f) in frontier.iter().enumerate() {
-            if let Some(&(_, op)) = self.per_proc[p].get(f as usize) {
-                if let Some(need) = op.read_value() {
-                    if need != current {
-                        demanded.insert(need);
-                    }
-                }
-            }
-        }
-        let mut moves: Vec<(bool, usize, OpRef, Op)> = Vec::new();
-        for (p, &f) in frontier.iter().enumerate() {
-            if let Some(&(r, op)) = self.per_proc[p].get(f as usize) {
-                let enabled = match op {
-                    Op::Write { .. } => true,
-                    Op::Rmw { read, .. } => read == current,
-                    // Matching reads are moves only when absorption is off
-                    // (ablation mode); with absorption they were consumed.
-                    Op::Read { value, .. } => !self.cfg.greedy_absorption && value == current,
-                };
-                if enabled {
-                    let hot = op.written_value().is_some_and(|v| demanded.contains(&v));
-                    moves.push((hot, p, r, op));
-                }
-            }
-        }
-        // Value-symmetry breaking (PR 4, technique 2): moves whose
-        // processes have identical remaining suffixes are interchangeable
-        // — a coherent completion taking one exists iff one taking the
-        // other does (role-swap of the identical suffixes) — so only the
-        // first (lowest process id) branches. Done before the hot sort,
-        // which is stable and cannot separate equal-suffix moves (equal
-        // suffix ⇒ equal op ⇒ equal hotness).
-        if self.cfg.prune.symmetry && moves.len() > 1 {
-            let mut seen = std::mem::take(&mut self.class_scratch);
-            seen.clear();
-            let mut pruned = 0u64;
-            moves.retain(|&(_, p, _, _)| {
-                let sc = self.suffix_class[p][frontier[p] as usize];
-                if seen.contains(&sc) {
-                    pruned += 1;
-                    false
-                } else {
-                    seen.push(sc);
-                    true
-                }
-            });
-            self.class_scratch = seen;
-            self.stats.symmetry_prunes += pruned;
-        }
-
-        // Hot moves first.
-        if self.cfg.hot_move_ordering {
-            moves.sort_by_key(|&(hot, ..)| std::cmp::Reverse(hot));
-        }
-
-        for (_, p, r, op) in moves {
-            // Window prune (PR 4, technique 1): the op would occupy
-            // schedule position `len`; if its propagated feasibility
-            // window excludes that position, no coherent schedule places
-            // it there and the branch is dead.
-            if let Some(w) = &self.window {
-                if !w.allows(p, frontier[p], self.schedule.len()) {
-                    self.stats.window_prunes += 1;
-                    continue;
-                }
-            }
-            self.stats.branches += 1;
-            let saved = current;
-            self.schedule.push(r);
-            frontier[p] += 1;
-            if let Some(written) = op.written_value() {
-                *remaining_writes.get_mut(&written).expect("counted") -= 1;
-                current = written;
-            }
-
-            if self.dfs(frontier, current, remaining_writes) {
+                stats.nogood_hits += 1;
                 return true;
             }
-
-            current = saved;
-            if let Some(written) = op.written_value() {
-                *remaining_writes.get_mut(&written).expect("counted") += 1;
-            }
-            frontier[p] -= 1;
-            self.schedule.pop();
         }
+        false
+    }
 
-        // Every move failed: this `(frontier, value)` state is refuted.
-        // Learn its canonical projection as a nogood — unless a budget
-        // exhaustion anywhere below makes "failed" mean "gave up".
-        if self.has_twins && !self.budget_hit {
-            let mut key = std::mem::take(&mut self.nogood_scratch);
-            build_nogood_key(&mut key, &self.suffix_class, frontier, current);
+    /// Window prune: the op would occupy schedule position `depth`; if its
+    /// propagated feasibility window excludes that position, no coherent
+    /// schedule places it there.
+    #[inline]
+    fn admit(&self, mv: VmcMove, depth: usize) -> bool {
+        self.window
+            .as_ref()
+            .is_none_or(|w| w.allows(mv.proc, self.frontier[mv.proc], depth))
+    }
+
+    #[inline]
+    fn apply(&mut self, mv: VmcMove) -> Option<OpRef> {
+        let (r, op) = self.per_proc[mv.proc][self.frontier[mv.proc] as usize];
+        self.frontier[mv.proc] += 1;
+        if let Some(written) = op.written_value() {
+            *self.remaining_writes.get_mut(&written).expect("counted") -= 1;
+            self.current = written;
+        }
+        Some(r)
+    }
+
+    #[inline]
+    fn undo(&mut self, mv: VmcMove) {
+        self.frontier[mv.proc] -= 1;
+        let (_, op) = self.per_proc[mv.proc][self.frontier[mv.proc] as usize];
+        if let Some(written) = op.written_value() {
+            *self.remaining_writes.get_mut(&written).expect("counted") += 1;
+        }
+        self.current = mv.prev;
+    }
+
+    /// Every move failed without a budget hit: learn this state's
+    /// canonical projection as a nogood.
+    #[inline]
+    fn exhausted(&mut self, stats: &mut SearchStats) {
+        if self.has_twins {
+            let key = self.nogood_key();
             if self.nogoods.insert(key.clone().into_boxed_slice()) {
-                self.stats.nogoods_learned += 1;
+                stats.nogoods_learned += 1;
             }
             self.nogood_scratch = key;
         }
-
-        undo(self, frontier);
-        false
     }
 }
 
@@ -961,18 +773,6 @@ mod tests {
         let configs = [
             SearchConfig::default(),
             SearchConfig {
-                memoize: false,
-                ..Default::default()
-            },
-            SearchConfig {
-                greedy_absorption: false,
-                ..Default::default()
-            },
-            SearchConfig {
-                hot_move_ordering: false,
-                ..Default::default()
-            },
-            SearchConfig {
                 prune: PruneConfig::none(),
                 ..Default::default()
             },
@@ -987,13 +787,6 @@ mod tests {
             SearchConfig {
                 prune: PruneConfig::parse("nogoods").unwrap(),
                 ..Default::default()
-            },
-            SearchConfig {
-                memoize: false,
-                greedy_absorption: false,
-                hot_move_ordering: false,
-                max_states: None,
-                prune: PruneConfig::none(),
             },
         ];
         for seed in 0..60u64 {

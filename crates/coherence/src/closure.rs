@@ -22,16 +22,17 @@
 //!
 //! ## Soundness (why a tiered verdict is bit-identical to exact-only)
 //!
-//! The closure is the composition of two passes the exact search *already
-//! runs first* when `prune.windows` is on: the static prechecks
+//! The closure is the composition of two passes the exact search runs
+//! first when `prune.windows` is on: the static prechecks
 //! ([`precheck_ops`]) and the feasibility-interval fixpoint
 //! ([`windows::analyze`]). Both are deterministic pure functions of the
 //! per-address operations, and every constraint they derive is *necessary*
 //! (implied by the definition of a coherent schedule — DESIGN.md §4b, §4d).
-//! Hoisting them out of [`crate::backtrack`] into a frontline therefore
-//! computes the identical result the exact engine would have computed —
+//! The exact engine's own pre-pass *is* [`analyze_ops`]
+//! ([`crate::backtrack::solve_backtracking_ops_with_stats`] calls it), so a
+//! frontline decision is the identical result the exact engine computes —
 //! the same verdicts, the same witness schedules, and the same
-//! [`SearchStats`] — so the tier split can never disagree with the exact
+//! [`SearchStats`] — and the tier split can never disagree with the exact
 //! engine on any input. The differential suite
 //! (`crates/sim/tests/tier_differential.rs`) pins this across litmus,
 //! generated, healthy-sim and fault-injected traces at 1/2/8 jobs.
@@ -40,7 +41,8 @@
 //! the exact tier only, so an `Unknown` from an escalated search always
 //! reaches the caller unmasked (pinned by a regression test below).
 
-use crate::backtrack::{precheck_ops, SearchStats};
+use crate::backtrack::precheck_ops;
+use crate::kernel::SearchStats;
 use crate::verdict::{Violation, ViolationKind};
 use crate::windows::{self, WindowOutcome, WindowTable};
 use vermem_trace::{AddrOps, Schedule};
@@ -69,12 +71,10 @@ impl ClosureOutcome {
 
 /// Run the constraint-closure frontline on one address.
 ///
-/// Returns the outcome plus the [`SearchStats`] contribution that keeps the
-/// tiered pipeline's counters bit-identical to the exact engine's: zero for
-/// a closure `Coherent` (the exact engine's windows fast-accept also
-/// reports zero) and `window_prunes = 1` for a fixpoint-derived
-/// `Violation` (matching the exact engine's windows fast-reject; precheck
-/// violations stay at zero there too).
+/// Returns the outcome plus its [`SearchStats`] contribution: zero for a
+/// closure `Coherent` and for a precheck `Violation`, and
+/// `window_prunes = 1` for a fixpoint-derived `Violation` (the windows
+/// fast-reject).
 ///
 /// ```
 /// use vermem_coherence::closure::{analyze_ops, ClosureOutcome};
@@ -107,9 +107,6 @@ pub fn analyze_ops(ops: &AddrOps) -> (ClosureOutcome, SearchStats) {
     // vector-clock view of the same closure).
     match windows::analyze(ops) {
         WindowOutcome::Infeasible => {
-            // Same counter contribution and obs events as the exact
-            // engine's inline fast-reject (backtrack.rs), keeping tiered
-            // stats bit-identical to exact-only.
             stats.window_prunes = 1;
             if obs::enabled() {
                 obs::counter_add("search.window.prunes", stats.window_prunes);

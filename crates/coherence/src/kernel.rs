@@ -1,20 +1,16 @@
-//! The model-agnostic exact-search kernel: one memoized backtracking
-//! engine under every declared consistency model's operational search.
+//! The model-agnostic exact-search kernel: the one memoized backtracking
+//! engine under the single-address VMC search and every declared
+//! consistency model's operational search.
 //!
 //! The paper's §6 lifts VMC hardness to the whole consistency family (VSC,
 //! VSCC, TSO, ...), and the verifiers for those models are instances of a
 //! single parameterized search (cf. Chini & Saivasan's consistency-algorithm
 //! framework): explore the reachable states of an operational machine,
 //! memoize states already refuted, accept when every operation has
-//! committed. This module is that search, extracted from the engineering
-//! substrate of [`crate::backtrack`] and exposed behind the
-//! [`TransitionSystem`] trait so the machines compiled from `ModelSpec`
-//! declarations (in `vermem-consistency`) run on the same memo, budget,
-//! cancellation, statistics and observability stack.
-//!
-//! The single-address VMC search itself does not run here: it keeps its
-//! own DFS in [`crate::backtrack`], whose windows, symmetry breaking and
-//! nogood learning have no kernel hooks yet.
+//! committed. This module is that search, behind the [`TransitionSystem`]
+//! trait: the VMC machine of [`crate::backtrack`] and the machines compiled
+//! from `ModelSpec` declarations (in `vermem-consistency`) run on the same
+//! memo, budget, cancellation, statistics and observability stack.
 //!
 //! ## What the kernel owns vs. what the system owns
 //!
@@ -26,6 +22,14 @@
 //! which pending reads can be absorbed for free, when a state is accepting,
 //! a sound feasibility check, and — critically — the *canonical state key*.
 //!
+//! Three optional hooks carry inference that only some systems have (VMC's
+//! dead-end check, position windows and nogood learning); their no-op
+//! defaults inline away for every other system:
+//! [`TransitionSystem::refute`] (per state, after the memo, budget and
+//! feasibility checks), [`TransitionSystem::admit`] (per branch, counted
+//! as a feasibility prune) and [`TransitionSystem::exhausted`] (when every
+//! move of a state failed and no budget or cancellation fired).
+//!
 //! ## Key-canonicalization contract
 //!
 //! [`TransitionSystem::state_key`] must emit an **injective** encoding of
@@ -34,16 +38,80 @@
 //! (variable-length parts must be length-prefixed). The kernel never
 //! hashes a key down to fewer bits than the system emitted — short keys
 //! (≤ 2 words) are stored verbatim in a zero-allocation
-//! [`FxHashSet`] tier, longer keys are interned exactly once through
-//! [`SliceInterner`] and re-probed by dense id — because a colliding
-//! "already visited" answer would be an unsound refutation.
+//! [`FxHashSet`] tier, and a longer key as its last word beside the dense
+//! id of its prefix, which [`SliceInterner`] stores exactly once —
+//! because a colliding "already visited" answer would be an unsound
+//! refutation.
 
-use crate::backtrack::SearchStats;
 use vermem_trace::OpRef;
 use vermem_util::hash::FxHashSet;
 use vermem_util::intern::SliceInterner;
 use vermem_util::obs;
 use vermem_util::pool::CancelToken;
+
+/// Counters from a search run.
+///
+/// Plain always-on fields (not gated by observability): they are part of
+/// the determinism contract — identical whether `vermem_util::obs` is
+/// enabled or not, and summed field-wise by the parallel reducer
+/// ([`SearchStats::absorb`]). The last three fields are VMC's
+/// ([`crate::backtrack::PruneConfig`]); other systems leave them at 0.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    /// Distinct (post-absorption) states visited.
+    pub states: u64,
+    /// Branching decisions explored.
+    pub branches: u64,
+    /// Memo-table probes that found the state already visited (the
+    /// search subtree was pruned).
+    pub memo_hits: u64,
+    /// Memo-table probes that recorded a fresh state. `memo_misses`
+    /// equals `states` for memoizing systems; both stay 0 for systems
+    /// that opt out ([`TransitionSystem::memoize`]).
+    pub memo_misses: u64,
+    /// States refuted by [`TransitionSystem::infeasible`] and branches
+    /// rejected by [`TransitionSystem::admit`] — for VMC, DFS branches
+    /// outside their position window, or a whole instance fast-rejected by
+    /// the window pre-pass ([`crate::backtrack::PruneConfig::windows`]).
+    pub window_prunes: u64,
+    /// Branches skipped by value-symmetry canonicalization
+    /// ([`crate::backtrack::PruneConfig::symmetry`]).
+    pub symmetry_prunes: u64,
+    /// States refuted by a learned nogood that was *not* an exact memo
+    /// repeat ([`crate::backtrack::PruneConfig::nogoods`]).
+    pub nogood_hits: u64,
+    /// Nogoods recorded from refuted subtrees.
+    pub nogoods_learned: u64,
+}
+
+impl SearchStats {
+    /// Field-wise summation — the reduction used by the parallel
+    /// engine when combining per-address runs.
+    pub fn absorb(&mut self, other: &SearchStats) {
+        self.states += other.states;
+        self.branches += other.branches;
+        self.memo_hits += other.memo_hits;
+        self.memo_misses += other.memo_misses;
+        self.window_prunes += other.window_prunes;
+        self.symmetry_prunes += other.symmetry_prunes;
+        self.nogood_hits += other.nogood_hits;
+        self.nogoods_learned += other.nogoods_learned;
+    }
+
+    /// Render as a `search` section of the unified run report (the one
+    /// shared pretty-printer in [`vermem_util::obs::report`]).
+    pub fn to_report(&self) -> vermem_util::obs::report::RunReportSection {
+        vermem_util::obs::report::RunReportSection::new("search")
+            .with("states", self.states)
+            .with("branches", self.branches)
+            .with("memo_hits", self.memo_hits)
+            .with("memo_misses", self.memo_misses)
+            .with("window_prunes", self.window_prunes)
+            .with("symmetry_prunes", self.symmetry_prunes)
+            .with("nogood_hits", self.nogood_hits)
+            .with("nogoods_learned", self.nogoods_learned)
+    }
+}
 
 /// Budget and pruning knobs for a kernel search. Flipping `feasibility`
 /// changes performance only, never verdicts.
@@ -52,9 +120,10 @@ pub struct KernelConfig {
     /// Maximum distinct states to visit before giving up with
     /// [`KernelOutcome::BudgetExhausted`]. `None` = unlimited.
     pub max_states: Option<u64>,
-    /// Sound feasibility pruning ([`TransitionSystem::infeasible`]):
-    /// refute states from which no completion can exist (counted in
-    /// [`SearchStats::window_prunes`]). On by default.
+    /// Sound feasibility pruning ([`TransitionSystem::infeasible`] and
+    /// [`TransitionSystem::admit`]): refute states and branches from which
+    /// no completion can exist (counted in [`SearchStats::window_prunes`]).
+    /// On by default.
     pub feasibility: bool,
 }
 
@@ -150,6 +219,28 @@ pub trait TransitionSystem {
     /// exploration order (first pushed is explored first).
     fn enabled_moves(&self, moves: &mut Vec<Self::Move>);
 
+    /// Per-state refutation, consulted after the memo, budget and
+    /// feasibility checks and before [`TransitionSystem::enabled_moves`]:
+    /// `true` only if no completion can exist from this state. Counts
+    /// what it reports in `stats`. Default: refutes nothing.
+    fn refute(&mut self, _stats: &mut SearchStats) -> bool {
+        false
+    }
+
+    /// Per-branch feasibility, consulted when [`KernelConfig::feasibility`]
+    /// is on just before `mv` is explored from a state at commit depth
+    /// `depth`: `false` only if no completion takes `mv` there. Each
+    /// rejection is counted in [`SearchStats::window_prunes`]. Default:
+    /// admits every move.
+    fn admit(&self, _mv: Self::Move, _depth: usize) -> bool {
+        true
+    }
+
+    /// Called when every move of the current state failed and no budget
+    /// or cancellation fired: the state is refuted, and the system may
+    /// learn from it (counting in `stats`). Default: no-op.
+    fn exhausted(&mut self, _stats: &mut SearchStats) {}
+
     /// Apply `mv`; returns the operation it commits, if any (store-buffer
     /// writes commit at drain, not at issue).
     fn apply(&mut self, mv: Self::Move) -> Option<OpRef>;
@@ -159,48 +250,50 @@ pub trait TransitionSystem {
     fn undo(&mut self, mv: Self::Move);
 }
 
-/// Pack a per-process frontier into key words: one byte per process in a
-/// single word when the instance shape allows (`packed`, decided once per
-/// instance via [`frontier_packs`]), one word per process otherwise.
+/// Pack a per-process frontier into key words: one byte per process,
+/// eight processes to a word, when the instance shape allows (`packed`,
+/// decided once per instance via [`frontier_packs`]), one word per process
+/// otherwise. Up to 8 processes pack into a single word.
 pub fn encode_frontier(frontier: &[u32], packed: bool, key: &mut Vec<u64>) {
     if packed {
-        let mut word = 0u64;
-        for (p, &f) in frontier.iter().enumerate() {
-            debug_assert!(f <= u8::MAX as u32 && p < 8, "packed key precondition");
-            word |= u64::from(f) << (8 * p);
+        for chunk in frontier.chunks(8) {
+            let mut word = 0u64;
+            for (i, &f) in chunk.iter().enumerate() {
+                debug_assert!(f <= u8::MAX as u32, "packed key precondition");
+                word |= u64::from(f) << (8 * i);
+            }
+            key.push(word);
         }
-        key.push(word);
     } else {
         key.extend(frontier.iter().map(|&f| u64::from(f)));
     }
 }
 
-/// True when every frontier of this instance packs into one `u64`:
-/// at most 8 processes with at most 255 operations each.
-pub fn frontier_packs(history_lens: impl ExactSizeIterator<Item = usize>) -> bool {
-    history_lens.len() <= 8 && {
-        let mut ok = true;
-        for len in history_lens {
-            ok &= len <= u8::MAX as usize;
-        }
-        ok
-    }
+/// True when every frontier entry of this instance fits a byte: at most
+/// 255 operations per process.
+pub fn frontier_packs(history_lens: impl IntoIterator<Item = usize>) -> bool {
+    history_lens.into_iter().all(|len| len <= u8::MAX as usize)
 }
 
-/// The visited-state set: two Fx-hashed tiers. Keys of ≤ 2 words live
-/// length-tagged in a flat set (zero allocations per probe); longer keys
-/// are interned once and never re-allocated. Keys of different length are
-/// never equal, so routing by length preserves exactness.
+/// The visited-state set: Fx-hashed tiers by key length. Keys of ≤ 2
+/// words live length-tagged in a flat set (zero allocations per probe).
+/// A longer key is stored as its prefix — every word but the last,
+/// interned once — and the last word, so states that differ only in their
+/// last word (a VMC frontier under several memory values) share one
+/// interned prefix. Keys of different length are never equal, so routing
+/// by length preserves exactness.
 struct Memo {
     small: FxHashSet<(u64, u64, u8)>,
-    long: SliceInterner<u64>,
+    prefixes: SliceInterner<u64>,
+    long: FxHashSet<(u32, u64)>,
 }
 
 impl Memo {
     fn new() -> Memo {
         Memo {
             small: FxHashSet::default(),
-            long: SliceInterner::new(),
+            prefixes: SliceInterner::new(),
+            long: FxHashSet::default(),
         }
     }
 
@@ -210,26 +303,30 @@ impl Memo {
             [] => self.small.insert((0, 0, 0)),
             [a] => self.small.insert((a, 0, 1)),
             [a, b] => self.small.insert((a, b, 2)),
-            _ => self.long.intern(key).1,
+            [ref prefix @ .., last] => {
+                let (id, _) = self.prefixes.intern(prefix);
+                self.long.insert((id, last))
+            }
         }
     }
 
     /// Heap allocations attributable to key storage: one per distinct
-    /// *long* key, none for short keys.
+    /// long-key prefix, none for short keys.
     fn key_allocs(&self) -> u64 {
-        self.long.allocations()
+        self.prefixes.allocations()
     }
 }
 
 /// Run the memoized backtracking search over `sys`.
 ///
-/// The returned [`SearchStats`] obey the same contract as the VMC
-/// engine's: always-on, deterministic, identical whether observability is
-/// enabled or not, with `memo_misses == states` for memoizing systems
-/// (memoization is integral to the kernel; systems that opt out via
-/// [`TransitionSystem::memoize`] report `memo_hits == memo_misses == 0`). One observability batch-flush happens per call — never
-/// per state — under the same `search.*` counter names the VMC engine
-/// uses, plus `kernel.memo.*` for the key-tier accounting.
+/// The returned [`SearchStats`] are always-on, deterministic and identical
+/// whether observability is enabled or not, with `memo_misses == states`
+/// for memoizing systems (memoization is integral to the kernel; systems
+/// that opt out via [`TransitionSystem::memoize`] report
+/// `memo_hits == memo_misses == 0`). One observability batch-flush happens
+/// per call — never per state — of the `search.*` counters for the fields
+/// every system shares, plus `kernel.memo.key_allocs` for the key-tier
+/// accounting; a system flushes counters for the fields it alone sets.
 pub fn run_search<S: TransitionSystem>(
     sys: &mut S,
     cfg: &KernelConfig,
@@ -380,9 +477,18 @@ impl<S: TransitionSystem> Kernel<'_, S> {
             fail!();
         }
 
+        if self.sys.refute(&mut self.stats) {
+            fail!();
+        }
+
         let mut moves = Vec::new();
         self.sys.enabled_moves(&mut moves);
+        let depth = self.commits.len();
         for mv in moves {
+            if self.feasibility && !self.sys.admit(mv, depth) {
+                self.stats.window_prunes += 1;
+                continue;
+            }
             self.stats.branches += 1;
             let committed = self.sys.apply(mv);
             if let Some(r) = committed {
@@ -395,6 +501,9 @@ impl<S: TransitionSystem> Kernel<'_, S> {
                 self.commits.pop();
             }
             self.sys.undo(mv);
+        }
+        if !self.budget_hit && !self.cancelled {
+            self.sys.exhausted(&mut self.stats);
         }
         fail!();
     }
@@ -556,8 +665,7 @@ mod tests {
         let (outcome, stats) = run_search(&mut sys, &KernelConfig::with_budget(5), None);
         assert_eq!(outcome, KernelOutcome::BudgetExhausted);
         // Past the cap every fresh state is pruned immediately, so the
-        // overshoot is bounded by the open siblings (same contract as the
-        // VMC engine's budget).
+        // overshoot is bounded by the open siblings.
         assert!(stats.states > 5, "cap must have been crossed");
         let full = {
             let mut sys = Counters {
@@ -627,8 +735,11 @@ mod tests {
         key.clear();
         encode_frontier(&[1, 2, 3], false, &mut key);
         assert_eq!(key, vec![1, 2, 3]);
-        assert!(frontier_packs([4usize, 255].into_iter()));
-        assert!(!frontier_packs([256usize].into_iter()));
-        assert!(!frontier_packs(vec![1usize; 9].into_iter()));
+        key.clear();
+        encode_frontier(&[1; 9], true, &mut key);
+        assert_eq!(key, vec![0x0101_0101_0101_0101, 1]);
+        assert!(frontier_packs([4usize, 255]));
+        assert!(!frontier_packs([256usize]));
+        assert!(frontier_packs(vec![1usize; 9]));
     }
 }

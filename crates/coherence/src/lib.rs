@@ -54,13 +54,12 @@
 //!
 //! ## The exact-search kernel and declared memory models
 //!
-//! The exponential tier of the consistency models is one reusable engine:
-//! [`kernel`] owns the memo table, packed/interned keys, state budget and
-//! cancellation, and searches anything implementing [`TransitionSystem`].
-//! (The single-address VMC solver in [`backtrack`] still runs its own DFS
-//! with the same key packing, because its windows, symmetry breaking and
-//! nogoods have no kernel hooks yet.) Its client is the
-//! `vermem-consistency` crate's *axiom framework* — memory models (SC, TSO,
+//! The exponential tier is one reusable engine: [`kernel`] owns the memo
+//! table, packed/interned keys, state budget and cancellation, and
+//! searches anything implementing [`TransitionSystem`]. The single-address
+//! VMC solver in [`backtrack`] is one such system, its windows, symmetry
+//! breaking and nogoods riding on the kernel's hooks. The other client is
+//! the `vermem-consistency` crate's *axiom framework* — memory models (SC, TSO,
 //! PSO, RA, ARM-dob, coherence-only) are declared as `ModelSpec` **data** (relation
 //! generators plus acyclicity/irreflexivity axioms) and lowered by an
 //! operational compiler onto this kernel, or by a SAT compiler onto CNF as
@@ -363,30 +362,16 @@ impl VmcVerifier {
                 Tier::Frontline,
             ),
             Algorithm::Backtracking => {
-                // The frontline *is* the precheck + window-inference pass;
-                // with `prune.windows` off the exact search would not run
-                // it either, so eligibility follows the prune knob.
-                if self.tier.frontline && self.search.prune.windows {
-                    match closure::analyze_ops(ops) {
-                        (ClosureOutcome::Coherent(s), stats) => {
-                            (Verdict::Coherent(s), stats, Tier::Frontline)
-                        }
-                        (ClosureOutcome::Violation(v), stats) => {
-                            (Verdict::Incoherent(v), stats, Tier::Frontline)
-                        }
-                        (ClosureOutcome::Escalate(table), _) => {
-                            let (v, s) = backtrack::solve_escalated_ops_with_stats(
-                                ops,
-                                &self.search,
-                                Some(table),
-                            );
-                            (v, s, Tier::Exact)
-                        }
-                    }
+                // The frontline *is* the exact search's precheck + window
+                // pre-pass; with the frontline tier off that pass still
+                // runs, inside the exact tier.
+                let (v, s, tier) = backtrack::solve_tiered_ops(ops, &self.search);
+                let tier = if self.tier.frontline {
+                    tier
                 } else {
-                    let (v, s) = backtrack::solve_backtracking_ops_with_stats(ops, &self.search);
-                    (v, s, Tier::Exact)
-                }
+                    Tier::Exact
+                };
+                (v, s, tier)
             }
             Algorithm::SatEncoding => (
                 solve_sat(

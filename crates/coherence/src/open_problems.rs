@@ -149,7 +149,6 @@ pub fn probe_open_cell(
     let cfg = SearchConfig {
         max_states: Some(PROBE_STATE_CAP),
         prune: crate::backtrack::PruneConfig::none(),
-        ..Default::default()
     };
     let mut max_states = 0u64;
     let mut coherent = 0;

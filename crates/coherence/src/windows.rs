@@ -124,6 +124,10 @@ const MAX_ROUNDS: usize = 32;
 /// (skipping only prunes less — still sound).
 const MAX_DEEP_OPS: usize = 256;
 
+/// A must-precede edge `a → b` between dense op ids.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct Edge(u32, u32);
+
 /// Record `a → b` in the must-precede graph unless already present.
 /// Returns true when the edge is new.
 fn add_edge(
@@ -131,9 +135,9 @@ fn add_edge(
     b: u32,
     succs: &mut [Vec<u32>],
     preds: &mut [Vec<u32>],
-    seen: &mut FxHashSet<(u32, u32)>,
+    seen: &mut FxHashSet<Edge>,
 ) -> bool {
-    if a != b && seen.insert((a, b)) {
+    if a != b && seen.insert(Edge(a, b)) {
         succs[a as usize].push(b);
         preds[b as usize].push(a);
         true
@@ -290,14 +294,14 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
     // final-value edges join during the fixpoint.
     let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut edge_seen: FxHashSet<(u32, u32)> = FxHashSet::default();
+    let mut edge_seen: FxHashSet<Edge> = FxHashSet::default();
     for (p, h) in per_proc.iter().enumerate() {
         for j in 1..h.len() {
             let a = offsets[p] + j as u32 - 1;
             let b = offsets[p] + j as u32;
             succs[a as usize].push(b);
             preds[b as usize].push(a);
-            edge_seen.insert((a, b));
+            edge_seen.insert(Edge(a, b));
         }
     }
 

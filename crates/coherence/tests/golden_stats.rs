@@ -5,13 +5,20 @@
 //! configuration): the verdict — witness schedule included — and every
 //! counter the engine reports. The files under `tests/golden/` hold those
 //! lines as they were recorded before the alternative memo-key and
-//! stream-storage representations were retired, and are compared whole:
-//! a changed verdict, schedule or single counter fails here. The
-//! instances sit on the representation boundaries that a refactor of the
-//! memo or the stream tables must not disturb:
+//! stream-storage representations were retired and before the VMC search
+//! moved onto the kernel, and are compared whole: a changed verdict,
+//! schedule or single counter fails here. The instances sit on the
+//! representation boundaries that a refactor of the memo or the stream
+//! tables must not disturb:
 //!
-//! * VMC visited set: 8 vs 9 processes and 255 vs 256 ops per process
-//!   (the packed `u64` frontier key vs the interned one);
+//! * VMC memo key: 8 vs 9 processes (one packed frontier word vs two, so
+//!   the flat short-key tier vs the interned tier) and 255 vs 256 ops per
+//!   process (byte-packed frontier vs one word per process), also with
+//!   values at `0`, `u64::MAX - 1` and `u64::MAX`;
+//! * VMC prunings: the §5.2 over-constrained RMW reduction under each
+//!   `PruneConfig` (nogood hits), state budgets of 16, 64 and 256
+//!   (`Unknown`), hard coherent instances with several window prunes
+//!   inside the DFS, and one escalation from the closure's window table;
 //! * kernel memo: 2-word vs 3-word state keys (the flat short-key tier vs
 //!   the interned long-key tier);
 //! * stream engine: coherent, violating and retiring streams at several
@@ -19,14 +26,18 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use vermem_coherence::backtrack::solve_escalated_ops_with_stats;
+use vermem_coherence::closure::{analyze_ops, ClosureOutcome};
 use vermem_coherence::kernel::{run_search, KernelConfig, TransitionSystem};
 use vermem_coherence::{
     solve_backtracking_with_stats, verify_stream_bytes, PruneConfig, RecorderConfig, SearchConfig,
     StreamConfig,
 };
+use vermem_reductions::reduce_3sat_rmw;
+use vermem_sat::random::{gen_random_ksat, RandomSatConfig};
 use vermem_trace::binary::{encode_event_stream, encode_trace};
-use vermem_trace::gen::{gen_sc_trace, GenConfig};
-use vermem_trace::{Addr, Op, OpRef, ProcId, Trace, TraceBuilder};
+use vermem_trace::gen::{gen_hard_coherent, gen_sc_trace, GenConfig};
+use vermem_trace::{Addr, AddrOps, Op, OpRef, ProcId, Trace, TraceBuilder};
 use vermem_util::rng::StdRng;
 
 /// Compare `actual` with the golden file `name` line by line.
@@ -41,22 +52,32 @@ fn assert_golden(actual: &str, expected: &str, name: &str) {
     assert_eq!(expected_lines.next(), None, "{name}: missing lines");
 }
 
-fn random_op(rng: &mut StdRng) -> Op {
-    let v = rng.gen_range(0..3u64);
+/// The value alphabet of [`random_trace`].
+const SMALL_VALUES: [u64; 3] = [0, 1, 2];
+/// The same alphabet at the ends of the `u64` range.
+const EXTREME_VALUES: [u64; 3] = [0, u64::MAX - 1, u64::MAX];
+
+fn random_op(rng: &mut StdRng, values: &[u64; 3]) -> Op {
+    let v = values[rng.gen_range(0..3u64) as usize];
     match rng.gen_range(0..3) {
         0 => Op::r(v),
         1 => Op::w(v),
-        _ => Op::rw(v, rng.gen_range(0..3u64)),
+        _ => Op::rw(v, values[rng.gen_range(0..3u64) as usize]),
     }
 }
 
-/// A single-address trace of `procs` processes with 1–3 random ops each.
-fn random_trace(procs: usize, seed: u64) -> Trace {
+/// A single-address trace of `procs` processes with 1–3 random ops each,
+/// over the three-value alphabet `values`.
+fn random_trace(procs: usize, seed: u64, values: &[u64; 3]) -> Trace {
     let mut rng = StdRng::seed_from_u64(777_000 + seed);
     let mut b = TraceBuilder::new();
     for _ in 0..procs {
         let len = rng.gen_range(1..=3usize);
-        b = b.proc((0..len).map(|_| random_op(&mut rng)).collect::<Vec<_>>());
+        b = b.proc(
+            (0..len)
+                .map(|_| random_op(&mut rng, values))
+                .collect::<Vec<_>>(),
+        );
     }
     b.build()
 }
@@ -90,6 +111,13 @@ fn serial_trace(lens: &[usize], seed: u64) -> Trace {
         .build()
 }
 
+fn prune(spec: &str, max_states: Option<u64>) -> SearchConfig {
+    SearchConfig {
+        max_states,
+        prune: PruneConfig::parse(spec).expect("static spec"),
+    }
+}
+
 fn render_vmc() -> String {
     let mut out = String::new();
     let mut instances = Vec::new();
@@ -97,7 +125,7 @@ fn render_vmc() -> String {
         for seed in 0..24 {
             instances.push((
                 format!("procs={procs} seed={seed}"),
-                random_trace(procs, seed),
+                random_trace(procs, seed, &SMALL_VALUES),
             ));
         }
     }
@@ -127,6 +155,86 @@ fn render_vmc() -> String {
             writeln!(out, "{ctx} {name} | {verdict:?} | {stats:?}").unwrap();
         }
     }
+
+    // Values at both ends of `u64` sit in the memo key's value word, on
+    // both sides of the 8/9-process key boundary.
+    for procs in [8, 9] {
+        for seed in 100..112 {
+            let trace = random_trace(procs, seed, &EXTREME_VALUES);
+            for (name, cfg) in &configs {
+                let (verdict, stats) = solve_backtracking_with_stats(&trace, Addr::ZERO, cfg);
+                writeln!(
+                    out,
+                    "extreme procs={procs} seed={seed} {name} | {verdict:?} | {stats:?}"
+                )
+                .unwrap();
+            }
+        }
+    }
+
+    // The §5.2 RMW reduction of an over-constrained random 3-SAT formula
+    // (94 processes): nogoods alone learn and hit here, and the unpruned
+    // search runs into its cap.
+    let rmw = reduce_3sat_rmw(&gen_random_ksat(&RandomSatConfig::three_sat(3, 5.0, 93))).trace;
+    for spec in ["none", "windows", "symmetry", "nogoods", "all"] {
+        let (verdict, stats) =
+            solve_backtracking_with_stats(&rmw, Addr::ZERO, &prune(spec, Some(4096)));
+        writeln!(out, "e5.2-overcons {spec} | {verdict:?} | {stats:?}").unwrap();
+    }
+
+    // Hard coherent instances whose DFS prunes on the position windows
+    // (some also on symmetry).
+    let hard: Vec<_> = [
+        (4, 8, 27),
+        (5, 6, 8),
+        (5, 6, 36),
+        (5, 8, 10),
+        (5, 8, 25),
+        (5, 8, 27),
+    ]
+    .into_iter()
+    .map(|(procs, ops, seed)| {
+        (
+            format!("hard procs={procs} ops={ops} seed={seed}"),
+            gen_hard_coherent(procs, ops, 2, seed).0,
+        )
+    })
+    .collect();
+    for (ctx, trace) in &hard {
+        for spec in ["all", "windows"] {
+            let (verdict, stats) =
+                solve_backtracking_with_stats(trace, Addr::ZERO, &prune(spec, None));
+            writeln!(out, "{ctx} {spec} | {verdict:?} | {stats:?}").unwrap();
+        }
+    }
+
+    // State budgets: a capped search answers `Unknown`, and learns no
+    // nogood once the cap is hit.
+    for budget in [16, 64, 256] {
+        for spec in ["none", "symmetry", "nogoods"] {
+            let (verdict, stats) =
+                solve_backtracking_with_stats(&rmw, Addr::ZERO, &prune(spec, Some(budget)));
+            writeln!(
+                out,
+                "e5.2-overcons {spec} budget={budget} | {verdict:?} | {stats:?}"
+            )
+            .unwrap();
+        }
+        let (ctx, trace) = &hard[2];
+        let (verdict, stats) =
+            solve_backtracking_with_stats(trace, Addr::ZERO, &prune("all", Some(budget)));
+        writeln!(out, "{ctx} all budget={budget} | {verdict:?} | {stats:?}").unwrap();
+    }
+
+    // The exact tier resumed from the closure frontline's window table.
+    let (ctx, trace) = &hard[4];
+    let ops = AddrOps::of(trace, Addr::ZERO);
+    let ClosureOutcome::Escalate(table) = analyze_ops(&ops).0 else {
+        panic!("{ctx} must escalate past the closure");
+    };
+    let (verdict, stats) =
+        solve_escalated_ops_with_stats(&ops, &SearchConfig::default(), Some(table));
+    writeln!(out, "{ctx} escalated | {verdict:?} | {stats:?}").unwrap();
     out
 }
 

@@ -53,7 +53,7 @@ echo "==> bench smoke (VERMEM_BENCH_FAST=1): thread-ladder bench runs"
 VERMEM_BENCH_FAST=1 cargo bench -q --offline -p vermem-bench --bench par_verify \
     > /dev/null
 
-echo "==> kernel substrate: no private memo plumbing, one model vocabulary"
+echo "==> kernel substrate: no private memo plumbing, one search, one model vocabulary"
 # The PR-5 contract: the operational searches (VSC/TSO/PSO) run on the
 # shared exact-search kernel (crates/coherence/src/kernel.rs), which owns
 # the memo table, budget, and cancellation. A `visited: HashSet` (or any
@@ -71,6 +71,23 @@ retired='MemoryModel\|tso_operational\|pso_operational\|solve_sc_backtracking'
 retired+='\|verify_model_operational\|VsccBackend\|base_model\|expected_axiom'
 if grep -rn "$retired" crates/ src/ tests/ examples/; then
     echo "retired model vocabulary or entry point found (use ModelId + verify_axiom)" >&2
+    exit 1
+fi
+# One exact search in the coherence crate: the kernel
+# (crates/coherence/src/kernel.rs) owns the only DFS and the only memo
+# table; VMC runs on it as a TransitionSystem. A private DFS, a slice
+# interner or a tuple-keyed visited set elsewhere means a search grew
+# its own memoization again. The retired VMC ablation knobs and its
+# private visited-set enum must not come back either.
+bad=$(grep -rn 'fn dfs\|SliceInterner\|FxHashSet<(' crates/coherence/src/ \
+    | grep -v '^crates/coherence/src/kernel.rs:' || true)
+if [[ -n "$bad" ]]; then
+    echo "a second search or memo table in crates/coherence/src (use the kernel):" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+if grep -rn 'greedy_absorption\|hot_move_ordering\|Visited::' crates/ src/ tests/ examples/; then
+    echo "retired VMC search knob or visited-set enum found" >&2
     exit 1
 fi
 echo "    ok"
