@@ -9,19 +9,18 @@
 //! cargo run --release -p vermem-bench --bin experiments -- --json # BENCH_vmc.json
 //! ```
 //!
-//! `--json` runs the E-PAR thread ladder, the E-PRUNE inference-layer
-//! ablation, the E-TIER tiered-verification ablation (closure frontline vs
-//! exact-only, per trace family), the E-AXIOM declared-model ablation
-//! (every `ModelSpec` model through the operational compiler and the SAT
-//! compiler, plus the RA polynomial-tier decision-rate probe), the
-//! E-STREAM streaming-engine family (sustained ops/s, p99 detection
-//! latency, and the bounded-memory peak-retained-windows probe at 1/4/16
-//! concurrent streams), the E-HOTPATH fixed ingest workload, and the
-//! observability-overhead probes, and writes machine-readable receipts
-//! (per-case medians, op/s, speedup vs 1 thread, prune counters, per-tier
-//! address accounting, enabled-vs-disabled obs cost) to `BENCH_vmc.json`
-//! in the current directory. Set `VERMEM_BENCH_FAST=1` to shrink instance sizes and
-//! repetitions for smoke-test runs.
+//! `--json` runs the four receipt experiments — the E-PRUNE
+//! inference-layer ablation, the E-TIER tiered-verification ablation
+//! (closure frontline vs exact-only, per trace family), the E-AXIOM
+//! declared-model ablation (every `ModelSpec` model through the operational
+//! compiler and the SAT compiler, plus the RA frontline probe) and the
+//! E-STREAM streaming-engine family (detections and peak retained windows
+//! at 1/4/16 concurrent streams, plus the bounded-memory probe) — once
+//! each, and writes `BENCH_vmc.json` in the current directory. Every field
+//! of that receipt is a work count, a verdict class or a boolean, so two
+//! runs write byte-identical files; `scripts/verify.sh` compares a fresh
+//! run with the committed file byte for byte. Wall-clock performance is
+//! measured by `vmcbench`, not here.
 //!
 //! `--metrics` prints the unified run report (counters/gauges/histograms
 //! accumulated across the selected experiments) when the run finishes;
@@ -83,20 +82,21 @@ fn main() {
         vermem_util::obs::set_enabled(true);
     }
     let json = argv.iter().any(|a| a == "--json");
+    // Bare `--json` means "produce the receipt": run only the four receipt
+    // experiments rather than the whole console suite.
     let filter = argv
         .iter()
         .find(|a| !a.starts_with("--"))
         .cloned()
-        // Bare `--json` means "produce the receipts": run only E-PAR and
-        // the ablations it bundles rather than the whole console suite.
         .unwrap_or_else(|| {
             if json {
-                "epar".to_string()
+                String::new()
             } else {
                 "all".to_string()
             }
         });
     let run = |id: &str| filter == "all" || filter == id;
+    let receipt = |id: &str| json || run(id);
 
     if run("e4.1") {
         e4_1_sat_to_vmc();
@@ -131,28 +131,17 @@ fn main() {
     if run("eopen") {
         e_open_problems();
     }
-    if run("epar") {
-        e_par_scaling(json);
-    }
-    if filter == "eprune" {
-        // Included in `epar`'s receipt run; also runnable standalone.
-        e_prune();
-    }
-    if filter == "etier" {
-        // Included in `epar`'s receipt run; also runnable standalone.
-        e_tier();
-    }
-    if filter == "eaxiom" {
-        // Included in `epar`'s receipt run; also runnable standalone.
-        e_axiom();
-    }
-    if filter == "estream" {
-        // Included in `epar`'s receipt run; also runnable standalone.
-        e_stream();
-    }
-    if filter == "ehotpath" {
-        // Included in `epar`'s receipt run; also runnable standalone.
-        e_hotpath();
+    let prune = receipt("eprune").then(e_prune);
+    let tier = receipt("etier").then(e_tier);
+    let axiom = receipt("eaxiom").then(e_axiom);
+    let stream = receipt("estream").then(e_stream);
+    if let (true, Some(prune), Some(tier), Some(axiom), Some(stream)) =
+        (json, prune, tier, axiom, stream)
+    {
+        let path = "BENCH_vmc.json";
+        std::fs::write(path, bench_json(&prune, &tier, &axiom, &stream))
+            .expect("write BENCH_vmc.json");
+        println!("\nwrote {path}");
     }
 
     if obs_on {
@@ -702,29 +691,17 @@ fn e_online_checker() {
 }
 
 // ---------------------------------------------------------------------------
-// E-PAR: the parallel per-address engine (thread ladder), with optional
-// machine-readable receipts (BENCH_vmc.json).
+// The receipt experiments (E-PRUNE, E-TIER, E-AXIOM, E-STREAM): every field
+// they record is a count, a verdict class or a boolean, so one pass gives
+// the same numbers on any host and `--json` writes a byte-stable
+// BENCH_vmc.json.
 // ---------------------------------------------------------------------------
-struct ParPoint {
-    jobs: usize,
-    secs: f64,
-    ops_per_sec: f64,
-    speedup: f64,
-}
-
-struct ParCase {
-    name: String,
-    ops: usize,
-    addrs: usize,
-    points: Vec<ParPoint>,
-}
 
 /// One row of the E-PRUNE inference-layer ablation: a blow-up instance
 /// solved under one [`PruneConfig`], with every prune counter recorded.
 struct PruneRow {
     case: String,
     config: &'static str,
-    secs: f64,
     states: u64,
     memo_hits: u64,
     memo_misses: u64,
@@ -735,20 +712,10 @@ struct PruneRow {
     verdict: &'static str,
 }
 
-/// Enabled-vs-disabled cost of the observability layer on a state-capped
-/// E-5.2 blow-up instance (every state records into the depth histogram
-/// when enabled, so this is the worst case for the hot path).
-struct ObsOverhead {
-    case: &'static str,
-    median_secs_disabled: f64,
-    median_secs_enabled: f64,
-    enabled_overhead_pct: f64,
-}
-
 /// One row of the E-TIER ablation: a trace family verified under one tier
 /// pipeline (`closure,exact` vs `exact`), with per-tier address accounting
-/// and verdict counts. Verdicts are bit-identical across pipelines by
-/// construction (asserted); only the accounting and wall time may differ.
+/// and verdict counts. Verdict classes are identical across pipelines by
+/// construction (asserted); only the accounting may differ.
 struct TierRow {
     family: &'static str,
     tier: &'static str,
@@ -756,132 +723,9 @@ struct TierRow {
     addresses: u64,
     frontline_decided: u64,
     escalated: u64,
-    median_secs: f64,
     coherent: usize,
     incoherent: usize,
     unknown: usize,
-}
-
-fn e_par_scaling(write_json: bool) {
-    header("E-PAR  parallel per-address verification: thread ladder");
-    let fast = std::env::var("VERMEM_BENCH_FAST").is_ok();
-    let reps = if fast { 3 } else { 7 };
-    let host = vermem_util::pool::available_jobs();
-    println!("host parallelism: {host} (ladder rungs above it measure overhead, not speedup)");
-
-    let verifier = VmcVerifier::new();
-    let mut cases = Vec::new();
-    let sizes: &[(usize, usize)] = if fast {
-        &[(512, 16)]
-    } else {
-        &[(2048, 16), (8192, 64), (32768, 64)]
-    };
-    for &(ops, addrs) in sizes {
-        let t = gen_sc_trace(&GenConfig {
-            procs: 4,
-            total_ops: ops,
-            addrs,
-            value_reuse: 0.5,
-            seed: (ops ^ addrs) as u64,
-            ..Default::default()
-        })
-        .0;
-        cases.push(par_case(
-            format!("sc-4p-{ops}ops-{addrs}addrs"),
-            &t,
-            &verifier,
-            reps,
-        ));
-    }
-    let instrs = if fast { 512 } else { 4096 };
-    let program = random_program(&WorkloadConfig {
-        cpus: 4,
-        instrs_per_cpu: instrs / 4,
-        addrs: 16,
-        write_fraction: 0.45,
-        rmw_fraction: 0.1,
-        seed: instrs as u64,
-    });
-    let cap = Machine::run(&program, MachineConfig::default());
-    cases.push(par_case(
-        format!("sim-4cpu-{instrs}instrs"),
-        &cap.trace,
-        &verifier,
-        reps,
-    ));
-
-    println!(
-        "{:>26} {:>8} {:>6} {:>5} {:>12} {:>12} {:>9}",
-        "case", "ops", "addrs", "jobs", "median (ms)", "ops/s", "speedup"
-    );
-    for c in &cases {
-        for p in &c.points {
-            println!(
-                "{:>26} {:>8} {:>6} {:>5} {:>12.3} {:>12.0} {:>8.2}x",
-                c.name,
-                c.ops,
-                c.addrs,
-                p.jobs,
-                p.secs * 1e3,
-                p.ops_per_sec,
-                p.speedup
-            );
-        }
-    }
-
-    let prune = prune_ablation(reps, fast);
-    println!("\nE-PRUNE inference-layer ablation (single thread, same instances):");
-    print_prune_table(&prune);
-
-    let tier = tier_ablation(reps, fast);
-    println!("\nE-TIER tiered verification (closure frontline vs exact-only):");
-    print_tier_table(&tier);
-
-    let (axiom, ra_probe) = axiom_ablation(reps, fast);
-    println!("\nE-AXIOM declared models (operational compiler vs SAT):");
-    print_axiom_table(&axiom, &ra_probe);
-
-    let (estream, bounded) = estream_bench(reps, fast);
-    println!("\nE-STREAM sharded bounded-memory streaming engine:");
-    print_estream_table(&estream, &bounded);
-
-    let hotpath = hotpath_ablation(reps);
-    println!("\nE-HOTPATH fixed ingest workload on the dense-slab structures:");
-    print_hotpath_table(&hotpath);
-
-    let obs = obs_overhead_probe(reps, fast);
-    println!(
-        "\nobservability overhead ({}): disabled {:.3} ms, enabled {:.3} ms ({:+.2}%)",
-        obs.case,
-        obs.median_secs_disabled * 1e3,
-        obs.median_secs_enabled * 1e3,
-        obs.enabled_overhead_pct
-    );
-
-    let live_obs = live_obs_probe(reps, fast);
-    println!(
-        "live telemetry overhead ({} streams, {} events): off {:.3} ms, \
-         on {:.3} ms ({:+.2}%), {} forensic bundle(s)",
-        live_obs.streams,
-        live_obs.events,
-        live_obs.median_secs_off * 1e3,
-        live_obs.median_secs_on * 1e3,
-        live_obs.enabled_overhead_pct,
-        live_obs.forensic_bundles
-    );
-
-    if write_json {
-        let path = "BENCH_vmc.json";
-        std::fs::write(
-            path,
-            bench_json(
-                host, &cases, &prune, &tier, &axiom, &ra_probe, &estream, &hotpath, &bounded, &obs,
-                &live_obs,
-            ),
-        )
-        .expect("write BENCH_vmc.json");
-        println!("\nwrote {path}");
-    }
 }
 
 /// The E-TIER trace families: realistic protocol captures (healthy and
@@ -889,11 +733,8 @@ fn e_par_scaling(write_json: bool) {
 /// The healthy-sim family uses the same workload shape as the
 /// `tier_differential` suite, so the committed receipt and the test gate
 /// measure the same population.
-fn tier_families(fast: bool) -> Vec<(&'static str, Vec<Trace>)> {
-    let healthy_seeds = if fast { 4 } else { 16 };
-    let fault_seeds = if fast { 2 } else { 5 };
-    let gen_seeds = if fast { 2 } else { 6 };
-    let healthy: Vec<Trace> = (0..healthy_seeds)
+fn tier_families() -> Vec<(&'static str, Vec<Trace>)> {
+    let healthy: Vec<Trace> = (0..16)
         .map(|seed| {
             Machine::run(
                 &random_program(&WorkloadConfig {
@@ -912,7 +753,7 @@ fn tier_families(fast: bool) -> Vec<(&'static str, Vec<Trace>)> {
             .trace
         })
         .collect();
-    let generated: Vec<Trace> = (0..gen_seeds)
+    let generated: Vec<Trace> = (0..6)
         .map(|seed| {
             gen_sc_trace(&GenConfig {
                 procs: 4,
@@ -941,7 +782,7 @@ fn tier_families(fast: bool) -> Vec<(&'static str, Vec<Trace>)> {
     let faulty: Vec<Trace> = kinds
         .into_iter()
         .flat_map(|kind| {
-            (0..fault_seeds).map(move |seed| {
+            (0..5).map(move |seed| {
                 Machine::run(
                     &random_program(&WorkloadConfig {
                         cpus: 4,
@@ -971,18 +812,19 @@ fn tier_families(fast: bool) -> Vec<(&'static str, Vec<Trace>)> {
 
 /// E-TIER: the tiered-verification ablation. Each family is verified under
 /// the default `closure,exact` pipeline and the `exact`-only ablation;
-/// verdicts must match bit-for-bit (asserted — the differential suite
-/// proves the same at every thread count), while the accounting shows how
-/// many addresses the polynomial frontline decided without escalation.
-fn tier_ablation(reps: usize, fast: bool) -> Vec<TierRow> {
-    let families = tier_families(fast);
+/// verdict classes must match trace by trace (asserted — the differential
+/// suite proves the same at every thread count), while the accounting shows
+/// how many addresses the polynomial frontline decided without escalation.
+/// Each verified address is decided by exactly one tier, and the frontline
+/// decides at least 90% of the healthy-sim addresses (both asserted).
+fn tier_ablation() -> Vec<TierRow> {
     let configs: [(&'static str, TierConfig); 2] = [
         ("closure,exact", TierConfig::tiered()),
         ("exact", TierConfig::exact_only()),
     ];
     let mut rows = Vec::new();
-    for (family, traces) in &families {
-        let mut per_config_verdicts: Vec<Vec<bool>> = Vec::new();
+    for (family, traces) in &tier_families() {
+        let mut per_config_verdicts = Vec::new();
         for (spec, tier) in configs {
             let verifier = VmcVerifier {
                 tier,
@@ -996,20 +838,23 @@ fn tier_ablation(reps: usize, fast: bool) -> Vec<TierRow> {
             for t in traces {
                 let report = verify_execution_par(t, &verifier, 1);
                 tiers.absorb(&report.tiers);
-                match &report.verdict {
-                    vermem_coherence::ExecutionVerdict::Coherent(_) => coherent += 1,
-                    vermem_coherence::ExecutionVerdict::Incoherent(_) => incoherent += 1,
-                    vermem_coherence::ExecutionVerdict::Unknown { .. } => unknown += 1,
+                // Exactly one tier decides each address of the verified
+                // prefix: all addresses when coherent, up to and including
+                // the first failure otherwise.
+                let decided = report.tiers.total() as usize;
+                if report.is_coherent() {
+                    assert_eq!(decided, report.addresses, "{family}/{spec}: tier split");
+                } else {
+                    assert!(decided <= report.addresses, "{family}/{spec}: tier split");
                 }
-                verdicts.push(report.is_coherent());
+                *match &report.verdict {
+                    vermem_coherence::ExecutionVerdict::Coherent(_) => &mut coherent,
+                    vermem_coherence::ExecutionVerdict::Incoherent(_) => &mut incoherent,
+                    vermem_coherence::ExecutionVerdict::Unknown { .. } => &mut unknown,
+                } += 1;
+                verdicts.push(std::mem::discriminant(&report.verdict));
             }
             per_config_verdicts.push(verdicts);
-            let median_secs = median_secs(reps, || {
-                for t in traces {
-                    let _ = verify_execution_par(t, &verifier, 1);
-                }
-            })
-            .max(1e-12);
             rows.push(TierRow {
                 family,
                 tier: spec,
@@ -1017,7 +862,6 @@ fn tier_ablation(reps: usize, fast: bool) -> Vec<TierRow> {
                 addresses: tiers.total(),
                 frontline_decided: tiers.frontline_decided,
                 escalated: tiers.escalated,
-                median_secs,
                 coherent,
                 incoherent,
                 unknown,
@@ -1028,96 +872,82 @@ fn tier_ablation(reps: usize, fast: bool) -> Vec<TierRow> {
             "{family}: tier pipelines must agree on every verdict"
         );
     }
+    let healthy = rows
+        .iter()
+        .find(|r| r.family == "healthy-sim" && r.tier == "closure,exact")
+        .expect("healthy-sim row");
+    assert!(
+        healthy.frontline_decided * 10 >= healthy.addresses * 9,
+        "E-TIER: the frontline decided only {}/{} healthy-sim addresses (< 90%)",
+        healthy.frontline_decided,
+        healthy.addresses
+    );
     rows
 }
 
-fn print_tier_table(rows: &[TierRow]) {
+fn e_tier() -> Vec<TierRow> {
+    header("E-TIER  tiered verification: closure frontline vs exact-only");
+    let rows = tier_ablation();
     println!(
-        "{:>15} {:>14} {:>7} {:>6} {:>10} {:>10} {:>12} {:>5} {:>5} {:>5}",
-        "family",
-        "tier",
-        "traces",
-        "addrs",
-        "frontline",
-        "escalated",
-        "median (ms)",
-        "coh",
-        "inc",
-        "unk"
+        "{:>15} {:>14} {:>7} {:>6} {:>10} {:>10} {:>5} {:>5} {:>5}",
+        "family", "tier", "traces", "addrs", "frontline", "escalated", "coh", "inc", "unk"
     );
-    for r in rows {
+    for r in &rows {
         println!(
-            "{:>15} {:>14} {:>7} {:>6} {:>10} {:>10} {:>12.3} {:>5} {:>5} {:>5}",
+            "{:>15} {:>14} {:>7} {:>6} {:>10} {:>10} {:>5} {:>5} {:>5}",
             r.family,
             r.tier,
             r.traces,
             r.addresses,
             r.frontline_decided,
             r.escalated,
-            r.median_secs * 1e3,
             r.coherent,
             r.incoherent,
             r.unknown
         );
     }
     // Headline: the frontline share of the realistic healthy family.
-    if let Some(r) = rows
-        .iter()
-        .find(|r| r.family == "healthy-sim" && r.tier == "closure,exact")
-    {
-        let pct = 100.0 * r.frontline_decided as f64 / (r.addresses.max(1)) as f64;
-        println!(
-            "healthy-sim: frontline decided {}/{} addresses ({pct:.1}%) without escalation",
-            r.frontline_decided, r.addresses
-        );
-    }
-}
-
-/// Console-only entry for the E-TIER ablation (`experiments etier`); the
-/// `--json` receipt run includes the same rows in BENCH_vmc.json.
-fn e_tier() {
-    header("E-TIER  tiered verification: closure frontline vs exact-only");
-    let fast = std::env::var("VERMEM_BENCH_FAST").is_ok();
-    let reps = if fast { 3 } else { 7 };
-    let rows = tier_ablation(reps, fast);
-    print_tier_table(&rows);
+    let r = &rows[0];
+    let pct = 100.0 * r.frontline_decided as f64 / r.addresses as f64;
+    println!(
+        "{}: frontline decided {}/{} addresses ({pct:.1}%) without escalation",
+        r.family, r.frontline_decided, r.addresses
+    );
+    rows
 }
 
 /// One row of the E-AXIOM ablation: one declared model (`ModelSpec`) run
 /// through one of its engines over one trace family, with verdict-class
 /// counts. Parity is asserted in-harness: every engine must match the SAT
-/// oracle on consistency.
+/// oracle on consistency, and no unbudgeted run may return unknown.
 struct AxiomRow {
     model: &'static str,
     engine: &'static str,
     family: &'static str,
     traces: usize,
-    median_secs: f64,
     consistent: usize,
     violating: usize,
     unknown: usize,
 }
 
-/// The RA polynomial-tier decision-rate probe: healthy generated traces
-/// with no value reuse (every read names a unique writer), the population
-/// behind the verify.sh >= 90% decision-rate gate. The tier never decides
-/// against the exact-only pipeline (asserted per trace).
+/// The RA polynomial-tier decision probe: healthy generated traces with no
+/// value reuse (every read names a unique writer), the population behind
+/// the >= 90% decision gate asserted in [`axiom_ablation`]. The tier never
+/// decides against the exact-only pipeline (asserted per trace).
 struct RaFrontlineProbe {
     traces: usize,
     frontline_decided: usize,
-    decision_rate: f64,
 }
 
 /// The E-AXIOM trace families: the litmus corpus, healthy SC-generated
 /// workloads, and fault-injected mutations of the latter (the violating
 /// side of the differential).
-fn axiom_families(fast: bool) -> Vec<(&'static str, Vec<Trace>)> {
+fn axiom_families() -> Vec<(&'static str, Vec<Trace>)> {
     let litmus: Vec<Trace> = vermem_consistency::litmus::all_litmus_tests()
         .into_iter()
         .map(|t| t.trace)
         .collect();
-    let gen_seeds = if fast { 2 } else { 5 };
-    let generated: Vec<Trace> = (0..gen_seeds)
+    let generated: Vec<Trace> = (0..5)
         .map(|seed| {
             gen_sc_trace(&GenConfig {
                 procs: 3,
@@ -1136,11 +966,10 @@ fn axiom_families(fast: bool) -> Vec<(&'static str, Vec<Trace>)> {
         ViolationKind::LostWrite,
         ViolationKind::ReorderAdjacent,
     ];
-    let fault_seeds = if fast { 1 } else { 2 };
     let faulty: Vec<Trace> = kinds
         .into_iter()
         .flat_map(|kind| {
-            (0..fault_seeds).filter_map(move |seed| {
+            (0..2).filter_map(move |seed| {
                 let (t, _) = gen_sc_trace(&GenConfig {
                     procs: 3,
                     total_ops: 12,
@@ -1160,13 +989,14 @@ fn axiom_families(fast: bool) -> Vec<(&'static str, Vec<Trace>)> {
     ]
 }
 
-/// E-AXIOM: every declared model through both engines, timed per (family,
-/// model, engine), with compiled/SAT parity re-asserted on every trace the
-/// rows are built from.
-fn axiom_ablation(reps: usize, fast: bool) -> (Vec<AxiomRow>, RaFrontlineProbe) {
-    let families = axiom_families(fast);
+/// E-AXIOM: every declared model through both engines per (family, model,
+/// engine), with compiled/SAT parity asserted on every trace the rows are
+/// built from. Also asserted: no run returns unknown, the litmus corpus
+/// orders the models by strength, and the RA frontline decides at least
+/// 90% of its probe traces.
+fn axiom_ablation() -> (Vec<AxiomRow>, RaFrontlineProbe) {
     let mut rows = Vec::new();
-    for (family, traces) in &families {
+    for (family, traces) in &axiom_families() {
         for id in ModelId::ALL {
             // SAT-oracle consistency bits, computed once per (family, model).
             let oracle: Vec<bool> = traces
@@ -1207,18 +1037,18 @@ fn axiom_ablation(reps: usize, fast: bool) -> (Vec<AxiomRow>, RaFrontlineProbe) 
                         engine.name()
                     );
                 }
-                let secs = median_secs(reps, || {
-                    for t in traces.iter() {
-                        let _ = verify_axiom(t, id, &cfg);
-                    }
-                })
-                .max(1e-12);
+                assert_eq!(
+                    unknown,
+                    0,
+                    "E-AXIOM: unbudgeted {} via {} returned unknown ({family})",
+                    id.name(),
+                    engine.name()
+                );
                 rows.push(AxiomRow {
                     model: id.name(),
                     engine: engine.name(),
                     family,
                     traces: traces.len(),
-                    median_secs: secs,
                     consistent,
                     violating,
                     unknown,
@@ -1226,7 +1056,7 @@ fn axiom_ablation(reps: usize, fast: bool) -> (Vec<AxiomRow>, RaFrontlineProbe) 
             }
         }
     }
-    let probe_traces = if fast { 8 } else { 24 };
+    let probe_traces = 24;
     let mut decided = 0usize;
     for seed in 0..probe_traces as u64 {
         let (t, _) = gen_sc_trace(&GenConfig {
@@ -1255,82 +1085,70 @@ fn axiom_ablation(reps: usize, fast: bool) -> (Vec<AxiomRow>, RaFrontlineProbe) 
             decided += 1;
         }
     }
+    // The litmus corpus orders the models by strength: SC < TSO <= PSO < Coherence,
+    // with RA and ARM-dob strictly between SC and Coherence.
+    let lit = |id: ModelId| {
+        rows.iter()
+            .find(|r| r.family == "litmus" && r.model == id.name() && r.engine == "compiled")
+            .map(|r| r.consistent)
+            .expect("litmus row")
+    };
+    let (sc, coh) = (lit(ModelId::Sc), lit(ModelId::CoherenceOnly));
+    assert!(
+        sc < lit(ModelId::Tso) && lit(ModelId::Tso) <= lit(ModelId::Pso) && lit(ModelId::Pso) < coh,
+        "E-AXIOM: litmus counts break SC < TSO <= PSO < Coherence"
+    );
+    for id in [ModelId::Ra, ModelId::ArmDob] {
+        assert!(
+            sc < lit(id) && lit(id) < coh,
+            "E-AXIOM: {} is not strictly between SC and Coherence on litmus",
+            id.name()
+        );
+    }
+    assert!(
+        decided * 10 >= probe_traces * 9,
+        "E-AXIOM: RA frontline decided only {decided}/{probe_traces} traces (< 90%)"
+    );
     let probe = RaFrontlineProbe {
         traces: probe_traces,
         frontline_decided: decided,
-        decision_rate: decided as f64 / probe_traces as f64,
     };
     (rows, probe)
 }
 
-fn print_axiom_table(rows: &[AxiomRow], probe: &RaFrontlineProbe) {
+fn e_axiom() -> (Vec<AxiomRow>, RaFrontlineProbe) {
+    header("E-AXIOM  declared models: operational compiler vs SAT");
+    let (rows, probe) = axiom_ablation();
     println!(
-        "{:>15} {:>9} {:>9} {:>7} {:>12} {:>11} {:>10} {:>8}",
-        "family", "model", "engine", "traces", "median (ms)", "consistent", "violating", "unknown"
+        "{:>15} {:>9} {:>9} {:>7} {:>11} {:>10} {:>8}",
+        "family", "model", "engine", "traces", "consistent", "violating", "unknown"
     );
-    for r in rows {
+    for r in &rows {
         println!(
-            "{:>15} {:>9} {:>9} {:>7} {:>12.3} {:>11} {:>10} {:>8}",
-            r.family,
-            r.model,
-            r.engine,
-            r.traces,
-            r.median_secs * 1e3,
-            r.consistent,
-            r.violating,
-            r.unknown
+            "{:>15} {:>9} {:>9} {:>7} {:>11} {:>10} {:>8}",
+            r.family, r.model, r.engine, r.traces, r.consistent, r.violating, r.unknown
         );
     }
     println!(
-        "RA frontline decided {}/{} healthy unique-value traces ({:.0}%)",
-        probe.frontline_decided,
-        probe.traces,
-        probe.decision_rate * 100.0
+        "RA frontline decided {}/{} healthy unique-value traces",
+        probe.frontline_decided, probe.traces
     );
-}
-
-/// Console-only entry for the E-AXIOM ablation (`experiments eaxiom`);
-/// the `--json` receipt run includes the same rows in BENCH_vmc.json.
-fn e_axiom() {
-    header("E-AXIOM  declared models: operational compiler vs SAT");
-    let fast = std::env::var("VERMEM_BENCH_FAST").is_ok();
-    let reps = if fast { 3 } else { 7 };
-    let (rows, probe) = axiom_ablation(reps, fast);
-    print_axiom_table(&rows, &probe);
+    (rows, probe)
 }
 
 /// One row of the E-STREAM receipt: the sharded bounded-memory streaming
 /// engine (`coherence::stream`) over N concurrent v3 event streams (half
-/// healthy, half fault-injected so the p99 detection-latency receipt has a
-/// data source), with batch verdict parity asserted per stream.
+/// healthy, half fault-injected so detections exist), with batch verdict
+/// parity asserted per stream.
 struct EstreamRow {
     streams: usize,
     window: usize,
     window_slack: usize,
     jobs: usize,
     events: u64,
-    median_secs: f64,
-    sustained_ops_per_sec: f64,
     detections: usize,
-    /// `None` when the row saw no detections — serialized as JSON `null`
-    /// (a 0 would read as "instant detection", which is a lie).
-    p99_detect_latency_us: Option<u64>,
     peak_retained_windows: u64,
     incoherent: usize,
-    verdict_parity: bool,
-}
-
-/// One row of the E-HOTPATH receipt: the fixed ingest-dominated workload
-/// through the dense-slab stream engine. Verdicts, stats, tiers and
-/// detections are identical at jobs 1, 2 and 8 (asserted in-harness); the
-/// timed run is at jobs 1.
-struct HotpathRow {
-    streams: usize,
-    config: &'static str,
-    jobs: usize,
-    events: u64,
-    median_secs: f64,
-    sustained_ops_per_sec: f64,
     verdict_parity: bool,
 }
 
@@ -1353,7 +1171,7 @@ struct BoundedMemoryProbe {
 /// N sim captures for one E-STREAM row: odd-indexed streams carry a
 /// corrupt-fill protocol fault (detections + incoherent verdicts), even
 /// ones are healthy.
-fn estream_captures(streams: usize, instrs_per_cpu: usize) -> Vec<vermem_sim::CapturedExecution> {
+fn estream_captures(streams: usize) -> Vec<vermem_sim::CapturedExecution> {
     (0..streams)
         .map(|i| {
             let seed = 40 + i as u64;
@@ -1371,7 +1189,7 @@ fn estream_captures(streams: usize, instrs_per_cpu: usize) -> Vec<vermem_sim::Ca
             Machine::run(
                 &random_program(&WorkloadConfig {
                     cpus: 4,
-                    instrs_per_cpu,
+                    instrs_per_cpu: 120,
                     addrs: 4,
                     write_fraction: 0.45,
                     rmw_fraction: 0.0,
@@ -1411,14 +1229,13 @@ fn periodic_stream(rounds: usize, addrs: u32) -> Vec<u8> {
     vermem_trace::binary::encode_event_stream(2, &initials, &finals, &events)
 }
 
-/// E-STREAM: sustained streaming throughput + p99 detection latency at
-/// 1/4/16 concurrent streams, with per-stream batch verdict parity
-/// (asserted) and the peak-retained-windows receipt that `verify.sh`
-/// gates against `streams × window_slack`.
-fn estream_bench(reps: usize, fast: bool) -> (Vec<EstreamRow>, BoundedMemoryProbe) {
+/// E-STREAM: detections, incoherent verdicts and peak retained windows at
+/// 1/4/16 concurrent streams, with per-stream batch verdict parity and the
+/// `streams × window_slack` memory budget asserted, plus the
+/// bounded-memory probe.
+fn estream_bench() -> (Vec<EstreamRow>, BoundedMemoryProbe) {
     const WINDOW: usize = 256;
     const SLACK: usize = 16;
-    let instrs = if fast { 30 } else { 120 };
     let config = || vermem_coherence::StreamConfig {
         window: Some(WINDOW),
         jobs: 1,
@@ -1429,27 +1246,20 @@ fn estream_bench(reps: usize, fast: bool) -> (Vec<EstreamRow>, BoundedMemoryProb
     };
     let mut rows = Vec::new();
     for streams in [1usize, 4, 16] {
-        let caps = estream_captures(streams, instrs);
-        let byte_streams: Vec<Vec<u8>> = caps
-            .iter()
-            .map(|c| vermem_sim::event_stream_bytes(c).expect("SC capture streams"))
-            .collect();
-        // One instrumented pass for the receipt fields + batch parity.
         let mut events = 0u64;
         let mut peak = 0u64;
         let mut detections = 0usize;
-        let mut latencies: Vec<u64> = Vec::new();
         let mut incoherent = 0usize;
         let mut parity = true;
-        for (cap, bytes) in caps.iter().zip(&byte_streams) {
+        for cap in estream_captures(streams) {
+            let bytes = vermem_sim::event_stream_bytes(&cap).expect("SC capture streams");
             let report =
-                vermem_coherence::verify_stream_bytes(bytes, config()).expect("stream decodes");
+                vermem_coherence::verify_stream_bytes(&bytes, config()).expect("stream decodes");
             let batch = verify_execution_par(&cap.trace, &VmcVerifier::new(), 1);
             parity &= report.verdict.matches_batch(&batch.verdict);
             events += report.events;
             peak += report.metrics.peak_retained_windows;
             detections += report.detections.len();
-            latencies.extend_from_slice(&report.detect_latencies_us);
             if !report.is_coherent() {
                 incoherent += 1;
             }
@@ -1462,24 +1272,13 @@ fn estream_bench(reps: usize, fast: bool) -> (Vec<EstreamRow>, BoundedMemoryProb
             peak <= (streams * SLACK) as u64,
             "E-STREAM: peak retained windows {peak} exceeds {streams} × {SLACK}"
         );
-        let secs = median_secs(reps, || {
-            for bytes in &byte_streams {
-                let report =
-                    vermem_coherence::verify_stream_bytes(bytes, config()).expect("stream decodes");
-                assert!(report.events > 0);
-            }
-        })
-        .max(1e-12);
         rows.push(EstreamRow {
             streams,
             window: WINDOW,
             window_slack: SLACK,
             jobs: 1,
             events,
-            median_secs: secs,
-            sustained_ops_per_sec: events as f64 / secs,
             detections,
-            p99_detect_latency_us: vermem_coherence::stream::percentile(&latencies, 99),
             peak_retained_windows: peak,
             incoherent,
             verdict_parity: parity,
@@ -1487,9 +1286,9 @@ fn estream_bench(reps: usize, fast: bool) -> (Vec<EstreamRow>, BoundedMemoryProb
     }
 
     // Bounded memory: same periodic workload at R and 10R rounds must
-    // retain an identical peak (asserted here, gated again by verify.sh).
+    // retain an identical peak.
     const PROBE_WINDOW: usize = 64;
-    let rounds = if fast { 400 } else { 2_000 };
+    const ROUNDS: usize = 2_000;
     let probe_run = |rounds: usize, recorder: Option<vermem_coherence::RecorderConfig>| {
         let bytes = periodic_stream(rounds, 3);
         let report = vermem_coherence::verify_stream_bytes(
@@ -1507,8 +1306,8 @@ fn estream_bench(reps: usize, fast: bool) -> (Vec<EstreamRow>, BoundedMemoryProb
         assert!(report.is_coherent(), "periodic stream is coherent");
         (report.events, report.metrics.peak_retained_windows)
     };
-    let (events, peak) = probe_run(rounds, None);
-    let (events_10x, peak_10x) = probe_run(rounds * 10, None);
+    let (events, peak) = probe_run(ROUNDS, None);
+    let (events_10x, peak_10x) = probe_run(ROUNDS * 10, None);
     assert_eq!(
         peak, peak_10x,
         "peak retained windows must be independent of stream length"
@@ -1516,11 +1315,15 @@ fn estream_bench(reps: usize, fast: bool) -> (Vec<EstreamRow>, BoundedMemoryProb
     // Same gate with the flight recorder on: its per-shard ring is charged
     // to peak_retained_windows and must stay length-invariant too.
     let recorder = || Some(vermem_coherence::RecorderConfig::default());
-    let (_, rec_peak) = probe_run(rounds, recorder());
-    let (_, rec_peak_10x) = probe_run(rounds * 10, recorder());
+    let (_, rec_peak) = probe_run(ROUNDS, recorder());
+    let (_, rec_peak_10x) = probe_run(ROUNDS * 10, recorder());
     assert_eq!(
         rec_peak, rec_peak_10x,
         "recorder-on peak retained windows must be independent of stream length"
+    );
+    assert!(
+        rec_peak >= peak,
+        "the recorder ring must be counted into the peak ({rec_peak} < {peak})"
     );
     (
         rows,
@@ -1536,31 +1339,20 @@ fn estream_bench(reps: usize, fast: bool) -> (Vec<EstreamRow>, BoundedMemoryProb
     )
 }
 
-fn print_estream_table(rows: &[EstreamRow], probe: &BoundedMemoryProbe) {
+fn e_stream() -> (Vec<EstreamRow>, BoundedMemoryProbe) {
+    header("E-STREAM  sharded bounded-memory streaming verification");
+    let (rows, probe) = estream_bench();
     println!(
-        "{:>8} {:>7} {:>8} {:>12} {:>12} {:>7} {:>9} {:>9} {:>4} {:>7}",
-        "streams",
-        "window",
-        "events",
-        "median (ms)",
-        "ops/s",
-        "det",
-        "p99 (us)",
-        "peak win",
-        "inc",
-        "parity"
+        "{:>8} {:>7} {:>8} {:>7} {:>9} {:>4} {:>7}",
+        "streams", "window", "events", "det", "peak win", "inc", "parity"
     );
-    for r in rows {
+    for r in &rows {
         println!(
-            "{:>8} {:>7} {:>8} {:>12.3} {:>12.0} {:>7} {:>9} {:>9} {:>4} {:>7}",
+            "{:>8} {:>7} {:>8} {:>7} {:>9} {:>4} {:>7}",
             r.streams,
             r.window,
             r.events,
-            r.median_secs * 1e3,
-            r.sustained_ops_per_sec,
             r.detections,
-            r.p99_detect_latency_us
-                .map_or_else(|| "-".to_string(), |v| v.to_string()),
             r.peak_retained_windows,
             r.incoherent,
             r.verdict_parity
@@ -1577,272 +1369,18 @@ fn print_estream_table(rows: &[EstreamRow], probe: &BoundedMemoryProbe) {
         probe.recorder_peak_retained_windows,
         probe.recorder_peak_retained_windows_10x
     );
+    (rows, probe)
 }
 
-/// Console-only entry for the E-STREAM family (`experiments estream`); the
-/// `--json` receipt run includes the same rows in BENCH_vmc.json.
-fn e_stream() {
-    header("E-STREAM  sharded bounded-memory streaming verification");
-    let fast = std::env::var("VERMEM_BENCH_FAST").is_ok();
-    let reps = if fast { 3 } else { 7 };
-    let (rows, probe) = estream_bench(reps, fast);
-    print_estream_table(&rows, &probe);
-}
-
-/// E-HOTPATH: a fixed ingest-dominated workload for the stream engine's
-/// dense-slab structures — the E-STREAM captures at 1/4/16 concurrent
-/// streams with longer histories — after a parity pass asserting the
-/// answer does not depend on the shard count (jobs 1, 2 and 8).
-fn hotpath_ablation(reps: usize) -> Vec<HotpathRow> {
-    const WINDOW: usize = 256;
-    // Longer streams than E-STREAM: this workload measures the *ingest*
-    // structures, so it must be ingest-dominated. The size is NOT reduced
-    // under VERMEM_BENCH_FAST — verify.sh gates the fast fresh rows'
-    // throughput against the committed full-mode receipt, so the two must
-    // measure the same workload (only `reps` differs).
-    let instrs = 1_500;
-    let config = |jobs: usize| vermem_coherence::StreamConfig {
-        window: Some(WINDOW),
-        jobs,
-        temporal: true,
-        ..Default::default()
-    };
-    let mut rows = Vec::new();
-    for streams in [1usize, 4, 16] {
-        let caps = estream_captures(streams, instrs);
-        let byte_streams: Vec<Vec<u8>> = caps
-            .iter()
-            .map(|c| vermem_sim::event_stream_bytes(c).expect("SC capture streams"))
-            .collect();
-        // Parity pass: the shard count must be unobservable in the answer.
-        // (Memory metrics are per-shard peaks summed, so they may differ.)
-        let mut events = 0u64;
-        for bytes in &byte_streams {
-            let one =
-                vermem_coherence::verify_stream_bytes(bytes, config(1)).expect("stream decodes");
-            for jobs in [2usize, 8] {
-                let r = vermem_coherence::verify_stream_bytes(bytes, config(jobs))
-                    .expect("stream decodes");
-                assert_eq!(
-                    r.verdict, one.verdict,
-                    "E-HOTPATH: verdict drift at {jobs} jobs"
-                );
-                assert_eq!(r.stats, one.stats, "E-HOTPATH: stats drift at {jobs} jobs");
-                assert_eq!(r.tiers, one.tiers, "E-HOTPATH: tier drift at {jobs} jobs");
-                assert_eq!(
-                    r.detections, one.detections,
-                    "E-HOTPATH: detection drift at {jobs} jobs"
-                );
-            }
-            events += one.events;
-        }
-        let secs = median_secs(reps, || {
-            for bytes in &byte_streams {
-                let report = vermem_coherence::verify_stream_bytes(bytes, config(1))
-                    .expect("stream decodes");
-                assert!(report.events > 0);
-            }
-        })
-        .max(1e-12);
-        rows.push(HotpathRow {
-            streams,
-            config: "dense",
-            jobs: 1,
-            events,
-            median_secs: secs,
-            sustained_ops_per_sec: events as f64 / secs,
-            verdict_parity: true,
-        });
-    }
-    rows
-}
-
-fn print_hotpath_table(rows: &[HotpathRow]) {
-    println!(
-        "{:>8} {:>8} {:>5} {:>8} {:>12} {:>12} {:>7}",
-        "streams", "config", "jobs", "events", "median (ms)", "ops/s", "parity"
-    );
-    for r in rows {
-        println!(
-            "{:>8} {:>8} {:>5} {:>8} {:>12.3} {:>12.0} {:>7}",
-            r.streams,
-            r.config,
-            r.jobs,
-            r.events,
-            r.median_secs * 1e3,
-            r.sustained_ops_per_sec,
-            r.verdict_parity
-        );
-    }
-}
-
-/// Console-only entry for the E-HOTPATH ablation (`experiments ehotpath`);
-/// the `--json` receipt run includes the same rows in BENCH_vmc.json.
-fn e_hotpath() {
-    header("E-HOTPATH  fixed ingest workload on the dense-slab structures");
-    let fast = std::env::var("VERMEM_BENCH_FAST").is_ok();
-    let reps = if fast { 3 } else { 7 };
-    let rows = hotpath_ablation(reps);
-    print_hotpath_table(&rows);
-}
-
-/// Measure the exact search on the E-5.2 over-constrained instance with the
-/// observability layer off and on. The off run is the production default;
-/// the delta is what `--metrics`/`--trace-out` cost. Restores the previous
-/// enabled state (the probe may run inside a `--metrics` session).
-fn obs_overhead_probe(reps: usize, fast: bool) -> ObsOverhead {
-    let cap: u64 = if fast { 50_000 } else { 500_000 };
-    // Pruning off so the probe keeps exercising the full capped state set
-    // (the worst case for per-state obs cost), as in the PR-3 receipt.
-    let cfg = SearchConfig {
-        max_states: Some(cap),
-        prune: PruneConfig::none(),
-    };
-    let overcons = gen_random_ksat(&RandomSatConfig::three_sat(3, 5.0, 93));
-    let trace = reduce_3sat_rmw(&overcons).trace;
-    let was = vermem_util::obs::enabled();
-
-    vermem_util::obs::set_enabled(false);
-    let off = median_secs(reps, || {
-        let _ = solve_backtracking(&trace, Addr::ZERO, &cfg);
-    })
-    .max(1e-12);
-
-    vermem_util::obs::set_enabled(true);
-    let on = median_secs(reps, || {
-        let _ = solve_backtracking(&trace, Addr::ZERO, &cfg);
-    })
-    .max(1e-12);
-
-    vermem_util::obs::set_enabled(was);
-    if !was {
-        // Not inside a `--metrics` session: drop what the probe recorded.
-        vermem_util::obs::reset();
-    }
-    ObsOverhead {
-        case: "e5.2-overcons-capped",
-        median_secs_disabled: off,
-        median_secs_enabled: on,
-        enabled_overhead_pct: (on / off - 1.0) * 100.0,
-    }
-}
-
-/// Live-telemetry cost on the streaming engine: the E-STREAM workload run
-/// plain vs with the whole observability stack enabled — per-shard flight
-/// recorder plus a rolling [`TimeSeries`] fed per stream — with verdict,
-/// stats and tier identity asserted between the two runs.
-struct LiveObsProbe {
-    streams: usize,
-    events: u64,
-    forensic_bundles: usize,
-    median_secs_off: f64,
-    median_secs_on: f64,
-    enabled_overhead_pct: f64,
-}
-
-use vermem_util::obs::timeseries::TimeSeries;
-
-fn live_obs_probe(reps: usize, fast: bool) -> LiveObsProbe {
-    let streams = 4usize;
-    let instrs = if fast { 30 } else { 120 };
-    let caps = estream_captures(streams, instrs);
-    let byte_streams: Vec<Vec<u8>> = caps
-        .iter()
-        .map(|c| vermem_sim::event_stream_bytes(c).expect("SC capture streams"))
-        .collect();
-    let config = |recorder| vermem_coherence::StreamConfig {
-        window: Some(256),
-        jobs: 1,
-        temporal: true,
-        verifier: VmcVerifier::new(),
-        recorder,
-        ..Default::default()
-    };
-    let recorder = || Some(vermem_coherence::RecorderConfig::default());
-
-    // Identity pass: telemetry on vs off must agree on everything the
-    // verifier reports (the obs-on/off contract, gated by verify.sh).
-    let mut events = 0u64;
-    let mut bundles = 0usize;
-    for bytes in &byte_streams {
-        let off = vermem_coherence::verify_stream_bytes(bytes, config(None)).expect("decodes");
-        let on = vermem_coherence::verify_stream_bytes(bytes, config(recorder())).expect("decodes");
-        assert_eq!(off.verdict, on.verdict, "recorder changed the verdict");
-        assert_eq!(off.stats, on.stats, "recorder changed the search stats");
-        assert_eq!(off.tiers, on.tiers, "recorder changed the tier accounting");
-        events += off.events;
-        bundles += on.forensics.len();
-    }
-
-    let off = median_secs(reps, || {
-        for bytes in &byte_streams {
-            let report =
-                vermem_coherence::verify_stream_bytes(bytes, config(None)).expect("decodes");
-            assert!(report.events > 0);
-        }
-    })
-    .max(1e-12);
-    let series = TimeSeries::new(8, 0);
-    let mut clock = 0u64;
-    let on = median_secs(reps, || {
-        for bytes in &byte_streams {
-            let report =
-                vermem_coherence::verify_stream_bytes(bytes, config(recorder())).expect("decodes");
-            series.record(report.events);
-        }
-        clock += 1_000_000;
-        series.rotate(clock);
-    })
-    .max(1e-12);
-    LiveObsProbe {
-        streams,
-        events,
-        forensic_bundles: bundles,
-        median_secs_off: off,
-        median_secs_on: on,
-        enabled_overhead_pct: (on / off - 1.0) * 100.0,
-    }
-}
-
-/// Run the jobs ladder on one trace, asserting the verdict is identical to
-/// the sequential engine at every rung (the determinism contract).
-fn par_case(name: String, trace: &Trace, verifier: &VmcVerifier, reps: usize) -> ParCase {
-    let expected = vermem_coherence::verify_execution_with(trace, verifier);
-    let mut points = Vec::new();
-    let mut t1: Option<f64> = None;
-    for jobs in [1usize, 2, 4, 8] {
-        let secs = median_secs(reps, || {
-            let report = verify_execution_par(trace, verifier, jobs);
-            assert_eq!(
-                report.verdict, expected,
-                "determinism violated at {jobs} jobs"
-            );
-        })
-        .max(1e-12);
-        let base = *t1.get_or_insert(secs);
-        points.push(ParPoint {
-            jobs,
-            secs,
-            ops_per_sec: trace.num_ops() as f64 / secs,
-            speedup: base / secs,
-        });
-    }
-    ParCase {
-        name,
-        ops: trace.num_ops(),
-        addrs: trace.addresses().len(),
-        points,
-    }
-}
-
-/// E-PRUNE: the PR-4 inference-layer ablation on the E-5.1/E-5.2 blow-up
+/// E-PRUNE: the inference-layer ablation on the E-5.1/E-5.2 blow-up
 /// instances. Each technique runs alone and all together, against the
-/// unpruned baseline, under a state cap. All
-/// configurations must agree on the verdict (they provably do — the
-/// assertion enforces it), and every pruned configuration must explore at
-/// most the baseline's states (monotonicity).
-fn prune_ablation(reps: usize, fast: bool) -> Vec<PruneRow> {
-    let cap: u64 = if fast { 50_000 } else { 500_000 };
+/// unpruned baseline, under a 500k-state cap. All configurations must agree
+/// on the verdict (they provably do — the assertion enforces it), every
+/// pruned configuration must explore at most the baseline's states
+/// (monotonicity), and on the §5.2 instance `all` must explore at least 5×
+/// fewer states than `none`.
+fn prune_ablation() -> Vec<PruneRow> {
+    const CAP: u64 = 500_000;
     let configs: [(&'static str, PruneConfig); 5] = [
         ("none", PruneConfig::none()),
         ("windows", PruneConfig::parse("windows").unwrap()),
@@ -1872,7 +1410,7 @@ fn prune_ablation(reps: usize, fast: bool) -> Vec<PruneRow> {
         let mut decided_verdicts: Vec<bool> = Vec::new();
         for (name, prune) in &configs {
             let cfg = SearchConfig {
-                max_states: Some(cap),
+                max_states: Some(CAP),
                 prune: *prune,
             };
             let (verdict, stats) = solve_backtracking_with_stats(trace, Addr::ZERO, &cfg);
@@ -1898,14 +1436,9 @@ fn prune_ablation(reps: usize, fast: bool) -> Vec<PruneRow> {
                 ),
                 _ => unreachable!("baseline row runs first"),
             }
-            let secs = median_secs(reps, || {
-                let _ = solve_backtracking(trace, Addr::ZERO, &cfg);
-            })
-            .max(1e-12);
             rows.push(PruneRow {
                 case: case.clone(),
                 config: name,
-                secs,
                 states: stats.states,
                 memo_hits: stats.memo_hits,
                 memo_misses: stats.memo_misses,
@@ -1921,29 +1454,33 @@ fn prune_ablation(reps: usize, fast: bool) -> Vec<PruneRow> {
             "prune configurations disagree on {case}"
         );
     }
+    let misses = |config: &str| {
+        rows.iter()
+            .find(|r| r.case == "e5.2-overcons" && r.config == config)
+            .map(|r| r.memo_misses)
+            .expect("e5.2 row")
+    };
+    assert!(
+        misses("none") >= 5 * misses("all").max(1),
+        "E-PRUNE: e5.2 prune ratio regressed below 5x ({} -> {})",
+        misses("none"),
+        misses("all")
+    );
     rows
 }
 
-fn print_prune_table(rows: &[PruneRow]) {
+fn e_prune() -> Vec<PruneRow> {
+    header("E-PRUNE  inference-layer ablation: windows / symmetry / nogoods");
+    let rows = prune_ablation();
     println!(
-        "{:>14} {:>9} {:>12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}",
-        "case",
-        "config",
-        "median (ms)",
-        "states",
-        "win.pr",
-        "sym.pr",
-        "ng.hits",
-        "ng.learn",
-        "hits",
-        "verdict"
+        "{:>14} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}",
+        "case", "config", "states", "win.pr", "sym.pr", "ng.hits", "ng.learn", "hits", "verdict"
     );
-    for r in rows {
+    for r in &rows {
         println!(
-            "{:>14} {:>9} {:>12.3} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}",
+            "{:>14} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}",
             r.case,
             r.config,
-            r.secs * 1e3,
             r.states,
             r.window_prunes,
             r.symmetry_prunes,
@@ -1961,184 +1498,124 @@ fn print_prune_table(rows: &[PruneRow]) {
                 .map(|r| r.states)
         };
         if let (Some(none), Some(all)) = (states_of("none"), states_of("all")) {
-            let ratio = none as f64 / (all.max(1)) as f64;
-            println!("{case}: states {none} -> {all} ({ratio:.1}x fewer with --prune=all)");
+            println!("{case}: states {none} -> {all} with --prune=all");
         }
     }
+    rows
 }
 
-/// Console-only entry for the E-PRUNE ablation (`experiments eprune`); the
-/// `--json` receipt run includes the same rows in BENCH_vmc.json.
-fn e_prune() {
-    header("E-PRUNE  inference-layer ablation: windows / symmetry / nogoods");
-    let fast = std::env::var("VERMEM_BENCH_FAST").is_ok();
-    let reps = if fast { 3 } else { 7 };
-    let rows = prune_ablation(reps, fast);
-    print_prune_table(&rows);
-}
-
-/// Hand-rolled JSON (the workspace is dependency-free): all strings are
-/// internally generated identifiers, so no escaping is needed.
-#[allow(clippy::too_many_arguments)]
+/// Renders the receipt experiments as `BENCH_vmc.json`. Hand-rolled JSON
+/// (the workspace is dependency-free): all strings are internally
+/// generated identifiers, so no escaping is needed. Every value is a count,
+/// a verdict class or a boolean, so the file is byte-stable across runs.
 fn bench_json(
-    host: usize,
-    cases: &[ParCase],
     prune: &[PruneRow],
     tier: &[TierRow],
-    axiom: &[AxiomRow],
-    ra_probe: &RaFrontlineProbe,
-    estream: &[EstreamRow],
-    hotpath: &[HotpathRow],
-    bounded: &BoundedMemoryProbe,
-    obs: &ObsOverhead,
-    live_obs: &LiveObsProbe,
+    (axiom, ra): &(Vec<AxiomRow>, RaFrontlineProbe),
+    (estream, bounded): &(Vec<EstreamRow>, BoundedMemoryProbe),
 ) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"vermem-bench-vmc/v10\",\n");
-    s.push_str(&format!("  \"host_parallelism\": {host},\n"));
-    s.push_str("  \"par_verify\": [\n");
-    for (i, c) in cases.iter().enumerate() {
-        // Bench honesty: every case records the host parallelism it ran
-        // under, and each ladder point above it is flagged so downstream
-        // readers chart it as scheduling overhead, not scaling.
-        s.push_str(&format!(
-            "    {{\"case\": \"{}\", \"ops\": {}, \"addresses\": {}, \
-             \"host_parallelism\": {host}, \"points\": [",
-            c.name, c.ops, c.addrs
-        ));
-        for (j, p) in c.points.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"jobs\": {}, \"median_secs\": {:.9}, \"ops_per_sec\": {:.1}, \
-                 \"speedup_vs_1\": {:.4}, \"overhead_only\": {}}}",
-                p.jobs,
-                p.secs,
-                p.ops_per_sec,
-                p.speedup,
-                p.jobs > host
-            ));
-        }
-        s.push_str("]}");
-        s.push_str(if i + 1 < cases.len() { ",\n" } else { "\n" });
+    fn array(s: &mut String, key: &str, rows: Vec<String>) {
+        s.push_str(&format!("  \"{key}\": [\n    "));
+        s.push_str(&rows.join(",\n    "));
+        s.push_str("\n  ],\n");
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"prune_ablation\": [\n");
-    for (i, r) in prune.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"case\": \"{}\", \"config\": \"{}\", \"median_secs\": {:.9}, \
-             \"states\": {}, \"memo_hits\": {}, \"memo_misses\": {}, \
-             \"window_prunes\": {}, \"symmetry_prunes\": {}, \"nogood_hits\": {}, \
-             \"nogoods_learned\": {}, \"verdict\": \"{}\"}}",
-            r.case,
-            r.config,
-            r.secs,
-            r.states,
-            r.memo_hits,
-            r.memo_misses,
-            r.window_prunes,
-            r.symmetry_prunes,
-            r.nogood_hits,
-            r.nogoods_learned,
-            r.verdict
-        ));
-        s.push_str(if i + 1 < prune.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"tier_ablation\": [\n");
-    for (i, r) in tier.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"family\": \"{}\", \"tier\": \"{}\", \"traces\": {}, \
-             \"addresses\": {}, \"frontline_decided\": {}, \"escalated\": {}, \
-             \"median_secs\": {:.9}, \"coherent\": {}, \"incoherent\": {}, \
-             \"unknown\": {}}}",
-            r.family,
-            r.tier,
-            r.traces,
-            r.addresses,
-            r.frontline_decided,
-            r.escalated,
-            r.median_secs,
-            r.coherent,
-            r.incoherent,
-            r.unknown
-        ));
-        s.push_str(if i + 1 < tier.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"eaxiom\": [\n");
-    for (i, r) in axiom.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"model\": \"{}\", \"engine\": \"{}\", \"family\": \"{}\", \
-             \"traces\": {}, \"median_secs\": {:.9}, \"consistent\": {}, \
-             \"violating\": {}, \"unknown\": {}}}",
-            r.model,
-            r.engine,
-            r.family,
-            r.traces,
-            r.median_secs,
-            r.consistent,
-            r.violating,
-            r.unknown
-        ));
-        s.push_str(if i + 1 < axiom.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
+    let mut s = String::from("{\n  \"schema\": \"vermem-bench-vmc/v11\",\n");
+    array(
+        &mut s,
+        "prune_ablation",
+        prune
+            .iter()
+            .map(|r| {
+                format!(
+                    "{{\"case\": \"{}\", \"config\": \"{}\", \"states\": {}, \
+                     \"memo_hits\": {}, \"memo_misses\": {}, \"window_prunes\": {}, \
+                     \"symmetry_prunes\": {}, \"nogood_hits\": {}, \
+                     \"nogoods_learned\": {}, \"verdict\": \"{}\"}}",
+                    r.case,
+                    r.config,
+                    r.states,
+                    r.memo_hits,
+                    r.memo_misses,
+                    r.window_prunes,
+                    r.symmetry_prunes,
+                    r.nogood_hits,
+                    r.nogoods_learned,
+                    r.verdict
+                )
+            })
+            .collect(),
+    );
+    array(
+        &mut s,
+        "tier_ablation",
+        tier.iter()
+            .map(|r| {
+                format!(
+                    "{{\"family\": \"{}\", \"tier\": \"{}\", \"traces\": {}, \
+                     \"addresses\": {}, \"frontline_decided\": {}, \"escalated\": {}, \
+                     \"coherent\": {}, \"incoherent\": {}, \"unknown\": {}}}",
+                    r.family,
+                    r.tier,
+                    r.traces,
+                    r.addresses,
+                    r.frontline_decided,
+                    r.escalated,
+                    r.coherent,
+                    r.incoherent,
+                    r.unknown
+                )
+            })
+            .collect(),
+    );
+    array(
+        &mut s,
+        "eaxiom",
+        axiom
+            .iter()
+            .map(|r| {
+                format!(
+                    "{{\"model\": \"{}\", \"engine\": \"{}\", \"family\": \"{}\", \
+                     \"traces\": {}, \"consistent\": {}, \"violating\": {}, \
+                     \"unknown\": {}}}",
+                    r.model, r.engine, r.family, r.traces, r.consistent, r.violating, r.unknown
+                )
+            })
+            .collect(),
+    );
     s.push_str(&format!(
-        "  \"eaxiom_ra_frontline\": {{\"traces\": {}, \"frontline_decided\": {}, \
-         \"decision_rate\": {:.4}}},\n",
-        ra_probe.traces, ra_probe.frontline_decided, ra_probe.decision_rate
+        "  \"eaxiom_ra_frontline\": {{\"traces\": {}, \"frontline_decided\": {}}},\n",
+        ra.traces, ra.frontline_decided
     ));
-    s.push_str("  \"estream\": [\n");
-    for (i, r) in estream.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"streams\": {}, \"window\": {}, \"window_slack\": {}, \
-             \"jobs\": {}, \"events\": {}, \"median_secs\": {:.9}, \
-             \"sustained_ops_per_sec\": {:.1}, \"detections\": {}, \
-             \"p99_detect_latency_us\": {}, \"peak_retained_windows\": {}, \
-             \"incoherent\": {}, \"verdict_parity\": {}}}",
-            r.streams,
-            r.window,
-            r.window_slack,
-            r.jobs,
-            r.events,
-            r.median_secs,
-            r.sustained_ops_per_sec,
-            r.detections,
-            r.p99_detect_latency_us
-                .map_or_else(|| "null".to_string(), |v| v.to_string()),
-            r.peak_retained_windows,
-            r.incoherent,
-            r.verdict_parity
-        ));
-        s.push_str(if i + 1 < estream.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"e_hotpath\": [\n");
-    for (i, r) in hotpath.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"streams\": {}, \"config\": \"{}\", \"jobs\": {}, \
-             \"events\": {}, \"median_secs\": {:.9}, \
-             \"sustained_ops_per_sec\": {:.1}, \"verdict_parity\": {}}}",
-            r.streams,
-            r.config,
-            r.jobs,
-            r.events,
-            r.median_secs,
-            r.sustained_ops_per_sec,
-            r.verdict_parity
-        ));
-        s.push_str(if i + 1 < hotpath.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
+    array(
+        &mut s,
+        "estream",
+        estream
+            .iter()
+            .map(|r| {
+                format!(
+                    "{{\"streams\": {}, \"window\": {}, \"window_slack\": {}, \
+                     \"jobs\": {}, \"events\": {}, \"detections\": {}, \
+                     \"peak_retained_windows\": {}, \"incoherent\": {}, \
+                     \"verdict_parity\": {}}}",
+                    r.streams,
+                    r.window,
+                    r.window_slack,
+                    r.jobs,
+                    r.events,
+                    r.detections,
+                    r.peak_retained_windows,
+                    r.incoherent,
+                    r.verdict_parity
+                )
+            })
+            .collect(),
+    );
     s.push_str(&format!(
         "  \"estream_bounded_memory\": {{\"window\": {}, \"events\": {}, \
          \"peak_retained_windows\": {}, \"events_10x\": {}, \
          \"peak_retained_windows_10x\": {}, \
          \"recorder_peak_retained_windows\": {}, \
-         \"recorder_peak_retained_windows_10x\": {}}},\n",
+         \"recorder_peak_retained_windows_10x\": {}}}\n}}\n",
         bounded.window,
         bounded.events,
         bounded.peak_retained_windows,
@@ -2147,24 +1624,6 @@ fn bench_json(
         bounded.recorder_peak_retained_windows,
         bounded.recorder_peak_retained_windows_10x
     ));
-    s.push_str(&format!(
-        "  \"obs_overhead\": {{\"case\": \"{}\", \"median_secs_disabled\": {:.9}, \
-         \"median_secs_enabled\": {:.9}, \"enabled_overhead_pct\": {:.4}}},\n",
-        obs.case, obs.median_secs_disabled, obs.median_secs_enabled, obs.enabled_overhead_pct
-    ));
-    s.push_str(&format!(
-        "  \"e_live_obs\": {{\"streams\": {}, \"events\": {}, \
-         \"forensic_bundles\": {}, \"median_secs_off\": {:.9}, \
-         \"median_secs_on\": {:.9}, \"enabled_overhead_pct\": {:.4}, \
-         \"verdict_identical\": true}}\n",
-        live_obs.streams,
-        live_obs.events,
-        live_obs.forensic_bundles,
-        live_obs.median_secs_off,
-        live_obs.median_secs_on,
-        live_obs.enabled_overhead_pct
-    ));
-    s.push_str("}\n");
     s
 }
 

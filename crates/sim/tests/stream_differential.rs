@@ -36,11 +36,13 @@ fn stream_config(window: Option<usize>, jobs: usize, temporal: bool) -> StreamCo
 }
 
 /// Stream `bytes` at every (jobs, window) combination and require
-/// bit-identical agreement with the batch report on `trace`.
+/// bit-identical agreement with the batch report on `trace`, and identical
+/// detections across shard counts at each window.
 fn assert_stream_parity(trace: &Trace, bytes: &[u8], temporal: bool, ctx: &str) -> ExecutionReport {
     let batch = verify_execution_par(trace, &VmcVerifier::new(), 1);
-    for jobs in JOBS {
-        for window in WINDOWS {
+    for window in WINDOWS {
+        let mut first_detections = None;
+        for jobs in JOBS {
             let report =
                 vermem_coherence::verify_stream_bytes(bytes, stream_config(window, jobs, temporal))
                     .unwrap_or_else(|e| panic!("{ctx}: stream decode failed: {e}"));
@@ -62,6 +64,11 @@ fn assert_stream_parity(trace: &Trace, bytes: &[u8], temporal: bool, ctx: &str) 
             assert_eq!(
                 report.addresses, batch.addresses,
                 "{ctx}: address count drift at jobs={jobs} window={window:?}"
+            );
+            let first = first_detections.get_or_insert_with(|| report.detections.clone());
+            assert_eq!(
+                &report.detections, first,
+                "{ctx}: detection drift at jobs={jobs} window={window:?}"
             );
         }
     }
@@ -161,6 +168,52 @@ fn fault_injected_captures_stream_bit_identically() {
     assert!(
         incoherent_runs >= 4,
         "too few incoherent executions to exercise the violation path: {incoherent_runs}/20"
+    );
+}
+
+#[test]
+fn long_faulty_stream_detections_survive_window_retirement() {
+    // The captures above are short enough that window 256 never retires
+    // anything. This one is long enough that it does, and its two faults
+    // fire mid-run, so `assert_stream_parity` compares detections across
+    // shard counts while windows retire.
+    let cap = Machine::run(
+        &random_program(&WorkloadConfig {
+            cpus: 4,
+            instrs_per_cpu: 300,
+            addrs: 4,
+            write_fraction: 0.45,
+            rmw_fraction: 0.0,
+            seed: 41,
+        }),
+        MachineConfig {
+            seed: 41,
+            faults: [(1, 400), (2, 900)]
+                .map(|(cpu, at_step)| FaultPlan {
+                    kind: FaultKind::CorruptFill {
+                        cpu,
+                        xor: 0xDEAD_0000,
+                    },
+                    at_step,
+                })
+                .to_vec(),
+            ..Default::default()
+        },
+    );
+    let v3 = event_stream_bytes(&cap).expect("SC capture streams");
+    assert_stream_parity(&cap.trace, &v3, true, "long fault v3");
+    let report = vermem_coherence::verify_stream_bytes(&v3, stream_config(Some(256), 2, true))
+        .expect("decode");
+    let last_detection = report.detections.iter().map(|d| d.detected_at).max();
+    assert!(
+        report.metrics.retired_ops > 0,
+        "window 256 retired nothing on a {}-event stream",
+        report.events
+    );
+    assert!(
+        last_detection.is_some_and(|at| at > 256),
+        "no detection after the first window retired: {:?}",
+        report.detections
     );
 }
 

@@ -38,8 +38,9 @@
 //!    local counters and *flush aggregates once per solve/run*, so the
 //!    enabled cost is per-operation-batch, not per-operation.
 //!
-//! `bench/benches/obs_overhead.rs` and EXPERIMENTS.md §E-OBS record the
-//! measured disabled overhead on the E-5.2 blow-up instance (≤ 2%).
+//! `bench/benches/obs_overhead.rs` measures the disabled cost per macro
+//! call and on the E-5.2 blow-up instance; EXPERIMENTS.md §E-OBS records
+//! the figures.
 //!
 //! ## The determinism contract
 //!
