@@ -7,15 +7,19 @@
 //! insertion constrained next-to its writer when that writer is already
 //! placed — sound and complete, because atomicity forces adjacency in
 //! every accepted completion). Relations only ever grow along a decision
-//! path, so [`partial_infeasible`] is a sound kernel pruning hook, and
-//! the full [`check_witness_ev`] evaluation is the acceptance test.
+//! path, so an axiom the partial witness violates stays violated in every
+//! completion: the spec's [`AxiomPlan`], compiled once per solve, is a
+//! sound kernel pruning hook, and on the complete witness it is the
+//! acceptance test. Debug builds cross-check every plan answer against
+//! the reference evaluator; the solver certifies the accepted witness
+//! with it in every build.
 //!
 //! Every decision is permanent within a path, so distinct paths reach
 //! distinct states: the state graph is a tree and the machine opts out of
 //! kernel memoization ([`TransitionSystem::memoize`] = false). Budgets,
 //! cancellation and [`SearchStats::states`] keep their meaning.
 
-use super::witness::{check_witness_ev, partial_infeasible, Events, RfCand, Witness};
+use super::witness::{violated_axiom, AxiomPlan, Events, RfCand, Witness};
 use super::ModelSpec;
 use vermem_coherence::kernel::TransitionSystem;
 use vermem_trace::OpRef;
@@ -35,7 +39,8 @@ pub(crate) struct GraphMove {
 /// accepted witness (the kernel leaves the machine in its accepting
 /// state).
 pub(crate) struct GraphMachine<'a> {
-    pub spec: &'a ModelSpec,
+    spec: &'a ModelSpec,
+    plan: AxiomPlan<'a>,
     pub ev: Events,
     pub w: Witness,
     /// Next event to decide.
@@ -47,10 +52,22 @@ impl<'a> GraphMachine<'a> {
         let w = Witness::empty(ev.len(), ev.writes_by_slot.len());
         GraphMachine {
             spec,
+            plan: AxiomPlan::new(spec, &ev),
             ev,
             w,
             cursor: 0,
         }
+    }
+
+    /// First axiom the current witness violates, if any.
+    fn violated(&self) -> Option<&'static str> {
+        let found = self.plan.violated(&self.ev, &self.w);
+        debug_assert_eq!(
+            found,
+            violated_axiom(self.spec, &self.ev, &self.w),
+            "axiom plan disagrees with the reference evaluator"
+        );
+        found
     }
 }
 
@@ -62,7 +79,10 @@ impl TransitionSystem for GraphMachine<'_> {
     }
 
     fn accepting(&self) -> bool {
-        check_witness_ev(self.spec, &self.ev, &self.w).is_ok()
+        // A complete witness is well-formed by construction (every read
+        // took one of its candidates, every write was placed), so it is
+        // accepted iff nothing refutes it.
+        !self.infeasible()
     }
 
     fn absorb(&mut self, _commits: &mut Vec<OpRef>) {
@@ -74,7 +94,7 @@ impl TransitionSystem for GraphMachine<'_> {
     }
 
     fn infeasible(&self) -> bool {
-        partial_infeasible(self.spec, &self.ev, &self.w)
+        self.ev.finals_missed(&self.w) || self.violated().is_some()
     }
 
     fn state_key(&self, key: &mut Vec<u64>) {

@@ -100,11 +100,11 @@ pub(crate) fn solve_compiled(
             match outcome {
                 KernelOutcome::Accepted(commits) => {
                     let witness = Schedule::from_refs(commits);
-                    debug_assert!(
-                        check_model_schedule(trace, spec.id, &witness).is_ok(),
-                        "compiled {:?} machine produced an invalid commit order",
-                        kind
-                    );
+                    // Certificate: a commit order the model's schedule
+                    // checker rejects is never reported as consistent.
+                    if check_model_schedule(trace, spec.id, &witness).is_err() {
+                        return (ConsistencyVerdict::Unknown { stats }, stats);
+                    }
                     (ConsistencyVerdict::Consistent(witness), stats)
                 }
                 KernelOutcome::Refuted => (no_schedule(), stats),
@@ -123,9 +123,13 @@ pub(crate) fn solve_compiled(
             match outcome {
                 KernelOutcome::Accepted(_) => {
                     // The kernel returns with the machine in its accepting
-                    // state: the witness is still in place.
-                    debug_assert_eq!(check_witness_ev(sys.spec, &sys.ev, &sys.w), Ok(()));
-                    let sched = witness_schedule(sys.spec, &sys.ev, &sys.w);
+                    // state: the witness is still in place. Certificate:
+                    // the reference evaluator, not the plan that accepted
+                    // it, must confirm it.
+                    if check_witness_ev(spec, &sys.ev, &sys.w).is_err() {
+                        return (ConsistencyVerdict::Unknown { stats }, stats);
+                    }
+                    let sched = witness_schedule(spec, &sys.ev, &sys.w);
                     (ConsistencyVerdict::Consistent(sched), stats)
                 }
                 KernelOutcome::Refuted => (no_schedule(), stats),

@@ -25,7 +25,7 @@
 //! constraints, acceptances on a checked witness. The exact tier is never
 //! masked, only pre-empted when the answer is already certain.
 
-use super::witness::{check_witness_ev, reach_sets, witness_schedule, Events, RfCand, Witness};
+use super::witness::{check_witness_ev, witness_schedule, Events, Reach, RfCand, Witness};
 use super::RA_SPEC;
 use crate::verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
 use vermem_trace::Trace;
@@ -86,8 +86,8 @@ pub fn try_decide(trace: &Trace) -> FastOutcome {
             edges.push((src, e as u32));
         }
     }
-    let hb_rows = reach_sets(n, &edges);
-    let hb = |a: u32, b: u32| hb_rows[a as usize][b as usize / 64] >> (b as usize % 64) & 1 == 1;
+    let hb_rows = Reach::new(n, &edges);
+    let hb = |a: u32, b: u32| hb_rows.has(a, b);
     if (0..n as u32).any(|v| hb(v, v)) {
         return refuted();
     }

@@ -1,21 +1,30 @@
-//! Witness representation and the reference axiom evaluator.
+//! Witness representation, the reference axiom evaluator, and the
+//! compiled per-state evaluator.
 //!
 //! A *witness* fixes everything a declarative model quantifies over: `rf`
 //! (each read's writer) and `mo` (a total per-address coherence order).
-//! This module materializes every [`Rel`] a spec may mention from a
-//! (possibly partial) witness and evaluates [`Axiom`]s over the result.
-//! It is the single source of truth all three deciders answer to: the
-//! graph-lowered operational machine uses it for pruning and acceptance,
-//! the SAT compiler validates decoded models against it, and the RA fast
-//! tier validates its saturated witness with it.
+//! The reference evaluator ([`violated_axiom`], [`check_witness`])
+//! materializes every [`Rel`] a spec may mention from a (possibly
+//! partial) witness and evaluates [`Axiom`]s over the result, rebuilding
+//! everything per call. It is the independent certificate checker: the
+//! graph-lowered machine's accepted witnesses, the SAT compiler's decoded
+//! models and the RA fast tier's saturated witnesses are all validated
+//! against it before they become a `Consistent` verdict.
+//!
+//! [`AxiomPlan`] is what the graph-lowered machine asks at every search
+//! state instead: the same axioms compiled once per solve, with the
+//! static relations built once and the witness-dependent ones reduced to
+//! the edges that carry reachability (DESIGN.md §4g). It answers exactly
+//! like [`violated_axiom`]; debug builds and a differential property test
+//! check that.
 //!
 //! Everything here is *monotone* in the witness: adding a decision only
 //! ever adds edges, so an axiom violated by a partial witness is violated
-//! by every completion — the soundness argument behind
-//! [`partial_infeasible`].
+//! by every completion — the soundness argument behind pruning on it.
 
 use super::{spec, Axiom, AxiomKind, ModelId, ModelSpec, Rel};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use vermem_trace::{Addr, Op, OpRef, Schedule, ScheduleError, Trace, Value};
 
 /// One reads-from candidate for a read event.
@@ -145,6 +154,21 @@ impl Events {
         self.ops.len()
     }
 
+    /// Has a fully placed address already missed its final-value
+    /// constraint (its `mo`-last write, or the initial value when it has
+    /// no writes, is not the required value)? Placing other addresses'
+    /// writes cannot repair it, so this is a sound partial refutation.
+    pub(crate) fn finals_missed(&self, w: &Witness) -> bool {
+        self.finals.iter().any(|&(slot, v)| {
+            let placed = &w.mo[slot as usize];
+            placed.len() == self.writes_by_slot[slot as usize].len()
+                && match placed.last() {
+                    Some(&e) => self.ops[e as usize].1.written_value() != Some(v),
+                    None => self.initial[slot as usize] != v,
+                }
+        })
+    }
+
     /// Is some read unsatisfiable outright (no `rf` candidate)?
     pub(crate) fn some_read_unsatisfiable(&self) -> bool {
         self.ops
@@ -226,24 +250,27 @@ pub(crate) fn push_rel(
             for (e, rf) in w.rf.iter().enumerate() {
                 let e = e as u32;
                 let Some(cand) = *rf else { continue };
-                let order = &w.mo[ev.slot_of[e as usize] as usize];
-                // Writes `mo`-after this read's writer (all placed writes
-                // for reads-from-initial; nothing yet if the writer is
-                // unplaced — `fr` stays monotone in the witness).
-                let after: &[u32] = match cand {
-                    RfCand::Init => order,
-                    RfCand::From(src) => match order.iter().position(|&x| x == src) {
-                        Some(pos) => &order[pos + 1..],
-                        None => &[],
-                    },
-                };
-                for &x in after {
+                for &x in fr_after(ev, w, e, cand) {
                     if x != e && (rel == Rel::Fr || !same_proc(e, x)) {
                         out.push((e, x));
                     }
                 }
             }
         }
+    }
+}
+
+/// The placed writes `mo`-after read `e`'s writer `cand`: all of them for
+/// reads-from-initial, none yet if the writer is unplaced (so `fr` stays
+/// monotone in the witness). For an RMW the list may contain `e` itself.
+fn fr_after<'w>(ev: &Events, w: &'w Witness, e: u32, cand: RfCand) -> &'w [u32] {
+    let order = &w.mo[ev.slot_of[e as usize] as usize];
+    match cand {
+        RfCand::Init => order,
+        RfCand::From(src) => match order.iter().position(|&x| x == src) {
+            Some(pos) => &order[pos + 1..],
+            None => &[],
+        },
     }
 }
 
@@ -255,67 +282,127 @@ fn union_edges(rels: &[Rel], spec: &ModelSpec, ev: &Events, w: &Witness) -> Vec<
     out
 }
 
-/// Cycle detection by iterative three-color DFS.
-fn has_cycle(n: usize, edges: &[(u32, u32)]) -> bool {
-    let mut adj = vec![Vec::new(); n];
-    for &(a, b) in edges {
-        adj[a as usize].push(b);
+/// Compressed adjacency rows over events `0..n`: `v`'s successors are
+/// `targets[start[v]..start[v + 1]]`. Refilled in place, so a reused
+/// scratch allocates only while it grows.
+#[derive(Default)]
+struct Csr {
+    start: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl Csr {
+    fn new(n: usize, edges: &[(u32, u32)]) -> Csr {
+        let mut csr = Csr::default();
+        csr.fill(n, edges);
+        csr
     }
+
+    fn fill(&mut self, n: usize, edges: &[(u32, u32)]) {
+        self.start.clear();
+        self.start.resize(n + 1, 0);
+        for &(a, _) in edges {
+            self.start[a as usize + 1] += 1;
+        }
+        for v in 0..n {
+            self.start[v + 1] += self.start[v];
+        }
+        self.targets.clear();
+        self.targets.resize(edges.len(), 0);
+        // Place each edge at its row's cursor; the cursors end one row
+        // ahead, so shift them back.
+        for &(a, b) in edges {
+            let cursor = &mut self.start[a as usize];
+            self.targets[*cursor as usize] = b;
+            *cursor += 1;
+        }
+        self.start.copy_within(0..n, 1);
+        self.start[0] = 0;
+    }
+
+    fn row(&self, v: u32) -> &[u32] {
+        &self.targets[self.start[v as usize] as usize..self.start[v as usize + 1] as usize]
+    }
+}
+
+/// Cycle detection by iterative three-color DFS over events `0..n`;
+/// `succ(v, i)` is `v`'s successor number `i`.
+fn has_cycle(
+    n: usize,
+    succ: impl Fn(u32, usize) -> Option<u32>,
+    color: &mut Vec<u8>,
+    stack: &mut Vec<(u32, usize)>,
+) -> bool {
     // 0 = white, 1 = on stack, 2 = done.
-    let mut color = vec![0u8; n];
-    let mut stack: Vec<(u32, usize)> = Vec::new();
-    for start in 0..n {
-        if color[start] != 0 {
+    color.clear();
+    color.resize(n, 0);
+    for root in 0..n as u32 {
+        if color[root as usize] != 0 {
             continue;
         }
-        color[start] = 1;
-        stack.push((start as u32, 0));
+        color[root as usize] = 1;
+        stack.clear();
+        stack.push((root, 0));
         while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-            if let Some(&next) = adj[v as usize].get(*i) {
-                *i += 1;
-                match color[next as usize] {
-                    0 => {
-                        color[next as usize] = 1;
-                        stack.push((next, 0));
+            match succ(v, *i) {
+                Some(next) => {
+                    *i += 1;
+                    match color[next as usize] {
+                        0 => {
+                            color[next as usize] = 1;
+                            stack.push((next, 0));
+                        }
+                        1 => return true,
+                        _ => {}
                     }
-                    1 => return true,
-                    _ => {}
                 }
-            } else {
-                color[v as usize] = 2;
-                stack.pop();
+                None => {
+                    color[v as usize] = 2;
+                    stack.pop();
+                }
             }
         }
     }
     false
 }
 
-/// Reachability-in-one-or-more-steps bitsets (row `v` = events reachable
-/// from `v`), by BFS from each node.
-pub(crate) fn reach_sets(n: usize, edges: &[(u32, u32)]) -> Vec<Vec<u64>> {
-    let words = n.div_ceil(64);
-    let mut adj = vec![Vec::new(); n];
-    for &(a, b) in edges {
-        adj[a as usize].push(b);
-    }
-    let mut reach = vec![vec![0u64; words]; n];
-    let mut queue = Vec::new();
-    for start in 0..n {
-        queue.clear();
-        queue.extend(adj[start].iter().copied());
-        let mut qi = 0;
-        while qi < queue.len() {
-            let v = queue[qi] as usize;
-            qi += 1;
-            let (word, bit) = (v / 64, v % 64);
-            if reach[start][word] >> bit & 1 == 1 {
-                continue;
+/// Reachability in one or more steps as one bit matrix (row `v` holds the
+/// events reachable from `v`), by BFS from each node.
+pub(crate) struct Reach {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Reach {
+    pub(crate) fn new(n: usize, edges: &[(u32, u32)]) -> Reach {
+        let words = n.div_ceil(64);
+        let adj = Csr::new(n, edges);
+        let mut bits = vec![0u64; n * words];
+        let mut queue = Vec::new();
+        for start in 0..n {
+            let row = &mut bits[start * words..(start + 1) * words];
+            queue.clear();
+            queue.extend_from_slice(adj.row(start as u32));
+            let mut qi = 0;
+            while qi < queue.len() {
+                let v = queue[qi] as usize;
+                qi += 1;
+                let (word, bit) = (v / 64, v % 64);
+                if row[word] >> bit & 1 == 1 {
+                    continue;
+                }
+                row[word] |= 1 << bit;
+                queue.extend_from_slice(adj.row(v as u32));
             }
-            reach[start][word] |= 1 << bit;
-            queue.extend(adj[v].iter().copied());
         }
+        Reach { words, bits }
     }
-    reach
+
+    /// Does `from` reach `to` in one or more steps?
+    pub(crate) fn has(&self, from: u32, to: u32) -> bool {
+        let to = to as usize;
+        self.bits[from as usize * self.words + to / 64] >> (to % 64) & 1 == 1
+    }
 }
 
 /// Is `ax` violated by the witness (partial witnesses give sound partial
@@ -323,16 +410,18 @@ pub(crate) fn reach_sets(n: usize, edges: &[(u32, u32)]) -> Vec<Vec<u64>> {
 fn axiom_violated(ax: &Axiom, spec: &ModelSpec, ev: &Events, w: &Witness) -> bool {
     let n = ev.len();
     match ax.kind {
-        AxiomKind::Acyclic(rels) => has_cycle(n, &union_edges(rels, spec, ev, w)),
+        AxiomKind::Acyclic(rels) => {
+            let adj = Csr::new(n, &union_edges(rels, spec, ev, w));
+            let succ = |v: u32, i: usize| adj.row(v).get(i).copied();
+            has_cycle(n, succ, &mut Vec::new(), &mut Vec::new())
+        }
         AxiomKind::IrreflexiveSeq { head, closure } => {
             let heads = union_edges(head, spec, ev, w);
             if heads.is_empty() {
                 return false;
             }
-            let reach = reach_sets(n, &union_edges(closure, spec, ev, w));
-            heads
-                .iter()
-                .any(|&(a, b)| reach[b as usize][a as usize / 64] >> (a as usize % 64) & 1 == 1)
+            let reach = Reach::new(n, &union_edges(closure, spec, ev, w));
+            heads.iter().any(|&(a, b)| reach.has(b, a))
         }
     }
 }
@@ -345,24 +434,228 @@ pub(crate) fn violated_axiom(spec: &ModelSpec, ev: &Events, w: &Witness) -> Opti
         .map(|ax| ax.name)
 }
 
-/// Sound refutation of a *partial* witness: some axiom already fails, or
-/// some fully-placed address cannot meet its final-value constraint. By
-/// monotonicity, `true` means no completion exists.
-pub(crate) fn partial_infeasible(spec: &ModelSpec, ev: &Events, w: &Witness) -> bool {
-    for &(slot, v) in &ev.finals {
-        let writes = &ev.writes_by_slot[slot as usize];
-        let placed = &w.mo[slot as usize];
-        if placed.len() == writes.len() {
-            let last_ok = match placed.last() {
-                Some(&e) => ev.ops[e as usize].1.written_value() == Some(v),
-                None => ev.initial[slot as usize] == v,
-            };
-            if !last_ok {
-                return true;
+/// One union's edges at one state: the plan's static rows plus the
+/// state's witness-dependent rows.
+struct Adj<'s> {
+    fixed: &'s Csr,
+    live: &'s Csr,
+}
+
+impl Adj<'_> {
+    /// Successor number `i` of `v`, static rows first.
+    fn succ(&self, v: u32, i: usize) -> Option<u32> {
+        let fixed = self.fixed.row(v);
+        match fixed.get(i) {
+            Some(&x) => Some(x),
+            None => self.live.row(v).get(i - fixed.len()).copied(),
+        }
+    }
+
+    /// Mark in `seen` every event reachable from `from` in one or more
+    /// steps; `queue` ends holding exactly the marked events.
+    fn reach(&self, from: u32, seen: &mut [bool], queue: &mut Vec<u32>) {
+        queue.clear();
+        let mut v = from;
+        let mut next = 0;
+        loop {
+            for &x in self.fixed.row(v).iter().chain(self.live.row(v)) {
+                if !seen[x as usize] {
+                    seen[x as usize] = true;
+                    queue.push(x);
+                }
+            }
+            let Some(&u) = queue.get(next) else { break };
+            next += 1;
+            v = u;
+        }
+    }
+}
+
+/// A relation union compiled for one solve. The static generators are
+/// materialized once, `po` and `po|loc` as immediate-successor chains;
+/// the witness-dependent ones are generated per state, `mo` as
+/// consecutive pairs and — when `mo` is in the union — `fr` only to the
+/// first `mo`-later write other than the read itself. Each reduction
+/// keeps the union's transitive closure (DESIGN.md §4g), which is all an
+/// axiom asks of a union.
+struct UnionPlan {
+    fixed: Csr,
+    live: Vec<Rel>,
+    /// `mo` is in the union, so `fr` may stop at its first target.
+    fr_first: bool,
+}
+
+impl UnionPlan {
+    fn new(rels: &[Rel], spec: &ModelSpec, ev: &Events) -> UnionPlan {
+        let empty = Witness::empty(ev.len(), ev.writes_by_slot.len());
+        let (mut edges, mut live) = (Vec::new(), Vec::new());
+        for &rel in rels {
+            match rel {
+                Rel::Po => {
+                    for evs in &ev.by_proc {
+                        edges.extend(evs.windows(2).map(|p| (p[0], p[1])));
+                    }
+                }
+                Rel::PoLoc => {
+                    for evs in &ev.by_proc {
+                        for (i, &a) in evs.iter().enumerate() {
+                            let slot = ev.slot_of[a as usize];
+                            let next = evs[i + 1..]
+                                .iter()
+                                .find(|&&b| ev.slot_of[b as usize] == slot);
+                            if let Some(&b) = next {
+                                edges.push((a, b));
+                            }
+                        }
+                    }
+                }
+                Rel::Ppo | Rel::Dob => push_rel(rel, spec, ev, &empty, &mut edges),
+                Rel::Rf | Rel::Rfe | Rel::Mo | Rel::Moe | Rel::Fr | Rel::Fre => live.push(rel),
+            }
+        }
+        UnionPlan {
+            fixed: Csr::new(ev.len(), &edges),
+            live,
+            fr_first: rels.contains(&Rel::Mo),
+        }
+    }
+
+    /// The union's witness-dependent edges at this state.
+    fn push_live(&self, spec: &ModelSpec, ev: &Events, w: &Witness, out: &mut Vec<(u32, u32)>) {
+        for &rel in &self.live {
+            match rel {
+                Rel::Mo => {
+                    for order in &w.mo {
+                        out.extend(order.windows(2).map(|p| (p[0], p[1])));
+                    }
+                }
+                Rel::Fr if self.fr_first => {
+                    for (e, rf) in w.rf.iter().enumerate() {
+                        let e = e as u32;
+                        let Some(cand) = *rf else { continue };
+                        if let Some(&x) = fr_after(ev, w, e, cand).iter().find(|&&x| x != e) {
+                            out.push((e, x));
+                        }
+                    }
+                }
+                _ => push_rel(rel, spec, ev, w, out),
             }
         }
     }
-    violated_axiom(spec, ev, w).is_some()
+}
+
+/// One axiom, compiled.
+enum Check {
+    Acyclic(UnionPlan),
+    /// Head edges are generated per state and never reduced: each one is
+    /// a distinct question.
+    IrreflexiveSeq {
+        head: &'static [Rel],
+        closure: UnionPlan,
+    },
+}
+
+/// Per-state working memory, reused across states.
+#[derive(Default)]
+struct Scratch {
+    edges: Vec<(u32, u32)>,
+    heads: Vec<(u32, u32)>,
+    live: Csr,
+    color: Vec<u8>,
+    stack: Vec<(u32, usize)>,
+    seen: Vec<bool>,
+    queue: Vec<u32>,
+}
+
+/// A spec's axioms compiled once per solve for one event universe: the
+/// per-state evaluator of the graph lowering. It answers exactly like
+/// [`violated_axiom`] on every (partial) witness, without rebuilding a
+/// union's static relations and with one scratch reused across states.
+pub(crate) struct AxiomPlan<'a> {
+    spec: &'a ModelSpec,
+    checks: Vec<(&'static str, Check)>,
+    scratch: RefCell<Scratch>,
+}
+
+impl<'a> AxiomPlan<'a> {
+    pub(crate) fn new(spec: &'a ModelSpec, ev: &Events) -> AxiomPlan<'a> {
+        let checks = spec
+            .axioms
+            .iter()
+            .map(|ax| {
+                let check = match ax.kind {
+                    AxiomKind::Acyclic(rels) => Check::Acyclic(UnionPlan::new(rels, spec, ev)),
+                    AxiomKind::IrreflexiveSeq { head, closure } => Check::IrreflexiveSeq {
+                        head,
+                        closure: UnionPlan::new(closure, spec, ev),
+                    },
+                };
+                (ax.name, check)
+            })
+            .collect();
+        AxiomPlan {
+            spec,
+            checks,
+            scratch: RefCell::default(),
+        }
+    }
+
+    /// First axiom of the spec violated by the witness, if any.
+    pub(crate) fn violated(&self, ev: &Events, w: &Witness) -> Option<&'static str> {
+        let s = &mut *self.scratch.borrow_mut();
+        self.checks
+            .iter()
+            .find(|(_, check)| self.check_violated(check, ev, w, s))
+            .map(|&(name, _)| name)
+    }
+
+    fn check_violated(&self, check: &Check, ev: &Events, w: &Witness, s: &mut Scratch) -> bool {
+        let n = ev.len();
+        match check {
+            Check::Acyclic(union) => {
+                s.edges.clear();
+                union.push_live(self.spec, ev, w, &mut s.edges);
+                s.live.fill(n, &s.edges);
+                let adj = Adj {
+                    fixed: &union.fixed,
+                    live: &s.live,
+                };
+                has_cycle(n, |v, i| adj.succ(v, i), &mut s.color, &mut s.stack)
+            }
+            Check::IrreflexiveSeq { head, closure } => {
+                s.heads.clear();
+                for &rel in *head {
+                    push_rel(rel, self.spec, ev, w, &mut s.heads);
+                }
+                if s.heads.is_empty() {
+                    return false;
+                }
+                s.edges.clear();
+                closure.push_live(self.spec, ev, w, &mut s.edges);
+                s.live.fill(n, &s.edges);
+                let adj = Adj {
+                    fixed: &closure.fixed,
+                    live: &s.live,
+                };
+                // One search per distinct head target `b`: does `b` reach
+                // back to the source of one of its head edges?
+                s.heads.sort_unstable_by_key(|&(_, b)| b);
+                s.seen.clear();
+                s.seen.resize(n, false);
+                for group in s.heads.chunk_by(|x, y| x.1 == y.1) {
+                    adj.reach(group[0].1, &mut s.seen, &mut s.queue);
+                    let closed = group.iter().any(|&(a, _)| s.seen[a as usize]);
+                    for &v in &s.queue {
+                        s.seen[v as usize] = false;
+                    }
+                    if closed {
+                        return true;
+                    }
+                }
+                false
+            }
+        }
+    }
 }
 
 /// Validate a *complete* witness against `spec` and the trace's final
@@ -442,16 +735,27 @@ pub fn check_model_schedule(
         spec.name
     );
     // Permutation + duplicates + dangling (but NOT program order, which is
-    // model-relative here).
+    // model-relative here). `pos` is indexed by process-major op number.
     let expected = trace.num_ops();
-    let mut seen = BTreeSet::new();
-    for &r in schedule.refs() {
+    let first: Vec<usize> = trace
+        .histories()
+        .iter()
+        .scan(0, |next, h| {
+            let at = *next;
+            *next += h.len();
+            Some(at)
+        })
+        .collect();
+    let mut pos = vec![usize::MAX; expected];
+    for (i, &r) in schedule.refs().iter().enumerate() {
         if trace.op(r).is_none() {
             return Err(ScheduleError::DanglingRef(r));
         }
-        if !seen.insert(r) {
+        let at = &mut pos[first[r.proc.0 as usize] + r.index as usize];
+        if *at != usize::MAX {
             return Err(ScheduleError::DuplicateOp(r));
         }
+        *at = i;
     }
     if schedule.len() != expected {
         return Err(ScheduleError::MissingOps {
@@ -462,20 +766,15 @@ pub fn check_model_schedule(
 
     // Preserved program order: every preserved pair of each process must
     // appear in order.
-    let pos: BTreeMap<OpRef, usize> = schedule
-        .refs()
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| (r, i))
-        .collect();
     for (p, h) in trace.histories().iter().enumerate() {
+        let pos = &pos[first[p]..first[p] + h.len()];
         for i in 0..h.len() {
             for j in i + 1..h.len() {
                 let (x, y) = (h.op(i).expect("in range"), h.op(j).expect("in range"));
                 if preserves(spec, x, y) {
                     let rx = OpRef::new(p as u16, i as u32);
                     let ry = OpRef::new(p as u16, j as u32);
-                    if pos[&rx] > pos[&ry] {
+                    if pos[i] > pos[j] {
                         return Err(ScheduleError::ProgramOrder {
                             earlier: rx,
                             later: ry,
@@ -584,6 +883,7 @@ mod tests {
     use super::*;
     use crate::axiom::{ARM_DOB_SPEC, COHERENCE_SPEC, PSO_SPEC, RA_SPEC, SC_SPEC, TSO_SPEC};
     use vermem_trace::TraceBuilder;
+    use vermem_util::rng::StdRng;
 
     /// W(x)1 ; R(x)1 across two procs: the unique witness is valid.
     #[test]
@@ -667,15 +967,156 @@ mod tests {
             .proc([Op::read(0u32, 2u64), Op::read(0u32, 1u64)])
             .build();
         let ev = Events::new(&t);
+        let refuted = |spec: &ModelSpec, w: &Witness| {
+            let found = violated_axiom(spec, &ev, w);
+            assert_eq!(AxiomPlan::new(spec, &ev).violated(&ev, w), found);
+            found.is_some()
+        };
         let mut w = Witness::empty(ev.len(), 1);
         w.mo[0] = vec![0, 1];
         w.rf[2] = Some(RfCand::From(1));
-        assert!(!partial_infeasible(&SC_SPEC, &ev, &w));
+        assert!(!refuted(&SC_SPEC, &w));
         // Deciding the second read closes the cycle under every spec.
         w.rf[3] = Some(RfCand::From(0));
-        assert!(partial_infeasible(&SC_SPEC, &ev, &w));
-        assert!(partial_infeasible(&RA_SPEC, &ev, &w));
-        assert!(partial_infeasible(&ARM_DOB_SPEC, &ev, &w));
+        assert!(refuted(&SC_SPEC, &w));
+        assert!(refuted(&RA_SPEC, &w));
+        assert!(refuted(&ARM_DOB_SPEC, &w));
+    }
+
+    const ALL_RELS: [Rel; 10] = [
+        Rel::Po,
+        Rel::PoLoc,
+        Rel::Ppo,
+        Rel::Dob,
+        Rel::Rf,
+        Rel::Rfe,
+        Rel::Mo,
+        Rel::Moe,
+        Rel::Fr,
+        Rel::Fre,
+    ];
+
+    /// The six declared specs plus one-axiom specs that put every
+    /// relation, paired with every other, in an acyclic union, an
+    /// `IrreflexiveSeq` head and an `IrreflexiveSeq` closure — so every
+    /// reduction meets every neighbour it could interact with.
+    fn plan_specs() -> Vec<ModelSpec> {
+        let mut kinds: Vec<AxiomKind> = vec![
+            AxiomKind::Acyclic(&ALL_RELS),
+            AxiomKind::IrreflexiveSeq {
+                head: &ALL_RELS,
+                closure: &ALL_RELS,
+            },
+        ];
+        for i in 0..ALL_RELS.len() {
+            for j in 0..ALL_RELS.len() {
+                kinds.push(AxiomKind::Acyclic(Box::leak(Box::new([
+                    ALL_RELS[i],
+                    ALL_RELS[j],
+                ]))));
+                kinds.push(AxiomKind::IrreflexiveSeq {
+                    head: &ALL_RELS[i..=i],
+                    closure: &ALL_RELS[j..=j],
+                });
+            }
+        }
+        let synthetic = kinds.into_iter().map(|kind| ModelSpec {
+            name: "synthetic",
+            axioms: Box::leak(Box::new([Axiom {
+                name: "synthetic",
+                kind,
+            }])),
+            ..TSO_SPEC
+        });
+        ModelId::ALL
+            .map(|id| *spec(id))
+            .into_iter()
+            .chain(synthetic)
+            .collect()
+    }
+
+    /// Random trace: at most 3 processes, 6 operations, 2 addresses and
+    /// 3 values, RMWs included.
+    fn arb_trace(rng: &mut StdRng, size: usize) -> Trace {
+        let procs = rng.gen_range(1..=3usize);
+        let mut per_proc: Vec<Vec<Op>> = vec![Vec::new(); procs];
+        for _ in 0..rng.gen_range(0..=size.min(6)) {
+            let a = rng.gen_range(0..2u32);
+            let v = rng.gen_range(0..3u64);
+            let op = match rng.gen_range(0..3u8) {
+                0 => Op::read(a, v),
+                1 => Op::write(a, v),
+                _ => Op::rmw(a, v, rng.gen_range(0..3u64)),
+            };
+            per_proc[rng.gen_range(0..procs)].push(op);
+        }
+        per_proc
+            .into_iter()
+            .fold(TraceBuilder::new(), |b, ops| b.proc(ops))
+            .build()
+    }
+
+    /// Random witness: each read decided from its `rf` candidates (or
+    /// left undecided unless `complete`), each address's `mo` a random
+    /// arrangement of a random subset of its writes (all when `complete`).
+    fn arb_witness(rng: &mut StdRng, ev: &Events, complete: bool) -> Witness {
+        let mut w = Witness::empty(ev.len(), ev.writes_by_slot.len());
+        for (e, cands) in ev.candidates.iter().enumerate() {
+            if !cands.is_empty() && (complete || rng.gen_bool(0.7)) {
+                w.rf[e] = Some(cands[rng.gen_range(0..cands.len())]);
+            }
+        }
+        for (order, writes) in w.mo.iter_mut().zip(&ev.writes_by_slot) {
+            for &x in writes {
+                if complete || rng.gen_bool(0.7) {
+                    order.insert(rng.gen_range(0..=order.len()), x);
+                }
+            }
+        }
+        w
+    }
+
+    /// The compiled plan names the same first violated axiom as the
+    /// reference evaluator on partial and complete witnesses, under the
+    /// declared specs and the synthetic ones.
+    #[test]
+    fn axiom_plan_matches_reference_evaluator() {
+        use vermem_util::prop::PropConfig;
+        use vermem_util::{prop_assert_eq, prop_check};
+        let specs = plan_specs();
+        let (mut violated, mut clean) = (0u64, 0u64);
+        let cfg = PropConfig::with_cases(400).max_size(6);
+        prop_check!(
+            cfg,
+            |rng, size| {
+                let trace = arb_trace(rng, size);
+                let ev = Events::new(&trace);
+                let witnesses: Vec<Witness> =
+                    (0..8).map(|i| arb_witness(rng, &ev, i % 2 == 0)).collect();
+                (trace, witnesses)
+            },
+            |(trace, witnesses): &(Trace, Vec<Witness>)| {
+                let ev = Events::new(trace);
+                for spec in &specs {
+                    let plan = AxiomPlan::new(spec, &ev);
+                    for w in witnesses {
+                        let expected = violated_axiom(spec, &ev, w);
+                        prop_assert_eq!(plan.violated(&ev, w), expected, "{} on {w:?}", spec.name);
+                        if expected.is_some() {
+                            violated += 1;
+                        } else {
+                            clean += 1;
+                        }
+                    }
+                }
+                Ok(())
+            }
+        );
+        // Violations must be common enough for the comparison to bite.
+        assert!(
+            violated > 5_000 && clean > 5_000,
+            "{violated} violated, {clean} clean"
+        );
     }
 
     /// The derived schedule for serializing specs is a genuine

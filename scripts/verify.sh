@@ -106,6 +106,39 @@ if [[ -n "$bad" ]]; then
     echo "$bad" >&2
     exit 1
 fi
+# One per-state axiom evaluator: the graph machine asks the compiled
+# AxiomPlan (axiom/witness.rs). The naive evaluator rebuilds every
+# relation per call; graph.rs may reach it only inside a debug_assert
+# (the debug-build cross-check), and the retired per-state entry point
+# must not come back.
+if grep -rn 'partial_infeasible' crates/; then
+    echo "retired per-state evaluator partial_infeasible found (use AxiomPlan)" >&2
+    exit 1
+fi
+python3 - crates/consistency/src/axiom/graph.rs <<'EOF'
+import re, sys
+src = open(sys.argv[1]).read()
+src = re.sub(r'//[^\n]*', '', src)          # comments
+src = re.sub(r'\buse\s[^;]*;', '', src)     # imports
+kept, i = [], 0
+for m in re.finditer(r'debug_assert\w*!\s*\(', src):
+    if m.start() < i:
+        continue
+    kept.append(src[i:m.start()])
+    depth, j = 0, m.end() - 1
+    while True:                              # skip the balanced argument list
+        depth += {'(': 1, ')': -1}.get(src[j], 0)
+        j += 1
+        if depth == 0:
+            break
+    i = j
+kept.append(src[i:])
+rest = ''.join(kept)
+bad = [f for f in ('check_witness_ev', 'violated_axiom', 'push_rel')
+       if re.search(r'\b' + f + r'\b', rest)]
+if bad:
+    sys.exit(f"axiom/graph.rs calls the naive evaluator outside a debug_assert: {bad}")
+EOF
 echo "    ok"
 
 echo "==> stream hot path: no std HashMap anywhere in the stream engine"
