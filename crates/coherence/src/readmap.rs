@@ -10,8 +10,8 @@
 
 use crate::backtrack::precheck_ops;
 use crate::verdict::{Verdict, Violation, ViolationKind};
-use std::collections::HashMap;
-use vermem_trace::{check_coherent_schedule, Addr, AddrOps, OpRef, Schedule, Trace, Value};
+use vermem_trace::{check_coherent_schedule, Addr, AddrOps, Op, OpRef, Schedule, Trace, Value};
+use vermem_util::hash::FxHashMap;
 
 /// True if the read-map fast path applies to the operations at `addr`:
 /// simple reads/writes only, every value written at most once, and no write
@@ -26,7 +26,8 @@ pub fn applicable_ops(ops: &AddrOps) -> bool {
     !ops.has_rmw() && ops.max_writes_per_value() <= 1 && ops.writes_of(ops.initial()) == 0
 }
 
-/// Decide coherence at `addr` assuming [`applicable`]. O(n) modulo hashing.
+/// Decide coherence at `addr` assuming [`applicable`]. O(n + blocks)
+/// after one hash lookup per op, which binds the op to its block.
 ///
 /// # Panics
 /// Debug-asserts applicability; behaviour is unspecified otherwise.
@@ -48,114 +49,88 @@ pub fn solve_readmap_ops(indexed: &AddrOps) -> Verdict {
         "read-map fast path preconditions violated"
     );
     let addr = indexed.addr();
-    if let Some(v) = precheck_ops(indexed) {
-        return Verdict::Incoherent(v);
-    }
     let initial = indexed.initial();
 
-    // Flatten the per-address operations (proc-major, program order, the
-    // same order the historical trace scan produced); block 0 is the
-    // virtual initial block, block (w+1) belongs to the w-th write.
-    let ops: Vec<(OpRef, vermem_trace::Op)> = indexed.iter().collect();
-    let mut writer_block: HashMap<Value, usize> = HashMap::new();
-    let mut write_of_block: Vec<Option<usize>> = vec![None]; // block 0 has no write
+    // Flatten the per-address operations (proc-major, program order, so
+    // in ascending `OpRef` order); block 0 is the virtual initial block,
+    // block b ≥ 1 belongs to the b-th write of the flat order.
+    let ops: Vec<(OpRef, Op)> = indexed.iter().collect();
+    let mut writer_block: FxHashMap<Value, u32> =
+        FxHashMap::with_capacity_and_hasher(indexed.write_counts().len(), Default::default());
+    // Flat index of each block's write; block 0 has none.
+    let mut write_of_block: Vec<u32> = vec![u32::MAX];
     for (i, (_, op)) in ops.iter().enumerate() {
         if let Some(v) = op.written_value() {
-            let b = write_of_block.len();
-            write_of_block.push(Some(i));
-            writer_block.insert(v, b);
+            writer_block.insert(v, write_of_block.len() as u32);
+            write_of_block.push(i as u32);
         }
     }
     let nblocks = write_of_block.len();
 
-    // Assign each op to a block.
-    let block_of = |i: usize| -> usize {
-        let op = ops[i].1;
-        match op.written_value() {
-            Some(v) => writer_block[&v],
+    // Each op's block, bound once: a write opens the next block, a read
+    // joins its value's writer or the initial block. A read with neither,
+    // or a final value nobody produces, is exactly what the static
+    // precheck reports, so the precheck runs only to name it.
+    let precheck_violation =
+        || Verdict::Incoherent(precheck_ops(indexed).expect("an op has no producible value"));
+    let mut block: Vec<u32> = Vec::with_capacity(ops.len());
+    let mut writes_seen = 0u32;
+    for (_, op) in &ops {
+        let b = match op.read_value() {
             None => {
-                let v = op.read_value().expect("simple read");
-                if v == initial {
-                    0
-                } else {
-                    writer_block[&v] // exists after precheck + applicability
-                }
+                writes_seen += 1;
+                writes_seen
             }
-        }
-    };
-
-    // Per-process index ranges into the flat `ops` (the layout is
-    // proc-major, so each process owns one contiguous range).
-    let mut proc_ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(indexed.per_proc().len());
-    let mut start = 0usize;
-    for pp in indexed.per_proc() {
-        proc_ranges.push(start..start + pp.len());
-        start += pp.len();
+            Some(v) if v == initial => 0,
+            Some(v) => match writer_block.get(&v) {
+                Some(&b) => b,
+                None => return precheck_violation(),
+            },
+        };
+        block.push(b);
     }
+    let final_block = match indexed.final_value() {
+        None => None,
+        // Applicability excludes rewrites of d_I, so a final d_I is
+        // producible only when nothing is written; block 0 is then last.
+        Some(f) if f == initial && nblocks == 1 => Some(0),
+        Some(f) => match writer_block.get(&f) {
+            Some(&b) => Some(b as usize),
+            None => return precheck_violation(),
+        },
+    };
 
     // A read program-order-before its own writer is a same-block cycle.
-    for range in &proc_ranges {
-        let mut writes_seen: HashMap<usize, u32> = HashMap::new(); // block -> write index
-        for i in range.clone() {
-            if ops[i].1.is_writing() {
-                writes_seen.insert(block_of(i), ops[i].0.index);
-            }
+    for (i, &(r, op)) in ops.iter().enumerate() {
+        let b = block[i] as usize;
+        if op.is_writing() || b == 0 {
+            continue;
         }
-        for i in range.clone() {
-            if !ops[i].1.is_writing() {
-                let b = block_of(i);
-                if let Some(&widx) = writes_seen.get(&b) {
-                    if ops[i].0.index < widx {
-                        return Verdict::Incoherent(Violation {
-                            addr,
-                            kind: ViolationKind::PrecedenceCycle {
-                                cycle: vec![
-                                    ops[i].0,
-                                    OpRef {
-                                        proc: ops[i].0.proc,
-                                        index: widx,
-                                    },
-                                ],
-                            },
-                        });
-                    }
-                }
-            }
+        let w = ops[write_of_block[b] as usize].0;
+        if w.proc == r.proc && r.index < w.index {
+            return Verdict::Incoherent(Violation {
+                addr,
+                kind: ViolationKind::PrecedenceCycle { cycle: vec![r, w] },
+            });
         }
     }
 
-    // Block precedence edges from consecutive same-process operations, plus
-    // block 0 before everything (initial reads precede the first write).
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
-    let mut indeg = vec![0usize; nblocks];
-    let add_edge = |adj: &mut Vec<Vec<usize>>, indeg: &mut Vec<usize>, a: usize, b: usize| {
-        adj[a].push(b);
-        indeg[b] += 1;
-    };
-    for b in 1..nblocks {
-        add_edge(&mut adj, &mut indeg, 0, b);
-    }
-    for range in &proc_ranges {
-        for i in range.clone().skip(1) {
-            let (a, b) = (block_of(i - 1), block_of(i));
-            if a != b {
-                add_edge(&mut adj, &mut indeg, a, b);
-            }
-        }
+    // Block precedence edges, as CSR: block 0 before every other block
+    // (initial reads precede the first write), then one edge per pair of
+    // consecutive same-process operations in different blocks.
+    let po_edges = (1..ops.len())
+        .filter(|&i| ops[i - 1].0.proc == ops[i].0.proc && block[i - 1] != block[i])
+        .map(|i| (block[i - 1], block[i]));
+    let (start, succ) = bucket(nblocks, (1..nblocks as u32).map(|b| (0, b)).chain(po_edges));
+    let succs_of = |b: usize| &succ[start[b] as usize..start[b + 1] as usize];
+    let mut indeg = vec![0u32; nblocks];
+    for &b in &succ {
+        indeg[b as usize] += 1;
     }
 
     // Final value: its block must carry no outgoing edges so it can be last.
-    let final_block = indexed.final_value().map(|f| {
-        if f == initial {
-            // Applicability excludes rewrites of d_I, and precheck accepted,
-            // so there are no writes at all; block 0 is trivially last.
-            0
-        } else {
-            writer_block[&f]
-        }
-    });
     if let Some(fb) = final_block {
-        if !adj[fb].is_empty() {
+        if !succs_of(fb).is_empty() {
             return Verdict::Incoherent(Violation {
                 addr,
                 kind: ViolationKind::FinalValueUnwritable {
@@ -172,7 +147,8 @@ pub fn solve_readmap_ops(indexed: &AddrOps) -> Verdict {
     let mut order: Vec<usize> = Vec::with_capacity(nblocks);
     while let Some(b) = queue.pop() {
         order.push(b);
-        for &next in &adj[b] {
+        for &next in succs_of(b) {
+            let next = next as usize;
             indeg[next] -= 1;
             if indeg[next] == 0 && Some(next) != final_block {
                 queue.push(next);
@@ -186,9 +162,13 @@ pub fn solve_readmap_ops(indexed: &AddrOps) -> Verdict {
         }
     }
     if order.len() != nblocks {
-        let cycle: Vec<OpRef> = (0..nblocks)
-            .filter(|&b| !order.contains(&b))
-            .filter_map(|b| write_of_block[b].map(|i| ops[i].0))
+        let mut placed = vec![false; nblocks];
+        for &b in &order {
+            placed[b] = true;
+        }
+        let cycle: Vec<OpRef> = (1..nblocks)
+            .filter(|&b| !placed[b])
+            .map(|b| ops[write_of_block[b] as usize].0)
             .collect();
         return Verdict::Incoherent(Violation {
             addr,
@@ -197,30 +177,49 @@ pub fn solve_readmap_ops(indexed: &AddrOps) -> Verdict {
     }
 
     // Emit the schedule: per block, the write then its reads in (proc,
-    // program-order) order.
-    let mut reads_of_block: Vec<Vec<OpRef>> = vec![Vec::new(); nblocks];
-    for (i, (r, op)) in ops.iter().enumerate() {
-        if !op.is_writing() {
-            reads_of_block[block_of(i)].push(*r);
-        }
-    }
+    // program-order) order, which is the flat order the buckets keep.
+    let block_reads = (0..ops.len() as u32)
+        .filter(|&i| !ops[i as usize].1.is_writing())
+        .map(|i| (block[i as usize], i));
+    let (read_start, reads) = bucket(nblocks, block_reads);
     let mut refs: Vec<OpRef> = Vec::with_capacity(ops.len());
     for &b in &order {
-        if let Some(wi) = write_of_block[b] {
-            refs.push(ops[wi].0);
+        if b != 0 {
+            refs.push(ops[write_of_block[b] as usize].0);
         }
-        let mut reads = reads_of_block[b].clone();
-        reads.sort_unstable();
-        refs.extend(reads);
+        let block_reads = &reads[read_start[b] as usize..read_start[b + 1] as usize];
+        refs.extend(block_reads.iter().map(|&i| ops[i as usize].0));
     }
     Verdict::Coherent(Schedule::from_refs(refs))
+}
+
+/// Group `items` by key with a counting sort: bucket `k` of the result is
+/// `values[start[k]..start[k + 1]]`, in the order `items` yields them.
+fn bucket(
+    nbuckets: usize,
+    items: impl Iterator<Item = (u32, u32)> + Clone,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; nbuckets + 1];
+    for (k, _) in items.clone() {
+        start[k as usize + 1] += 1;
+    }
+    for k in 0..nbuckets {
+        start[k + 1] += start[k];
+    }
+    let mut fill = start.clone();
+    let mut values = vec![0; start[nbuckets] as usize];
+    for (k, v) in items {
+        values[fill[k as usize] as usize] = v;
+        fill[k as usize] += 1;
+    }
+    (start, values)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backtrack::{solve_backtracking, SearchConfig};
-    use vermem_trace::{Op, TraceBuilder};
+    use vermem_trace::TraceBuilder;
 
     #[test]
     fn applicability() {

@@ -58,8 +58,7 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use vermem_trace::{AddrOps, Op, OpRef, Value};
-use vermem_util::bitset::{BitRow, BitSet};
-use vermem_util::hash::{FxHashMap, FxHashSet};
+use vermem_util::hash::FxHashMap;
 
 /// Per-operation feasible position windows, indexed densely by
 /// `(process, program-order index)`.
@@ -114,6 +113,12 @@ const MAX_CANDIDATE_PAIRS: usize = 1 << 22;
 /// Fixpoint round cap. Each round only shrinks windows and candidate
 /// sets, so convergence is guaranteed; the cap bounds worst-case cost
 /// (stopping early merely prunes less — still sound).
+///
+/// The fixpoint stops after the first round that adds no must-precede
+/// edge. The next round would see the same graph, so its sweeps would
+/// reproduce the same windows and closure, and candidate filtering on
+/// the same windows and closure removes nothing more: that round is a
+/// no-op, so skipping it changes no output.
 const MAX_ROUNDS: usize = 32;
 
 /// Deep-rule budget. The quadratic-ish rules — fr-edge propagation (a
@@ -121,47 +126,161 @@ const MAX_ROUNDS: usize = 32;
 /// final-value write fan-out, and the init-read fan-out — only pay for
 /// themselves on small, constraint-dense addresses; above this many ops
 /// per address they are skipped and the cheap linear fixpoint still runs
-/// (skipping only prunes less — still sound).
+/// (skipping only prunes less — still sound). It also fixes the width of
+/// a deep-mode bit [`Row`]: one bit per op.
 const MAX_DEEP_OPS: usize = 256;
 
-/// A must-precede edge `a → b` between dense op ids.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct Edge(u32, u32);
+/// A deep-mode bit row over an address's dense op ids. Rows have a fixed
+/// width, so every row operation is a handful of straight word ops; an
+/// n-row matrix of them is at most 8 KiB.
+type Row = [u64; MAX_DEEP_OPS / 64];
 
-/// Record `a → b` in the must-precede graph unless already present.
-/// Returns true when the edge is new.
-fn add_edge(
-    a: u32,
-    b: u32,
-    succs: &mut [Vec<u32>],
-    preds: &mut [Vec<u32>],
-    seen: &mut FxHashSet<Edge>,
-) -> bool {
-    if a != b && seen.insert(Edge(a, b)) {
-        succs[a as usize].push(b);
-        preds[b as usize].push(a);
-        true
-    } else {
-        false
+fn set_bit(row: &mut Row, bit: u32) {
+    row[bit as usize >> 6] |= 1u64 << (bit & 63);
+}
+
+fn clear_bit(row: &mut Row, bit: u32) {
+    row[bit as usize >> 6] &= !(1u64 << (bit & 63));
+}
+
+fn test_bit(row: &Row, bit: u32) -> bool {
+    row[bit as usize >> 6] >> (bit & 63) & 1 == 1
+}
+
+/// `a |= b`.
+fn or_into(a: &mut Row, b: &Row) {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x |= y;
     }
 }
 
-/// Reusable per-thread scratch for the fixpoint rounds. Every round of
-/// every address re-shapes these to its geometry and zeroes in place;
-/// memory is allocated only when an address outgrows the thread's
-/// high-water mark, so steady-state analysis rounds allocate nothing.
+/// `a & b`.
+fn and(a: &Row, b: &Row) -> Row {
+    std::array::from_fn(|k| a[k] & b[k])
+}
+
+/// True if the rows share a set bit.
+fn intersects(a: &Row, b: &Row) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+/// Call `f` with every set bit of `row`, in ascending order.
+fn for_each_bit(row: &Row, mut f: impl FnMut(u32)) {
+    for (k, &word) in row.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            f((k * 64) as u32 + rest.trailing_zeros());
+            rest &= rest - 1;
+        }
+    }
+}
+
+/// The must-precede graph under construction. Adjacency lists drive the
+/// topological sweeps. In deep mode the graph also keeps an n×n adjacency
+/// matrix, its transpose, and its transitive closure as of the start of
+/// the round (both directions), so "is `a` already ordered before `b`" is
+/// a bit test, and the fr fan-out masks whole rows of edges that are
+/// present or implied. Leaving out an implied edge moves no window, no
+/// closure row and no release of the fast-accept simulation, so it
+/// changes no output; it only spares the sweeps. Above the deep gate only
+/// the forced serving edges join the graph, at most two per read, and
+/// their membership is a scan of the shorter adjacency list.
+struct MustPrecede<'s> {
+    succs: &'s mut [Vec<u32>],
+    preds: &'s mut [Vec<u32>],
+    /// Row `a` holds the successors of `a` (deep mode only, else empty).
+    adj: &'s mut [Row],
+    /// Row `b` holds the predecessors of `b` (deep mode only, else empty).
+    adj_t: &'s mut [Row],
+    /// Row `i` holds the ops provably after `i` when the round started
+    /// (deep mode only).
+    reach: &'s mut [Row],
+    /// Row `i` holds the ops provably before `i` when the round started
+    /// (deep mode only).
+    reach_t: &'s mut [Row],
+}
+
+impl MustPrecede<'_> {
+    /// Record `a → b` unless it is a self-loop or `a` is already ordered
+    /// before `b`. Returns true when the edge is new.
+    fn add(&mut self, a: u32, b: u32) -> bool {
+        let ordered = if self.adj.is_empty() {
+            let (out, inc) = (&self.succs[a as usize], &self.preds[b as usize]);
+            if out.len() <= inc.len() {
+                out.contains(&b)
+            } else {
+                inc.contains(&a)
+            }
+        } else {
+            test_bit(&self.adj[a as usize], b) || test_bit(&self.reach[a as usize], b)
+        };
+        if a == b || ordered {
+            return false;
+        }
+        self.push(a, b);
+        true
+    }
+
+    /// The ops of `targets`, other than `a`, not yet ordered after `a`
+    /// (deep mode).
+    fn unordered_after(&self, a: u32, targets: &Row) -> Row {
+        let (adj, reach) = (&self.adj[a as usize], &self.reach[a as usize]);
+        let mut fresh = std::array::from_fn(|k| targets[k] & !(adj[k] | reach[k]));
+        clear_bit(&mut fresh, a);
+        fresh
+    }
+
+    /// The ops of `sources`, other than `b`, not yet ordered before `b`
+    /// (deep mode).
+    fn unordered_before(&self, sources: &Row, b: u32) -> Row {
+        let (adj_t, reach_t) = (&self.adj_t[b as usize], &self.reach_t[b as usize]);
+        let mut fresh = std::array::from_fn(|k| sources[k] & !(adj_t[k] | reach_t[k]));
+        clear_bit(&mut fresh, b);
+        fresh
+    }
+
+    /// Record `a → b`, known to be absent and not a self-loop.
+    fn push(&mut self, a: u32, b: u32) {
+        self.succs[a as usize].push(b);
+        self.preds[b as usize].push(a);
+        if !self.adj.is_empty() {
+            set_bit(&mut self.adj[a as usize], b);
+            set_bit(&mut self.adj_t[b as usize], a);
+        }
+    }
+}
+
+/// Reusable per-thread scratch for the fixpoint rounds. Every address
+/// re-shapes these to its size and zeroes them in place; memory is
+/// allocated only when an address outgrows the thread's high-water mark,
+/// so steady-state analysis rounds allocate nothing.
 #[derive(Default)]
 struct Scratch {
+    /// Must-precede successor lists (only the first `n` are live).
+    succs: Vec<Vec<u32>>,
+    /// Must-precede predecessor lists (only the first `n` are live).
+    preds: Vec<Vec<u32>>,
+    /// Deep-mode adjacency matrix of the must-precede graph.
+    adj: Vec<Row>,
+    /// Its transpose.
+    adj_t: Vec<Row>,
+    /// Deep-mode transitive closure: row `i` holds the ops provably
+    /// after `i`.
+    reach: Vec<Row>,
+    /// Its transpose: row `i` holds the ops provably before `i`.
+    reach_t: Vec<Row>,
     /// In-degrees of the must-precede graph (topological sort).
     indeg: Vec<u32>,
     /// Zero-in-degree work stack (topological sort).
     queue: Vec<u32>,
     /// The round's topological order.
     order: Vec<u32>,
-    /// Transitive-closure matrix: row `i` holds the ops provably after `i`.
-    reach: BitSet,
-    /// Writes that must precede the read under scrutiny.
-    writes_before: BitRow,
+}
+
+/// Re-shape `rows` to `n` cleared rows, reusing its allocation.
+fn reset_rows(rows: &mut Vec<Row>, n: usize) {
+    rows.clear();
+    rows.resize(n, Row::default());
 }
 
 thread_local! {
@@ -177,6 +296,9 @@ struct ReadInfo {
     prev_write: Option<u32>,
     /// True while the initial value `d_I` remains a viable server.
     has_init: bool,
+    /// True once the forced serving edges of a unique candidate are in
+    /// the graph. Candidate sets only shrink, so they are added once.
+    forced: bool,
     /// Surviving candidate serving writes (dense ids).
     cands: Vec<u32>,
 }
@@ -192,11 +314,15 @@ pub fn analyze(ops: &AddrOps) -> WindowOutcome {
 
 fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
     let Scratch {
+        succs,
+        preds,
+        adj,
+        adj_t,
+        reach,
+        reach_t,
         indeg,
         queue,
         order,
-        reach,
-        writes_before,
     } = scratch;
     let per_proc = ops.per_proc();
     let n = ops.num_ops();
@@ -281,27 +407,13 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
                     id,
                     prev_write,
                     has_init,
+                    forced: false,
                     cands,
                 });
             }
             if op.is_writing() {
                 prev_write = Some(id);
             }
-        }
-    }
-
-    // Must-precede graph: program order seeds it; forced serving, fr, and
-    // final-value edges join during the fixpoint.
-    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut edge_seen: FxHashSet<Edge> = FxHashSet::default();
-    for (p, h) in per_proc.iter().enumerate() {
-        for j in 1..h.len() {
-            let a = offsets[p] + j as u32 - 1;
-            let b = offsets[p] + j as u32;
-            succs[a as usize].push(b);
-            preds[b as usize].push(a);
-            edge_seen.insert(Edge(a, b));
         }
     }
 
@@ -315,6 +427,40 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
     let skip_fixpoint = pairs > MAX_CANDIDATE_PAIRS;
     let deep = !skip_fixpoint && n <= MAX_DEEP_OPS;
 
+    // Must-precede graph: program order seeds it; forced serving, fr, and
+    // final-value edges join during the fixpoint.
+    if succs.len() < n {
+        succs.resize_with(n, Vec::new);
+        preds.resize_with(n, Vec::new);
+    }
+    let (succs, preds) = (&mut succs[..n], &mut preds[..n]);
+    for list in succs.iter_mut().chain(preds.iter_mut()) {
+        list.clear();
+    }
+    let deep_rows = if deep { n } else { 0 };
+    for rows in [&mut *adj, &mut *adj_t, &mut *reach, &mut *reach_t] {
+        reset_rows(rows, deep_rows);
+    }
+    let mut writes = Row::default();
+    if deep {
+        for &w in &write_ids {
+            set_bit(&mut writes, w);
+        }
+    }
+    let mut graph = MustPrecede {
+        succs,
+        preds,
+        adj,
+        adj_t,
+        reach,
+        reach_t,
+    };
+    for (p, h) in per_proc.iter().enumerate() {
+        for j in 1..h.len() as u32 {
+            graph.push(offsets[p] + j - 1, offsets[p] + j);
+        }
+    }
+
     // Final-value edge: the last write of every coherent schedule produces
     // the dumped final value, so a *unique* writer of that value must
     // follow every other write (an O(writes) fan-out — deep rule). No
@@ -324,7 +470,7 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
         match writers.get(&f).map(Vec::as_slice) {
             Some(&[wf]) if deep => {
                 for &w in &write_ids {
-                    add_edge(w, wf, &mut succs, &mut preds, &mut edge_seen);
+                    graph.add(w, wf);
                 }
             }
             Some(_) => {}
@@ -337,12 +483,25 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
     }
 
     let mut rounds = 0;
-    let mut changed = true;
-    while changed && rounds < MAX_ROUNDS && !skip_fixpoint {
-        changed = false;
+    let mut grew = true;
+    while grew && rounds < MAX_ROUNDS && !skip_fixpoint {
+        grew = false;
         rounds += 1;
+        let MustPrecede {
+            succs,
+            preds,
+            reach,
+            reach_t,
+            ..
+        } = &mut graph;
 
-        // Longest-path window tightening over the must-precede DAG.
+        // Longest-path window tightening over the must-precede DAG, and
+        // in deep mode its transitive closure for the fr rules. A forward
+        // sweep in topological order (Kahn's algorithm) settles each op's
+        // earliest position and `reach_t` row (the ops strictly before
+        // it) from its predecessors; a reverse sweep settles its latest
+        // position and `reach` row (the ops strictly after it) from its
+        // successors. Those are final by the time the sweep visits the op.
         order.clear();
         indeg.clear();
         indeg.extend(preds.iter().map(|p| p.len() as u32));
@@ -350,7 +509,19 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
         queue.extend((0..n as u32).filter(|&i| indeg[i as usize] == 0));
         while let Some(i) = queue.pop() {
             order.push(i);
-            for &s in &succs[i as usize] {
+            let i = i as usize;
+            let mut before = Row::default();
+            for &pr in &preds[i] {
+                lo[i] = lo[i].max(lo[pr as usize] + 1);
+                if deep {
+                    or_into(&mut before, &reach_t[pr as usize]);
+                    set_bit(&mut before, pr);
+                }
+            }
+            if deep {
+                reach_t[i] = before;
+            }
+            for &s in &succs[i] {
                 indeg[s as usize] -= 1;
                 if indeg[s as usize] == 0 {
                     queue.push(s);
@@ -360,22 +531,18 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
         if order.len() < n {
             return WindowOutcome::Infeasible; // must-precede cycle
         }
-        for &i in order.iter() {
-            for &pr in &preds[i as usize] {
-                let bound = lo[pr as usize] + 1;
-                if bound > lo[i as usize] {
-                    lo[i as usize] = bound;
-                    changed = true;
+        for &i in order.iter().rev() {
+            let i = i as usize;
+            let mut after = Row::default();
+            for &s in &succs[i] {
+                hi[i] = hi[i].min(hi[s as usize].saturating_sub(1));
+                if deep {
+                    or_into(&mut after, &reach[s as usize]);
+                    set_bit(&mut after, s);
                 }
             }
-        }
-        for &i in order.iter().rev() {
-            for &s in &succs[i as usize] {
-                let bound = hi[s as usize].saturating_sub(1);
-                if bound < hi[i as usize] {
-                    hi[i as usize] = bound;
-                    changed = true;
-                }
+            if deep {
+                reach[i] = after;
             }
         }
         for i in 0..n {
@@ -384,35 +551,16 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
             }
         }
 
-        // Transitive closure of this round's must-precede snapshot
-        // (reverse-topological bitset accumulation), for the fr rules.
-        // Row `i` of `reach` holds the ops strictly after `i` in every
-        // schedule. Successor rows are final by the time `i` is visited,
-        // so each row accumulates in place — no per-row temporary.
-        if deep {
-            reach.reset(n, n);
-            for &i in order.iter().rev() {
-                for &s in &succs[i as usize] {
-                    reach.set(i as usize, s as usize);
-                    reach.union_row(i as usize, s as usize);
-                }
-            }
-        }
-
         // Candidate filtering + forced serving edges + fr propagation.
         for r in &mut reads {
             let rid = r.id as usize;
-            let before = r.cands.len();
             let prev = r.prev_write;
             // Writes that must precede this read (fr rules below).
-            if deep {
-                writes_before.reset(n);
-                for &w in &write_ids {
-                    if reach.test(w as usize, rid) {
-                        writes_before.set(w as usize);
-                    }
-                }
-            }
+            let writes_before = if deep {
+                and(&graph.reach_t[rid], &writes)
+            } else {
+                Row::default()
+            };
             r.cands.retain(|&w| {
                 let wid = w as usize;
                 // The serving write must be strictly before the read...
@@ -427,53 +575,54 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
                 }
                 // ...and the *latest* write before the read: it is dead
                 // when another write provably lands between the two.
-                if deep && reach.row_intersects(wid, writes_before.words()) {
+                if deep && intersects(&graph.reach[wid], &writes_before) {
                     return false;
                 }
                 true
             });
-            if r.cands.len() != before {
-                changed = true;
-            }
             if r.cands.is_empty() && !r.has_init {
                 return WindowOutcome::Infeasible;
             }
             if !r.has_init && r.cands.len() == 1 {
                 let w = r.cands[0];
-                changed |= add_edge(w, r.id, &mut succs, &mut preds, &mut edge_seen);
-                if let Some(pw) = r.prev_write {
-                    if pw != w {
-                        changed |= add_edge(pw, w, &mut succs, &mut preds, &mut edge_seen);
+                if !r.forced {
+                    r.forced = true;
+                    grew |= graph.add(w, r.id);
+                    if let Some(pw) = prev {
+                        if pw != w {
+                            grew |= graph.add(pw, w);
+                        }
                     }
                 }
                 if deep {
                     // fr edges: the read sits between its unique server
                     // `w` and the next write, so it precedes every write
                     // ordered after `w`, and every write ordered before
-                    // the read precedes `w`.
-                    for &w2 in &write_ids {
-                        if w2 == w || w2 == r.id {
-                            continue;
-                        }
-                        if reach.test(w as usize, w2 as usize) {
-                            changed |= add_edge(r.id, w2, &mut succs, &mut preds, &mut edge_seen);
-                        }
-                        if writes_before.test(w2 as usize) {
-                            changed |= add_edge(w2, w, &mut succs, &mut preds, &mut edge_seen);
-                        }
-                    }
+                    // the read precedes `w`. Only edges not yet ordered
+                    // cost per-bit work. (The closure is acyclic, so `w`
+                    // is not among the writes after `w`, nor `r` among
+                    // the writes before `r`.)
+                    let later = and(&graph.reach[w as usize], &writes);
+                    let fresh = graph.unordered_after(r.id, &later);
+                    for_each_bit(&fresh, |w2| graph.push(r.id, w2));
+                    grew |= fresh != Row::default();
+
+                    let fresh = graph.unordered_before(&writes_before, w);
+                    for_each_bit(&fresh, |w2| graph.push(w2, w));
+                    grew |= fresh != Row::default();
                 }
             }
             if deep && r.has_init && r.cands.is_empty() {
                 // Must read the initial value, which no write re-produces
                 // (any such write would be a candidate): the read precedes
-                // every write (O(writes) fan-out per such read — deep rule).
-                for &w2 in &write_ids {
-                    changed |= add_edge(r.id, w2, &mut succs, &mut preds, &mut edge_seen);
-                }
+                // every write (a row fan-out per such read — deep rule).
+                let fresh = graph.unordered_after(r.id, &writes);
+                for_each_bit(&fresh, |w2| graph.push(r.id, w2));
+                grew |= fresh != Row::default();
             }
         }
     }
+    let MustPrecede { succs, preds, .. } = graph;
 
     // Fast accept: a value-aware greedy simulation of the must-precede
     // graph. Reads are *absorbed* as soon as they are released and match

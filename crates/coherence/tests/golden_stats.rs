@@ -1,15 +1,18 @@
 //! Golden verdicts and statistics for the exact VMC search, the
-//! exact-search kernel's memo and the streaming engine.
+//! exact-search kernel's memo, the streaming engine and the VMC frontline
+//! (closure fixpoint and read-map fast path).
 //!
 //! Each `render_*` function below produces one line per (instance,
 //! configuration): the verdict — witness schedule included — and every
 //! counter the engine reports. The files under `tests/golden/` hold those
 //! lines as they were recorded before the alternative memo-key and
-//! stream-storage representations were retired and before the VMC search
-//! moved onto the kernel, and are compared whole: a changed verdict,
-//! schedule or single counter fails here. The instances sit on the
-//! representation boundaries that a refactor of the memo or the stream
-//! tables must not disturb:
+//! stream-storage representations were retired, before the VMC search
+//! moved onto the kernel, and (`frontline.txt`) before the closure and
+//! read map moved from hash sets and maps to bit rows and flat arrays.
+//! They are compared whole: a changed verdict, window, schedule or single
+//! counter fails here. The instances sit on the representation boundaries
+//! that a refactor of the memo, the stream tables or the frontline must
+//! not disturb:
 //!
 //! * VMC memo key: 8 vs 9 processes (one packed frontier word vs two, so
 //!   the flat short-key tier vs the interned tier) and 255 vs 256 ops per
@@ -22,13 +25,21 @@
 //! * kernel memo: 2-word vs 3-word state keys (the flat short-key tier vs
 //!   the interned long-key tier);
 //! * stream engine: coherent, violating and retiring streams at several
-//!   windows and shard counts.
+//!   windows and shard counts;
+//! * closure frontline and read-map fast path: addresses of 63/64/65,
+//!   128/129 and 256/257 ops (one vs several bit-row words, and both
+//!   sides of the closure's deep-rule gate), RMW chains, value-reuse and
+//!   hard coherent traces that escalate, and read-map addresses with a
+//!   precedence cycle, a read before its own writer and an unwritable
+//!   final value. Every op's position window is pinned, not just the
+//!   verdict.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use vermem_coherence::backtrack::solve_escalated_ops_with_stats;
 use vermem_coherence::closure::{analyze_ops, ClosureOutcome};
 use vermem_coherence::kernel::{run_search, KernelConfig, TransitionSystem};
+use vermem_coherence::readmap::{applicable_ops, solve_readmap_ops};
 use vermem_coherence::{
     solve_backtracking_with_stats, verify_stream_bytes, PruneConfig, RecorderConfig, SearchConfig,
     StreamConfig,
@@ -36,7 +47,9 @@ use vermem_coherence::{
 use vermem_reductions::reduce_3sat_rmw;
 use vermem_sat::random::{gen_random_ksat, RandomSatConfig};
 use vermem_trace::binary::{encode_event_stream, encode_trace};
-use vermem_trace::gen::{gen_hard_coherent, gen_sc_trace, GenConfig};
+use vermem_trace::gen::{
+    gen_hard_coherent, gen_sc_trace, inject_violation, GenConfig, ViolationKind,
+};
 use vermem_trace::{Addr, AddrOps, Op, OpRef, ProcId, Trace, TraceBuilder};
 use vermem_util::rng::StdRng;
 
@@ -398,6 +411,206 @@ fn render_stream() -> String {
         .unwrap();
     }
     out
+}
+
+/// Split `n` ops over `procs` processes as evenly as possible.
+fn even_lens(n: usize, procs: usize) -> Vec<usize> {
+    (0..procs)
+        .map(|p| n / procs + usize::from(p < n % procs))
+        .collect()
+}
+
+/// A coherent single-address chain of `n` ops in which every write is an
+/// RMW of the current value, with reads interleaved: the RMW pigeonhole
+/// and the forced serving order carry the whole instance.
+fn rmw_chain(procs: usize, n: usize, seed: u64) -> Trace {
+    let mut rng = StdRng::seed_from_u64(779_000 + seed);
+    let mut hists: Vec<Vec<Op>> = vec![Vec::new(); procs];
+    let mut current = 0u64;
+    for _ in 0..n {
+        let p = rng.gen_range(0..procs);
+        let op = if rng.gen_range(0..3) == 0 {
+            Op::r(current)
+        } else {
+            let next = rng.gen_range(0..4u64);
+            let op = Op::rw(current, next);
+            current = next;
+            op
+        };
+        hists[p].push(op);
+    }
+    hists
+        .into_iter()
+        .fold(TraceBuilder::new(), |b, h| b.proc(h))
+        .build()
+}
+
+/// One line per front-line layer that applies to `trace` at address 0:
+/// the closure's outcome in full (schedule, violation, or every op's
+/// `(lo, hi)` window) with its stats, and the read-map verdict when the
+/// read-map fast path applies.
+fn render_frontline_instance(out: &mut String, ctx: &str, trace: &Trace) {
+    let ops = AddrOps::of(trace, Addr::ZERO);
+    let (outcome, stats) = analyze_ops(&ops);
+    let shown = match &outcome {
+        ClosureOutcome::Coherent(s) => format!("Coherent {s:?}"),
+        ClosureOutcome::Violation(v) => format!("Violation {v:?}"),
+        ClosureOutcome::Escalate(table) => {
+            let mut w = String::from("Escalate");
+            for (p, h) in ops.per_proc().iter().enumerate() {
+                write!(w, " p{p}:").unwrap();
+                for j in 0..h.len() as u32 {
+                    let (lo, hi) = table.window(p, j);
+                    write!(w, " {lo}-{hi}").unwrap();
+                }
+            }
+            w
+        }
+    };
+    writeln!(
+        out,
+        "{ctx} n={} closure | {shown} | {stats:?}",
+        ops.num_ops()
+    )
+    .unwrap();
+    if applicable_ops(&ops) {
+        writeln!(out, "{ctx} readmap | {:?}", solve_readmap_ops(&ops)).unwrap();
+    }
+}
+
+fn render_frontline() -> String {
+    let mut out = String::new();
+    let sizes = [63, 64, 65, 128, 129, 256, 257];
+    let kinds = [
+        ViolationKind::CorruptReadValue,
+        ViolationKind::StaleRead,
+        ViolationKind::LostWrite,
+        ViolationKind::ReorderAdjacent,
+    ];
+    for n in sizes {
+        for seed in 0..3u64 {
+            let serial = serial_trace(&even_lens(n, 4), seed);
+            render_frontline_instance(&mut out, &format!("serial n={n} seed={seed}"), &serial);
+            // The same trace with its final value dumped: the unique-final-
+            // writer rule engages when the last value has one writer.
+            let mut with_final = serial.clone();
+            if let Some(v) = serial
+                .iter_ops()
+                .filter_map(|(_, op)| op.written_value())
+                .last()
+            {
+                with_final.set_final(Addr::ZERO, v);
+            }
+            render_frontline_instance(
+                &mut out,
+                &format!("serial+final n={n} seed={seed}"),
+                &with_final,
+            );
+            let chain = rmw_chain(3, n, seed);
+            render_frontline_instance(&mut out, &format!("rmw-chain n={n} seed={seed}"), &chain);
+            for (name, reuse, rmw) in [
+                ("reuse", 0.5, 0.0),
+                ("reuse-rmw", 0.5, 0.3),
+                ("unique", 0.0, 0.0),
+            ] {
+                let (trace, _) = gen_sc_trace(&GenConfig {
+                    procs: 4,
+                    total_ops: n,
+                    addrs: 1,
+                    write_fraction: 0.6,
+                    rmw_fraction: rmw,
+                    value_reuse: reuse,
+                    seed: 780_000 + seed,
+                });
+                let ctx = format!("{name} n={n} seed={seed}");
+                render_frontline_instance(&mut out, &ctx, &trace);
+                for (k, kind) in kinds.iter().enumerate() {
+                    if let Some((bad, _)) = inject_violation(&trace, *kind, seed * 7 + k as u64) {
+                        render_frontline_instance(&mut out, &format!("{ctx} {kind:?}"), &bad);
+                    }
+                }
+            }
+        }
+    }
+
+    // Hard coherent instances (repeated values, several writers per
+    // value), most of which escalate past the closure.
+    for (procs, ops_per_proc) in [(4, 6), (4, 8), (5, 8), (8, 16), (8, 32), (16, 16)] {
+        for seed in 0..4u64 {
+            let (trace, _) = gen_hard_coherent(procs, ops_per_proc, 2, seed);
+            render_frontline_instance(
+                &mut out,
+                &format!("hard procs={procs} ops={ops_per_proc} seed={seed}"),
+                &trace,
+            );
+        }
+    }
+
+    // Read-map addresses decided by each of its rules.
+    let fixed = [
+        (
+            "readmap cycle",
+            TraceBuilder::new()
+                .proc([Op::w(1u64), Op::r(2u64)])
+                .proc([Op::w(2u64), Op::r(1u64)])
+                .build(),
+        ),
+        (
+            "readmap cycle3",
+            TraceBuilder::new()
+                .proc([Op::w(1u64), Op::r(2u64)])
+                .proc([Op::w(2u64), Op::r(3u64)])
+                .proc([Op::w(3u64), Op::r(1u64)])
+                .proc([Op::r(0u64), Op::w(4u64)])
+                .build(),
+        ),
+        (
+            "readmap read-before-own-writer",
+            TraceBuilder::new()
+                .proc([Op::w(2u64), Op::r(1u64)])
+                .proc([Op::r(2u64), Op::r(3u64), Op::w(3u64)])
+                .proc([Op::r(1u64), Op::w(1u64)])
+                .build(),
+        ),
+        (
+            "readmap final-unwritable",
+            TraceBuilder::new()
+                .proc([Op::w(1u64), Op::w(2u64)])
+                .proc([Op::r(1u64)])
+                .final_value(0u32, 1u64)
+                .build(),
+        ),
+        (
+            "readmap final-last",
+            TraceBuilder::new()
+                .proc([Op::w(1u64), Op::r(2u64)])
+                .proc([Op::r(0u64), Op::w(2u64), Op::w(3u64)])
+                .proc([Op::r(1u64), Op::r(3u64)])
+                .final_value(0u32, 3u64)
+                .build(),
+        ),
+        (
+            "readmap initial-only",
+            TraceBuilder::new()
+                .proc([Op::r(0u64), Op::r(0u64)])
+                .proc([Op::r(0u64)])
+                .final_value(0u32, 0u64)
+                .build(),
+        ),
+    ];
+    for (ctx, trace) in &fixed {
+        render_frontline_instance(&mut out, ctx, trace);
+    }
+    out
+}
+
+#[test]
+fn frontline_matches_golden_at_bit_word_and_deep_gate_boundaries() {
+    assert_golden(
+        &render_frontline(),
+        include_str!("golden/frontline.txt"),
+        "frontline",
+    );
 }
 
 #[test]

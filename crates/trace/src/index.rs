@@ -18,6 +18,7 @@
 use crate::op::{Addr, Op, OpRef, Value};
 use crate::trace::Trace;
 use std::collections::BTreeMap;
+use vermem_util::hash::FxHashMap;
 
 /// All operations of one address, organised for the VMC solvers: one
 /// program-ordered `(OpRef, Op)` list per process (refs point into the
@@ -217,7 +218,7 @@ impl AddrIndex {
     /// sim_pipeline.rs`, `sim/addr-index`).
     pub fn build(trace: &Trace) -> AddrIndex {
         let procs = trace.num_procs();
-        let mut slot: std::collections::HashMap<Addr, usize> = std::collections::HashMap::new();
+        let mut slot: FxHashMap<Addr, usize> = FxHashMap::default();
         // Discovery order of addresses; `counts[slot * procs + p]` is the
         // number of ops of process `p` at that address.
         let mut discovered: Vec<Addr> = Vec::new();

@@ -14,7 +14,6 @@
 //! | [`codec`] | `bytes` (+ `serde`) | varint/fixed-width binary reader & writer           |
 //! | [`hash`]  | `rustc-hash`/`fxhash` | frozen-stream Fx hasher + `FxHashMap`/`FxHashSet` |
 //! | [`densemap`] | `slab`/`hashbrown` | open-addressing int-key map, slab, arena recycler |
-//! | [`bitset`] | `fixedbitset`      | word-level bit matrix + union/intersect kernels     |
 //! | [`pool`]  | `rayon`/`crossbeam` | scoped work-stealing chunk pool with cancellation   |
 //! | [`json`]  | `serde_json`        | order-preserving JSON writer + strict parser        |
 //! | [`obs`]   | `tracing`/`metrics` | toggleable registry, spans, Chrome-trace, RunReport |
@@ -38,7 +37,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bench;
-pub mod bitset;
 pub mod codec;
 pub mod densemap;
 pub mod hash;

@@ -154,6 +154,20 @@ if [[ -n "$hash_sites" ]]; then
 fi
 echo "    ok"
 
+echo "==> VMC frontline: no hash set in the closure fixpoint, no SipHash map in the read map"
+# The closure fixpoint answers must-precede edge membership from a bit
+# matrix (deep mode) or an adjacency-list scan, never a hash set; the
+# read-map fast path binds ops to blocks through one Fx map, never a
+# SipHash std HashMap. Comments count too.
+frontline_sites=$( { grep -Hn 'HashSet' crates/coherence/src/windows.rs
+    grep -Hn 'std::collections::HashMap' crates/coherence/src/readmap.rs; } || true)
+if [[ -n "$frontline_sites" ]]; then
+    echo "hashing on the VMC frontline:" >&2
+    echo "$frontline_sites" >&2
+    exit 1
+fi
+echo "    ok"
+
 echo "==> obs hot path: exactly one clock-read site in crates/util/src/obs/"
 # The zero-overhead-when-off contract (DESIGN.md §Observability): every
 # clock read funnels through obs::now_us(), which is only reached from
