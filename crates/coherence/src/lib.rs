@@ -19,10 +19,11 @@
 //! | RMW read-map, O(n lg n)→O(n) | [`rmw`] | [`rmw::solve_rmw_readmap`] |
 //! | write order given, O(n²)/O(n) (§5.2) | [`write_order`] | [`solve_with_write_order`] |
 //!
-//! The [`verify`] entry point classifies the instance (via
-//! [`vermem_trace::classify`]) and dispatches to the cheapest applicable
-//! algorithm; [`verify_execution`] applies it per address, which by the
-//! definition in §3 decides coherence of the whole execution.
+//! The [`verify`] entry point tests the Figure 5.3 fast paths in turn (each
+//! module's `applicable_ops` predicate on the per-address index entry) and
+//! dispatches to the first that applies, else to the general case;
+//! [`verify_execution`] applies it per address, which by the definition in
+//! §3 decides coherence of the whole execution.
 //!
 //! ## Tiered verification
 //!
@@ -31,11 +32,12 @@
 //! ([`closure`], TSOtool-style per Roy et al.) runs first and decides most
 //! real addresses outright, escalating only ambiguous residues to the
 //! exact tier — with the already-computed constraint table, so nothing is
-//! analyzed twice. [`TierConfig`] selects the pipeline
-//! (`closure,exact`, the default, vs the `exact` ablation); verdicts and
-//! [`SearchStats`] are bit-identical either way (soundness argument in
-//! DESIGN.md §4d), and [`par::ExecutionReport::tiers`] reports how many
-//! addresses each tier decided.
+//! analyzed twice. [`TierConfig`] only labels the result (`closure,exact`,
+//! the default, vs `exact`, which credits closure decisions to the exact
+//! tier); verdicts and [`SearchStats`] are bit-identical either way
+//! (soundness argument in DESIGN.md §4d), and
+//! [`par::ExecutionReport::tiers`] reports how many addresses each tier
+//! decided.
 //!
 //! ## Streaming verification (`vermem serve`)
 //!
@@ -48,7 +50,8 @@
 //! surface while the stream is still running (the p99 detection latency is
 //! a first-class receipt), verdicts are bit-identical to a batch run over
 //! the same events, and the ingest hot path runs on allocation-free
-//! dense-slab tables. An optional
+//! dense-slab tables. Each address is summarized by the same §5.2
+//! placement monitor [`OnlineVerifier`] runs ([`online`]). An optional
 //! flight recorder ([`RecorderConfig`]) keeps a per-shard ring of recent
 //! windows and emits [`ForensicBundle`] JSONL on each detection.
 //!
@@ -121,7 +124,7 @@ pub use verdict::{Verdict, Violation, ViolationKind};
 pub use write_order::solve_with_write_order;
 
 use std::collections::BTreeMap;
-use vermem_trace::{Addr, AddrIndex, AddrOps, Schedule, Trace};
+use vermem_trace::{Addr, AddrOps, Schedule, Trace};
 
 /// Which algorithm the dispatcher selected for an instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -152,21 +155,27 @@ pub enum Strategy {
     Sat,
 }
 
-/// Which verification tiers run, and in what order (`--tier` on the CLI).
+/// How the tier accounting labels general instances (`--tier` on the CLI).
 ///
 /// The default pipeline is `closure,exact`: the polynomial constraint
 /// closure ([`closure`]) fronts the exact search, which only sees
-/// escalated residues. `exact` is the ablation baseline that sends every
-/// general instance straight to the exponential tier. The Figure 5.3
-/// polynomial fast paths are part of the dispatcher, not a tier, so they
-/// run (and count as frontline-decided) under both configurations;
-/// verdicts and [`SearchStats`] are bit-identical under both.
+/// escalated residues. `exact` does **not** skip the closure: the closure
+/// is the exact search's own precheck and window pre-pass, so it runs
+/// either way (whenever `search.prune.windows` is on) and `exact` only
+/// reports every general instance as [`Tier::Exact`]. Equal wall clock
+/// under the two settings therefore says nothing about the frontline's
+/// overhead. The Figure 5.3 polynomial fast paths are part of the
+/// dispatcher, not a tier, so they run (and count as frontline-decided)
+/// under both configurations; verdicts and [`SearchStats`] are
+/// bit-identical under both. (The consistency crate's axiom config reuses
+/// this type, and there `exact` does skip the Release–Acquire fast tier.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TierConfig {
-    /// Run the closure frontline before the exact search on general
-    /// instances. Only effective while `search.prune.windows` is on: the
+    /// Credit closure-decided general instances to [`Tier::Frontline`].
+    /// With `false` they are labelled [`Tier::Exact`]; the closure still
+    /// runs. Only meaningful while `search.prune.windows` is on: the
     /// frontline *is* the window-inference pass, so `--prune=none` (and
-    /// any windows-off ablation) disables it to keep ablation semantics.
+    /// any windows-off ablation) skips it.
     pub frontline: bool,
 }
 
@@ -182,8 +191,8 @@ impl TierConfig {
         TierConfig { frontline: true }
     }
 
-    /// The `exact` ablation: every general instance goes straight to the
-    /// exact search.
+    /// The `exact` labelling: every general instance is reported as
+    /// decided by the exact tier (the closure still runs inside it).
     pub fn exact_only() -> Self {
         TierConfig { frontline: false }
     }
@@ -286,8 +295,8 @@ impl VmcVerifier {
     /// polynomial [`closure`] runs first; only an ambiguous residue is
     /// escalated to the exact search — together with the already-computed
     /// constraint table, so the fixpoint is never analyzed twice. The
-    /// verdict and stats are bit-identical to the exact-only pipeline on
-    /// every input (DESIGN.md §4d), and a budget [`Verdict::Unknown`] from
+    /// verdict and stats are bit-identical under [`TierConfig::exact_only`]
+    /// on every input (DESIGN.md §4d), and a budget [`Verdict::Unknown`] from
     /// the exact tier always passes through unmasked.
     ///
     /// ```
@@ -303,7 +312,7 @@ impl VmcVerifier {
     /// let exact = VmcVerifier { tier: TierConfig::exact_only(), ..VmcVerifier::new() };
     /// let (v2, s2, t2) = exact.verify_ops_tiered(&trace, &ops);
     /// assert_eq!((verdict, stats), (v2, s2)); // bit-identical verdicts
-    /// assert_eq!(t2, Tier::Exact); // but the ablation skipped the frontline
+    /// assert_eq!(t2, Tier::Exact); // only the tier label differs
     /// ```
     pub fn verify_ops_tiered(&self, trace: &Trace, ops: &AddrOps) -> (Verdict, SearchStats, Tier) {
         self.verify_ops_tiered_inner(Some(trace), ops)
@@ -468,26 +477,11 @@ pub fn verify_execution(trace: &Trace) -> ExecutionVerdict {
     verify_execution_with(trace, &VmcVerifier::new())
 }
 
-/// As [`verify_execution`], with explicit verifier settings.
-///
-/// Builds the [`AddrIndex`] once (a single O(ops) pass) and hands each
-/// solver its pre-indexed entry, so whole-execution setup no longer costs
-/// O(addresses × ops). Address order matches [`Trace::addresses`], so the
-/// first reported violation is unchanged from the historical per-address
-/// loop.
+/// As [`verify_execution`], with explicit verifier settings: the
+/// one-worker run of [`verify_execution_par`]. Addresses are checked in
+/// [`Trace::addresses`] order and the first failure is reported.
 pub fn verify_execution_with(trace: &Trace, verifier: &VmcVerifier) -> ExecutionVerdict {
-    let index = AddrIndex::build(trace);
-    let mut witnesses = BTreeMap::new();
-    for ops in index.iter() {
-        match verifier.verify_ops(trace, ops) {
-            Verdict::Coherent(s) => {
-                witnesses.insert(ops.addr(), s);
-            }
-            Verdict::Incoherent(v) => return ExecutionVerdict::Incoherent(v),
-            Verdict::Unknown => return ExecutionVerdict::Unknown { addr: ops.addr() },
-        }
-    }
-    ExecutionVerdict::Coherent(witnesses)
+    verify_execution_par(trace, verifier, 1).verdict
 }
 
 #[cfg(test)]

@@ -21,12 +21,17 @@
 //!   reported at that very event, pinpointing detection latency;
 //! * [`OnlineVerifier::finish`] flushes still-deferred reads as violations.
 //!
-//! The verdict is identical to running [`crate::solve_with_write_order`]
-//! offline on the captured trace (tested against it), but violations
-//! surface *during* execution.
+//! The per-address monitor (`PlacementMonitor`) is the one the streaming
+//! engine ([`crate::stream`]) runs as its per-address summary, so
+//! [`OnlineVerifier`] and `vermem serve` detect the same violations. The
+//! verdict is identical to running [`crate::solve_with_write_order`]
+//! offline on the captured trace (`tests/online.rs` checks both claims on
+//! simulator captures), but violations surface *during* execution.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use vermem_trace::{Addr, Op, ProcId, Value};
+use vermem_util::densemap::{Arena, DenseMap, Slab};
+use vermem_util::obs;
 
 /// A violation reported by the online checker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,6 +51,14 @@ pub struct OnlineViolation {
     pub cause: OnlineCause,
 }
 
+impl OnlineViolation {
+    /// The report order: detection, then issue, address and process. No
+    /// two violations of one stream share a key.
+    pub(crate) fn order_key(&self) -> (u64, u64, u32, u16) {
+        (self.detected_at, self.issued_at, self.addr.0, self.proc.0)
+    }
+}
+
 /// Why the online checker flagged an event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OnlineCause {
@@ -58,25 +71,357 @@ pub enum OnlineCause {
     EndOfStream,
 }
 
-#[derive(Clone, Debug)]
-struct PendingRead {
-    proc: ProcId,
-    value: Value,
-    issued_at: u64,
+/// A deferred read waiting for its serving write to commit.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PendingRead {
+    pub(crate) proc: ProcId,
+    pub(crate) value: Value,
+    pub(crate) issued_at: u64,
+    /// Obs-clock microseconds at issue; `0` unless the caller asked for
+    /// timestamps.
+    pub(crate) issued_us: u64,
 }
 
-#[derive(Default)]
-struct AddrState {
-    /// Committed values; slot `s` (0-based over `0..=slots.len()`) denotes
-    /// "after `s` writes", so the value at slot 0 is the initial value and
-    /// the value at slot `s > 0` is `slots[s-1]`.
-    slots: Vec<Value>,
-    /// For each value: the sorted slots at which it is current.
-    value_slots: HashMap<Value, Vec<usize>>,
-    /// Per-process placement cursor (earliest slot its next read may use).
-    min_slot: HashMap<u16, usize>,
-    /// Deferred reads, per process, in program order.
-    pending: HashMap<u16, Vec<PendingRead>>,
+/// Cursor sentinel: the process has not placed a read or committed a write
+/// yet. Slots count committed writes, so a real cursor never reaches it.
+const NO_CURSOR: usize = usize::MAX;
+
+/// The greedy §5.2 placement monitor of one address.
+///
+/// Slot `s` (over `0..=slots_len`) denotes "after `s` writes": slot 0
+/// carries the initial value. Each value keeps the ascending list of live
+/// slots at which it is current; a read places at the earliest such slot at
+/// or after its process's cursor. Cursors use *presence* semantics — a
+/// process has none until its first placed read or own write — and the
+/// per-process tables grow on a process's first event.
+///
+/// Slots below every present cursor can be retired
+/// ([`PlacementMonitor::retire_slots`]); the streaming engine does so to
+/// bound memory, [`OnlineVerifier`] never does.
+pub(crate) struct PlacementMonitor {
+    initial: Value,
+    /// Committed writes so far.
+    slots_len: usize,
+    /// Lowest slot still live; slots below were retired.
+    live_from: usize,
+    /// Values of the live slots `max(1, live_from)..=slots_len`.
+    live_values: VecDeque<Value>,
+    /// Value of the most recent committed write.
+    last_value: Option<Value>,
+    /// `value → index into `buckets``.
+    slot_lists: DenseMap<u64, u32>,
+    /// The sorted live-slot list of each value with live slots.
+    buckets: Slab<VecDeque<usize>>,
+    /// Emptied bucket lists, shelved with their capacity for reuse.
+    bucket_arena: Arena<VecDeque<usize>>,
+    /// Per-process cursor, [`NO_CURSOR`] = absent.
+    cursors: Vec<usize>,
+    /// Per-process deferred reads, in program order.
+    deferred: Vec<Vec<PendingRead>>,
+    pending_total: usize,
+    /// Reusable scratch for the per-write deferred-read retry loop.
+    retry_procs: Vec<u16>,
+}
+
+impl PlacementMonitor {
+    /// A fresh monitor sized for `procs` processes, with `initial` current
+    /// at slot 0.
+    pub(crate) fn new(procs: usize, initial: Value) -> Self {
+        let mut m = PlacementMonitor {
+            initial,
+            slots_len: 0,
+            live_from: 0,
+            live_values: VecDeque::new(),
+            last_value: None,
+            slot_lists: DenseMap::new(),
+            buckets: Slab::new(),
+            bucket_arena: Arena::new(),
+            cursors: vec![NO_CURSOR; procs],
+            deferred: vec![Vec::new(); procs],
+            pending_total: 0,
+            retry_procs: Vec::new(),
+        };
+        m.commit_slot(initial, 0);
+        m
+    }
+
+    /// The address's initial value.
+    pub(crate) fn initial(&self) -> Value {
+        self.initial
+    }
+
+    /// The value of the last committed write (the initial value before
+    /// any).
+    pub(crate) fn current_value(&self) -> Value {
+        self.last_value.unwrap_or(self.initial)
+    }
+
+    /// Deferred reads still waiting for a serving write.
+    pub(crate) fn pending_total(&self) -> usize {
+        self.pending_total
+    }
+
+    /// Committed slots above the lowest live one: the monitor's share of
+    /// the stream engine's retained footprint.
+    pub(crate) fn live_slots(&self) -> usize {
+        self.slots_len - self.live_from
+    }
+
+    /// Feed the next event at `addr`: `proc` executed/committed `op`.
+    /// Every violation it surfaces goes to `report` with its issue
+    /// timestamp, which is read from the obs clock only when `clock` is
+    /// set.
+    #[inline]
+    pub(crate) fn observe(
+        &mut self,
+        seq: u64,
+        addr: Addr,
+        proc: ProcId,
+        op: Op,
+        clock: bool,
+        report: &mut impl FnMut(OnlineViolation, u64),
+    ) {
+        let p = usize::from(proc.0);
+        if p >= self.cursors.len() {
+            self.cursors.resize(p + 1, NO_CURSOR);
+            self.deferred.resize_with(p + 1, Vec::new);
+        }
+        match op {
+            Op::Read { value, .. } => self.on_read(seq, proc, value, clock),
+            Op::Write { value, .. } => self.on_write(seq, addr, proc, value, report),
+            Op::Rmw { read, write, .. } => {
+                // Close the writer's window first, so every report of this
+                // event comes out in `order_key` order (closed reads were
+                // issued earlier). The read component binds to the
+                // immediately preceding committed value.
+                self.close_window(seq, addr, proc, report);
+                if self.current_value() != read {
+                    report(
+                        OnlineViolation {
+                            detected_at: seq,
+                            issued_at: seq,
+                            proc,
+                            addr,
+                            value: read,
+                            cause: OnlineCause::RmwMismatch,
+                        },
+                        if clock { obs::now_us() } else { 0 },
+                    );
+                }
+                self.on_write(seq, addr, proc, write, report);
+            }
+        }
+    }
+
+    #[inline]
+    fn on_read(&mut self, seq: u64, proc: ProcId, value: Value, clock: bool) {
+        let p = usize::from(proc.0);
+        // A read behind an already-deferred one keeps program order; a
+        // placeable read moves its cursor.
+        if self.deferred[p].is_empty() {
+            let min = self.cursor(p).unwrap_or(0);
+            if let Some(slot) = self.place(value, min) {
+                self.cursors[p] = slot;
+                return;
+            }
+        }
+        // The issue timestamp is only needed for latency accounting on
+        // reads that actually defer — keep the clock off the hot path.
+        self.deferred[p].push(PendingRead {
+            proc,
+            value,
+            issued_at: seq,
+            issued_us: if clock { obs::now_us() } else { 0 },
+        });
+        self.pending_total += 1;
+    }
+
+    /// `proc` is about to commit a write: its own deferred reads' windows
+    /// close now, and they can never be served.
+    fn close_window(
+        &mut self,
+        seq: u64,
+        addr: Addr,
+        proc: ProcId,
+        report: &mut impl FnMut(OnlineViolation, u64),
+    ) {
+        let p = usize::from(proc.0);
+        if !self.deferred[p].is_empty() {
+            self.pending_total -= self.deferred[p].len();
+            for stale in self.deferred[p].drain(..) {
+                report(
+                    OnlineViolation {
+                        detected_at: seq,
+                        issued_at: stale.issued_at,
+                        proc: stale.proc,
+                        addr,
+                        value: stale.value,
+                        cause: OnlineCause::WindowClosed,
+                    },
+                    stale.issued_us,
+                );
+            }
+        }
+    }
+
+    fn on_write(
+        &mut self,
+        seq: u64,
+        addr: Addr,
+        proc: ProcId,
+        value: Value,
+        report: &mut impl FnMut(OnlineViolation, u64),
+    ) {
+        let p = usize::from(proc.0);
+        self.close_window(seq, addr, proc, report);
+
+        // Commit the write as a new slot; the writer's later reads must
+        // observe it or newer.
+        let slot = self.slots_len + 1;
+        self.slots_len = slot;
+        self.live_values.push_back(value);
+        self.commit_slot(value, slot);
+        self.last_value = Some(value);
+        self.cursors[p] = self.cursor(p).unwrap_or(0).max(slot);
+
+        // Retry deferred reads of every process, in program order, stopping
+        // at the first that still cannot be placed. Each retry touches only
+        // its own process's cursor, so the process order cannot affect the
+        // outcome.
+        if self.pending_total == 0 {
+            return;
+        }
+        let mut retry = std::mem::take(&mut self.retry_procs);
+        retry.clear();
+        retry.extend(
+            (0..self.deferred.len())
+                .filter(|&q| !self.deferred[q].is_empty())
+                .map(|q| q as u16),
+        );
+        for &q in &retry {
+            let q = usize::from(q);
+            let mut min = self.cursor(q).unwrap_or(0);
+            let mut placed = 0;
+            for pr in &self.deferred[q] {
+                match self.place(pr.value, min) {
+                    Some(slot) => {
+                        min = slot;
+                        placed += 1;
+                    }
+                    None => break,
+                }
+            }
+            if placed > 0 {
+                self.cursors[q] = min;
+                self.deferred[q].drain(..placed);
+                self.pending_total -= placed;
+            }
+        }
+        self.retry_procs = retry;
+    }
+
+    /// End of stream: every still-deferred read is a violation detected at
+    /// `end`. Appends them to `out` with their issue timestamps, processes
+    /// ascending and each queue in program order.
+    pub(crate) fn end_of_stream(
+        &mut self,
+        end: u64,
+        addr: Addr,
+        out: &mut Vec<(OnlineViolation, u64)>,
+    ) {
+        for queue in &mut self.deferred {
+            out.extend(queue.drain(..).map(|pr| {
+                (
+                    OnlineViolation {
+                        detected_at: end,
+                        issued_at: pr.issued_at,
+                        proc: pr.proc,
+                        addr,
+                        value: pr.value,
+                        cause: OnlineCause::EndOfStream,
+                    },
+                    pr.issued_us,
+                )
+            }));
+        }
+        self.pending_total = 0;
+    }
+
+    /// Once more than `window` committed slots are live, retire every slot
+    /// below every present cursor: none of them can serve a later read of a
+    /// process this address has seen. Returns the number retired.
+    pub(crate) fn retire_slots(&mut self, window: usize) -> u64 {
+        if self.live_slots() <= window {
+            return 0;
+        }
+        let floor = self
+            .cursors
+            .iter()
+            .copied()
+            .filter(|&c| c != NO_CURSOR)
+            .min()
+            .unwrap_or(0);
+        let mut retired = 0;
+        while self.live_from < floor {
+            let value = if self.live_from == 0 {
+                self.initial
+            } else {
+                self.live_values.pop_front().expect("live slot value")
+            };
+            self.retire_slot(value, self.live_from);
+            self.live_from += 1;
+            retired += 1;
+        }
+        retired
+    }
+
+    #[inline]
+    fn cursor(&self, p: usize) -> Option<usize> {
+        let c = self.cursors[p];
+        (c != NO_CURSOR).then_some(c)
+    }
+
+    /// Earliest live slot in `min..=slots_len` where `value` is current.
+    #[inline]
+    fn place(&self, value: Value, min: usize) -> Option<usize> {
+        let &idx = self.slot_lists.get(value.0)?;
+        let slots = self.buckets.get(idx).expect("indexed bucket is live");
+        let i = slots.partition_point(|&s| s < min);
+        slots.get(i).copied().filter(|&s| s <= self.slots_len)
+    }
+
+    /// Record that `slot` committed `value` (strictly ascending slots).
+    #[inline]
+    fn commit_slot(&mut self, value: Value, slot: usize) {
+        match self.slot_lists.get(value.0) {
+            Some(&idx) => self
+                .buckets
+                .get_mut(idx)
+                .expect("indexed bucket is live")
+                .push_back(slot),
+            None => {
+                let mut bucket = self.bucket_arena.alloc();
+                bucket.push_back(slot);
+                let idx = self.buckets.insert(bucket);
+                self.slot_lists.insert(value.0, idx);
+            }
+        }
+    }
+
+    /// Drop retired `slot` (the lowest live slot) for `value`.
+    fn retire_slot(&mut self, value: Value, slot: usize) {
+        let Some(&idx) = self.slot_lists.get(value.0) else {
+            return;
+        };
+        let bucket = self.buckets.get_mut(idx).expect("indexed bucket is live");
+        debug_assert_eq!(bucket.front().copied(), Some(slot));
+        bucket.pop_front();
+        if bucket.is_empty() {
+            self.slot_lists.remove(value.0);
+            let bucket = self.buckets.remove(idx).expect("just emptied");
+            self.bucket_arena.free(bucket);
+        }
+    }
 }
 
 /// The streaming verifier. Feed events with [`OnlineVerifier::observe`];
@@ -93,8 +438,10 @@ struct AddrState {
 /// ```
 #[derive(Default)]
 pub struct OnlineVerifier {
-    addrs: HashMap<Addr, AddrState>,
-    initial: HashMap<Addr, Value>,
+    addrs: DenseMap<u32, PlacementMonitor>,
+    /// Declared non-default initial values, read when a location's monitor
+    /// is created.
+    initial: DenseMap<u32, Value>,
     violations: Vec<OnlineViolation>,
     events: u64,
 }
@@ -107,13 +454,10 @@ impl OnlineVerifier {
     }
 
     /// Declare a non-default initial value for a location (before feeding
-    /// events).
+    /// events). It takes effect at the location's first event; a location
+    /// already observed keeps its state and its initial value.
     pub fn set_initial(&mut self, addr: Addr, value: Value) {
-        self.initial.insert(addr, value);
-    }
-
-    fn initial_of(&self, addr: Addr) -> Value {
-        self.initial.get(&addr).copied().unwrap_or(Value::INITIAL)
+        self.initial.insert(addr.0, value);
     }
 
     /// Number of events observed so far.
@@ -121,7 +465,8 @@ impl OnlineVerifier {
         self.events
     }
 
-    /// Violations detected so far.
+    /// Violations detected so far, in the report order of
+    /// [`OnlineVerifier::finish`].
     pub fn violations(&self) -> &[OnlineViolation] {
         &self.violations
     }
@@ -140,168 +485,32 @@ impl OnlineVerifier {
         self.events += 1;
         let before = self.violations.len();
         let addr = op.addr();
-        let initial = self.initial_of(addr);
-
-        match op {
-            Op::Read { value, .. } => {
-                self.on_read(seq, proc, addr, value, initial);
-            }
-            Op::Write { value, .. } => {
-                self.on_write(seq, proc, addr, value, initial);
-            }
-            Op::Rmw { read, write, .. } => {
-                // The read component binds to the immediately preceding
-                // committed value.
-                let state = self.addrs.entry(addr).or_default();
-                let current = state.slots.last().copied().unwrap_or(initial);
-                if current != read {
-                    self.violations.push(OnlineViolation {
-                        detected_at: seq,
-                        issued_at: seq,
-                        proc,
-                        addr,
-                        value: read,
-                        cause: OnlineCause::RmwMismatch,
-                    });
-                }
-                self.on_write(seq, proc, addr, write, initial);
-            }
-        }
+        let violations = &mut self.violations;
+        let initial = &self.initial;
+        self.addrs
+            .get_or_insert_with(addr.0, || {
+                PlacementMonitor::new(0, initial.get(addr.0).copied().unwrap_or(Value::INITIAL))
+            })
+            .observe(seq, addr, proc, op, false, &mut |v, _| violations.push(v));
         self.violations.len() - before
     }
 
-    fn on_read(&mut self, seq: u64, proc: ProcId, addr: Addr, value: Value, initial: Value) {
-        let state = self.addrs.entry(addr).or_default();
-        ensure_initial_slot(state, initial);
-        let queue = state.pending.entry(proc.0).or_default();
-        if !queue.is_empty() {
-            // Preserve program order behind an already-deferred read.
-            queue.push(PendingRead {
-                proc,
-                value,
-                issued_at: seq,
-            });
-            return;
-        }
-        let min = state.min_slot.get(&proc.0).copied().unwrap_or(0);
-        match place(state, value, min) {
-            Some(slot) => {
-                state.min_slot.insert(proc.0, slot);
-            }
-            None => {
-                state.pending.entry(proc.0).or_default().push(PendingRead {
-                    proc,
-                    value,
-                    issued_at: seq,
-                });
-            }
-        }
-    }
-
-    fn on_write(&mut self, seq: u64, proc: ProcId, addr: Addr, value: Value, initial: Value) {
-        let state = self.addrs.entry(addr).or_default();
-        ensure_initial_slot(state, initial);
-
-        // The writer's own deferred reads' windows close now.
-        if let Some(queue) = state.pending.get_mut(&proc.0) {
-            for stale in queue.drain(..) {
-                self.violations.push(OnlineViolation {
-                    detected_at: seq,
-                    issued_at: stale.issued_at,
-                    proc: stale.proc,
-                    addr,
-                    value: stale.value,
-                    cause: OnlineCause::WindowClosed,
-                });
-            }
-        }
-
-        // Commit the write as a new slot.
-        let slot = state.slots.len() + 1;
-        state.slots.push(value);
-        state.value_slots.entry(value).or_default().push(slot);
-        // The writer's later reads must observe this write or newer.
-        let cursor = state.min_slot.entry(proc.0).or_insert(0);
-        *cursor = (*cursor).max(slot);
-
-        // Retry deferred reads of every process, in program order, stopping
-        // at the first that still cannot be placed.
-        let procs: Vec<u16> = state.pending.keys().copied().collect();
-        for p in procs {
-            let queue = state.pending.get_mut(&p).expect("listed");
-            let mut placed = 0;
-            let mut min = state.min_slot.get(&p).copied().unwrap_or(0);
-            for pr in queue.iter() {
-                match place_readonly(&state.value_slots, state.slots.len(), pr.value, min) {
-                    Some(slot) => {
-                        min = slot;
-                        placed += 1;
-                    }
-                    None => break,
-                }
-            }
-            if placed > 0 {
-                state.min_slot.insert(p, min);
-                state.pending.get_mut(&p).expect("listed").drain(..placed);
-            }
-        }
-    }
-
     /// End of stream: any still-deferred read is a violation. Returns the
-    /// full violation list.
+    /// full violation list in the streaming engine's report order:
+    /// detection event, then issue event, address and process.
     pub fn finish(mut self) -> Vec<OnlineViolation> {
         let end = self.events;
-        let mut stragglers: Vec<OnlineViolation> = Vec::new();
-        for (&addr, state) in &mut self.addrs {
-            for queue in state.pending.values_mut() {
-                for pr in queue.drain(..) {
-                    stragglers.push(OnlineViolation {
-                        detected_at: end,
-                        issued_at: pr.issued_at,
-                        proc: pr.proc,
-                        addr,
-                        value: pr.value,
-                        cause: OnlineCause::EndOfStream,
-                    });
-                }
-            }
+        let mut stragglers = Vec::new();
+        for (addr, monitor) in self.addrs.iter_mut() {
+            monitor.end_of_stream(end, Addr(addr), &mut stragglers);
         }
-        stragglers.sort_by_key(|v| v.issue_key());
-        self.violations.extend(stragglers);
+        // Events report in order; only the end-of-stream reads, detected
+        // after every event, need sorting.
+        stragglers.sort_by_key(|(v, _)| v.order_key());
+        self.violations
+            .extend(stragglers.into_iter().map(|(v, _)| v));
         self.violations
     }
-}
-
-impl OnlineViolation {
-    fn issue_key(&self) -> (u64, u64, u32, u16) {
-        (self.detected_at, self.issued_at, self.addr.0, self.proc.0)
-    }
-}
-
-fn ensure_initial_slot(state: &mut AddrState, initial: Value) {
-    // Slot 0 carries the initial value; register it once.
-    state.value_slots.entry(initial).or_insert_with(|| {
-        let mut v = Vec::with_capacity(4);
-        v.insert(0, 0);
-        v
-    });
-}
-
-/// Earliest slot ≥ `min` where `value` is current, if any (and it must not
-/// exceed the number of committed writes).
-fn place(state: &mut AddrState, value: Value, min: usize) -> Option<usize> {
-    place_readonly(&state.value_slots, state.slots.len(), value, min)
-}
-
-fn place_readonly(
-    value_slots: &HashMap<Value, Vec<usize>>,
-    max_slot: usize,
-    value: Value,
-    min: usize,
-) -> Option<usize> {
-    let slots = value_slots.get(&value)?;
-    let idx = slots.partition_point(|&s| s < min);
-    slots.get(idx).copied().filter(|&s| s <= max_slot)
 }
 
 #[cfg(test)]
@@ -381,6 +590,38 @@ mod tests {
         v.observe(p(0), Op::w(1u64));
         v.observe(p(1), Op::r(5u64)); // may still bind to slot 0
         assert!(v.finish().is_empty());
+    }
+
+    #[test]
+    fn late_set_initial_keeps_deferred_reads() {
+        // A read is deferred before the location's initial value is
+        // declared; it must still be reported at end of stream.
+        let mut v = OnlineVerifier::new();
+        v.observe(p(0), Op::w(1u64));
+        v.observe(p(0), Op::w(2u64));
+        v.observe(p(1), Op::r(2u64));
+        v.observe(p(1), Op::r(1u64)); // deferred forever
+        v.set_initial(Addr::ZERO, Value(5));
+        let violations = v.finish();
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].value, Value(1));
+    }
+
+    #[test]
+    fn rmw_reports_come_out_in_report_order() {
+        // P1 defers a read of 9, then its RMW both closes that read's
+        // window and mismatches: the earlier-issued read is reported first.
+        let mut v = OnlineVerifier::new();
+        v.observe(p(0), Op::w(1u64));
+        v.observe(p(1), Op::r(9u64)); // deferred
+        assert_eq!(v.observe(p(1), Op::rw(7u64, 8u64)), 2);
+        let causes: Vec<_> = v.violations().iter().map(|x| x.cause).collect();
+        assert_eq!(
+            causes,
+            [OnlineCause::WindowClosed, OnlineCause::RmwMismatch]
+        );
+        let seen = v.violations().to_vec();
+        assert_eq!(v.finish(), seen);
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! [`verify_execution_par`] fans the indexed addresses out over a
 //! [`scoped_map`] work-stealing pool and reduces verdicts **in address
 //! order**, so the result is *deterministic*: the reported violation (or
-//! Unknown address) is bit-identical to the sequential
-//! [`crate::verify_execution_with`] at every thread count, including the
-//! aggregated [`SearchStats`].
+//! Unknown address) is bit-identical at every thread count, including the
+//! aggregated [`SearchStats`]; the sequential
+//! [`crate::verify_execution_with`] is its one-worker run. The fan-out and
+//! reduction live in one helper, `reduce_in_order`, which the streaming
+//! engine's [`crate::StreamVerifier::finish`] runs too.
 //!
 //! ## Determinism contract
 //!
@@ -31,9 +33,9 @@
 //!   sequential engine a special case of the parallel one.
 
 use crate::verdict::Verdict;
-use crate::{ExecutionVerdict, SearchStats, TierStats, VmcVerifier};
+use crate::{ExecutionVerdict, SearchStats, Tier, TierStats, VmcVerifier};
 use std::collections::BTreeMap;
-use vermem_trace::{AddrIndex, Trace};
+use vermem_trace::{Addr, AddrIndex, Trace};
 use vermem_util::pool::{available_jobs, scoped_map, CancelToken};
 
 /// Outcome of a (parallel) whole-execution verification, with the
@@ -85,8 +87,12 @@ pub fn verify_execution_par(trace: &Trace, verifier: &VmcVerifier, jobs: usize) 
     exec_span.arg("addresses", n as u64);
     exec_span.arg("jobs", jobs as u64);
 
-    let cancel = CancelToken::new();
-    let results = scoped_map(jobs, n, &cancel, |i| {
+    let layout: Vec<_> = index
+        .iter()
+        .enumerate()
+        .map(|(i, ops)| (ops.addr(), Some(i)))
+        .collect();
+    let reduced = reduce_in_order(jobs, &layout, |i| {
         // Per-address solve span: `dur` makes the top-K slowest-addresses
         // table fall out of the trace; disabled = a no-op guard.
         let mut span = vermem_util::span!("verify.addr");
@@ -97,69 +103,84 @@ pub fn verify_execution_par(trace: &Trace, verifier: &VmcVerifier, jobs: usize) 
             span.arg("ops", ops_i.num_ops() as u64);
             span.arg("states", out.1.states);
         }
+        out
+    });
+    ExecutionReport {
+        verdict: reduced.verdict,
+        stats: reduced.stats,
+        tiers: reduced.tiers,
+        addresses: n,
+        jobs,
+    }
+}
+
+/// The outcome of [`reduce_in_order`].
+pub(crate) struct InOrder {
+    /// The first failure in layout order, or every solved witness.
+    pub(crate) verdict: ExecutionVerdict,
+    /// [`SearchStats`] summed over the layout prefix up to and including
+    /// the first failure.
+    pub(crate) stats: SearchStats,
+    /// Tier counts over the same prefix.
+    pub(crate) tiers: TierStats,
+}
+
+/// Solve the layout's independent per-address tasks on `jobs` workers,
+/// then reduce them in layout order (the determinism contract in the
+/// module docs).
+///
+/// Each layout entry is an address with `Some(task)`, or `None` for an
+/// address the frontline already decided coherent without a solve (it
+/// counts as [`Tier::Frontline`] and contributes no witness). The tasks
+/// are numbered `0..k` in layout order, `k` being the number of `Some`
+/// entries. The first non-coherent solve trips a [`CancelToken`]; the
+/// reduction re-solves inline any task a cancelled worker skipped and
+/// stops at the first failure in layout order.
+pub(crate) fn reduce_in_order<F>(jobs: usize, layout: &[(Addr, Option<usize>)], solve: F) -> InOrder
+where
+    F: Fn(usize) -> (Verdict, SearchStats, Tier) + Sync,
+{
+    let tasks = layout.iter().filter(|(_, task)| task.is_some()).count();
+    let cancel = CancelToken::new();
+    let mut results = scoped_map(jobs, tasks, &cancel, |i| {
+        let out = solve(i);
         if !matches!(out.0, Verdict::Coherent(_)) {
             // First failure (in wall-clock order) stops in-flight work; the
-            // in-order reduction below restores address-order determinism.
+            // in-order reduction below restores layout-order determinism.
             cancel.cancel();
         }
         out
     });
 
-    // Deterministic reduction: walk addresses in order, re-solving any slot
-    // a cancelled worker skipped, and stop at the first failure.
     let mut witnesses = BTreeMap::new();
     let mut stats = SearchStats::default();
     let mut tiers = TierStats::default();
-    for (i, slot) in results.into_iter().enumerate() {
-        let ops = index.entry(i);
-        let (verdict, s, tier) = match slot {
-            Some(solved) => solved,
-            None => {
-                // Cancel-skipped slot re-solved inline: record it under the
-                // same span name so its cost is visible in the trace too.
-                let mut span = vermem_util::span!("verify.addr");
-                let out = verifier.verify_ops_tiered(trace, ops);
-                if span.is_recording() {
-                    span.arg("addr", ops.addr().0 as u64);
-                    span.arg("ops", ops.num_ops() as u64);
-                    span.arg("states", out.1.states);
-                    span.arg("resolved_inline", 1);
-                }
-                out
-            }
+    for &(addr, task) in layout {
+        let Some(i) = task else {
+            tiers.record(Tier::Frontline);
+            continue;
         };
+        let (verdict, s, tier) = results[i].take().unwrap_or_else(|| solve(i));
         stats.absorb(&s);
         tiers.record(tier);
-        match verdict {
+        let verdict = match verdict {
             Verdict::Coherent(w) => {
-                witnesses.insert(ops.addr(), w);
+                witnesses.insert(addr, w);
+                continue;
             }
-            Verdict::Incoherent(v) => {
-                return ExecutionReport {
-                    verdict: ExecutionVerdict::Incoherent(v),
-                    stats,
-                    tiers,
-                    addresses: n,
-                    jobs,
-                };
-            }
-            Verdict::Unknown => {
-                return ExecutionReport {
-                    verdict: ExecutionVerdict::Unknown { addr: ops.addr() },
-                    stats,
-                    tiers,
-                    addresses: n,
-                    jobs,
-                };
-            }
-        }
+            Verdict::Incoherent(v) => ExecutionVerdict::Incoherent(v),
+            Verdict::Unknown => ExecutionVerdict::Unknown { addr },
+        };
+        return InOrder {
+            verdict,
+            stats,
+            tiers,
+        };
     }
-    ExecutionReport {
+    InOrder {
         verdict: ExecutionVerdict::Coherent(witnesses),
         stats,
         tiers,
-        addresses: n,
-        jobs,
     }
 }
 

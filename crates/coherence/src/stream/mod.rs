@@ -2,9 +2,9 @@
 //! `vermem serve`.
 //!
 //! The paper's introduction motivates coherence verification as an *online
-//! hardware error detector*; [`crate::online`] is the single-threaded
-//! prototype of that idea, but it never retires state and only understands
-//! one in-memory event feed. This module turns it into a real engine:
+//! hardware error detector*. [`crate::OnlineVerifier`] runs that idea over
+//! one in-memory event feed and never retires state. This module runs the
+//! same per-address placement monitor ([`crate::online`]) as an engine:
 //!
 //! * **Input** is the binary wire format, fed in arbitrary chunks through
 //!   [`vermem_trace::binary::ChunkReader`] — both v2 batch files and v3
@@ -31,7 +31,8 @@
 //!   from the retention buffer when it survived, or re-collected by a
 //!   second [`StreamVerifier::ingest_replay`] pass when it was retired.
 //!   The final reduction walks addresses in ascending order and stops at
-//!   the first failure, mirroring [`crate::verify_execution_par`], so the
+//!   the first failure, through the same reduction as
+//!   [`crate::verify_execution_par`], so the
 //!   verdict, first [`Violation`], [`SearchStats`] and [`TierStats`] are
 //!   bit-identical to the batch engine at every `jobs` and window setting.
 //!
@@ -72,18 +73,22 @@
 mod tables;
 
 use crate::explain::{minimize_incoherent_core, ExplainConfig};
-use crate::online::{OnlineCause, OnlineViolation};
+use crate::online::{OnlineCause, OnlineViolation, PlacementMonitor};
+use crate::par::reduce_in_order;
 use crate::verdict::Verdict;
-use crate::{SearchConfig, SearchStats, Strategy, Tier, TierStats, Violation, VmcVerifier};
+use crate::{
+    ExecutionVerdict, SearchConfig, SearchStats, Strategy, Tier, TierStats, Violation, VmcVerifier,
+};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::thread::JoinHandle;
-use tables::{DenseAddrMap, DenseRouter, DenseTables};
+use tables::{DenseAddrMap, DenseRouter};
 use vermem_trace::binary::{ChunkReader, DecodeError, StreamEvent};
 use vermem_trace::{Addr, AddrOps, Op, OpRef, ProcId, ProcessHistory, Trace, Value};
+use vermem_util::densemap::DenseMap;
 use vermem_util::json::JsonWriter;
 use vermem_util::obs;
-use vermem_util::pool::{available_jobs, scoped_map, spsc_channel, CancelToken, SpscSender};
+use vermem_util::pool::{available_jobs, spsc_channel, SpscSender};
 
 /// Events per routed batch handed to a shard queue.
 const BATCH: usize = 256;
@@ -333,7 +338,7 @@ fn capture_bundle(
         };
         let ops = AddrOps::from_parts(
             violation.addr,
-            state.initial,
+            state.summary.initial(),
             final_value,
             state.buffer.clone(),
         );
@@ -348,7 +353,7 @@ fn capture_bundle(
                     .iter()
                     .map(|h| h.iter().map(|&(_, op)| op).collect::<ProcessHistory>()),
             );
-            trace.set_initial(violation.addr, state.initial);
+            trace.set_initial(violation.addr, state.summary.initial());
             if let Some(f) = final_value {
                 trace.set_final(violation.addr, f);
             }
@@ -521,40 +526,18 @@ pub fn percentile(samples: &[u64], p: u64) -> Option<u64> {
     })
 }
 
-/// A deferred read waiting for its serving write to commit.
-#[derive(Clone, Debug)]
-struct PendingRead {
-    proc: ProcId,
-    value: Value,
-    issued_at: u64,
-    issued_us: u64,
-}
-
-/// Per-address streaming state: the greedy §5.2 monitor (summary), the
-/// read-map class bits, and the raw-op retention buffer.
+/// Per-address streaming state: the §5.2 placement monitor shared with
+/// [`crate::online`] (the summary), the read-map class bits, and the
+/// raw-op retention buffer.
 struct AddrStream {
-    initial: Value,
     final_value: Option<Value>,
-    // --- summary: the greedy placement monitor (cf. `crate::online`) ---
-    /// Committed writes so far; slot `s` (0-based over `0..=slots_len`)
-    /// denotes "after `s` writes".
-    slots_len: usize,
-    /// Lowest slot still live; slots below were retired.
-    live_from: usize,
-    /// Values of the live slots `max(1, live_from)..=slots_len` (slot 0
-    /// carries `initial` and has no entry here).
-    live_values: VecDeque<Value>,
-    /// Value of the most recent committed write.
-    last_value: Option<Value>,
-    /// The placement index, per-process cursors, deferred-read queues, and
-    /// write counts. The write-count table is O(distinct written values),
-    /// the one per-address map retirement does not bound (disclosed in
-    /// DESIGN.md).
-    tables: DenseTables,
-    pending_total: usize,
-    /// Reusable scratch for the per-write deferred-read retry loop.
-    retry_procs: Vec<u16>,
+    /// The greedy placement monitor: committed slots, per-process
+    /// cursors and deferred reads.
+    summary: PlacementMonitor,
     // --- read-map class bits (exact, kept for the whole stream) ---
+    /// `value → times written`: O(distinct written values), the one
+    /// per-address map retirement does not bound (disclosed in DESIGN.md).
+    write_counts: DenseMap<u64, u32>,
     rmw_seen: bool,
     dup_value: bool,
     wrote_initial: bool,
@@ -576,15 +559,9 @@ struct AddrStream {
 impl AddrStream {
     fn new(procs: usize, initial: Value, final_value: Option<Value>) -> AddrStream {
         AddrStream {
-            initial,
             final_value,
-            slots_len: 0,
-            live_from: 0,
-            live_values: VecDeque::new(),
-            last_value: None,
-            tables: DenseTables::new(procs, initial),
-            pending_total: 0,
-            retry_procs: Vec::new(),
+            summary: PlacementMonitor::new(procs, initial),
+            write_counts: DenseMap::new(),
             rmw_seen: false,
             dup_value: false,
             wrote_initial: false,
@@ -604,10 +581,12 @@ impl AddrStream {
             self.rmw_seen = true;
         }
         if let Some(v) = op.written_value() {
-            if self.tables.bump_write(v) > 1 {
+            let count = self.write_counts.get_or_insert_with(v.0, || 0);
+            *count += 1;
+            if *count > 1 {
                 self.dup_value = true;
             }
-            if v == self.initial {
+            if v == self.summary.initial() {
                 self.wrote_initial = true;
             }
         }
@@ -616,130 +595,16 @@ impl AddrStream {
         }
     }
 
-    fn on_read(&mut self, seq: u64, proc: ProcId, value: Value, temporal: bool) {
-        // The issue timestamp is only needed for latency accounting on
-        // reads that actually defer — keep the clock off the hot path.
-        let stamp = || if temporal { obs::now_us() } else { 0 };
-        if !self.tables.pending(proc.0).is_empty() {
-            // Preserve program order behind an already-deferred read.
-            self.tables.pending_push(
-                proc.0,
-                PendingRead {
-                    proc,
-                    value,
-                    issued_at: seq,
-                    issued_us: stamp(),
-                },
-            );
-            self.pending_total += 1;
-            return;
-        }
-        let min = self.tables.cursor(proc.0).unwrap_or(0);
-        match self.tables.place(self.slots_len, value, min) {
-            Some(slot) => {
-                self.tables.set_cursor(proc.0, slot);
-            }
-            None => {
-                self.tables.pending_push(
-                    proc.0,
-                    PendingRead {
-                        proc,
-                        value,
-                        issued_at: seq,
-                        issued_us: stamp(),
-                    },
-                );
-                self.pending_total += 1;
-            }
-        }
-    }
-
-    fn on_write(&mut self, seq: u64, addr: Addr, proc: ProcId, value: Value, sink: &mut Sink) {
-        // The writer's own deferred reads' windows close now: they can
-        // never be served, so the address escalates (and, on temporal
-        // streams, the stall is reported as a detection).
-        if !self.tables.pending(proc.0).is_empty() {
-            let mut stale_queue = self.tables.pending_take(proc.0);
-            for stale in stale_queue.drain(..) {
-                self.pending_total -= 1;
-                self.pinned = true;
-                sink.report(
-                    OnlineViolation {
-                        detected_at: seq,
-                        issued_at: stale.issued_at,
-                        proc: stale.proc,
-                        addr,
-                        value: stale.value,
-                        cause: OnlineCause::WindowClosed,
-                    },
-                    stale.issued_us,
-                );
-            }
-            self.tables.pending_restore(proc.0, stale_queue);
-        }
-
-        // Commit the write as a new slot.
-        let slot = self.slots_len + 1;
-        self.slots_len = slot;
-        self.live_values.push_back(value);
-        self.tables.commit_slot(value, slot);
-        self.last_value = Some(value);
-        let cursor = self.tables.cursor(proc.0).unwrap_or(0).max(slot);
-        self.tables.set_cursor(proc.0, cursor);
-
-        // Retry deferred reads of every process, in program order, stopping
-        // at the first that still cannot be placed. Processes are
-        // independent here (each retry touches only its own cursor), so
-        // the proc listing order cannot affect the outcome.
-        let mut retry = std::mem::take(&mut self.retry_procs);
-        retry.clear();
-        self.tables.pending_procs(&mut retry);
-        for &p in &retry {
-            let mut min = self.tables.cursor(p).unwrap_or(0);
-            let mut placed = 0;
-            for pr in self.tables.pending(p) {
-                match self.tables.place(self.slots_len, pr.value, min) {
-                    Some(slot) => {
-                        min = slot;
-                        placed += 1;
-                    }
-                    None => break,
-                }
-            }
-            if placed > 0 {
-                self.tables.set_cursor(p, min);
-                self.tables.pending_pop_front(p, placed);
-                self.pending_total -= placed;
-            }
-        }
-        self.retry_procs = retry;
-    }
-
+    /// Run the event through the monitor. A violation pins the address
+    /// and, on temporal streams, is reported as a detection.
     fn monitor(&mut self, seq: u64, addr: Addr, proc: ProcId, op: Op, sink: &mut Sink) {
-        match op {
-            Op::Read { value, .. } => self.on_read(seq, proc, value, sink.temporal),
-            Op::Write { value, .. } => self.on_write(seq, addr, proc, value, sink),
-            Op::Rmw { read, write, .. } => {
-                // The read component binds to the immediately preceding
-                // committed value.
-                let current = self.last_value.unwrap_or(self.initial);
-                if current != read {
-                    self.pinned = true;
-                    sink.report(
-                        OnlineViolation {
-                            detected_at: seq,
-                            issued_at: seq,
-                            proc,
-                            addr,
-                            value: read,
-                            cause: OnlineCause::RmwMismatch,
-                        },
-                        if sink.temporal { obs::now_us() } else { 0 },
-                    );
-                }
-                self.on_write(seq, addr, proc, write, sink);
-            }
-        }
+        let mut flagged = false;
+        self.summary
+            .observe(seq, addr, proc, op, sink.temporal, &mut |violation, us| {
+                flagged = true;
+                sink.report(violation, us);
+            });
+        self.pinned |= flagged;
     }
 
     /// Apply window retirement; returns `(ops, bytes, slots)` retired.
@@ -758,40 +623,28 @@ impl AddrStream {
             self.buffer_bytes = 0;
             self.dropped = true;
         }
-        // Committed slots: everything below every process's cursor can no
-        // longer serve any read of a process this address has seen. A
-        // process arriving later may still have wanted one — then its read
-        // defers, the address pins, and the exact kernel (with replayed
-        // ops) decides: slower, never wrong.
-        if self.slots_len - self.live_from > window {
-            let floor = self.tables.cursor_floor();
-            while self.live_from < floor {
-                if self.live_from == 0 {
-                    self.tables.retire_slot(self.initial, 0);
-                } else {
-                    let value = self.live_values.pop_front().expect("live slot value");
-                    self.tables.retire_slot(value, self.live_from);
-                }
-                self.live_from += 1;
-                retired.2 += 1;
-            }
-        }
+        // Committed slots below every process's cursor can no longer serve
+        // any read of a process this address has seen. A process arriving
+        // later may still have wanted one — then its read defers, the
+        // address pins, and the exact kernel (with replayed ops) decides:
+        // slower, never wrong.
+        retired.2 = self.summary.retire_slots(window);
         retired
     }
 
     fn current_units(&self) -> usize {
-        self.buffer_ops + (self.slots_len - self.live_from) + self.pending_total
+        self.buffer_ops + self.summary.live_slots() + self.summary.pending_total()
     }
 
     /// The summary alone proves this address coherent (see module docs).
     fn sealed_clean(&self) -> bool {
-        if self.pinned || self.pending_total > 0 {
+        if self.pinned || self.summary.pending_total() > 0 {
             return false;
         }
         debug_assert!(!self.rmw_seen && !self.dup_value && !self.wrote_initial);
         match self.final_value {
             None => true,
-            Some(f) => f == self.last_value.unwrap_or(self.initial),
+            Some(f) => f == self.summary.current_value(),
         }
     }
 }
@@ -1255,68 +1108,41 @@ impl StreamVerifier {
         // End of stream: any still-deferred read pins its address (and on
         // temporal streams surfaces as a detection, exactly like
         // `OnlineVerifier::finish`). Queues drain in ascending proc order,
-        // so the capped forensic captures are deterministic regardless of
-        // the storage strategy.
+        // so the capped forensic captures are deterministic.
         let end = self.seq;
         let now = obs::now_us();
         let recorder = self.recorder;
-        let mut stragglers: Vec<OnlineViolation> = Vec::new();
-        let mut straggler_procs: Vec<u16> = Vec::new();
+        let mut stragglers: Vec<(OnlineViolation, u64)> = Vec::new();
         for (&addr, state) in merged.iter_mut() {
-            if state.pending_total == 0 {
+            if state.summary.pending_total() == 0 {
                 continue;
             }
             state.pinned = true;
-            straggler_procs.clear();
-            state.tables.pending_procs(&mut straggler_procs);
-            let mut drained: Vec<PendingRead> = Vec::new();
-            for &p in &straggler_procs {
-                let mut queue = state.tables.pending_take(p);
-                drained.append(&mut queue);
-                state.tables.pending_restore(p, queue);
+            let from = stragglers.len();
+            state.summary.end_of_stream(end, addr, &mut stragglers);
+            if !self.temporal {
+                continue;
             }
-            state.pending_total = 0;
-            for pr in drained {
-                if self.temporal && latencies_us.len() < LATENCY_CAP {
-                    latencies_us.push(now.saturating_sub(pr.issued_us));
+            for &(violation, issued_us) in &stragglers[from..] {
+                if latencies_us.len() < LATENCY_CAP {
+                    latencies_us.push(now.saturating_sub(issued_us));
                 }
-                let violation = OnlineViolation {
-                    detected_at: end,
-                    issued_at: pr.issued_at,
-                    proc: pr.proc,
-                    addr,
-                    value: pr.value,
-                    cause: OnlineCause::EndOfStream,
-                };
-                if self.temporal {
-                    if let Some(rec) = &recorder {
-                        if forensics.len() < FORENSIC_CAP {
-                            let recent = ring[ring.len().saturating_sub(rec.ring)..].to_vec();
-                            forensics.push(capture_bundle(
-                                rec,
-                                state,
-                                violation,
-                                pr.issued_us,
-                                now,
-                                recent,
-                                true,
-                            ));
-                        }
+                if let Some(rec) = &recorder {
+                    if forensics.len() < FORENSIC_CAP {
+                        let recent = ring[ring.len().saturating_sub(rec.ring)..].to_vec();
+                        forensics.push(capture_bundle(
+                            rec, state, violation, issued_us, now, recent, true,
+                        ));
                     }
                 }
-                stragglers.push(violation);
             }
         }
         if self.temporal {
-            stragglers.sort_by_key(|v| (v.detected_at, v.issued_at, v.addr.0, v.proc.0));
-            detections.extend(stragglers);
+            detections.extend(stragglers.into_iter().map(|(v, _)| v));
         }
-        detections.sort_by_key(|v| (v.detected_at, v.issued_at, v.addr.0, v.proc.0));
+        detections.sort_by_key(OnlineViolation::order_key);
         detections.truncate(DETECTION_CAP);
-        forensics.sort_by_key(|b| {
-            let v = &b.violation;
-            (v.detected_at, v.issued_at, v.addr.0, v.proc.0)
-        });
+        forensics.sort_by_key(|b| b.violation.order_key());
         forensics.truncate(FORENSIC_CAP);
 
         let replay_set: BTreeSet<Addr> = merged
@@ -1388,9 +1214,9 @@ impl StreamVerifier {
     /// Run the final reduction and produce the report.
     ///
     /// Sealed addresses are decided by their summary; every other address
-    /// is solved by the exact tiered kernel (fanned out over the
-    /// work-stealing pool, reduced in ascending address order with the
-    /// same first-failure determinism as [`crate::verify_execution_par`]).
+    /// is solved by the exact tiered kernel, fanned out over the
+    /// work-stealing pool and reduced in ascending address order by the
+    /// same helper as [`crate::verify_execution_par`].
     ///
     /// Panics if a replay was needed but not provided.
     pub fn finish(mut self) -> StreamReport {
@@ -1400,18 +1226,15 @@ impl StreamVerifier {
 
         // Lay the addresses out in ascending order, materializing the op
         // sets of escalated addresses (from the retention buffer, or from
-        // the replay store when the buffer was retired).
-        enum Slot {
-            Sealed,
-            Exact(usize),
-        }
-        let mut layout: Vec<(Addr, Slot)> = Vec::with_capacity(ended.merged.len());
+        // the replay store when the buffer was retired). Sealed addresses
+        // need no solve.
+        let mut layout: Vec<(Addr, Option<usize>)> = Vec::with_capacity(ended.merged.len());
         let mut exact: Vec<AddrOps> = Vec::new();
         let mut metrics = ended.metrics;
         for (addr, mut state) in std::mem::take(&mut ended.merged) {
             if state.sealed_clean() {
                 metrics.sealed_addresses += 1;
-                layout.push((addr, Slot::Sealed));
+                layout.push((addr, None));
                 continue;
             }
             let lists = if !state.dropped {
@@ -1425,8 +1248,8 @@ impl StreamVerifier {
                     )
                 })
             };
-            let ops = AddrOps::from_parts(addr, state.initial, state.final_value, lists);
-            layout.push((addr, Slot::Exact(exact.len())));
+            let ops = AddrOps::from_parts(addr, state.summary.initial(), state.final_value, lists);
+            layout.push((addr, Some(exact.len())));
             exact.push(ops);
         }
         metrics.exact_addresses = exact.len();
@@ -1437,50 +1260,22 @@ impl StreamVerifier {
             span.arg("exact", exact.len() as u64);
         }
 
-        // Fan the escalated addresses out, then reduce in address order —
-        // the same determinism dance as `verify_execution_par`.
+        let addresses = layout.len();
         let verifier = &self.verifier;
-        let cancel = CancelToken::new();
-        let mut results = scoped_map(self.jobs, exact.len(), &cancel, |i| {
-            let out = verifier.verify_ops_detached(&exact[i]);
-            if !matches!(out.0, Verdict::Coherent(_)) {
-                cancel.cancel();
-            }
-            out
+        let reduced = reduce_in_order(self.jobs, &layout, |i| {
+            verifier.verify_ops_detached(&exact[i])
         });
-
-        let mut stats = SearchStats::default();
-        let mut tiers = TierStats::default();
-        let mut verdict = StreamVerdict::Coherent;
-        for (addr, slot) in layout.iter() {
-            match slot {
-                Slot::Sealed => tiers.record(Tier::Frontline),
-                Slot::Exact(i) => {
-                    let (v, s, tier) = results[*i]
-                        .take()
-                        .unwrap_or_else(|| verifier.verify_ops_detached(&exact[*i]));
-                    stats.absorb(&s);
-                    tiers.record(tier);
-                    match v {
-                        Verdict::Coherent(_) => {}
-                        Verdict::Incoherent(violation) => {
-                            verdict = StreamVerdict::Incoherent(violation);
-                            break;
-                        }
-                        Verdict::Unknown => {
-                            verdict = StreamVerdict::Unknown { addr: *addr };
-                            break;
-                        }
-                    }
-                }
-            }
-        }
+        let verdict = match reduced.verdict {
+            ExecutionVerdict::Coherent(_) => StreamVerdict::Coherent,
+            ExecutionVerdict::Incoherent(v) => StreamVerdict::Incoherent(v),
+            ExecutionVerdict::Unknown { addr } => StreamVerdict::Unknown { addr },
+        };
 
         StreamReport {
             verdict,
-            stats,
-            tiers,
-            addresses: layout.len(),
+            stats: reduced.stats,
+            tiers: reduced.tiers,
+            addresses,
             events: self.seq,
             jobs: self.jobs,
             detections: ended.detections,

@@ -4,7 +4,14 @@
 //! costs tens of nanoseconds per small key — far too much for the exact
 //! VMC search, which probes its visited-state set once per explored state.
 //! [`FxHasher`] is the classic multiply-xor hasher (the rustc `FxHash`
-//! recipe): one rotate, one xor and one multiply per 8-byte word.
+//! recipe): one rotate, one xor and one multiply per 8-byte word, and one
+//! final rotate (the rustc-hash 2 finish).
+//!
+//! The finishing rotate matters for std's SwissTable maps, which pick a
+//! bucket from the hash's low bits. The low bits of a raw product depend
+//! only on the low bits of the input, so keys that differ only in high bits
+//! (packed search-frontier words, shifted counters) would share buckets.
+//! Rotating by 26 brings the well-mixed high bits of the product down.
 //!
 //! ## Stream-stability policy
 //!
@@ -43,7 +50,7 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 
     #[inline]
@@ -123,19 +130,19 @@ mod tests {
     #[test]
     fn kat_stream_is_frozen_for_words() {
         assert_eq!(fx_hash_one(&0u64), 0);
-        assert_eq!(fx_hash_one(&1u64), 0x517cc1b727220a95);
-        assert_eq!(fx_hash_one(&0xdead_beefu64), 0x67f3c0372953771b);
-        assert_eq!(fx_hash_one(&u64::MAX), 0xae833e48d8ddf56b);
-        assert_eq!(fx_hash_one(&(1u64, 2u64)), 0x6a4be67ff98fabc8);
+        assert_eq!(fx_hash_one(&1u64), 0xdc9c882a5545f306);
+        assert_eq!(fx_hash_one(&0xdead_beefu64), 0xdca54ddc6d9fcf00);
+        assert_eq!(fx_hash_one(&u64::MAX), 0x236377d5aeba0cf9);
+        assert_eq!(fx_hash_one(&(1u64, 2u64)), 0xffe63eaf21a92f99);
     }
 
     #[test]
     fn kat_stream_is_frozen_for_bytes() {
         assert_eq!(fx_hash_one::<[u8]>(b""), 0);
-        assert_eq!(fx_hash_one::<[u8]>(b"a"), 0xf95a628a53371e27);
-        assert_eq!(fx_hash_one::<[u8]>(b"vermem"), 0x5551c2c1e20a6387);
-        assert_eq!(fx_hash_one::<[u8]>(b"12345678"), 0x18032863425585a0);
-        assert_eq!(fx_hash_one::<[u8]>(b"123456789"), 0x6efc1356c20cbd84);
+        assert_eq!(fx_hash_one::<[u8]>(b"a"), 0x294cdc789fe5698a);
+        assert_eq!(fx_hash_one::<[u8]>(b"vermem"), 0x0788298e1d55470b);
+        assert_eq!(fx_hash_one::<[u8]>(b"12345678"), 0x8d09561680600ca1);
+        assert_eq!(fx_hash_one::<[u8]>(b"123456789"), 0x5b0832f611bbf04d);
     }
 
     #[test]
@@ -165,6 +172,19 @@ mod tests {
         let mut s: FxHashSet<Vec<u32>> = FxHashSet::default();
         assert!(s.insert(vec![1, 2]));
         assert!(!s.insert(vec![1, 2]));
+    }
+
+    #[test]
+    fn high_bit_keys_spread_over_low_bits() {
+        // SwissTable buckets come from the low bits: keys that differ only
+        // in high bits must still spread there (the raw product gives 1 and
+        // 64 distinct values for these two families).
+        for shift in [32u32, 6] {
+            let low: std::collections::HashSet<u64> = (0..4096u64)
+                .map(|k| fx_hash_one(&(k << shift)) & 0xFFF)
+                .collect();
+            assert!(low.len() >= 1024, "shift {shift}: {} buckets", low.len());
+        }
     }
 
     #[test]

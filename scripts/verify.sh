@@ -143,13 +143,23 @@ echo "    ok"
 
 echo "==> stream hot path: no std HashMap anywhere in the stream engine"
 # The PR-9 contract: the ingest hot path (every file of the stream engine,
-# plus the batch decoder) runs on index-addressed dense structures only.
-# No file is exempt, and neither are comments.
-hash_sites=$(grep -rn 'HashMap' crates/coherence/src/stream/ crates/trace/src/binary.rs \
-    || true)
+# the per-address placement monitor in online.rs, plus the batch decoder)
+# runs on index-addressed dense structures only. No file is exempt, and
+# neither are comments.
+hash_sites=$(grep -rn 'HashMap' crates/coherence/src/stream/ crates/coherence/src/online.rs \
+    crates/trace/src/binary.rs || true)
 if [[ -n "$hash_sites" ]]; then
     echo "std HashMap on the stream hot path:" >&2
     echo "$hash_sites" >&2
+    exit 1
+fi
+# One §5.2 placement monitor: OnlineVerifier and the stream engine share
+# online.rs's PlacementMonitor, so the coherence crate defines exactly one
+# deferred-read type.
+pending_defs=$(grep -rn 'struct PendingRead' crates/coherence/src/ || true)
+if [[ $(grep -c . <<<"$pending_defs") -ne 1 ]]; then
+    echo "expected exactly one struct PendingRead in crates/coherence/src, found:" >&2
+    echo "$pending_defs" >&2
     exit 1
 fi
 echo "    ok"

@@ -2,10 +2,12 @@
 //! with the offline §5.2 write-order verification on every run — healthy,
 //! TSO, directory-based, or fault-injected.
 
-use vermem::coherence::{solve_with_write_order, OnlineVerifier};
+use vermem::coherence::{
+    solve_with_write_order, verify_stream_bytes, OnlineVerifier, StreamConfig,
+};
 use vermem::sim::{
-    random_program, shared_counter, DirectoryConfig, DirectoryMachine, FaultKind, FaultPlan,
-    Machine, MachineConfig, WorkloadConfig,
+    event_stream_bytes, random_program, shared_counter, DirectoryConfig, DirectoryMachine,
+    FaultKind, FaultPlan, Machine, MachineConfig, WorkloadConfig,
 };
 
 fn offline_clean(cap: &vermem::sim::CapturedExecution) -> bool {
@@ -438,4 +440,70 @@ fn prop_online_equals_write_order_on_deferred_read_heavy_streams() {
         incoherent_seen.get() > 0,
         "no corrupted case exercised the incoherent direction"
     );
+}
+
+#[test]
+fn online_violations_equal_stream_detections() {
+    // The online checker and the streaming engine run one per-address
+    // monitor, so on SC captures (healthy and with each fault kind) they
+    // report the same violations in the same order. RMWs let one event
+    // raise several violations at once (closed windows plus a mismatch).
+    let plans: [Option<FaultKind>; 5] = [
+        None,
+        Some(FaultKind::DropInvalidation { victim_cpu: 1 }),
+        Some(FaultKind::CorruptFill { cpu: 2, xor: 0xF00 }),
+        Some(FaultKind::LostWrite { cpu: 0 }),
+        Some(FaultKind::StaleFill { cpu: 1 }),
+    ];
+    let (mut flagged, mut multi) = (0, 0);
+    for plan in plans {
+        for seed in 0..40u64 {
+            let program = random_program(&WorkloadConfig {
+                cpus: 3,
+                instrs_per_cpu: 24,
+                addrs: 2,
+                write_fraction: 0.4,
+                rmw_fraction: 0.25,
+                seed: 5000 + seed,
+            });
+            let cap = Machine::run(
+                &program,
+                MachineConfig {
+                    seed,
+                    faults: plan
+                        .map(|kind| FaultPlan {
+                            kind,
+                            at_step: 4 + seed % 16,
+                        })
+                        .into_iter()
+                        .collect(),
+                    ..Default::default()
+                },
+            );
+            let mut online = OnlineVerifier::new();
+            for &(proc, op) in &cap.event_log {
+                multi += usize::from(online.observe(proc, op) > 1);
+            }
+            let violations = online.finish();
+            flagged += usize::from(!violations.is_empty());
+
+            let bytes = event_stream_bytes(&cap).expect("SC captures stream");
+            let report = verify_stream_bytes(
+                &bytes,
+                StreamConfig {
+                    window: None,
+                    jobs: 1,
+                    temporal: true,
+                    ..StreamConfig::default()
+                },
+            )
+            .expect("decode");
+            assert_eq!(
+                violations, report.detections,
+                "online vs stream detections: {plan:?}, seed {seed}"
+            );
+        }
+    }
+    assert!(flagged > 0, "no capture was ever flagged");
+    assert!(multi > 0, "no event raised two violations at once");
 }
