@@ -9,16 +9,18 @@
 //! cargo run --release -p vermem-bench --bin experiments -- --json # BENCH_vmc.json
 //! ```
 //!
-//! `--json` runs the four receipt experiments — the E-PRUNE
+//! `--json` runs the five receipt experiments — the E-PRUNE
 //! inference-layer ablation, the E-TIER tiered-verification ablation
 //! (closure frontline vs exact-only, per trace family), the E-AXIOM
 //! declared-model ablation (every `ModelSpec` model through the operational
-//! compiler and the SAT compiler, plus the RA frontline probe) and the
+//! compiler and the SAT compiler, plus the RA frontline probe), the
 //! E-STREAM streaming-engine family (detections and peak retained windows
-//! at 1/4/16 concurrent streams, plus the bounded-memory probe) — once
-//! each, and writes `BENCH_vmc.json` in the current directory. Every field
-//! of that receipt is a work count, a verdict class or a boolean, so two
-//! runs write byte-identical files; `scripts/verify.sh` compares a fresh
+//! at 1/4/16 concurrent streams, plus the bounded-memory probe) and the
+//! E-SMALL small-scope space (every canonical trace of up to four
+//! operations under every model and engine) — once each, and writes
+//! `BENCH_vmc.json` in the current directory. Every field of that receipt
+//! is a work count, a verdict class or a boolean, so two runs write
+//! byte-identical files; `scripts/verify.sh` compares a fresh
 //! run with the committed file byte for byte. Wall-clock performance is
 //! measured by `vmcbench`, not here.
 //!
@@ -82,7 +84,7 @@ fn main() {
         vermem_util::obs::set_enabled(true);
     }
     let json = argv.iter().any(|a| a == "--json");
-    // Bare `--json` means "produce the receipt": run only the four receipt
+    // Bare `--json` means "produce the receipt": run only the five receipt
     // experiments rather than the whole console suite.
     let filter = argv
         .iter()
@@ -135,11 +137,12 @@ fn main() {
     let tier = receipt("etier").then(e_tier);
     let axiom = receipt("eaxiom").then(e_axiom);
     let stream = receipt("estream").then(e_stream);
-    if let (true, Some(prune), Some(tier), Some(axiom), Some(stream)) =
-        (json, prune, tier, axiom, stream)
+    let small = receipt("esmall").then(e_small_scope);
+    if let (true, Some(prune), Some(tier), Some(axiom), Some(stream), Some(small)) =
+        (json, prune, tier, axiom, stream, small)
     {
         let path = "BENCH_vmc.json";
-        std::fs::write(path, bench_json(&prune, &tier, &axiom, &stream))
+        std::fs::write(path, bench_json(&prune, &tier, &axiom, &stream, &small))
             .expect("write BENCH_vmc.json");
         println!("\nwrote {path}");
     }
@@ -1136,6 +1139,49 @@ fn e_axiom() -> (Vec<AxiomRow>, RaFrontlineProbe) {
     (rows, probe)
 }
 
+/// E-SMALL: every trace of the 4-op small-scope space (≤4 ops, ≤3
+/// processes, 2 addresses, values {0,1}, one per symmetry class) under
+/// every declared model, decided by the compiled engine, the SAT engine
+/// and, for the serialization models, the serialization oracle. All
+/// deciders agreeing on every trace is asserted; the receipt keeps the
+/// trace count and each model's consistent count.
+fn e_small_scope() -> (usize, [usize; 6]) {
+    header("E-SMALL  small-scope space: every canonical trace, every model, every engine");
+    let scope = vermem_trace::gen::SmallScope {
+        max_ops: 4,
+        addrs: 2,
+        values: 2,
+    };
+    let sat = AxiomConfig {
+        engine: Engine::Sat,
+        ..AxiomConfig::default()
+    };
+    let (mut traces, mut consistent) = (0, [0; 6]);
+    vermem_trace::gen::small_traces(&scope, |t| {
+        traces += 1;
+        for (id, n) in ModelId::ALL.into_iter().zip(&mut consistent) {
+            let [compiled, via_sat] =
+                [AxiomConfig::default(), sat].map(|cfg| verify_axiom(t, id, &cfg).verdict);
+            let ok = compiled.is_consistent();
+            let serialization = ModelId::SERIALIZING.contains(&id);
+            assert!(
+                compiled.unknown_stats().is_none()
+                    && via_sat.unknown_stats().is_none()
+                    && via_sat.is_consistent() == ok
+                    && (!serialization || vermem_consistency::oracle::serializes(t, id) == ok),
+                "E-SMALL: {}: compiled, SAT and oracle do not give one answer on {t:?}",
+                id.name()
+            );
+            *n += usize::from(ok);
+        }
+    });
+    println!("{traces} canonical traces; consistent per model:");
+    for (id, n) in ModelId::ALL.iter().zip(consistent) {
+        println!("{:>10} {n:>7}", id.name());
+    }
+    (traces, consistent)
+}
+
 /// One row of the E-STREAM receipt: the sharded bounded-memory streaming
 /// engine (`coherence::stream`) over N concurrent v3 event streams (half
 /// healthy, half fault-injected so detections exist), with batch verdict
@@ -1513,13 +1559,14 @@ fn bench_json(
     tier: &[TierRow],
     (axiom, ra): &(Vec<AxiomRow>, RaFrontlineProbe),
     (estream, bounded): &(Vec<EstreamRow>, BoundedMemoryProbe),
+    (small_traces, small_consistent): &(usize, [usize; 6]),
 ) -> String {
     fn array(s: &mut String, key: &str, rows: Vec<String>) {
         s.push_str(&format!("  \"{key}\": [\n    "));
         s.push_str(&rows.join(",\n    "));
         s.push_str("\n  ],\n");
     }
-    let mut s = String::from("{\n  \"schema\": \"vermem-bench-vmc/v11\",\n");
+    let mut s = String::from("{\n  \"schema\": \"vermem-bench-vmc/v12\",\n");
     array(
         &mut s,
         "prune_ablation",
@@ -1615,7 +1662,7 @@ fn bench_json(
          \"peak_retained_windows\": {}, \"events_10x\": {}, \
          \"peak_retained_windows_10x\": {}, \
          \"recorder_peak_retained_windows\": {}, \
-         \"recorder_peak_retained_windows_10x\": {}}}\n}}\n",
+         \"recorder_peak_retained_windows_10x\": {}}},\n",
         bounded.window,
         bounded.events,
         bounded.peak_retained_windows,
@@ -1623,6 +1670,15 @@ fn bench_json(
         bounded.peak_retained_windows_10x,
         bounded.recorder_peak_retained_windows,
         bounded.recorder_peak_retained_windows_10x
+    ));
+    let models: Vec<String> = ModelId::ALL
+        .iter()
+        .zip(small_consistent)
+        .map(|(id, n)| format!("{{\"model\": \"{}\", \"consistent\": {n}}}", id.name()))
+        .collect();
+    s.push_str(&format!(
+        "  \"small_scope\": {{\"traces\": {small_traces}, \"models\": [{}]}}\n}}\n",
+        models.join(", ")
     ));
     s
 }

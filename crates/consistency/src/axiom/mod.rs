@@ -54,7 +54,7 @@ pub use witness::{check_model_schedule, check_witness, RfCand, Witness};
 use crate::verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
 use vermem_coherence::closure::Tier;
 use vermem_coherence::{KernelConfig, SearchStats, TierConfig};
-use vermem_trace::Trace;
+use vermem_trace::{AddrIndex, Trace};
 use vermem_util::pool::CancelToken;
 
 /// The declared models: the crate's one model vocabulary. Each id names a
@@ -400,16 +400,16 @@ pub struct AxiomReport {
 
 /// Static prechecks: per-address unreadable values / unproducible finals.
 /// Sound for every declared model, because every spec carries a
-/// per-location coherence axiom; every engine runs it first.
+/// per-location coherence axiom; every engine runs it first. One pass over
+/// the trace: the index is sorted by address, so the first violation is
+/// the lowest address's.
 pub fn precheck_sc(trace: &Trace) -> Option<ConsistencyViolation> {
-    for addr in trace.addresses() {
-        if let Some(v) = vermem_coherence::backtrack::precheck(trace, addr) {
-            return Some(ConsistencyViolation {
-                class: ViolationClass::PerAddressCoherence(v),
-            });
-        }
-    }
-    None
+    AddrIndex::build(trace)
+        .iter()
+        .find_map(vermem_coherence::backtrack::precheck_ops)
+        .map(|v| ConsistencyViolation {
+            class: ViolationClass::PerAddressCoherence(v),
+        })
 }
 
 /// Verify `trace` under declared model `id`: the crate's one deciding
@@ -674,97 +674,6 @@ mod tests {
                     .schedule()
                     .unwrap_or_else(|| panic!("seed {seed} must be {}", id.name()));
                 check_model_schedule(&t, id, s).unwrap();
-            }
-        }
-    }
-
-    /// Exhaustive reference for the serialization models: some order of
-    /// all operations passes [`check_model_schedule`]. Enumerates every
-    /// permutation whose prefix is value-legal (reads see the latest write
-    /// to their address) and leaves program order and finals to the
-    /// checker.
-    fn brute_force(trace: &Trace, id: ModelId) -> bool {
-        use vermem_trace::{OpRef, Schedule};
-        fn rec(
-            trace: &Trace,
-            id: ModelId,
-            ops: &[(OpRef, vermem_trace::Op)],
-            used: &mut [bool],
-            memory: &mut std::collections::BTreeMap<vermem_trace::Addr, vermem_trace::Value>,
-            acc: &mut Vec<OpRef>,
-        ) -> bool {
-            if acc.len() == ops.len() {
-                let s = Schedule::from_refs(acc.iter().copied());
-                return check_model_schedule(trace, id, &s).is_ok();
-            }
-            for i in 0..ops.len() {
-                let (r, op) = ops[i];
-                let cur = memory
-                    .get(&op.addr())
-                    .copied()
-                    .unwrap_or_else(|| trace.initial(op.addr()));
-                if used[i] || op.read_value().is_some_and(|v| v != cur) {
-                    continue;
-                }
-                used[i] = true;
-                acc.push(r);
-                if let Some(v) = op.written_value() {
-                    memory.insert(op.addr(), v);
-                }
-                let found = rec(trace, id, ops, used, memory, acc);
-                memory.insert(op.addr(), cur);
-                acc.pop();
-                used[i] = false;
-                if found {
-                    return true;
-                }
-            }
-            false
-        }
-        let ops: Vec<_> = trace.iter_ops().collect();
-        let mut used = vec![false; ops.len()];
-        rec(
-            trace,
-            id,
-            &ops,
-            &mut used,
-            &mut Default::default(),
-            &mut Vec::new(),
-        )
-    }
-
-    #[test]
-    fn agrees_with_brute_force_on_tiny_instances() {
-        use vermem_trace::{Op, TraceBuilder};
-        use vermem_util::rng::StdRng;
-        for seed in 0..80u64 {
-            let mut rng = StdRng::seed_from_u64(40_000 + seed);
-            let procs = rng.gen_range(1..=3);
-            let mut b = TraceBuilder::new();
-            for _ in 0..procs {
-                let len = rng.gen_range(0..=3);
-                let ops: Vec<Op> = (0..len)
-                    .map(|_| {
-                        let a = rng.gen_range(0..2u32);
-                        let v = rng.gen_range(0..2u64);
-                        match rng.gen_range(0..3) {
-                            0 => Op::read(a, v),
-                            1 => Op::write(a, v),
-                            _ => Op::rmw(a, v, rng.gen_range(0..2u64)),
-                        }
-                    })
-                    .collect();
-                b = b.proc(ops);
-            }
-            let t = b.build();
-            for id in ModelId::SERIALIZING {
-                let got = verify_axiom(&t, id, &AxiomConfig::default()).verdict;
-                assert_eq!(
-                    got.is_consistent(),
-                    brute_force(&t, id),
-                    "seed {seed} under {}: {t:?}",
-                    id.name()
-                );
             }
         }
     }

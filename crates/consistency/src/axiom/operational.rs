@@ -38,7 +38,7 @@
 
 use super::graph::GraphMachine;
 use super::witness::{check_witness_ev, spec_serializes, witness_schedule, Events};
-use super::{ModelSpec, PSO_SPEC, SC_SPEC, TSO_SPEC};
+use super::ModelSpec;
 use crate::axiom::check_model_schedule;
 use crate::verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
 use std::collections::VecDeque;
@@ -61,6 +61,24 @@ pub(crate) enum BufferKind {
     SlotFifo,
 }
 
+impl BufferKind {
+    /// The cross-address enforcement table this machine implements, in
+    /// [`ModelSpec::ppo_cross`]'s layout. Written here, next to the
+    /// machine, rather than read from a declared spec: a spec lowers to
+    /// the machine only if its table is exactly this one, so a changed
+    /// declaration changes the compiled verdicts instead of being ignored.
+    fn ppo_cross(self) -> [[bool; 3]; 3] {
+        // A buffered store can be passed by later loads (TSO) and by later
+        // stores to other addresses (PSO); RMWs drain the buffer.
+        let store = match self {
+            BufferKind::Atomic => [true; 3],
+            BufferKind::ProcFifo => [false, true, true],
+            BufferKind::SlotFifo => [false, false, true],
+        };
+        [[true; 3], store, [true; 3]]
+    }
+}
+
 /// How a spec lowers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Lowering {
@@ -71,16 +89,16 @@ pub(crate) enum Lowering {
 }
 
 /// Choose the lowering by inspecting the spec as data: the axiom shape
-/// first, then the enforcement table, compared against the tables of the
-/// declared SC, TSO and PSO specs (the machine shapes' source of truth).
+/// first, then the enforcement table, compared against the table each
+/// buffer machine implements ([`BufferKind::ppo_cross`]).
 pub(crate) fn lowering(spec: &ModelSpec) -> Lowering {
-    if !spec_serializes(spec) {
-        return Lowering::Graph;
-    }
-    match spec.ppo_cross {
-        t if t == SC_SPEC.ppo_cross => Lowering::Buffer(BufferKind::Atomic),
-        t if t == TSO_SPEC.ppo_cross => Lowering::Buffer(BufferKind::ProcFifo),
-        t if t == PSO_SPEC.ppo_cross => Lowering::Buffer(BufferKind::SlotFifo),
+    let kinds = [
+        BufferKind::Atomic,
+        BufferKind::ProcFifo,
+        BufferKind::SlotFifo,
+    ];
+    match kinds.into_iter().find(|k| k.ppo_cross() == spec.ppo_cross) {
+        Some(kind) if spec_serializes(spec) => Lowering::Buffer(kind),
         _ => Lowering::Graph,
     }
 }

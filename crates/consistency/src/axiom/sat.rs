@@ -15,11 +15,14 @@
 //!
 //! Closure variables are only lower-bounded (edges force them true), which
 //! is sound and complete here: a real cycle forces a contradiction, and an
-//! acyclic witness lets the solver assign the exact closure. Decoded
-//! models are validated against [`check_witness_ev`] — the reference
-//! evaluator — before a `Consistent` verdict is issued, so an encoding bug
-//! can produce a crash or an `Unsat`-side disagreement in the
-//! differential suite, never a bogus witness.
+//! acyclic witness lets the solver assign the exact closure. Both answers
+//! are certified: decoded models are validated against
+//! [`check_witness_ev`] — the reference evaluator — before a `Consistent`
+//! verdict is issued, and every `Unsat` carries a CDCL refutation proof
+//! checked by RUP ([`vermem_sat::check_unsat_proof`]) before a violation is
+//! issued. An encoding bug can therefore produce a crash or a disagreement
+//! in the differential suites, never a bogus witness, and a solver bug
+//! never a bogus refutation.
 
 use super::witness::{check_witness_ev, push_rel, witness_schedule, Events, RfCand, Witness};
 use super::{AxiomKind, ModelSpec, Rel};
@@ -383,7 +386,13 @@ pub fn encode_spec(trace: &Trace, spec: &ModelSpec) -> SpecEncoding {
 /// Decide adherence of `trace` to `spec` via the SAT encoding. Shares the
 /// polynomial per-address precheck with the other engines; decoded
 /// witnesses are validated by the reference evaluator before a
-/// `Consistent` verdict is issued.
+/// `Consistent` verdict is issued, and refutations by the RUP proof
+/// checker before a violation is.
+///
+/// # Panics
+///
+/// If the decoded witness fails the evaluator (an encoding bug) or the
+/// refutation proof fails the checker (a solver bug).
 pub fn solve_spec_sat(trace: &Trace, spec: &ModelSpec) -> ConsistencyVerdict {
     if let Some(v) = super::precheck_sc(trace) {
         return ConsistencyVerdict::Violating(v);
@@ -395,6 +404,7 @@ pub fn solve_spec_sat(trace: &Trace, spec: &ModelSpec) -> ConsistencyVerdict {
         });
     }
     let mut solver = CdclSolver::new(enc.cnf());
+    solver.enable_proof_logging();
     match solver.solve() {
         SatResult::Sat(m) => {
             let w = enc.decode(&m);
@@ -405,9 +415,18 @@ pub fn solve_spec_sat(trace: &Trace, spec: &ModelSpec) -> ConsistencyVerdict {
             );
             ConsistencyVerdict::Consistent(witness_schedule(spec, &enc.ev, &w))
         }
-        SatResult::Unsat => ConsistencyVerdict::Violating(ConsistencyViolation {
-            class: ViolationClass::NoConsistentSchedule,
-        }),
+        SatResult::Unsat => {
+            let proof = solver.take_proof().expect("logging enabled");
+            assert_eq!(
+                vermem_sat::check_unsat_proof(enc.cnf(), &proof),
+                vermem_sat::ProofCheck::Valid,
+                "CDCL produced an invalid refutation proof — solver bug ({})",
+                spec.name
+            );
+            ConsistencyVerdict::Violating(ConsistencyViolation {
+                class: ViolationClass::NoConsistentSchedule,
+            })
+        }
     }
 }
 
@@ -415,13 +434,13 @@ pub fn solve_spec_sat(trace: &Trace, spec: &ModelSpec) -> ConsistencyVerdict {
 mod tests {
     use super::*;
     use crate::axiom::{spec, ModelId};
-    use crate::sat_vsc::solve_model_sat;
+    use crate::oracle::serializes;
     use vermem_trace::{Op, TraceBuilder};
 
-    /// Message passing: the compiled encoding agrees with the hand-written
-    /// serialization encoding on all four base models.
+    /// Message passing: the compiled encoding agrees with the serialization
+    /// oracle on all four base models.
     #[test]
-    fn agrees_with_hand_written_encoding_on_mp() {
+    fn agrees_with_serialization_oracle_on_mp() {
         let t = TraceBuilder::new()
             .proc([Op::write(0u32, 1u64), Op::write(1u32, 1u64)])
             .proc([Op::read(1u32, 1u64), Op::read(0u32, 0u64)])
@@ -429,7 +448,7 @@ mod tests {
         for id in ModelId::SERIALIZING {
             assert_eq!(
                 solve_spec_sat(&t, spec(id)).is_consistent(),
-                solve_model_sat(&t, id).is_consistent(),
+                serializes(&t, id),
                 "{}",
                 id.name()
             );

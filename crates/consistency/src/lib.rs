@@ -15,9 +15,10 @@
 //!   polynomial RA fast tier ([`axiom::ra_fast`]). Schedules of the four
 //!   serialization models are checked by [`check_model_schedule`], other
 //!   witnesses by [`check_witness`];
-//! * [`sat_vsc`] — the hand-written serialization SAT encoding for the
-//!   four serialization models: the test oracle the differential suites
-//!   hold both compilers to (no production path calls it);
+//! * [`oracle`] — the serialization definition of the four serialization
+//!   models, run by exhaustive search over a hand-written preserved
+//!   program order: the reference the differential suites hold both
+//!   compilers to (no production path calls it);
 //! * [`vsc_conflict`] — the O(n lg n) merge of per-address coherent
 //!   schedules into an SC schedule (and its §6.3 incompleteness);
 //! * [`vscc`] — the VSCC promise-problem pipeline (Definition 6.2):
@@ -52,7 +53,7 @@
 pub mod axiom;
 pub mod litmus;
 pub mod lrc;
-pub mod sat_vsc;
+pub mod oracle;
 mod verdict;
 pub mod vsc_conflict;
 pub mod vscc;
@@ -61,7 +62,6 @@ pub use axiom::{
     check_model_schedule, check_witness, precheck_sc, solve_spec_sat, spec, verify_axiom,
     verify_axiom_with, AxiomConfig, AxiomReport, Engine, ModelId, ModelSpec, Witness,
 };
-pub use sat_vsc::{encode_model, solve_model_sat, VscEncoding};
 pub use verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
 /// Budget/ablation knobs shared by every kernel-backed search (re-exported
 /// from the coherence crate so consistency callers need no extra import).

@@ -275,7 +275,7 @@ pub fn all_litmus_tests() -> Vec<LitmusTest> {
         // classic relaxed outcome. Real forwarding hardware (x86-TSO,
         // SPARC) still allows the relaxed outcome — the own-read is served
         // from the buffer — but the forwarding-free semantics modelled here
-        // (and by the axiomatic single-serialization oracle, where the
+        // (and by the serialization oracle, `oracle::serializes`, where the
         // same-address W→R edge is always enforced) forbid it: the own-read
         // forces the store to drain before the CPU proceeds.
         case(
@@ -334,16 +334,16 @@ pub fn all_litmus_tests() -> Vec<LitmusTest> {
 mod tests {
     use super::*;
     use crate::axiom::{solve_spec_sat, verify_axiom, AxiomConfig};
-    use crate::sat_vsc::solve_model_sat;
+    use crate::oracle::serializes;
 
     #[test]
     fn litmus_suite_matches_expectations() {
-        // The serialization columns against the hand-written oracle.
+        // The serialization columns against the serialization oracle.
         for test in all_litmus_tests() {
             assert_eq!(test.expected.len(), ModelId::ALL.len(), "{}", test.name);
             for id in ModelId::SERIALIZING {
                 let allowed = test.expected[&id];
-                let got = solve_model_sat(&test.trace, id).is_consistent();
+                let got = serializes(&test.trace, id);
                 assert_eq!(
                     got,
                     allowed,

@@ -1,7 +1,7 @@
 //! Differential suite for the axiom framework: every declared model must
 //! give the same answer through the operational compiler and the SAT
-//! compiler, and the four base models must also match the hand-written
-//! `sat_vsc` encoding — an oracle not derived from `ModelSpec` — across
+//! compiler, and the four base models must also match the serialization
+//! oracle (`oracle::serializes`) — not derived from `ModelSpec` — across
 //! the litmus suite, generated workloads, fault-injected traces and
 //! unconstrained random traces. The compiled engine's verdicts and
 //! `SearchStats` on the same corpus are pinned by a golden file. The RA
@@ -11,9 +11,9 @@
 use std::fmt::Write as _;
 use vermem_coherence::TierConfig;
 use vermem_consistency::axiom::ra_fast::{self, FastOutcome};
+use vermem_consistency::oracle::serializes;
 use vermem_consistency::{
-    litmus::all_litmus_tests, solve_model_sat, verify_axiom, AxiomConfig, Engine, KernelConfig,
-    ModelId,
+    litmus::all_litmus_tests, verify_axiom, AxiomConfig, Engine, KernelConfig, ModelId,
 };
 use vermem_trace::gen::{gen_sc_trace, inject_violation, GenConfig, ViolationKind};
 use vermem_trace::{Op, Trace, TraceBuilder};
@@ -27,7 +27,7 @@ fn config(engine: Engine) -> AxiomConfig {
 }
 
 /// Compiled (tiered and exact-only) and SAT agree on consistency for every
-/// declared model, and with the hand-written encoding wherever one exists.
+/// declared model, and with the serialization oracle wherever it applies.
 fn assert_engine_agreement(trace: &Trace, ctx: &str) {
     for id in ModelId::ALL {
         let sat = verify_axiom(trace, id, &config(Engine::Sat)).verdict;
@@ -57,8 +57,8 @@ fn assert_engine_agreement(trace: &Trace, ctx: &str) {
         if ModelId::SERIALIZING.contains(&id) {
             assert_eq!(
                 tiered.is_consistent(),
-                solve_model_sat(trace, id).is_consistent(),
-                "{ctx}: {} compiled/hand-written encoding drift",
+                serializes(trace, id),
+                "{ctx}: {} compiled/oracle drift",
                 id.name()
             );
         }

@@ -1,14 +1,14 @@
 //! Differential suite for the shared exact-search kernel: the compiled
 //! machine of every serialization model (SC, TSO and PSO on the buffer
 //! lowering, coherence-only on the graph lowering) must agree with the
-//! hand-written SAT oracle (`sat_vsc`) on every trace family, with
+//! serialization oracle (`oracle::serializes`) on every trace family, with
 //! feasibility pruning on and off — and budget-limited runs must be
 //! deterministic. (Budget exhaustion on the E-5.2 family is pinned, stats
 //! included, by the golden file of `axiom_differential.rs`.)
 
+use vermem_consistency::oracle::serializes;
 use vermem_consistency::{
-    litmus::all_litmus_tests, solve_model_sat, verify_axiom, AxiomConfig, AxiomReport,
-    KernelConfig, ModelId,
+    litmus::all_litmus_tests, verify_axiom, AxiomConfig, AxiomReport, KernelConfig, ModelId,
 };
 use vermem_trace::gen::{gen_sc_trace, inject_violation, GenConfig, ViolationKind};
 use vermem_trace::{Op, Trace, TraceBuilder};
@@ -35,10 +35,10 @@ fn knob_grid() -> [KernelConfig; 2] {
 }
 
 /// Assert the kernel-parity contract on one trace: every compiled
-/// serialization model matches `solve_model_sat` under every knob.
+/// serialization model matches the serialization oracle under every knob.
 fn assert_kernel_parity(trace: &Trace, ctx: &str) {
     for model in ModelId::SERIALIZING {
-        let oracle = solve_model_sat(trace, model).is_consistent();
+        let oracle = serializes(trace, model);
         for cfg in knob_grid() {
             let verdict = compiled(trace, model, cfg).verdict;
             assert!(

@@ -1,13 +1,12 @@
 //! Kernel parity on *captured* executions: traces recorded from the MESI
 //! simulator (healthy and fault-injected) must get the same verdict from
 //! each buffer-lowered compiled machine (SC, TSO, PSO) as from the
-//! hand-written SAT oracle — with feasibility pruning on or off.
+//! serialization oracle — with feasibility pruning on or off.
 //! (Coherence-only runs on the graph lowering; its parity is checked on
 //! smaller traces by `consistency/tests/kernel_differential.rs`.)
 
-use vermem_consistency::{
-    solve_model_sat, verify_axiom, AxiomConfig, ConsistencyVerdict, KernelConfig, ModelId,
-};
+use vermem_consistency::oracle::serializes;
+use vermem_consistency::{verify_axiom, AxiomConfig, ConsistencyVerdict, KernelConfig, ModelId};
 use vermem_sim::{random_program, FaultKind, FaultPlan, Machine, MachineConfig, WorkloadConfig};
 use vermem_trace::Trace;
 
@@ -25,7 +24,7 @@ fn knob_grid() -> [KernelConfig; 2] {
 fn assert_capture_parity(trace: &Trace, ctx: &str) -> bool {
     let mut sc = false;
     for model in BUFFER_LOWERED {
-        let oracle = solve_model_sat(trace, model).is_consistent();
+        let oracle = serializes(trace, model);
         if model == ModelId::Sc {
             sc = oracle;
         }

@@ -9,7 +9,7 @@
 use crate::history::ProcessHistory;
 use crate::op::{Addr, Op, OpRef, Value};
 use crate::schedule::Schedule;
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceBuilder};
 use std::collections::BTreeMap;
 use vermem_util::rng::{SliceRandom, StdRng};
 
@@ -324,6 +324,137 @@ pub fn gen_hard_coherent(
     gen_sc_trace(&cfg)
 }
 
+/// The bounds of an exhaustive small-scope enumeration ([`small_traces`]),
+/// whose traces have at most [`SMALL_SCOPE_PROCS`] processes.
+#[derive(Clone, Copy, Debug)]
+pub struct SmallScope {
+    /// At most this many operations in all.
+    pub max_ops: usize,
+    /// The addresses are `0..addrs`.
+    pub addrs: u32,
+    /// The values are `0..values`; 0 is every address's initial value.
+    pub values: u64,
+}
+
+/// The process bound of every [`SmallScope`].
+pub const SMALL_SCOPE_PROCS: usize = 3;
+
+/// Call `f` once per symmetry class of the non-empty traces within `scope`:
+/// reads, writes and RMWs, initial values 0, no final values. Two traces
+/// are in one class when reordering the processes, permuting the addresses
+/// and permuting the non-initial values turns one into the other; no
+/// verdict of any model depends on those choices. Each class is visited
+/// once, through its least member, and generated directly: a trace is a
+/// non-decreasing list of operation sequences (so process order never
+/// repeats a class), skipped when an address or value permutation maps it
+/// to a smaller list.
+pub fn small_traces(scope: &SmallScope, mut f: impl FnMut(&Trace)) {
+    // Letter `x` is the operation of kind `x % kinds` (read, write, or an
+    // RMW writing `kind - 2`) reading or writing value `x / kinds % vals`
+    // at address `x / kinds / vals`.
+    let (vals, kinds) = (scope.values as usize, scope.values as usize + 2);
+    let letters = scope.addrs as usize * vals * kinds;
+    let split = |x: usize| (x / kinds / vals, x / kinds % vals, x % kinds);
+    // Every operation sequence, shortest first and lexicographic within a
+    // length, so that `rank` inverts the list; `ends[k]` counts those of
+    // length at most `k`.
+    let (mut seqs, mut ends, mut layer) = (Vec::new(), vec![0], vec![Vec::new()]);
+    for _ in 0..scope.max_ops {
+        layer = layer
+            .iter()
+            .flat_map(|s: &Vec<usize>| (0..letters).map(move |x| [&s[..], &[x]].concat()))
+            .collect();
+        seqs.extend(layer.iter().cloned());
+        ends.push(seqs.len());
+    }
+    let rank = |s: &[usize]| ends[s.len() - 1] + s.iter().fold(0, |r, &x| r * letters + x);
+    // Each non-identity symmetry as a map on letters.
+    let mut symmetries: Vec<Vec<usize>> = Vec::new();
+    for ap in permutations(scope.addrs as usize) {
+        for vp in permutations(vals.saturating_sub(1)) {
+            let value = |v: usize| if v == 0 { 0 } else { vp[v - 1] + 1 };
+            let map: Vec<usize> = (0..letters)
+                .map(|x| {
+                    let (a, v, k) = split(x);
+                    let k = if k < 2 { k } else { value(k - 2) + 2 };
+                    (ap[a] * vals + value(v)) * kinds + k
+                })
+                .collect();
+            if map.iter().enumerate().any(|(x, &y)| x != y) {
+                symmetries.push(map);
+            }
+        }
+    }
+    let mut emit = |procs: &[usize]| {
+        let least = symmetries.iter().all(|map| {
+            let mut image: Vec<usize> = procs
+                .iter()
+                .map(|&p| rank(&seqs[p].iter().map(|&x| map[x]).collect::<Vec<_>>()))
+                .collect();
+            image.sort_unstable();
+            procs <= image.as_slice()
+        });
+        if least {
+            let op = |x: usize| match split(x) {
+                (a, v, 0) => Op::read(a as u32, v as u64),
+                (a, v, 1) => Op::write(a as u32, v as u64),
+                (a, v, k) => Op::rmw(a as u32, v as u64, k as u64 - 2),
+            };
+            let mut b = TraceBuilder::new();
+            for &p in procs {
+                b = b.proc(seqs[p].iter().map(|&x| op(x)));
+            }
+            f(&b.build());
+        }
+    };
+    // Depth first over the non-decreasing lists of at most `procs` ranks
+    // from `start` on, whose sequences hold at most `ops` operations.
+    fn lists(
+        start: usize,
+        ops: usize,
+        procs: usize,
+        ends: &[usize],
+        list: &mut Vec<usize>,
+        emit: &mut dyn FnMut(&[usize]),
+    ) {
+        if procs == 0 {
+            return;
+        }
+        for p in start..ends[ops] {
+            list.push(p);
+            emit(list);
+            let len = ends.partition_point(|&e| e <= p);
+            lists(p, ops - len, procs - 1, ends, list, emit);
+            list.pop();
+        }
+    }
+    lists(
+        0,
+        scope.max_ops,
+        SMALL_SCOPE_PROCS,
+        &ends,
+        &mut Vec::new(),
+        &mut emit,
+    );
+}
+
+/// All permutations of `0..n`.
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    permutations(n - 1)
+        .into_iter()
+        .flat_map(|p| {
+            (0..n).map(move |i| {
+                let mut q = p.clone();
+                q.insert(i, n - 1);
+                q
+            })
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,5 +549,76 @@ mod tests {
         let (a, _) = gen_sc_trace(&cfg);
         let (b, _) = gen_sc_trace(&cfg);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn small_traces_visits_each_symmetry_class_once() {
+        let scope = SmallScope {
+            max_ops: 3,
+            addrs: 2,
+            values: 3,
+        };
+        // Brute force: a trace's class is its least image, processes
+        // sorted, under every address and non-initial value permutation.
+        let class = |procs: &[Vec<Op>]| {
+            let mut images = Vec::new();
+            for ap in permutations(scope.addrs as usize) {
+                for vp in permutations(scope.values as usize - 1) {
+                    let v = |x: Value| match x.0 {
+                        0 => 0,
+                        x => vp[x as usize - 1] as u64 + 1,
+                    };
+                    let mut image: Vec<Vec<_>> = procs
+                        .iter()
+                        .map(|p| {
+                            p.iter()
+                                .map(|&op| {
+                                    let (r, w) =
+                                        (op.read_value().map(v), op.written_value().map(v));
+                                    (ap[op.addr().0 as usize], r, w, op.is_rmw())
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    image.sort();
+                    images.push(image);
+                }
+            }
+            images.into_iter().min().expect("identity")
+        };
+        let mut letters = Vec::new();
+        for a in 0..scope.addrs {
+            for v in 0..scope.values {
+                letters.extend([Op::read(a, v), Op::write(a, v)]);
+                letters.extend((0..scope.values).map(|w| Op::rmw(a, v, w)));
+            }
+        }
+        // Every ordered list of non-empty processes.
+        let (mut lists, mut classes) = (vec![Vec::<Vec<Op>>::new()], BTreeMap::new());
+        while let Some(list) = lists.pop() {
+            if !list.is_empty() {
+                classes.insert(class(&list), 0);
+            }
+            if list.len() == SMALL_SCOPE_PROCS {
+                continue;
+            }
+            let mut seqs = vec![Vec::new()];
+            for _ in list.iter().map(Vec::len).sum::<usize>()..scope.max_ops {
+                seqs = seqs
+                    .iter()
+                    .flat_map(|s| letters.iter().map(move |&op| [&s[..], &[op]].concat()))
+                    .collect();
+                lists.extend(
+                    seqs.iter()
+                        .map(|s| [&list[..], std::slice::from_ref(s)].concat()),
+                );
+            }
+        }
+        small_traces(&scope, |t| {
+            let procs: Vec<Vec<Op>> = t.histories().iter().map(|h| h.ops().to_vec()).collect();
+            *classes.get_mut(&class(&procs)).expect("in scope") += 1;
+        });
+        assert_eq!(classes.len(), 15_255);
+        assert!(classes.values().all(|&n| n == 1));
     }
 }

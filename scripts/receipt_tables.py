@@ -4,8 +4,9 @@
     python3 scripts/receipt_tables.py                          # print markdown
     python3 scripts/receipt_tables.py --check EXPERIMENTS.md   # fail on drift
 
-Prints the E-PRUNE, E-TIER, E-AXIOM, RA-frontline, E-STREAM and
-bounded-memory tables as markdown, each between a pair of marker comments:
+Prints the E-PRUNE, E-TIER, E-AXIOM, RA-frontline, E-STREAM,
+bounded-memory and E-SMALL tables as markdown, each between a pair of marker
+comments:
 
     <!-- receipt: NAME -->
     | ... |
@@ -85,6 +86,12 @@ def render(d):
          ["10×", bm["window"], n(bm["events_10x"]),
           bm["peak_retained_windows_10x"],
           bm["recorder_peak_retained_windows_10x"]]])
+    # E-SMALL: the harness asserts that the compiled engine, the SAT engine
+    # and (for the serialization models) the oracle agree on every trace.
+    sm = d["small_scope"]
+    out["small-scope"] = table(
+        ["model", f"consistent (of {n(sm['traces'])} traces)"],
+        [[r["model"], n(r["consistent"])] for r in sm["models"]])
     return out
 
 

@@ -58,19 +58,32 @@ echo "==> kernel substrate: no private memo plumbing, one search, one model voca
 # shared exact-search kernel (crates/coherence/src/kernel.rs), which owns
 # the memo table, budget, and cancellation. A `visited: HashSet` (or any
 # tuple-keyed HashSet) reappearing in the consistency crate means a solver
-# grew its own memoization again.
+# grew its own memoization again. The test oracle (oracle.rs) keeps its
+# own set of dead states on purpose: it must share no search code with
+# the engines it checks, so it is not a kernel client.
 if grep -rn 'visited: HashSet\|HashSet<(' crates/consistency/src; then
     echo "private memo plumbing found in crates/consistency/src (use the kernel)" >&2
     exit 1
 fi
-# One model vocabulary (ModelId + ModelSpec) and one
-# deciding entry point (verify_axiom). The retired second enum, its
-# bridges, the per-model wrapper modules and entry points, the second
-# litmus expectation map and the second engine selector must not come back.
+# One model vocabulary (ModelId + ModelSpec), one deciding entry point
+# (verify_axiom) and one SAT lowering per model (axiom::sat). The retired
+# second enum, its bridges, the per-model wrapper modules and entry
+# points, the second litmus expectation map, the second engine selector
+# and the hand-written serialization SAT encoding must not come back.
 retired='MemoryModel\|tso_operational\|pso_operational\|solve_sc_backtracking'
 retired+='\|verify_model_operational\|VsccBackend\|base_model\|expected_axiom'
+retired+='\|sat_vsc\|solve_model_sat\|VscEncoding\|encode_model'
 if grep -rn "$retired" crates/ src/ tests/ examples/; then
-    echo "retired model vocabulary or entry point found (use ModelId + verify_axiom)" >&2
+    echo "retired model vocabulary, entry point or SAT lowering found (use ModelId + verify_axiom)" >&2
+    exit 1
+fi
+# The serialization oracle is the reference the differential suites hold
+# both compilers to, so it must not read what they compile: no spec
+# table, no spec registry, no spec-derived schedule checker. Comments
+# count too.
+if grep -n 'ppo_cross\|preserves\|ModelSpec\|spec(\|check_model_schedule' \
+    crates/consistency/src/oracle.rs; then
+    echo "crates/consistency/src/oracle.rs reads the model declarations it checks" >&2
     exit 1
 fi
 # One exact search in the coherence crate: the kernel
