@@ -1,8 +1,8 @@
-//! Shared helpers for the benchmark and experiment harness: timing
-//! utilities, log–log growth-exponent fitting, and instance builders used
-//! by both the `vermem_util::bench`-harness benches and the `experiments`
-//! binary that regenerates every table/figure of the paper's evaluation
-//! (Figures 4.1–6.3, the Figure 5.3 complexity table; see EXPERIMENTS.md).
+//! Helpers for the `experiments` binary, which regenerates every
+//! table/figure of the paper's evaluation (Figures 4.1–6.3, the Figure 5.3
+//! complexity table; see EXPERIMENTS.md): a median-of-reps timer and
+//! log–log growth-exponent fitting. Speed is gated by the separate
+//! `vmcbench` package, not here.
 
 use std::time::Instant;
 

@@ -13,13 +13,14 @@
 //!   neither answers `Unknown`.
 //! * **VMC space** (≤4 ops, ≤3 processes, 1 address, values {0,1,2}): the
 //!   default VMC dispatcher, the unpruned backtracking search, certified
-//!   SAT, every outcome the closure frontline decides, and compiled
+//!   SAT, every outcome the closure frontline decides, every Figure 5.3
+//!   fast path on each trace its own predicate admits, and compiled
 //!   Coherence agree.
 
 use vermem_coherence::closure::{analyze_ops, ClosureOutcome};
 use vermem_coherence::{
-    solve_sat_certified, verify_execution, PruneConfig, SearchConfig, Strategy, Verdict,
-    VmcVerifier,
+    one_op, readmap, rmw, solve_sat_certified, verify_execution, PruneConfig, SearchConfig,
+    Strategy, Verdict, VmcVerifier,
 };
 use vermem_consistency::oracle::serializes;
 use vermem_consistency::{verify_axiom, AxiomConfig, ConsistencyVerdict, Engine, ModelId};
@@ -90,7 +91,16 @@ fn vmc_space_every_decider_agrees() {
         },
         ..VmcVerifier::default()
     };
-    let (mut traces, mut coherent) = (0, 0);
+    // The dispatcher runs only the first fast path that applies; here each
+    // one runs on every trace its own predicate admits.
+    type FastPath = (fn(&AddrOps) -> bool, fn(&AddrOps) -> Verdict);
+    let fast_paths: [FastPath; 4] = [
+        (one_op::applicable_ops, one_op::solve_one_op_ops),
+        (readmap::applicable_ops, readmap::solve_readmap_ops),
+        (rmw::one_op_applicable_ops, rmw::solve_rmw_one_op_ops),
+        (rmw::readmap_applicable_ops, rmw::solve_rmw_readmap_ops),
+    ];
+    let (mut traces, mut coherent, mut applicable) = (0, 0, [0; 4]);
     space(4, 1, 3, |t| {
         traces += 1;
         let decided = |v: Verdict| {
@@ -106,7 +116,18 @@ fn vmc_space_every_decider_agrees() {
             ok,
             "{t:?}"
         );
-        match analyze_ops(&AddrOps::of(t, Addr::ZERO)).0 {
+        let ops = AddrOps::of(t, Addr::ZERO);
+        for ((applies, solve), n) in fast_paths.iter().zip(&mut applicable) {
+            if applies(&ops) {
+                *n += 1;
+                let v = solve(&ops);
+                if let Some(s) = v.schedule() {
+                    check_coherent_schedule(t, Addr::ZERO, s).unwrap();
+                }
+                assert_eq!(decided(v), ok, "{t:?}");
+            }
+        }
+        match analyze_ops(&ops).0 {
             ClosureOutcome::Coherent(s) => {
                 assert!(ok, "{t:?}");
                 check_coherent_schedule(t, Addr::ZERO, &s).unwrap();
@@ -116,4 +137,5 @@ fn vmc_space_every_decider_agrees() {
         }
     });
     assert_eq!((traces, coherent), (80_997, 10_219));
+    assert_eq!(applicable, [49, 772, 115, 18]);
 }

@@ -139,7 +139,8 @@ pub fn example_fig_4_2() -> VmcReduction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vermem_coherence::{solve_backtracking, SearchConfig, Verdict};
+    use vermem_coherence::{solve_backtracking, solve_sat, SearchConfig, Verdict};
+    use vermem_sat::random::{gen_forced_sat, RandomSatConfig};
     use vermem_sat::{solve_cdcl, Lit};
     use vermem_trace::Addr;
 
@@ -217,14 +218,20 @@ mod tests {
 
     #[test]
     fn satisfiable_formulas_reduce_to_coherent_instances() {
+        let forced =
+            (3..=5u32).map(|m| gen_forced_sat(&RandomSatConfig::three_sat(m, 3.0, m.into())));
         for f in [
             cnf(&[&[1]]),
             cnf(&[&[1, 2], &[-1, 2], &[1, -2]]),
             cnf(&[&[1, 2, 3], &[-1, -2, -3], &[1, -2, 3]]),
-        ] {
+        ]
+        .into_iter()
+        .chain(forced)
+        {
             assert!(solve_cdcl(&f).is_sat(), "formula should be SAT");
             let red = reduce_sat_to_vmc(&f);
             assert!(vmc_coherent(&red.trace).is_coherent());
+            assert!(solve_sat(&red.trace, Addr::ZERO).is_coherent());
         }
     }
 

@@ -48,10 +48,16 @@ pub fn parse_dimacs(input: &str) -> Result<Cnf, DimacsError> {
                     message: format!("malformed header 'p{rest}'"),
                 });
             }
-            let vars = parts[1].parse::<u32>().map_err(|_| DimacsError {
-                line: lineno,
-                message: format!("invalid variable count '{}'", parts[1]),
-            })?;
+            // A `Lit` packs the variable index above a sign bit, so at most
+            // 2^31 - 1 variables fit; a larger count would alias literals.
+            let vars = parts[1]
+                .parse::<u32>()
+                .ok()
+                .filter(|&v| v <= i32::MAX as u32)
+                .ok_or_else(|| DimacsError {
+                    line: lineno,
+                    message: format!("invalid variable count '{}'", parts[1]),
+                })?;
             let clauses = parts[2].parse::<usize>().map_err(|_| DimacsError {
                 line: lineno,
                 message: format!("invalid clause count '{}'", parts[2]),
@@ -60,17 +66,23 @@ pub fn parse_dimacs(input: &str) -> Result<Cnf, DimacsError> {
             cnf.reserve_vars(vars);
             continue;
         }
-        if header.is_none() {
+        let Some((vars, _)) = header else {
             return Err(DimacsError {
                 line: lineno,
                 message: "clause before header".into(),
             });
-        }
+        };
         for token in line.split_whitespace() {
             let code = token.parse::<i64>().map_err(|_| DimacsError {
                 line: lineno,
                 message: format!("invalid literal '{token}'"),
             })?;
+            if code.unsigned_abs() > u64::from(vars) {
+                return Err(DimacsError {
+                    line: lineno,
+                    message: format!("literal '{token}' exceeds the header's {vars} variables"),
+                });
+            }
             if code == 0 {
                 cnf.add_clause(current.drain(..));
             } else {
@@ -147,6 +159,16 @@ mod tests {
         assert!(parse_dimacs("p cnf 2 2\n1 0\n").is_err()); // count mismatch
         assert!(parse_dimacs("p cnf 2 1\n1 x 0\n").is_err()); // bad literal
         assert!(parse_dimacs("p cnf 1 0\np cnf 1 0\n").is_err()); // dup header
+
+        // Literals past the header's count (the last two alias ¬x0 if
+        // truncated to a `Lit`) and a variable count no `Lit` can encode.
+        for lit in ["2", "-2147483649", "-4294967297"] {
+            let e = parse_dimacs(&format!("p cnf 1 2\n1 0\n{lit} 0\n")).unwrap_err();
+            assert_eq!(e.line, 3, "{e}");
+        }
+        let e = parse_dimacs("p cnf 2147483648 0\n").unwrap_err();
+        assert!(e.message.contains("invalid variable count"), "{e}");
+        assert!(parse_dimacs("p cnf 2147483647 0\n").is_ok());
     }
 
     #[test]

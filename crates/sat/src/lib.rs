@@ -10,9 +10,10 @@
 //! * [`CdclSolver`] — conflict-driven clause learning with two-watched
 //!   literals, first-UIP learning, VSIDS + phase saving, Luby restarts and
 //!   learnt-clause database reduction;
-//! * [`solve_dpll`] — a plain DPLL baseline for differential testing and
-//!   benchmarking;
-//! * [`Cnf`] / [`Formula`] — CNF construction and Tseitin encoding;
+//! * [`solve_dpll`] — a plain DPLL reference the CDCL solver is checked
+//!   against where brute force cannot reach;
+//! * [`Cnf`] — CNF construction and evaluation;
+//! * [`drat`] — RUP checking of the solver's refutation proofs;
 //! * [`dimacs`] — standard DIMACS CNF I/O;
 //! * [`random`] — random and forced-satisfiable k-SAT generators.
 
@@ -23,17 +24,13 @@ mod cnf;
 pub mod dimacs;
 mod dpll;
 pub mod drat;
-mod formula;
 mod heap;
 mod lit;
 pub mod random;
-pub mod simplify;
 mod solver;
 
 pub use cnf::{Cnf, Model, SatResult};
 pub use dpll::solve_dpll;
 pub use drat::{check_unsat_proof, Proof, ProofCheck};
-pub use formula::Formula;
 pub use lit::{LBool, Lit, Var};
-pub use simplify::{preprocess, solve_with_preprocessing, Simplified};
 pub use solver::{solve_cdcl, CdclSolver, SolverStats};

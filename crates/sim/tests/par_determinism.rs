@@ -36,16 +36,18 @@ fn assert_deterministic(trace: &Trace, verifier: &VmcVerifier, ctx: &str) -> boo
 #[test]
 fn generated_sc_traces_are_deterministic_across_thread_counts() {
     let verifier = VmcVerifier::new();
-    for seed in 0..12u64 {
+    let cases = (0..12u64).map(|seed| (160, 7, seed));
+    for (total_ops, addrs, seed) in cases.chain([(8192, 64, 8192 ^ 64)]) {
         let (t, _) = gen_sc_trace(&GenConfig {
             procs: 4,
-            total_ops: 160,
-            addrs: 7,
+            total_ops,
+            addrs,
             value_reuse: 0.5,
             seed,
             ..Default::default()
         });
-        let coherent = assert_deterministic(&t, &verifier, &format!("gen seed {seed}"));
+        let ctx = format!("gen {total_ops} ops seed {seed}");
+        let coherent = assert_deterministic(&t, &verifier, &ctx);
         assert!(coherent, "SC-generated traces are coherent by construction");
     }
 }
@@ -53,18 +55,21 @@ fn generated_sc_traces_are_deterministic_across_thread_counts() {
 #[test]
 fn healthy_sim_captures_are_deterministic_across_thread_counts() {
     let verifier = VmcVerifier::new();
-    for seed in 0..8u64 {
+    let cases = (0..8u64).map(|seed| (40, 5, seed, seed));
+    for (instrs_per_cpu, addrs, seed, machine_seed) in
+        cases.chain([(1024, 16, 4096, MachineConfig::default().seed)])
+    {
         let cap = Machine::run(
             &random_program(&WorkloadConfig {
                 cpus: 4,
-                instrs_per_cpu: 40,
-                addrs: 5,
+                instrs_per_cpu,
+                addrs,
                 write_fraction: 0.45,
                 rmw_fraction: 0.1,
                 seed,
             }),
             MachineConfig {
-                seed,
+                seed: machine_seed,
                 ..Default::default()
             },
         );

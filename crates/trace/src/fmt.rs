@@ -129,10 +129,14 @@ fn parse_op(token: &str, lineno: usize) -> Result<Op, ParseError> {
         s.parse::<u64>()
             .map_err(|_| err(lineno, format!("invalid number '{s}' in '{token}'")))
     };
+    let addr = |s: &str| -> Result<u32, ParseError> {
+        s.parse::<u32>()
+            .map_err(|_| err(lineno, format!("invalid address '{s}' in '{token}'")))
+    };
     match (kind, parts.as_slice()) {
-        ("R", [a, v]) => Ok(Op::read(num(a)? as u32, num(v)?)),
-        ("W", [a, v]) => Ok(Op::write(num(a)? as u32, num(v)?)),
-        ("RW", [a, r, w]) => Ok(Op::rmw(num(a)? as u32, num(r)?, num(w)?)),
+        ("R", [a, v]) => Ok(Op::read(addr(a)?, num(v)?)),
+        ("W", [a, v]) => Ok(Op::write(addr(a)?, num(v)?)),
+        ("RW", [a, r, w]) => Ok(Op::rmw(addr(a)?, num(r)?, num(w)?)),
         // Single-address shorthand from the paper: R(d), W(d), RW(dr,dw).
         ("R", [v]) => Ok(Op::r(num(v)?)),
         ("W", [v]) => Ok(Op::w(num(v)?)),
@@ -195,6 +199,21 @@ mod tests {
         assert!(parse_trace("P0: W(1\n").is_err());
         assert!(parse_trace("P0: X(1)\n").is_err());
         assert!(parse_trace("P0: W(a)\n").is_err());
+    }
+
+    #[test]
+    fn rejects_out_of_range_address() {
+        // 2^32 must not wrap to address 0 and alias R(0,1).
+        for text in [
+            "P0: W(4294967296,1)\nP1: R(0,1)\n",
+            "P0: RW(4294967296,0,1)\n",
+        ] {
+            let e = parse_trace(text).unwrap_err();
+            assert_eq!(e.line, 1);
+            assert!(e.message.contains("invalid address '4294967296'"), "{e}");
+        }
+        let max = parse_trace("P0: R(4294967295,1)\n").unwrap();
+        assert_eq!(max.addresses(), vec![Addr(u32::MAX)]);
     }
 
     #[test]

@@ -214,8 +214,7 @@ impl AddrIndex {
     /// build grew every per-process `Vec` by doubling, so large traces
     /// paid O(ops) redundant element moves plus one realloc chain per
     /// `(address, process)` pair; now every element is written exactly
-    /// once into its final slot (measured in `bench/benches/
-    /// sim_pipeline.rs`, `sim/addr-index`).
+    /// once into its final slot.
     pub fn build(trace: &Trace) -> AddrIndex {
         let procs = trace.num_procs();
         let mut slot: FxHashMap<Addr, usize> = FxHashMap::default();

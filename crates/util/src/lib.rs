@@ -2,7 +2,7 @@
 //!
 //! The build environment for this reproduction of *Cantin, Lipasti & Smith,
 //! "The complexity of verifying memory coherence" (SPAA 2003)* is fully
-//! offline: no registry, no network. This crate replaces the six external
+//! offline: no registry, no network. This crate replaces the external
 //! crates the workspace used to depend on with small, tested, in-tree
 //! substrates so the whole workspace builds and tests hermetically:
 //!
@@ -10,7 +10,6 @@
 //! |-----------|---------------------|-----------------------------------------------------|
 //! | [`rng`]   | `rand`              | SplitMix64 + xoshiro256\*\* seedable PRNG           |
 //! | [`prop`]  | `proptest`          | `prop_check!` seeded cases + size-descent shrinking |
-//! | [`mod@bench`] | `criterion`     | warmup + median/p95 wall-clock bench harness        |
 //! | [`codec`] | `bytes` (+ `serde`) | varint/fixed-width binary reader & writer           |
 //! | [`hash`]  | `rustc-hash`/`fxhash` | frozen-stream Fx hasher + `FxHashMap`/`FxHashSet` |
 //! | [`densemap`] | `slab`/`hashbrown` | open-addressing int-key map, slab, arena recycler |
@@ -36,7 +35,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod codec;
 pub mod densemap;
 pub mod hash;

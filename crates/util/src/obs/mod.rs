@@ -38,9 +38,10 @@
 //!    local counters and *flush aggregates once per solve/run*, so the
 //!    enabled cost is per-operation-batch, not per-operation.
 //!
-//! `bench/benches/obs_overhead.rs` measures the disabled cost per macro
-//! call and on the E-5.2 blow-up instance; EXPERIMENTS.md §E-OBS records
-//! the figures.
+//! Rule 1 is the grep gate in `scripts/verify.sh`; the determinism
+//! contract below is tested in `crates/sim/tests/obs_determinism.rs`.
+//! Those two checks are the evidence that the off switch is free;
+//! EXPERIMENTS.md §E-OBS keeps the last wall-clock figures as history.
 //!
 //! ## The determinism contract
 //!
