@@ -86,14 +86,38 @@ pub(crate) struct PendingRead {
 /// yet. Slots count committed writes, so a real cursor never reaches it.
 const NO_CURSOR: usize = usize::MAX;
 
+/// [`ValueRow::bucket`] sentinel: the value has at most one live slot.
+const NO_BUCKET: u32 = u32::MAX;
+
+/// One value's row in the monitor's value table.
+#[derive(Clone, Copy, Debug)]
+struct ValueRow {
+    /// The value's latest committed slot. Live slots are exactly those at
+    /// or above `live_from`, so while `bucket` is [`NO_BUCKET`] this is the
+    /// value's only candidate, live iff `slot >= live_from`.
+    slot: usize,
+    /// Index into `buckets` while the value has two or more live slots.
+    bucket: u32,
+    /// A write (a commit at slot > 0) has committed this value.
+    written: bool,
+}
+
 /// The greedy §5.2 placement monitor of one address.
 ///
 /// Slot `s` (over `0..=slots_len`) denotes "after `s` writes": slot 0
-/// carries the initial value. Each value keeps the ascending list of live
-/// slots at which it is current; a read places at the earliest such slot at
-/// or after its process's cursor. Cursors use *presence* semantics — a
-/// process has none until its first placed read or own write — and the
-/// per-process tables grow on a process's first event.
+/// carries the initial value. A read places at the earliest live slot at
+/// or after its process's cursor where its value is current. Cursors use
+/// *presence* semantics — a process has none until its first placed read
+/// or own write — and the per-process tables grow on a process's first
+/// event.
+///
+/// The address's one value table maps each value ever committed to a
+/// [`ValueRow`]: its latest slot inline, a bucket of ascending live slots
+/// only while it has two or more, and a `written` bit. So a write is one
+/// table probe that both commits the slot and detects a second write of
+/// the value ([`PlacementMonitor::rewrote`]), and a read is one probe. The
+/// table is O(distinct committed values); slot retirement does not shrink
+/// it.
 ///
 /// Slots below every present cursor can be retired
 /// ([`PlacementMonitor::retire_slots`]); the streaming engine does so to
@@ -108,12 +132,17 @@ pub(crate) struct PlacementMonitor {
     live_values: VecDeque<Value>,
     /// Value of the most recent committed write.
     last_value: Option<Value>,
-    /// `value → index into `buckets``.
-    slot_lists: DenseMap<u64, u32>,
-    /// The sorted live-slot list of each value with live slots.
+    /// The current value (at `slots_len`) has no other live slot, so a
+    /// read of it places at `slots_len` without a table probe.
+    current_single: bool,
+    /// The value table: `value → row`.
+    values: DenseMap<u64, ValueRow>,
+    /// The sorted live-slot list of each value with two or more live slots.
     buckets: Slab<VecDeque<usize>>,
     /// Emptied bucket lists, shelved with their capacity for reuse.
     bucket_arena: Arena<VecDeque<usize>>,
+    /// Some value was written (committed at a slot > 0) twice.
+    rewrote: bool,
     /// Per-process cursor, [`NO_CURSOR`] = absent.
     cursors: Vec<usize>,
     /// Per-process deferred reads, in program order.
@@ -133,9 +162,11 @@ impl PlacementMonitor {
             live_from: 0,
             live_values: VecDeque::new(),
             last_value: None,
-            slot_lists: DenseMap::new(),
+            current_single: true,
+            values: DenseMap::new(),
             buckets: Slab::new(),
             bucket_arena: Arena::new(),
+            rewrote: false,
             cursors: vec![NO_CURSOR; procs],
             deferred: vec![Vec::new(); procs],
             pending_total: 0,
@@ -154,6 +185,12 @@ impl PlacementMonitor {
     /// any).
     pub(crate) fn current_value(&self) -> Value {
         self.last_value.unwrap_or(self.initial)
+    }
+
+    /// True once some value has been written twice: the address has left
+    /// the read-map class of Figure 5.3 for good.
+    pub(crate) fn rewrote(&self) -> bool {
+        self.rewrote
     }
 
     /// Deferred reads still waiting for a serving write.
@@ -368,7 +405,12 @@ impl PlacementMonitor {
             } else {
                 self.live_values.pop_front().expect("live slot value")
             };
-            self.retire_slot(value, self.live_from);
+            // A value with one live slot keeps it inline, and an inline
+            // slot below `live_from` is dead: only bucketed values need
+            // their lists trimmed.
+            if !self.buckets.is_empty() {
+                self.retire_slot(value, self.live_from);
+            }
             self.live_from += 1;
             retired += 1;
         }
@@ -384,42 +426,78 @@ impl PlacementMonitor {
     /// Earliest live slot in `min..=slots_len` where `value` is current.
     #[inline]
     fn place(&self, value: Value, min: usize) -> Option<usize> {
-        let &idx = self.slot_lists.get(value.0)?;
-        let slots = self.buckets.get(idx).expect("indexed bucket is live");
-        let i = slots.partition_point(|&s| s < min);
-        slots.get(i).copied().filter(|&s| s <= self.slots_len)
+        // A read of the value just committed — nearly every read of a
+        // temporal stream — needs no probe while that is its only live
+        // slot (retirement never reaches `slots_len`).
+        if self.current_single && value == self.current_value() {
+            return (self.slots_len >= min).then_some(self.slots_len);
+        }
+        let row = self.values.get(value.0)?;
+        if row.bucket == NO_BUCKET {
+            return (row.slot >= min.max(self.live_from)).then_some(row.slot);
+        }
+        let slots = self
+            .buckets
+            .get(row.bucket)
+            .expect("indexed bucket is live");
+        slots.get(slots.partition_point(|&s| s < min)).copied()
     }
 
     /// Record that `slot` committed `value` (strictly ascending slots).
     #[inline]
     fn commit_slot(&mut self, value: Value, slot: usize) {
-        match self.slot_lists.get(value.0) {
-            Some(&idx) => self
-                .buckets
-                .get_mut(idx)
-                .expect("indexed bucket is live")
-                .push_back(slot),
-            None => {
-                let mut bucket = self.bucket_arena.alloc();
-                bucket.push_back(slot);
-                let idx = self.buckets.insert(bucket);
-                self.slot_lists.insert(value.0, idx);
+        let mut fresh = false;
+        let row = self.values.get_or_insert_with(value.0, || {
+            fresh = true;
+            ValueRow {
+                slot,
+                bucket: NO_BUCKET,
+                written: false,
             }
+        });
+        if !fresh {
+            if row.bucket != NO_BUCKET {
+                self.buckets
+                    .get_mut(row.bucket)
+                    .expect("indexed bucket is live")
+                    .push_back(slot);
+            } else if row.slot >= self.live_from {
+                // A second live slot: the value moves to a bucket.
+                let mut bucket = self.bucket_arena.alloc();
+                bucket.push_back(row.slot);
+                bucket.push_back(slot);
+                row.bucket = self.buckets.insert(bucket);
+            }
+            row.slot = slot;
         }
+        if slot > 0 {
+            self.rewrote |= row.written;
+            row.written = true;
+        }
+        self.current_single = row.bucket == NO_BUCKET;
     }
 
-    /// Drop retired `slot` (the lowest live slot) for `value`.
+    /// Drop retired `slot` (the lowest live slot) for `value`; a bucket
+    /// left with one live slot goes back inline.
     fn retire_slot(&mut self, value: Value, slot: usize) {
-        let Some(&idx) = self.slot_lists.get(value.0) else {
+        let row = self
+            .values
+            .get_mut(value.0)
+            .expect("every committed value has a row");
+        if row.bucket == NO_BUCKET {
             return;
-        };
-        let bucket = self.buckets.get_mut(idx).expect("indexed bucket is live");
+        }
+        let bucket = self
+            .buckets
+            .get_mut(row.bucket)
+            .expect("indexed bucket is live");
         debug_assert_eq!(bucket.front().copied(), Some(slot));
         bucket.pop_front();
-        if bucket.is_empty() {
-            self.slot_lists.remove(value.0);
-            let bucket = self.buckets.remove(idx).expect("just emptied");
+        if bucket.len() == 1 {
+            debug_assert_eq!(bucket.front().copied(), Some(row.slot));
+            let bucket = self.buckets.remove(row.bucket).expect("just trimmed");
             self.bucket_arena.free(bucket);
+            row.bucket = NO_BUCKET;
         }
     }
 }
@@ -516,6 +594,8 @@ impl OnlineVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vermem_util::prop::PropConfig;
+    use vermem_util::{prop_assert, prop_assert_eq, prop_check};
 
     fn p(i: u16) -> ProcId {
         ProcId(i)
@@ -659,5 +739,245 @@ mod tests {
         v.observe(p(1), Op::read(1u32, 2u64));
         v.observe(p(1), Op::read(0u32, 1u64));
         assert!(v.finish().is_empty());
+    }
+
+    /// The naive reference for the monitor's value table: the live slots
+    /// as a plain `(slot, value)` list searched by a linear scan, and
+    /// "value written twice" from a list of the values written so far.
+    /// Cursors, deferral, window closing and retirement follow the §5.2
+    /// rules the monitor implements.
+    struct NaiveMonitor {
+        slots_len: usize,
+        live: Vec<(usize, Value)>,
+        written: Vec<Value>,
+        rewrote: bool,
+        cursors: Vec<Option<usize>>,
+        deferred: Vec<Vec<(Value, u64)>>,
+    }
+
+    impl NaiveMonitor {
+        fn new(procs: usize, initial: Value) -> Self {
+            NaiveMonitor {
+                slots_len: 0,
+                live: vec![(0, initial)],
+                written: Vec::new(),
+                rewrote: false,
+                cursors: vec![None; procs],
+                deferred: vec![Vec::new(); procs],
+            }
+        }
+
+        fn place(&self, value: Value, min: usize) -> Option<usize> {
+            self.live
+                .iter()
+                .find(|&&(s, v)| s >= min && v == value)
+                .map(|&(s, _)| s)
+        }
+
+        fn observe(&mut self, seq: u64, proc: ProcId, op: Op, out: &mut Vec<OnlineViolation>) {
+            let p = usize::from(proc.0);
+            let report = |value, issued_at, cause| OnlineViolation {
+                detected_at: seq,
+                issued_at,
+                proc,
+                addr: Addr::ZERO,
+                value,
+                cause,
+            };
+            match op {
+                Op::Read { value, .. } => {
+                    if self.deferred[p].is_empty() {
+                        if let Some(s) = self.place(value, self.cursors[p].unwrap_or(0)) {
+                            self.cursors[p] = Some(s);
+                            return;
+                        }
+                    }
+                    self.deferred[p].push((value, seq));
+                }
+                Op::Write { value, .. } | Op::Rmw { write: value, .. } => {
+                    for (v, at) in self.deferred[p].drain(..) {
+                        out.push(report(v, at, OnlineCause::WindowClosed));
+                    }
+                    if let Op::Rmw { read, .. } = op {
+                        if self.live.last().map(|&(_, v)| v) != Some(read) {
+                            out.push(report(read, seq, OnlineCause::RmwMismatch));
+                        }
+                    }
+                    self.slots_len += 1;
+                    self.live.push((self.slots_len, value));
+                    if self.written.contains(&value) {
+                        self.rewrote = true;
+                    } else {
+                        self.written.push(value);
+                    }
+                    self.cursors[p] = Some(self.cursors[p].unwrap_or(0).max(self.slots_len));
+                    for q in 0..self.deferred.len() {
+                        while let Some(&(v, _)) = self.deferred[q].first() {
+                            match self.place(v, self.cursors[q].unwrap_or(0)) {
+                                Some(s) => {
+                                    self.cursors[q] = Some(s);
+                                    self.deferred[q].remove(0);
+                                }
+                                None => break,
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        fn retire(&mut self, window: usize) -> u64 {
+            if self.live.len() - 1 <= window {
+                return 0;
+            }
+            let floor = self.cursors.iter().flatten().copied().min().unwrap_or(0);
+            let before = self.live.len();
+            self.live.retain(|&(s, _)| s >= floor);
+            (before - self.live.len()) as u64
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Event(ProcId, Op),
+        Retire(usize),
+    }
+
+    /// What the property cases exercised, summed over all of them.
+    #[derive(Default, Debug)]
+    struct Coverage {
+        to_bucket: u32,
+        to_inline: u32,
+        rewrite_after_retire: u32,
+        initial_at_slot_0: u32,
+    }
+
+    /// Drive the monitor and the naive reference through `steps`,
+    /// comparing every observable after each step.
+    fn check_against_naive(
+        procs: usize,
+        initial: Value,
+        steps: &[Step],
+        cov: &mut Coverage,
+    ) -> Result<(), String> {
+        let mut m = PlacementMonitor::new(procs, initial);
+        let mut naive = NaiveMonitor::new(procs, initial);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (seq, &step) in steps.iter().enumerate() {
+            let seq = seq as u64;
+            let buckets_before = m.buckets.len();
+            match step {
+                Step::Event(proc, op) => {
+                    if let Some(v) = op.written_value() {
+                        if naive.written.contains(&v) && naive.live.iter().all(|&(_, x)| x != v) {
+                            cov.rewrite_after_retire += 1;
+                        }
+                    }
+                    m.observe(seq, Addr::ZERO, proc, op, false, &mut |v, _| got.push(v));
+                    naive.observe(seq, proc, op, &mut want);
+                    if matches!(op, Op::Read { .. })
+                        && naive.cursors[usize::from(proc.0)] == Some(0)
+                    {
+                        cov.initial_at_slot_0 += 1;
+                    }
+                    cov.to_bucket += u32::from(m.buckets.len() > buckets_before);
+                }
+                Step::Retire(w) => {
+                    prop_assert_eq!(m.retire_slots(w), naive.retire(w), "retired at step {seq}");
+                    cov.to_inline += u32::from(m.buckets.len() < buckets_before);
+                }
+            }
+            prop_assert_eq!(got, want, "violations after step {seq}");
+            let cursors: Vec<_> = (0..procs).map(|p| m.cursor(p)).collect();
+            prop_assert_eq!(cursors, naive.cursors, "placements after step {seq}");
+            let deferred: Vec<Vec<_>> = m
+                .deferred
+                .iter()
+                .map(|q| q.iter().map(|pr| (pr.value, pr.issued_at)).collect())
+                .collect();
+            prop_assert_eq!(deferred, naive.deferred, "deferrals after step {seq}");
+            prop_assert_eq!(m.rewrote(), naive.rewrote, "rewrote after step {seq}");
+            prop_assert_eq!(m.live_slots(), naive.live.len() - 1, "live slots at {seq}");
+        }
+        prop_assert!(
+            got.windows(2).all(|w| w[0].order_key() < w[1].order_key()),
+            "violations out of order_key order"
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn prop_value_table_matches_naive_reference() {
+        let mut cov = Coverage::default();
+        prop_check!(
+            PropConfig::with_cases(256).max_size(48),
+            |rng, size| {
+                let procs = rng.gen_range(1..=4usize);
+                let initial = Value(rng.gen_range(0..3u64));
+                // Few distinct values, so values recur at many slots.
+                let values = 2 + (size as u64) / 12;
+                let steps: Vec<Step> = (0..2 * size)
+                    .map(|_| {
+                        let proc = ProcId(rng.gen_range(0..procs as u16));
+                        let value = rng.gen_range(0..values);
+                        match rng.gen_range(0..20u32) {
+                            0..=8 => Step::Event(proc, Op::r(value)),
+                            9..=14 => Step::Event(proc, Op::w(value)),
+                            15 => Step::Event(proc, Op::rw(rng.gen_range(0..values), value)),
+                            _ => Step::Retire(rng.gen_range(0..4usize)),
+                        }
+                    })
+                    .collect();
+                (procs, initial, steps)
+            },
+            |(procs, initial, steps): &(usize, Value, Vec<Step>)| {
+                check_against_naive(*procs, *initial, steps, &mut cov)
+            }
+        );
+        assert!(
+            cov.to_bucket > 0
+                && cov.to_inline > 0
+                && cov.rewrite_after_retire > 0
+                && cov.initial_at_slot_0 > 0,
+            "the cases must reach every value-table transition: {cov:?}"
+        );
+    }
+
+    #[test]
+    fn value_table_moves_inline_to_bucket_and_back() {
+        let (p0, p1) = (ProcId(0), ProcId(1));
+        let steps = [
+            Step::Event(p0, Op::w(7u64)),
+            Step::Event(p1, Op::r(7u64)),
+            Step::Event(p0, Op::w(8u64)),
+            Step::Event(p0, Op::w(7u64)), // 7 live at slots 1 and 3: bucket
+            Step::Event(p1, Op::r(8u64)),
+            Step::Event(p1, Op::r(7u64)),
+            Step::Retire(0), // slots 0..3 retire: 7 goes back inline at 3
+            Step::Event(p0, Op::r(7u64)),
+        ];
+        let mut cov = Coverage::default();
+        check_against_naive(2, Value::INITIAL, &steps, &mut cov).unwrap();
+        assert_eq!((cov.to_bucket, cov.to_inline), (1, 1), "{cov:?}");
+    }
+
+    #[test]
+    fn value_table_sees_a_rewrite_after_its_first_slot_retired() {
+        let (p0, p1) = (ProcId(0), ProcId(1));
+        let steps = [
+            Step::Event(p1, Op::r(0u64)), // the initial value at slot 0
+            Step::Event(p0, Op::w(5u64)),
+            Step::Event(p0, Op::w(6u64)),
+            Step::Event(p1, Op::r(6u64)),
+            Step::Retire(0), // slots 0..2 retire, 5's only slot among them
+            Step::Event(p0, Op::w(5u64)), // written twice, first slot dead
+            Step::Event(p1, Op::r(5u64)),
+            Step::Event(p0, Op::w(0u64)), // the initial value, written once
+        ];
+        let mut cov = Coverage::default();
+        check_against_naive(2, Value::INITIAL, &steps, &mut cov).unwrap();
+        assert_eq!(cov.rewrite_after_retire, 1, "{cov:?}");
+        assert_eq!(cov.initial_at_slot_0, 1, "{cov:?}");
+        assert_eq!(cov.to_bucket, 0, "a dead first slot needs no bucket");
     }
 }

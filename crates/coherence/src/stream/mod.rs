@@ -16,13 +16,17 @@
 //!   its addresses outright and no cross-shard synchronization exists.
 //! * **Windowed retirement**: each address keeps (a) a greedy §5.2
 //!   placement monitor — the *summary*: committed-value slots, a read-map
-//!   frontier of per-process cursors, deferred reads — and (b) a retention
-//!   buffer of the raw ops. Once the buffer outgrows the configured window
-//!   while the address is still on the polynomial fast path, the raw ops
-//!   are **retired** (dropped, counted in `retired_bytes`) and the summary
-//!   alone carries the verification forward; committed slots below every
-//!   process's frontier are retired the same way. Memory is O(window ×
-//!   live addresses) regardless of stream length.
+//!   frontier of per-process cursors, deferred reads, and the value table
+//!   that also tells whether a value was written twice — and (b) a
+//!   retention buffer of the raw ops. Once the buffer outgrows the
+//!   configured window while the address is still on the polynomial fast
+//!   path, the raw ops are **retired** (dropped, counted in
+//!   `retired_bytes`) and the summary alone carries the verification
+//!   forward; committed slots below every process's frontier are retired
+//!   the same way. Memory is O(window × live addresses) regardless of
+//!   stream length, plus each address's value table, which is O(distinct
+//!   written values): a retired slot's value keeps its row, so a later
+//!   rewrite of it still pins the address.
 //! * **Escalation preserves bit-identical verdicts**: any address the
 //!   summary cannot seal (RMWs, duplicate written values, writes of the
 //!   initial value, an unplaced read, a final-value mismatch) is *pinned*
@@ -68,7 +72,12 @@
 //! open-addressing Fx-hash maps, slabs and arenas of
 //! [`vermem_util::densemap`], per-process cursor vectors, and block decode
 //! through [`ChunkReader::next_batch`] — no per-event heap allocation, no
-//! SipHash.
+//! SipHash. An op event costs one probe of the router's intern table,
+//! which hands the shard a dense address id (the shard's address table is
+//! a `Vec`), and at most one probe of the address's value table: a write
+//! commits its slot and detects a rewrite in one `get_or_insert`, and a
+//! read of the value just committed needs no probe at all. The replay pass
+//! decodes in blocks too and picks its addresses with a per-id flag.
 
 mod tables;
 
@@ -80,12 +89,11 @@ use crate::{
     ExecutionVerdict, SearchConfig, SearchStats, Strategy, Tier, TierStats, Violation, VmcVerifier,
 };
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::thread::JoinHandle;
-use tables::{DenseAddrMap, DenseRouter};
+use tables::DenseRouter;
 use vermem_trace::binary::{ChunkReader, DecodeError, StreamEvent};
 use vermem_trace::{Addr, AddrOps, Op, OpRef, ProcId, ProcessHistory, Trace, Value};
-use vermem_util::densemap::DenseMap;
 use vermem_util::json::JsonWriter;
 use vermem_util::obs;
 use vermem_util::pool::{available_jobs, spsc_channel, SpscSender};
@@ -526,20 +534,21 @@ pub fn percentile(samples: &[u64], p: u64) -> Option<u64> {
     })
 }
 
+/// One address's raw ops per process, in program order.
+type ProcOps = Vec<Vec<(OpRef, Op)>>;
+
 /// Per-address streaming state: the §5.2 placement monitor shared with
 /// [`crate::online`] (the summary), the read-map class bits, and the
 /// raw-op retention buffer.
 struct AddrStream {
+    addr: Addr,
     final_value: Option<Value>,
     /// The greedy placement monitor: committed slots, per-process
-    /// cursors and deferred reads.
+    /// cursors, deferred reads, and the value table whose `rewrote` flag
+    /// is the "value written twice" class bit.
     summary: PlacementMonitor,
     // --- read-map class bits (exact, kept for the whole stream) ---
-    /// `value → times written`: O(distinct written values), the one
-    /// per-address map retirement does not bound (disclosed in DESIGN.md).
-    write_counts: DenseMap<u64, u32>,
     rmw_seen: bool,
-    dup_value: bool,
     wrote_initial: bool,
     /// The exact kernel must decide this address at end of stream.
     pinned: bool,
@@ -548,7 +557,7 @@ struct AddrStream {
     // --- retention buffer ---
     /// Raw ops per process, in program order — exactly what
     /// [`AddrOps::from_parts`] needs to reproduce the batch index entry.
-    buffer: Vec<Vec<(OpRef, Op)>>,
+    buffer: ProcOps,
     buffer_ops: usize,
     buffer_bytes: u64,
     // --- accounting (cached for O(1) shard-level deltas) ---
@@ -557,13 +566,12 @@ struct AddrStream {
 }
 
 impl AddrStream {
-    fn new(procs: usize, initial: Value, final_value: Option<Value>) -> AddrStream {
+    fn new(addr: Addr, procs: usize, initial: Value, final_value: Option<Value>) -> AddrStream {
         AddrStream {
+            addr,
             final_value,
             summary: PlacementMonitor::new(procs, initial),
-            write_counts: DenseMap::new(),
             rmw_seen: false,
-            dup_value: false,
             wrote_initial: false,
             pinned: false,
             dropped: false,
@@ -575,36 +583,37 @@ impl AddrStream {
         }
     }
 
-    /// Track the Figure 5.3 read-map class; exiting it pins the address.
+    /// Track the Figure 5.3 read-map class of `op`, already run through
+    /// the monitor (whose value table detects a value written twice);
+    /// exiting the class pins the address.
     fn class_track(&mut self, op: &Op) {
         if op.is_rmw() {
             self.rmw_seen = true;
         }
-        if let Some(v) = op.written_value() {
-            let count = self.write_counts.get_or_insert_with(v.0, || 0);
-            *count += 1;
-            if *count > 1 {
-                self.dup_value = true;
-            }
-            if v == self.summary.initial() {
-                self.wrote_initial = true;
-            }
+        if op.written_value() == Some(self.summary.initial()) {
+            self.wrote_initial = true;
         }
-        if self.rmw_seen || self.dup_value || self.wrote_initial {
+        if self.rmw_seen || self.summary.rewrote() || self.wrote_initial {
             self.pinned = true;
         }
     }
 
-    /// Run the event through the monitor. A violation pins the address
-    /// and, on temporal streams, is reported as a detection.
-    fn monitor(&mut self, seq: u64, addr: Addr, proc: ProcId, op: Op, sink: &mut Sink) {
+    /// Run the event through the monitor; returns whether it surfaced a
+    /// violation (which, on temporal streams, is reported as a detection).
+    fn monitor(&mut self, seq: u64, proc: ProcId, op: Op, sink: &mut Sink) -> bool {
         let mut flagged = false;
-        self.summary
-            .observe(seq, addr, proc, op, sink.temporal, &mut |violation, us| {
+        self.summary.observe(
+            seq,
+            self.addr,
+            proc,
+            op,
+            sink.temporal,
+            &mut |violation, us| {
                 flagged = true;
                 sink.report(violation, us);
-            });
-        self.pinned |= flagged;
+            },
+        );
+        flagged
     }
 
     /// Apply window retirement; returns `(ops, bytes, slots)` retired.
@@ -641,7 +650,7 @@ impl AddrStream {
         if self.pinned || self.summary.pending_total() > 0 {
             return false;
         }
-        debug_assert!(!self.rmw_seen && !self.dup_value && !self.wrote_initial);
+        debug_assert!(!self.rmw_seen && !self.summary.rewrote() && !self.wrote_initial);
         match self.final_value {
             None => true,
             Some(f) => f == self.summary.current_value(),
@@ -677,7 +686,9 @@ impl Sink<'_> {
 
 /// One routed operation event.
 struct RoutedOp {
-    addr: Addr,
+    /// The address's lane-local dense id (its index in the shard's
+    /// address table).
+    id: u32,
     op_ref: OpRef,
     op: Op,
     bytes: u32,
@@ -693,7 +704,8 @@ struct Shard {
     temporal: bool,
     procs: usize,
     recorder: Option<RecorderConfig>,
-    addrs: DenseAddrMap,
+    /// The shard's addresses, indexed by lane-local id.
+    addrs: Vec<AddrStream>,
     detections: Vec<OnlineViolation>,
     latencies_us: Vec<u64>,
     /// `(issued_us, detected_us)` aligned with `detections`.
@@ -728,7 +740,7 @@ impl Shard {
             temporal,
             procs,
             recorder,
-            addrs: DenseAddrMap::default(),
+            addrs: Vec::new(),
             detections: Vec::new(),
             latencies_us: Vec::new(),
             detect_meta: Vec::new(),
@@ -761,18 +773,16 @@ impl Shard {
         }
         let detections_before = self.detections.len();
 
-        let procs = self.procs;
-        let state = self.addrs.get_or_insert_with(event.addr, || {
-            let (initial, final_value) = event.meta.unwrap_or((Value::INITIAL, None));
-            AddrStream::new(procs, initial, final_value)
-        });
-
-        state.class_track(&event.op);
-        if !(state.pinned && state.dropped) {
-            state.buffer[usize::from(event.op_ref.proc.0)].push((event.op_ref, event.op));
-            state.buffer_ops += 1;
-            state.buffer_bytes += u64::from(event.bytes);
+        if let Some((initial, final_value)) = event.meta {
+            debug_assert_eq!(event.id as usize, self.addrs.len(), "ids are dense");
+            self.addrs.push(AddrStream::new(
+                event.op.addr(),
+                self.procs,
+                initial,
+                final_value,
+            ));
         }
+        let state = &mut self.addrs[event.id as usize];
 
         let mut sink = Sink {
             temporal: self.temporal,
@@ -780,13 +790,16 @@ impl Shard {
             latencies_us: &mut self.latencies_us,
             meta: &mut self.detect_meta,
         };
-        state.monitor(
-            event.seq,
-            event.addr,
-            event.op_ref.proc,
-            event.op,
-            &mut sink,
-        );
+        let flagged = state.monitor(event.seq, event.op_ref.proc, event.op, &mut sink);
+        // The buffer push is gated on the class pin alone: a violation this
+        // event raises pins the address only after its op is buffered.
+        state.class_track(&event.op);
+        if !(state.pinned && state.dropped) {
+            state.buffer[usize::from(event.op_ref.proc.0)].push((event.op_ref, event.op));
+            state.buffer_ops += 1;
+            state.buffer_bytes += u64::from(event.bytes);
+        }
+        state.pinned |= flagged;
 
         if let Some(window) = self.window {
             let (ops, bytes, slots) = state.retire(window);
@@ -830,20 +843,18 @@ impl Shard {
         self.peak_windows = self.peak_windows.max(self.cur_windows);
 
         if self.recorder.is_some() && self.detections.len() > detections_before {
-            self.capture(event.addr, detections_before);
+            self.capture(event.id, detections_before);
         }
     }
 
     /// Capture forensic bundles for the detections `from..` (all raised by
-    /// the event just applied, hence all at `addr`).
-    fn capture(&mut self, addr: Addr, from: usize) {
+    /// the event just applied, hence all at the address with id `id`).
+    fn capture(&mut self, id: u32, from: usize) {
         // `RecorderConfig` and `OnlineViolation` are `Copy`: capture takes
         // no clones of configuration or detections (the op payloads in the
         // bundle are the only owned data).
         let rec = self.recorder.expect("recorder on");
-        let Some(state) = self.addrs.get(addr) else {
-            return;
-        };
+        let state = &self.addrs[id as usize];
         let recent: Vec<RingEntry> = self.ring.iter().copied().collect();
         let mut fresh = Vec::new();
         for i in from..self.detections.len() {
@@ -873,10 +884,23 @@ struct Ended {
     latencies_us: Vec<u64>,
     forensics: Vec<ForensicBundle>,
     metrics: StreamMetrics,
-    replay_set: BTreeSet<Addr>,
+    /// Escalated addresses whose retention buffer was retired, ascending.
+    replay_addrs: Vec<Addr>,
+    /// Router id → index into `replay_addrs`, [`NO_REPLAY`] for every
+    /// address the replay pass skips.
+    replay_index: Vec<u32>,
     replay_reader: ChunkReader,
-    replay_store: BTreeMap<Addr, Vec<Vec<(OpRef, Op)>>>,
+    /// Reusable block-decode buffer of the replay pass.
+    replay_events: Vec<StreamEvent>,
+    /// The re-collected ops of each replay address, `None` until the
+    /// replay pass meets its first op.
+    replay_store: Vec<Option<ProcOps>>,
+    /// Replay addresses whose store is no longer `None`.
+    replay_filled: usize,
 }
+
+/// [`Ended::replay_index`] entry of an address that needs no replay.
+const NO_REPLAY: u32 = u32::MAX;
 
 /// A shard lane: its queue sender, the router-side batch under
 /// construction, and the worker handle.
@@ -1026,10 +1050,9 @@ impl StreamVerifier {
                 self.router.set_final(addr, value);
             }
             StreamEvent::Op { op_ref, op, bytes } => {
-                let addr = op.addr();
-                let meta = self.router.first_touch(addr);
+                let (lane, id, meta) = self.router.intern(op.addr(), self.lanes.len());
                 let routed = RoutedOp {
-                    addr,
+                    id,
                     op_ref,
                     op,
                     bytes,
@@ -1040,8 +1063,7 @@ impl StreamVerifier {
                 if let Some(shard) = self.inline.as_mut() {
                     shard.apply(routed);
                 } else {
-                    let lane_count = self.lanes.len();
-                    let lane = &mut self.lanes[shard_of(addr, lane_count)];
+                    let lane = &mut self.lanes[lane];
                     lane.batch.push(routed);
                     if lane.batch.len() >= BATCH {
                         let batch = std::mem::replace(&mut lane.batch, Vec::with_capacity(BATCH));
@@ -1091,7 +1113,7 @@ impl StreamVerifier {
             window: self.window,
             ..StreamMetrics::default()
         };
-        for mut shard in shards {
+        for shard in shards {
             metrics.peak_retained_windows += shard.peak_windows;
             metrics.peak_retained_units += shard.peak_units;
             metrics.retired_ops += shard.retired_ops;
@@ -1101,7 +1123,7 @@ impl StreamVerifier {
             latencies_us.extend(shard.latencies_us);
             forensics.extend(shard.bundles);
             ring.extend(shard.ring);
-            shard.addrs.drain_into(&mut merged);
+            merged.extend(shard.addrs.into_iter().map(|state| (state.addr, state)));
         }
         ring.sort_by_key(|e| e.seq);
 
@@ -1145,11 +1167,16 @@ impl StreamVerifier {
         forensics.sort_by_key(|b| b.violation.order_key());
         forensics.truncate(FORENSIC_CAP);
 
-        let replay_set: BTreeSet<Addr> = merged
+        let replay_addrs: Vec<Addr> = merged
             .iter()
             .filter(|(_, s)| s.dropped && !s.sealed_clean())
             .map(|(&a, _)| a)
             .collect();
+        let mut replay_index = vec![NO_REPLAY; self.router.len()];
+        for (k, &addr) in replay_addrs.iter().enumerate() {
+            let id = self.router.id(addr).expect("merged addresses are interned");
+            replay_index[id as usize] = k as u32;
+        }
 
         self.ended = Some(Ended {
             merged,
@@ -1157,9 +1184,12 @@ impl StreamVerifier {
             latencies_us,
             forensics,
             metrics,
-            replay_set,
+            replay_store: vec![None; replay_addrs.len()],
+            replay_addrs,
+            replay_index,
             replay_reader: ChunkReader::new(),
-            replay_store: BTreeMap::new(),
+            replay_events: Vec::new(),
+            replay_filled: 0,
         });
         Ok(())
     }
@@ -1170,15 +1200,13 @@ impl StreamVerifier {
     /// [`finish`](StreamVerifier::finish).
     pub fn needs_replay(&self) -> bool {
         let ended = self.ended.as_ref().expect("call end_input first");
-        !ended
-            .replay_set
-            .is_subset(&ended.replay_store.keys().copied().collect())
+        ended.replay_filled < ended.replay_addrs.len()
     }
 
     /// The addresses whose raw ops must be re-materialized.
     pub fn replay_addrs(&self) -> Vec<Addr> {
         let ended = self.ended.as_ref().expect("call end_input first");
-        ended.replay_set.iter().copied().collect()
+        ended.replay_addrs.clone()
     }
 
     /// Second pass over the same stream bytes: re-collects the raw ops of
@@ -1190,25 +1218,35 @@ impl StreamVerifier {
             .as_mut()
             .expect("call end_input before ingest_replay");
         ended.replay_reader.feed(chunk);
-        loop {
-            match ended.replay_reader.next() {
-                Ok(Some(StreamEvent::Op { op_ref, op, .. })) => {
-                    let addr = op.addr();
-                    if ended.replay_set.contains(&addr) {
-                        let lists = ended
-                            .replay_store
-                            .entry(addr)
-                            .or_insert_with(|| vec![Vec::new(); procs]);
-                        lists[usize::from(op_ref.proc.0)].push((op_ref, op));
-                    }
+        let mut events = std::mem::take(&mut ended.replay_events);
+        let decoded = loop {
+            events.clear();
+            let decoded = ended.replay_reader.next_batch(&mut events, BATCH);
+            for event in &events {
+                let &StreamEvent::Op { op_ref, op, .. } = event else {
+                    continue;
+                };
+                let Some(id) = self.router.id(op.addr()) else {
+                    continue;
+                };
+                let k = ended.replay_index[id as usize];
+                if k == NO_REPLAY {
+                    continue;
                 }
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(DecodeError::NeedMoreBytes) => break,
-                Err(e) => return Err(e),
+                let lists = ended.replay_store[k as usize].get_or_insert_with(|| {
+                    ended.replay_filled += 1;
+                    vec![Vec::new(); procs]
+                });
+                lists[usize::from(op_ref.proc.0)].push((op_ref, op));
             }
-        }
-        Ok(())
+            match decoded {
+                Ok(0) => break Ok(()),
+                Ok(_) => {}
+                Err(e) => break Err(e),
+            }
+        };
+        ended.replay_events = events;
+        decoded
     }
 
     /// Run the final reduction and produce the report.
@@ -1231,6 +1269,8 @@ impl StreamVerifier {
         let mut layout: Vec<(Addr, Option<usize>)> = Vec::with_capacity(ended.merged.len());
         let mut exact: Vec<AddrOps> = Vec::new();
         let mut metrics = ended.metrics;
+        // Replay addresses come up in ascending order, like `replay_addrs`.
+        let mut replayed = std::mem::take(&mut ended.replay_store).into_iter();
         for (addr, mut state) in std::mem::take(&mut ended.merged) {
             if state.sealed_clean() {
                 metrics.sealed_addresses += 1;
@@ -1240,8 +1280,9 @@ impl StreamVerifier {
             let lists = if !state.dropped {
                 std::mem::take(&mut state.buffer)
             } else {
+                debug_assert_eq!(ended.replay_addrs[metrics.replayed_addresses], addr);
                 metrics.replayed_addresses += 1;
-                ended.replay_store.remove(&addr).unwrap_or_else(|| {
+                replayed.next().flatten().unwrap_or_else(|| {
                     panic!(
                         "address {addr:?} escalated after its window was retired; \
                          re-feed the stream via ingest_replay before finish"
@@ -1284,12 +1325,6 @@ impl StreamVerifier {
             forensics: ended.forensics,
         }
     }
-}
-
-/// Deterministic address→shard assignment (Fibonacci-hash the address).
-fn shard_of(addr: Addr, shards: usize) -> usize {
-    let h = u64::from(addr.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((h >> 32) as usize) % shards
 }
 
 /// One-shot convenience: stream `bytes` through a [`StreamVerifier`],
@@ -1503,6 +1538,56 @@ mod tests {
         assert_eq!(report.metrics.exact_addresses, 1);
         assert_eq!(report.metrics.replayed_addresses, 1);
         assert!(report.metrics.retired_ops > 0);
+    }
+
+    #[test]
+    fn rewrite_after_slot_and_buffer_retired_pins_and_replays() {
+        // Address 0 writes 1..=10 with P1 reading each in lockstep, so at
+        // window 4 both its retention buffer and value 3's only slot are
+        // retired long before P0 writes 3 again. The rewrite must still
+        // pin the address, and its exact solve needs the replay pass.
+        // Address 1 seals. The tails give one coherent and one incoherent
+        // stream (P1 reads 2 after the rewritten 3).
+        for tail in [vec![3u64], vec![3, 2]] {
+            let mut events = Vec::new();
+            for v in 1..=10u64 {
+                events.push((ProcId(0), Op::write(0u32, v)));
+                events.push((ProcId(1), Op::read(0u32, v)));
+                events.push((ProcId(0), Op::write(1u32, v)));
+            }
+            events.push((ProcId(0), Op::write(0u32, 3u64)));
+            events.extend(tail.iter().map(|&v| (ProcId(1), Op::read(0u32, v))));
+            let bytes = encode_event_stream(2, &BTreeMap::new(), &BTreeMap::new(), &events);
+            let mut histories = vec![ProcessHistory::new(), ProcessHistory::new()];
+            for &(p, op) in &events {
+                histories[usize::from(p.0)].push(op);
+            }
+            let batch =
+                verify_execution_par(&Trace::from_histories(histories), &VmcVerifier::new(), 1);
+            assert_eq!(batch.verdict.is_coherent(), tail.len() == 1);
+            for jobs in [1, 2] {
+                for cfg in [config(Some(4), jobs, true), recording(Some(4), jobs, true)] {
+                    let tag = format!(
+                        "tail {tail:?} jobs {jobs} recorder {}",
+                        cfg.recorder.is_some()
+                    );
+                    let mut engine = StreamVerifier::new(cfg);
+                    engine.ingest(&bytes).expect("decode");
+                    engine.end_input().expect("clean end");
+                    assert!(engine.needs_replay(), "{tag}");
+                    assert_eq!(engine.replay_addrs(), vec![Addr(0)], "{tag}");
+                    engine.ingest_replay(&bytes).expect("replay decode");
+                    assert!(!engine.needs_replay(), "{tag}");
+                    let report = engine.finish();
+                    assert!(report.verdict.matches_batch(&batch.verdict), "{tag}");
+                    assert_eq!(report.stats, batch.stats, "{tag}");
+                    assert_eq!(report.tiers, batch.tiers, "{tag}");
+                    assert_eq!(report.metrics.sealed_addresses, 1, "{tag}");
+                    assert_eq!(report.metrics.replayed_addresses, 1, "{tag}");
+                    assert!(report.metrics.retired_slots >= 3, "{tag}");
+                }
+            }
+        }
     }
 
     #[test]

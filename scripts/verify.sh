@@ -166,7 +166,7 @@ if bad:
 EOF
 echo "    ok"
 
-echo "==> stream hot path: no std HashMap anywhere in the stream engine"
+echo "==> stream hot path: no std HashMap in the stream engine, one value table per address"
 # The PR-9 contract: the ingest hot path (every file of the stream engine,
 # the per-address placement monitor in online.rs, plus the batch decoder)
 # runs on index-addressed dense structures only. No file is exempt, and
@@ -185,6 +185,18 @@ pending_defs=$(grep -rn 'struct PendingRead' crates/coherence/src/ || true)
 if [[ $(grep -c . <<<"$pending_defs") -ne 1 ]]; then
     echo "expected exactly one struct PendingRead in crates/coherence/src, found:" >&2
     echo "$pending_defs" >&2
+    exit 1
+fi
+# One value table per address: the placement monitor's `DenseMap<u64, _>`
+# (value → row) both places reads and detects a value written twice, so
+# the stream engine declares no value-keyed map of its own and online.rs
+# declares exactly one. Comments count too.
+stream_value_maps=$(grep -rn 'DenseMap<u64' crates/coherence/src/stream/ || true)
+online_value_maps=$(grep -n 'DenseMap<u64' crates/coherence/src/online.rs || true)
+if [[ -n "$stream_value_maps" || $(grep -c . <<<"$online_value_maps") -ne 1 ]]; then
+    echo "expected no DenseMap<u64 under crates/coherence/src/stream/ and exactly one in online.rs, found:" >&2
+    echo "$stream_value_maps" >&2
+    echo "$online_value_maps" >&2
     exit 1
 fi
 echo "    ok"
