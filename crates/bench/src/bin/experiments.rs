@@ -50,7 +50,7 @@ use vermem_sim::{
 };
 use vermem_trace::classify::InstanceProfile;
 use vermem_trace::gen::{gen_sc_trace, inject_violation, GenConfig, ViolationKind};
-use vermem_trace::{Addr, OpRef, Trace};
+use vermem_trace::{Addr, AddrOps, OpRef, Trace};
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -321,7 +321,7 @@ fn e5_3_table() {
         &sizes,
         |n| one_op_instance(n, false),
         |t| {
-            assert!(one_op::solve_one_op(t, Addr::ZERO).is_coherent());
+            assert!(one_op::solve_one_op_ops(&AddrOps::of(t, Addr::ZERO)).is_coherent());
         },
     );
     row("1 op/process (simple R/W)", "O(n lg n)", "O(n)", slope);
@@ -331,20 +331,20 @@ fn e5_3_table() {
         &sizes,
         |n| one_op_instance(n, true),
         |t| {
-            assert!(rmw::solve_rmw_one_op(t, Addr::ZERO).is_coherent());
+            assert!(rmw::solve_rmw_one_op_ops(&AddrOps::of(t, Addr::ZERO)).is_coherent());
         },
     );
     row("1 op/process (RMW)", "O(n^2)", "O(n) Euler", slope);
 
     // Row: 1 write/value (read-map), simple — paper O(n), ours O(n).
     let slope = sweep(&sizes, readmap_instance, |t| {
-        assert!(readmap::solve_readmap(t, Addr::ZERO).is_coherent());
+        assert!(readmap::solve_readmap_ops(&AddrOps::of(t, Addr::ZERO)).is_coherent());
     });
     row("1 write/value (simple)", "O(n)", "O(n)", slope);
 
     // Row: RMW read-map — paper O(n lg n), ours O(n) forced chain.
     let slope = sweep(&sizes, rmw_chain_instance, |t| {
-        assert!(rmw::solve_rmw_readmap(t, Addr::ZERO).is_coherent());
+        assert!(rmw::solve_rmw_readmap_ops(&AddrOps::of(t, Addr::ZERO)).is_coherent());
     });
     row("1 write/value (RMW chain)", "O(n lg n)", "O(n)", slope);
 

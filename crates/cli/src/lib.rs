@@ -48,7 +48,7 @@ mod obs_server;
 use std::fmt::Write as _;
 use vermem_coherence::{PruneConfig, SearchConfig, Strategy, TierConfig, Verdict, VmcVerifier};
 use vermem_consistency::{verify_axiom, AxiomConfig, Engine, ModelId};
-use vermem_trace::{Addr, Trace};
+use vermem_trace::{Addr, AddrOps, Trace};
 use vermem_util::obs;
 use vermem_util::obs::report::{RunReport, RunReportSection};
 
@@ -403,7 +403,7 @@ fn cmd_verify(args: &Args, stdin: &str) -> Result<String, CliError> {
     // Single-address mode: keep the historical direct solve.
     if let Some(a) = args.flag("addr") {
         let addr = Addr(a.parse().map_err(|_| err("invalid --addr"))?);
-        let (verdict, stats) = verifier.verify_with_stats(&trace, addr);
+        let (verdict, stats, _) = verifier.verify_ops(&AddrOps::of(&trace, addr));
         let all_ok = match verdict {
             Verdict::Coherent(s) => {
                 let _ = writeln!(out, "address {}: coherent ({} ops)", addr.0, s.len());
@@ -569,8 +569,9 @@ fn cmd_classify(args: &Args, stdin: &str) -> Result<String, CliError> {
     let stats = vermem_trace::stats::TraceStats::of(&trace);
     let _ = writeln!(out, "{}", stats.to_report().to_inline());
     let verifier = VmcVerifier::new();
-    for addr in trace.addresses() {
-        let profile = vermem_trace::classify::InstanceProfile::of(&trace, addr);
+    for ops in vermem_trace::AddrIndex::build(&trace).iter() {
+        let addr = ops.addr();
+        let profile = vermem_trace::classify::InstanceProfile::of_ops(ops);
         let _ = writeln!(
             out,
             "address {}: {} ops, ≤{} ops/proc, ≤{} writes/value, mix {:?} → {} ({:?})",
@@ -580,7 +581,7 @@ fn cmd_classify(args: &Args, stdin: &str) -> Result<String, CliError> {
             profile.max_writes_per_value,
             profile.mix,
             profile.known_complexity(),
-            verifier.select(&trace, addr),
+            verifier.select_ops(ops),
         );
     }
     Ok(out)
@@ -595,9 +596,9 @@ fn cmd_explain(args: &Args, stdin: &str) -> Result<String, CliError> {
     };
     let mut out = String::new();
     for addr in addrs {
+        let instance = AddrOps::of(&trace, addr);
         match vermem_coherence::minimize_incoherent_core(
-            &trace,
-            addr,
+            &instance,
             &vermem_coherence::ExplainConfig::default(),
         ) {
             None => {
@@ -609,10 +610,10 @@ fn cmd_explain(args: &Args, stdin: &str) -> Result<String, CliError> {
                     "address {}: minimal incoherent core ({} of {} ops):",
                     addr.0,
                     core.len(),
-                    trace.project(addr).num_ops()
+                    instance.num_ops()
                 );
-                for &r in &core.kept {
-                    let _ = writeln!(out, "  {:?} {}", r, trace.op(r).expect("kept op"));
+                for (r, op) in core.ops.iter() {
+                    let _ = writeln!(out, "  {r:?} {op}");
                 }
                 let _ = writeln!(out, "  cause: {}", core.violation);
             }

@@ -150,17 +150,8 @@ pub struct SearchConfig {
 
 /// Static prechecks shared by all solvers: values read but never written,
 /// and unproducible final values. Returns a violation if one is certain.
-///
-/// Standalone signature kept for existing callers; it indexes the address
-/// itself. Solvers that already hold an [`AddrOps`] (the dispatcher, the
-/// parallel engine) call [`precheck_ops`] and skip the re-scan.
-pub fn precheck(trace: &Trace, addr: Addr) -> Option<Violation> {
-    precheck_ops(&AddrOps::of(trace, addr))
-}
-
-/// As [`precheck`], on a pre-built per-address index entry (no trace scan).
-/// Reports the same first violation as `precheck`: [`AddrOps::iter`] yields
-/// operations in exactly the filtered-`iter_ops` order.
+/// Reports the first violation in [`AddrOps::iter`] order, which is the
+/// filtered-`iter_ops` order of the trace.
 pub fn precheck_ops(ops: &AddrOps) -> Option<Violation> {
     let initial = ops.initial();
     for (r, op) in ops.iter() {
@@ -202,10 +193,11 @@ pub fn solve_backtracking_with_stats(
     addr: Addr,
     cfg: &SearchConfig,
 ) -> (Verdict, SearchStats) {
-    let (verdict, stats) = solve_backtracking_ops_with_stats(&AddrOps::of(trace, addr), cfg);
+    let ops = AddrOps::of(trace, addr);
+    let (verdict, stats) = solve_backtracking_ops_with_stats(&ops, cfg);
     if let Verdict::Coherent(witness) = &verdict {
         debug_assert!(
-            vermem_trace::check_coherent_schedule(trace, addr, witness).is_ok(),
+            vermem_trace::check_coherent_schedule_ops(&ops, witness).is_ok(),
             "solver produced invalid witness"
         );
     }
@@ -835,7 +827,7 @@ mod tests {
             solve_backtracking_ops_with_stats(&ops, &cfg),
             solve_backtracking_with_stats(&t, Addr::ZERO, &cfg)
         );
-        assert_eq!(precheck_ops(&ops), precheck(&t, Addr::ZERO));
+        assert_eq!(precheck_ops(&ops), None);
     }
 
     #[test]

@@ -212,7 +212,7 @@ mod tests {
         let v = crate::VmcVerifier::new();
         let ops = ops_of(&multi);
         assert_eq!(v.select_ops(&ops), crate::Algorithm::ReadMap);
-        let (verdict, _, tier) = v.verify_ops_tiered(&multi, &ops);
+        let (verdict, _, tier) = v.verify_ops(&ops);
         assert!(verdict.is_coherent());
         assert_eq!(tier, Tier::Frontline);
     }
@@ -312,7 +312,7 @@ mod tests {
             ..Default::default()
         };
         assert!(tiered.tier.frontline, "tiering is on by default");
-        let (verdict, stats) = tiered.verify_ops_with_stats(&t, &ops);
+        let (verdict, stats, _) = tiered.verify_ops(&ops);
         assert_eq!(verdict, Verdict::Unknown);
         let (v_ref, s_ref) = solve_backtracking_ops_with_stats(&ops, &cfg);
         assert_eq!(v_ref, Verdict::Unknown);

@@ -8,9 +8,9 @@
 //! (1-minimality). Each candidate is re-verified with a budgeted exact
 //! solver; a budget miss conservatively keeps the operation.
 
-use crate::backtrack::{solve_backtracking, SearchConfig};
+use crate::backtrack::{solve_backtracking_ops_with_stats, SearchConfig};
 use crate::verdict::{Verdict, Violation};
-use vermem_trace::{Addr, Op, OpRef, ProcessHistory, Trace};
+use vermem_trace::{AddrOps, OpRef};
 
 /// Budget for each verification performed during shrinking.
 #[derive(Clone, Copy, Debug)]
@@ -28,77 +28,57 @@ impl Default for ExplainConfig {
     }
 }
 
-/// A minimal incoherent core of an execution at one address.
+/// A minimal incoherent core of a VMC instance.
 #[derive(Clone, Debug)]
 pub struct MinimalCore {
-    /// The shrunken trace (operations at `addr` only, per-process order
-    /// preserved; processes left empty are retained for stable indexing).
-    pub trace: Trace,
-    /// For each kept operation: its reference in the *original* trace, in
-    /// (process, program-order) order.
-    pub kept: Vec<OpRef>,
-    /// The violation reported for the core.
+    /// The shrunken instance: the kept operations with their original
+    /// references, per-process order preserved, and the final value only
+    /// when the violation needs it.
+    pub ops: AddrOps,
+    /// The violation reported for the core, in the original references.
     pub violation: Violation,
 }
 
 impl MinimalCore {
     /// Number of operations in the core.
     pub fn len(&self) -> usize {
-        self.kept.len()
+        self.ops.num_ops()
     }
 
     /// True if the core is empty (cannot happen for a real violation).
     pub fn is_empty(&self) -> bool {
-        self.kept.is_empty()
+        self.ops.is_empty()
     }
 }
 
-/// Shrink the operations of `trace` at `addr` to a minimal incoherent
-/// core. Returns `None` if the projection verifies coherent (or the budget
-/// cannot confirm a violation at all).
-pub fn minimize_incoherent_core(
-    trace: &Trace,
-    addr: Addr,
-    cfg: &ExplainConfig,
-) -> Option<MinimalCore> {
+/// Shrink a VMC instance to a minimal incoherent core. Returns `None` if
+/// the instance verifies coherent (or the budget cannot confirm a
+/// violation at all). Every candidate keeps the original operation
+/// references, so the core and its violation point at real operations.
+pub fn minimize_incoherent_core(instance: &AddrOps, cfg: &ExplainConfig) -> Option<MinimalCore> {
     let search = SearchConfig {
         max_states: cfg.max_states,
         ..Default::default()
     };
-
-    // Working set: per-process vectors of (original ref, op), projected.
-    let mut ops: Vec<Vec<(OpRef, Op)>> = trace
-        .histories()
-        .iter()
-        .enumerate()
-        .map(|(p, h)| {
-            h.iter()
-                .enumerate()
-                .filter(|(_, op)| op.addr() == addr)
-                .map(|(i, op)| (OpRef::new(p as u16, i as u32), op))
-                .collect()
-        })
-        .collect();
-
-    let build = |ops: &[Vec<(OpRef, Op)>], with_final: bool| -> Trace {
-        let mut t = Trace::from_histories(
-            ops.iter()
-                .map(|h| h.iter().map(|&(_, op)| op).collect::<ProcessHistory>()),
-        );
-        t.set_initial(addr, trace.initial(addr));
-        if with_final {
-            if let Some(f) = trace.final_value(addr) {
-                t.set_final(addr, f);
-            }
-        }
-        t
+    let build = |ops: &[Vec<(OpRef, vermem_trace::Op)>], with_final: bool| -> AddrOps {
+        AddrOps::from_parts(
+            instance.addr(),
+            instance.initial(),
+            instance.final_value().filter(|_| with_final),
+            ops.to_vec(),
+        )
     };
+    let incoherent =
+        |candidate: &AddrOps| match solve_backtracking_ops_with_stats(candidate, &search) {
+            (Verdict::Incoherent(v), _) => Some(v),
+            _ => None,
+        };
+
+    // Working set: per-process vectors of (original ref, op).
+    let mut ops = instance.per_proc().to_vec();
 
     // The input must be (confirmably) incoherent to begin with.
-    let mut violation = match solve_backtracking(&build(&ops, true), addr, &search) {
-        Verdict::Incoherent(v) => v,
-        _ => return None,
-    };
+    let mut violation = incoherent(instance)?;
 
     // Shrink the *constraint* first: if the violation survives without the
     // final-value requirement, drop it — otherwise removing writes makes
@@ -108,27 +88,25 @@ pub fn minimize_incoherent_core(
     // very small or even empty: it certifies that the recorded operations
     // cannot account for the observed final memory state (a lost-update
     // signature), not an ordering conflict among specific operations.
-    let with_final = match solve_backtracking(&build(&ops, false), addr, &search) {
-        Verdict::Incoherent(v) => {
+    let with_final = match incoherent(&build(&ops, false)) {
+        Some(v) => {
             violation = v;
             false
         }
-        _ => true,
+        None => true,
     };
     loop {
         let mut shrunk = false;
         'outer: for p in 0..ops.len() {
             for i in 0..ops[p].len() {
                 let removed = ops[p].remove(i);
-                match solve_backtracking(&build(&ops, with_final), addr, &search) {
-                    Verdict::Incoherent(v) => {
+                match incoherent(&build(&ops, with_final)) {
+                    Some(v) => {
                         violation = v;
                         shrunk = true;
                         break 'outer;
                     }
-                    _ => {
-                        ops[p].insert(i, removed);
-                    }
+                    None => ops[p].insert(i, removed),
                 }
             }
         }
@@ -137,37 +115,8 @@ pub fn minimize_incoherent_core(
         }
     }
 
-    let kept: Vec<OpRef> = ops.iter().flatten().map(|&(r, _)| r).collect();
-    // The violation was reported against the shrunken trace; remap its
-    // operation references back into the original trace so the report
-    // points at real operations.
-    let remap = |core_ref: OpRef| -> OpRef {
-        ops.get(core_ref.proc.0 as usize)
-            .and_then(|h| h.get(core_ref.index as usize))
-            .map(|&(orig, _)| orig)
-            .unwrap_or(core_ref)
-    };
-    violation.kind = match violation.kind {
-        crate::ViolationKind::NoWriterForValue { read, value } => {
-            crate::ViolationKind::NoWriterForValue {
-                read: remap(read),
-                value,
-            }
-        }
-        crate::ViolationKind::UnplaceableRead { read, value } => {
-            crate::ViolationKind::UnplaceableRead {
-                read: remap(read),
-                value,
-            }
-        }
-        crate::ViolationKind::PrecedenceCycle { cycle } => crate::ViolationKind::PrecedenceCycle {
-            cycle: cycle.into_iter().map(remap).collect(),
-        },
-        other => other,
-    };
     Some(MinimalCore {
-        trace: build(&ops, with_final),
-        kept,
+        ops: build(&ops, with_final),
         violation,
     })
 }
@@ -175,17 +124,21 @@ pub fn minimize_incoherent_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vermem_trace::{Op, TraceBuilder};
+    use crate::backtrack::solve_backtracking;
+    use vermem_trace::{Addr, Op, Trace, TraceBuilder};
 
     fn core_of(trace: &Trace) -> MinimalCore {
-        minimize_incoherent_core(trace, Addr::ZERO, &ExplainConfig::default())
+        minimize_incoherent_core(&AddrOps::of(trace, Addr::ZERO), &ExplainConfig::default())
             .expect("trace must be incoherent")
     }
 
     #[test]
     fn coherent_trace_yields_none() {
         let t = TraceBuilder::new().proc([Op::w(1u64), Op::r(1u64)]).build();
-        assert!(minimize_incoherent_core(&t, Addr::ZERO, &ExplainConfig::default()).is_none());
+        assert!(
+            minimize_incoherent_core(&AddrOps::of(&t, Addr::ZERO), &ExplainConfig::default())
+                .is_none()
+        );
     }
 
     #[test]
@@ -200,7 +153,7 @@ mod tests {
         // another single-read core), but any 1-minimal core here is a
         // single unservable read.
         assert_eq!(core.len(), 1);
-        let (_, op) = core.trace.iter_ops().next().expect("one op");
+        let (_, op) = core.ops.iter().next().expect("one op");
         assert!(matches!(op, Op::Read { .. }));
     }
 
@@ -217,7 +170,7 @@ mod tests {
             core.len() <= 4,
             "core has {} ops: {:?}",
             core.len(),
-            core.trace
+            core.ops
         );
         // 1-minimality: removing any single op makes it coherent (or at
         // least not provably incoherent under the same budget).
@@ -225,9 +178,10 @@ mod tests {
         for skip in 0..core.len() {
             let mut b = TraceBuilder::new();
             let mut idx = 0;
-            for h in core.trace.histories() {
+            for h in core.ops.per_proc() {
                 let ops: Vec<Op> = h
                     .iter()
+                    .map(|&(_, op)| op)
                     .filter(|_| {
                         let keep = idx != skip;
                         idx += 1;
@@ -260,7 +214,8 @@ mod tests {
             assert!(core.len() <= mutated.num_ops());
             // The core itself verifies incoherent.
             assert!(
-                solve_backtracking(&core.trace, Addr::ZERO, &SearchConfig::default())
+                solve_backtracking_ops_with_stats(&core.ops, &SearchConfig::default())
+                    .0
                     .is_incoherent()
             );
         }
@@ -273,7 +228,7 @@ mod tests {
             .proc([Op::r(7u64)])
             .build();
         let core = core_of(&t);
-        for (&r, (_, core_op)) in core.kept.iter().zip(core.trace.iter_ops()) {
+        for (r, core_op) in core.ops.iter() {
             assert_eq!(t.op(r), Some(core_op));
         }
     }

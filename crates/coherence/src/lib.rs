@@ -8,22 +8,31 @@
 //! VMC is NP-complete (Theorem 4.2), so this crate pairs exact solvers with
 //! every polynomial special case from the paper's Figure 5.3:
 //!
+//! Every decider takes the VMC instance of Definition 4.1 as one
+//! [`AddrOps`]: one address's per-process histories (with their original
+//! [`vermem_trace::OpRef`]s) plus `d_I` and `d_F`, built for all addresses
+//! in one pass by [`vermem_trace::AddrIndex`] or for one by
+//! [`AddrOps::of`].
+//!
 //! | Figure 5.3 case | module | entry point |
 //! |---|---|---|
-//! | general (NP-complete) | [`backtrack`] | [`solve_backtracking`] |
-//! | general via SAT | [`sat_encode`] | [`solve_sat`] |
-//! | constant #processes, O(n^k) | [`backtrack`] (memoized) | [`solve_backtracking`] |
-//! | 1 write/value (read-map), O(n) | [`readmap`] | [`readmap::solve_readmap`] |
-//! | 1 op/process simple, O(n lg n) | [`one_op`] | [`one_op::solve_one_op`] |
-//! | 1 op/process RMW, O(n²)→O(n) | [`rmw`] | [`rmw::solve_rmw_one_op`] |
-//! | RMW read-map, O(n lg n)→O(n) | [`rmw`] | [`rmw::solve_rmw_readmap`] |
+//! | general (NP-complete) | [`backtrack`] | [`backtrack::solve_backtracking_ops_with_stats`] |
+//! | general via SAT (certified) | [`sat_encode`] | [`sat_encode::solve_sat_ops`] |
+//! | constant #processes, O(n^k) | [`backtrack`] (memoized) | [`backtrack::solve_backtracking_ops_with_stats`] |
+//! | 1 write/value (read-map), O(n) | [`readmap`] | [`readmap::solve_readmap_ops`] |
+//! | 1 op/process simple, O(n lg n) | [`one_op`] | [`one_op::solve_one_op_ops`] |
+//! | 1 op/process RMW, O(n²)→O(n) | [`rmw`] | [`rmw::solve_rmw_one_op_ops`] |
+//! | RMW read-map, O(n lg n)→O(n) | [`rmw`] | [`rmw::solve_rmw_readmap_ops`] |
 //! | write order given, O(n²)/O(n) (§5.2) | [`write_order`] | [`solve_with_write_order`] |
 //!
-//! The [`verify`] entry point tests the Figure 5.3 fast paths in turn (each
-//! module's `applicable_ops` predicate on the per-address index entry) and
+//! [`VmcVerifier::verify_ops`] tests the Figure 5.3 fast paths in turn
+//! (each module's `applicable_ops` predicate on the instance) and
 //! dispatches to the first that applies, else to the general case;
 //! [`verify_execution`] applies it per address, which by the definition in
-//! §3 decides coherence of the whole execution.
+//! §3 decides coherence of the whole execution. The paper-level
+//! `(trace, addr)` entries [`verify`], [`solve_backtracking`],
+//! [`solve_with_write_order`] and [`solve_sat_certified`] index the
+//! address and run the same deciders.
 //!
 //! ## Tiered verification
 //!
@@ -115,7 +124,7 @@ pub use explain::{minimize_incoherent_core, ExplainConfig, MinimalCore};
 pub use kernel::{KernelConfig, KernelOutcome, TransitionSystem};
 pub use online::{OnlineCause, OnlineVerifier, OnlineViolation};
 pub use par::{verify_execution_par, ExecutionReport};
-pub use sat_encode::{encode_vmc, solve_sat, solve_sat_certified, VmcEncoding};
+pub use sat_encode::{encode_vmc, solve_sat_certified, solve_sat_ops, VmcEncoding};
 pub use stream::{
     verify_stream_bytes, CoreCertificate, ForensicBundle, HotPathConfig, RecorderConfig, RingEntry,
     StreamConfig, StreamMetrics, StreamReport, StreamVerdict, StreamVerifier, FORENSIC_SCHEMA,
@@ -235,14 +244,9 @@ impl VmcVerifier {
         Self::default()
     }
 
-    /// Which algorithm [`VmcVerifier::verify`] would run on this instance.
-    pub fn select(&self, trace: &Trace, addr: Addr) -> Algorithm {
-        self.select_ops(&AddrOps::of(trace, addr))
-    }
-
-    /// As [`VmcVerifier::select`], from a pre-built per-address index entry.
+    /// Which algorithm [`VmcVerifier::verify_ops`] runs on this instance.
     /// All applicability checks read the entry's cached structure, so
-    /// selection costs O(procs + values) instead of O(total trace ops).
+    /// selection costs O(procs + values).
     pub fn select_ops(&self, ops: &AddrOps) -> Algorithm {
         match self.strategy {
             Strategy::Backtracking => Algorithm::Backtracking,
@@ -263,33 +267,9 @@ impl VmcVerifier {
         }
     }
 
-    /// Decide coherence of the operations of `trace` at `addr`.
-    pub fn verify(&self, trace: &Trace, addr: Addr) -> Verdict {
-        self.verify_ops(trace, &AddrOps::of(trace, addr))
-    }
-
-    /// As [`VmcVerifier::verify`], also returning the backtracking search
-    /// statistics (zero for the polynomial fast paths).
-    pub fn verify_with_stats(&self, trace: &Trace, addr: Addr) -> (Verdict, SearchStats) {
-        self.verify_ops_with_stats(trace, &AddrOps::of(trace, addr))
-    }
-
-    /// As [`VmcVerifier::verify`], on a pre-built per-address index entry
-    /// (`trace` is only consulted by the SAT strategy and by debug witness
-    /// checking — no full-trace rescans on the hot path).
-    pub fn verify_ops(&self, trace: &Trace, ops: &AddrOps) -> Verdict {
-        self.verify_ops_with_stats(trace, ops).0
-    }
-
-    /// As [`VmcVerifier::verify_ops`], also returning the backtracking
-    /// search statistics (zero for the polynomial fast paths).
-    pub fn verify_ops_with_stats(&self, trace: &Trace, ops: &AddrOps) -> (Verdict, SearchStats) {
-        let (verdict, stats, _) = self.verify_ops_tiered(trace, ops);
-        (verdict, stats)
-    }
-
-    /// The tiered entry point: as [`VmcVerifier::verify_ops_with_stats`],
-    /// also reporting which [`Tier`] decided the address.
+    /// Decide coherence of a VMC instance, also returning the backtracking
+    /// search statistics (zero for the polynomial fast paths and the SAT
+    /// encoding) and the [`Tier`] that decided.
     ///
     /// On general instances with the frontline enabled (the default), the
     /// polynomial [`closure`] runs first; only an ambiguous residue is
@@ -297,7 +277,9 @@ impl VmcVerifier {
     /// constraint table, so the fixpoint is never analyzed twice. The
     /// verdict and stats are bit-identical under [`TierConfig::exact_only`]
     /// on every input (DESIGN.md §4d), and a budget [`Verdict::Unknown`] from
-    /// the exact tier always passes through unmasked.
+    /// the exact tier always passes through unmasked. The batch engine and
+    /// the streaming engine run this one dispatch, so equal entries get
+    /// equal answers.
     ///
     /// ```
     /// use vermem_coherence::{Tier, TierConfig, VmcVerifier};
@@ -308,44 +290,13 @@ impl VmcVerifier {
     ///     .build();
     /// let ops = AddrOps::of(&trace, Addr::ZERO);
     /// let tiered = VmcVerifier::new(); // closure,exact by default
-    /// let (verdict, stats, tier) = tiered.verify_ops_tiered(&trace, &ops);
+    /// let (verdict, stats, tier) = tiered.verify_ops(&ops);
     /// let exact = VmcVerifier { tier: TierConfig::exact_only(), ..VmcVerifier::new() };
-    /// let (v2, s2, t2) = exact.verify_ops_tiered(&trace, &ops);
+    /// let (v2, s2, t2) = exact.verify_ops(&ops);
     /// assert_eq!((verdict, stats), (v2, s2)); // bit-identical verdicts
     /// assert_eq!(t2, Tier::Exact); // only the tier label differs
     /// ```
-    pub fn verify_ops_tiered(&self, trace: &Trace, ops: &AddrOps) -> (Verdict, SearchStats, Tier) {
-        self.verify_ops_tiered_inner(Some(trace), ops)
-    }
-
-    /// As [`VmcVerifier::verify_ops_tiered`], without a backing [`Trace`].
-    ///
-    /// Every algorithm except the SAT encoding works entirely from the
-    /// [`AddrOps`] entry, so a caller that only has per-address operation
-    /// lists — the streaming engine re-materialising a pinned address —
-    /// gets the same verdict, [`SearchStats`], and [`Tier`] the batch path
-    /// produces for an equal entry (bit-identical by construction: it *is*
-    /// the same dispatch). The witness debug check (which needs the trace)
-    /// is skipped.
-    ///
-    /// # Panics
-    ///
-    /// If the verifier is configured with [`Strategy::Sat`], which encodes
-    /// from the full trace; detached callers must reject that strategy up
-    /// front.
-    pub fn verify_ops_detached(&self, ops: &AddrOps) -> (Verdict, SearchStats, Tier) {
-        assert!(
-            self.strategy != Strategy::Sat,
-            "Strategy::Sat needs a backing trace; detached verification does not support it"
-        );
-        self.verify_ops_tiered_inner(None, ops)
-    }
-
-    fn verify_ops_tiered_inner(
-        &self,
-        trace: Option<&Trace>,
-        ops: &AddrOps,
-    ) -> (Verdict, SearchStats, Tier) {
+    pub fn verify_ops(&self, ops: &AddrOps) -> (Verdict, SearchStats, Tier) {
         use vermem_util::obs;
         let record = obs::enabled();
         let t0 = if record { obs::now_us() } else { 0 };
@@ -383,10 +334,7 @@ impl VmcVerifier {
                 (v, s, tier)
             }
             Algorithm::SatEncoding => (
-                solve_sat(
-                    trace.expect("Strategy::Sat rejected by detached entry point"),
-                    ops.addr(),
-                ),
+                sat_encode::solve_sat_ops(ops),
                 SearchStats::default(),
                 Tier::Exact,
             ),
@@ -407,9 +355,9 @@ impl VmcVerifier {
                 }
             }
         }
-        if let (Verdict::Coherent(witness), Some(trace)) = (&out.0, trace) {
+        if let Verdict::Coherent(witness) = &out.0 {
             debug_assert!(
-                vermem_trace::check_coherent_schedule(trace, ops.addr(), witness).is_ok(),
+                vermem_trace::check_coherent_schedule_ops(ops, witness).is_ok(),
                 "solver produced invalid witness"
             );
         }
@@ -437,7 +385,7 @@ impl VmcVerifier {
 /// assert!(vermem_coherence::verify(&corr, Addr::ZERO).is_incoherent());
 /// ```
 pub fn verify(trace: &Trace, addr: Addr) -> Verdict {
-    VmcVerifier::new().verify(trace, addr)
+    VmcVerifier::new().verify_ops(&AddrOps::of(trace, addr)).0
 }
 
 /// Outcome of verifying a whole execution: per-address witness schedules,
@@ -489,6 +437,10 @@ mod tests {
     use super::*;
     use vermem_trace::{check_coherent_schedule, Op, TraceBuilder};
 
+    fn select(v: &VmcVerifier, t: &Trace) -> Algorithm {
+        v.select_ops(&AddrOps::of(t, Addr::ZERO))
+    }
+
     #[test]
     fn dispatcher_selects_fast_paths() {
         let v = VmcVerifier::new();
@@ -496,31 +448,31 @@ mod tests {
             .proc([Op::w(1u64), Op::r(2u64)])
             .proc([Op::w(2u64)])
             .build();
-        assert_eq!(v.select(&readmap, Addr::ZERO), Algorithm::ReadMap);
+        assert_eq!(select(&v, &readmap), Algorithm::ReadMap);
 
         let rmw_chain = TraceBuilder::new()
             .proc([Op::rw(0u64, 1u64), Op::rw(1u64, 2u64)])
             .build();
-        assert_eq!(v.select(&rmw_chain, Addr::ZERO), Algorithm::RmwReadMap);
+        assert_eq!(select(&v, &rmw_chain), Algorithm::RmwReadMap);
 
         let one_op = TraceBuilder::new()
             .proc([Op::w(1u64)])
             .proc([Op::w(1u64)])
             .proc([Op::r(1u64)])
             .build();
-        assert_eq!(v.select(&one_op, Addr::ZERO), Algorithm::OneOpPerProc);
+        assert_eq!(select(&v, &one_op), Algorithm::OneOpPerProc);
 
         let euler = TraceBuilder::new()
             .proc([Op::rw(0u64, 1u64)])
             .proc([Op::rw(1u64, 0u64)])
             .build();
-        assert_eq!(v.select(&euler, Addr::ZERO), Algorithm::RmwOneOp);
+        assert_eq!(select(&v, &euler), Algorithm::RmwOneOp);
 
         let hard = TraceBuilder::new()
             .proc([Op::w(1u64), Op::r(1u64), Op::w(2u64)])
             .proc([Op::w(1u64), Op::r(2u64), Op::w(2u64)])
             .build();
-        assert_eq!(v.select(&hard, Addr::ZERO), Algorithm::Backtracking);
+        assert_eq!(select(&v, &hard), Algorithm::Backtracking);
     }
 
     #[test]
@@ -530,12 +482,12 @@ mod tests {
             strategy: Strategy::Backtracking,
             ..Default::default()
         };
-        assert_eq!(bt.select(&t, Addr::ZERO), Algorithm::Backtracking);
+        assert_eq!(select(&bt, &t), Algorithm::Backtracking);
         let sat = VmcVerifier {
             strategy: Strategy::Sat,
             ..Default::default()
         };
-        assert_eq!(sat.select(&t, Addr::ZERO), Algorithm::SatEncoding);
+        assert_eq!(select(&sat, &t), Algorithm::SatEncoding);
     }
 
     #[test]
@@ -590,17 +542,20 @@ mod tests {
             }
             let t = b.build();
             let auto = verify(&t, Addr::ZERO).is_coherent();
+            let ops = AddrOps::of(&t, Addr::ZERO);
             let bt = VmcVerifier {
                 strategy: Strategy::Backtracking,
                 ..Default::default()
             }
-            .verify(&t, Addr::ZERO)
+            .verify_ops(&ops)
+            .0
             .is_coherent();
             let sat = VmcVerifier {
                 strategy: Strategy::Sat,
                 ..Default::default()
             }
-            .verify(&t, Addr::ZERO)
+            .verify_ops(&ops)
+            .0
             .is_coherent();
             assert_eq!(auto, bt, "auto vs backtracking, seed {seed}: {t:?}");
             assert_eq!(auto, sat, "auto vs sat, seed {seed}: {t:?}");

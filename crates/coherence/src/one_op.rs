@@ -11,35 +11,17 @@
 use crate::backtrack::precheck_ops;
 use crate::verdict::Verdict;
 use std::collections::HashMap;
-use vermem_trace::{check_coherent_schedule, Addr, AddrOps, OpRef, Schedule, Trace, Value};
+use vermem_trace::{AddrOps, OpRef, Schedule, Value};
 
-/// True if every process issues at most one operation at `addr`, and all of
-/// them are simple reads/writes.
-pub fn applicable(trace: &Trace, addr: Addr) -> bool {
-    applicable_ops(&AddrOps::of(trace, addr))
-}
-
-/// As [`applicable`], decided in O(procs) from a pre-built per-address
-/// index entry's cached structure.
+/// True if every process issues at most one operation in the instance,
+/// and all of them are simple reads/writes. Decided in O(procs) from the
+/// entry's cached structure.
 pub fn applicable_ops(ops: &AddrOps) -> bool {
     !ops.has_rmw() && ops.max_ops_per_proc() <= 1
 }
 
-/// Decide coherence at `addr` for one-simple-op-per-process instances.
-/// After [`crate::backtrack::precheck`] passes, such an instance is always
-/// coherent.
-pub fn solve_one_op(trace: &Trace, addr: Addr) -> Verdict {
-    let verdict = solve_one_op_ops(&AddrOps::of(trace, addr));
-    if let Verdict::Coherent(witness) = &verdict {
-        debug_assert!(
-            check_coherent_schedule(trace, addr, witness).is_ok(),
-            "one-op solver produced invalid witness"
-        );
-    }
-    verdict
-}
-
-/// As [`solve_one_op`], on a pre-built per-address index entry.
+/// Decide coherence of a one-simple-op-per-process instance. After
+/// [`precheck_ops`] passes, such an instance is always coherent.
 pub fn solve_one_op_ops(indexed: &AddrOps) -> Verdict {
     debug_assert!(
         applicable_ops(indexed),
@@ -115,7 +97,19 @@ pub fn solve_one_op_ops(indexed: &AddrOps) -> Verdict {
 mod tests {
     use super::*;
     use crate::backtrack::{solve_backtracking, SearchConfig};
-    use vermem_trace::{Op, TraceBuilder};
+    use vermem_trace::{check_coherent_schedule, Addr, Op, Trace, TraceBuilder};
+
+    fn applicable(t: &Trace, addr: Addr) -> bool {
+        applicable_ops(&AddrOps::of(t, addr))
+    }
+
+    fn solve_one_op(t: &Trace, addr: Addr) -> Verdict {
+        let verdict = solve_one_op_ops(&AddrOps::of(t, addr));
+        if let Some(witness) = verdict.schedule() {
+            check_coherent_schedule(t, addr, witness).unwrap();
+        }
+        verdict
+    }
 
     #[test]
     fn applicability() {

@@ -97,7 +97,7 @@ pub fn verify_execution_par(trace: &Trace, verifier: &VmcVerifier, jobs: usize) 
         // table fall out of the trace; disabled = a no-op guard.
         let mut span = vermem_util::span!("verify.addr");
         let ops_i = index.entry(i);
-        let out = verifier.verify_ops_tiered(trace, ops_i);
+        let out = verifier.verify_ops(ops_i);
         if span.is_recording() {
             span.arg("addr", ops_i.addr().0 as u64);
             span.arg("ops", ops_i.num_ops() as u64);

@@ -10,39 +10,23 @@
 
 use crate::backtrack::precheck_ops;
 use crate::verdict::{Verdict, Violation, ViolationKind};
-use vermem_trace::{check_coherent_schedule, Addr, AddrOps, Op, OpRef, Schedule, Trace, Value};
+use vermem_trace::{AddrOps, Op, OpRef, Schedule, Value};
 use vermem_util::hash::FxHashMap;
 
-/// True if the read-map fast path applies to the operations at `addr`:
-/// simple reads/writes only, every value written at most once, and no write
+/// True if the read-map fast path applies to the instance: simple
+/// reads/writes only, every value written at most once, and no write
 /// re-installs the initial value (which would make read binding ambiguous).
-pub fn applicable(trace: &Trace, addr: Addr) -> bool {
-    applicable_ops(&AddrOps::of(trace, addr))
-}
-
-/// As [`applicable`], decided in O(values) from the cached structure of a
-/// pre-built per-address index entry (no trace scan).
+/// Decided in O(values) from the entry's cached structure.
 pub fn applicable_ops(ops: &AddrOps) -> bool {
     !ops.has_rmw() && ops.max_writes_per_value() <= 1 && ops.writes_of(ops.initial()) == 0
 }
 
-/// Decide coherence at `addr` assuming [`applicable`]. O(n + blocks)
-/// after one hash lookup per op, which binds the op to its block.
+/// Decide coherence of the instance assuming [`applicable_ops`].
+/// O(n + blocks) after one hash lookup per op, which binds the op to its
+/// block.
 ///
 /// # Panics
 /// Debug-asserts applicability; behaviour is unspecified otherwise.
-pub fn solve_readmap(trace: &Trace, addr: Addr) -> Verdict {
-    let verdict = solve_readmap_ops(&AddrOps::of(trace, addr));
-    if let Verdict::Coherent(witness) = &verdict {
-        debug_assert!(
-            check_coherent_schedule(trace, addr, witness).is_ok(),
-            "read-map solver produced invalid witness"
-        );
-    }
-    verdict
-}
-
-/// As [`solve_readmap`], on a pre-built per-address index entry.
 pub fn solve_readmap_ops(indexed: &AddrOps) -> Verdict {
     debug_assert!(
         applicable_ops(indexed),
@@ -219,7 +203,19 @@ fn bucket(
 mod tests {
     use super::*;
     use crate::backtrack::{solve_backtracking, SearchConfig};
-    use vermem_trace::TraceBuilder;
+    use vermem_trace::{check_coherent_schedule, Addr, Trace, TraceBuilder};
+
+    fn applicable(t: &Trace, addr: Addr) -> bool {
+        applicable_ops(&AddrOps::of(t, addr))
+    }
+
+    fn solve_readmap(t: &Trace, addr: Addr) -> Verdict {
+        let verdict = solve_readmap_ops(&AddrOps::of(t, addr));
+        if let Some(witness) = verdict.schedule() {
+            check_coherent_schedule(t, addr, witness).unwrap();
+        }
+        verdict
+    }
 
     #[test]
     fn applicability() {

@@ -17,42 +17,22 @@
 use crate::backtrack::precheck_ops;
 use crate::verdict::{Verdict, Violation, ViolationKind};
 use std::collections::HashMap;
-use vermem_trace::{check_coherent_schedule, Addr, AddrOps, OpRef, Schedule, Trace, Value};
+use vermem_trace::{AddrOps, OpRef, Schedule, Value};
 
-/// True if every operation at `addr` is an RMW and each process issues at
-/// most one of them.
-pub fn one_op_applicable(trace: &Trace, addr: Addr) -> bool {
-    one_op_applicable_ops(&AddrOps::of(trace, addr))
-}
-
-/// As [`one_op_applicable`], from a pre-built index entry's cached
-/// structure (no trace scan).
+/// True if every operation of the instance is an RMW and each process
+/// issues at most one of them, from the entry's cached structure.
 pub fn one_op_applicable_ops(ops: &AddrOps) -> bool {
     ops.all_rmw() && ops.max_ops_per_proc() <= 1
 }
 
-/// True if every operation at `addr` is an RMW, every value is written at
-/// most once, and no operation re-installs the initial value.
-pub fn readmap_applicable(trace: &Trace, addr: Addr) -> bool {
-    readmap_applicable_ops(&AddrOps::of(trace, addr))
-}
-
-/// As [`readmap_applicable`], from a pre-built index entry's cached
-/// structure (no trace scan).
+/// True if every operation of the instance is an RMW, every value is
+/// written at most once, and no operation re-installs the initial value,
+/// from the entry's cached structure.
 pub fn readmap_applicable_ops(ops: &AddrOps) -> bool {
     ops.all_rmw() && ops.max_writes_per_value() <= 1 && ops.writes_of(ops.initial()) == 0
 }
 
 /// Eulerian-path decision for single-RMW-per-process instances. O(n).
-pub fn solve_rmw_one_op(trace: &Trace, addr: Addr) -> Verdict {
-    let verdict = solve_rmw_one_op_ops(&AddrOps::of(trace, addr));
-    if let Verdict::Coherent(witness) = &verdict {
-        debug_assert!(check_coherent_schedule(trace, addr, witness).is_ok());
-    }
-    verdict
-}
-
-/// As [`solve_rmw_one_op`], on a pre-built per-address index entry.
 pub fn solve_rmw_one_op_ops(indexed: &AddrOps) -> Verdict {
     debug_assert!(one_op_applicable_ops(indexed));
     let addr = indexed.addr();
@@ -134,15 +114,6 @@ pub fn solve_rmw_one_op_ops(indexed: &AddrOps) -> Verdict {
 }
 
 /// Forced-chain decision for all-RMW instances with a known read-map. O(n).
-pub fn solve_rmw_readmap(trace: &Trace, addr: Addr) -> Verdict {
-    let verdict = solve_rmw_readmap_ops(&AddrOps::of(trace, addr));
-    if let Verdict::Coherent(witness) = &verdict {
-        debug_assert!(check_coherent_schedule(trace, addr, witness).is_ok());
-    }
-    verdict
-}
-
-/// As [`solve_rmw_readmap`], on a pre-built per-address index entry.
 pub fn solve_rmw_readmap_ops(indexed: &AddrOps) -> Verdict {
     debug_assert!(readmap_applicable_ops(indexed));
     let addr = indexed.addr();
@@ -223,7 +194,32 @@ pub fn solve_rmw_readmap_ops(indexed: &AddrOps) -> Verdict {
 mod tests {
     use super::*;
     use crate::backtrack::{solve_backtracking, SearchConfig};
-    use vermem_trace::{Op, TraceBuilder};
+    use vermem_trace::{check_coherent_schedule, Addr, Op, Trace, TraceBuilder};
+
+    fn one_op_applicable(t: &Trace, addr: Addr) -> bool {
+        one_op_applicable_ops(&AddrOps::of(t, addr))
+    }
+
+    fn readmap_applicable(t: &Trace, addr: Addr) -> bool {
+        readmap_applicable_ops(&AddrOps::of(t, addr))
+    }
+
+    /// Run a fast path on the address's entry and check its witness.
+    fn checked(t: &Trace, addr: Addr, solve: fn(&AddrOps) -> Verdict) -> Verdict {
+        let verdict = solve(&AddrOps::of(t, addr));
+        if let Some(witness) = verdict.schedule() {
+            check_coherent_schedule(t, addr, witness).unwrap();
+        }
+        verdict
+    }
+
+    fn solve_rmw_one_op(t: &Trace, addr: Addr) -> Verdict {
+        checked(t, addr, solve_rmw_one_op_ops)
+    }
+
+    fn solve_rmw_readmap(t: &Trace, addr: Addr) -> Verdict {
+        checked(t, addr, solve_rmw_readmap_ops)
+    }
 
     #[test]
     fn one_op_applicability() {

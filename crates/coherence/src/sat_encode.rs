@@ -23,12 +23,15 @@
 //!   must follow every other write.
 //!
 //! A model yields a total order; we sort, build the schedule, and validate
-//! it with the Theorem 4.2 certificate checker before returning.
+//! it with the Theorem 4.2 certificate checker before returning. An
+//! unsatisfiable encoding is certified too: the solver's clausal proof is
+//! checked by the independent RUP checker before the incoherence verdict
+//! is returned.
 
-use crate::backtrack::precheck;
+use crate::backtrack::precheck_ops;
 use crate::verdict::{Verdict, Violation, ViolationKind};
 use vermem_sat::{CdclSolver, Cnf, Lit, Model, SatResult};
-use vermem_trace::{check_coherent_schedule, Addr, Op, OpRef, Schedule, Trace};
+use vermem_trace::{check_coherent_schedule_ops, Addr, AddrOps, Op, OpRef, Schedule, Trace};
 
 /// A compiled VMC-to-CNF encoding, retaining enough structure to decode a
 /// model back into a schedule.
@@ -103,12 +106,9 @@ impl VmcEncoding {
     }
 }
 
-/// Build the CNF encoding for the operations of `trace` at `addr`.
-pub fn encode_vmc(trace: &Trace, addr: Addr) -> VmcEncoding {
-    let ops: Vec<(OpRef, Op)> = trace
-        .iter_ops()
-        .filter(|(_, op)| op.addr() == addr)
-        .collect();
+/// Build the CNF encoding of a VMC instance.
+pub fn encode_vmc(instance: &AddrOps) -> VmcEncoding {
+    let ops: Vec<(OpRef, Op)> = instance.iter().collect();
     let n = ops.len();
     let mut cnf = Cnf::new();
 
@@ -173,7 +173,7 @@ pub fn encode_vmc(trace: &Trace, addr: Addr) -> VmcEncoding {
     }
 
     let writes: Vec<usize> = (0..n).filter(|&i| enc.ops[i].1.is_writing()).collect();
-    let initial = trace.initial(addr);
+    let initial = instance.initial();
 
     // Read mapping constraints.
     for r in 0..n {
@@ -257,7 +257,7 @@ pub fn encode_vmc(trace: &Trace, addr: Addr) -> VmcEncoding {
     }
 
     // Final value: some write of d_F follows every other write.
-    if let Some(f) = trace.final_value(addr) {
+    if let Some(f) = instance.final_value() {
         if writes.is_empty() {
             if f != initial {
                 enc.trivially_unsat = true;
@@ -299,55 +299,27 @@ pub fn encode_vmc(trace: &Trace, addr: Addr) -> VmcEncoding {
     enc
 }
 
-/// Decide coherence at `addr` via the SAT encoding. The witness schedule
-/// (when coherent) is decoded from the model and validated before return.
-pub fn solve_sat(trace: &Trace, addr: Addr) -> Verdict {
-    if let Some(v) = precheck(trace, addr) {
-        return Verdict::Incoherent(v);
-    }
-    let enc = encode_vmc(trace, addr);
-    if enc.trivially_unsat {
-        return Verdict::Incoherent(Violation {
-            addr,
-            kind: ViolationKind::SearchExhausted,
-        });
-    }
-    let mut solver = CdclSolver::new(enc.cnf());
-    match solver.solve() {
-        SatResult::Sat(model) => {
-            let schedule = enc.decode(&model);
-            assert!(
-                check_coherent_schedule(trace, addr, &schedule).is_ok(),
-                "SAT encoding produced an invalid witness — encoding bug"
-            );
-            Verdict::Coherent(schedule)
-        }
-        SatResult::Unsat => Verdict::Incoherent(Violation {
-            addr,
-            kind: ViolationKind::SearchExhausted,
-        }),
-    }
-}
-
-/// As [`solve_sat`], but with **certified** negative answers: when the CDCL
+/// Decide coherence of a VMC instance via the SAT encoding, with both
+/// answers machine-checked: a coherent verdict's witness is decoded from
+/// the model and validated by the Theorem 4.2 checker, and when the CDCL
 /// solver reports the encoding unsatisfiable, its clausal proof is checked
 /// by the independent RUP checker ([`vermem_sat::check_unsat_proof`])
-/// before the incoherence verdict is returned. Positive answers are always
-/// witness-checked, so with this entry point *both* directions carry
-/// machine-checked evidence.
+/// before the incoherence verdict is returned.
 ///
 /// # Panics
-/// Panics if the solver emits an invalid refutation proof (a solver bug).
-pub fn solve_sat_certified(trace: &Trace, addr: Addr) -> Verdict {
-    if let Some(v) = precheck(trace, addr) {
+/// Panics on an invalid witness (an encoding bug) or an invalid refutation
+/// proof (a solver bug).
+pub fn solve_sat_ops(instance: &AddrOps) -> Verdict {
+    if let Some(v) = precheck_ops(instance) {
         return Verdict::Incoherent(v);
     }
-    let enc = encode_vmc(trace, addr);
+    let exhausted = Verdict::Incoherent(Violation {
+        addr: instance.addr(),
+        kind: ViolationKind::SearchExhausted,
+    });
+    let enc = encode_vmc(instance);
     if enc.trivially_unsat {
-        return Verdict::Incoherent(Violation {
-            addr,
-            kind: ViolationKind::SearchExhausted,
-        });
+        return exhausted;
     }
     let mut solver = CdclSolver::new(enc.cnf());
     solver.enable_proof_logging();
@@ -355,7 +327,7 @@ pub fn solve_sat_certified(trace: &Trace, addr: Addr) -> Verdict {
         SatResult::Sat(model) => {
             let schedule = enc.decode(&model);
             assert!(
-                check_coherent_schedule(trace, addr, &schedule).is_ok(),
+                check_coherent_schedule_ops(instance, &schedule).is_ok(),
                 "SAT encoding produced an invalid witness — encoding bug"
             );
             Verdict::Coherent(schedule)
@@ -367,12 +339,14 @@ pub fn solve_sat_certified(trace: &Trace, addr: Addr) -> Verdict {
                 vermem_sat::ProofCheck::Valid,
                 "CDCL produced an invalid refutation proof — solver bug"
             );
-            Verdict::Incoherent(Violation {
-                addr,
-                kind: ViolationKind::SearchExhausted,
-            })
+            exhausted
         }
     }
+}
+
+/// [`solve_sat_ops`] on the operations of `trace` at `addr`.
+pub fn solve_sat_certified(trace: &Trace, addr: Addr) -> Verdict {
+    solve_sat_ops(&AddrOps::of(trace, addr))
 }
 
 #[cfg(test)]
@@ -382,7 +356,7 @@ mod tests {
     use vermem_trace::{Op, TraceBuilder, Value};
 
     fn sat(trace: &Trace) -> Verdict {
-        solve_sat(trace, Addr::ZERO)
+        solve_sat_ops(&AddrOps::of(trace, Addr::ZERO))
     }
 
     #[test]
@@ -473,8 +447,8 @@ mod tests {
             // solve_sat_certified panics on an invalid proof, so simply
             // running it on incoherent instances is the assertion.
             let certified = solve_sat_certified(&t, Addr::ZERO);
-            let plain = sat(&t);
-            assert_eq!(certified.is_coherent(), plain.is_coherent(), "seed {seed}");
+            let exact = solve_backtracking(&t, Addr::ZERO, &SearchConfig::default());
+            assert_eq!(certified.is_coherent(), exact.is_coherent(), "seed {seed}");
         }
     }
 
@@ -521,7 +495,7 @@ mod tests {
     #[test]
     fn encoding_size_is_polynomial() {
         let (t, _) = vermem_trace::gen::gen_hard_coherent(4, 5, 2, 1);
-        let enc = encode_vmc(&t, Addr::ZERO);
+        let enc = encode_vmc(&AddrOps::of(&t, Addr::ZERO));
         let n = enc.num_ops() as u64;
         // Order vars ≤ n(n-1)/2, clauses O(n^3).
         assert!(u64::from(enc.cnf().num_vars()) <= n * n);

@@ -29,8 +29,9 @@
 //!   rewrite of it still pins the address.
 //! * **Escalation preserves bit-identical verdicts**: any address the
 //!   summary cannot seal (RMWs, duplicate written values, writes of the
-//!   initial value, an unplaced read, a final-value mismatch) is *pinned*
-//!   and handed to the exact tiered kernel at end of stream, on exactly
+//!   initial value, an unplaced read, a final-value mismatch; under a
+//!   [`crate::Strategy`] other than `Auto`, every address) is *pinned*
+//!   and handed to the verifier's dispatch at end of stream, on exactly
 //!   the ops the batch [`vermem_trace::AddrIndex`] would have produced —
 //!   from the retention buffer when it survived, or re-collected by a
 //!   second [`StreamVerifier::ingest_replay`] pass when it was retired.
@@ -64,7 +65,10 @@
 //! ([`StreamConfig::temporal`]) — i.e. the interleaving is the machine's
 //! commit order, where "the greedy monitor got stuck" is meaningful as a
 //! hardware error detection. They are metrics, not verdicts: the verdict
-//! always comes from the sealed/exact reduction above.
+//! always comes from the sealed/exact reduction above. A read deferred
+//! only because slot retirement dropped the slot it wanted also surfaces
+//! as a detection on a temporal stream; that detection is a false alarm
+//! in the metrics, and the verdict is unaffected.
 
 //! ## Dense hot paths
 //!
@@ -93,7 +97,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::thread::JoinHandle;
 use tables::DenseRouter;
 use vermem_trace::binary::{ChunkReader, DecodeError, StreamEvent};
-use vermem_trace::{Addr, AddrOps, Op, OpRef, ProcId, ProcessHistory, Trace, Value};
+use vermem_trace::{Addr, AddrOps, Op, OpRef, ProcId, Value};
 use vermem_util::json::JsonWriter;
 use vermem_util::obs;
 use vermem_util::pool::{available_jobs, spsc_channel, SpscSender};
@@ -133,8 +137,11 @@ pub struct StreamConfig {
     /// file is a valid op multiset but its interleaving carries no timing,
     /// so monitor stalls there are not "detections").
     pub temporal: bool,
-    /// The tiered verifier escalated addresses fall through to. Must not
-    /// be [`Strategy::Sat`] (the SAT encoder needs a whole trace).
+    /// The tiered verifier escalated addresses fall through to. Under
+    /// [`Strategy::Auto`] a sealed address skips it, as the batch
+    /// dispatcher's read-map solver would decide it; any other strategy
+    /// solves every address, so a stream matches the batch engine under
+    /// the same verifier.
     pub verifier: VmcVerifier,
     /// Flight recorder: `Some` keeps a bounded per-shard ring of recent
     /// events and captures a [`ForensicBundle`] on every detection event
@@ -201,8 +208,7 @@ pub struct RingEntry {
 }
 
 /// A minimal incoherent core extracted from the retained window at
-/// detection time, with refs mapped back to the original stream
-/// coordinates.
+/// detection time, in the original stream coordinates.
 #[derive(Clone, Debug)]
 pub struct CoreCertificate {
     /// Kept operations, as references into the *original* stream.
@@ -229,17 +235,20 @@ pub struct ForensicBundle {
     /// Obs-clock microseconds at which the violation became certain.
     pub detected_us: u64,
     /// The retained window at the violating address: per process, the
-    /// most recent [`RecorderConfig::ring`] buffered ops (empty when the
-    /// window had already been retired).
+    /// most recent [`RecorderConfig::ring`] buffered ops. Once the window
+    /// was retired, these are only the ops buffered since retirement.
     pub window_ops: Vec<(OpRef, Op)>,
     /// The shard's recent-event ring at capture time (all addresses),
     /// oldest first.
     pub recent: Vec<RingEntry>,
     /// Which tier the budgeted certificate solve decided the retained
-    /// window with (`None` when no ops were retained to solve).
+    /// window with (`None` when no ops were retained, or when retirement
+    /// had dropped the window, which then holds only a suffix of the
+    /// address and is no instance to solve).
     pub tier: Option<Tier>,
     /// The minimized incoherent core, when the retained window is itself
-    /// provably incoherent within [`RecorderConfig::core_budget`].
+    /// provably incoherent within [`RecorderConfig::core_budget`] (never
+    /// for a retired window).
     pub core: Option<CoreCertificate>,
 }
 
@@ -333,10 +342,12 @@ fn capture_bundle(
     }
     window_ops.sort_by_key(|(r, _)| (r.proc.0, r.index));
 
-    let (tier, core) = if state.buffer_ops == 0 {
+    // Once retirement dropped the buffer, it holds only a suffix of the
+    // address, which can blame a read whose writer was retired: such a
+    // window is no instance to certify.
+    let (tier, core) = if state.buffer_ops == 0 || state.dropped {
         (None, None)
     } else {
-        let final_value = if with_final { state.final_value } else { None };
         let probe = VmcVerifier {
             search: SearchConfig {
                 max_states: rec.core_budget,
@@ -347,37 +358,16 @@ fn capture_bundle(
         let ops = AddrOps::from_parts(
             violation.addr,
             state.summary.initial(),
-            final_value,
+            if with_final { state.final_value } else { None },
             state.buffer.clone(),
         );
-        let (verdict, _, tier) = probe.verify_ops_detached(&ops);
+        let (verdict, _, tier) = probe.verify_ops(&ops);
         let core = if matches!(verdict, Verdict::Incoherent(_)) {
-            // Rebuild the retained window as a trace; every op is at the
-            // violating address, so the minimizer's projected refs index
-            // straight into `state.buffer[proc]`.
-            let mut trace = Trace::from_histories(
-                state
-                    .buffer
-                    .iter()
-                    .map(|h| h.iter().map(|&(_, op)| op).collect::<ProcessHistory>()),
-            );
-            trace.set_initial(violation.addr, state.summary.initial());
-            if let Some(f) = final_value {
-                trace.set_final(violation.addr, f);
-            }
-            minimize_incoherent_core(
-                &trace,
-                violation.addr,
-                &ExplainConfig {
-                    max_states: rec.core_budget,
-                },
-            )
-            .map(|mc| CoreCertificate {
-                kept: mc
-                    .kept
-                    .iter()
-                    .map(|r| state.buffer[usize::from(r.proc.0)][r.index as usize].0)
-                    .collect(),
+            let budget = ExplainConfig {
+                max_states: rec.core_budget,
+            };
+            minimize_incoherent_core(&ops, &budget).map(|mc| CoreCertificate {
+                kept: mc.ops.iter().map(|(r, _)| r).collect(),
                 violation: mc.violation,
             })
         } else {
@@ -936,15 +926,8 @@ pub struct StreamVerifier {
 }
 
 impl StreamVerifier {
-    /// A fresh engine. Panics if the configured strategy is
-    /// [`Strategy::Sat`] — the SAT encoder needs a whole backing trace,
-    /// which a stream never materializes.
+    /// A fresh engine.
     pub fn new(config: StreamConfig) -> StreamVerifier {
-        assert!(
-            config.verifier.strategy != Strategy::Sat,
-            "Strategy::Sat needs a whole backing trace; the streaming engine \
-             supports Auto and Backtracking"
-        );
         let jobs = if config.jobs == 0 {
             available_jobs()
         } else {
@@ -1162,6 +1145,14 @@ impl StreamVerifier {
         if self.temporal {
             detections.extend(stragglers.into_iter().map(|(v, _)| v));
         }
+        // A sealed summary stands in for the read-map solver, which only
+        // the `Auto` dispatch runs; any other strategy decides every
+        // address itself.
+        if self.verifier.strategy != Strategy::Auto {
+            for state in merged.values_mut() {
+                state.pinned = true;
+            }
+        }
         detections.sort_by_key(OnlineViolation::order_key);
         detections.truncate(DETECTION_CAP);
         forensics.sort_by_key(|b| b.violation.order_key());
@@ -1303,9 +1294,7 @@ impl StreamVerifier {
 
         let addresses = layout.len();
         let verifier = &self.verifier;
-        let reduced = reduce_in_order(self.jobs, &layout, |i| {
-            verifier.verify_ops_detached(&exact[i])
-        });
+        let reduced = reduce_in_order(self.jobs, &layout, |i| verifier.verify_ops(&exact[i]));
         let verdict = match reduced.verdict {
             ExecutionVerdict::Coherent(_) => StreamVerdict::Coherent,
             ExecutionVerdict::Incoherent(v) => StreamVerdict::Incoherent(v),
@@ -1347,7 +1336,7 @@ mod tests {
     use super::*;
     use crate::{verify_execution_par, ExecutionVerdict};
     use vermem_trace::binary::{encode_event_stream, encode_trace};
-    use vermem_trace::{Trace, TraceBuilder};
+    use vermem_trace::{ProcessHistory, Trace, TraceBuilder};
 
     fn config(window: Option<usize>, jobs: usize, temporal: bool) -> StreamConfig {
         StreamConfig {
@@ -1685,15 +1674,60 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Strategy::Sat")]
-    fn sat_strategy_is_rejected() {
-        let _ = StreamVerifier::new(StreamConfig {
-            verifier: VmcVerifier {
-                strategy: Strategy::Sat,
-                ..VmcVerifier::new()
-            },
-            ..StreamConfig::default()
+    fn sat_strategy_matches_batch() {
+        // Under `Strategy::Sat` no address seals: every address goes to
+        // the certified SAT decider, retired buffers come back through
+        // the replay pass, and the report equals the batch run's. Unique
+        // written values streamed in commit order keep an address unpinned
+        // while it streams, so window 4 retires its buffer.
+        let sat = VmcVerifier {
+            strategy: Strategy::Sat,
+            ..VmcVerifier::new()
+        };
+        let (coherent, order) = vermem_trace::gen::gen_sc_trace(&vermem_trace::gen::GenConfig {
+            procs: 3,
+            total_ops: 60,
+            addrs: 3,
+            value_reuse: 0.0,
+            seed: 5,
+            ..Default::default()
         });
+        let (incoherent, _) = vermem_trace::gen::inject_violation(
+            &coherent,
+            vermem_trace::gen::ViolationKind::CorruptReadValue,
+            5,
+        )
+        .expect("an injection site");
+        for (trace, ok) in [(&coherent, true), (&incoherent, false)] {
+            // Streamed in the SC order, so every read is placed on sight.
+            let events: Vec<_> = order
+                .refs()
+                .iter()
+                .map(|&r| (r.proc, trace.op(r).expect("scheduled op")))
+                .collect();
+            let bytes = encode_event_stream(3, &BTreeMap::new(), &BTreeMap::new(), &events);
+            for jobs in [1, 2] {
+                let batch = verify_execution_par(trace, &sat, jobs);
+                assert_eq!(batch.is_coherent(), ok);
+                for window in [None, Some(4)] {
+                    let tag = format!("coherent {ok} jobs {jobs} window {window:?}");
+                    let cfg = StreamConfig {
+                        verifier: sat,
+                        ..config(window, jobs, true)
+                    };
+                    let report = verify_stream_bytes(&bytes, cfg).expect("decode");
+                    assert!(report.verdict.matches_batch(&batch.verdict), "{tag}");
+                    assert_eq!(report.stats, batch.stats, "{tag}");
+                    assert_eq!(report.tiers, batch.tiers, "{tag}");
+                    assert_eq!(report.metrics.sealed_addresses, 0, "{tag}");
+                    assert_eq!(
+                        report.metrics.replayed_addresses > 0,
+                        window.is_some(),
+                        "{tag}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1759,6 +1793,31 @@ mod tests {
             .and_then(|c| c.get("kept"))
             .and_then(|k| k.as_arr())
             .is_some_and(|k| !k.is_empty()));
+    }
+
+    #[test]
+    fn retired_window_gets_no_certificate() {
+        // P0 writes 1..=5, then P1 reads 1 and writes 6. At window 4, value
+        // 1's slot and the buffer are retired before P1's read arrives, so
+        // the read defers: one WindowClosed detection, a false alarm, as
+        // the replayed address is coherent. The buffer then holds only a
+        // suffix of the address, which would blame the read for a value
+        // "never written": the bundle certifies nothing.
+        let mut events: Vec<_> = (1..=5u64).map(|v| (ProcId(0), Op::w(v))).collect();
+        events.push((ProcId(1), Op::r(1u64)));
+        events.push((ProcId(1), Op::w(6u64)));
+        let bytes = encode_event_stream(2, &BTreeMap::new(), &BTreeMap::new(), &events);
+        for jobs in [1, 2] {
+            let report = verify_stream_bytes(&bytes, recording(Some(4), jobs, true)).expect("ok");
+            assert!(report.is_coherent(), "jobs {jobs}: {:?}", report.verdict);
+            assert_eq!(report.metrics.replayed_addresses, 1, "jobs {jobs}");
+            assert_eq!(report.detections.len(), 1, "jobs {jobs}");
+            assert_eq!(report.detections[0].cause, OnlineCause::WindowClosed);
+            assert_eq!(report.forensics.len(), 1, "jobs {jobs}");
+            let b = &report.forensics[0];
+            assert_eq!(b.tier, None, "jobs {jobs}");
+            assert!(b.core.is_none(), "jobs {jobs}: {:?}", b.core);
+        }
     }
 
     #[test]

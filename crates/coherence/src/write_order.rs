@@ -8,10 +8,10 @@
 //! total order of all operations, and a single O(n) scan checks that each
 //! read component returns the preceding write component.
 
-use crate::backtrack::precheck;
+use crate::backtrack::precheck_ops;
 use crate::verdict::{Verdict, Violation, ViolationKind};
 use std::collections::HashMap;
-use vermem_trace::{check_coherent_schedule, Addr, OpRef, Schedule, Trace, Value};
+use vermem_trace::{check_coherent_schedule_ops, Addr, AddrOps, OpRef, Schedule, Trace, Value};
 
 /// Decide coherence at `addr` given the order in which the write-capable
 /// operations (writes and RMWs) executed. Runs in O(n²); O(n) when every
@@ -21,10 +21,11 @@ use vermem_trace::{check_coherent_schedule, Addr, OpRef, Schedule, Trace, Value}
 /// at `addr`; an order that omits writes, repeats them, or contradicts
 /// program order yields [`ViolationKind::InvalidWriteOrder`].
 pub fn solve_with_write_order(trace: &Trace, addr: Addr, write_order: &[OpRef]) -> Verdict {
+    let instance = AddrOps::of(trace, addr);
     // Validate coverage: exactly the write-capable ops at this address.
-    let mut expected: Vec<OpRef> = trace
-        .iter_ops()
-        .filter(|(_, op)| op.addr() == addr && op.is_writing())
+    let mut expected: Vec<OpRef> = instance
+        .iter()
+        .filter(|(_, op)| op.is_writing())
         .map(|(r, _)| r)
         .collect();
     let mut given: Vec<OpRef> = write_order.to_vec();
@@ -66,12 +67,12 @@ pub fn solve_with_write_order(trace: &Trace, addr: Addr, write_order: &[OpRef]) 
         last_index.insert(r.proc.0, r.index);
     }
 
-    if let Some(v) = precheck(trace, addr) {
+    if let Some(v) = precheck_ops(&instance) {
         return Verdict::Incoherent(v);
     }
 
     let m = write_order.len();
-    let initial = trace.initial(addr);
+    let initial = instance.initial();
 
     // value_at_slot[i]: memory value after the first i writes.
     let mut value_at_slot: Vec<Value> = Vec::with_capacity(m + 1);
@@ -103,7 +104,7 @@ pub fn solve_with_write_order(trace: &Trace, addr: Addr, write_order: &[OpRef]) 
     }
 
     // Final value: the last write must install it.
-    if let Some(f) = trace.final_value(addr) {
+    if let Some(f) = instance.final_value() {
         if value_at_slot[m] != f {
             return Verdict::Incoherent(Violation {
                 addr,
@@ -115,15 +116,7 @@ pub fn solve_with_write_order(trace: &Trace, addr: Addr, write_order: &[OpRef]) 
     // Place pure reads greedily at the earliest feasible slot. reads at
     // slot i are scheduled after the first i writes (before write i).
     let mut reads_at_slot: Vec<Vec<OpRef>> = vec![Vec::new(); m + 1];
-    for (p, history) in trace.histories().iter().enumerate() {
-        let p = p as u16;
-        // Program-ordered ops of this process at the address.
-        let ops: Vec<(OpRef, vermem_trace::Op)> = history
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| op.addr() == addr)
-            .map(|(i, op)| (OpRef::new(p, i as u32), op))
-            .collect();
+    for ops in instance.per_proc() {
         let mut min_slot = 0usize;
         for (k, &(r, op)) in ops.iter().enumerate() {
             if op.is_writing() {
@@ -185,7 +178,7 @@ pub fn solve_with_write_order(trace: &Trace, addr: Addr, write_order: &[OpRef]) 
     }
 
     // Assemble the witness schedule.
-    let mut refs: Vec<OpRef> = Vec::with_capacity(trace.num_ops());
+    let mut refs: Vec<OpRef> = Vec::with_capacity(instance.num_ops());
     for i in 0..=m {
         refs.extend_from_slice(&reads_at_slot[i]);
         if i < m {
@@ -194,7 +187,7 @@ pub fn solve_with_write_order(trace: &Trace, addr: Addr, write_order: &[OpRef]) 
     }
     let witness = Schedule::from_refs(refs);
     debug_assert!(
-        check_coherent_schedule(trace, addr, &witness).is_ok(),
+        check_coherent_schedule_ops(&instance, &witness).is_ok(),
         "write-order solver produced invalid witness"
     );
     Verdict::Coherent(witness)
@@ -204,7 +197,7 @@ pub fn solve_with_write_order(trace: &Trace, addr: Addr, write_order: &[OpRef]) 
 mod tests {
     use super::*;
     use crate::backtrack::{solve_backtracking, SearchConfig};
-    use vermem_trace::{Op, TraceBuilder};
+    use vermem_trace::{check_coherent_schedule, Op, TraceBuilder};
 
     fn refs(pairs: &[(u16, u32)]) -> Vec<OpRef> {
         pairs.iter().map(|&(p, i)| OpRef::new(p, i)).collect()

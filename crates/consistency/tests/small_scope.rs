@@ -107,16 +107,16 @@ fn vmc_space_every_decider_agrees() {
             assert_ne!(v, Verdict::Unknown, "{t:?}");
             v.is_coherent()
         };
-        let ok = decided(VmcVerifier::new().verify(t, Addr::ZERO));
+        let ops = AddrOps::of(t, Addr::ZERO);
+        let ok = decided(VmcVerifier::new().verify_ops(&ops).0);
         coherent += usize::from(ok);
-        assert_eq!(decided(unpruned.verify(t, Addr::ZERO)), ok, "{t:?}");
+        assert_eq!(decided(unpruned.verify_ops(&ops).0), ok, "{t:?}");
         assert_eq!(decided(solve_sat_certified(t, Addr::ZERO)), ok, "{t:?}");
         assert_eq!(
             compiled(t, ModelId::CoherenceOnly).is_consistent(),
             ok,
             "{t:?}"
         );
-        let ops = AddrOps::of(t, Addr::ZERO);
         for ((applies, solve), n) in fast_paths.iter().zip(&mut applicable) {
             if applies(&ops) {
                 *n += 1;

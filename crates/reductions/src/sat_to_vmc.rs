@@ -139,7 +139,7 @@ pub fn example_fig_4_2() -> VmcReduction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vermem_coherence::{solve_backtracking, solve_sat, SearchConfig, Verdict};
+    use vermem_coherence::{solve_backtracking, solve_sat_certified, SearchConfig, Verdict};
     use vermem_sat::random::{gen_forced_sat, RandomSatConfig};
     use vermem_sat::{solve_cdcl, Lit};
     use vermem_trace::Addr;
@@ -231,7 +231,7 @@ mod tests {
             assert!(solve_cdcl(&f).is_sat(), "formula should be SAT");
             let red = reduce_sat_to_vmc(&f);
             assert!(vmc_coherent(&red.trace).is_coherent());
-            assert!(solve_sat(&red.trace, Addr::ZERO).is_coherent());
+            assert!(solve_sat_certified(&red.trace, Addr::ZERO).is_coherent());
         }
     }
 

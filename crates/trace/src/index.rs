@@ -35,35 +35,35 @@ pub struct AddrOps {
 }
 
 impl AddrOps {
-    fn empty(trace: &Trace, addr: Addr) -> AddrOps {
+    fn new(
+        addr: Addr,
+        initial: Value,
+        final_value: Option<Value>,
+        per_proc: Vec<Vec<(OpRef, Op)>>,
+    ) -> AddrOps {
         AddrOps {
             addr,
-            initial: trace.initial(addr),
-            final_value: trace.final_value(addr),
-            per_proc: vec![Vec::new(); trace.num_procs()],
+            initial,
+            final_value,
+            per_proc,
             write_counts: BTreeMap::new(),
             num_ops: 0,
             rmw_ops: 0,
         }
     }
 
-    /// As [`AddrOps::empty`], with each per-process list pre-sized to an
-    /// exact capacity (the [`AddrIndex::build`] counting pass), so filling
-    /// it never reallocates.
+    /// An empty entry for `addr` of `trace`, with each per-process list
+    /// pre-sized to an exact capacity (the [`AddrIndex::build`] counting
+    /// pass), so filling it never reallocates.
     fn with_capacities(trace: &Trace, addr: Addr, caps: &[u32]) -> AddrOps {
         debug_assert_eq!(caps.len(), trace.num_procs());
-        AddrOps {
+        let per_proc = caps.iter().map(|&c| Vec::with_capacity(c as usize));
+        AddrOps::new(
             addr,
-            initial: trace.initial(addr),
-            final_value: trace.final_value(addr),
-            per_proc: caps
-                .iter()
-                .map(|&c| Vec::with_capacity(c as usize))
-                .collect(),
-            write_counts: BTreeMap::new(),
-            num_ops: 0,
-            rmw_ops: 0,
-        }
+            trace.initial(addr),
+            trace.final_value(addr),
+            per_proc.collect(),
+        )
     }
 
     fn push(&mut self, r: OpRef, op: Op) {
@@ -91,17 +91,9 @@ impl AddrOps {
         final_value: Option<Value>,
         per_proc: Vec<Vec<(OpRef, Op)>>,
     ) -> AddrOps {
-        let mut ops = AddrOps {
-            addr,
-            initial,
-            final_value,
-            per_proc: vec![Vec::new(); per_proc.len()],
-            write_counts: BTreeMap::new(),
-            num_ops: 0,
-            rmw_ops: 0,
-        };
+        let lists = per_proc.iter().map(|list| Vec::with_capacity(list.len()));
+        let mut ops = AddrOps::new(addr, initial, final_value, lists.collect());
         for (p, list) in per_proc.into_iter().enumerate() {
-            ops.per_proc[p] = Vec::with_capacity(list.len());
             for (r, op) in list {
                 debug_assert_eq!(usize::from(r.proc.0), p, "ref/process mismatch");
                 ops.push(r, op);
@@ -114,7 +106,8 @@ impl AddrOps {
     /// scan). Prefer [`AddrIndex::build`] when several addresses are
     /// needed — it indexes them all in the same single scan.
     pub fn of(trace: &Trace, addr: Addr) -> AddrOps {
-        let mut ops = AddrOps::empty(trace, addr);
+        let per_proc = vec![Vec::new(); trace.num_procs()];
+        let mut ops = AddrOps::new(addr, trace.initial(addr), trace.final_value(addr), per_proc);
         for (r, op) in trace.iter_ops() {
             if op.addr() == addr {
                 ops.push(r, op);

@@ -13,8 +13,8 @@
 //! * [traces](Trace) — sets of histories with initial (`d_I`) and final
 //!   (`d_F`) values, with per-address projection;
 //! * [schedules](Schedule) — interleavings, plus the polynomial certificate
-//!   checkers of Theorem 4.2 ([`check_coherent_schedule`],
-//!   [`check_sc_schedule`]);
+//!   checkers of Theorem 4.2 ([`check_coherent_schedule_ops`] on one
+//!   address's [`AddrOps`], [`check_sc_schedule`]);
 //! * the [Figure 5.3 classifier](classify) mapping instances to the paper's
 //!   complexity table;
 //! * [workload generators and violation injectors](gen);
@@ -40,7 +40,7 @@ pub use index::{AddrIndex, AddrOps};
 pub use op::{Addr, Op, OpRef, ProcId, Value};
 pub use readmap_util::{read_mapping, write_orders, ReadSource};
 pub use schedule::{
-    check_coherent_schedule, check_sc_schedule, is_coherent_schedule, is_sc_schedule, Schedule,
-    ScheduleError,
+    check_coherent_schedule, check_coherent_schedule_ops, check_sc_schedule, is_coherent_schedule,
+    is_sc_schedule, Schedule, ScheduleError,
 };
 pub use trace::{Trace, TraceBuilder};

@@ -3,7 +3,8 @@
 //! (single address, §3) or a *sequentially consistent schedule* (all
 //! addresses, Definition 6.1).
 
-use crate::op::{Addr, Op, OpRef, Value};
+use crate::index::AddrOps;
+use crate::op::{Addr, OpRef, Value};
 use crate::trace::Trace;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -46,17 +47,6 @@ impl Schedule {
     /// True if nothing is scheduled.
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
-    }
-
-    /// Resolve the schedule against a trace, yielding `(OpRef, Op)` pairs.
-    /// Returns `None` for the first dangling reference.
-    pub fn resolve<'t>(
-        &'t self,
-        trace: &'t Trace,
-    ) -> impl Iterator<Item = Option<(OpRef, Op)>> + 't {
-        self.order
-            .iter()
-            .map(move |&r| trace.op(r).map(|op| (r, op)))
     }
 }
 
@@ -161,40 +151,18 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// Shared structural validation: the schedule must be a permutation of all
-/// operations of `trace` whose address satisfies `in_scope`, respecting each
-/// process's program order (over in-scope operations only).
-fn check_structure(
-    trace: &Trace,
-    schedule: &Schedule,
-    in_scope: impl Fn(Addr) -> bool,
-) -> Result<(), ScheduleError> {
-    let expected: usize = trace
-        .iter_ops()
-        .filter(|(_, op)| in_scope(op.addr()))
-        .count();
-    if schedule.len() != expected {
-        // Distinguish dangling/duplicate cases below when possible, but a
-        // plain size mismatch is already an error.
-        if schedule.len() < expected {
-            // fall through: may also be dangling or duplicated; check those
-            // first for a more precise error.
-        }
-    }
-
-    // Track, per process, the next expected program-order position among the
-    // in-scope ops, and detect duplicates with a seen-set.
+/// Structural validation for the SC checker: the schedule must be a
+/// permutation of all operations of `trace`, respecting each process's
+/// program order.
+fn check_structure(trace: &Trace, schedule: &Schedule) -> Result<(), ScheduleError> {
+    let expected = trace.num_ops();
+    // Track, per process, the last scheduled program-order index, and
+    // detect duplicates with a seen-set.
     let mut seen: std::collections::BTreeSet<OpRef> = std::collections::BTreeSet::new();
     let mut last_index: BTreeMap<u16, u32> = BTreeMap::new();
 
     for &r in schedule.refs() {
-        let op = trace.op(r).ok_or(ScheduleError::DanglingRef(r))?;
-        if !in_scope(op.addr()) {
-            return Err(ScheduleError::WrongAddress {
-                op: r,
-                addr: op.addr(),
-            });
-        }
+        trace.op(r).ok_or(ScheduleError::DanglingRef(r))?;
         if !seen.insert(r) {
             return Err(ScheduleError::DuplicateOp(r));
         }
@@ -208,25 +176,19 @@ fn check_structure(
                     },
                 });
             }
-            // Every in-scope op between prev and r.index must have been seen
-            // already — but since in-scope ops of one process must appear in
-            // increasing index order and all must appear, the completeness
-            // check below catches skips.
         }
         last_index.insert(r.proc.0, r.index);
     }
 
+    // Completeness (exact count, no duplicates, no dangling refs) plus
+    // monotone indices per process imply the schedule holds each history
+    // exactly, in program order.
     if schedule.len() != expected {
         return Err(ScheduleError::MissingOps {
             expected,
             found: schedule.len(),
         });
     }
-
-    // Program order within a process also requires *no skipped in-scope op*:
-    // combined with completeness (exact count + no duplicates + no dangling),
-    // monotone indices per process imply the sequence is exactly the in-scope
-    // subsequence in order.
     Ok(())
 }
 
@@ -237,22 +199,71 @@ fn check_structure(
 /// initial value `d_I`), and — if a final value is configured — the last
 /// write writes `d_F`.
 ///
-/// Runs in O(n log n) (set operations); this is the NP certificate checker
-/// from the membership half of Theorem 4.2.
+/// Indexes the address in one O(ops) scan, then runs
+/// [`check_coherent_schedule_ops`]; a reference the entry lacks is reported
+/// as [`ScheduleError::WrongAddress`] when it names an operation of the
+/// trace at another address.
 pub fn check_coherent_schedule(
     trace: &Trace,
     addr: Addr,
     schedule: &Schedule,
 ) -> Result<(), ScheduleError> {
-    check_structure(trace, schedule, |a| a == addr)?;
+    check_coherent_schedule_ops(&AddrOps::of(trace, addr), schedule).map_err(|e| match e {
+        ScheduleError::DanglingRef(r) => match trace.op(r) {
+            Some(op) => ScheduleError::WrongAddress {
+                op: r,
+                addr: op.addr(),
+            },
+            None => e,
+        },
+        e => e,
+    })
+}
 
-    let mut current = trace.initial(addr);
-    let mut last_write: Option<OpRef> = None;
-    for &r in schedule.refs() {
-        let op = trace.op(r).expect("structure checked");
+/// The certificate checker of Theorem 4.2 on a VMC instance: is `schedule`
+/// a coherent schedule of the operations in `ops` (one address's
+/// per-process histories, `d_I` and `d_F`)? This is the NP certificate
+/// checker from the membership half of the theorem.
+///
+/// Runs in O(n): a valid schedule takes each process's next operation, so
+/// each reference is matched against its process's cursor; only a
+/// reference out of program order costs a binary search. A reference the
+/// entry does not hold is a [`ScheduleError::DanglingRef`]. Structural
+/// errors (in schedule order) take precedence over a wrong read value,
+/// which takes precedence over the final value.
+pub fn check_coherent_schedule_ops(
+    ops: &AddrOps,
+    schedule: &Schedule,
+) -> Result<(), ScheduleError> {
+    let per_proc = ops.per_proc();
+    // `next[p]`: one past the position of process p's last scheduled op.
+    let mut next: Vec<usize> = vec![0; per_proc.len()];
+    let mut current = ops.initial();
+    let mut wrong_read: Option<ScheduleError> = None;
+    for (i, &r) in schedule.refs().iter().enumerate() {
+        let p = usize::from(r.proc.0);
+        let list = per_proc.get(p).ok_or(ScheduleError::DanglingRef(r))?;
+        let pos = match list.get(next[p]) {
+            Some(&(q, _)) if q == r => next[p],
+            _ => list
+                .binary_search_by_key(&r.index, |&(q, _)| q.index)
+                .map_err(|_| ScheduleError::DanglingRef(r))?,
+        };
+        if pos < next[p] {
+            return Err(if schedule.refs()[..i].contains(&r) {
+                ScheduleError::DuplicateOp(r)
+            } else {
+                ScheduleError::ProgramOrder {
+                    earlier: r,
+                    later: list[next[p] - 1].0,
+                }
+            });
+        }
+        next[p] = pos + 1;
+        let op = list[pos].1;
         if let Some(read) = op.read_value() {
-            if read != current {
-                return Err(ScheduleError::ReadValue {
+            if read != current && wrong_read.is_none() {
+                wrong_read = Some(ScheduleError::ReadValue {
                     read: r,
                     expected: current,
                     actual: read,
@@ -261,21 +272,25 @@ pub fn check_coherent_schedule(
         }
         if let Some(written) = op.written_value() {
             current = written;
-            last_write = Some(r);
         }
     }
-    if let Some(expected) = trace.final_value(addr) {
-        let actual = current;
-        if actual != expected {
-            let _ = last_write;
-            return Err(ScheduleError::FinalValue {
-                addr,
-                expected,
-                actual,
-            });
-        }
+    if schedule.len() != ops.num_ops() {
+        return Err(ScheduleError::MissingOps {
+            expected: ops.num_ops(),
+            found: schedule.len(),
+        });
     }
-    Ok(())
+    if let Some(e) = wrong_read {
+        return Err(e);
+    }
+    match ops.final_value() {
+        Some(expected) if expected != current => Err(ScheduleError::FinalValue {
+            addr: ops.addr(),
+            expected,
+            actual: current,
+        }),
+        _ => Ok(()),
+    }
 }
 
 /// Check that `schedule` is a **sequentially consistent schedule** for all
@@ -284,7 +299,7 @@ pub fn check_coherent_schedule(
 /// immediately preceding write *to the same address*, with per-address
 /// initial and final values honoured.
 pub fn check_sc_schedule(trace: &Trace, schedule: &Schedule) -> Result<(), ScheduleError> {
-    check_structure(trace, schedule, |_| true)?;
+    check_structure(trace, schedule)?;
 
     let mut current: BTreeMap<Addr, Value> = BTreeMap::new();
     for &r in schedule.refs() {
@@ -336,6 +351,7 @@ pub fn is_sc_schedule(trace: &Trace, schedule: &Schedule) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::Op;
     use crate::trace::TraceBuilder;
 
     /// P0: W(1); P1: R(1). Coherent with order W,R.
@@ -470,6 +486,59 @@ mod tests {
             .build();
         let err = check_coherent_schedule(&t, Addr(0), &sched(&[(0, 0), (0, 1)])).unwrap_err();
         assert!(matches!(err, ScheduleError::WrongAddress { .. }));
+    }
+
+    /// On a one-address trace an SC schedule is exactly a coherent
+    /// schedule, so the SC checker is an independent reference for the
+    /// coherent checker: over every small one-address trace, with and
+    /// without a final value, both return the same result on valid and
+    /// broken candidate schedules alike.
+    #[test]
+    fn coherent_checker_equals_sc_checker_on_one_address() {
+        use crate::gen::{small_traces, SmallScope};
+        let scope = SmallScope {
+            max_ops: 4,
+            addrs: 1,
+            values: 2,
+        };
+        let (mut checked, mut accepted) = (0usize, 0usize);
+        small_traces(&scope, |t| {
+            for final_value in [None, Some(0u64), Some(1)] {
+                let mut t = t.clone();
+                if let Some(f) = final_value {
+                    t.set_final(Addr::ZERO, f);
+                }
+                let proc_major: Vec<OpRef> = t.iter_ops().map(|(r, _)| r).collect();
+                let mut round_robin = proc_major.clone();
+                round_robin.sort_by_key(|r| (r.index, r.proc));
+                let mut reversed = proc_major.clone();
+                reversed.sort_by_key(|r| (std::cmp::Reverse(r.proc), r.index));
+                let mut duplicated = proc_major.clone();
+                duplicated.push(proc_major[0]);
+                let mut dropped = proc_major.clone();
+                dropped.pop();
+                let mut swapped = proc_major.clone();
+                swapped.swap(0, 1.min(proc_major.len() - 1));
+                for refs in [
+                    proc_major,
+                    round_robin,
+                    reversed,
+                    duplicated,
+                    dropped,
+                    swapped,
+                ] {
+                    let s = Schedule::from_refs(refs);
+                    let coherent = check_coherent_schedule(&t, Addr::ZERO, &s);
+                    assert_eq!(coherent, check_sc_schedule(&t, &s), "{t:?} {s:?}");
+                    checked += 1;
+                    accepted += usize::from(coherent.is_ok());
+                }
+            }
+        });
+        assert!(
+            accepted > 0 && accepted < checked,
+            "{accepted} of {checked}"
+        );
     }
 
     #[test]

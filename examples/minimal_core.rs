@@ -8,7 +8,7 @@
 
 use vermem::coherence::{minimize_incoherent_core, verify_execution, ExplainConfig};
 use vermem::sim::{random_program, FaultKind, FaultPlan, Machine, MachineConfig, WorkloadConfig};
-use vermem::trace::Addr;
+use vermem::trace::{Addr, AddrOps};
 
 fn main() {
     // Run a random workload with a corrupted cache fill: some read returns
@@ -47,15 +47,16 @@ fn main() {
             cap.final_memory.get(&Addr(0)).map(|v| v.0)
         );
 
-        let core = minimize_incoherent_core(&cap.trace, Addr(0), &ExplainConfig::default())
+        let instance = AddrOps::of(&cap.trace, Addr(0));
+        let core = minimize_incoherent_core(&instance, &ExplainConfig::default())
             .expect("run is incoherent");
         println!(
             "minimal incoherent core: {} of {} operations —",
             core.len(),
             cap.trace.num_ops()
         );
-        for &r in &core.kept {
-            println!("  {:?}  {}", r, cap.trace.op(r).expect("kept"));
+        for (r, op) in core.ops.iter() {
+            println!("  {r:?}  {op}");
         }
         println!("cause: {}", core.violation);
         shown = true;

@@ -13,7 +13,7 @@
 use vermem::coherence::{encode_vmc, solve_backtracking, SearchConfig, Verdict};
 use vermem::reductions::reduce_sat_to_vmc;
 use vermem::sat::{solve_cdcl, CdclSolver, Cnf, Lit, SatResult};
-use vermem::trace::Addr;
+use vermem::trace::{Addr, AddrOps};
 
 fn formula(clauses: &[&[i64]]) -> Cnf {
     let mut f = Cnf::new();
@@ -79,7 +79,7 @@ fn main() {
 
         // The reverse direction: VMC → SAT. Encode the constructed trace's
         // coherence question as CNF and solve it with CDCL.
-        let enc = encode_vmc(&red.trace, Addr::ZERO);
+        let enc = encode_vmc(&AddrOps::of(&red.trace, Addr::ZERO));
         let mut solver = CdclSolver::new(enc.cnf());
         let via_sat = matches!(solver.solve(), SatResult::Sat(_));
         println!(

@@ -215,6 +215,30 @@ if [[ -n "$frontline_sites" ]]; then
 fi
 echo "    ok"
 
+echo "==> one VMC instance: every coherence decider takes an AddrOps"
+# An `AddrOps` is the paper's VMC instance (Definition 4.1: one address's
+# histories plus d_I and d_F), so the Figure 5.3 fast paths, the SAT
+# encoder and the core minimizer take one; only the paper-level entries
+# index a trace themselves, and in the SAT encoder that is
+# `solve_sat_certified` alone. The detached second dispatch entry must
+# not come back either. Comments count too.
+trace_fns() {
+    perl -0777 -ne 'while (/pub fn (\w+)[^{;]*?\b\w+: &(?:\w+::)*Trace\b/g) { print "$ARGV: $1\n" }' \
+        "$@"
+}
+fast_path_fns=$(trace_fns crates/coherence/src/{readmap,one_op,rmw,explain}.rs)
+sat_fns=$(trace_fns crates/coherence/src/sat_encode.rs)
+detached_sites=$(grep -rn 'verify_ops_detached' crates/ || true)
+if [[ -n "$fast_path_fns" || "$sat_fns" != "crates/coherence/src/sat_encode.rs: solve_sat_certified" \
+    || -n "$detached_sites" ]]; then
+    echo "a VMC decider takes (trace, addr), or the detached entry is back:" >&2
+    echo "$fast_path_fns" >&2
+    echo "$sat_fns" >&2
+    echo "$detached_sites" >&2
+    exit 1
+fi
+echo "    ok"
+
 echo "==> obs hot path: exactly one clock-read site in crates/util/src/obs/"
 # The zero-overhead-when-off contract (DESIGN.md §Observability): every
 # clock read funnels through obs::now_us(), which is only reached from

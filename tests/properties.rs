@@ -2,10 +2,13 @@
 //! together, fuzzed with the in-tree `vermem_util::prop` harness.
 
 use vermem::coherence::{
-    solve_backtracking, solve_sat, verify, SearchConfig, Strategy as VmcStrategy, VmcVerifier,
+    solve_backtracking, solve_sat_certified, verify, SearchConfig, Strategy as VmcStrategy,
+    VmcVerifier,
 };
 use vermem::trace::gen::{gen_sc_trace, inject_violation, GenConfig, ViolationKind};
-use vermem::trace::{check_coherent_schedule, check_sc_schedule, Addr, Op, Trace, TraceBuilder};
+use vermem::trace::{
+    check_coherent_schedule, check_sc_schedule, Addr, AddrIndex, AddrOps, Op, Trace, TraceBuilder,
+};
 use vermem::util::prop::PropConfig;
 use vermem::util::rng::StdRng;
 use vermem::util::{prop_assert, prop_assert_eq, prop_check};
@@ -44,7 +47,7 @@ fn solvers_agree_and_witnesses_validate() {
         |trace: &Trace| {
             let auto = verify(trace, Addr::ZERO);
             let bt = solve_backtracking(trace, Addr::ZERO, &SearchConfig::default());
-            let sat = solve_sat(trace, Addr::ZERO);
+            let sat = solve_sat_certified(trace, Addr::ZERO);
             prop_assert_eq!(auto.is_coherent(), bt.is_coherent());
             prop_assert_eq!(auto.is_coherent(), sat.is_coherent());
             for v in [&auto, &bt, &sat] {
@@ -168,8 +171,8 @@ fn strategy_agreement_per_address() {
                 strategy: VmcStrategy::Sat,
                 ..Default::default()
             };
-            for addr in trace.addresses() {
-                prop_assert!(sat.verify(&trace, addr).is_coherent());
+            for ops in AddrIndex::build(&trace).iter() {
+                prop_assert!(sat.verify_ops(ops).0.is_coherent());
             }
             Ok(())
         }
@@ -194,7 +197,7 @@ fn reduction_encoding_round_trip() {
             let f = vermem::sat::random::gen_random_ksat(&cfg);
             let direct = vermem::sat::solve_cdcl(&f).is_sat();
             let red = vermem::reductions::reduce_sat_to_vmc(&f);
-            let enc = vermem::coherence::encode_vmc(&red.trace, Addr::ZERO);
+            let enc = vermem::coherence::encode_vmc(&AddrOps::of(&red.trace, Addr::ZERO));
             let via = matches!(
                 vermem::sat::solve_cdcl(enc.cnf()),
                 vermem::sat::SatResult::Sat(_)
