@@ -10,17 +10,29 @@
 //! path, so an axiom the partial witness violates stays violated in every
 //! completion: the spec's [`AxiomPlan`], compiled once per solve, is a
 //! sound kernel pruning hook, and on the complete witness it is the
-//! acceptance test. Debug builds cross-check every plan answer against
-//! the reference evaluator; the solver certifies the accepted witness
-//! with it in every build.
+//! acceptance test.
+//!
+//! The question is incremental. `apply` and `undo` keep the witness's
+//! [`Links`] (readers per write, `mo` positions), and the machine
+//! remembers how deep along the current path every state is known to
+//! satisfy every axiom. The root does (its only edges are static, and
+//! every static relation is a part of `po`), and the kernel checks each
+//! state before expanding it, so a state's parent has always passed: the
+//! plan then looks only at cycles through the last decided event and its
+//! decided readers ([`AxiomPlan::violated_after`]). A state whose parent
+//! was never checked — only the `feasibility: false` ablation makes one,
+//! at acceptance — gets the whole-witness check. Debug builds
+//! cross-check every answer against the reference evaluator; the solver
+//! certifies the accepted witness with it in every build.
 //!
 //! Every decision is permanent within a path, so distinct paths reach
 //! distinct states: the state graph is a tree and the machine opts out of
 //! kernel memoization ([`TransitionSystem::memoize`] = false). Budgets,
 //! cancellation and [`SearchStats::states`] keep their meaning.
 
-use super::witness::{violated_axiom, AxiomPlan, Events, RfCand, Witness};
+use super::witness::{violated_axiom, AxiomPlan, Events, Links, RfCand, Witness};
 use super::ModelSpec;
+use std::cell::Cell;
 use vermem_coherence::kernel::TransitionSystem;
 use vermem_trace::OpRef;
 
@@ -40,11 +52,15 @@ pub(crate) struct GraphMove {
 /// state).
 pub(crate) struct GraphMachine<'a> {
     spec: &'a ModelSpec,
-    plan: AxiomPlan<'a>,
+    plan: AxiomPlan,
     pub ev: Events,
     pub w: Witness,
+    links: Links,
     /// Next event to decide.
     cursor: usize,
+    /// Every state on the current path up to this depth satisfies every
+    /// axiom.
+    verified: Cell<usize>,
 }
 
 impl<'a> GraphMachine<'a> {
@@ -53,20 +69,42 @@ impl<'a> GraphMachine<'a> {
         GraphMachine {
             spec,
             plan: AxiomPlan::new(spec, &ev),
+            links: Links::of(&ev, &w),
             ev,
             w,
             cursor: 0,
+            verified: Cell::new(0),
         }
+    }
+
+    /// Successor visits the plan's per-state checks have made.
+    pub(crate) fn plan_visits(&self) -> u64 {
+        self.plan.visits()
     }
 
     /// First axiom the current witness violates, if any.
     fn violated(&self) -> Option<&'static str> {
-        let found = self.plan.violated(&self.ev, &self.w);
+        let depth = self.cursor;
+        let verified = self.verified.get();
+        let found = if verified == depth {
+            // Known to pass: the root.
+            None
+        } else if verified + 1 == depth {
+            // The parent passed: only the last decision can close a cycle.
+            let e = depth as u32 - 1;
+            self.plan.violated_after(&self.ev, &self.w, &self.links, e)
+        } else {
+            // The parent was never checked (feasibility pruning off).
+            self.plan.violated(&self.ev, &self.w)
+        };
         debug_assert_eq!(
             found,
             violated_axiom(self.spec, &self.ev, &self.w),
             "axiom plan disagrees with the reference evaluator"
         );
+        if found.is_none() {
+            self.verified.set(depth);
+        }
         found
     }
 }
@@ -188,14 +226,17 @@ impl TransitionSystem for GraphMachine<'_> {
         if op.is_writing() {
             self.w.mo[self.ev.slot_of[e] as usize].insert(mv.pos as usize, e as u32);
         }
+        self.links.decide(&self.ev, &self.w, e as u32);
         self.cursor += 1;
         Some(self.ev.ops[e].0)
     }
 
     fn undo(&mut self, mv: GraphMove) {
         self.cursor -= 1;
+        self.verified.set(self.verified.get().min(self.cursor));
         let e = self.cursor;
         let op = self.ev.ops[e].1;
+        self.links.retract(&self.ev, &self.w, e as u32);
         if op.is_writing() {
             let removed = self.w.mo[self.ev.slot_of[e] as usize].remove(mv.pos as usize);
             debug_assert_eq!(removed, e as u32);

@@ -48,6 +48,7 @@ use vermem_coherence::kernel::{
 use vermem_coherence::SearchStats;
 use vermem_trace::{Addr, Op, OpRef, Schedule, Trace, Value};
 use vermem_util::hash::FxHashMap;
+use vermem_util::obs;
 use vermem_util::pool::CancelToken;
 
 /// The store-buffer shapes the buffer lowering recognizes.
@@ -138,6 +139,9 @@ pub(crate) fn solve_compiled(
             }
             let mut sys = GraphMachine::new(spec, ev);
             let (outcome, stats) = run_search(&mut sys, cfg, cancel);
+            if obs::enabled() {
+                obs::counter_add("axiom.plan.visits", sys.plan_visits());
+            }
             match outcome {
                 KernelOutcome::Accepted(_) => {
                     // The kernel returns with the machine in its accepting

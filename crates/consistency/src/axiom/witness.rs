@@ -12,11 +12,17 @@
 //! against it before they become a `Consistent` verdict.
 //!
 //! [`AxiomPlan`] is what the graph-lowered machine asks at every search
-//! state instead: the same axioms compiled once per solve, with the
-//! static relations built once and the witness-dependent ones reduced to
-//! the edges that carry reachability (DESIGN.md §4g). It answers exactly
-//! like [`violated_axiom`]; debug builds and a differential property test
-//! check that.
+//! state instead: the same axioms compiled once per solve. The static
+//! relations are built once, as rows; the witness-dependent ones are
+//! never built but walked from the witness and its [`Links`], reduced to
+//! the edges that carry reachability (DESIGN.md §4g). The whole-witness
+//! check ([`AxiomPlan::violated`]) answers exactly like
+//! [`violated_axiom`]. The incremental one
+//! ([`AxiomPlan::violated_after`]) answers the same for a state whose
+//! parent passed every axiom, by looking only at cycles through the last
+//! decided event and its decided readers: every edge that decision adds
+//! ends at one of them. Debug builds and two differential property tests
+//! check both.
 //!
 //! Everything here is *monotone* in the witness: adding a decision only
 //! ever adds edges, so an axiom violated by a partial witness is violated
@@ -283,9 +289,7 @@ fn union_edges(rels: &[Rel], spec: &ModelSpec, ev: &Events, w: &Witness) -> Vec<
 }
 
 /// Compressed adjacency rows over events `0..n`: `v`'s successors are
-/// `targets[start[v]..start[v + 1]]`. Refilled in place, so a reused
-/// scratch allocates only while it grows.
-#[derive(Default)]
+/// `targets[start[v]..start[v + 1]]`.
 struct Csr {
     start: Vec<u32>,
     targets: Vec<u32>,
@@ -293,31 +297,24 @@ struct Csr {
 
 impl Csr {
     fn new(n: usize, edges: &[(u32, u32)]) -> Csr {
-        let mut csr = Csr::default();
-        csr.fill(n, edges);
-        csr
-    }
-
-    fn fill(&mut self, n: usize, edges: &[(u32, u32)]) {
-        self.start.clear();
-        self.start.resize(n + 1, 0);
+        let mut start = vec![0u32; n + 1];
         for &(a, _) in edges {
-            self.start[a as usize + 1] += 1;
+            start[a as usize + 1] += 1;
         }
         for v in 0..n {
-            self.start[v + 1] += self.start[v];
+            start[v + 1] += start[v];
         }
-        self.targets.clear();
-        self.targets.resize(edges.len(), 0);
+        let mut targets = vec![0; edges.len()];
         // Place each edge at its row's cursor; the cursors end one row
         // ahead, so shift them back.
         for &(a, b) in edges {
-            let cursor = &mut self.start[a as usize];
-            self.targets[*cursor as usize] = b;
+            let cursor = &mut start[a as usize];
+            targets[*cursor as usize] = b;
             *cursor += 1;
         }
-        self.start.copy_within(0..n, 1);
-        self.start[0] = 0;
+        start.copy_within(0..n, 1);
+        start[0] = 0;
+        Csr { start, targets }
     }
 
     fn row(&self, v: u32) -> &[u32] {
@@ -434,69 +431,215 @@ pub(crate) fn violated_axiom(spec: &ModelSpec, ev: &Events, w: &Witness) -> Opti
         .map(|ax| ax.name)
 }
 
-/// One union's edges at one state: the plan's static rows plus the
-/// state's witness-dependent rows.
-struct Adj<'s> {
-    fixed: &'s Csr,
-    live: &'s Csr,
+/// Marks an absent entry in [`Links`]: no position, no reader.
+const NONE: u32 = u32::MAX;
+
+/// What a (partial) witness needs indexed for its relations to be walked
+/// without materializing them: each write's decided readers, each slot's
+/// decided reads-from-initial, and each placed write's `mo` position. The
+/// graph machine keeps them decision by decision ([`Links::decide`],
+/// [`Links::retract`]); the whole-witness check rebuilds them. Reader
+/// lists are singly linked through the reads themselves, newest first,
+/// so a decision and its undo each touch one list head.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Links {
+    /// Head of the list of decided reads with `rf = From(e)`, per event.
+    readers: Vec<u32>,
+    /// Head of the list of decided reads-from-initial, per slot.
+    init_readers: Vec<u32>,
+    /// The next read on a read's list, per event.
+    next: Vec<u32>,
+    /// Position in its slot's `mo`, per event.
+    pos: Vec<u32>,
 }
 
-impl Adj<'_> {
-    /// Successor number `i` of `v`, static rows first.
-    fn succ(&self, v: u32, i: usize) -> Option<u32> {
-        let fixed = self.fixed.row(v);
-        match fixed.get(i) {
-            Some(&x) => Some(x),
-            None => self.live.row(v).get(i - fixed.len()).copied(),
+impl Links {
+    /// The links of a witness, rebuilt from scratch.
+    pub(crate) fn of(ev: &Events, w: &Witness) -> Links {
+        let mut links = Links::default();
+        links.fill(ev, w);
+        links
+    }
+
+    /// Rebuild from `w`, reusing the allocations.
+    fn fill(&mut self, ev: &Events, w: &Witness) {
+        let n = ev.len();
+        for v in [&mut self.readers, &mut self.next, &mut self.pos] {
+            v.clear();
+            v.resize(n, NONE);
+        }
+        self.init_readers.clear();
+        self.init_readers.resize(w.mo.len(), NONE);
+        for e in 0..n as u32 {
+            self.add_reader(ev, w, e);
+        }
+        for order in &w.mo {
+            self.renumber(order);
         }
     }
 
-    /// Mark in `seen` every event reachable from `from` in one or more
-    /// steps; `queue` ends holding exactly the marked events.
-    fn reach(&self, from: u32, seen: &mut [bool], queue: &mut Vec<u32>) {
-        queue.clear();
-        let mut v = from;
-        let mut next = 0;
-        loop {
-            for &x in self.fixed.row(v).iter().chain(self.live.row(v)) {
-                if !seen[x as usize] {
-                    seen[x as usize] = true;
-                    queue.push(x);
-                }
+    /// The decided readers of event `e`, newest first.
+    pub(crate) fn readers(&self, e: u32) -> impl Iterator<Item = u32> + '_ {
+        self.list(self.readers[e as usize])
+    }
+
+    /// The list starting at `head`.
+    fn list(&self, head: u32) -> impl Iterator<Item = u32> + '_ {
+        let step = |r: u32| (r != NONE).then_some(r);
+        std::iter::successors(step(head), move |&r| step(self.next[r as usize]))
+    }
+
+    /// Record event `e`'s decision, which `w` already holds.
+    pub(crate) fn decide(&mut self, ev: &Events, w: &Witness, e: u32) {
+        self.add_reader(ev, w, e);
+        if ev.ops[e as usize].1.is_writing() {
+            self.renumber(&w.mo[ev.slot_of[e as usize] as usize]);
+        }
+    }
+
+    /// Forget event `e`'s decision, the last one recorded, while `w`
+    /// still holds it.
+    pub(crate) fn retract(&mut self, ev: &Events, w: &Witness, e: u32) {
+        let next = std::mem::replace(&mut self.next[e as usize], NONE);
+        if let Some(head) = self.head_of(ev, w, e) {
+            debug_assert_eq!(*head, e, "decisions are retracted last first");
+            *head = next;
+        }
+        let p = std::mem::replace(&mut self.pos[e as usize], NONE);
+        if p != NONE {
+            for &x in &w.mo[ev.slot_of[e as usize] as usize][p as usize + 1..] {
+                self.pos[x as usize] -= 1;
             }
-            let Some(&u) = queue.get(next) else { break };
-            next += 1;
-            v = u;
+        }
+    }
+
+    /// The head of the reader list read `e` belongs on, if decided.
+    fn head_of(&mut self, ev: &Events, w: &Witness, e: u32) -> Option<&mut u32> {
+        match w.rf[e as usize]? {
+            RfCand::Init => Some(&mut self.init_readers[ev.slot_of[e as usize] as usize]),
+            RfCand::From(src) => Some(&mut self.readers[src as usize]),
+        }
+    }
+
+    fn add_reader(&mut self, ev: &Events, w: &Witness, e: u32) {
+        if let Some(head) = self.head_of(ev, w, e) {
+            let next = std::mem::replace(head, e);
+            self.next[e as usize] = next;
+        }
+    }
+
+    fn renumber(&mut self, order: &[u32]) {
+        for (i, &x) in order.iter().enumerate() {
+            self.pos[x as usize] = i as u32;
         }
     }
 }
 
-/// A relation union compiled for one solve. The static generators are
-/// materialized once, `po` and `po|loc` as immediate-successor chains;
-/// the witness-dependent ones are generated per state, `mo` as
-/// consecutive pairs and — when `mo` is in the union — `fr` only to the
-/// first `mo`-later write other than the read itself. Each reduction
-/// keeps the union's transitive closure (DESIGN.md §4g), which is all an
-/// axiom asks of a union.
+/// One state's event graph as a plan walks it: the witness and its links.
+#[derive(Clone, Copy)]
+struct Graph<'s> {
+    ev: &'s Events,
+    w: &'s Witness,
+    links: &'s Links,
+}
+
+impl<'s> Graph<'s> {
+    /// `v`'s slot's placed writes, and `v`'s position among them.
+    fn placed(self, v: u32) -> (&'s [u32], Option<usize>) {
+        let order = &self.w.mo[self.ev.slot_of[v as usize] as usize];
+        let p = self.links.pos[v as usize];
+        (order, (p != NONE).then_some(p as usize))
+    }
+
+    /// Placed writes `mo`-after `v` (none while `v` is unplaced).
+    fn mo_after(self, v: u32) -> &'s [u32] {
+        match self.placed(v) {
+            (order, Some(p)) => &order[p + 1..],
+            _ => &[],
+        }
+    }
+
+    /// Placed writes `mo`-before `v` (none while `v` is unplaced).
+    fn mo_before(self, v: u32) -> &'s [u32] {
+        match self.placed(v) {
+            (order, Some(p)) => &order[..p],
+            _ => &[],
+        }
+    }
+
+    /// [`fr_after`], answered from the links.
+    fn fr_after(self, r: u32) -> &'s [u32] {
+        match self.w.rf[r as usize] {
+            None => &[],
+            Some(RfCand::Init) => &self.w.mo[self.ev.slot_of[r as usize] as usize],
+            Some(RfCand::From(src)) => self.mo_after(src),
+        }
+    }
+
+    /// Decided reads whose writer is `mo`-immediately before placed write
+    /// `x` (reads-from-initial when `x` is `mo`-first): the reads whose
+    /// first `fr` target is `x`, the read itself aside.
+    fn readers_just_before(self, x: u32) -> impl Iterator<Item = u32> + 's {
+        let head = match self.placed(x) {
+            (_, Some(0)) => self.links.init_readers[self.ev.slot_of[x as usize] as usize],
+            (order, Some(p)) => self.links.readers[order[p - 1] as usize],
+            _ => NONE,
+        };
+        self.links.list(head)
+    }
+
+    /// Decided reads whose writer is `mo`-before placed write `x`, or
+    /// initial: every read with an `fr` edge to `x`, the read itself aside.
+    fn readers_before(self, x: u32) -> impl Iterator<Item = u32> + 's {
+        let (init, prefix): (u32, &[u32]) = match self.placed(x) {
+            (order, Some(p)) => (
+                self.links.init_readers[self.ev.slot_of[x as usize] as usize],
+                &order[..p],
+            ),
+            _ => (NONE, &[]),
+        };
+        let links = self.links;
+        links
+            .list(init)
+            .chain(prefix.iter().flat_map(move |&w| links.readers(w)))
+    }
+
+    /// Do `a` and `b` belong to different processes?
+    fn external(self, a: u32, b: u32) -> bool {
+        self.ev.proc_of[a as usize] != self.ev.proc_of[b as usize]
+    }
+}
+
+/// A relation union compiled for one solve. The static members (`po`,
+/// `po|loc`, `ppo`, `dob`) are materialized once, as rows and transposed
+/// rows; the witness-dependent ones are walked from the [`Graph`] on
+/// demand, in either direction. A union whose transitive closure is all
+/// its axiom asks about (`chain`) walks `po` and `po|loc` as
+/// immediate-successor chains, `mo` as consecutive pairs and — when `mo`
+/// is a member too — `fr` only to the first `mo`-later write. Each
+/// reduction keeps the closure (DESIGN.md §4g). A head walks every edge.
 struct UnionPlan {
     fixed: Csr,
+    fixed_rev: Csr,
     live: Vec<Rel>,
-    /// `mo` is in the union, so `fr` may stop at its first target.
+    chain: bool,
+    /// `mo` is walked as a chain in this union, so `fr` may stop at its
+    /// first target.
     fr_first: bool,
 }
 
 impl UnionPlan {
-    fn new(rels: &[Rel], spec: &ModelSpec, ev: &Events) -> UnionPlan {
+    fn new(rels: &[Rel], spec: &ModelSpec, ev: &Events, chain: bool) -> UnionPlan {
         let empty = Witness::empty(ev.len(), ev.writes_by_slot.len());
         let (mut edges, mut live) = (Vec::new(), Vec::new());
         for &rel in rels {
             match rel {
-                Rel::Po => {
+                Rel::Po if chain => {
                     for evs in &ev.by_proc {
                         edges.extend(evs.windows(2).map(|p| (p[0], p[1])));
                     }
                 }
-                Rel::PoLoc => {
+                Rel::PoLoc if chain => {
                     for evs in &ev.by_proc {
                         for (i, &a) in evs.iter().enumerate() {
                             let slot = ev.slot_of[a as usize];
@@ -509,152 +652,363 @@ impl UnionPlan {
                         }
                     }
                 }
-                Rel::Ppo | Rel::Dob => push_rel(rel, spec, ev, &empty, &mut edges),
+                Rel::Po | Rel::PoLoc | Rel::Ppo | Rel::Dob => {
+                    push_rel(rel, spec, ev, &empty, &mut edges)
+                }
                 Rel::Rf | Rel::Rfe | Rel::Mo | Rel::Moe | Rel::Fr | Rel::Fre => live.push(rel),
             }
         }
+        let reversed: Vec<(u32, u32)> = edges.iter().map(|&(a, b)| (b, a)).collect();
         UnionPlan {
             fixed: Csr::new(ev.len(), &edges),
+            fixed_rev: Csr::new(ev.len(), &reversed),
             live,
-            fr_first: rels.contains(&Rel::Mo),
+            chain,
+            fr_first: chain && rels.contains(&Rel::Mo),
         }
     }
 
-    /// The union's witness-dependent edges at this state.
-    fn push_live(&self, spec: &ModelSpec, ev: &Events, w: &Witness, out: &mut Vec<(u32, u32)>) {
+    /// Can an edge of the union start at `v`?
+    fn may_leave(&self, ev: &Events, v: u32) -> bool {
+        let op = ev.ops[v as usize].1;
+        !self.fixed.row(v).is_empty()
+            || self.live.iter().any(|rel| match rel {
+                Rel::Fr | Rel::Fre => op.is_reading(),
+                _ => op.is_writing(),
+            })
+    }
+
+    /// Can an edge of the union end at `v`?
+    fn may_enter(&self, ev: &Events, v: u32) -> bool {
+        let op = ev.ops[v as usize].1;
+        !self.fixed_rev.row(v).is_empty()
+            || self.live.iter().any(|rel| match rel {
+                Rel::Rf | Rel::Rfe => op.is_reading(),
+                _ => op.is_writing(),
+            })
+    }
+
+    /// Append `v`'s successors to `out`.
+    fn succ(&self, g: Graph, v: u32, out: &mut Vec<u32>) {
+        out.extend_from_slice(self.fixed.row(v));
+        let ext = |x: &u32| g.external(v, *x);
         for &rel in &self.live {
             match rel {
-                Rel::Mo => {
-                    for order in &w.mo {
-                        out.extend(order.windows(2).map(|p| (p[0], p[1])));
-                    }
-                }
-                Rel::Fr if self.fr_first => {
-                    for (e, rf) in w.rf.iter().enumerate() {
-                        let e = e as u32;
-                        let Some(cand) = *rf else { continue };
-                        if let Some(&x) = fr_after(ev, w, e, cand).iter().find(|&&x| x != e) {
-                            out.push((e, x));
-                        }
-                    }
-                }
-                _ => push_rel(rel, spec, ev, w, out),
+                Rel::Rf => out.extend(g.links.readers(v)),
+                Rel::Rfe => out.extend(g.links.readers(v).filter(|x| ext(x))),
+                Rel::Mo if self.chain => out.extend(g.mo_after(v).first()),
+                Rel::Mo => out.extend_from_slice(g.mo_after(v)),
+                Rel::Moe => out.extend(g.mo_after(v).iter().filter(|x| ext(x))),
+                // When the first target is the read itself (an RMW placed
+                // right after its writer), its `mo` chain reaches every
+                // other target.
+                Rel::Fr if self.fr_first => out.extend(g.fr_after(v).first().filter(|&&x| x != v)),
+                Rel::Fr => out.extend(g.fr_after(v).iter().filter(|&&x| x != v)),
+                Rel::Fre => out.extend(g.fr_after(v).iter().filter(|x| ext(x))),
+                _ => unreachable!("static relations are fixed rows"),
             }
         }
     }
+
+    /// Append `v`'s predecessors to `out`: exactly the events whose
+    /// [`UnionPlan::succ`] lists `v`. Only closures are walked backwards.
+    fn pred(&self, g: Graph, v: u32, out: &mut Vec<u32>) {
+        debug_assert!(self.chain, "heads are walked forwards only");
+        out.extend_from_slice(self.fixed_rev.row(v));
+        let ext = |x: &u32| g.external(v, *x);
+        for &rel in &self.live {
+            match rel {
+                Rel::Rf | Rel::Rfe => {
+                    if let Some(RfCand::From(x)) = g.w.rf[v as usize] {
+                        if rel == Rel::Rf || ext(&x) {
+                            out.push(x);
+                        }
+                    }
+                }
+                Rel::Mo => out.extend(g.mo_before(v).last()),
+                Rel::Moe => out.extend(g.mo_before(v).iter().filter(|x| ext(x))),
+                Rel::Fr if self.fr_first => {
+                    out.extend(g.readers_just_before(v).filter(|&x| x != v))
+                }
+                Rel::Fr => out.extend(g.readers_before(v).filter(|&x| x != v)),
+                Rel::Fre => out.extend(g.readers_before(v).filter(|x| ext(x))),
+                _ => unreachable!("static relations are fixed rows"),
+            }
+        }
+    }
+}
+
+/// Is there a cycle among the events reachable from `roots`? Iterative
+/// three-colour DFS that pushes a node's successors all at once: an edge
+/// is tested when its source is expanded, and the nodes then on the path
+/// are exactly the ones a recursive search would have on its stack.
+fn cycle_from(
+    union: &UnionPlan,
+    g: Graph,
+    roots: impl Iterator<Item = u32>,
+    s: &mut Scratch,
+) -> bool {
+    // 0 = white, 1 = on the path, 2 = done; LEAVE tags "pop v off the path".
+    const LEAVE: u32 = 1 << 31;
+    s.color.clear();
+    s.color.resize(g.ev.len(), 0);
+    for root in roots {
+        s.stack.clear();
+        s.stack.push(root);
+        while let Some(top) = s.stack.pop() {
+            if top & LEAVE != 0 {
+                s.color[(top & !LEAVE) as usize] = 2;
+                continue;
+            }
+            if s.color[top as usize] != 0 {
+                continue;
+            }
+            s.color[top as usize] = 1;
+            s.stack.push(top | LEAVE);
+            let from = s.stack.len();
+            union.succ(g, top, &mut s.stack);
+            s.visits += (s.stack.len() - from) as u64;
+            if s.stack[from..].iter().any(|&x| s.color[x as usize] == 1) {
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// Mark in `mark` every event that `from` reaches (`back`: that reaches
+/// `from`) in zero or more steps; `list` ends holding exactly the marked
+/// events. Returns the number of successor visits.
+fn reach(
+    union: &UnionPlan,
+    g: Graph,
+    from: u32,
+    back: bool,
+    mark: &mut [bool],
+    list: &mut Vec<u32>,
+) -> u64 {
+    let mut visits = 0;
+    list.clear();
+    list.push(from);
+    mark[from as usize] = true;
+    let mut next = 0;
+    while let Some(&v) = list.get(next) {
+        next += 1;
+        let at = list.len();
+        if back {
+            union.pred(g, v, list);
+        } else {
+            union.succ(g, v, list);
+        }
+        visits += (list.len() - at) as u64;
+        // Keep the newly found events only.
+        let mut kept = at;
+        for i in at..list.len() {
+            let x = list[i];
+            if !mark[x as usize] {
+                mark[x as usize] = true;
+                list[kept] = x;
+                kept += 1;
+            }
+        }
+        list.truncate(kept);
+    }
+    visits
 }
 
 /// One axiom, compiled.
 enum Check {
     Acyclic(UnionPlan),
-    /// Head edges are generated per state and never reduced: each one is
-    /// a distinct question.
+    /// `sources[a]`: `a` can start a head edge and end a closure edge, as
+    /// the source of every head edge that closes a cycle must.
     IrreflexiveSeq {
-        head: &'static [Rel],
+        head: UnionPlan,
         closure: UnionPlan,
+        sources: Vec<bool>,
     },
+}
+
+impl Check {
+    /// Is the axiom violated by a cycle through one of `seeds` (through
+    /// any event when `seeds` is `None`)?
+    fn violated(&self, g: Graph, seeds: Option<&[u32]>, s: &mut Scratch) -> bool {
+        let all = 0..g.ev.len() as u32;
+        match self {
+            Check::Acyclic(union) => match seeds {
+                Some(seeds) => cycle_from(union, g, seeds.iter().copied(), s),
+                None => cycle_from(union, g, all, s),
+            },
+            Check::IrreflexiveSeq {
+                head,
+                closure,
+                sources,
+            } => match seeds {
+                Some(seeds) => seeds
+                    .iter()
+                    .any(|&v| closes_through(head, closure, sources, g, v, true, s)),
+                // A closing head edge `a → b` has `b ⇝⁺ a`, so asking each
+                // source about its own head edges finds it.
+                None => all
+                    .filter(|&a| sources[a as usize])
+                    .any(|a| closes_through(head, closure, sources, g, a, false, s)),
+            },
+        }
+    }
+}
+
+/// Is there a head edge `a → b` with `b ⇝* v ⇝* a` in the closure? With
+/// `forward` off, only `a = v` is asked about. Head edges are never
+/// reflexive, so such an edge closes a cycle: `b ⇝⁺ a`.
+fn closes_through(
+    head: &UnionPlan,
+    closure: &UnionPlan,
+    sources: &[bool],
+    g: Graph,
+    v: u32,
+    forward: bool,
+    s: &mut Scratch,
+) -> bool {
+    // F, then B, in the one marked list: F is used up before B is walked.
+    if forward {
+        s.visits += reach(closure, g, v, false, &mut s.mark, &mut s.found);
+        for &x in &s.found {
+            s.mark[x as usize] = false;
+        }
+    } else {
+        s.found.clear();
+        s.found.push(v);
+    }
+    s.heads.clear();
+    for &a in &s.found {
+        if sources[a as usize] {
+            head.succ(g, a, &mut s.heads);
+        }
+    }
+    s.visits += s.heads.len() as u64;
+    if s.heads.is_empty() {
+        return false;
+    }
+    s.visits += reach(closure, g, v, true, &mut s.mark, &mut s.found);
+    let closed = s.heads.iter().any(|&b| s.mark[b as usize]);
+    for &x in &s.found {
+        s.mark[x as usize] = false;
+    }
+    closed
 }
 
 /// Per-state working memory, reused across states.
 #[derive(Default)]
 struct Scratch {
-    edges: Vec<(u32, u32)>,
-    heads: Vec<(u32, u32)>,
-    live: Csr,
+    /// The whole-witness check's links.
+    links: Links,
+    seeds: Vec<u32>,
     color: Vec<u8>,
-    stack: Vec<(u32, usize)>,
-    seen: Vec<bool>,
-    queue: Vec<u32>,
+    stack: Vec<u32>,
+    /// [`reach`]'s marks (all clear between walks) and marked events.
+    mark: Vec<bool>,
+    found: Vec<u32>,
+    heads: Vec<u32>,
+    /// Successor visits made so far: the plan's deterministic work count.
+    visits: u64,
 }
 
 /// A spec's axioms compiled once per solve for one event universe: the
-/// per-state evaluator of the graph lowering. It answers exactly like
-/// [`violated_axiom`] on every (partial) witness, without rebuilding a
-/// union's static relations and with one scratch reused across states.
-pub(crate) struct AxiomPlan<'a> {
-    spec: &'a ModelSpec,
+/// per-state evaluator of the graph lowering. [`AxiomPlan::violated`]
+/// answers exactly like [`violated_axiom`] on every (partial) witness;
+/// [`AxiomPlan::violated_after`] answers the same for a witness whose
+/// parent passed, looking only where the last decision added edges.
+pub(crate) struct AxiomPlan {
     checks: Vec<(&'static str, Check)>,
     scratch: RefCell<Scratch>,
 }
 
-impl<'a> AxiomPlan<'a> {
-    pub(crate) fn new(spec: &'a ModelSpec, ev: &Events) -> AxiomPlan<'a> {
+impl AxiomPlan {
+    pub(crate) fn new(spec: &ModelSpec, ev: &Events) -> AxiomPlan {
         let checks = spec
             .axioms
             .iter()
-            .map(|ax| {
+            .filter_map(|ax| {
                 let check = match ax.kind {
-                    AxiomKind::Acyclic(rels) => Check::Acyclic(UnionPlan::new(rels, spec, ev)),
-                    AxiomKind::IrreflexiveSeq { head, closure } => Check::IrreflexiveSeq {
-                        head,
-                        closure: UnionPlan::new(closure, spec, ev),
-                    },
+                    AxiomKind::Acyclic(rels) => {
+                        Check::Acyclic(UnionPlan::new(rels, spec, ev, true))
+                    }
+                    AxiomKind::IrreflexiveSeq { head, closure } => {
+                        let head = UnionPlan::new(head, spec, ev, false);
+                        let closure = UnionPlan::new(closure, spec, ev, true);
+                        let sources: Vec<bool> = (0..ev.len() as u32)
+                            .map(|a| head.may_leave(ev, a) && closure.may_enter(ev, a))
+                            .collect();
+                        // No head edge can ever close a cycle (for
+                        // `fr ; mo⁺`: no event both reads and writes).
+                        if !sources.contains(&true) {
+                            return None;
+                        }
+                        Check::IrreflexiveSeq {
+                            head,
+                            closure,
+                            sources,
+                        }
+                    }
                 };
-                (ax.name, check)
+                Some((ax.name, check))
             })
             .collect();
         AxiomPlan {
-            spec,
             checks,
-            scratch: RefCell::default(),
+            scratch: RefCell::new(Scratch {
+                mark: vec![false; ev.len()],
+                ..Scratch::default()
+            }),
         }
     }
 
     /// First axiom of the spec violated by the witness, if any.
     pub(crate) fn violated(&self, ev: &Events, w: &Witness) -> Option<&'static str> {
         let s = &mut *self.scratch.borrow_mut();
+        let mut links = std::mem::take(&mut s.links);
+        links.fill(ev, w);
+        let g = Graph {
+            ev,
+            w,
+            links: &links,
+        };
+        let found = self.first(g, None, s);
+        s.links = links;
+        found
+    }
+
+    /// First axiom of the spec violated by the witness, if any, given that
+    /// the witness satisfied every axiom before event `e`'s decision, and
+    /// that `links` are the witness's own. Every edge that decision added
+    /// ends at `e` or at one of `e`'s decided readers, so only cycles
+    /// through those can be new (DESIGN.md §4g).
+    pub(crate) fn violated_after(
+        &self,
+        ev: &Events,
+        w: &Witness,
+        links: &Links,
+        e: u32,
+    ) -> Option<&'static str> {
+        let s = &mut *self.scratch.borrow_mut();
+        let mut seeds = std::mem::take(&mut s.seeds);
+        seeds.clear();
+        seeds.push(e);
+        seeds.extend(links.readers(e));
+        let found = self.first(Graph { ev, w, links }, Some(&seeds), s);
+        s.seeds = seeds;
+        found
+    }
+
+    fn first(&self, g: Graph, seeds: Option<&[u32]>, s: &mut Scratch) -> Option<&'static str> {
         self.checks
             .iter()
-            .find(|(_, check)| self.check_violated(check, ev, w, s))
+            .find(|(_, check)| check.violated(g, seeds, s))
             .map(|&(name, _)| name)
     }
 
-    fn check_violated(&self, check: &Check, ev: &Events, w: &Witness, s: &mut Scratch) -> bool {
-        let n = ev.len();
-        match check {
-            Check::Acyclic(union) => {
-                s.edges.clear();
-                union.push_live(self.spec, ev, w, &mut s.edges);
-                s.live.fill(n, &s.edges);
-                let adj = Adj {
-                    fixed: &union.fixed,
-                    live: &s.live,
-                };
-                has_cycle(n, |v, i| adj.succ(v, i), &mut s.color, &mut s.stack)
-            }
-            Check::IrreflexiveSeq { head, closure } => {
-                s.heads.clear();
-                for &rel in *head {
-                    push_rel(rel, self.spec, ev, w, &mut s.heads);
-                }
-                if s.heads.is_empty() {
-                    return false;
-                }
-                s.edges.clear();
-                closure.push_live(self.spec, ev, w, &mut s.edges);
-                s.live.fill(n, &s.edges);
-                let adj = Adj {
-                    fixed: &closure.fixed,
-                    live: &s.live,
-                };
-                // One search per distinct head target `b`: does `b` reach
-                // back to the source of one of its head edges?
-                s.heads.sort_unstable_by_key(|&(_, b)| b);
-                s.seen.clear();
-                s.seen.resize(n, false);
-                for group in s.heads.chunk_by(|x, y| x.1 == y.1) {
-                    adj.reach(group[0].1, &mut s.seen, &mut s.queue);
-                    let closed = group.iter().any(|&(a, _)| s.seen[a as usize]);
-                    for &v in &s.queue {
-                        s.seen[v as usize] = false;
-                    }
-                    if closed {
-                        return true;
-                    }
-                }
-                false
-            }
-        }
+    /// Successor visits the plan's checks have made so far.
+    pub(crate) fn visits(&self) -> u64 {
+        self.scratch.borrow().visits
     }
 }
 
@@ -999,7 +1353,10 @@ mod tests {
     /// The six declared specs plus one-axiom specs that put every
     /// relation, paired with every other, in an acyclic union, an
     /// `IrreflexiveSeq` head and an `IrreflexiveSeq` closure — so every
-    /// reduction meets every neighbour it could interact with.
+    /// reduction meets every neighbour it could interact with — and each
+    /// relation alone as the head of the closure over all of them, so that
+    /// only the closure, walked backwards as well as forwards, can carry
+    /// the rest of a cycle.
     fn plan_specs() -> Vec<ModelSpec> {
         let mut kinds: Vec<AxiomKind> = vec![
             AxiomKind::Acyclic(&ALL_RELS),
@@ -1009,6 +1366,10 @@ mod tests {
             },
         ];
         for i in 0..ALL_RELS.len() {
+            kinds.push(AxiomKind::IrreflexiveSeq {
+                head: &ALL_RELS[i..=i],
+                closure: &ALL_RELS,
+            });
             for j in 0..ALL_RELS.len() {
                 kinds.push(AxiomKind::Acyclic(Box::leak(Box::new([
                     ALL_RELS[i],
@@ -1116,6 +1477,133 @@ mod tests {
         assert!(
             violated > 5_000 && clean > 5_000,
             "{violated} violated, {clean} clean"
+        );
+    }
+
+    /// One step of a random decision path: decide the next event (its
+    /// `rf` choice and `mo` slot picked modulo the options), or undo the
+    /// last `k` decisions.
+    #[derive(Clone, Copy, Debug)]
+    enum PathStep {
+        Decide(u32, u32),
+        Undo(u8),
+    }
+
+    /// Replays random decision paths in event-id order, as the graph
+    /// machine makes them, undoing and redoing along the way. At every
+    /// step whose parent satisfies every axiom, the incremental answer
+    /// equals the whole-witness answer and the reference evaluator's,
+    /// under the declared specs and the synthetic ones; and the links kept
+    /// decision by decision equal the links rebuilt from the witness.
+    #[test]
+    fn incremental_checks_match_whole_witness_checks() {
+        use vermem_util::prop::PropConfig;
+        use vermem_util::{prop_assert_eq, prop_check};
+        let specs = plan_specs();
+        let (mut compared, mut violated) = (0u64, 0u64);
+        // A reader decided before its writer, an RMW placed before its
+        // writer, a read-from-initial re-targeted by a write placed first.
+        let (mut reader_first, mut rmw_first, mut init_retargeted) = (0u64, 0u64, 0u64);
+        let cfg = PropConfig::with_cases(1000).max_size(6);
+        prop_check!(
+            cfg,
+            |rng, size| {
+                let trace = arb_trace(rng, size);
+                let path: Vec<PathStep> = (0..24)
+                    .map(|_| match rng.gen_range(0..5u8) {
+                        0 => PathStep::Undo(rng.gen_range(1..=3u8)),
+                        _ => PathStep::Decide(rng.next_u32(), rng.next_u32()),
+                    })
+                    .collect();
+                (trace, path)
+            },
+            |(trace, path): &(Trace, Vec<PathStep>)| {
+                let ev = Events::new(trace);
+                let plans: Vec<AxiomPlan> = specs.iter().map(|s| AxiomPlan::new(s, &ev)).collect();
+                let mut w = Witness::empty(ev.len(), ev.writes_by_slot.len());
+                let mut links = Links::of(&ev, &w);
+                // Per decided depth: the `mo` slot taken, and which specs
+                // the state satisfies (the root satisfies all).
+                let mut decided: Vec<Option<usize>> = Vec::new();
+                let mut clean: Vec<Vec<bool>> = vec![vec![true; specs.len()]];
+                for &step in path {
+                    let e = decided.len();
+                    let (op, cands) = match ev.ops.get(e) {
+                        Some(&(_, op)) => (Some(op), &ev.candidates[e][..]),
+                        None => (None, &[][..]),
+                    };
+                    // Past the last event, or at a read with no candidate,
+                    // a decision step backs up one event instead.
+                    let op = op.filter(|op| !op.is_reading() || !cands.is_empty());
+                    let step = match (step, op) {
+                        (PathStep::Decide(..), None) => PathStep::Undo(1),
+                        _ => step,
+                    };
+                    match step {
+                        PathStep::Undo(k) => {
+                            for _ in 0..k.min(e as u8) {
+                                let e = decided.len() as u32 - 1;
+                                links.retract(&ev, &w, e);
+                                if let Some(pos) = decided.pop().expect("non-empty") {
+                                    w.mo[ev.slot_of[e as usize] as usize].remove(pos);
+                                }
+                                w.rf[e as usize] = None;
+                                clean.pop();
+                            }
+                        }
+                        PathStep::Decide(pick_rf, pick_mo) => {
+                            let op = op.expect("decidable");
+                            let slot = ev.slot_of[e] as usize;
+                            if op.is_reading() {
+                                w.rf[e] = Some(cands[pick_rf as usize % cands.len()]);
+                            }
+                            let pos = op.is_writing().then(|| {
+                                let pos = pick_mo as usize % (w.mo[slot].len() + 1);
+                                w.mo[slot].insert(pos, e as u32);
+                                pos
+                            });
+                            links.decide(&ev, &w, e as u32);
+                            decided.push(pos);
+                            let mut readers = links.readers(e as u32).peekable();
+                            reader_first += u64::from(readers.peek().is_some());
+                            rmw_first +=
+                                u64::from(readers.any(|r| ev.ops[r as usize].1.is_writing()));
+                            init_retargeted +=
+                                u64::from(pos == Some(0) && links.init_readers[slot] != NONE);
+                            let mut row = vec![false; specs.len()];
+                            for (i, (spec, plan)) in specs.iter().zip(&plans).enumerate() {
+                                if !clean[e][i] {
+                                    continue;
+                                }
+                                let expected = violated_axiom(spec, &ev, &w);
+                                let got = plan.violated_after(&ev, &w, &links, e as u32);
+                                prop_assert_eq!(
+                                    got,
+                                    expected,
+                                    "{} after event {e} on {w:?}",
+                                    spec.name
+                                );
+                                prop_assert_eq!(plan.violated(&ev, &w), expected, "{}", spec.name);
+                                compared += 1;
+                                violated += u64::from(expected.is_some());
+                                row[i] = expected.is_none();
+                            }
+                            clean.push(row);
+                        }
+                    }
+                    prop_assert_eq!(&links, &Links::of(&ev, &w), "links drifted on {w:?}");
+                }
+                Ok(())
+            }
+        );
+        assert!(
+            compared > 500_000 && violated > 10_000,
+            "{compared} compared, {violated} violated"
+        );
+        assert!(
+            reader_first > 100 && rmw_first > 50 && init_retargeted > 400,
+            "{reader_first} readers first, {rmw_first} RMWs first, \
+             {init_retargeted} initial reads re-targeted"
         );
     }
 

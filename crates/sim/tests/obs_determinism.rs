@@ -10,8 +10,10 @@
 //! processes and are unaffected.
 
 use vermem_coherence::{
-    verify_execution_par, verify_execution_with, RecorderConfig, StreamConfig, VmcVerifier,
+    verify_execution_par, verify_execution_with, RecorderConfig, StreamConfig, TierConfig,
+    VmcVerifier,
 };
+use vermem_consistency::{verify_axiom, AxiomConfig, ModelId};
 use vermem_sim::{
     event_stream_bytes, random_program, FaultKind, FaultPlan, Machine, MachineConfig,
     WorkloadConfig,
@@ -153,4 +155,34 @@ fn obs_toggle_changes_no_observable_result() {
         incoherent >= 2,
         "too few incoherent runs to exercise cancellation under obs: {incoherent}/6"
     );
+
+    // 5. The graph-lowered models (Coherence, RA, ARM-dob, the RA fast
+    //    tier off so every check searches): verdicts and SearchStats are
+    //    bit-identical with obs on, and only then does the solve flush
+    //    its `axiom.plan.visits` work count.
+    let cfg = AxiomConfig {
+        tier: TierConfig::exact_only(),
+        ..AxiomConfig::default()
+    };
+    for seed in 0..4u64 {
+        let (trace, _) = gen_sc_trace(&GenConfig {
+            procs: 3,
+            total_ops: 18,
+            addrs: 2,
+            seed,
+            ..Default::default()
+        });
+        for id in [ModelId::CoherenceOnly, ModelId::Ra, ModelId::ArmDob] {
+            let (off, on) = differential(|| {
+                let report = verify_axiom(&trace, id, &cfg);
+                let visits = obs::snapshot().counters.get("axiom.plan.visits").copied();
+                (report, visits)
+            });
+            let ctx = format!("{} on generated trace {seed}", id.name());
+            assert_eq!(off.0.verdict, on.0.verdict, "{ctx}: verdict drift");
+            assert_eq!(off.0.stats, on.0.stats, "{ctx}: SearchStats drift");
+            assert_eq!(off.1, None, "{ctx}: obs off recorded a counter");
+            assert!(on.1.is_some_and(|v| v > 0), "{ctx}: no plan visits flushed");
+        }
+    }
 }

@@ -135,7 +135,10 @@ fi
 # AxiomPlan (axiom/witness.rs). The naive evaluator rebuilds every
 # relation per call; graph.rs may reach it only inside a debug_assert
 # (the debug-build cross-check), and the retired per-state entry point
-# must not come back.
+# must not come back. The per-state question is incremental: outside a
+# debug_assert, graph.rs calls the plan's whole-witness check
+# (`plan.violated(`) exactly once, at the fallback for a state whose
+# parent was never checked.
 if grep -rn 'partial_infeasible' crates/; then
     echo "retired per-state evaluator partial_infeasible found (use AxiomPlan)" >&2
     exit 1
@@ -163,6 +166,10 @@ bad = [f for f in ('check_witness_ev', 'violated_axiom', 'push_rel')
        if re.search(r'\b' + f + r'\b', rest)]
 if bad:
     sys.exit(f"axiom/graph.rs calls the naive evaluator outside a debug_assert: {bad}")
+whole = len(re.findall(r'\bplan\.violated\(', rest))
+if whole != 1:
+    sys.exit(f"axiom/graph.rs calls the whole-witness plan.violated( {whole} times "
+             "outside a debug_assert (expected 1: the unverified-parent fallback)")
 EOF
 echo "    ok"
 
