@@ -10,10 +10,10 @@
 //!    program-order successors, so any coherent schedule can be rewritten
 //!    into one that schedules it now.
 //! 2. **Memoization** (the kernel's memo). After greedy absorption, the
-//!    search state is exactly `(frontier, current value)`, keyed as
-//!    `[packed frontier, value]` — one byte per process when
-//!    [`crate::kernel::frontier_packs`] holds — or one word per process
-//!    plus the value; re-entering a visited state cannot succeed. For `k`
+//!    search state is exactly `(frontier, current value)`, packed by a
+//!    [`crate::kernel::KeyPacker`]: each process's frontier in the bits
+//!    its history length needs, then the value in a word of its own;
+//!    re-entering a visited state cannot succeed. For `k`
 //!    processes this also bounds the state space polynomially —
 //!    O(n^k · n) states — so this same procedure *is* the polynomial
 //!    algorithm for the "constant processes" row of Figure 5.3 (cf.
@@ -327,9 +327,8 @@ struct VmcSystem<'a> {
     frontier: Vec<u32>,
     current: Value,
     remaining_writes: FxHashMap<Value, u32>,
-    /// Whether frontier entries pack one byte each (decided once, see
-    /// [`kernel::frontier_packs`]).
-    packed: bool,
+    /// Memo key layout: per-process frontiers, then the current value.
+    key: kernel::KeyPacker,
     /// Surviving feasibility windows from [`crate::windows::analyze`]
     /// (`None` when the technique is off or the pre-pass was skipped).
     window: Option<WindowTable>,
@@ -382,7 +381,12 @@ impl<'a> VmcSystem<'a> {
                 .iter()
                 .map(|(&v, &c)| (v, c as u32))
                 .collect(),
-            packed: kernel::frontier_packs(per_proc.iter().map(Vec::len)),
+            key: kernel::KeyPacker::new(
+                per_proc
+                    .iter()
+                    .map(|ops| ops.len() as u64)
+                    .chain([u64::MAX]),
+            ),
             window,
             symmetry: prune.symmetry,
             suffix_class,
@@ -463,8 +467,13 @@ impl TransitionSystem for VmcSystem<'_> {
 
     #[inline]
     fn state_key(&self, key: &mut Vec<u64>) {
-        kernel::encode_frontier(&self.frontier, self.packed, key);
-        key.push(self.current.0);
+        self.key.pack(
+            self.frontier
+                .iter()
+                .map(|&f| u64::from(f))
+                .chain([self.current.0]),
+            key,
+        );
     }
 
     /// Writes and current-value RMWs (pending matching reads were

@@ -35,13 +35,15 @@
 //! [`TransitionSystem::state_key`] must emit an **injective** encoding of
 //! the post-absorption search state into `u64` words: two states may
 //! produce the same word sequence only if they are the same state
-//! (variable-length parts must be length-prefixed). The kernel never
-//! hashes a key down to fewer bits than the system emitted — short keys
-//! (≤ 2 words) are stored verbatim in a zero-allocation
-//! [`FxHashSet`] tier, and a longer key as its last word beside the dense
-//! id of its prefix, which [`SliceInterner`] stores exactly once —
-//! because a colliding "already visited" answer would be an unsound
-//! refutation.
+//! (variable-length parts must be length-prefixed). The VMC machine and
+//! the store-buffer machines build theirs with [`KeyPacker`], which gives
+//! each field of the state exactly the bits its per-instance maximum
+//! needs. The kernel never hashes a key down to fewer bits than the
+//! system emitted — short keys (≤ 2 words) are stored verbatim in a
+//! zero-allocation [`FxHashSet`] tier, and a longer key as its last word
+//! beside the dense id of its prefix, which [`SliceInterner`] stores
+//! exactly once — because a colliding "already visited" answer would be an
+//! unsound refutation.
 
 use vermem_trace::OpRef;
 use vermem_util::hash::FxHashSet;
@@ -250,29 +252,91 @@ pub trait TransitionSystem {
     fn undo(&mut self, mv: Self::Move);
 }
 
-/// Pack a per-process frontier into key words: one byte per process,
-/// eight processes to a word, when the instance shape allows (`packed`,
-/// decided once per instance via [`frontier_packs`]), one word per process
-/// otherwise. Up to 8 processes pack into a single word.
-pub fn encode_frontier(frontier: &[u32], packed: bool, key: &mut Vec<u64>) {
-    if packed {
-        for chunk in frontier.chunks(8) {
-            let mut word = 0u64;
-            for (i, &f) in chunk.iter().enumerate() {
-                debug_assert!(f <= u8::MAX as u32, "packed key precondition");
-                word |= u64::from(f) << (8 * i);
-            }
-            key.push(word);
-        }
-    } else {
-        key.extend(frontier.iter().map(|&f| u64::from(f)));
-    }
+/// A fixed-width bit-packed state-key layout, decided once per instance.
+///
+/// Each field is declared by its largest possible value and gets exactly
+/// the bits that value needs (`0` needs none). Fields are laid out in
+/// declaration order and never straddle a word: one that does not fit the
+/// rest of the current word starts the next, and a 64-bit field takes a
+/// word of its own. A packed key is therefore injective on the field
+/// values — distinct field vectors within their maxima give distinct
+/// words — and has the same length for every state of the instance, so
+/// the memo's tier is fixed per instance too.
+#[derive(Clone, Debug)]
+pub struct KeyPacker {
+    fields: Vec<KeyField>,
+    words: usize,
 }
 
-/// True when every frontier entry of this instance fits a byte: at most
-/// 255 operations per process.
-pub fn frontier_packs(history_lens: impl IntoIterator<Item = usize>) -> bool {
-    history_lens.into_iter().all(|len| len <= u8::MAX as usize)
+/// Where one field of a [`KeyPacker`] lands.
+#[derive(Clone, Copy, Debug)]
+struct KeyField {
+    word: u32,
+    shift: u32,
+    /// Declared maximum (checked in debug builds).
+    max: u64,
+}
+
+impl KeyPacker {
+    /// Lay out fields with these maxima, in order.
+    pub fn new(maxima: impl IntoIterator<Item = u64>) -> KeyPacker {
+        let mut fields = Vec::new();
+        let (mut words, mut used) = (0u32, 64u32);
+        for max in maxima {
+            let width = u64::BITS - max.leading_zeros();
+            if width == 0 {
+                // Always 0: takes no bits and is never shifted (a shift by
+                // 64 after a full word would overflow).
+                fields.push(KeyField {
+                    word: 0,
+                    shift: 0,
+                    max,
+                });
+                continue;
+            }
+            if used + width > 64 {
+                words += 1;
+                used = 0;
+            }
+            fields.push(KeyField {
+                word: words - 1,
+                shift: used,
+                max,
+            });
+            used += width;
+        }
+        KeyPacker {
+            fields,
+            // At least one word, so a zero-width field always has one to
+            // land in.
+            words: words.max(1) as usize,
+        }
+    }
+
+    /// Key length in words.
+    pub fn words(&self) -> usize {
+        self.words
+    }
+
+    /// Append the packed key of `values` (one per declared field, in
+    /// declaration order, each within its maximum) to `key`.
+    #[inline]
+    pub fn pack(&self, values: impl IntoIterator<Item = u64>, key: &mut Vec<u64>) {
+        let base = key.len();
+        key.resize(base + self.words, 0);
+        let words = &mut key[base..];
+        let mut n = 0;
+        for (v, f) in values.into_iter().zip(&self.fields) {
+            debug_assert!(
+                v <= f.max,
+                "key field {n} = {v} exceeds its maximum {}",
+                f.max
+            );
+            words[f.word as usize] |= v << f.shift;
+            n += 1;
+        }
+        debug_assert_eq!(n, self.fields.len(), "one value per declared field");
+    }
 }
 
 /// The visited-state set: Fx-hashed tiers by key length. Keys of ≤ 2
@@ -347,6 +411,7 @@ pub fn run_search<S: TransitionSystem>(
         budget_hit: false,
         cancelled: false,
         key_scratch: Vec::new(),
+        move_bufs: Vec::new(),
         depth_hist: if obs::enabled() {
             Some(obs::Histogram::new())
         } else {
@@ -408,6 +473,10 @@ struct Kernel<'a, S: TransitionSystem> {
     /// Key-construction scratch: probing allocates nothing beyond the
     /// memo's own storage.
     key_scratch: Vec<u64>,
+    /// Free move buffers: each expanded state takes one for its moves and
+    /// returns it, so the stack settles at one buffer per search depth
+    /// and expansion allocates nothing once it has.
+    move_bufs: Vec<Vec<S::Move>>,
     /// `Some` only while observability is enabled: per-state commit
     /// depths, batch-merged into the registry at solve end.
     depth_hist: Option<obs::Histogram>,
@@ -481,10 +550,11 @@ impl<S: TransitionSystem> Kernel<'_, S> {
             fail!();
         }
 
-        let mut moves = Vec::new();
+        let mut moves = self.move_bufs.pop().unwrap_or_default();
+        moves.clear();
         self.sys.enabled_moves(&mut moves);
         let depth = self.commits.len();
-        for mv in moves {
+        for &mv in &moves {
             if self.feasibility && !self.sys.admit(mv, depth) {
                 self.stats.window_prunes += 1;
                 continue;
@@ -502,6 +572,7 @@ impl<S: TransitionSystem> Kernel<'_, S> {
             }
             self.sys.undo(mv);
         }
+        self.move_bufs.push(moves);
         if !self.budget_hit && !self.cancelled {
             self.sys.exhausted(&mut self.stats);
         }
@@ -728,18 +799,32 @@ mod tests {
     }
 
     #[test]
-    fn frontier_packing_helpers() {
-        let mut key = Vec::new();
-        encode_frontier(&[1, 2, 3], true, &mut key);
-        assert_eq!(key, vec![1 | (2 << 8) | (3 << 16)]);
-        key.clear();
-        encode_frontier(&[1, 2, 3], false, &mut key);
-        assert_eq!(key, vec![1, 2, 3]);
-        key.clear();
-        encode_frontier(&[1; 9], true, &mut key);
-        assert_eq!(key, vec![0x0101_0101_0101_0101, 1]);
-        assert!(frontier_packs([4usize, 255]));
-        assert!(!frontier_packs([256usize]));
-        assert!(frontier_packs(vec![1usize; 9]));
+    fn key_packer_layout() {
+        let key = |p: &KeyPacker, vals: &[u64]| {
+            let mut k = Vec::new();
+            p.pack(vals.iter().copied(), &mut k);
+            k
+        };
+        // Widths 1, 2, 8: one word, fields side by side.
+        let p = KeyPacker::new([1, 3, 255]);
+        assert_eq!(p.words(), 1);
+        assert_eq!(key(&p, &[1, 2, 3]), vec![1 | (2 << 1) | (3 << 3)]);
+        // A field that does not fit the rest of a word starts the next.
+        let p = KeyPacker::new([u64::from(u32::MAX), u64::from(u32::MAX), 1]);
+        assert_eq!(p.words(), 2);
+        assert_eq!(key(&p, &[1, 2, 1]), vec![1 | (2 << 32), 1]);
+        // A 64-bit field takes a word of its own; a zero-width field right
+        // after a full word takes no bits and is never shifted by 64.
+        let p = KeyPacker::new([7, u64::MAX, 0, 1, 0]);
+        assert_eq!(p.words(), 3);
+        assert_eq!(key(&p, &[5, u64::MAX, 0, 1, 0]), vec![5, u64::MAX, 1]);
+        // Only zero-width fields: one zero word.
+        let p = KeyPacker::new([0, 0]);
+        assert_eq!(key(&p, &[0, 0]), vec![0]);
+        // Appends after what the key already holds.
+        let p = KeyPacker::new([3]);
+        let mut k = vec![9];
+        p.pack([2], &mut k);
+        assert_eq!(k, vec![9, 2]);
     }
 }

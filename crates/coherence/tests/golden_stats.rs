@@ -14,10 +14,11 @@
 //! that a refactor of the memo, the stream tables or the frontline must
 //! not disturb:
 //!
-//! * VMC memo key: 8 vs 9 processes (one packed frontier word vs two, so
-//!   the flat short-key tier vs the interned tier) and 255 vs 256 ops per
-//!   process (byte-packed frontier vs one word per process), also with
-//!   values at `0`, `u64::MAX - 1` and `u64::MAX`;
+//! * VMC memo key: 8 vs 9 processes and 255 vs 256 ops per process (the
+//!   boundaries of the byte-per-process frontier layout the kernel's
+//!   `KeyPacker` replaced: one frontier word vs two, so the flat short-key
+//!   tier vs the interned tier), also with values at `0`,
+//!   `u64::MAX - 1` and `u64::MAX`;
 //! * VMC prunings: the §5.2 over-constrained RMW reduction under each
 //!   `PruneConfig` (nogood hits), state budgets of 16, 64 and 256
 //!   (`Unknown`), hard coherent instances with several window prunes

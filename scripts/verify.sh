@@ -111,8 +111,18 @@ if [[ -n "$bad" ]]; then
     echo "$bad" >&2
     exit 1
 fi
-if grep -rn 'greedy_absorption\|hot_move_ordering\|Visited::' crates/ src/ tests/ examples/; then
-    echo "retired VMC search knob or visited-set enum found" >&2
+# Every memo key is built by the kernel's KeyPacker: the retired
+# byte-per-process frontier encoder must not come back either.
+if grep -rn 'greedy_absorption\|hot_move_ordering\|Visited::\|encode_frontier\|frontier_packs' \
+    crates/ src/ tests/ examples/; then
+    echo "retired VMC search knob, visited-set enum or frontier key encoder found" >&2
+    exit 1
+fi
+# The store-buffer lowering runs on dense ids: values interned once per
+# slot at construction, supply a flat table. A hash map in it means a
+# per-state probe came back. Comments count too.
+if grep -n 'HashMap' crates/consistency/src/axiom/operational.rs; then
+    echo "hash map in the store-buffer lowering (use the dense value ids)" >&2
     exit 1
 fi
 echo "    ok"
