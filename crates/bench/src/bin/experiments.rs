@@ -32,9 +32,8 @@
 use std::time::Instant;
 use vermem_bench::{loglog_slope, mean_growth_ratio, median_secs};
 use vermem_coherence::{
-    one_op, readmap, rmw, solve_backtracking, solve_backtracking_with_stats,
-    solve_with_write_order, verify_execution_par, PruneConfig, SearchConfig, TierConfig, TierStats,
-    VmcVerifier,
+    backtrack, one_op, readmap, rmw, solve_with_write_order, verify_execution_par, PruneConfig,
+    SearchConfig, TierConfig, TierStats, VmcVerifier,
 };
 use vermem_consistency::{
     merge_coherent_schedules, verify_axiom, AxiomConfig, Engine, MergeOutcome, ModelId,
@@ -50,7 +49,7 @@ use vermem_sim::{
 };
 use vermem_trace::classify::InstanceProfile;
 use vermem_trace::gen::{gen_sc_trace, inject_violation, GenConfig, ViolationKind};
-use vermem_trace::{Addr, AddrOps, OpRef, Trace};
+use vermem_trace::{Addr, AddrIndex, AddrOps, OpRef, Trace};
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -188,8 +187,10 @@ fn e4_1_sat_to_vmc() {
             let f = gen_random_ksat(&cfg);
             let red = reduce_sat_to_vmc(&f);
             let sat = solve_cdcl(&f).is_sat();
-            let coh =
-                solve_backtracking(&red.trace, Addr::ZERO, &SearchConfig::default()).is_coherent();
+            let ops = AddrOps::of(&red.trace, Addr::ZERO);
+            let (verdict, _) =
+                backtrack::solve_backtracking_ops_with_stats(&ops, &SearchConfig::default());
+            let coh = verdict.is_coherent();
             total += 1;
             if sat == coh {
                 agreements += 1;
@@ -216,7 +217,8 @@ fn e4_2_worked_example() {
     header("E-4.2  worked example (Figure 4.2): Q = u");
     let red = example_fig_4_2();
     println!("instance:\n{}", vermem_trace::fmt::format_trace(&red.trace));
-    let verdict = solve_backtracking(&red.trace, Addr::ZERO, &SearchConfig::default());
+    let ops = AddrOps::of(&red.trace, Addr::ZERO);
+    let (verdict, _) = backtrack::solve_backtracking_ops_with_stats(&ops, &SearchConfig::default());
     let schedule = verdict.schedule().expect("Q = u is satisfiable");
     println!("coherent schedule: {schedule:?}");
     let model = red.extract_assignment(schedule);
@@ -249,8 +251,9 @@ fn e5_reduction(title: &str, reduce: &dyn Fn(&vermem_sat::Cnf) -> Trace) {
     let mut points = Vec::new();
     let solve_row = |family: &str, m: u32, f: &vermem_sat::Cnf| -> (u64, bool) {
         let trace = reduce(f);
-        let profile = InstanceProfile::of(&trace, Addr::ZERO);
-        let (verdict, stats) = solve_backtracking_with_stats(&trace, Addr::ZERO, &cfg_capped);
+        let ops = AddrOps::of(&trace, Addr::ZERO);
+        let profile = InstanceProfile::of_ops(&ops);
+        let (verdict, stats) = backtrack::solve_backtracking_ops_with_stats(&ops, &cfg_capped);
         let verdict_str = match &verdict {
             vermem_coherence::Verdict::Coherent(_) => "coherent",
             vermem_coherence::Verdict::Incoherent(_) => "incoherent",
@@ -363,7 +366,10 @@ fn e5_3_table() {
             .0
         },
         |t| {
-            assert!(solve_backtracking(t, Addr::ZERO, &SearchConfig::default()).is_coherent());
+            let ops = AddrOps::of(t, Addr::ZERO);
+            let (verdict, _) =
+                backtrack::solve_backtracking_ops_with_stats(&ops, &SearchConfig::default());
+            assert!(verdict.is_coherent());
         },
     );
     row("constant processes (k=3)", "O(n^k)", "memoized DFS", slope);
@@ -378,7 +384,8 @@ fn e5_3_table() {
         for &n in &sizes {
             let (trace, order) = write_order_instance(n, all_rmw);
             let secs = median_secs(5, || {
-                assert!(solve_with_write_order(&trace, Addr::ZERO, &order).is_coherent());
+                let ops = AddrOps::of(&trace, Addr::ZERO);
+                assert!(solve_with_write_order(&ops, &order).is_coherent());
             });
             points.push((n as f64, secs));
         }
@@ -1452,6 +1459,7 @@ fn prune_ablation() -> Vec<PruneRow> {
     ];
     let mut rows = Vec::new();
     for (case, trace) in &instances {
+        let ops = AddrOps::of(trace, Addr::ZERO);
         let mut baseline_states: Option<u64> = None;
         let mut decided_verdicts: Vec<bool> = Vec::new();
         for (name, prune) in &configs {
@@ -1459,7 +1467,7 @@ fn prune_ablation() -> Vec<PruneRow> {
                 max_states: Some(CAP),
                 prune: *prune,
             };
-            let (verdict, stats) = solve_backtracking_with_stats(trace, Addr::ZERO, &cfg);
+            let (verdict, stats) = backtrack::solve_backtracking_ops_with_stats(&ops, &cfg);
             let verdict_str = match &verdict {
                 vermem_coherence::Verdict::Coherent(_) => "coherent",
                 vermem_coherence::Verdict::Incoherent(_) => "incoherent",
@@ -1798,8 +1806,10 @@ fn e_sim_detection() {
             },
         );
         let t = Instant::now();
+        let index = AddrIndex::build(&cap.trace);
         for (addr, order) in &cap.write_order {
-            assert!(solve_with_write_order(&cap.trace, *addr, order).is_coherent());
+            let ops = index.get(*addr).expect("a written address is indexed");
+            assert!(solve_with_write_order(ops, order).is_coherent());
         }
         println!(
             "{:>8} {:>16.1}",

@@ -36,7 +36,7 @@ use crate::kernel::{self, KernelConfig, KernelOutcome, TransitionSystem};
 use crate::verdict::{Verdict, Violation, ViolationKind};
 use crate::windows::WindowTable;
 use std::cell::Cell;
-use vermem_trace::{Addr, AddrOps, Op, OpRef, Schedule, Trace, Value};
+use vermem_trace::{AddrOps, Op, OpRef, Schedule, Value};
 use vermem_util::hash::{FxHashMap, FxHashSet};
 use vermem_util::obs;
 
@@ -180,38 +180,21 @@ pub fn precheck_ops(ops: &AddrOps) -> Option<Violation> {
     None
 }
 
-/// Decide coherence of the operations of `trace` at `addr` by exhaustive
-/// memoized search. The returned witness schedule references `trace`
-/// directly and always passes [`vermem_trace::check_coherent_schedule`].
-pub fn solve_backtracking(trace: &Trace, addr: Addr, cfg: &SearchConfig) -> Verdict {
-    solve_backtracking_with_stats(trace, addr, cfg).0
-}
-
-/// As [`solve_backtracking`], also returning search statistics.
-pub fn solve_backtracking_with_stats(
-    trace: &Trace,
-    addr: Addr,
-    cfg: &SearchConfig,
-) -> (Verdict, SearchStats) {
-    let ops = AddrOps::of(trace, addr);
-    let (verdict, stats) = solve_backtracking_ops_with_stats(&ops, cfg);
-    if let Verdict::Coherent(witness) = &verdict {
-        debug_assert!(
-            vermem_trace::check_coherent_schedule_ops(&ops, witness).is_ok(),
-            "solver produced invalid witness"
-        );
-    }
-    (verdict, stats)
-}
-
-/// As [`solve_backtracking_with_stats`], on a pre-built per-address index
-/// entry — the zero-rescan entry point used by the dispatcher and the
-/// parallel engine.
+/// Decide coherence of one address's VMC instance by exhaustive memoized
+/// search, returning search statistics with the verdict. A witness
+/// references the original trace and passes
+/// [`vermem_trace::check_coherent_schedule_ops`] on `ops`.
 pub fn solve_backtracking_ops_with_stats(
     ops: &AddrOps,
     cfg: &SearchConfig,
 ) -> (Verdict, SearchStats) {
     let (verdict, stats, _) = solve_tiered_ops(ops, cfg);
+    if let Verdict::Coherent(witness) = &verdict {
+        debug_assert!(
+            vermem_trace::check_coherent_schedule_ops(ops, witness).is_ok(),
+            "solver produced invalid witness"
+        );
+    }
     (verdict, stats)
 }
 
@@ -612,10 +595,11 @@ fn build_nogood_key(key: &mut Vec<u64>, suffix_class: &[Vec<u32>], frontier: &[u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vermem_trace::{check_coherent_schedule, Op, TraceBuilder};
+    use vermem_trace::{check_coherent_schedule, Addr, Op, Trace, TraceBuilder};
 
     fn solve(trace: &Trace) -> Verdict {
-        solve_backtracking(trace, Addr::ZERO, &SearchConfig::default())
+        let ops = AddrOps::of(trace, Addr::ZERO);
+        solve_backtracking_ops_with_stats(&ops, &SearchConfig::default()).0
     }
 
     #[test]
@@ -748,7 +732,7 @@ mod tests {
             max_states: Some(1),
             ..Default::default()
         };
-        let v = solve_backtracking(&t, Addr::ZERO, &cfg);
+        let (v, _) = solve_backtracking_ops_with_stats(&AddrOps::of(&t, Addr::ZERO), &cfg);
         // With a 1-state budget the solver can only answer if the instance
         // is trivially easy; accept Coherent-or-Unknown but never wrong.
         if let Verdict::Coherent(s) = &v {
@@ -809,34 +793,22 @@ mod tests {
                 b = b.proc(ops);
             }
             let t = b.build();
-            let reference = solve_backtracking(&t, Addr::ZERO, &configs[0]).is_coherent();
+            let ops = AddrOps::of(&t, Addr::ZERO);
+            let reference = solve_backtracking_ops_with_stats(&ops, &configs[0])
+                .0
+                .is_coherent();
             for (i, cfg) in configs.iter().enumerate().skip(1) {
-                let got = solve_backtracking(&t, Addr::ZERO, cfg);
+                let (got, _) = solve_backtracking_ops_with_stats(&ops, cfg);
                 assert_eq!(
                     got.is_coherent(),
                     reference,
                     "config {i} diverges on seed {seed}: {t:?}"
                 );
                 if let Some(s) = got.schedule() {
-                    check_coherent_schedule(&t, Addr::ZERO, s).unwrap();
+                    vermem_trace::check_coherent_schedule_ops(&ops, s).unwrap();
                 }
             }
         }
-    }
-
-    #[test]
-    fn ops_entry_points_match_trace_entry_points() {
-        let t = TraceBuilder::new()
-            .proc([Op::w(1u64), Op::r(2u64)])
-            .proc([Op::w(2u64), Op::r(1u64), Op::w(2u64)])
-            .build();
-        let ops = vermem_trace::AddrOps::of(&t, Addr::ZERO);
-        let cfg = SearchConfig::default();
-        assert_eq!(
-            solve_backtracking_ops_with_stats(&ops, &cfg),
-            solve_backtracking_with_stats(&t, Addr::ZERO, &cfg)
-        );
-        assert_eq!(precheck_ops(&ops), None);
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub fn minimize_incoherent_core(instance: &AddrOps, cfg: &ExplainConfig) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backtrack::solve_backtracking;
+    use crate::backtrack::solve_backtracking_ops_with_stats;
     use vermem_trace::{Addr, Op, Trace, TraceBuilder};
 
     fn core_of(trace: &Trace) -> MinimalCore {
@@ -191,8 +191,10 @@ mod tests {
                 b = b.proc(ops);
             }
             let t2 = b.build();
+            let (verdict, _) =
+                solve_backtracking_ops_with_stats(&AddrOps::of(&t2, Addr::ZERO), &search);
             assert!(
-                solve_backtracking(&t2, Addr::ZERO, &search).is_coherent(),
+                verdict.is_coherent(),
                 "removing op {skip} should make the core coherent"
             );
         }

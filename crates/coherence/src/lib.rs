@@ -29,10 +29,9 @@
 //! (each module's `applicable_ops` predicate on the instance) and
 //! dispatches to the first that applies, else to the general case;
 //! [`verify_execution`] applies it per address, which by the definition in
-//! §3 decides coherence of the whole execution. The paper-level
-//! `(trace, addr)` entries [`verify`], [`solve_backtracking`],
-//! [`solve_with_write_order`] and [`solve_sat_certified`] index the
-//! address and run the same deciders.
+//! §3 decides coherence of the whole execution. [`verify`] is the one
+//! `(trace, addr)` convenience: it indexes the address and dispatches the
+//! same way.
 //!
 //! ## Tiered verification
 //!
@@ -116,9 +115,7 @@ mod verdict;
 pub mod windows;
 pub mod write_order;
 
-pub use backtrack::{
-    solve_backtracking, solve_backtracking_with_stats, PruneConfig, SearchConfig, SearchStats,
-};
+pub use backtrack::{PruneConfig, SearchConfig, SearchStats};
 pub use closure::{ClosureOutcome, Tier, TierStats};
 pub use explain::{minimize_incoherent_core, ExplainConfig, MinimalCore};
 pub use kernel::{KernelConfig, KernelOutcome, TransitionSystem};
@@ -435,7 +432,7 @@ pub fn verify_execution_with(trace: &Trace, verifier: &VmcVerifier) -> Execution
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vermem_trace::{check_coherent_schedule, Op, TraceBuilder};
+    use vermem_trace::{check_coherent_schedule_ops, AddrIndex, Op, TraceBuilder};
 
     fn select(v: &VmcVerifier, t: &Trace) -> Algorithm {
         v.select_ops(&AddrOps::of(t, Addr::ZERO))
@@ -499,8 +496,9 @@ mod tests {
         match verify_execution(&t) {
             ExecutionVerdict::Coherent(w) => {
                 assert_eq!(w.len(), 2);
+                let index = AddrIndex::build(&t);
                 for (&addr, s) in &w {
-                    check_coherent_schedule(&t, addr, s).unwrap();
+                    check_coherent_schedule_ops(index.get(addr).unwrap(), s).unwrap();
                 }
             }
             other => panic!("expected coherent, got {other:?}"),

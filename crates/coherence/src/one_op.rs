@@ -96,7 +96,7 @@ pub fn solve_one_op_ops(indexed: &AddrOps) -> Verdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backtrack::{solve_backtracking, SearchConfig};
+    use crate::backtrack::{solve_backtracking_ops_with_stats, SearchConfig};
     use vermem_trace::{check_coherent_schedule, Addr, Op, Trace, TraceBuilder};
 
     fn applicable(t: &Trace, addr: Addr) -> bool {
@@ -203,7 +203,8 @@ mod tests {
                 t.set_final(0u32, rng.gen_range(0..3u64));
             }
             let fast = solve_one_op(&t, Addr::ZERO);
-            let exact = solve_backtracking(&t, Addr::ZERO, &SearchConfig::default());
+            let ops = AddrOps::of(&t, Addr::ZERO);
+            let (exact, _) = solve_backtracking_ops_with_stats(&ops, &SearchConfig::default());
             assert_eq!(
                 fast.is_coherent(),
                 exact.is_coherent(),

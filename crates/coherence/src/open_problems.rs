@@ -10,9 +10,9 @@
 //! absence of blow-up here is *evidence* (not proof) in the tractable
 //! direction.
 
-use crate::backtrack::{solve_backtracking_with_stats, SearchConfig};
+use crate::backtrack::{solve_backtracking_ops_with_stats, SearchConfig};
 use vermem_trace::classify::{InstanceProfile, KnownComplexity};
-use vermem_trace::{Addr, Op, ProcessHistory, Trace};
+use vermem_trace::{Addr, AddrOps, Op, ProcessHistory, Trace};
 use vermem_util::rng::{SliceRandom, StdRng};
 
 /// Which open cell of Figure 5.3 to generate.
@@ -155,12 +155,13 @@ pub fn probe_open_cell(
     let mut incoherent = 0;
     for i in 0..samples {
         let trace = gen_open_instance(cell, procs, seed.wrapping_add(i));
+        let ops = AddrOps::of(&trace, Addr::ZERO);
         debug_assert_eq!(
-            InstanceProfile::of(&trace, Addr::ZERO).known_complexity(),
+            InstanceProfile::of_ops(&ops).known_complexity(),
             KnownComplexity::Open,
             "generator escaped the open cell"
         );
-        let (verdict, stats) = solve_backtracking_with_stats(&trace, Addr::ZERO, &cfg);
+        let (verdict, stats) = solve_backtracking_ops_with_stats(&ops, &cfg);
         max_states = max_states.max(stats.states);
         match verdict {
             crate::Verdict::Coherent(_) => coherent += 1,
@@ -179,7 +180,7 @@ mod tests {
     fn generators_stay_inside_their_cells() {
         for seed in 0..40 {
             let t = gen_open_instance(OpenCell::TwoSimpleOpsPerProc, 5, seed);
-            let p = InstanceProfile::of(&t, Addr::ZERO);
+            let p = InstanceProfile::of_ops(&AddrOps::of(&t, Addr::ZERO));
             assert!(p.max_ops_per_proc <= 2);
             assert!(p.max_writes_per_value <= 2);
             assert_eq!(
@@ -189,7 +190,7 @@ mod tests {
             );
 
             let t = gen_open_instance(OpenCell::RmwTwoWritesPerValue, 4, seed);
-            let p = InstanceProfile::of(&t, Addr::ZERO);
+            let p = InstanceProfile::of_ops(&AddrOps::of(&t, Addr::ZERO));
             assert!(p.max_writes_per_value <= 2, "seed {seed}");
             assert_eq!(
                 p.known_complexity(),

@@ -202,7 +202,7 @@ fn bucket(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backtrack::{solve_backtracking, SearchConfig};
+    use crate::backtrack::{solve_backtracking_ops_with_stats, SearchConfig};
     use vermem_trace::{check_coherent_schedule, Addr, Trace, TraceBuilder};
 
     fn applicable(t: &Trace, addr: Addr) -> bool {
@@ -248,7 +248,8 @@ mod tests {
             v.violation().unwrap().kind,
             ViolationKind::PrecedenceCycle { .. }
         ));
-        let exact = solve_backtracking(&t, Addr::ZERO, &SearchConfig::default());
+        let ops = AddrOps::of(&t, Addr::ZERO);
+        let (exact, _) = solve_backtracking_ops_with_stats(&ops, &SearchConfig::default());
         assert!(exact.is_incoherent());
     }
 
@@ -343,11 +344,12 @@ mod tests {
                 b = b.proc(ops);
             }
             let t = b.build();
-            if !applicable(&t, Addr::ZERO) {
+            let ops = AddrOps::of(&t, Addr::ZERO);
+            if !applicable_ops(&ops) {
                 continue;
             }
             let fast = solve_readmap(&t, Addr::ZERO);
-            let exact = solve_backtracking(&t, Addr::ZERO, &SearchConfig::default());
+            let (exact, _) = solve_backtracking_ops_with_stats(&ops, &SearchConfig::default());
             assert_eq!(
                 fast.is_coherent(),
                 exact.is_coherent(),

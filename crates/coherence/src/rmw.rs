@@ -193,7 +193,7 @@ pub fn solve_rmw_readmap_ops(indexed: &AddrOps) -> Verdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backtrack::{solve_backtracking, SearchConfig};
+    use crate::backtrack::{solve_backtracking_ops_with_stats, SearchConfig};
     use vermem_trace::{check_coherent_schedule, Addr, Op, Trace, TraceBuilder};
 
     fn one_op_applicable(t: &Trace, addr: Addr) -> bool {
@@ -342,7 +342,8 @@ mod tests {
             }
             let t = b.build();
             let fast = solve_rmw_one_op(&t, Addr::ZERO);
-            let exact = solve_backtracking(&t, Addr::ZERO, &SearchConfig::default());
+            let ops = AddrOps::of(&t, Addr::ZERO);
+            let (exact, _) = solve_backtracking_ops_with_stats(&ops, &SearchConfig::default());
             assert_eq!(
                 fast.is_coherent(),
                 exact.is_coherent(),
@@ -371,11 +372,12 @@ mod tests {
                 b = b.proc(h);
             }
             let t = b.build();
-            if !readmap_applicable(&t, Addr::ZERO) {
+            let ops = AddrOps::of(&t, Addr::ZERO);
+            if !readmap_applicable_ops(&ops) {
                 continue;
             }
             let fast = solve_rmw_readmap(&t, Addr::ZERO);
-            let exact = solve_backtracking(&t, Addr::ZERO, &SearchConfig::default());
+            let (exact, _) = solve_backtracking_ops_with_stats(&ops, &SearchConfig::default());
             assert_eq!(
                 fast.is_coherent(),
                 exact.is_coherent(),

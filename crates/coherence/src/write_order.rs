@@ -11,27 +11,23 @@
 use crate::backtrack::precheck_ops;
 use crate::verdict::{Verdict, Violation, ViolationKind};
 use std::collections::HashMap;
-use vermem_trace::{check_coherent_schedule_ops, Addr, AddrOps, OpRef, Schedule, Trace, Value};
+use vermem_trace::{check_coherent_schedule_ops, AddrOps, Op, OpRef, Schedule, Value};
 
-/// Decide coherence at `addr` given the order in which the write-capable
-/// operations (writes and RMWs) executed. Runs in O(n²); O(n) when every
-/// operation is an RMW.
+/// Decide coherence of one address's VMC instance given the order in which
+/// its write-capable operations (writes and RMWs) executed. Runs in O(n²);
+/// O(n) when every operation is an RMW.
 ///
-/// `write_order` must list exactly the write-capable operations of `trace`
-/// at `addr`; an order that omits writes, repeats them, or contradicts
+/// `write_order` must list exactly the write-capable operations of
+/// `instance`; an order that omits writes, repeats them, or contradicts
 /// program order yields [`ViolationKind::InvalidWriteOrder`].
-pub fn solve_with_write_order(trace: &Trace, addr: Addr, write_order: &[OpRef]) -> Verdict {
-    let instance = AddrOps::of(trace, addr);
+pub fn solve_with_write_order(instance: &AddrOps, write_order: &[OpRef]) -> Verdict {
+    let addr = instance.addr();
     // Validate coverage: exactly the write-capable ops at this address.
-    let mut expected: Vec<OpRef> = instance
-        .iter()
-        .filter(|(_, op)| op.is_writing())
-        .map(|(r, _)| r)
-        .collect();
+    // `writes` is sorted by ref, since `iter` runs in program order.
+    let writes: Vec<(OpRef, Op)> = instance.iter().filter(|(_, op)| op.is_writing()).collect();
     let mut given: Vec<OpRef> = write_order.to_vec();
-    expected.sort_unstable();
     given.sort_unstable();
-    if expected != given {
+    if !writes.iter().map(|&(r, _)| r).eq(given) {
         return Verdict::Incoherent(Violation {
             addr,
             kind: ViolationKind::InvalidWriteOrder {
@@ -39,11 +35,15 @@ pub fn solve_with_write_order(trace: &Trace, addr: Addr, write_order: &[OpRef]) 
                     "order lists {} operations, trace has {} write-capable operations \
                      at this address (or the sets differ)",
                     write_order.len(),
-                    expected.len()
+                    writes.len()
                 ),
             },
         });
     }
+    let op_of = |w: OpRef| {
+        let i = writes.binary_search_by_key(&w, |&(r, _)| r);
+        writes[i.expect("validated")].1
+    };
     // Validate program order within each process.
     let mut last_index: HashMap<u16, u32> = HashMap::new();
     for &r in write_order {
@@ -67,7 +67,7 @@ pub fn solve_with_write_order(trace: &Trace, addr: Addr, write_order: &[OpRef]) 
         last_index.insert(r.proc.0, r.index);
     }
 
-    if let Some(v) = precheck_ops(&instance) {
+    if let Some(v) = precheck_ops(instance) {
         return Verdict::Incoherent(v);
     }
 
@@ -78,8 +78,7 @@ pub fn solve_with_write_order(trace: &Trace, addr: Addr, write_order: &[OpRef]) 
     let mut value_at_slot: Vec<Value> = Vec::with_capacity(m + 1);
     value_at_slot.push(initial);
     for &w in write_order {
-        let op = trace.op(w).expect("validated");
-        value_at_slot.push(op.written_value().expect("write-capable"));
+        value_at_slot.push(op_of(w).written_value().expect("write-capable"));
     }
 
     // RMW read components must observe the value at their own slot.
@@ -89,8 +88,7 @@ pub fn solve_with_write_order(trace: &Trace, addr: Addr, write_order: &[OpRef]) 
         position_of.insert(w, j);
     }
     for (j, &w) in write_order.iter().enumerate() {
-        let op = trace.op(w).expect("validated");
-        if let Some(need) = op.read_value() {
+        if let Some(need) = op_of(w).read_value() {
             if value_at_slot[j] != need {
                 return Verdict::Incoherent(Violation {
                     addr,
@@ -187,7 +185,7 @@ pub fn solve_with_write_order(trace: &Trace, addr: Addr, write_order: &[OpRef]) 
     }
     let witness = Schedule::from_refs(refs);
     debug_assert!(
-        check_coherent_schedule_ops(&instance, &witness).is_ok(),
+        check_coherent_schedule_ops(instance, &witness).is_ok(),
         "write-order solver produced invalid witness"
     );
     Verdict::Coherent(witness)
@@ -196,11 +194,22 @@ pub fn solve_with_write_order(trace: &Trace, addr: Addr, write_order: &[OpRef]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backtrack::{solve_backtracking, SearchConfig};
-    use vermem_trace::{check_coherent_schedule, Op, TraceBuilder};
+    use crate::backtrack::{solve_backtracking_ops_with_stats, SearchConfig};
+    use vermem_trace::{Addr, Trace, TraceBuilder};
 
     fn refs(pairs: &[(u16, u32)]) -> Vec<OpRef> {
         pairs.iter().map(|&(p, i)| OpRef::new(p, i)).collect()
+    }
+
+    /// Solve address 0 of `t` under the given write order and check the
+    /// witness of a coherent verdict.
+    fn solve(t: &Trace, order: &[OpRef]) -> Verdict {
+        let ops = AddrOps::of(t, Addr::ZERO);
+        let verdict = solve_with_write_order(&ops, order);
+        if let Some(witness) = verdict.schedule() {
+            check_coherent_schedule_ops(&ops, witness).unwrap();
+        }
+        verdict
     }
 
     #[test]
@@ -210,9 +219,7 @@ mod tests {
             .proc([Op::w(1u64), Op::r(2u64)])
             .proc([Op::w(2u64)])
             .build();
-        let v = solve_with_write_order(&t, Addr::ZERO, &refs(&[(0, 0), (1, 0)]));
-        let s = v.schedule().expect("coherent");
-        check_coherent_schedule(&t, Addr::ZERO, s).unwrap();
+        assert!(solve(&t, &refs(&[(0, 0), (1, 0)])).is_coherent());
     }
 
     #[test]
@@ -223,7 +230,7 @@ mod tests {
             .proc([Op::w(1u64), Op::r(2u64)])
             .proc([Op::w(2u64)])
             .build();
-        let v = solve_with_write_order(&t, Addr::ZERO, &refs(&[(1, 0), (0, 0)]));
+        let v = solve(&t, &refs(&[(1, 0), (0, 0)]));
         assert!(matches!(
             v.violation().unwrap().kind,
             ViolationKind::UnplaceableRead { .. }
@@ -233,7 +240,7 @@ mod tests {
     #[test]
     fn order_violating_program_order_rejected() {
         let t = TraceBuilder::new().proc([Op::w(1u64), Op::w(2u64)]).build();
-        let v = solve_with_write_order(&t, Addr::ZERO, &refs(&[(0, 1), (0, 0)]));
+        let v = solve(&t, &refs(&[(0, 1), (0, 0)]));
         assert!(matches!(
             v.violation().unwrap().kind,
             ViolationKind::InvalidWriteOrder { .. }
@@ -243,7 +250,7 @@ mod tests {
     #[test]
     fn incomplete_order_rejected() {
         let t = TraceBuilder::new().proc([Op::w(1u64), Op::w(2u64)]).build();
-        let v = solve_with_write_order(&t, Addr::ZERO, &refs(&[(0, 0)]));
+        let v = solve(&t, &refs(&[(0, 0)]));
         assert!(matches!(
             v.violation().unwrap().kind,
             ViolationKind::InvalidWriteOrder { .. }
@@ -256,9 +263,9 @@ mod tests {
             .proc([Op::rw(0u64, 1u64)])
             .proc([Op::rw(1u64, 2u64)])
             .build();
-        let ok = solve_with_write_order(&t, Addr::ZERO, &refs(&[(0, 0), (1, 0)]));
+        let ok = solve(&t, &refs(&[(0, 0), (1, 0)]));
         assert!(ok.is_coherent());
-        let bad = solve_with_write_order(&t, Addr::ZERO, &refs(&[(1, 0), (0, 0)]));
+        let bad = solve(&t, &refs(&[(1, 0), (0, 0)]));
         assert!(bad.is_incoherent());
     }
 
@@ -269,8 +276,8 @@ mod tests {
             .proc([Op::w(2u64)])
             .final_value(0u32, 2u64)
             .build();
-        assert!(solve_with_write_order(&t, Addr::ZERO, &refs(&[(0, 0), (1, 0)])).is_coherent());
-        assert!(solve_with_write_order(&t, Addr::ZERO, &refs(&[(1, 0), (0, 0)])).is_incoherent());
+        assert!(solve(&t, &refs(&[(0, 0), (1, 0)])).is_coherent());
+        assert!(solve(&t, &refs(&[(1, 0), (0, 0)])).is_incoherent());
     }
 
     #[test]
@@ -278,7 +285,7 @@ mod tests {
         let t = TraceBuilder::new()
             .proc([Op::r(0u64), Op::w(1u64), Op::r(1u64)])
             .build();
-        let v = solve_with_write_order(&t, Addr::ZERO, &refs(&[(0, 1)]));
+        let v = solve(&t, &refs(&[(0, 1)]));
         assert!(v.is_coherent());
     }
 
@@ -288,7 +295,8 @@ mod tests {
         // exact solver's witness must re-verify via the fast path.
         for seed in 0..15 {
             let (t, _) = vermem_trace::gen::gen_hard_coherent(4, 6, 2, seed);
-            let exact = solve_backtracking(&t, Addr::ZERO, &SearchConfig::default());
+            let ops = AddrOps::of(&t, Addr::ZERO);
+            let (exact, _) = solve_backtracking_ops_with_stats(&ops, &SearchConfig::default());
             let witness = exact.schedule().expect("generated coherent");
             let worder: Vec<OpRef> = witness
                 .refs()
@@ -296,8 +304,10 @@ mod tests {
                 .copied()
                 .filter(|&r| t.op(r).unwrap().is_writing())
                 .collect();
-            let fast = solve_with_write_order(&t, Addr::ZERO, &worder);
-            assert!(fast.is_coherent(), "seed {seed}");
+            assert!(
+                solve_with_write_order(&ops, &worder).is_coherent(),
+                "seed {seed}"
+            );
         }
     }
 
@@ -308,8 +318,6 @@ mod tests {
             .proc([Op::w(1u64)])
             .proc([Op::r(1u64), Op::r(1u64)])
             .build();
-        let v = solve_with_write_order(&t, Addr::ZERO, &refs(&[(0, 0)]));
-        let s = v.schedule().expect("coherent");
-        check_coherent_schedule(&t, Addr::ZERO, s).unwrap();
+        assert!(solve(&t, &refs(&[(0, 0)])).is_coherent());
     }
 }

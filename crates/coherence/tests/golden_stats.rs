@@ -37,13 +37,14 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use vermem_coherence::backtrack::solve_escalated_ops_with_stats;
+use vermem_coherence::backtrack::{
+    solve_backtracking_ops_with_stats, solve_escalated_ops_with_stats,
+};
 use vermem_coherence::closure::{analyze_ops, ClosureOutcome};
 use vermem_coherence::kernel::{run_search, KernelConfig, TransitionSystem};
 use vermem_coherence::readmap::{applicable_ops, solve_readmap_ops};
 use vermem_coherence::{
-    solve_backtracking_with_stats, verify_stream_bytes, PruneConfig, RecorderConfig, SearchConfig,
-    StreamConfig,
+    verify_stream_bytes, PruneConfig, RecorderConfig, SearchConfig, StreamConfig,
 };
 use vermem_reductions::reduce_3sat_rmw;
 use vermem_sat::random::{gen_random_ksat, RandomSatConfig};
@@ -164,8 +165,9 @@ fn render_vmc() -> String {
         ),
     ];
     for (ctx, trace) in &instances {
+        let ops = AddrOps::of(trace, Addr::ZERO);
         for (name, cfg) in &configs {
-            let (verdict, stats) = solve_backtracking_with_stats(trace, Addr::ZERO, cfg);
+            let (verdict, stats) = solve_backtracking_ops_with_stats(&ops, cfg);
             writeln!(out, "{ctx} {name} | {verdict:?} | {stats:?}").unwrap();
         }
     }
@@ -174,9 +176,9 @@ fn render_vmc() -> String {
     // both sides of the 8/9-process key boundary.
     for procs in [8, 9] {
         for seed in 100..112 {
-            let trace = random_trace(procs, seed, &EXTREME_VALUES);
+            let ops = AddrOps::of(&random_trace(procs, seed, &EXTREME_VALUES), Addr::ZERO);
             for (name, cfg) in &configs {
-                let (verdict, stats) = solve_backtracking_with_stats(&trace, Addr::ZERO, cfg);
+                let (verdict, stats) = solve_backtracking_ops_with_stats(&ops, cfg);
                 writeln!(
                     out,
                     "extreme procs={procs} seed={seed} {name} | {verdict:?} | {stats:?}"
@@ -190,9 +192,9 @@ fn render_vmc() -> String {
     // (94 processes): nogoods alone learn and hit here, and the unpruned
     // search runs into its cap.
     let rmw = reduce_3sat_rmw(&gen_random_ksat(&RandomSatConfig::three_sat(3, 5.0, 93))).trace;
+    let rmw = AddrOps::of(&rmw, Addr::ZERO);
     for spec in ["none", "windows", "symmetry", "nogoods", "all"] {
-        let (verdict, stats) =
-            solve_backtracking_with_stats(&rmw, Addr::ZERO, &prune(spec, Some(4096)));
+        let (verdict, stats) = solve_backtracking_ops_with_stats(&rmw, &prune(spec, Some(4096)));
         writeln!(out, "e5.2-overcons {spec} | {verdict:?} | {stats:?}").unwrap();
     }
 
@@ -215,9 +217,9 @@ fn render_vmc() -> String {
     })
     .collect();
     for (ctx, trace) in &hard {
+        let ops = AddrOps::of(trace, Addr::ZERO);
         for spec in ["all", "windows"] {
-            let (verdict, stats) =
-                solve_backtracking_with_stats(trace, Addr::ZERO, &prune(spec, None));
+            let (verdict, stats) = solve_backtracking_ops_with_stats(&ops, &prune(spec, None));
             writeln!(out, "{ctx} {spec} | {verdict:?} | {stats:?}").unwrap();
         }
     }
@@ -227,7 +229,7 @@ fn render_vmc() -> String {
     for budget in [16, 64, 256] {
         for spec in ["none", "symmetry", "nogoods"] {
             let (verdict, stats) =
-                solve_backtracking_with_stats(&rmw, Addr::ZERO, &prune(spec, Some(budget)));
+                solve_backtracking_ops_with_stats(&rmw, &prune(spec, Some(budget)));
             writeln!(
                 out,
                 "e5.2-overcons {spec} budget={budget} | {verdict:?} | {stats:?}"
@@ -235,8 +237,8 @@ fn render_vmc() -> String {
             .unwrap();
         }
         let (ctx, trace) = &hard[2];
-        let (verdict, stats) =
-            solve_backtracking_with_stats(trace, Addr::ZERO, &prune("all", Some(budget)));
+        let ops = AddrOps::of(trace, Addr::ZERO);
+        let (verdict, stats) = solve_backtracking_ops_with_stats(&ops, &prune("all", Some(budget)));
         writeln!(out, "{ctx} all budget={budget} | {verdict:?} | {stats:?}").unwrap();
     }
 

@@ -5,9 +5,10 @@
 //! mutants. A companion differential asserts the monotonicity contract:
 //! pruning only ever removes explored states, never adds them.
 
-use vermem_coherence::{solve_backtracking_with_stats, PruneConfig, SearchConfig, Verdict};
+use vermem_coherence::backtrack::solve_backtracking_ops_with_stats;
+use vermem_coherence::{PruneConfig, SearchConfig, Verdict};
 use vermem_trace::gen::{gen_hard_coherent, gen_sc_trace, inject_violation, GenConfig};
-use vermem_trace::{Addr, Trace};
+use vermem_trace::{Addr, AddrIndex, AddrOps, Trace};
 use vermem_util::prop::PropConfig;
 use vermem_util::rng::StdRng;
 use vermem_util::{prop_assert, prop_check};
@@ -28,14 +29,14 @@ fn cfg_with(prune: PruneConfig) -> SearchConfig {
     }
 }
 
-/// Check one (trace, addr): every combo agrees with the unpruned baseline
-/// on the verdict class, on the violation when incoherent, and explores at
+/// Check one address: every combo agrees with the unpruned baseline on
+/// the verdict class, on the violation when incoherent, and explores at
 /// most as many states.
-fn assert_combo_parity(trace: &Trace, addr: Addr, ctx: &str) {
+fn assert_combo_parity(ops: &AddrOps, ctx: &str) {
     let (base_verdict, base_stats) =
-        solve_backtracking_with_stats(trace, addr, &cfg_with(PruneConfig::none()));
+        solve_backtracking_ops_with_stats(ops, &cfg_with(PruneConfig::none()));
     for combo in all_combos() {
-        let (verdict, stats) = solve_backtracking_with_stats(trace, addr, &cfg_with(combo));
+        let (verdict, stats) = solve_backtracking_ops_with_stats(ops, &cfg_with(combo));
         match (&base_verdict, &verdict) {
             (Verdict::Coherent(_), Verdict::Coherent(_)) => {}
             (Verdict::Incoherent(a), Verdict::Incoherent(b)) => {
@@ -72,8 +73,8 @@ fn prop_all_combos_agree_on_coherent_traces() {
         PropConfig::with_cases(48),
         |rng, size| gen_sc_trace(&arb_gen_config(rng, size)).0,
         |trace: &Trace| {
-            for addr in trace.addresses() {
-                assert_combo_parity(trace, addr, "coherent");
+            for ops in AddrIndex::build(trace).iter() {
+                assert_combo_parity(ops, "coherent");
             }
             Ok(())
         }
@@ -96,8 +97,8 @@ fn prop_all_combos_agree_on_fault_injected_traces() {
             let Some((mutated, _)) = inject_violation(trace, *kind, *seed) else {
                 return Ok(()); // no eligible site — vacuously fine
             };
-            for addr in mutated.addresses() {
-                assert_combo_parity(&mutated, addr, "injected");
+            for ops in AddrIndex::build(&mutated).iter() {
+                assert_combo_parity(ops, "injected");
             }
             prop_assert!(true);
             Ok(())
@@ -111,7 +112,8 @@ fn prop_all_combos_agree_on_fault_injected_traces() {
 fn hard_coherent_instances_keep_parity_and_monotonicity() {
     for seed in 0..6u64 {
         let (trace, _) = gen_hard_coherent(4, 7, 2, seed);
-        assert_combo_parity(&trace, Addr::ZERO, &format!("hard seed {seed}"));
+        let ops = AddrOps::of(&trace, Addr::ZERO);
+        assert_combo_parity(&ops, &format!("hard seed {seed}"));
     }
 }
 
@@ -123,8 +125,9 @@ fn hard_coherent_instances_keep_parity_and_monotonicity() {
 fn prune_counters_are_gated_by_their_technique() {
     for seed in 0..4u64 {
         let (trace, _) = gen_hard_coherent(4, 7, 2, seed);
+        let ops = AddrOps::of(&trace, Addr::ZERO);
         for combo in all_combos() {
-            let (_, stats) = solve_backtracking_with_stats(&trace, Addr::ZERO, &cfg_with(combo));
+            let (_, stats) = solve_backtracking_ops_with_stats(&ops, &cfg_with(combo));
             assert_eq!(
                 stats.memo_misses, stats.states,
                 "memo discipline broken under {combo:?}"

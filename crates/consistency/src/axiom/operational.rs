@@ -947,8 +947,9 @@ mod tests {
                     seed: seed as u64,
                     ..Default::default()
                 });
-                assert!(trace.max_ops_per_proc() > ops / procs / 2);
-                assert!(procs > 2 || trace.max_ops_per_proc() > 255);
+                let longest = trace.histories().iter().map(|h| h.len()).max().unwrap();
+                assert!(longest > ops / procs / 2);
+                assert!(procs > 2 || longest > 255);
                 assert!(tally(walk(&trace, kind, 5000, &mut rng)) >= min_words);
             }
         }

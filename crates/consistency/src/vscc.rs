@@ -162,7 +162,7 @@ pub fn misleading_merge_example() -> (Trace, BTreeMap<Addr, Schedule>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vermem_trace::{check_coherent_schedule, Op, TraceBuilder};
+    use vermem_trace::{check_coherent_schedule_ops, AddrIndex, Op, TraceBuilder};
 
     #[test]
     fn pipeline_fast_merge_on_sc_trace() {
@@ -205,8 +205,9 @@ mod tests {
     fn misleading_example_is_sound() {
         let (t, adversarial) = misleading_merge_example();
         // The adversarial schedules are genuinely coherent per address...
+        let index = AddrIndex::build(&t);
         for (&addr, s) in &adversarial {
-            check_coherent_schedule(&t, addr, s)
+            check_coherent_schedule_ops(index.get(addr).unwrap(), s)
                 .unwrap_or_else(|e| panic!("schedule for {addr:?} invalid: {e}"));
         }
         // ...but they do not merge...

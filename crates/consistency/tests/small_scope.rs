@@ -15,17 +15,24 @@
 //!   default VMC dispatcher, the unpruned backtracking search, certified
 //!   SAT, every outcome the closure frontline decides, every Figure 5.3
 //!   fast path on each trace its own predicate admits, and compiled
-//!   Coherence agree.
+//!   Coherence agree. On the same space the stream engine, on each
+//!   trace's v2 encoding at windows 1 and unbounded, reports the batch
+//!   verdict, `SearchStats` and tier counts, and the §5.2 placement
+//!   monitor (`OnlineVerifier`), fed the operations in process-major
+//!   order, decides as `solve_with_write_order` does given the writes in
+//!   that order.
 
 use vermem_coherence::closure::{analyze_ops, ClosureOutcome};
 use vermem_coherence::{
-    one_op, readmap, rmw, solve_sat_certified, verify_execution, PruneConfig, SearchConfig,
-    Strategy, Verdict, VmcVerifier,
+    one_op, readmap, rmw, solve_sat_ops, solve_with_write_order, verify_execution,
+    verify_execution_par, verify_stream_bytes, OnlineVerifier, PruneConfig, SearchConfig, Strategy,
+    StreamConfig, Verdict, VmcVerifier,
 };
 use vermem_consistency::oracle::serializes;
 use vermem_consistency::{verify_axiom, AxiomConfig, ConsistencyVerdict, Engine, ModelId};
+use vermem_trace::binary::encode_trace;
 use vermem_trace::gen::{small_traces, SmallScope};
-use vermem_trace::{check_coherent_schedule, Addr, AddrOps, Trace};
+use vermem_trace::{check_coherent_schedule_ops, Addr, AddrOps, Trace};
 
 fn compiled(trace: &Trace, id: ModelId) -> ConsistencyVerdict {
     verify_axiom(trace, id, &AxiomConfig::default()).verdict
@@ -111,7 +118,7 @@ fn vmc_space_every_decider_agrees() {
         let ok = decided(VmcVerifier::new().verify_ops(&ops).0);
         coherent += usize::from(ok);
         assert_eq!(decided(unpruned.verify_ops(&ops).0), ok, "{t:?}");
-        assert_eq!(decided(solve_sat_certified(t, Addr::ZERO)), ok, "{t:?}");
+        assert_eq!(decided(solve_sat_ops(&ops)), ok, "{t:?}");
         assert_eq!(
             compiled(t, ModelId::CoherenceOnly).is_consistent(),
             ok,
@@ -122,7 +129,7 @@ fn vmc_space_every_decider_agrees() {
                 *n += 1;
                 let v = solve(&ops);
                 if let Some(s) = v.schedule() {
-                    check_coherent_schedule(t, Addr::ZERO, s).unwrap();
+                    check_coherent_schedule_ops(&ops, s).unwrap();
                 }
                 assert_eq!(decided(v), ok, "{t:?}");
             }
@@ -130,7 +137,7 @@ fn vmc_space_every_decider_agrees() {
         match analyze_ops(&ops).0 {
             ClosureOutcome::Coherent(s) => {
                 assert!(ok, "{t:?}");
-                check_coherent_schedule(t, Addr::ZERO, &s).unwrap();
+                check_coherent_schedule_ops(&ops, &s).unwrap();
             }
             ClosureOutcome::Violation(_) => assert!(!ok, "{t:?}"),
             ClosureOutcome::Escalate(_) => {}
@@ -138,4 +145,48 @@ fn vmc_space_every_decider_agrees() {
     });
     assert_eq!((traces, coherent), (80_997, 10_219));
     assert_eq!(applicable, [49, 772, 115, 18]);
+}
+
+#[test]
+fn vmc_space_stream_engine_and_monitor_agree() {
+    let stream = |window| StreamConfig {
+        window,
+        jobs: 1,
+        temporal: false,
+        verifier: VmcVerifier::new(),
+        ..StreamConfig::default()
+    };
+    let (mut traces, mut clean) = (0, 0);
+    space(4, 1, 3, |t| {
+        traces += 1;
+        let batch = verify_execution_par(t, &VmcVerifier::new(), 1);
+        let bytes = encode_trace(t);
+        for window in [Some(1), None] {
+            let report = verify_stream_bytes(&bytes, stream(window)).expect("decode");
+            assert!(
+                report.verdict.matches_batch(&batch.verdict),
+                "{window:?}: {t:?}"
+            );
+            assert_eq!(report.stats, batch.stats, "{window:?}: {t:?}");
+            assert_eq!(report.tiers, batch.tiers, "{window:?}: {t:?}");
+        }
+        // Process-major order: the writes commit in that order too.
+        let ops = AddrOps::of(t, Addr::ZERO);
+        let mut online = OnlineVerifier::new();
+        for (r, op) in ops.iter() {
+            online.observe(r.proc, op);
+        }
+        let online_clean = online.finish().is_empty();
+        let writes: Vec<_> = ops
+            .iter()
+            .filter(|(_, op)| op.is_writing())
+            .map(|(r, _)| r)
+            .collect();
+        let offline = solve_with_write_order(&ops, &writes);
+        assert_eq!(online_clean, offline.is_coherent(), "{t:?}");
+        // A schedule that honours some write order is a coherent schedule.
+        assert!(!online_clean || batch.verdict.is_coherent(), "{t:?}");
+        clean += usize::from(online_clean);
+    });
+    assert_eq!((traces, clean), (80_997, 5_819));
 }

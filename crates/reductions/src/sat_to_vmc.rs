@@ -139,10 +139,11 @@ pub fn example_fig_4_2() -> VmcReduction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vermem_coherence::{solve_backtracking, solve_sat_certified, SearchConfig, Verdict};
+    use vermem_coherence::backtrack::solve_backtracking_ops_with_stats;
+    use vermem_coherence::{solve_sat_ops, SearchConfig, Verdict};
     use vermem_sat::random::{gen_forced_sat, RandomSatConfig};
     use vermem_sat::{solve_cdcl, Lit};
-    use vermem_trace::Addr;
+    use vermem_trace::{Addr, AddrOps};
 
     fn cnf(clauses: &[&[i64]]) -> Cnf {
         let mut f = Cnf::new();
@@ -153,7 +154,8 @@ mod tests {
     }
 
     fn vmc_coherent(trace: &Trace) -> Verdict {
-        solve_backtracking(trace, Addr::ZERO, &SearchConfig::default())
+        let ops = AddrOps::of(trace, Addr::ZERO);
+        solve_backtracking_ops_with_stats(&ops, &SearchConfig::default()).0
     }
 
     #[test]
@@ -231,7 +233,7 @@ mod tests {
             assert!(solve_cdcl(&f).is_sat(), "formula should be SAT");
             let red = reduce_sat_to_vmc(&f);
             assert!(vmc_coherent(&red.trace).is_coherent());
-            assert!(solve_sat_certified(&red.trace, Addr::ZERO).is_coherent());
+            assert!(solve_sat_ops(&AddrOps::of(&red.trace, Addr::ZERO)).is_coherent());
         }
     }
 

@@ -194,9 +194,10 @@ pub fn clause_contains(clause: &[Lit], var: Var, positive: bool) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vermem_coherence::{solve_backtracking, SearchConfig};
+    use vermem_coherence::backtrack::solve_backtracking_ops_with_stats;
+    use vermem_coherence::SearchConfig;
     use vermem_trace::classify::{InstanceProfile, OpMix};
-    use vermem_trace::Addr;
+    use vermem_trace::{Addr, AddrOps};
 
     fn cnf(clauses: &[&[i64]]) -> Cnf {
         let mut f = Cnf::new();
@@ -207,14 +208,17 @@ mod tests {
     }
 
     fn coherent(trace: &Trace) -> bool {
-        solve_backtracking(trace, Addr::ZERO, &SearchConfig::default()).is_coherent()
+        let ops = AddrOps::of(trace, Addr::ZERO);
+        solve_backtracking_ops_with_stats(&ops, &SearchConfig::default())
+            .0
+            .is_coherent()
     }
 
     #[test]
     fn meets_figure_5_1_restrictions() {
         let f = cnf(&[&[1, 2, 3], &[-1, -2], &[2, -3], &[3]]);
         let red = reduce_3sat_restricted(&f);
-        let profile = InstanceProfile::of(&red.trace, Addr::ZERO);
+        let profile = InstanceProfile::of_ops(&AddrOps::of(&red.trace, Addr::ZERO));
         assert!(profile.max_ops_per_proc <= 3, "≤3 ops per process required");
         assert!(
             profile.max_writes_per_value <= 2,
@@ -283,7 +287,7 @@ mod tests {
         let f = cnf(&[&[1], &[-1, 2], &[1, -2, 3]]);
         let red = reduce_3sat_restricted(&f);
         assert!(coherent(&red.trace));
-        let profile = InstanceProfile::of(&red.trace, Addr::ZERO);
+        let profile = InstanceProfile::of_ops(&AddrOps::of(&red.trace, Addr::ZERO));
         assert!(profile.max_writes_per_value <= 2);
     }
 

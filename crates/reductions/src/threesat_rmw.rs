@@ -167,9 +167,10 @@ pub fn reduce_3sat_rmw(cnf: &Cnf) -> Rmw3SatReduction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vermem_coherence::{solve_backtracking, SearchConfig};
+    use vermem_coherence::backtrack::solve_backtracking_ops_with_stats;
+    use vermem_coherence::SearchConfig;
     use vermem_trace::classify::{InstanceProfile, OpMix};
-    use vermem_trace::Addr;
+    use vermem_trace::{Addr, AddrOps};
 
     fn cnf(clauses: &[&[i64]]) -> Cnf {
         let mut f = Cnf::new();
@@ -180,14 +181,17 @@ mod tests {
     }
 
     fn coherent(trace: &Trace) -> bool {
-        solve_backtracking(trace, Addr::ZERO, &SearchConfig::default()).is_coherent()
+        let ops = AddrOps::of(trace, Addr::ZERO);
+        solve_backtracking_ops_with_stats(&ops, &SearchConfig::default())
+            .0
+            .is_coherent()
     }
 
     #[test]
     fn meets_figure_5_2_restrictions() {
         let f = cnf(&[&[1, 2, 3], &[-1, -2], &[2, -3], &[3]]);
         let red = reduce_3sat_rmw(&f);
-        let profile = InstanceProfile::of(&red.trace, Addr::ZERO);
+        let profile = InstanceProfile::of_ops(&AddrOps::of(&red.trace, Addr::ZERO));
         assert_eq!(profile.mix, OpMix::RmwOnly, "only RMW operations allowed");
         assert!(
             profile.max_ops_per_proc <= 2,

@@ -471,9 +471,11 @@ mod tests {
             seed: 4,
         });
         let cap = DirectoryMachine::run(&p, DirectoryConfig::default());
+        let index = vermem_trace::AddrIndex::build(&cap.trace);
         for (addr, order) in &cap.write_order {
+            let ops = index.get(*addr).expect("a written address is indexed");
             assert!(
-                vermem_coherence::solve_with_write_order(&cap.trace, *addr, order).is_coherent(),
+                vermem_coherence::solve_with_write_order(ops, order).is_coherent(),
                 "directory write order must verify at {addr:?}"
             );
         }

@@ -4,7 +4,10 @@
 //! positives on healthy runs.
 
 use vermem_coherence::{solve_with_write_order, verify_execution, Verdict};
-use vermem_sim::{random_program, FaultKind, FaultPlan, Machine, MachineConfig, WorkloadConfig};
+use vermem_sim::{
+    random_program, CapturedExecution, FaultKind, FaultPlan, Machine, MachineConfig, WorkloadConfig,
+};
+use vermem_trace::AddrIndex;
 
 fn workload(seed: u64) -> vermem_sim::Program {
     random_program(&WorkloadConfig {
@@ -147,14 +150,24 @@ fn write_order_capture_verifies_healthy_runs_in_polynomial_time() {
                 ..Default::default()
             },
         );
+        let index = AddrIndex::build(&cap.trace);
         for (addr, order) in &cap.write_order {
-            let verdict = solve_with_write_order(&cap.trace, *addr, order);
+            let verdict = solve_with_write_order(index.get(*addr).unwrap(), order);
             assert!(
                 matches!(verdict, Verdict::Coherent(_)),
                 "write-order fast path must accept healthy runs (seed {seed}, {addr:?})"
             );
         }
     }
+}
+
+/// True iff every address verifies under the machine's committed write
+/// order (§5.2), over one index of the trace.
+fn write_orders_verify(cap: &CapturedExecution) -> bool {
+    let index = AddrIndex::build(&cap.trace);
+    cap.write_order
+        .iter()
+        .all(|(addr, order)| solve_with_write_order(index.get(*addr).unwrap(), order).is_coherent())
 }
 
 #[test]
@@ -172,10 +185,7 @@ fn write_order_capture_flags_faulty_runs() {
                 ..Default::default()
             },
         );
-        let flagged =
-            cap.write_order.iter().any(|(addr, order)| {
-                !solve_with_write_order(&cap.trace, *addr, order).is_coherent()
-            }) || !verify_execution(&cap.trace).is_coherent();
+        let flagged = !write_orders_verify(&cap) || !verify_execution(&cap.trace).is_coherent();
         if flagged {
             hits += 1;
         }
@@ -194,10 +204,7 @@ fn detection_agrees_between_exact_and_write_order_paths_on_healthy_runs() {
             },
         );
         let exact = verify_execution(&cap.trace).is_coherent();
-        let fast = cap
-            .write_order
-            .iter()
-            .all(|(addr, order)| solve_with_write_order(&cap.trace, *addr, order).is_coherent());
+        let fast = write_orders_verify(&cap);
         // The write-order path is *stricter* (it checks the specific
         // hardware order); on healthy runs both must accept.
         assert!(exact && fast, "seed {seed}");

@@ -7,7 +7,7 @@ use vermem_consistency::{verify_axiom, AxiomConfig, ConsistencyVerdict, ModelId}
 use vermem_sim::{
     DirectoryConfig, DirectoryMachine, Instr, Machine, MachineConfig, Program, RmwKind,
 };
-use vermem_trace::{Addr, Trace, Value};
+use vermem_trace::{Addr, AddrIndex, Trace, Value};
 use vermem_util::prop::PropConfig;
 use vermem_util::rng::StdRng;
 use vermem_util::{prop_assert, prop_check};
@@ -125,11 +125,10 @@ fn write_orders_reverify_on_both_machines() {
                     ..Default::default()
                 },
             );
+            let index = AddrIndex::build(&snoop.trace);
             for (addr, order) in &snoop.write_order {
-                prop_assert!(
-                    vermem_coherence::solve_with_write_order(&snoop.trace, *addr, order)
-                        .is_coherent()
-                );
+                let ops = index.get(*addr).unwrap();
+                prop_assert!(vermem_coherence::solve_with_write_order(ops, order).is_coherent());
             }
             let dir = DirectoryMachine::run(
                 program,
@@ -138,11 +137,10 @@ fn write_orders_reverify_on_both_machines() {
                     ..Default::default()
                 },
             );
+            let index = AddrIndex::build(&dir.trace);
             for (addr, order) in &dir.write_order {
-                prop_assert!(
-                    vermem_coherence::solve_with_write_order(&dir.trace, *addr, order)
-                        .is_coherent()
-                );
+                let ops = index.get(*addr).unwrap();
+                prop_assert!(vermem_coherence::solve_with_write_order(ops, order).is_coherent());
             }
             Ok(())
         }

@@ -6,8 +6,6 @@
 //! reported as [`KnownComplexity::Open`].
 
 use crate::index::AddrOps;
-use crate::op::Addr;
-use crate::trace::Trace;
 use std::fmt;
 
 /// Operation mix of an instance: simple reads/writes only, RMWs only, or a
@@ -90,14 +88,6 @@ pub enum Fig53Case {
 }
 
 impl InstanceProfile {
-    /// Profile the operations of `trace` at `addr` (a single O(ops at addr)
-    /// pass over a freshly built index entry). When several addresses are
-    /// profiled, build an [`crate::AddrIndex`] once and use
-    /// [`InstanceProfile::of_ops`] per entry instead.
-    pub fn of(trace: &Trace, addr: Addr) -> InstanceProfile {
-        InstanceProfile::of_ops(&AddrOps::of(trace, addr))
-    }
-
     /// Profile a pre-built per-address index entry in O(procs + values):
     /// everything Figure 5.3 conditions on is already cached on the entry.
     pub fn of_ops(ops: &AddrOps) -> InstanceProfile {
@@ -172,8 +162,12 @@ impl InstanceProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::Op;
-    use crate::trace::TraceBuilder;
+    use crate::op::{Addr, Op};
+    use crate::trace::{Trace, TraceBuilder};
+
+    fn profile(t: &Trace) -> InstanceProfile {
+        InstanceProfile::of_ops(&AddrOps::of(t, Addr::ZERO))
+    }
 
     #[test]
     fn profile_counts() {
@@ -182,7 +176,7 @@ mod tests {
             .proc([Op::w(1u64)])
             .proc([])
             .build();
-        let p = InstanceProfile::of(&t, Addr::ZERO);
+        let p = profile(&t);
         assert_eq!(p.num_procs, 2); // empty history not counted
         assert_eq!(p.num_ops, 4);
         assert_eq!(p.max_ops_per_proc, 3);
@@ -191,42 +185,15 @@ mod tests {
     }
 
     #[test]
-    fn of_ops_matches_of_on_random_traces() {
-        use crate::gen::{gen_sc_trace, GenConfig};
-        use crate::index::AddrIndex;
-        for seed in 0..10u64 {
-            let (t, _) = gen_sc_trace(&GenConfig {
-                procs: 3,
-                total_ops: 40,
-                addrs: 4,
-                seed,
-                ..Default::default()
-            });
-            let idx = AddrIndex::build(&t);
-            for ops in idx.iter() {
-                assert_eq!(
-                    InstanceProfile::of_ops(ops),
-                    InstanceProfile::of(&t, ops.addr()),
-                    "addr {:?} seed {seed}",
-                    ops.addr()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn mix_detection() {
         let simple = TraceBuilder::new().proc([Op::w(1u64)]).build();
-        assert_eq!(
-            InstanceProfile::of(&simple, Addr::ZERO).mix,
-            OpMix::SimpleOnly
-        );
+        assert_eq!(profile(&simple).mix, OpMix::SimpleOnly);
         let rmw = TraceBuilder::new().proc([Op::rw(0u64, 1u64)]).build();
-        assert_eq!(InstanceProfile::of(&rmw, Addr::ZERO).mix, OpMix::RmwOnly);
+        assert_eq!(profile(&rmw).mix, OpMix::RmwOnly);
         let mixed = TraceBuilder::new()
             .proc([Op::w(1u64), Op::rw(1u64, 2u64)])
             .build();
-        assert_eq!(InstanceProfile::of(&mixed, Addr::ZERO).mix, OpMix::Mixed);
+        assert_eq!(profile(&mixed).mix, OpMix::Mixed);
     }
 
     #[test]
@@ -235,10 +202,7 @@ mod tests {
             .proc([Op::w(1u64), Op::w(2u64), Op::r(3u64)])
             .proc([Op::w(3u64)])
             .build();
-        assert_eq!(
-            InstanceProfile::of(&t, Addr::ZERO).known_complexity(),
-            KnownComplexity::Linear
-        );
+        assert_eq!(profile(&t).known_complexity(), KnownComplexity::Linear);
     }
 
     #[test]
@@ -249,7 +213,7 @@ mod tests {
             .proc([Op::r(1u64)])
             .build();
         assert_eq!(
-            InstanceProfile::of(&t, Addr::ZERO).known_complexity(),
+            profile(&t).known_complexity(),
             KnownComplexity::Linearithmic
         );
     }
@@ -260,10 +224,7 @@ mod tests {
             .proc([Op::w(1u64), Op::r(1u64)])
             .proc([Op::w(1u64), Op::r(1u64)])
             .build();
-        assert_eq!(
-            InstanceProfile::of(&t, Addr::ZERO).known_complexity(),
-            KnownComplexity::Open
-        );
+        assert_eq!(profile(&t).known_complexity(), KnownComplexity::Open);
     }
 
     #[test]
@@ -273,10 +234,7 @@ mod tests {
             .proc([Op::rw(1u64, 2u64), Op::rw(3u64, 1u64)])
             .build();
         // value 1 written twice, all RMW
-        assert_eq!(
-            InstanceProfile::of(&t, Addr::ZERO).known_complexity(),
-            KnownComplexity::Open
-        );
+        assert_eq!(profile(&t).known_complexity(), KnownComplexity::Open);
     }
 
     #[test]
@@ -285,10 +243,7 @@ mod tests {
             .proc([Op::w(1u64), Op::r(1u64), Op::w(2u64)])
             .proc([Op::w(1u64), Op::r(2u64), Op::w(2u64)])
             .build();
-        assert_eq!(
-            InstanceProfile::of(&t, Addr::ZERO).known_complexity(),
-            KnownComplexity::NpComplete
-        );
+        assert_eq!(profile(&t).known_complexity(), KnownComplexity::NpComplete);
     }
 
     #[test]
@@ -297,7 +252,7 @@ mod tests {
             .proc([Op::w(1u64), Op::r(1u64)])
             .proc([Op::w(1u64)])
             .build();
-        let p = InstanceProfile::of(&t, Addr::ZERO);
+        let p = profile(&t);
         assert_eq!(
             p.cases(),
             vec![Fig53Case::TwoOpsPerProc, Fig53Case::TwoWritesPerValue]

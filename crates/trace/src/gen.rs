@@ -7,6 +7,7 @@
 //! lost writes, corrupted data) — so verifiers can be tested for detection.
 
 use crate::history::ProcessHistory;
+use crate::index::AddrIndex;
 use crate::op::{Addr, Op, OpRef, Value};
 use crate::schedule::Schedule;
 use crate::trace::{Trace, TraceBuilder};
@@ -239,14 +240,15 @@ pub fn inject_violation(
         }
         ViolationKind::LostWrite => {
             // Find a write of a uniquely-written value that some read observes.
+            let index = AddrIndex::build(trace);
             let mut candidates: Vec<OpRef> = Vec::new();
             for (r, op) in trace.iter_ops() {
                 if let Op::Write { addr, value } = op {
-                    let unique = trace.writes_per_value(addr).get(&value) == Some(&1);
-                    let observed = trace.iter_ops().any(|(r2, o2)| {
-                        r2 != r && o2.addr() == addr && o2.read_value() == Some(value)
-                    });
-                    if unique && observed && value != trace.initial(addr) {
+                    let ops = index.get(addr).expect("every written address is indexed");
+                    let observed = ops
+                        .iter()
+                        .any(|(r2, o2)| r2 != r && o2.read_value() == Some(value));
+                    if ops.writes_of(value) == 1 && observed && value != ops.initial() {
                         candidates.push(r);
                     }
                 }
@@ -458,7 +460,7 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{check_sc_schedule, is_coherent_schedule};
+    use crate::schedule::{check_coherent_schedule, check_sc_schedule};
 
     #[test]
     fn generated_trace_is_sc_with_witness() {
@@ -479,13 +481,13 @@ mod tests {
         let cfg = GenConfig::single_address(4, 40, 7);
         let (trace, witness) = gen_sc_trace(&cfg);
         // For a single-address trace the SC witness *is* a coherent schedule.
-        assert!(is_coherent_schedule(&trace, Addr::ZERO, &witness));
+        check_coherent_schedule(&trace, Addr::ZERO, &witness).unwrap();
     }
 
     #[test]
     fn all_rmw_config_generates_only_rmws() {
         let (trace, _) = gen_sc_trace(&GenConfig::all_rmw(2, 20, 3));
-        assert!(trace.is_all_rmw());
+        assert!(trace.iter_ops().all(|(_, op)| op.is_rmw()));
     }
 
     #[test]
@@ -537,6 +539,52 @@ mod tests {
                 || v == mutated.initial(op.addr());
             assert!(legit);
             assert!(!inj.guaranteed);
+        }
+    }
+
+    /// The binary encodings of injected traces are pinned: downstream
+    /// benchmark inputs are built with `inject_violation`, so a change to
+    /// its site choice or mutation must show up here. Each kind hashes
+    /// (FNV-1a) the `encode_trace` bytes, site and guarantee flag of every
+    /// seed over three shapes, one of them with RMWs.
+    #[test]
+    fn injected_trace_encodings_are_pinned() {
+        fn fnv(hash: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *hash = (*hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        let shapes = [(3, 36, 3, 0.0), (4, 40, 1, 0.0), (3, 30, 2, 0.3)];
+        let kinds = [
+            (ViolationKind::CorruptReadValue, 0xac98_a340_c906_f9b7u64),
+            (ViolationKind::StaleRead, 0xd6b6_959d_febf_a704),
+            (ViolationKind::LostWrite, 0x2fde_b9ad_8061_b65d),
+            (ViolationKind::ReorderAdjacent, 0xad8b_e0ff_0fce_3c41),
+        ];
+        for (kind, pinned) in kinds {
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            for &(procs, total_ops, addrs, rmw_fraction) in &shapes {
+                for seed in 0..8u64 {
+                    let (trace, _) = gen_sc_trace(&GenConfig {
+                        procs,
+                        total_ops,
+                        addrs,
+                        rmw_fraction,
+                        seed,
+                        ..Default::default()
+                    });
+                    match inject_violation(&trace, kind, seed ^ 0x5eed) {
+                        Some((bad, inj)) => {
+                            fnv(&mut hash, &crate::binary::encode_trace(&bad));
+                            fnv(&mut hash, &inj.site.proc.0.to_le_bytes());
+                            fnv(&mut hash, &inj.site.index.to_le_bytes());
+                            fnv(&mut hash, &[u8::from(inj.guaranteed)]);
+                        }
+                        None => fnv(&mut hash, b"none"),
+                    }
+                }
+            }
+            assert_eq!(hash, pinned, "{kind:?}: {hash:#018x}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Process histories: the per-processor, program-ordered operation sequences
 //! that make up an execution trace (§3 of the paper).
 
-use crate::op::{Addr, Op, Value};
+use crate::op::{Addr, Op};
 use std::fmt;
 
 /// A sequence of memory operations issued by one process, in program order,
@@ -60,40 +60,6 @@ impl ProcessHistory {
         addrs.sort_unstable();
         addrs.dedup();
         addrs
-    }
-
-    /// A new history containing only the operations to `addr`, preserving
-    /// program order. This is the per-address projection used to turn a
-    /// multi-location trace into single-location VMC instances.
-    pub fn project(&self, addr: Addr) -> ProcessHistory {
-        ProcessHistory {
-            ops: self
-                .ops
-                .iter()
-                .copied()
-                .filter(|o| o.addr() == addr)
-                .collect(),
-        }
-    }
-
-    /// True if every operation in the history is an atomic read-modify-write.
-    pub fn is_all_rmw(&self) -> bool {
-        self.ops.iter().all(|o| o.is_rmw())
-    }
-
-    /// Count of operations with a write component.
-    pub fn write_count(&self) -> usize {
-        self.ops.iter().filter(|o| o.is_writing()).count()
-    }
-
-    /// Count of operations with a read component.
-    pub fn read_count(&self) -> usize {
-        self.ops.iter().filter(|o| o.is_reading()).count()
-    }
-
-    /// All values written by this history (with multiplicity, program order).
-    pub fn written_values(&self) -> impl Iterator<Item = Value> + '_ {
-        self.ops.iter().filter_map(|o| o.written_value())
     }
 
     /// Mutable access for in-place mutation (used by violation injectors).
@@ -159,34 +125,7 @@ mod tests {
     }
 
     #[test]
-    fn projection_preserves_program_order() {
-        let h = sample();
-        let p = h.project(Addr(0));
-        assert_eq!(p.ops(), &[Op::write(0u32, 1u64), Op::rmw(0u32, 1u64, 2u64)]);
-    }
-
-    #[test]
-    fn projection_to_untouched_address_is_empty() {
-        assert!(sample().project(Addr(7)).is_empty());
-    }
-
-    #[test]
     fn addresses_are_sorted_and_deduped() {
         assert_eq!(sample().addresses(), vec![Addr(0), Addr(1)]);
-    }
-
-    #[test]
-    fn counts() {
-        let h = sample();
-        assert_eq!(h.write_count(), 2); // W and RMW
-        assert_eq!(h.read_count(), 2); // R and RMW
-        assert!(!h.is_all_rmw());
-        assert!(ProcessHistory::from_ops([Op::rw(0u64, 1u64)]).is_all_rmw());
-    }
-
-    #[test]
-    fn written_values_includes_rmw_write_component() {
-        let vals: Vec<Value> = sample().written_values().collect();
-        assert_eq!(vals, vec![Value(1), Value(2)]);
     }
 }

@@ -11,7 +11,9 @@
 //! * [process histories](ProcessHistory) — per-processor program-ordered
 //!   operation sequences;
 //! * [traces](Trace) — sets of histories with initial (`d_I`) and final
-//!   (`d_F`) values, with per-address projection;
+//!   (`d_F`) values;
+//! * the [per-address index](index) — one [`AddrOps`] per address, the VMC
+//!   instance of Definition 4.1;
 //! * [schedules](Schedule) — interleavings, plus the polynomial certificate
 //!   checkers of Theorem 4.2 ([`check_coherent_schedule_ops`] on one
 //!   address's [`AddrOps`], [`check_sc_schedule`]);
@@ -30,7 +32,6 @@ pub mod gen;
 mod history;
 pub mod index;
 mod op;
-pub mod readmap_util;
 mod schedule;
 pub mod stats;
 mod trace;
@@ -38,9 +39,8 @@ mod trace;
 pub use history::ProcessHistory;
 pub use index::{AddrIndex, AddrOps};
 pub use op::{Addr, Op, OpRef, ProcId, Value};
-pub use readmap_util::{read_mapping, write_orders, ReadSource};
 pub use schedule::{
-    check_coherent_schedule, check_coherent_schedule_ops, check_sc_schedule, is_coherent_schedule,
-    is_sc_schedule, Schedule, ScheduleError,
+    check_coherent_schedule, check_coherent_schedule_ops, check_sc_schedule, is_sc_schedule,
+    Schedule, ScheduleError,
 };
 pub use trace::{Trace, TraceBuilder};

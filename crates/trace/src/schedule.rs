@@ -203,6 +203,11 @@ fn check_structure(trace: &Trace, schedule: &Schedule) -> Result<(), ScheduleErr
 /// [`check_coherent_schedule_ops`]; a reference the entry lacks is reported
 /// as [`ScheduleError::WrongAddress`] when it names an operation of the
 /// trace at another address.
+///
+/// Every check of several addresses should build one [`crate::AddrIndex`]
+/// and call [`check_coherent_schedule_ops`] per entry instead. This
+/// wrapper stays only because the `vmcbench` harness links it; it goes
+/// when that harness moves to the `_ops` form.
 pub fn check_coherent_schedule(
     trace: &Trace,
     addr: Addr,
@@ -338,11 +343,6 @@ pub fn check_sc_schedule(trace: &Trace, schedule: &Schedule) -> Result<(), Sched
     Ok(())
 }
 
-/// Convenience: true iff the schedule is a coherent schedule for `addr`.
-pub fn is_coherent_schedule(trace: &Trace, addr: Addr, schedule: &Schedule) -> bool {
-    check_coherent_schedule(trace, addr, schedule).is_ok()
-}
-
 /// Convenience: true iff the schedule is sequentially consistent.
 pub fn is_sc_schedule(trace: &Trace, schedule: &Schedule) -> bool {
     check_sc_schedule(trace, schedule).is_ok()
@@ -369,11 +369,7 @@ mod tests {
     #[test]
     fn accepts_valid_coherent_schedule() {
         let t = simple();
-        assert!(is_coherent_schedule(
-            &t,
-            Addr::ZERO,
-            &sched(&[(0, 0), (1, 0)])
-        ));
+        assert!(check_coherent_schedule(&t, Addr::ZERO, &sched(&[(0, 0), (1, 0)])).is_ok());
     }
 
     #[test]
@@ -423,11 +419,7 @@ mod tests {
             .proc([Op::r(7u64), Op::w(1u64)])
             .initial(0u32, 7u64)
             .build();
-        assert!(is_coherent_schedule(
-            &t,
-            Addr::ZERO,
-            &sched(&[(0, 0), (0, 1)])
-        ));
+        assert!(check_coherent_schedule(&t, Addr::ZERO, &sched(&[(0, 0), (0, 1)])).is_ok());
     }
 
     #[test]
@@ -454,16 +446,8 @@ mod tests {
             .proc([Op::rw(0u64, 1u64)])
             .proc([Op::rw(1u64, 2u64)])
             .build();
-        assert!(is_coherent_schedule(
-            &t,
-            Addr::ZERO,
-            &sched(&[(0, 0), (1, 0)])
-        ));
-        assert!(!is_coherent_schedule(
-            &t,
-            Addr::ZERO,
-            &sched(&[(1, 0), (0, 0)])
-        ));
+        assert!(check_coherent_schedule(&t, Addr::ZERO, &sched(&[(0, 0), (1, 0)])).is_ok());
+        assert!(check_coherent_schedule(&t, Addr::ZERO, &sched(&[(1, 0), (0, 0)])).is_err());
     }
 
     #[test]

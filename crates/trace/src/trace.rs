@@ -113,69 +113,6 @@ impl Trace {
         addrs
     }
 
-    /// True if the trace touches at most one address (a VMC instance).
-    pub fn is_single_address(&self) -> bool {
-        self.addresses().len() <= 1
-    }
-
-    /// Per-address projection: the sub-trace of operations to `addr`, with
-    /// program order preserved within each process. Initial/final values for
-    /// `addr` carry over. Memory coherence of the full trace is exactly the
-    /// conjunction of coherence of each projection (§3).
-    ///
-    /// Note: operation indices in the projection refer to positions within
-    /// the *projected* histories. Use [`Trace::projection_map`] to map them
-    /// back to the original trace.
-    pub fn project(&self, addr: Addr) -> Trace {
-        let mut t = Trace::from_histories(self.histories.iter().map(|h| h.project(addr)));
-        if let Some(&v) = self.initial.get(&addr) {
-            t.set_initial(addr, v);
-        }
-        if let Some(&v) = self.final_values.get(&addr) {
-            t.set_final(addr, v);
-        }
-        t
-    }
-
-    /// For each process, the original program-order indices of the
-    /// operations that touch `addr` (the inverse of [`Trace::project`]).
-    pub fn projection_map(&self, addr: Addr) -> Vec<Vec<u32>> {
-        self.histories
-            .iter()
-            .map(|h| {
-                h.iter()
-                    .enumerate()
-                    .filter(|(_, op)| op.addr() == addr)
-                    .map(|(i, _)| i as u32)
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// True if every operation in the trace is an atomic read-modify-write.
-    pub fn is_all_rmw(&self) -> bool {
-        self.histories.iter().all(|h| h.is_all_rmw())
-    }
-
-    /// Maximum history length over all processes.
-    pub fn max_ops_per_proc(&self) -> usize {
-        self.histories.iter().map(|h| h.len()).max().unwrap_or(0)
-    }
-
-    /// For address `addr`, how many times each value is written (including
-    /// RMW write components). Used by the Figure 5.3 classifier.
-    pub fn writes_per_value(&self, addr: Addr) -> BTreeMap<Value, usize> {
-        let mut counts = BTreeMap::new();
-        for h in &self.histories {
-            for op in h.iter().filter(|o| o.addr() == addr) {
-                if let Some(v) = op.written_value() {
-                    *counts.entry(v).or_insert(0) += 1;
-                }
-            }
-        }
-        counts
-    }
-
     /// Mutable history access (used by violation injectors in [`crate::gen`]).
     pub(crate) fn history_mut(&mut self, proc: ProcId) -> Option<&mut ProcessHistory> {
         self.histories.get_mut(proc.0 as usize)
@@ -284,9 +221,7 @@ mod tests {
         let t = two_addr_trace();
         assert_eq!(t.num_procs(), 2);
         assert_eq!(t.num_ops(), 5);
-        assert_eq!(t.max_ops_per_proc(), 3);
         assert_eq!(t.addresses(), vec![Addr(0), Addr(1)]);
-        assert!(!t.is_single_address());
     }
 
     #[test]
@@ -306,35 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn projection_carries_initial_and_final() {
-        let t = two_addr_trace();
-        let p = t.project(Addr(0));
-        assert!(p.is_single_address());
-        assert_eq!(p.num_ops(), 3);
-        assert_eq!(p.initial(Addr(0)), Value(0));
-        assert_eq!(p.final_value(Addr(0)), Some(Value(3)));
-        // Address 1's projection has no configured constraints.
-        let p1 = t.project(Addr(1));
-        assert_eq!(p1.final_value(Addr(1)), None);
-    }
-
-    #[test]
-    fn projection_map_round_trips() {
-        let t = two_addr_trace();
-        let map = t.projection_map(Addr(0));
-        assert_eq!(map, vec![vec![0, 2], vec![1]]);
-        let proj = t.project(Addr(0));
-        for (p, idxs) in map.iter().enumerate() {
-            for (j, &orig) in idxs.iter().enumerate() {
-                assert_eq!(
-                    proj.op(OpRef::new(p as u16, j as u32)),
-                    t.op(OpRef::new(p as u16, orig))
-                );
-            }
-        }
-    }
-
-    #[test]
     fn default_initial_value_is_zero() {
         let t = Trace::new();
         assert_eq!(t.initial(Addr(42)), Value::INITIAL);
@@ -344,16 +250,5 @@ mod tests {
     fn text_round_trip_via_trace_methods() {
         let t = two_addr_trace();
         assert_eq!(Trace::from_text(&t.to_text()).unwrap(), t);
-    }
-
-    #[test]
-    fn writes_per_value_counts_rmw_write_components() {
-        let t = TraceBuilder::new()
-            .proc([Op::w(1u64), Op::rw(1u64, 2u64)])
-            .proc([Op::w(2u64)])
-            .build();
-        let counts = t.writes_per_value(Addr::ZERO);
-        assert_eq!(counts.get(&Value(1)), Some(&1));
-        assert_eq!(counts.get(&Value(2)), Some(&2));
     }
 }

@@ -10,7 +10,8 @@
 //! cargo run --release --example sat_reduction
 //! ```
 
-use vermem::coherence::{encode_vmc, solve_backtracking, SearchConfig, Verdict};
+use vermem::coherence::backtrack::solve_backtracking_ops_with_stats;
+use vermem::coherence::{encode_vmc, SearchConfig, Verdict};
 use vermem::reductions::reduce_sat_to_vmc;
 use vermem::sat::{solve_cdcl, CdclSolver, Cnf, Lit, SatResult};
 use vermem::trace::{Addr, AddrOps};
@@ -52,7 +53,8 @@ fn main() {
             red.trace.num_procs(),
             red.trace.num_ops()
         );
-        let vmc = solve_backtracking(&red.trace, Addr::ZERO, &SearchConfig::default());
+        let ops = AddrOps::of(&red.trace, Addr::ZERO);
+        let (vmc, _) = solve_backtracking_ops_with_stats(&ops, &SearchConfig::default());
         println!(
             "exact VMC on the trace:   {}",
             verdict_str(vmc.is_coherent())
@@ -79,7 +81,7 @@ fn main() {
 
         // The reverse direction: VMC → SAT. Encode the constructed trace's
         // coherence question as CNF and solve it with CDCL.
-        let enc = encode_vmc(&AddrOps::of(&red.trace, Addr::ZERO));
+        let enc = encode_vmc(&ops);
         let mut solver = CdclSolver::new(enc.cnf());
         let via_sat = matches!(solver.solve(), SatResult::Sat(_));
         println!(

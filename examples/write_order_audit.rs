@@ -10,8 +10,10 @@
 //! ```
 
 use std::time::Instant;
-use vermem::coherence::{solve_backtracking, solve_with_write_order, SearchConfig};
+use vermem::coherence::backtrack::solve_backtracking_ops_with_stats;
+use vermem::coherence::{solve_with_write_order, SearchConfig};
 use vermem::sim::{random_program, Machine, MachineConfig, WorkloadConfig};
+use vermem::trace::AddrIndex;
 
 fn main() {
     println!(
@@ -35,16 +37,18 @@ fn main() {
             },
         );
 
+        // One index serves both solvers; only the solves are timed.
+        let index = AddrIndex::build(&cap.trace);
         let t0 = Instant::now();
         for (addr, order) in &cap.write_order {
-            let v = solve_with_write_order(&cap.trace, *addr, order);
+            let v = solve_with_write_order(index.get(*addr).unwrap(), order);
             assert!(v.is_coherent(), "healthy run must verify");
         }
         let fast = t0.elapsed();
 
         let t1 = Instant::now();
-        for addr in cap.trace.addresses() {
-            let v = solve_backtracking(&cap.trace, addr, &SearchConfig::default());
+        for ops in index.iter() {
+            let (v, _) = solve_backtracking_ops_with_stats(ops, &SearchConfig::default());
             assert!(v.is_coherent());
         }
         let exact = t1.elapsed();
@@ -52,7 +56,7 @@ fn main() {
         println!(
             "{:>8} {:>12} {:>16.1} {:>16.1}",
             cap.trace.num_ops(),
-            cap.trace.addresses().len(),
+            index.len(),
             fast.as_secs_f64() * 1e6,
             exact.as_secs_f64() * 1e6
         );

@@ -235,15 +235,16 @@ echo "    ok"
 echo "==> one VMC instance: every coherence decider takes an AddrOps"
 # An `AddrOps` is the paper's VMC instance (Definition 4.1: one address's
 # histories plus d_I and d_F), so the Figure 5.3 fast paths, the SAT
-# encoder and the core minimizer take one; only the paper-level entries
-# index a trace themselves, and in the SAT encoder that is
-# `solve_sat_certified` alone. The detached second dispatch entry must
-# not come back either. Comments count too.
+# encoder, the exact search, the write-order decider and the core
+# minimizer take one. In these modules only `solve_sat_certified` indexes
+# a trace itself, kept because the vmcbench harness links it. The
+# detached second dispatch entry must not come back either. Comments
+# count too.
 trace_fns() {
     perl -0777 -ne 'while (/pub fn (\w+)[^{;]*?\b\w+: &(?:\w+::)*Trace\b/g) { print "$ARGV: $1\n" }' \
         "$@"
 }
-fast_path_fns=$(trace_fns crates/coherence/src/{readmap,one_op,rmw,explain}.rs)
+fast_path_fns=$(trace_fns crates/coherence/src/{readmap,one_op,rmw,explain,backtrack,write_order}.rs)
 sat_fns=$(trace_fns crates/coherence/src/sat_encode.rs)
 detached_sites=$(grep -rn 'verify_ops_detached' crates/ || true)
 if [[ -n "$fast_path_fns" || "$sat_fns" != "crates/coherence/src/sat_encode.rs: solve_sat_certified" \
@@ -252,6 +253,30 @@ if [[ -n "$fast_path_fns" || "$sat_fns" != "crates/coherence/src/sat_encode.rs: 
     echo "$fast_path_fns" >&2
     echo "$sat_fns" >&2
     echo "$detached_sites" >&2
+    exit 1
+fi
+# One trace view: a per-address question goes through an AddrOps. The
+# retired second view (trace and history projections, trace-level
+# classifiers, the read-map helpers, the boolean schedule check and the
+# (trace, addr) exact-search wrappers) must not come back. Only the
+# retired forms are matched: names no live item shares anywhere (comments
+# count too), definitions of the common-word names in the trace crate
+# (outside index.rs, where AddrOps keeps `max_ops_per_proc`), paths into
+# vermem_trace, and method or function calls. A local variable
+# or comment that merely shares a common word does not trip the gate.
+retired_unique='readmap_util|ReadSource|projection_map|is_coherent_schedule|solve_backtracking_with_stats'
+retired_defs='project|projection_map|is_single_address|is_all_rmw|max_ops_per_proc|writes_per_value'
+retired_defs+='|write_count|read_count|written_values|read_mapping|write_orders'
+retired_calls='project|projection_map|is_single_address|is_all_rmw|writes_per_value'
+retired_calls+='|write_count|read_count|written_values'
+view_sites=$( { grep -rnwE "$retired_unique" crates/ src/ tests/ examples/
+    grep -rnE --exclude=index.rs "fn ($retired_defs)\b" crates/trace/src/
+    grep -rnE 'vermem_trace::(read_mapping|write_orders)\b' crates/ src/ tests/ examples/
+    grep -rnE "\.($retired_calls)\(" crates/ src/ tests/ examples/
+    grep -rnE '\bsolve_backtracking\(|InstanceProfile::of\(' crates/ src/ tests/ examples/; } || true)
+if [[ -n "$view_sites" ]]; then
+    echo "retired trace-level view or (trace, addr) search wrapper found (use AddrOps):" >&2
+    echo "$view_sites" >&2
     exit 1
 fi
 echo "    ok"

@@ -25,18 +25,20 @@
 //!
 //! ## Crate map
 //!
-//! * [`trace`] — operations, histories, traces, schedules and the
+//! * [`trace`] — operations, histories, traces, the per-address index
+//!   (`AddrOps`, one VMC instance per address), schedules and the
 //!   polynomial certificate checkers (Theorem 4.2), generators, formats.
 //! * [`sat`] — the CDCL/DPLL SAT substrate.
 //! * [`coherence`] — VMC solvers: exact (backtracking, SAT encoding) and
 //!   every Figure 5.3 fast path, with auto-dispatch.
-//! * [`consistency`] — VSC/VSCC, memory models (SC/TSO/PSO/coherence-only),
-//!   VSC-Conflict merging, litmus tests, LRC.
+//! * [`consistency`] — VSC/VSCC, six declared memory models (SC, TSO, PSO,
+//!   coherence-only, RA, ARM-dob), VSC-Conflict merging, litmus tests, LRC.
 //! * [`reductions`] — Figures 4.1, 4.2, 5.1, 5.2, 6.1, 6.2 as code.
 //! * [`sim`] — the MESI/TSO multiprocessor with fault injection and
 //!   write-order capture.
 //! * [`util`] — the zero-dependency substrate: deterministic PRNG,
-//!   property-testing harness, bench harness, and binary codec.
+//!   property-testing harness, binary codec, hashing, dense maps, the
+//!   work pool, JSON and observability.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -11,9 +11,10 @@ use vermem::sim::{
 };
 
 fn offline_clean(cap: &vermem::sim::CapturedExecution) -> bool {
+    let index = AddrIndex::build(&cap.trace);
     cap.write_order
         .iter()
-        .all(|(addr, order)| solve_with_write_order(&cap.trace, *addr, order).is_coherent())
+        .all(|(addr, order)| solve_with_write_order(index.get(*addr).unwrap(), order).is_coherent())
 }
 
 fn online_clean(cap: &vermem::sim::CapturedExecution) -> bool {
@@ -193,7 +194,7 @@ fn online_matches_offline_on_generated_traces_with_witness_order() {
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use vermem::trace::{Op, OpRef, ProcId, Trace, TraceBuilder, Value};
+use vermem::trace::{AddrIndex, Op, OpRef, ProcId, Trace, TraceBuilder, Value};
 use vermem::util::prop::PropConfig;
 use vermem::util::rng::StdRng;
 use vermem::util::{prop_assert, prop_assert_eq, prop_check};
@@ -312,10 +313,9 @@ fn deferred_read_heavy_stream(
 /// `true` iff every address verifies coherent under the supplied write
 /// order (the offline §5.2 decision).
 fn write_order_clean(trace: &Trace, order: &BTreeMap<vermem::trace::Addr, Vec<OpRef>>) -> bool {
-    trace.addresses().into_iter().all(|addr| {
-        let empty = Vec::new();
-        let o = order.get(&addr).unwrap_or(&empty);
-        solve_with_write_order(trace, addr, o).is_coherent()
+    AddrIndex::build(trace).iter().all(|ops| {
+        let o = order.get(&ops.addr()).map_or(&[][..], Vec::as_slice);
+        solve_with_write_order(ops, o).is_coherent()
     })
 }
 

@@ -9,7 +9,7 @@ use vermem::sim::{
     ping_pong, producer_consumer, random_program, shared_counter, Machine, MachineConfig,
     WorkloadConfig,
 };
-use vermem::trace::{check_coherent_schedule, check_sc_schedule};
+use vermem::trace::{check_coherent_schedule_ops, check_sc_schedule, AddrIndex};
 
 /// The default (compiled) decision of `trace` under `id`.
 fn decide(trace: &vermem::trace::Trace, id: ModelId) -> ConsistencyVerdict {
@@ -39,8 +39,9 @@ fn full_pipeline_on_random_workloads() {
         let ExecutionVerdict::Coherent(schedules) = verify_execution(&cap.trace) else {
             panic!("healthy machine produced incoherent trace (seed {seed})");
         };
+        let index = AddrIndex::build(&cap.trace);
         for (&addr, s) in &schedules {
-            check_coherent_schedule(&cap.trace, addr, s).unwrap();
+            check_coherent_schedule_ops(index.get(addr).unwrap(), s).unwrap();
         }
 
         // SC (the machine without store buffers is SC).

@@ -1,13 +1,14 @@
 //! Workspace-level property tests: the invariants that tie the crates
 //! together, fuzzed with the in-tree `vermem_util::prop` harness.
 
+use vermem::coherence::backtrack::solve_backtracking_ops_with_stats;
 use vermem::coherence::{
-    solve_backtracking, solve_sat_certified, verify, SearchConfig, Strategy as VmcStrategy,
-    VmcVerifier,
+    solve_sat_ops, verify, SearchConfig, Strategy as VmcStrategy, VmcVerifier,
 };
 use vermem::trace::gen::{gen_sc_trace, inject_violation, GenConfig, ViolationKind};
 use vermem::trace::{
-    check_coherent_schedule, check_sc_schedule, Addr, AddrIndex, AddrOps, Op, Trace, TraceBuilder,
+    check_coherent_schedule, check_coherent_schedule_ops, check_sc_schedule, Addr, AddrIndex,
+    AddrOps, Op, Trace, TraceBuilder,
 };
 use vermem::util::prop::PropConfig;
 use vermem::util::rng::StdRng;
@@ -45,14 +46,15 @@ fn solvers_agree_and_witnesses_validate() {
         PropConfig::with_cases(128),
         arb_single_address_trace,
         |trace: &Trace| {
+            let ops = AddrOps::of(trace, Addr::ZERO);
             let auto = verify(trace, Addr::ZERO);
-            let bt = solve_backtracking(trace, Addr::ZERO, &SearchConfig::default());
-            let sat = solve_sat_certified(trace, Addr::ZERO);
+            let (bt, _) = solve_backtracking_ops_with_stats(&ops, &SearchConfig::default());
+            let sat = solve_sat_ops(&ops);
             prop_assert_eq!(auto.is_coherent(), bt.is_coherent());
             prop_assert_eq!(auto.is_coherent(), sat.is_coherent());
             for v in [&auto, &bt, &sat] {
                 if let Some(s) = v.schedule() {
-                    prop_assert!(check_coherent_schedule(trace, Addr::ZERO, s).is_ok());
+                    prop_assert!(check_coherent_schedule_ops(&ops, s).is_ok());
                 }
             }
             Ok(())
