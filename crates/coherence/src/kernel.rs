@@ -120,12 +120,16 @@ impl SearchStats {
 #[derive(Clone, Copy, Debug)]
 pub struct KernelConfig {
     /// Maximum distinct states to visit before giving up with
-    /// [`KernelOutcome::BudgetExhausted`]. `None` = unlimited.
+    /// [`KernelOutcome::BudgetExhausted`]. `None` = unlimited. A model the
+    /// consistency crate decides address by address (coherence-only) gets
+    /// this budget per address, as [`crate::SearchConfig::max_states`].
     pub max_states: Option<u64>,
     /// Sound feasibility pruning ([`TransitionSystem::infeasible`] and
     /// [`TransitionSystem::admit`]): refute states and branches from which
     /// no completion can exist (counted in [`SearchStats::window_prunes`]).
-    /// On by default.
+    /// On by default. It does not apply to a model decided address by
+    /// address, which runs the VMC dispatcher; that search's ablations are
+    /// [`crate::PruneConfig`].
     pub feasibility: bool,
 }
 

@@ -74,7 +74,10 @@
 //! PSO, RA, ARM-dob, coherence-only) are declared as `ModelSpec` **data** (relation
 //! generators plus acyclicity/irreflexivity axioms) and lowered by an
 //! operational compiler onto this kernel, or by a SAT compiler onto CNF as
-//! a differential oracle:
+//! a differential oracle. Coherence-only is VMC at every address, so its
+//! compiled form is [`VmcVerifier::verify_ops`] run address by address:
+//! `verify`, `serve`, VSCC and the model framework share one coherence
+//! decider.
 //!
 //! ```
 //! use vermem_consistency::{verify_axiom, AxiomConfig, Engine, ModelId};

@@ -1108,6 +1108,13 @@ impl StreamVerifier {
             ring.extend(shard.ring);
             merged.extend(shard.addrs.into_iter().map(|state| (state.addr, state)));
         }
+        // An address that carries only a declared final value is an
+        // instance with no operations, as in the batch index: it seals
+        // iff the final value is the initial one.
+        let procs = usize::from(self.procs.unwrap_or(0));
+        for (addr, initial, f) in self.router.final_only() {
+            merged.insert(addr, AddrStream::new(addr, procs, initial, Some(f)));
+        }
         ring.sort_by_key(|e| e.seq);
 
         // End of stream: any still-deferred read pins its address (and on

@@ -47,6 +47,19 @@ impl DenseRouter {
         self.finals.insert(addr.0, value);
     }
 
+    /// The addresses that carry a declared final value but no operation,
+    /// as `(addr, initial, final)`. Each is a VMC instance with no
+    /// operations, laid out at end of stream. O(final values).
+    pub(crate) fn final_only(&self) -> impl Iterator<Item = (Addr, Value, Value)> + '_ {
+        self.finals
+            .iter()
+            .filter(|&(a, _)| !self.ids.contains(a))
+            .map(|(a, &f)| {
+                let initial = self.initials.get(a).copied().unwrap_or(Value::INITIAL);
+                (Addr(a), initial, f)
+            })
+    }
+
     /// Addresses interned so far; router ids are `0..len()`.
     pub(crate) fn len(&self) -> usize {
         self.ids.len()

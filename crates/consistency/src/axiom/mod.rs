@@ -11,13 +11,15 @@
 //! — and two compilers turn the same spec into executable deciders:
 //!
 //! * the **operational compiler** ([`mod@self`] via [`verify_axiom`] with
-//!   [`Engine::Compiled`]) lowers a spec to a
-//!   [`vermem_coherence::TransitionSystem`] running on the existing
-//!   memo/budget/cancellation/observability kernel. Specs whose axioms
-//!   form a *single serialization order* and whose enforcement table is
-//!   SC's, TSO's or PSO's lower to one store-buffer machine in the
-//!   matching buffer shape; all other specs (coherence-only,
-//!   Release–Acquire, ARM-dob) lower to a witness-search machine that
+//!   [`Engine::Compiled`]) lowers a spec to a decider on the coherence
+//!   crate's memo/budget/observability kernel. Specs whose axioms form a
+//!   *single serialization order* and whose enforcement table preserves
+//!   no cross-address pair (coherence-only) are VMC at each address
+//!   (the paper's §3 definition) and run the VMC dispatcher
+//!   ([`vermem_coherence::VmcVerifier::verify_ops`]) address by address;
+//!   those whose table is SC's, TSO's or PSO's lower to one store-buffer
+//!   machine in the matching buffer shape; the other specs
+//!   (Release–Acquire, ARM-dob) lower to a witness-search machine that
 //!   decides `rf` and `mo` event by event;
 //! * the **SAT compiler** ([`solve_spec_sat`]) lowers the same spec to a
 //!   CNF over read-selector, coherence-order and closure variables, so
@@ -55,7 +57,6 @@ use crate::verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
 use vermem_coherence::closure::Tier;
 use vermem_coherence::{KernelConfig, SearchStats, TierConfig};
 use vermem_trace::{AddrIndex, Trace};
-use vermem_util::pool::CancelToken;
 
 /// The declared models: the crate's one model vocabulary. Each id names a
 /// [`ModelSpec`] in the registry ([`spec`]).
@@ -369,8 +370,9 @@ pub struct AxiomConfig {
     pub engine: Engine,
     /// Budget/ablation knobs for the compiled exact search.
     pub kernel: KernelConfig,
-    /// Tier pipeline: with `frontline` on (the default), models with a
-    /// polynomial fast tier (RA) try it before the exact search.
+    /// Tier pipeline: with `frontline` on (the default), RA tries its
+    /// polynomial fast tier before the exact search. No other model reads
+    /// it; coherence-only always runs the VMC dispatcher's tiers.
     pub tier: TierConfig,
 }
 
@@ -393,8 +395,10 @@ pub struct AxiomReport {
     /// Exact-search statistics ([`SearchStats::default`] when the exact
     /// tier never ran).
     pub stats: SearchStats,
-    /// [`Tier::Frontline`] when a polynomial engine (the per-address
-    /// precheck or the RA fast tier) decided; [`Tier::Exact`] otherwise.
+    /// [`Tier::Frontline`] when a polynomial engine decided: the
+    /// per-address precheck, the RA fast tier, or, for a model decided
+    /// address by address (coherence-only), the VMC fast paths and
+    /// closure at every address. [`Tier::Exact`] otherwise.
     pub tier: Tier,
 }
 
@@ -440,16 +444,6 @@ pub fn precheck_sc(trace: &Trace) -> Option<ConsistencyViolation> {
 /// assert!(report.verdict.unknown_stats().is_some());
 /// ```
 pub fn verify_axiom(trace: &Trace, id: ModelId, cfg: &AxiomConfig) -> AxiomReport {
-    verify_axiom_with(trace, id, cfg, None)
-}
-
-/// [`verify_axiom`] with cooperative cancellation of the exact search.
-pub fn verify_axiom_with(
-    trace: &Trace,
-    id: ModelId,
-    cfg: &AxiomConfig,
-    cancel: Option<&CancelToken>,
-) -> AxiomReport {
     let spec = spec(id);
     match cfg.engine {
         Engine::Sat => AxiomReport {
@@ -474,12 +468,7 @@ pub fn verify_axiom_with(
                     };
                 }
             }
-            let (verdict, stats) = operational::solve_compiled(trace, spec, &cfg.kernel, cancel);
-            AxiomReport {
-                verdict,
-                stats,
-                tier: Tier::Exact,
-            }
+            operational::solve_compiled(trace, spec, &cfg.kernel)
         }
     }
 }
@@ -626,9 +615,22 @@ mod tests {
 
     #[test]
     fn tiny_budget_answers_unknown_with_stats() {
+        use vermem_sat::random::{gen_forced_sat, RandomSatConfig};
         use vermem_trace::{Op, TraceBuilder};
-        // A contended instance a one-state budget cannot settle under any
-        // serialization model.
+        let tight = AxiomConfig {
+            kernel: KernelConfig::with_budget(1),
+            ..AxiomConfig::default()
+        };
+        let unknown = |t: &Trace, id: ModelId| match verify_axiom(t, id, &tight) {
+            AxiomReport {
+                verdict: ConsistencyVerdict::Unknown { stats },
+                tier: Tier::Exact,
+                ..
+            } => assert!(stats.states >= 1, "{}", id.name()),
+            other => panic!("{}: expected an exact Unknown, got {other:?}", id.name()),
+        };
+        // A contended instance a one-state budget cannot settle under the
+        // store-buffer models. Each of its addresses is easy VMC.
         let t = TraceBuilder::new()
             .proc([
                 Op::write(0u32, 1u64),
@@ -646,16 +648,19 @@ mod tests {
                 Op::read(1u32, 0u64),
             ])
             .build();
-        let tight = AxiomConfig {
-            kernel: KernelConfig::with_budget(1),
-            ..AxiomConfig::default()
-        };
-        for id in ModelId::SERIALIZING {
-            match verify_axiom(&t, id, &tight).verdict {
-                ConsistencyVerdict::Unknown { stats } => assert!(stats.states >= 1),
-                other => panic!("{}: expected Unknown, got {other:?}", id.name()),
-            }
+        for id in [ModelId::Sc, ModelId::Tso, ModelId::Pso] {
+            unknown(&t, id);
         }
+        // Coherence decides address by address, so it needs one address
+        // the closure frontline escalates: the Figure 4.1 reduction of a
+        // 3-variable formula. The budget applies to that address's exact
+        // search, and its Unknown is never masked.
+        let cnf = gen_forced_sat(&RandomSatConfig::three_sat(3, 3.0, 3));
+        let fig41 = vermem_reductions::reduce_sat_to_vmc(&cnf).trace;
+        unknown(&fig41, ModelId::CoherenceOnly);
+        let free = verify_axiom(&fig41, ModelId::CoherenceOnly, &AxiomConfig::default());
+        assert!(free.verdict.is_consistent());
+        assert!(free.stats.states > 1, "{:?}", free.stats);
     }
 
     #[test]

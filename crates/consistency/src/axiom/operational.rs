@@ -1,10 +1,21 @@
-//! The operational compiler: lower a [`ModelSpec`] to a
-//! [`TransitionSystem`] on the exact-search kernel.
+//! The operational compiler: lower a [`ModelSpec`] to a decider on the
+//! exact-search kernel.
 //!
-//! Two lowerings exist, chosen by inspecting the spec *as data*:
+//! Three lowerings exist, chosen by inspecting the spec *as data*:
 //!
-//! * **Buffer lowering** — specs whose axioms pin a single serialization
-//!   order ([`super::witness::spec_serializes`]) and whose enforcement
+//! * **Per-address lowering** — a spec whose axioms pin a single
+//!   serialization order ([`super::witness::spec_serializes`]) and whose
+//!   enforcement table preserves no cross-address pair (coherence-only)
+//!   orders each address on its own: by the paper's §3 definition the
+//!   trace is consistent iff every address's VMC instance (Definition
+//!   4.1) has a coherent schedule. The lowering indexes the trace once
+//!   ([`AddrIndex`]) and runs the VMC dispatcher
+//!   ([`VmcVerifier::verify_ops`]: the Figure 5.3 fast paths, the closure
+//!   frontline, then the exact VMC search) on each address in ascending
+//!   order, the decider `verify_execution` runs. The schedule of a
+//!   consistent trace is the per-address schedules concatenated in
+//!   address order.
+//! * **Buffer lowering** — single-serialization specs whose enforcement
 //!   table matches a recognized machine shape compile to one unified
 //!   store-buffer machine over [`MachineBase`]: no buffer (SC: every
 //!   issue takes effect atomically), one FIFO per process (TSO), or one
@@ -17,10 +28,9 @@
 //!   operation is lowered once to its address slot and per-slot value
 //!   ids, and each state is keyed by one fixed-width bit-packed record
 //!   (frontiers, memory value ids, store-buffer lengths).
-//! * **Graph lowering** — every other spec (coherence-only, RA, ARM-dob)
-//!   compiles to the witness-construction machine of [`super::graph`],
-//!   which decides `rf` and `mo` directly and answers to the reference
-//!   axiom evaluator.
+//! * **Graph lowering** — every other spec (RA, ARM-dob) compiles to the
+//!   witness-construction machine of [`super::graph`], which decides `rf`
+//!   and `mo` directly and answers to the reference axiom evaluator.
 //!
 //! The serialization equivalence justifying the buffer lowering — a
 //! single `ppo`-extending order with reads-see-latest exists iff some
@@ -41,17 +51,16 @@
 
 use super::graph::GraphMachine;
 use super::witness::{check_witness_ev, spec_serializes, witness_schedule, Events};
-use super::ModelSpec;
+use super::{AxiomReport, ModelSpec};
 use crate::axiom::check_model_schedule;
 use crate::verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
 use std::collections::BTreeMap;
 use vermem_coherence::kernel::{
     run_search, KernelConfig, KernelOutcome, KeyPacker, TransitionSystem,
 };
-use vermem_coherence::SearchStats;
-use vermem_trace::{Addr, Op, OpRef, Schedule, Trace, Value};
+use vermem_coherence::{SearchConfig, SearchStats, Tier, Verdict, VmcVerifier};
+use vermem_trace::{Addr, AddrIndex, Op, OpRef, Schedule, Trace, Value};
 use vermem_util::obs;
-use vermem_util::pool::CancelToken;
 
 /// The store-buffer shapes the buffer lowering recognizes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,6 +94,9 @@ impl BufferKind {
 /// How a spec lowers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Lowering {
+    /// Single-serialization spec preserving no cross-address pair: VMC at
+    /// each address.
+    PerAddress,
     /// Single-serialization spec with a recognized buffer shape.
     Buffer(BufferKind),
     /// Everything else: direct witness search.
@@ -92,76 +104,148 @@ pub(crate) enum Lowering {
 }
 
 /// Choose the lowering by inspecting the spec as data: the axiom shape
-/// first, then the enforcement table, compared against the table each
-/// buffer machine implements ([`BufferKind::ppo_cross`]).
+/// first, then the enforcement table — none at all, or the table a buffer
+/// machine implements ([`BufferKind::ppo_cross`]).
 pub(crate) fn lowering(spec: &ModelSpec) -> Lowering {
+    if !spec_serializes(spec) {
+        return Lowering::Graph;
+    }
+    if spec.ppo_cross == [[false; 3]; 3] {
+        return Lowering::PerAddress;
+    }
     let kinds = [
         BufferKind::Atomic,
         BufferKind::ProcFifo,
         BufferKind::SlotFifo,
     ];
     match kinds.into_iter().find(|k| k.ppo_cross() == spec.ppo_cross) {
-        Some(kind) if spec_serializes(spec) => Lowering::Buffer(kind),
-        _ => Lowering::Graph,
+        Some(kind) => Lowering::Buffer(kind),
+        None => Lowering::Graph,
     }
 }
 
 /// Run the compiled engine. Callers are responsible for the per-address
 /// precheck ([`super::precheck_sc`]); this function only searches.
-pub(crate) fn solve_compiled(
+pub(crate) fn solve_compiled(trace: &Trace, spec: &ModelSpec, cfg: &KernelConfig) -> AxiomReport {
+    let (verdict, stats) = match lowering(spec) {
+        Lowering::PerAddress => return solve_per_address(trace, spec, cfg),
+        Lowering::Buffer(kind) => solve_buffer(trace, spec, kind, cfg),
+        Lowering::Graph => solve_graph(trace, spec, cfg),
+    };
+    AxiomReport {
+        verdict,
+        stats,
+        tier: Tier::Exact,
+    }
+}
+
+fn solve_buffer(
+    trace: &Trace,
+    spec: &ModelSpec,
+    kind: BufferKind,
+    cfg: &KernelConfig,
+) -> (ConsistencyVerdict, SearchStats) {
+    let mut sys = CompiledMachine::new(trace, kind);
+    let (outcome, stats) = run_search(&mut sys, cfg, None);
+    match outcome {
+        KernelOutcome::Accepted(commits) => {
+            let witness = Schedule::from_refs(commits);
+            // Certificate: a commit order the model's schedule checker
+            // rejects is never reported as consistent.
+            if check_model_schedule(trace, spec.id, &witness).is_err() {
+                return (ConsistencyVerdict::Unknown { stats }, stats);
+            }
+            (ConsistencyVerdict::Consistent(witness), stats)
+        }
+        KernelOutcome::Refuted => (no_schedule(), stats),
+        KernelOutcome::BudgetExhausted | KernelOutcome::Cancelled => {
+            (ConsistencyVerdict::Unknown { stats }, stats)
+        }
+    }
+}
+
+fn solve_graph(
     trace: &Trace,
     spec: &ModelSpec,
     cfg: &KernelConfig,
-    cancel: Option<&CancelToken>,
 ) -> (ConsistencyVerdict, SearchStats) {
-    match lowering(spec) {
-        Lowering::Buffer(kind) => {
-            let mut sys = CompiledMachine::new(trace, kind);
-            let (outcome, stats) = run_search(&mut sys, cfg, cancel);
-            match outcome {
-                KernelOutcome::Accepted(commits) => {
-                    let witness = Schedule::from_refs(commits);
-                    // Certificate: a commit order the model's schedule
-                    // checker rejects is never reported as consistent.
-                    if check_model_schedule(trace, spec.id, &witness).is_err() {
-                        return (ConsistencyVerdict::Unknown { stats }, stats);
-                    }
-                    (ConsistencyVerdict::Consistent(witness), stats)
-                }
-                KernelOutcome::Refuted => (no_schedule(), stats),
-                KernelOutcome::BudgetExhausted | KernelOutcome::Cancelled => {
-                    (ConsistencyVerdict::Unknown { stats }, stats)
-                }
+    let ev = Events::new(trace);
+    if ev.some_read_unsatisfiable() {
+        return (no_schedule(), SearchStats::default());
+    }
+    let mut sys = GraphMachine::new(spec, ev);
+    let (outcome, stats) = run_search(&mut sys, cfg, None);
+    if obs::enabled() {
+        obs::counter_add("axiom.plan.visits", sys.plan_visits());
+    }
+    match outcome {
+        KernelOutcome::Accepted(_) => {
+            // The kernel returns with the machine in its accepting state:
+            // the witness is still in place. Certificate: the reference
+            // evaluator, not the plan that accepted it, must confirm it.
+            if check_witness_ev(spec, &sys.ev, &sys.w).is_err() {
+                return (ConsistencyVerdict::Unknown { stats }, stats);
             }
+            let sched = witness_schedule(spec, &sys.ev, &sys.w);
+            (ConsistencyVerdict::Consistent(sched), stats)
         }
-        Lowering::Graph => {
-            let ev = Events::new(trace);
-            if ev.finals_unmatched || ev.some_read_unsatisfiable() {
-                return (no_schedule(), SearchStats::default());
-            }
-            let mut sys = GraphMachine::new(spec, ev);
-            let (outcome, stats) = run_search(&mut sys, cfg, cancel);
-            if obs::enabled() {
-                obs::counter_add("axiom.plan.visits", sys.plan_visits());
-            }
-            match outcome {
-                KernelOutcome::Accepted(_) => {
-                    // The kernel returns with the machine in its accepting
-                    // state: the witness is still in place. Certificate:
-                    // the reference evaluator, not the plan that accepted
-                    // it, must confirm it.
-                    if check_witness_ev(spec, &sys.ev, &sys.w).is_err() {
-                        return (ConsistencyVerdict::Unknown { stats }, stats);
-                    }
-                    let sched = witness_schedule(spec, &sys.ev, &sys.w);
-                    (ConsistencyVerdict::Consistent(sched), stats)
-                }
-                KernelOutcome::Refuted => (no_schedule(), stats),
-                KernelOutcome::BudgetExhausted | KernelOutcome::Cancelled => {
-                    (ConsistencyVerdict::Unknown { stats }, stats)
-                }
-            }
+        KernelOutcome::Refuted => (no_schedule(), stats),
+        KernelOutcome::BudgetExhausted | KernelOutcome::Cancelled => {
+            (ConsistencyVerdict::Unknown { stats }, stats)
         }
+    }
+}
+
+/// The per-address lowering: the VMC dispatcher on each address in
+/// ascending order, each with its own `max_states` budget. The first
+/// incoherent address refutes the trace and an undecided one leaves it
+/// unknown, with the stats summed up to and including that address. The
+/// report's tier is [`Tier::Frontline`] iff no address escalated to the
+/// exact search.
+fn solve_per_address(trace: &Trace, spec: &ModelSpec, cfg: &KernelConfig) -> AxiomReport {
+    let verifier = VmcVerifier {
+        search: SearchConfig {
+            max_states: cfg.max_states,
+            ..SearchConfig::default()
+        },
+        ..VmcVerifier::new()
+    };
+    let mut stats = SearchStats::default();
+    let mut tier = Tier::Frontline;
+    let mut order = Vec::with_capacity(trace.num_ops());
+    for ops in AddrIndex::build(trace).iter() {
+        let (verdict, s, t) = verifier.verify_ops(ops);
+        stats.absorb(&s);
+        if t == Tier::Exact {
+            tier = Tier::Exact;
+        }
+        let verdict = match verdict {
+            Verdict::Coherent(w) => {
+                order.extend_from_slice(w.refs());
+                continue;
+            }
+            Verdict::Incoherent(v) => ConsistencyVerdict::Violating(ConsistencyViolation {
+                class: ViolationClass::PerAddressCoherence(v),
+            }),
+            Verdict::Unknown => ConsistencyVerdict::Unknown { stats },
+        };
+        return AxiomReport {
+            verdict,
+            stats,
+            tier,
+        };
+    }
+    let schedule = Schedule::from_refs(order);
+    // Certificate, as for the buffer machines.
+    let verdict = if check_model_schedule(trace, spec.id, &schedule).is_ok() {
+        ConsistencyVerdict::Consistent(schedule)
+    } else {
+        ConsistencyVerdict::Unknown { stats }
+    };
+    AxiomReport {
+        verdict,
+        stats,
+        tier,
     }
 }
 
@@ -224,11 +308,9 @@ struct MachineBase {
     /// Remaining future memory-writes of each `(slot, value id)` (see
     /// module docs), at `supply_at[slot] + id`.
     supply: Vec<u32>,
-    /// Final-value constraints as `(slot, value id)`.
+    /// Final-value constraints as `(slot, value id)`. An address that
+    /// carries only a final value is a slot no operation writes.
     finals: Vec<(u32, u32)>,
-    /// A final-value constraint names an address no operation touches: the
-    /// machine can never accept.
-    finals_unmatched: bool,
     /// Total number of operations (= commits in a complete run).
     total: usize,
 }
@@ -236,7 +318,7 @@ struct MachineBase {
 impl MachineBase {
     fn new(trace: &Trace) -> MachineBase {
         let addrs = trace.addresses(); // sorted + deduped
-        let slot_of = |a: Addr| addrs.binary_search(&a).expect("touched") as u32;
+        let slot_of = |a: Addr| addrs.binary_search(&a).expect("listed") as u32;
         // Intern in three rounds so the ids memory can hold come first:
         // initial values, written values, then values only read or
         // required finally.
@@ -282,14 +364,11 @@ impl MachineBase {
             })
             .collect();
 
-        let mut finals = Vec::new();
-        let mut finals_unmatched = false;
-        for (&a, &v) in trace.final_values() {
-            match addrs.binary_search(&a) {
-                Ok(slot) => finals.push((slot as u32, intern(&mut ids, slot as u32, v))),
-                Err(_) => finals_unmatched = true,
-            }
-        }
+        let finals: Vec<(u32, u32)> = trace
+            .final_values()
+            .iter()
+            .map(|(&a, &v)| (slot_of(a), intern(&mut ids, slot_of(a), v)))
+            .collect();
 
         let mut supply_at = Vec::with_capacity(ids.len());
         let mut next = 0;
@@ -317,7 +396,6 @@ impl MachineBase {
             supply_at,
             supply,
             finals,
-            finals_unmatched,
         }
     }
 
@@ -335,11 +413,9 @@ impl MachineBase {
 
     /// Are the final-value constraints satisfied by current memory?
     fn finals_ok(&self) -> bool {
-        !self.finals_unmatched
-            && self
-                .finals
-                .iter()
-                .all(|&(s, v)| self.memory[s as usize] == v)
+        self.finals
+            .iter()
+            .all(|&(s, v)| self.memory[s as usize] == v)
     }
 
     #[inline]
@@ -729,9 +805,14 @@ mod tests {
             lowering(spec(ModelId::Pso)),
             Lowering::Buffer(BufferKind::SlotFifo)
         );
-        assert_eq!(lowering(spec(ModelId::CoherenceOnly)), Lowering::Graph);
-        assert_eq!(lowering(spec(ModelId::Ra)), Lowering::Graph);
-        assert_eq!(lowering(spec(ModelId::ArmDob)), Lowering::Graph);
+        assert_eq!(lowering(spec(ModelId::CoherenceOnly)), Lowering::PerAddress);
+        // The graph machine is built for exactly the models that do not
+        // serialize.
+        let graph: Vec<ModelId> = ModelId::ALL
+            .into_iter()
+            .filter(|&id| lowering(spec(id)) == Lowering::Graph)
+            .collect();
+        assert_eq!(graph, [ModelId::Ra, ModelId::ArmDob]);
     }
 
     /// What a walk step did, for undo.

@@ -49,7 +49,7 @@ fn refuted() -> FastOutcome {
 pub fn try_decide(trace: &Trace) -> FastOutcome {
     let ev = Events::new(trace);
     let n = ev.len();
-    if ev.finals_unmatched || ev.some_read_unsatisfiable() {
+    if ev.some_read_unsatisfiable() {
         return refuted();
     }
     for &(slot, v) in &ev.finals {

@@ -222,7 +222,7 @@ pub fn encode_spec(trace: &Trace, spec: &ModelSpec) -> SpecEncoding {
     let n = ev.len();
     let mut cnf = Cnf::new();
 
-    let mut trivially_unsat = ev.finals_unmatched || ev.some_read_unsatisfiable();
+    let mut trivially_unsat = ev.some_read_unsatisfiable();
     for &(slot, v) in &ev.finals {
         if ev.writes_by_slot[slot as usize].is_empty() && ev.initial[slot as usize] != v {
             trivially_unsat = true;

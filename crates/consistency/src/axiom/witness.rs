@@ -79,10 +79,10 @@ pub(crate) struct Events {
     pub slot_of: Vec<u32>,
     /// Initial value per slot.
     pub initial: Vec<Value>,
-    /// Final-value constraints as `(slot, value)`.
+    /// Final-value constraints as `(slot, value)`. Every address of
+    /// [`Trace::addresses`] has a slot, so an address that carries only a
+    /// final value is a slot with no writes.
     pub finals: Vec<(u32, Value)>,
-    /// A final constraint names an untouched address: never satisfiable.
-    pub finals_unmatched: bool,
     /// `rf` candidates per event (empty for non-reads; a read with an
     /// empty list is unsatisfiable under any spec).
     pub candidates: Vec<Vec<RfCand>>,
@@ -113,14 +113,11 @@ impl Events {
             }
         }
 
-        let mut finals = Vec::new();
-        let mut finals_unmatched = false;
-        for (&a, &v) in trace.final_values() {
-            match addrs.binary_search(&a) {
-                Ok(slot) => finals.push((slot as u32, v)),
-                Err(_) => finals_unmatched = true,
-            }
-        }
+        let finals: Vec<(u32, Value)> = trace
+            .final_values()
+            .iter()
+            .map(|(a, &v)| (addrs.binary_search(a).expect("listed") as u32, v))
+            .collect();
 
         let candidates: Vec<Vec<RfCand>> = ops
             .iter()
@@ -149,7 +146,6 @@ impl Events {
             slot_of,
             initial,
             finals,
-            finals_unmatched,
             candidates,
             writes_by_slot,
             by_proc,
@@ -1048,9 +1044,6 @@ pub(crate) fn check_witness_ev(
         if placed != *writes {
             return Err("mo is not a permutation of the address's writes");
         }
-    }
-    if ev.finals_unmatched {
-        return Err("final value on an untouched address");
     }
     for &(slot, v) in &ev.finals {
         let ok = match w.mo[slot as usize].last() {

@@ -6,10 +6,11 @@
 //! * [`axiom`] — memory models as **data**: one model vocabulary
 //!   ([`ModelId`]), one declarative [`ModelSpec`] per model
 //!   (program-order enforcement table + axioms over `po`/`rf`/`mo`/`fr`),
-//!   and one deciding entry point, [`verify_axiom`] (with cancellation:
-//!   [`verify_axiom_with`]). Two independent compilers run the same spec —
-//!   an operational lowering onto the shared exact-search kernel
-//!   ([`vermem_coherence::kernel`]) and a SAT lowering
+//!   and one deciding entry point, [`verify_axiom`]. Two independent
+//!   compilers run the same spec — an operational lowering onto the
+//!   coherence crate's deciders (the VMC dispatcher address by address
+//!   for coherence-only, the shared exact-search kernel
+//!   [`vermem_coherence::kernel`] for the rest) and a SAT lowering
 //!   ([`solve_spec_sat`]) — covering SC (VSC, Definition 6.1), TSO, PSO,
 //!   coherence-only, Release–Acquire and an ARM-like dob model, with a
 //!   polynomial RA fast tier ([`axiom::ra_fast`]). Schedules of the four
@@ -60,7 +61,7 @@ pub mod vscc;
 
 pub use axiom::{
     check_model_schedule, check_witness, precheck_sc, solve_spec_sat, spec, verify_axiom,
-    verify_axiom_with, AxiomConfig, AxiomReport, Engine, ModelId, ModelSpec, Witness,
+    AxiomConfig, AxiomReport, Engine, ModelId, ModelSpec, Witness,
 };
 pub use verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
 /// Budget/ablation knobs shared by every kernel-backed search (re-exported

@@ -9,14 +9,16 @@
 //! healthy unique-value workloads.
 
 use std::fmt::Write as _;
-use vermem_coherence::TierConfig;
+use vermem_coherence::{verify_execution, verify_stream_bytes, StreamConfig, TierConfig};
 use vermem_consistency::axiom::ra_fast::{self, FastOutcome};
 use vermem_consistency::oracle::serializes;
 use vermem_consistency::{
-    litmus::all_litmus_tests, verify_axiom, AxiomConfig, Engine, KernelConfig, ModelId,
+    check_model_schedule, litmus::all_litmus_tests, precheck_sc, verify_axiom, AxiomConfig, Engine,
+    KernelConfig, ModelId, ViolationClass,
 };
+use vermem_trace::binary::encode_trace;
 use vermem_trace::gen::{gen_sc_trace, inject_violation, GenConfig, ViolationKind};
-use vermem_trace::{Op, Trace, TraceBuilder};
+use vermem_trace::{Addr, Op, Trace, TraceBuilder};
 use vermem_util::rng::StdRng;
 
 fn config(engine: Engine) -> AxiomConfig {
@@ -231,6 +233,49 @@ fn compiled_engine_matches_golden_stats() {
             >= 3,
         "E-5.2 family no longer exhausts its budgets"
     );
+}
+
+/// A declared final value on an address no operation touches belongs to
+/// that address's VMC instance (Definition 4.1's `d_F`): the instance has
+/// no write, so it is coherent iff the final value is the initial one.
+/// Every decider gives that answer.
+#[test]
+fn final_value_on_an_untouched_address_is_its_own_instance() {
+    for (f, coherent) in [(5u64, false), (0, true)] {
+        let t = TraceBuilder::new()
+            .proc([Op::write(0u32, 1u64)])
+            .final_value(1u32, f)
+            .build();
+        let ctx = format!("final 1 = {f}");
+        assert_eq!(verify_execution(&t).is_coherent(), coherent, "{ctx}");
+        let one_shard = StreamConfig {
+            jobs: 1,
+            ..StreamConfig::default()
+        };
+        let stream = verify_stream_bytes(&encode_trace(&t), one_shard).expect("decodes");
+        assert_eq!(stream.is_coherent(), coherent, "{ctx}: stream");
+        assert_eq!(stream.addresses, 2, "{ctx}: stream");
+        match precheck_sc(&t).map(|v| v.class) {
+            None => assert!(coherent, "{ctx}: precheck"),
+            Some(ViolationClass::PerAddressCoherence(v)) => {
+                assert!(!coherent && v.addr == Addr(1), "{ctx}: precheck {v}")
+            }
+            Some(other) => panic!("{ctx}: precheck {other:?}"),
+        }
+        for id in ModelId::ALL {
+            for engine in [Engine::Compiled, Engine::Sat] {
+                let verdict = verify_axiom(&t, id, &config(engine)).verdict;
+                let who = format!("{ctx}: {} via {}", id.name(), engine.name());
+                assert_eq!(verdict.is_consistent(), coherent, "{who}");
+                if let (true, Some(s)) = (ModelId::SERIALIZING.contains(&id), verdict.schedule()) {
+                    check_model_schedule(&t, id, s).unwrap_or_else(|e| panic!("{who}: {e}"));
+                }
+            }
+        }
+        for id in ModelId::SERIALIZING {
+            assert_eq!(serializes(&t, id), coherent, "{ctx}: oracle {}", id.name());
+        }
+    }
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Differential suite for the shared exact-search kernel: the compiled
-//! machine of every serialization model (SC, TSO and PSO on the buffer
-//! lowering, coherence-only on the graph lowering) must agree with the
+//! decider of every serialization model (SC, TSO and PSO on the buffer
+//! lowering, coherence-only on the per-address lowering) must agree with the
 //! serialization oracle (`oracle::serializes`) on every trace family, with
 //! feasibility pruning on and off — and budget-limited runs must be
 //! deterministic. (Budget exhaustion on the E-5.2 family is pinned, stats

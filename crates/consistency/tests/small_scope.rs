@@ -10,7 +10,12 @@
 //!   enforcement cell of SC, TSO or PSO fails this test.
 //! * **3-op space** (≤3 ops, ≤3 processes, 2 addresses, values {0,1,2}):
 //!   the compiled engine equals the SAT engine for all six models, and
-//!   neither answers `Unknown`.
+//!   neither answers `Unknown`. With each address, touched or not, given
+//!   no final value or one of 0, 1, 2: the compiled SC, TSO, PSO and
+//!   Coherence equal the serialization oracle, and for Coherence so do
+//!   the SAT engine and `verify_execution`; on every trace with an
+//!   address that carries only a final value, the stream engine reports
+//!   the batch verdict.
 //! * **VMC space** (≤4 ops, ≤3 processes, 1 address, values {0,1,2}): the
 //!   default VMC dispatcher, the unpruned backtracking search, certified
 //!   SAT, every outcome the closure frontline decides, every Figure 5.3
@@ -86,6 +91,53 @@ fn three_op_space_compiled_equals_sat() {
         }
     });
     assert_eq!(traces, 15_255);
+}
+
+#[test]
+fn three_op_space_with_final_values_equals_oracle() {
+    let sat = AxiomConfig {
+        engine: Engine::Sat,
+        ..AxiomConfig::default()
+    };
+    let finals = [None, Some(0u64), Some(1), Some(2)];
+    let (mut traces, mut final_only, mut consistent) = (0, 0, [0; 4]);
+    space(3, 2, 3, |base| {
+        for (f0, f1) in finals.into_iter().flat_map(|f0| finals.map(|f1| (f0, f1))) {
+            let mut t = base.clone();
+            for (addr, f) in [(0u32, f0), (1, f1)] {
+                if let Some(v) = f {
+                    t.set_final(addr, v);
+                }
+            }
+            traces += 1;
+            let verdicts = ModelId::SERIALIZING.map(|id| {
+                let got = compiled(&t, id).is_consistent();
+                assert_eq!(got, serializes(&t, id), "{}: {t:?}", id.name());
+                got
+            });
+            let coh = verdicts[3];
+            let by_sat = verify_axiom(&t, ModelId::CoherenceOnly, &sat).verdict;
+            assert_eq!(by_sat.is_consistent(), coh, "{t:?}");
+            let batch = verify_execution_par(&t, &VmcVerifier::new(), 1);
+            assert_eq!(batch.is_coherent(), coh, "{t:?}");
+            // The stream engine lays out final-only addresses on its own.
+            if t.addresses().len() > base.addresses().len() {
+                final_only += 1;
+                let one_shard = StreamConfig {
+                    jobs: 1,
+                    ..StreamConfig::default()
+                };
+                let report = verify_stream_bytes(&encode_trace(&t), one_shard).expect("decode");
+                assert!(report.verdict.matches_batch(&batch.verdict), "{t:?}");
+                assert_eq!(report.addresses, batch.addresses, "{t:?}");
+            }
+            for (n, ok) in consistent.iter_mut().zip(verdicts) {
+                *n += usize::from(ok);
+            }
+        }
+    });
+    assert_eq!((traces, final_only), (16 * 15_255, 47_376));
+    assert_eq!(consistent, [9_272; 4]);
 }
 
 #[test]

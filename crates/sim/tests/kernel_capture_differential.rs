@@ -2,8 +2,8 @@
 //! simulator (healthy and fault-injected) must get the same verdict from
 //! each buffer-lowered compiled machine (SC, TSO, PSO) as from the
 //! serialization oracle — with feasibility pruning on or off.
-//! (Coherence-only runs on the graph lowering; its parity is checked on
-//! smaller traces by `consistency/tests/kernel_differential.rs`.)
+//! (Coherence-only runs on the per-address lowering, the VMC dispatcher;
+//! its parity is checked by `consistency/tests/kernel_differential.rs`.)
 
 use vermem_consistency::oracle::serializes;
 use vermem_consistency::{verify_axiom, AxiomConfig, ConsistencyVerdict, KernelConfig, ModelId};

@@ -8,12 +8,13 @@
 //! times (applicability check, precheck, op collection).
 //!
 //! [`AddrIndex::build`] performs **one** pass over the trace and produces,
-//! for every touched address, an [`AddrOps`]: the per-process operation
-//! lists (with original [`OpRef`]s), the per-value write counts, the
-//! initial/final values and the structural facts the Figure 5.3
-//! classifier and the solver dispatcher condition on. Whole-execution
-//! setup therefore drops from quadratic-in-addresses to O(ops), and the
-//! per-address solves of the parallel engine share one immutable index.
+//! for every address of [`Trace::addresses`], an [`AddrOps`]: the
+//! per-process operation lists (with original [`OpRef`]s), the per-value
+//! write counts, the initial/final values and the structural facts the
+//! Figure 5.3 classifier and the solver dispatcher condition on.
+//! Whole-execution setup therefore drops from quadratic-in-addresses to
+//! O(ops), and the per-address solves of the parallel engine share one
+//! immutable index.
 
 use crate::op::{Addr, Op, OpRef, Value};
 use crate::trace::Trace;
@@ -190,8 +191,9 @@ impl AddrOps {
     }
 }
 
-/// A per-address index over a whole trace: one [`AddrOps`] per touched
-/// address, sorted by address, built in a single pass.
+/// A per-address index over a whole trace: one [`AddrOps`] per address of
+/// [`Trace::addresses`] (touched, or carrying only a final value), sorted
+/// by address, built in a single pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AddrIndex {
     entries: Vec<AddrOps>,
@@ -224,6 +226,14 @@ impl AddrIndex {
             });
             counts[i * procs + r.proc.0 as usize] += 1;
         }
+        // An address that only carries a declared final value is an
+        // instance with no operations: its `d_F` alone decides it.
+        for &addr in trace.final_values().keys() {
+            if !slot.contains_key(&addr) {
+                discovered.push(addr);
+                counts.resize(counts.len() + procs, 0);
+            }
+        }
         let mut entries: Vec<AddrOps> = discovered
             .iter()
             .enumerate()
@@ -244,7 +254,7 @@ impl AddrIndex {
         self.entries.len()
     }
 
-    /// True if the trace touches no address.
+    /// True if the trace has no address (no operation, no final value).
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -360,6 +370,19 @@ mod tests {
                 assert_eq!(t.op(r), Some(op));
             }
         }
+    }
+
+    #[test]
+    fn final_only_address_is_an_entry_without_ops() {
+        let mut t = sample();
+        t.set_final(1u32, 3u64);
+        let idx = AddrIndex::build(&t);
+        assert_eq!(idx.addresses().collect::<Vec<_>>(), t.addresses());
+        let only = idx.get(Addr(1)).unwrap();
+        assert!(only.is_empty());
+        assert_eq!(only.final_value(), Some(Value(3)));
+        assert_eq!(only.per_proc().len(), t.num_procs());
+        assert_eq!(only, &AddrOps::of(&t, Addr(1)));
     }
 
     #[test]

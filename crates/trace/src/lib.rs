@@ -40,7 +40,7 @@ pub use history::ProcessHistory;
 pub use index::{AddrIndex, AddrOps};
 pub use op::{Addr, Op, OpRef, ProcId, Value};
 pub use schedule::{
-    check_coherent_schedule, check_coherent_schedule_ops, check_sc_schedule, is_sc_schedule,
-    Schedule, ScheduleError,
+    check_coherent_schedule, check_coherent_schedule_ops, check_sc_schedule, Schedule,
+    ScheduleError,
 };
 pub use trace::{Trace, TraceBuilder};

@@ -343,11 +343,6 @@ pub fn check_sc_schedule(trace: &Trace, schedule: &Schedule) -> Result<(), Sched
     Ok(())
 }
 
-/// Convenience: true iff the schedule is sequentially consistent.
-pub fn is_sc_schedule(trace: &Trace, schedule: &Schedule) -> bool {
-    check_sc_schedule(trace, schedule).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,9 +453,9 @@ mod tests {
             .proc([Op::read(1u32, 1u64), Op::read(0u32, 1u64)])
             .build();
         let ok = sched(&[(0, 0), (0, 1), (1, 0), (1, 1)]);
-        assert!(is_sc_schedule(&t, &ok));
+        assert!(check_sc_schedule(&t, &ok).is_ok());
         let bad = sched(&[(0, 1), (1, 0), (1, 1), (0, 0)]);
-        assert!(!is_sc_schedule(&t, &bad));
+        assert!(check_sc_schedule(&t, &bad).is_err());
     }
 
     #[test]

@@ -105,9 +105,13 @@ impl Trace {
         })
     }
 
-    /// The set of distinct addresses touched by the trace, sorted.
+    /// The addresses of the trace's VMC instances, sorted: every address
+    /// an operation touches, plus every address that only carries a
+    /// declared final value (Definition 4.1's `d_F` is part of the
+    /// address's instance, so an unwritable one makes it incoherent).
     pub fn addresses(&self) -> Vec<Addr> {
         let mut addrs: Vec<Addr> = self.histories.iter().flat_map(|h| h.addresses()).collect();
+        addrs.extend(self.final_values.keys());
         addrs.sort_unstable();
         addrs.dedup();
         addrs
@@ -222,6 +226,14 @@ mod tests {
         assert_eq!(t.num_procs(), 2);
         assert_eq!(t.num_ops(), 5);
         assert_eq!(t.addresses(), vec![Addr(0), Addr(1)]);
+    }
+
+    #[test]
+    fn final_only_addresses_are_listed() {
+        let mut t = two_addr_trace();
+        t.set_final(7u32, 0u64);
+        t.set_initial(9u32, 4u64); // an initial value alone adds nothing
+        assert_eq!(t.addresses(), vec![Addr(0), Addr(1), Addr(7)]);
     }
 
     #[test]

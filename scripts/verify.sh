@@ -257,14 +257,18 @@ if [[ -n "$fast_path_fns" || "$sat_fns" != "crates/coherence/src/sat_encode.rs: 
 fi
 # One trace view: a per-address question goes through an AddrOps. The
 # retired second view (trace and history projections, trace-level
-# classifiers, the read-map helpers, the boolean schedule check and the
-# (trace, addr) exact-search wrappers) must not come back. Only the
+# classifiers, the read-map helpers, the boolean schedule checks and the
+# (trace, addr) exact-search wrappers) must not come back, nor must the
+# caller-less cancellable model entry point or a per-module flag for
+# final values on untouched addresses (every view lists such an address
+# as an instance with no operations). Only the
 # retired forms are matched: names no live item shares anywhere (comments
 # count too), definitions of the common-word names in the trace crate
 # (outside index.rs, where AddrOps keeps `max_ops_per_proc`), paths into
 # vermem_trace, and method or function calls. A local variable
 # or comment that merely shares a common word does not trip the gate.
 retired_unique='readmap_util|ReadSource|projection_map|is_coherent_schedule|solve_backtracking_with_stats'
+retired_unique+='|is_sc_schedule|verify_axiom_with|finals_unmatched'
 retired_defs='project|projection_map|is_single_address|is_all_rmw|max_ops_per_proc|writes_per_value'
 retired_defs+='|write_count|read_count|written_values|read_mapping|write_orders'
 retired_calls='project|projection_map|is_single_address|is_all_rmw|writes_per_value'
@@ -275,7 +279,7 @@ view_sites=$( { grep -rnwE "$retired_unique" crates/ src/ tests/ examples/
     grep -rnE "\.($retired_calls)\(" crates/ src/ tests/ examples/
     grep -rnE '\bsolve_backtracking\(|InstanceProfile::of\(' crates/ src/ tests/ examples/; } || true)
 if [[ -n "$view_sites" ]]; then
-    echo "retired trace-level view or (trace, addr) search wrapper found (use AddrOps):" >&2
+    echo "retired trace-level view, (trace, addr) search wrapper, cancellable model entry point or final-value flag found:" >&2
     echo "$view_sites" >&2
     exit 1
 fi
