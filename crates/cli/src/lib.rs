@@ -512,7 +512,6 @@ fn cmd_sc(args: &Args, stdin: &str) -> Result<String, CliError> {
         engine,
         kernel: vermem_consistency::KernelConfig {
             max_states: (budget > 0).then_some(budget),
-            ..Default::default()
         },
         tier: parse_tier(args)?,
     };
@@ -530,9 +529,12 @@ fn cmd_sc(args: &Args, stdin: &str) -> Result<String, CliError> {
             false
         }
         vermem_consistency::ConsistencyVerdict::Unknown { stats } => {
+            // The budget bounds each search (each address's, for a model
+            // decided address by address); the count sums every search.
             let _ = writeln!(
                 out,
-                "{model_name}: unknown (budget of {budget} states exhausted after {} states)",
+                "{model_name}: unknown (budget exhausted: a search passed its \
+                 {budget}-state limit; {} states visited in all)",
                 stats.states
             );
             false
@@ -1432,6 +1434,33 @@ mod tests {
         let out = run_ok(&["classify", "-"], COHERENT);
         assert!(out.contains("procs=2"));
         assert!(out.contains("address 0"));
+    }
+
+    #[test]
+    fn classify_counts_a_final_only_address() {
+        // Address 1 carries only a final value: it is an address of the
+        // trace, with an `address` line of its own and a place in `addrs=`.
+        let t = "final 1 = 5\nP0: W(0,1) R(0,1)\nP1: R(0,1)\n";
+        let out = run_ok(&["classify", "-"], t);
+        assert!(out.contains("addrs=2"), "{out}");
+        assert_eq!(out.lines().filter(|l| l.starts_with("address ")).count(), 2);
+    }
+
+    #[test]
+    fn sc_budget_message_fits_a_per_address_budget() {
+        // The budget bounds each search (each address's, under Coherence)
+        // and the count sums them all: the message claims no more.
+        let gen = [
+            "gen", "--procs", "4", "--ops", "200", "--addrs", "3", "--seed", "5", "--reuse", "80",
+        ];
+        let trace = run_ok(&gen, "");
+        for model in ["coherence", "sc"] {
+            let out = run_ok(&["sc", "-", "--model", model, "--budget", "1"], &trace);
+            let want = ": unknown (budget exhausted: a search passed its 1-state limit; \
+                        2 states visited in all)\n# engine=compiled tier=exact\n\
+                        # search: states=2 ";
+            assert!(out.contains(want), "{model}: {out}");
+        }
     }
 
     #[test]

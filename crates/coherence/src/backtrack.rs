@@ -240,7 +240,6 @@ pub fn solve_escalated_ops_with_stats(
     let mut sys = VmcSystem::new(ops, &cfg.prune, window_table);
     let kernel_cfg = KernelConfig {
         max_states: cfg.max_states,
-        ..KernelConfig::default()
     };
     let (outcome, mut stats) = kernel::run_search(&mut sys, &kernel_cfg, None);
     stats.symmetry_prunes = sys.symmetry_prunes.get();

@@ -21,6 +21,10 @@
 //! enabled (in preferred exploration order), how to apply/undo one move,
 //! which pending reads can be absorbed for free, when a state is accepting,
 //! a sound feasibility check, and — critically — the *canonical state key*.
+//! A spent budget or a fired token stops the whole search: every open
+//! state then returns without trying another move, so a budget of `n`
+//! visits at most `n + 1` states and a cancelled search stops within one
+//! poll interval.
 //!
 //! Three optional hooks carry inference that only some systems have (VMC's
 //! dead-end check, position windows and nogood learning); their no-op
@@ -115,39 +119,23 @@ impl SearchStats {
     }
 }
 
-/// Budget and pruning knobs for a kernel search. Flipping `feasibility`
-/// changes performance only, never verdicts.
-#[derive(Clone, Copy, Debug)]
+/// The budget of a kernel search.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct KernelConfig {
     /// Maximum distinct states to visit before giving up with
-    /// [`KernelOutcome::BudgetExhausted`]. `None` = unlimited. A model the
-    /// consistency crate decides address by address (coherence-only) gets
-    /// this budget per address, as [`crate::SearchConfig::max_states`].
+    /// [`KernelOutcome::BudgetExhausted`]. `None` = unlimited. The search
+    /// stops at the first state past the budget, so it visits at most
+    /// `max_states + 1`. A model the consistency crate decides address by
+    /// address (coherence-only) gets this budget per address, as
+    /// [`crate::SearchConfig::max_states`].
     pub max_states: Option<u64>,
-    /// Sound feasibility pruning ([`TransitionSystem::infeasible`] and
-    /// [`TransitionSystem::admit`]): refute states and branches from which
-    /// no completion can exist (counted in [`SearchStats::window_prunes`]).
-    /// On by default. It does not apply to a model decided address by
-    /// address, which runs the VMC dispatcher; that search's ablations are
-    /// [`crate::PruneConfig`].
-    pub feasibility: bool,
-}
-
-impl Default for KernelConfig {
-    fn default() -> Self {
-        KernelConfig {
-            max_states: None,
-            feasibility: true,
-        }
-    }
 }
 
 impl KernelConfig {
-    /// Config with a state budget and all optimizations at their defaults.
+    /// Config with a state budget.
     pub fn with_budget(max_states: u64) -> Self {
         KernelConfig {
             max_states: Some(max_states),
-            ..Default::default()
         }
     }
 }
@@ -198,8 +186,8 @@ pub trait TransitionSystem {
 
     /// Sound refutation: `true` only if **no** completion can exist from
     /// this state (e.g. a frontier read demands a value with zero
-    /// remaining supply). Consulted when [`KernelConfig::feasibility`] is
-    /// on; counted in [`SearchStats::window_prunes`].
+    /// remaining supply). Consulted at every state after the memo and
+    /// budget checks; counted in [`SearchStats::window_prunes`].
     fn infeasible(&self) -> bool;
 
     /// Emit the canonical state key (see the module docs for the
@@ -226,16 +214,17 @@ pub trait TransitionSystem {
     fn enabled_moves(&self, moves: &mut Vec<Self::Move>);
 
     /// Per-state refutation, consulted after the memo, budget and
-    /// feasibility checks and before [`TransitionSystem::enabled_moves`]:
+    /// [`TransitionSystem::infeasible`] checks and before
+    /// [`TransitionSystem::enabled_moves`]:
     /// `true` only if no completion can exist from this state. Counts
     /// what it reports in `stats`. Default: refutes nothing.
     fn refute(&mut self, _stats: &mut SearchStats) -> bool {
         false
     }
 
-    /// Per-branch feasibility, consulted when [`KernelConfig::feasibility`]
-    /// is on just before `mv` is explored from a state at commit depth
-    /// `depth`: `false` only if no completion takes `mv` there. Each
+    /// Per-branch feasibility, consulted just before `mv` is explored from
+    /// a state at commit depth `depth`: `false` only if no completion
+    /// takes `mv` there. Each
     /// rejection is counted in [`SearchStats::window_prunes`]. Default:
     /// admits every move.
     fn admit(&self, _mv: Self::Move, _depth: usize) -> bool {
@@ -409,7 +398,6 @@ pub fn run_search<S: TransitionSystem>(
         commits: Vec::with_capacity(total),
         total,
         max_states: cfg.max_states,
-        feasibility: cfg.feasibility,
         cancel,
         stats: SearchStats::default(),
         budget_hit: false,
@@ -469,9 +457,10 @@ struct Kernel<'a, S: TransitionSystem> {
     commits: Vec<OpRef>,
     total: usize,
     max_states: Option<u64>,
-    feasibility: bool,
     cancel: Option<&'a CancelToken>,
     stats: SearchStats,
+    /// Set once the budget is spent or the token has fired: sticky, so
+    /// every open state then returns without trying another move.
     budget_hit: bool,
     cancelled: bool,
     /// Key-construction scratch: probing allocates nothing beyond the
@@ -545,7 +534,7 @@ impl<S: TransitionSystem> Kernel<'_, S> {
         }
 
         // Sound feasibility refutation (the per-model frontier bound).
-        if self.feasibility && self.sys.infeasible() {
+        if self.sys.infeasible() {
             self.stats.window_prunes += 1;
             fail!();
         }
@@ -559,7 +548,7 @@ impl<S: TransitionSystem> Kernel<'_, S> {
         self.sys.enabled_moves(&mut moves);
         let depth = self.commits.len();
         for &mv in &moves {
-            if self.feasibility && !self.sys.admit(mv, depth) {
+            if !self.sys.admit(mv, depth) {
                 self.stats.window_prunes += 1;
                 continue;
             }
@@ -575,6 +564,9 @@ impl<S: TransitionSystem> Kernel<'_, S> {
                 self.commits.pop();
             }
             self.sys.undo(mv);
+            if self.budget_hit || self.cancelled {
+                break;
+            }
         }
         self.move_bufs.push(moves);
         if !self.budget_hit && !self.cancelled {
@@ -727,7 +719,7 @@ mod tests {
         });
         let (outcome, stats) = run_search(&mut sys, &KernelConfig::with_budget(5), None);
         assert_eq!(outcome, KernelOutcome::BudgetExhausted);
-        assert!(stats.states > 5);
+        assert_eq!(stats.states, 6);
     }
 
     #[test]
@@ -739,9 +731,10 @@ mod tests {
         };
         let (outcome, stats) = run_search(&mut sys, &KernelConfig::with_budget(5), None);
         assert_eq!(outcome, KernelOutcome::BudgetExhausted);
-        // Past the cap every fresh state is pruned immediately, so the
-        // overshoot is bounded by the open siblings.
-        assert!(stats.states > 5, "cap must have been crossed");
+        assert_eq!(
+            stats.states, 6,
+            "the first state past the cap stops the search"
+        );
         let full = {
             let mut sys = Counters {
                 vals: vec![0; 4],
@@ -755,6 +748,26 @@ mod tests {
         assert!(stats.states < full, "budget must truncate the search");
     }
 
+    /// A spent budget stops the whole search: no open state tries another
+    /// move, so the search visits exactly one state past the budget, and
+    /// leaves the system as it found it.
+    #[test]
+    fn budget_stops_the_search_one_state_past_it() {
+        for max in [0, 1, 10, 100, 1000] {
+            let mut sys = Counters {
+                vals: vec![0; 7],
+                limit: 3,
+                accept: false,
+            };
+            let (outcome, stats) = run_search(&mut sys, &KernelConfig::with_budget(max), None);
+            assert_eq!(outcome, KernelOutcome::BudgetExhausted);
+            assert_eq!(stats.states, max + 1);
+            assert_eq!(sys.vals, vec![0; 7], "every move undone");
+        }
+    }
+
+    /// A fired token stops the whole search at the first poll, one poll
+    /// interval in, not after the space (16,383 states here) is spent.
     #[test]
     fn pre_cancelled_token_aborts() {
         // The poll mask means tiny searches may finish before the first
@@ -766,8 +779,10 @@ mod tests {
             limit: 3,
             accept: false,
         };
-        let (outcome, _) = run_search(&mut sys, &KernelConfig::default(), Some(&cancel));
+        let (outcome, stats) = run_search(&mut sys, &KernelConfig::default(), Some(&cancel));
         assert_eq!(outcome, KernelOutcome::Cancelled);
+        assert_eq!(stats.states, CANCEL_POLL_MASK + 1);
+        assert_eq!(sys.vals, vec![0; 7], "every move undone");
     }
 
     #[test]

@@ -303,10 +303,7 @@ fn render_kernel() -> String {
                     limit: 2,
                     accept,
                 };
-                let cfg = KernelConfig {
-                    max_states: budget,
-                    ..KernelConfig::default()
-                };
+                let cfg = KernelConfig { max_states: budget };
                 let (outcome, stats) = run_search(&mut sys, &cfg, None);
                 writeln!(
                     out,

@@ -13,17 +13,14 @@
 //! acceptance test.
 //!
 //! The question is incremental. `apply` and `undo` keep the witness's
-//! [`Links`] (readers per write, `mo` positions), and the machine
-//! remembers how deep along the current path every state is known to
-//! satisfy every axiom. The root does (its only edges are static, and
-//! every static relation is a part of `po`), and the kernel checks each
-//! state before expanding it, so a state's parent has always passed: the
-//! plan then looks only at cycles through the last decided event and its
-//! decided readers ([`AxiomPlan::violated_after`]). A state whose parent
-//! was never checked — only the `feasibility: false` ablation makes one,
-//! at acceptance — gets the whole-witness check. Debug builds
-//! cross-check every answer against the reference evaluator; the solver
-//! certifies the accepted witness with it in every build.
+//! [`Links`] (readers per write, `mo` positions). The root satisfies
+//! every axiom (its only edges are static, and every static relation is a
+//! part of `po`), and the kernel checks each state before expanding it,
+//! so a state's parent has always passed: the plan looks only at cycles
+//! through the last decided event and its decided readers
+//! ([`AxiomPlan::violated_after`]). Debug builds cross-check every answer
+//! against the reference evaluator; the solver certifies the accepted
+//! witness with it in every build.
 //!
 //! Every decision is permanent within a path, so distinct paths reach
 //! distinct states: the state graph is a tree and the machine opts out of
@@ -32,7 +29,6 @@
 
 use super::witness::{violated_axiom, AxiomPlan, Events, Links, RfCand, Witness};
 use super::ModelSpec;
-use std::cell::Cell;
 use vermem_coherence::kernel::TransitionSystem;
 use vermem_trace::OpRef;
 
@@ -58,9 +54,6 @@ pub(crate) struct GraphMachine<'a> {
     links: Links,
     /// Next event to decide.
     cursor: usize,
-    /// Every state on the current path up to this depth satisfies every
-    /// axiom.
-    verified: Cell<usize>,
 }
 
 impl<'a> GraphMachine<'a> {
@@ -73,7 +66,6 @@ impl<'a> GraphMachine<'a> {
             ev,
             w,
             cursor: 0,
-            verified: Cell::new(0),
         }
     }
 
@@ -82,29 +74,19 @@ impl<'a> GraphMachine<'a> {
         self.plan.visits()
     }
 
-    /// First axiom the current witness violates, if any.
+    /// First axiom the current witness violates, if any. The root passes
+    /// unchecked; any other state's parent passed, so only the last
+    /// decision can close a cycle.
     fn violated(&self) -> Option<&'static str> {
-        let depth = self.cursor;
-        let verified = self.verified.get();
-        let found = if verified == depth {
-            // Known to pass: the root.
-            None
-        } else if verified + 1 == depth {
-            // The parent passed: only the last decision can close a cycle.
-            let e = depth as u32 - 1;
-            self.plan.violated_after(&self.ev, &self.w, &self.links, e)
-        } else {
-            // The parent was never checked (feasibility pruning off).
-            self.plan.violated(&self.ev, &self.w)
-        };
+        let found = self.cursor.checked_sub(1).and_then(|e| {
+            self.plan
+                .violated_after(&self.ev, &self.w, &self.links, e as u32)
+        });
         debug_assert_eq!(
             found,
             violated_axiom(self.spec, &self.ev, &self.w),
             "axiom plan disagrees with the reference evaluator"
         );
-        if found.is_none() {
-            self.verified.set(depth);
-        }
         found
     }
 }
@@ -233,7 +215,6 @@ impl TransitionSystem for GraphMachine<'_> {
 
     fn undo(&mut self, mv: GraphMove) {
         self.cursor -= 1;
-        self.verified.set(self.verified.get().min(self.cursor));
         let e = self.cursor;
         let op = self.ev.ops[e].1;
         self.links.retract(&self.ev, &self.w, e as u32);

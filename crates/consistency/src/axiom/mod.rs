@@ -50,13 +50,14 @@ pub mod ra_fast;
 mod sat;
 mod witness;
 
-pub use sat::{encode_spec, solve_spec_sat, SpecEncoding};
 pub use witness::{check_model_schedule, check_witness, RfCand, Witness};
 
 use crate::verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
+use operational::Lowering;
 use vermem_coherence::closure::Tier;
 use vermem_coherence::{KernelConfig, SearchStats, TierConfig};
 use vermem_trace::{AddrIndex, Trace};
+use witness::Events;
 
 /// The declared models: the crate's one model vocabulary. Each id names a
 /// [`ModelSpec`] in the registry ([`spec`]).
@@ -408,16 +409,51 @@ pub struct AxiomReport {
 /// the trace: the index is sorted by address, so the first violation is
 /// the lowest address's.
 pub fn precheck_sc(trace: &Trace) -> Option<ConsistencyViolation> {
-    AddrIndex::build(trace)
-        .iter()
+    precheck(&AddrIndex::build(trace))
+}
+
+fn precheck(idx: &AddrIndex) -> Option<ConsistencyViolation> {
+    idx.iter()
         .find_map(vermem_coherence::backtrack::precheck_ops)
         .map(|v| ConsistencyViolation {
             class: ViolationClass::PerAddressCoherence(v),
         })
 }
 
+/// The event universe of `trace` on its own, for the entry points that
+/// take a bare trace ([`ra_fast::try_decide`], [`check_witness`]).
+pub(crate) fn events(trace: &Trace) -> Events {
+    Events::new(trace, &AddrIndex::build(trace))
+}
+
+/// Decide adherence of `trace` to `spec` via the SAT compiler, after the
+/// per-address precheck: [`verify_axiom`]'s [`Engine::Sat`] on a spec
+/// outside the registry too. Decoded witnesses are validated by the
+/// reference evaluator before a `Consistent` verdict is issued, and
+/// refutations by the RUP proof checker before a violation is.
+///
+/// # Panics
+///
+/// If the decoded witness fails the evaluator (an encoding bug) or the
+/// refutation proof fails the checker (a solver bug).
+pub fn solve_spec_sat(trace: &Trace, spec: &ModelSpec) -> ConsistencyVerdict {
+    sat_verdict(trace, &AddrIndex::build(trace), spec)
+}
+
+fn sat_verdict(trace: &Trace, idx: &AddrIndex, spec: &ModelSpec) -> ConsistencyVerdict {
+    match precheck(idx) {
+        Some(v) => ConsistencyVerdict::Violating(v),
+        None => sat::solve(Events::new(trace, idx), spec),
+    }
+}
+
 /// Verify `trace` under declared model `id`: the crate's one deciding
 /// entry point.
+///
+/// One check lays the trace out once: it builds the trace's
+/// [`AddrIndex`], and the precheck, every compiled lowering, the RA fast
+/// tier and the SAT compiler read that index (the graph lowering takes
+/// over the RA fast tier's event universe when that tier escalates).
 ///
 /// ```
 /// use vermem_consistency::{verify_axiom, AxiomConfig, ModelId};
@@ -445,30 +481,34 @@ pub fn precheck_sc(trace: &Trace) -> Option<ConsistencyViolation> {
 /// ```
 pub fn verify_axiom(trace: &Trace, id: ModelId, cfg: &AxiomConfig) -> AxiomReport {
     let spec = spec(id);
-    match cfg.engine {
-        Engine::Sat => AxiomReport {
-            verdict: sat::solve_spec_sat(trace, spec),
+    let idx = AddrIndex::build(trace);
+    if cfg.engine == Engine::Sat {
+        return AxiomReport {
+            verdict: sat_verdict(trace, &idx, spec),
             stats: SearchStats::default(),
             tier: Tier::Exact,
-        },
-        Engine::Compiled => {
-            if let Some(v) = precheck_sc(trace) {
-                return AxiomReport {
-                    verdict: ConsistencyVerdict::Violating(v),
-                    stats: SearchStats::default(),
-                    tier: Tier::Frontline,
-                };
-            }
+        };
+    }
+    let frontline = |verdict| AxiomReport {
+        verdict,
+        stats: SearchStats::default(),
+        tier: Tier::Frontline,
+    };
+    if let Some(v) = precheck(&idx) {
+        return frontline(ConsistencyVerdict::Violating(v));
+    }
+    let kernel = &cfg.kernel;
+    match operational::lowering(spec) {
+        Lowering::PerAddress => operational::solve_per_address(trace, &idx, spec, kernel),
+        Lowering::Buffer(kind) => operational::solve_buffer(trace, &idx, spec, kind, kernel),
+        Lowering::Graph => {
+            let ev = Events::new(trace, &idx);
             if id == ModelId::Ra && cfg.tier.frontline {
-                if let ra_fast::FastOutcome::Decided(verdict) = ra_fast::try_decide(trace) {
-                    return AxiomReport {
-                        verdict,
-                        stats: SearchStats::default(),
-                        tier: Tier::Frontline,
-                    };
+                if let ra_fast::FastOutcome::Decided(verdict) = ra_fast::decide(&ev) {
+                    return frontline(verdict);
                 }
             }
-            operational::solve_compiled(trace, spec, &cfg.kernel)
+            operational::solve_graph(spec, ev, kernel)
         }
     }
 }

@@ -1,18 +1,20 @@
 //! The operational compiler: lower a [`ModelSpec`] to a decider on the
 //! exact-search kernel.
 //!
-//! Three lowerings exist, chosen by inspecting the spec *as data*:
+//! Three lowerings exist, chosen by inspecting the spec *as data*. None
+//! lays the trace out itself: each reads the one [`AddrIndex`] that
+//! [`super::verify_axiom`] builds per check (slot `i` is the index's
+//! `i`-th entry), the index its per-address precheck already swept.
 //!
 //! * **Per-address lowering** — a spec whose axioms pin a single
 //!   serialization order ([`super::witness::spec_serializes`]) and whose
 //!   enforcement table preserves no cross-address pair (coherence-only)
 //!   orders each address on its own: by the paper's §3 definition the
 //!   trace is consistent iff every address's VMC instance (Definition
-//!   4.1) has a coherent schedule. The lowering indexes the trace once
-//!   ([`AddrIndex`]) and runs the VMC dispatcher
+//!   4.1) has a coherent schedule. The lowering runs the VMC dispatcher
 //!   ([`VmcVerifier::verify_ops`]: the Figure 5.3 fast paths, the closure
-//!   frontline, then the exact VMC search) on each address in ascending
-//!   order, the decider `verify_execution` runs. The schedule of a
+//!   frontline, then the exact VMC search) on each index entry in
+//!   ascending address order, the decider `verify_execution` runs. The schedule of a
 //!   consistent trace is the per-address schedules concatenated in
 //!   address order.
 //! * **Buffer lowering** — single-serialization specs whose enforcement
@@ -25,12 +27,15 @@
 //!   classes — so verdicts, state sets and [`SearchStats`] match what
 //!   those machines produced (pinned by the golden file of
 //!   `tests/axiom_differential.rs`). The machine runs on dense ids: each
-//!   operation is lowered once to its address slot and per-slot value
-//!   ids, and each state is keyed by one fixed-width bit-packed record
-//!   (frontiers, memory value ids, store-buffer lengths).
+//!   operation is lowered once, from its index entry, to its address slot
+//!   and per-slot value ids, and each state is keyed by one fixed-width
+//!   bit-packed record (frontiers, memory value ids, store-buffer
+//!   lengths).
 //! * **Graph lowering** — every other spec (RA, ARM-dob) compiles to the
 //!   witness-construction machine of [`super::graph`], which decides `rf`
-//!   and `mo` directly and answers to the reference axiom evaluator.
+//!   and `mo` directly and answers to the reference axiom evaluator. It
+//!   takes over the event universe ([`Events`]) the RA fast tier already
+//!   built when that tier escalates.
 //!
 //! The serialization equivalence justifying the buffer lowering — a
 //! single `ppo`-extending order with reads-see-latest exists iff some
@@ -59,7 +64,7 @@ use vermem_coherence::kernel::{
     run_search, KernelConfig, KernelOutcome, KeyPacker, TransitionSystem,
 };
 use vermem_coherence::{SearchConfig, SearchStats, Tier, Verdict, VmcVerifier};
-use vermem_trace::{Addr, AddrIndex, Op, OpRef, Schedule, Trace, Value};
+use vermem_trace::{AddrIndex, Op, OpRef, Schedule, Trace, Value};
 use vermem_util::obs;
 
 /// The store-buffer shapes the buffer lowering recognizes.
@@ -124,85 +129,77 @@ pub(crate) fn lowering(spec: &ModelSpec) -> Lowering {
     }
 }
 
-/// Run the compiled engine. Callers are responsible for the per-address
-/// precheck ([`super::precheck_sc`]); this function only searches.
-pub(crate) fn solve_compiled(trace: &Trace, spec: &ModelSpec, cfg: &KernelConfig) -> AxiomReport {
-    let (verdict, stats) = match lowering(spec) {
-        Lowering::PerAddress => return solve_per_address(trace, spec, cfg),
-        Lowering::Buffer(kind) => solve_buffer(trace, spec, kind, cfg),
-        Lowering::Graph => solve_graph(trace, spec, cfg),
-    };
+/// The report of an exact search: its verdict, given a certified
+/// witness, and its stats.
+fn exact(verdict: Option<ConsistencyVerdict>, stats: SearchStats) -> AxiomReport {
     AxiomReport {
-        verdict,
+        verdict: verdict.unwrap_or(ConsistencyVerdict::Unknown { stats }),
         stats,
         tier: Tier::Exact,
     }
 }
 
-fn solve_buffer(
+/// The buffer lowering: one store-buffer machine of shape `kind` over the
+/// layout `idx` of `trace`.
+pub(crate) fn solve_buffer(
     trace: &Trace,
+    idx: &AddrIndex,
     spec: &ModelSpec,
     kind: BufferKind,
     cfg: &KernelConfig,
-) -> (ConsistencyVerdict, SearchStats) {
-    let mut sys = CompiledMachine::new(trace, kind);
+) -> AxiomReport {
+    let mut sys = CompiledMachine::new(trace, idx, kind);
     let (outcome, stats) = run_search(&mut sys, cfg, None);
-    match outcome {
+    let verdict = match outcome {
         KernelOutcome::Accepted(commits) => {
             let witness = Schedule::from_refs(commits);
             // Certificate: a commit order the model's schedule checker
             // rejects is never reported as consistent.
-            if check_model_schedule(trace, spec.id, &witness).is_err() {
-                return (ConsistencyVerdict::Unknown { stats }, stats);
-            }
-            (ConsistencyVerdict::Consistent(witness), stats)
+            check_model_schedule(trace, spec.id, &witness)
+                .is_ok()
+                .then_some(ConsistencyVerdict::Consistent(witness))
         }
-        KernelOutcome::Refuted => (no_schedule(), stats),
-        KernelOutcome::BudgetExhausted | KernelOutcome::Cancelled => {
-            (ConsistencyVerdict::Unknown { stats }, stats)
-        }
-    }
+        KernelOutcome::Refuted => Some(no_schedule()),
+        KernelOutcome::BudgetExhausted | KernelOutcome::Cancelled => None,
+    };
+    exact(verdict, stats)
 }
 
-fn solve_graph(
-    trace: &Trace,
-    spec: &ModelSpec,
-    cfg: &KernelConfig,
-) -> (ConsistencyVerdict, SearchStats) {
-    let ev = Events::new(trace);
+/// The graph lowering: the witness-search machine over `ev`.
+pub(crate) fn solve_graph(spec: &ModelSpec, ev: Events, cfg: &KernelConfig) -> AxiomReport {
     if ev.some_read_unsatisfiable() {
-        return (no_schedule(), SearchStats::default());
+        return exact(Some(no_schedule()), SearchStats::default());
     }
     let mut sys = GraphMachine::new(spec, ev);
     let (outcome, stats) = run_search(&mut sys, cfg, None);
     if obs::enabled() {
         obs::counter_add("axiom.plan.visits", sys.plan_visits());
     }
-    match outcome {
-        KernelOutcome::Accepted(_) => {
-            // The kernel returns with the machine in its accepting state:
-            // the witness is still in place. Certificate: the reference
-            // evaluator, not the plan that accepted it, must confirm it.
-            if check_witness_ev(spec, &sys.ev, &sys.w).is_err() {
-                return (ConsistencyVerdict::Unknown { stats }, stats);
-            }
-            let sched = witness_schedule(spec, &sys.ev, &sys.w);
-            (ConsistencyVerdict::Consistent(sched), stats)
-        }
-        KernelOutcome::Refuted => (no_schedule(), stats),
-        KernelOutcome::BudgetExhausted | KernelOutcome::Cancelled => {
-            (ConsistencyVerdict::Unknown { stats }, stats)
-        }
-    }
+    let verdict = match outcome {
+        // The kernel returns with the machine in its accepting state: the
+        // witness is still in place. Certificate: the reference evaluator,
+        // not the plan that accepted it, must confirm it.
+        KernelOutcome::Accepted(_) => check_witness_ev(spec, &sys.ev, &sys.w)
+            .is_ok()
+            .then(|| ConsistencyVerdict::Consistent(witness_schedule(spec, &sys.ev, &sys.w))),
+        KernelOutcome::Refuted => Some(no_schedule()),
+        KernelOutcome::BudgetExhausted | KernelOutcome::Cancelled => None,
+    };
+    exact(verdict, stats)
 }
 
-/// The per-address lowering: the VMC dispatcher on each address in
-/// ascending order, each with its own `max_states` budget. The first
-/// incoherent address refutes the trace and an undecided one leaves it
-/// unknown, with the stats summed up to and including that address. The
-/// report's tier is [`Tier::Frontline`] iff no address escalated to the
-/// exact search.
-fn solve_per_address(trace: &Trace, spec: &ModelSpec, cfg: &KernelConfig) -> AxiomReport {
+/// The per-address lowering: the VMC dispatcher on each entry of `idx`
+/// in ascending address order, each with its own `max_states` budget.
+/// The first incoherent address refutes the trace and an undecided one
+/// leaves it unknown, with the stats summed up to and including that
+/// address. The report's tier is [`Tier::Frontline`] iff no address
+/// escalated to the exact search.
+pub(crate) fn solve_per_address(
+    trace: &Trace,
+    idx: &AddrIndex,
+    spec: &ModelSpec,
+    cfg: &KernelConfig,
+) -> AxiomReport {
     let verifier = VmcVerifier {
         search: SearchConfig {
             max_states: cfg.max_states,
@@ -213,7 +210,7 @@ fn solve_per_address(trace: &Trace, spec: &ModelSpec, cfg: &KernelConfig) -> Axi
     let mut stats = SearchStats::default();
     let mut tier = Tier::Frontline;
     let mut order = Vec::with_capacity(trace.num_ops());
-    for ops in AddrIndex::build(trace).iter() {
+    for ops in idx.iter() {
         let (verdict, s, t) = verifier.verify_ops(ops);
         stats.absorb(&s);
         if t == Tier::Exact {
@@ -316,65 +313,59 @@ struct MachineBase {
 }
 
 impl MachineBase {
-    fn new(trace: &Trace) -> MachineBase {
-        let addrs = trace.addresses(); // sorted + deduped
-        let slot_of = |a: Addr| addrs.binary_search(&a).expect("listed") as u32;
-        // Intern in three rounds so the ids memory can hold come first:
-        // initial values, written values, then values only read or
-        // required finally.
-        let mut ids: Vec<BTreeMap<Value, u32>> = addrs
-            .iter()
-            .map(|&a| BTreeMap::from([(trace.initial(a), 0)]))
-            .collect();
-        let intern = |ids: &mut [BTreeMap<Value, u32>], slot: u32, v: Value| {
-            let table = &mut ids[slot as usize];
-            let next = table.len() as u32;
-            *table.entry(v).or_insert(next)
-        };
-        for op in trace.histories().iter().flat_map(|h| h.iter()) {
-            if let Some(v) = op.written_value() {
-                intern(&mut ids, slot_of(op.addr()), v);
-            }
-        }
-        let memory_values: Vec<u32> = ids.iter().map(|t| t.len() as u32).collect();
-        let per_proc: Vec<Vec<DenseOp>> = trace
+    /// The machine of `trace`, laid out by its index `idx`: slot `i` is
+    /// the index's `i`-th entry.
+    fn new(trace: &Trace, idx: &AddrIndex) -> MachineBase {
+        // Every op is lowered below, by the one entry that lists it.
+        let placeholder = DenseOp::Read { slot: 0, value: 0 };
+        let mut per_proc: Vec<Vec<DenseOp>> = trace
             .histories()
             .iter()
-            .map(|h| {
-                h.iter()
-                    .map(|op| {
-                        let slot = slot_of(op.addr());
-                        match op {
-                            Op::Read { value, .. } => DenseOp::Read {
-                                slot,
-                                value: intern(&mut ids, slot, value),
-                            },
-                            Op::Write { value, .. } => DenseOp::Write {
-                                slot,
-                                value: intern(&mut ids, slot, value),
-                            },
-                            Op::Rmw { read, write, .. } => DenseOp::Rmw {
-                                slot,
-                                read: intern(&mut ids, slot, read),
-                                write: intern(&mut ids, slot, write),
-                            },
-                        }
-                    })
-                    .collect()
-            })
+            .map(|h| vec![placeholder; h.len()])
             .collect();
-
-        let finals: Vec<(u32, u32)> = trace
-            .final_values()
-            .iter()
-            .map(|(&a, &v)| (slot_of(a), intern(&mut ids, slot_of(a), v)))
-            .collect();
-
-        let mut supply_at = Vec::with_capacity(ids.len());
+        let mut memory_values = Vec::with_capacity(idx.len());
+        let mut supply_at = Vec::with_capacity(idx.len());
+        let mut finals = Vec::new();
         let mut next = 0;
-        for table in &ids {
+        for (slot, entry) in idx.iter().enumerate() {
+            let slot = slot as u32;
+            // Intern in three rounds so the ids memory can hold come
+            // first: the initial value, the written values, then values
+            // only read or required finally. Each round takes values in
+            // first-occurrence order.
+            let mut ids = BTreeMap::from([(entry.initial(), 0)]);
+            let intern = |ids: &mut BTreeMap<Value, u32>, v: Value| {
+                let fresh = ids.len() as u32;
+                *ids.entry(v).or_insert(fresh)
+            };
+            for (_, op) in entry.iter() {
+                if let Some(v) = op.written_value() {
+                    intern(&mut ids, v);
+                }
+            }
+            memory_values.push(ids.len() as u32);
+            for (r, op) in entry.iter() {
+                per_proc[r.proc.0 as usize][r.index as usize] = match op {
+                    Op::Read { value, .. } => DenseOp::Read {
+                        slot,
+                        value: intern(&mut ids, value),
+                    },
+                    Op::Write { value, .. } => DenseOp::Write {
+                        slot,
+                        value: intern(&mut ids, value),
+                    },
+                    Op::Rmw { read, write, .. } => DenseOp::Rmw {
+                        slot,
+                        read: intern(&mut ids, read),
+                        write: intern(&mut ids, write),
+                    },
+                };
+            }
+            if let Some(v) = entry.final_value() {
+                finals.push((slot, intern(&mut ids, v)));
+            }
             supply_at.push(next);
-            next += table.len() as u32;
+            next += ids.len() as u32;
         }
         let mut supply = vec![0; next as usize];
         for &op in per_proc.iter().flatten() {
@@ -391,7 +382,7 @@ impl MachineBase {
             frontier: vec![0; per_proc.len()],
             total: per_proc.iter().map(Vec::len).sum(),
             per_proc,
-            memory: vec![0; addrs.len()],
+            memory: vec![0; idx.len()],
             memory_values,
             supply_at,
             supply,
@@ -507,8 +498,8 @@ enum CompiledMove {
 }
 
 impl CompiledMachine {
-    fn new(trace: &Trace, kind: BufferKind) -> CompiledMachine {
-        let base = MachineBase::new(trace);
+    fn new(trace: &Trace, idx: &AddrIndex, kind: BufferKind) -> CompiledMachine {
+        let base = MachineBase::new(trace, idx);
         let nprocs = base.per_proc.len();
         let nslots = base.memory.len();
         let queues = match kind {
@@ -788,7 +779,7 @@ mod tests {
     use super::*;
     use crate::axiom::{spec, ModelId};
     use vermem_trace::gen::{gen_sc_trace, GenConfig};
-    use vermem_trace::TraceBuilder;
+    use vermem_trace::{Addr, TraceBuilder};
     use vermem_util::rng::StdRng;
 
     #[test]
@@ -844,7 +835,7 @@ mod tests {
             .collect();
         let addrs = trace.addresses();
         let slot = |a: Addr| addrs.binary_search(&a).unwrap() as u32;
-        let mut sys = CompiledMachine::new(trace, kind);
+        let mut sys = CompiledMachine::new(trace, &AddrIndex::build(trace), kind);
         let nq = match kind {
             BufferKind::Atomic => 0,
             BufferKind::ProcFifo => ops.len(),

@@ -47,7 +47,12 @@ fn refuted() -> FastOutcome {
 
 /// Try to decide RA consistency of `trace` in polynomial time.
 pub fn try_decide(trace: &Trace) -> FastOutcome {
-    let ev = Events::new(trace);
+    decide(&super::events(trace))
+}
+
+/// [`try_decide`] on the event universe of a check: `verify_axiom` hands
+/// the same [`Events`] on to the exact search when this escalates.
+pub(crate) fn decide(ev: &Events) -> FastOutcome {
     let n = ev.len();
     if ev.some_read_unsatisfiable() {
         return refuted();
@@ -269,9 +274,9 @@ pub fn try_decide(trace: &Trace) -> FastOutcome {
     // Acceptance only through the reference evaluator: the completion is
     // heuristic, so an invalid witness escalates rather than refutes.
     let w = Witness { rf, mo };
-    match check_witness_ev(&RA_SPEC, &ev, &w) {
+    match check_witness_ev(&RA_SPEC, ev, &w) {
         Ok(()) => FastOutcome::Decided(ConsistencyVerdict::Consistent(witness_schedule(
-            &RA_SPEC, &ev, &w,
+            &RA_SPEC, ev, &w,
         ))),
         Err(_) => FastOutcome::Escalate,
     }

@@ -28,7 +28,6 @@ use super::witness::{check_witness_ev, push_rel, witness_schedule, Events, RfCan
 use super::{AxiomKind, ModelSpec, Rel};
 use crate::verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
 use vermem_sat::{CdclSolver, Cnf, Model, SatResult, Var};
-use vermem_trace::Trace;
 
 /// A coherence-order decision: constant for program-ordered same-process
 /// write pairs (forced by the per-location coherence axiom every spec
@@ -66,7 +65,7 @@ fn clause(cnf: &mut Cnf, terms: &[(Term, bool)]) {
 
 /// A compiled spec encoding: CNF plus the variable maps needed to decode
 /// a model back into a [`Witness`].
-pub struct SpecEncoding {
+struct SpecEncoding {
     cnf: Cnf,
     ev: Events,
     /// Reads-from selector per event, parallel to `ev.candidates`.
@@ -74,22 +73,13 @@ pub struct SpecEncoding {
     /// Triangular per slot: `mo[slot][i][j - i - 1]` ⇔ the slot's `i`-th
     /// write precedes its `j`-th (positions in `ev.writes_by_slot`).
     mo: Vec<Vec<Vec<Pair>>>,
+    /// Unsatisfiable without solving: a read no write can satisfy, or a
+    /// final value on a write-free address that differs from the initial
+    /// value.
     trivially_unsat: bool,
 }
 
 impl SpecEncoding {
-    /// The generated CNF.
-    pub fn cnf(&self) -> &Cnf {
-        &self.cnf
-    }
-
-    /// The encoding is unsatisfiable without solving: an unmatched final
-    /// value, a read no write can satisfy, or a final value on a
-    /// write-free address that differs from the initial value.
-    pub fn trivially_unsat(&self) -> bool {
-        self.trivially_unsat
-    }
-
     /// Term for "slot's `i`-th write precedes its `j`-th" (positions).
     fn mo_term(&self, slot: usize, i: usize, j: usize) -> Term {
         let (a, b, flip) = if i < j { (i, j, false) } else { (j, i, true) };
@@ -107,7 +97,7 @@ impl SpecEncoding {
     }
 
     /// Decode a model into the witness it describes.
-    pub fn decode(&self, model: &Model) -> Witness {
+    fn decode(&self, model: &Model) -> Witness {
         let mut w = Witness::empty(self.ev.len(), self.ev.writes_by_slot.len());
         for (e, sels) in self.sel.iter().enumerate() {
             if let Some(ci) = sels
@@ -216,9 +206,9 @@ fn closure_rels(kind: AxiomKind) -> &'static [Rel] {
     }
 }
 
-/// Build the CNF encoding of "`trace` has a witness valid under `spec`".
-pub fn encode_spec(trace: &Trace, spec: &ModelSpec) -> SpecEncoding {
-    let ev = Events::new(trace);
+/// Build the CNF encoding of "the trace of `ev` has a witness valid under
+/// `spec`".
+fn encode_spec(ev: Events, spec: &ModelSpec) -> SpecEncoding {
     let n = ev.len();
     let mut cnf = Cnf::new();
 
@@ -383,27 +373,24 @@ pub fn encode_spec(trace: &Trace, spec: &ModelSpec) -> SpecEncoding {
     enc
 }
 
-/// Decide adherence of `trace` to `spec` via the SAT encoding. Shares the
-/// polynomial per-address precheck with the other engines; decoded
-/// witnesses are validated by the reference evaluator before a
-/// `Consistent` verdict is issued, and refutations by the RUP proof
-/// checker before a violation is.
+/// Decide adherence of the trace of `ev` to `spec` via the SAT encoding.
+/// The caller has run the per-address precheck; decoded witnesses are
+/// validated by the reference evaluator before a `Consistent` verdict is
+/// issued, and refutations by the RUP proof checker before a violation
+/// is.
 ///
 /// # Panics
 ///
 /// If the decoded witness fails the evaluator (an encoding bug) or the
 /// refutation proof fails the checker (a solver bug).
-pub fn solve_spec_sat(trace: &Trace, spec: &ModelSpec) -> ConsistencyVerdict {
-    if let Some(v) = super::precheck_sc(trace) {
-        return ConsistencyVerdict::Violating(v);
-    }
-    let enc = encode_spec(trace, spec);
-    if enc.trivially_unsat() {
+pub(crate) fn solve(ev: Events, spec: &ModelSpec) -> ConsistencyVerdict {
+    let enc = encode_spec(ev, spec);
+    if enc.trivially_unsat {
         return ConsistencyVerdict::Violating(ConsistencyViolation {
             class: ViolationClass::NoConsistentSchedule,
         });
     }
-    let mut solver = CdclSolver::new(enc.cnf());
+    let mut solver = CdclSolver::new(&enc.cnf);
     solver.enable_proof_logging();
     match solver.solve() {
         SatResult::Sat(m) => {
@@ -418,7 +405,7 @@ pub fn solve_spec_sat(trace: &Trace, spec: &ModelSpec) -> ConsistencyVerdict {
         SatResult::Unsat => {
             let proof = solver.take_proof().expect("logging enabled");
             assert_eq!(
-                vermem_sat::check_unsat_proof(enc.cnf(), &proof),
+                vermem_sat::check_unsat_proof(&enc.cnf, &proof),
                 vermem_sat::ProofCheck::Valid,
                 "CDCL produced an invalid refutation proof — solver bug ({})",
                 spec.name
@@ -432,8 +419,7 @@ pub fn solve_spec_sat(trace: &Trace, spec: &ModelSpec) -> ConsistencyVerdict {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::axiom::{spec, ModelId};
+    use crate::axiom::{solve_spec_sat, spec, ModelId};
     use crate::oracle::serializes;
     use vermem_trace::{Op, TraceBuilder};
 

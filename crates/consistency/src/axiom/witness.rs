@@ -15,14 +15,17 @@
 //! state instead: the same axioms compiled once per solve. The static
 //! relations are built once, as rows; the witness-dependent ones are
 //! never built but walked from the witness and its [`Links`], reduced to
-//! the edges that carry reachability (DESIGN.md §4g). The whole-witness
-//! check ([`AxiomPlan::violated`]) answers exactly like
-//! [`violated_axiom`]. The incremental one
-//! ([`AxiomPlan::violated_after`]) answers the same for a state whose
-//! parent passed every axiom, by looking only at cycles through the last
-//! decided event and its decided readers: every edge that decision adds
-//! ends at one of them. Debug builds and two differential property tests
-//! check both.
+//! the edges that carry reachability (DESIGN.md §4g). Its one question
+//! ([`AxiomPlan::violated_after`]) answers exactly like
+//! [`violated_axiom`] for a state whose parent passed every axiom, by
+//! looking only at cycles through the last decided event and its decided
+//! readers: every edge that decision adds ends at one of them. Debug
+//! builds and a differential property test check it.
+//!
+//! Every structure here reads one event universe, [`Events`], laid out
+//! from the trace's [`AddrIndex`]: the index `verify_axiom` builds once
+//! per check, so the per-address precheck, the lowerings and the SAT
+//! compiler agree on every slot by construction.
 //!
 //! Everything here is *monotone* in the witness: adding a decision only
 //! ever adds edges, so an axiom violated by a partial witness is violated
@@ -32,7 +35,7 @@ use super::{spec, Axiom, AxiomKind, ModelId, ModelSpec, Rel};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use vermem_trace::{Addr, Op, OpRef, Schedule, ScheduleError, Trace, Value};
+use vermem_trace::{Addr, AddrIndex, Op, OpRef, Schedule, ScheduleError, Trace, Value};
 
 /// One reads-from candidate for a read event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,7 +51,8 @@ pub enum RfCand {
 /// placed write-capable event ids per address slot, in coherence order.
 ///
 /// Event ids number the trace's operations in [`Trace::iter_ops`] order
-/// (process-major); slots index the sorted address list.
+/// (process-major); slots index the entries of the trace's [`AddrIndex`]
+/// (its addresses, ascending).
 #[derive(Clone, Debug)]
 pub struct Witness {
     /// Reads-from choice per event.
@@ -67,9 +71,9 @@ impl Witness {
     }
 }
 
-/// The event universe of one trace, precomputed once per solve: ops in
-/// event-id order, per-event process/slot, per-slot write lists and
-/// per-read `rf` candidates.
+/// The event universe of one trace, precomputed once per check from its
+/// [`AddrIndex`]: ops in event-id order, per-event process/slot, per-slot
+/// write lists and per-read `rf` candidates.
 pub(crate) struct Events {
     /// Operations in event-id order.
     pub ops: Vec<(OpRef, Op)>,
@@ -79,9 +83,9 @@ pub(crate) struct Events {
     pub slot_of: Vec<u32>,
     /// Initial value per slot.
     pub initial: Vec<Value>,
-    /// Final-value constraints as `(slot, value)`. Every address of
-    /// [`Trace::addresses`] has a slot, so an address that carries only a
-    /// final value is a slot with no writes.
+    /// Final-value constraints as `(slot, value)`. Every index entry has
+    /// a slot, so an address that carries only a final value is a slot
+    /// with no writes.
     pub finals: Vec<(u32, Value)>,
     /// `rf` candidates per event (empty for non-reads; a read with an
     /// empty list is unsatisfiable under any spec).
@@ -93,31 +97,40 @@ pub(crate) struct Events {
 }
 
 impl Events {
-    pub(crate) fn new(trace: &Trace) -> Events {
+    /// The events of `trace`, laid out by its index `idx`: slot `i` is
+    /// the index's `i`-th entry, whose writes, listed process by process
+    /// in program order, are in ascending event-id order.
+    pub(crate) fn new(trace: &Trace, idx: &AddrIndex) -> Events {
         let ops: Vec<(OpRef, Op)> = trace.iter_ops().collect();
         let n = ops.len();
-        let addrs = trace.addresses();
-        let initial: Vec<Value> = addrs.iter().map(|&a| trace.initial(a)).collect();
-
-        let mut proc_of = Vec::with_capacity(n);
-        let mut slot_of = Vec::with_capacity(n);
-        let mut by_proc: Vec<Vec<u32>> = vec![Vec::new(); trace.num_procs()];
-        let mut writes_by_slot: Vec<Vec<u32>> = vec![Vec::new(); addrs.len()];
-        for (e, &(r, op)) in ops.iter().enumerate() {
-            let slot = addrs.binary_search(&op.addr()).expect("touched") as u32;
-            proc_of.push(r.proc.0);
-            slot_of.push(slot);
-            by_proc[r.proc.0 as usize].push(e as u32);
-            if op.is_writing() {
-                writes_by_slot[slot as usize].push(e as u32);
-            }
+        let proc_of = ops.iter().map(|(r, _)| r.proc.0).collect();
+        let mut by_proc: Vec<Vec<u32>> = Vec::with_capacity(trace.num_procs());
+        let mut first = 0;
+        for h in trace.histories() {
+            let len = h.len() as u32;
+            by_proc.push((first..first + len).collect());
+            first += len;
         }
 
-        let finals: Vec<(u32, Value)> = trace
-            .final_values()
-            .iter()
-            .map(|(a, &v)| (addrs.binary_search(a).expect("listed") as u32, v))
-            .collect();
+        let mut slot_of = vec![0; n];
+        let mut initial = Vec::with_capacity(idx.len());
+        let mut finals = Vec::new();
+        let mut writes_by_slot = Vec::with_capacity(idx.len());
+        for (slot, entry) in idx.iter().enumerate() {
+            initial.push(entry.initial());
+            if let Some(v) = entry.final_value() {
+                finals.push((slot as u32, v));
+            }
+            let mut writes = Vec::new();
+            for (r, op) in entry.iter() {
+                let e = by_proc[r.proc.0 as usize][r.index as usize];
+                slot_of[e as usize] = slot as u32;
+                if op.is_writing() {
+                    writes.push(e);
+                }
+            }
+            writes_by_slot.push(writes);
+        }
 
         let candidates: Vec<Vec<RfCand>> = ops
             .iter()
@@ -435,10 +448,10 @@ const NONE: u32 = u32::MAX;
 /// without materializing them: each write's decided readers, each slot's
 /// decided reads-from-initial, and each placed write's `mo` position. The
 /// graph machine keeps them decision by decision ([`Links::decide`],
-/// [`Links::retract`]); the whole-witness check rebuilds them. Reader
+/// [`Links::retract`]). Reader
 /// lists are singly linked through the reads themselves, newest first,
 /// so a decision and its undo each touch one list head.
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Links {
     /// Head of the list of decided reads with `rf = From(e)`, per event.
     readers: Vec<u32>,
@@ -451,28 +464,22 @@ pub(crate) struct Links {
 }
 
 impl Links {
-    /// The links of a witness, rebuilt from scratch.
+    /// The links of a witness, built from scratch.
     pub(crate) fn of(ev: &Events, w: &Witness) -> Links {
-        let mut links = Links::default();
-        links.fill(ev, w);
-        links
-    }
-
-    /// Rebuild from `w`, reusing the allocations.
-    fn fill(&mut self, ev: &Events, w: &Witness) {
         let n = ev.len();
-        for v in [&mut self.readers, &mut self.next, &mut self.pos] {
-            v.clear();
-            v.resize(n, NONE);
-        }
-        self.init_readers.clear();
-        self.init_readers.resize(w.mo.len(), NONE);
+        let mut links = Links {
+            readers: vec![NONE; n],
+            init_readers: vec![NONE; w.mo.len()],
+            next: vec![NONE; n],
+            pos: vec![NONE; n],
+        };
         for e in 0..n as u32 {
-            self.add_reader(ev, w, e);
+            links.add_reader(ev, w, e);
         }
         for order in &w.mo {
-            self.renumber(order);
+            links.renumber(order);
         }
+        links
     }
 
     /// The decided readers of event `e`, newest first.
@@ -826,54 +833,35 @@ enum Check {
 }
 
 impl Check {
-    /// Is the axiom violated by a cycle through one of `seeds` (through
-    /// any event when `seeds` is `None`)?
-    fn violated(&self, g: Graph, seeds: Option<&[u32]>, s: &mut Scratch) -> bool {
-        let all = 0..g.ev.len() as u32;
+    /// Is the axiom violated by a cycle through one of `seeds`?
+    fn violated(&self, g: Graph, seeds: &[u32], s: &mut Scratch) -> bool {
         match self {
-            Check::Acyclic(union) => match seeds {
-                Some(seeds) => cycle_from(union, g, seeds.iter().copied(), s),
-                None => cycle_from(union, g, all, s),
-            },
+            Check::Acyclic(union) => cycle_from(union, g, seeds.iter().copied(), s),
             Check::IrreflexiveSeq {
                 head,
                 closure,
                 sources,
-            } => match seeds {
-                Some(seeds) => seeds
-                    .iter()
-                    .any(|&v| closes_through(head, closure, sources, g, v, true, s)),
-                // A closing head edge `a → b` has `b ⇝⁺ a`, so asking each
-                // source about its own head edges finds it.
-                None => all
-                    .filter(|&a| sources[a as usize])
-                    .any(|a| closes_through(head, closure, sources, g, a, false, s)),
-            },
+            } => seeds
+                .iter()
+                .any(|&v| closes_through(head, closure, sources, g, v, s)),
         }
     }
 }
 
-/// Is there a head edge `a → b` with `b ⇝* v ⇝* a` in the closure? With
-/// `forward` off, only `a = v` is asked about. Head edges are never
-/// reflexive, so such an edge closes a cycle: `b ⇝⁺ a`.
+/// Is there a head edge `a → b` with `b ⇝* v ⇝* a` in the closure? Head
+/// edges are never reflexive, so such an edge closes a cycle: `b ⇝⁺ a`.
 fn closes_through(
     head: &UnionPlan,
     closure: &UnionPlan,
     sources: &[bool],
     g: Graph,
     v: u32,
-    forward: bool,
     s: &mut Scratch,
 ) -> bool {
     // F, then B, in the one marked list: F is used up before B is walked.
-    if forward {
-        s.visits += reach(closure, g, v, false, &mut s.mark, &mut s.found);
-        for &x in &s.found {
-            s.mark[x as usize] = false;
-        }
-    } else {
-        s.found.clear();
-        s.found.push(v);
+    s.visits += reach(closure, g, v, false, &mut s.mark, &mut s.found);
+    for &x in &s.found {
+        s.mark[x as usize] = false;
     }
     s.heads.clear();
     for &a in &s.found {
@@ -896,8 +884,6 @@ fn closes_through(
 /// Per-state working memory, reused across states.
 #[derive(Default)]
 struct Scratch {
-    /// The whole-witness check's links.
-    links: Links,
     seeds: Vec<u32>,
     color: Vec<u8>,
     stack: Vec<u32>,
@@ -910,10 +896,10 @@ struct Scratch {
 }
 
 /// A spec's axioms compiled once per solve for one event universe: the
-/// per-state evaluator of the graph lowering. [`AxiomPlan::violated`]
-/// answers exactly like [`violated_axiom`] on every (partial) witness;
-/// [`AxiomPlan::violated_after`] answers the same for a witness whose
-/// parent passed, looking only where the last decision added edges.
+/// per-state evaluator of the graph lowering.
+/// [`AxiomPlan::violated_after`] answers exactly like [`violated_axiom`]
+/// for a witness whose parent passed, looking only where the last
+/// decision added edges.
 pub(crate) struct AxiomPlan {
     checks: Vec<(&'static str, Check)>,
     scratch: RefCell<Scratch>,
@@ -959,21 +945,6 @@ impl AxiomPlan {
         }
     }
 
-    /// First axiom of the spec violated by the witness, if any.
-    pub(crate) fn violated(&self, ev: &Events, w: &Witness) -> Option<&'static str> {
-        let s = &mut *self.scratch.borrow_mut();
-        let mut links = std::mem::take(&mut s.links);
-        links.fill(ev, w);
-        let g = Graph {
-            ev,
-            w,
-            links: &links,
-        };
-        let found = self.first(g, None, s);
-        s.links = links;
-        found
-    }
-
     /// First axiom of the spec violated by the witness, if any, given that
     /// the witness satisfied every axiom before event `e`'s decision, and
     /// that `links` are the witness's own. Every edge that decision added
@@ -991,16 +962,14 @@ impl AxiomPlan {
         seeds.clear();
         seeds.push(e);
         seeds.extend(links.readers(e));
-        let found = self.first(Graph { ev, w, links }, Some(&seeds), s);
+        let g = Graph { ev, w, links };
+        let found = self
+            .checks
+            .iter()
+            .find(|(_, check)| check.violated(g, &seeds, s))
+            .map(|&(name, _)| name);
         s.seeds = seeds;
         found
-    }
-
-    fn first(&self, g: Graph, seeds: Option<&[u32]>, s: &mut Scratch) -> Option<&'static str> {
-        self.checks
-            .iter()
-            .find(|(_, check)| check.violated(g, seeds, s))
-            .map(|&(name, _)| name)
     }
 
     /// Successor visits the plan's checks have made so far.
@@ -1013,8 +982,7 @@ impl AxiomPlan {
 /// values. This is the reference evaluator: every compiled decision path
 /// (operational acceptance, SAT decode, RA fast tier) answers to it.
 pub fn check_witness(trace: &Trace, spec: &ModelSpec, w: &Witness) -> Result<(), &'static str> {
-    let ev = Events::new(trace);
-    check_witness_ev(spec, &ev, w)
+    check_witness_ev(spec, &super::events(trace), w)
 }
 
 pub(crate) fn check_witness_ev(
@@ -1242,7 +1210,9 @@ pub(crate) fn witness_schedule(spec: &ModelSpec, ev: &Events, w: &Witness) -> Sc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::axiom::{ARM_DOB_SPEC, COHERENCE_SPEC, PSO_SPEC, RA_SPEC, SC_SPEC, TSO_SPEC};
+    use crate::axiom::{
+        events, ARM_DOB_SPEC, COHERENCE_SPEC, PSO_SPEC, RA_SPEC, SC_SPEC, TSO_SPEC,
+    };
     use vermem_trace::TraceBuilder;
     use vermem_util::rng::StdRng;
 
@@ -1327,12 +1297,8 @@ mod tests {
             .proc([Op::write(0u32, 1u64), Op::write(0u32, 2u64)])
             .proc([Op::read(0u32, 2u64), Op::read(0u32, 1u64)])
             .build();
-        let ev = Events::new(&t);
-        let refuted = |spec: &ModelSpec, w: &Witness| {
-            let found = violated_axiom(spec, &ev, w);
-            assert_eq!(AxiomPlan::new(spec, &ev).violated(&ev, w), found);
-            found.is_some()
-        };
+        let ev = events(&t);
+        let refuted = |spec: &ModelSpec, w: &Witness| violated_axiom(spec, &ev, w).is_some();
         let mut w = Witness::empty(ev.len(), 1);
         w.mo[0] = vec![0, 1];
         w.rf[2] = Some(RfCand::From(1));
@@ -1424,67 +1390,21 @@ mod tests {
             .build()
     }
 
-    /// Random witness: each read decided from its `rf` candidates (or
-    /// left undecided unless `complete`), each address's `mo` a random
-    /// arrangement of a random subset of its writes (all when `complete`).
-    fn arb_witness(rng: &mut StdRng, ev: &Events, complete: bool) -> Witness {
+    /// Random complete witness: each read decided from its `rf`
+    /// candidates, each address's `mo` a random arrangement of its writes.
+    fn arb_witness(rng: &mut StdRng, ev: &Events) -> Witness {
         let mut w = Witness::empty(ev.len(), ev.writes_by_slot.len());
         for (e, cands) in ev.candidates.iter().enumerate() {
-            if !cands.is_empty() && (complete || rng.gen_bool(0.7)) {
+            if !cands.is_empty() {
                 w.rf[e] = Some(cands[rng.gen_range(0..cands.len())]);
             }
         }
         for (order, writes) in w.mo.iter_mut().zip(&ev.writes_by_slot) {
             for &x in writes {
-                if complete || rng.gen_bool(0.7) {
-                    order.insert(rng.gen_range(0..=order.len()), x);
-                }
+                order.insert(rng.gen_range(0..=order.len()), x);
             }
         }
         w
-    }
-
-    /// The compiled plan names the same first violated axiom as the
-    /// reference evaluator on partial and complete witnesses, under the
-    /// declared specs and the synthetic ones.
-    #[test]
-    fn axiom_plan_matches_reference_evaluator() {
-        use vermem_util::prop::PropConfig;
-        use vermem_util::{prop_assert_eq, prop_check};
-        let specs = plan_specs();
-        let (mut violated, mut clean) = (0u64, 0u64);
-        let cfg = PropConfig::with_cases(400).max_size(6);
-        prop_check!(
-            cfg,
-            |rng, size| {
-                let trace = arb_trace(rng, size);
-                let ev = Events::new(&trace);
-                let witnesses: Vec<Witness> =
-                    (0..8).map(|i| arb_witness(rng, &ev, i % 2 == 0)).collect();
-                (trace, witnesses)
-            },
-            |(trace, witnesses): &(Trace, Vec<Witness>)| {
-                let ev = Events::new(trace);
-                for spec in &specs {
-                    let plan = AxiomPlan::new(spec, &ev);
-                    for w in witnesses {
-                        let expected = violated_axiom(spec, &ev, w);
-                        prop_assert_eq!(plan.violated(&ev, w), expected, "{} on {w:?}", spec.name);
-                        if expected.is_some() {
-                            violated += 1;
-                        } else {
-                            clean += 1;
-                        }
-                    }
-                }
-                Ok(())
-            }
-        );
-        // Violations must be common enough for the comparison to bite.
-        assert!(
-            violated > 5_000 && clean > 5_000,
-            "{violated} violated, {clean} clean"
-        );
     }
 
     /// One step of a random decision path: decide the next event (its
@@ -1499,8 +1419,8 @@ mod tests {
     /// Replays random decision paths in event-id order, as the graph
     /// machine makes them, undoing and redoing along the way. At every
     /// step whose parent satisfies every axiom, the incremental answer
-    /// equals the whole-witness answer and the reference evaluator's,
-    /// under the declared specs and the synthetic ones; and the links kept
+    /// equals the reference evaluator's, under the declared specs and the
+    /// synthetic ones; and the links kept
     /// decision by decision equal the links rebuilt from the witness.
     #[test]
     fn incremental_checks_match_whole_witness_checks() {
@@ -1525,7 +1445,7 @@ mod tests {
                 (trace, path)
             },
             |(trace, path): &(Trace, Vec<PathStep>)| {
-                let ev = Events::new(trace);
+                let ev = events(trace);
                 let plans: Vec<AxiomPlan> = specs.iter().map(|s| AxiomPlan::new(s, &ev)).collect();
                 let mut w = Witness::empty(ev.len(), ev.writes_by_slot.len());
                 let mut links = Links::of(&ev, &w);
@@ -1590,7 +1510,6 @@ mod tests {
                                     "{} after event {e} on {w:?}",
                                     spec.name
                                 );
-                                prop_assert_eq!(plan.violated(&ev, &w), expected, "{}", spec.name);
                                 compared += 1;
                                 violated += u64::from(expected.is_some());
                                 row[i] = expected.is_none();
@@ -1622,7 +1541,7 @@ mod tests {
             .proc([Op::write(0u32, 1u64), Op::write(1u32, 1u64)])
             .proc([Op::read(1u32, 1u64), Op::read(0u32, 1u64)])
             .build();
-        let ev = Events::new(&t);
+        let ev = events(&t);
         let w = Witness {
             rf: vec![None, None, Some(RfCand::From(1)), Some(RfCand::From(0))],
             mo: vec![vec![0], vec![1]],
@@ -1698,13 +1617,12 @@ mod tests {
                         }))
                     })
                     .build();
-                let ev = Events::new(&trace);
-                let witnesses: Vec<Witness> =
-                    (0..16).map(|_| arb_witness(rng, &ev, true)).collect();
+                let ev = events(&trace);
+                let witnesses: Vec<Witness> = (0..16).map(|_| arb_witness(rng, &ev)).collect();
                 (trace, witnesses)
             },
             |(trace, witnesses): &(Trace, Vec<Witness>)| {
-                let ev = Events::new(trace);
+                let ev = events(trace);
                 for (spec, count) in specs.iter().zip(accepted.iter_mut()) {
                     for w in witnesses {
                         if check_witness_ev(spec, &ev, w).is_err() {

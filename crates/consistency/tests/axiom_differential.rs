@@ -146,8 +146,8 @@ fn random_traces() -> Vec<(String, Trace)> {
         .collect()
 }
 
-/// The compiled engine on the whole corpus, one line per trace × model ×
-/// feasibility setting, then the E-5.2 budget-exhaustion family (the
+/// The compiled engine on the whole corpus, one line per trace × model,
+/// then the E-5.2 budget-exhaustion family (the
 /// all-RMW 3SAT reduction of Figure 5.2 at clause ratio 5.0) for the
 /// three machine-backed base models.
 fn render_compiled() -> String {
@@ -160,28 +160,15 @@ fn render_compiled() -> String {
     ];
     for (ctx, trace) in corpus.iter().flatten() {
         for id in ModelId::ALL {
-            for feasibility in [true, false] {
-                let kernel = KernelConfig {
-                    feasibility,
-                    ..KernelConfig::default()
-                };
-                let r = verify_axiom(
-                    trace,
-                    id,
-                    &AxiomConfig {
-                        kernel,
-                        ..AxiomConfig::default()
-                    },
-                );
-                writeln!(
-                    out,
-                    "{ctx} | {} | feasibility={feasibility} | {:?} | {:?}",
-                    id.name(),
-                    r.verdict,
-                    r.stats
-                )
-                .unwrap();
-            }
+            let r = verify_axiom(trace, id, &AxiomConfig::default());
+            writeln!(
+                out,
+                "{ctx} | {} | {:?} | {:?}",
+                id.name(),
+                r.verdict,
+                r.stats
+            )
+            .unwrap();
         }
     }
     let cnf = vermem_sat::random::gen_random_ksat(&vermem_sat::random::RandomSatConfig::three_sat(

@@ -1,9 +1,8 @@
 //! Differential suite for the shared exact-search kernel: the compiled
 //! decider of every serialization model (SC, TSO and PSO on the buffer
 //! lowering, coherence-only on the per-address lowering) must agree with the
-//! serialization oracle (`oracle::serializes`) on every trace family, with
-//! feasibility pruning on and off — and budget-limited runs must be
-//! deterministic. (Budget exhaustion on the E-5.2 family is pinned, stats
+//! serialization oracle (`oracle::serializes`) on every trace family, and
+//! budget-limited runs must be deterministic. (Budget exhaustion on the E-5.2 family is pinned, stats
 //! included, by the golden file of `axiom_differential.rs`.)
 
 use vermem_consistency::oracle::serializes;
@@ -26,36 +25,26 @@ fn compiled(trace: &Trace, id: ModelId, kernel: KernelConfig) -> AxiomReport {
     )
 }
 
-/// Kernel knob grid: default and feasibility off.
-fn knob_grid() -> [KernelConfig; 2] {
-    [true, false].map(|feasibility| KernelConfig {
-        feasibility,
-        ..Default::default()
-    })
-}
-
 /// Assert the kernel-parity contract on one trace: every compiled
-/// serialization model matches the serialization oracle under every knob.
+/// serialization model matches the serialization oracle.
 fn assert_kernel_parity(trace: &Trace, ctx: &str) {
     for model in ModelId::SERIALIZING {
         let oracle = serializes(trace, model);
-        for cfg in knob_grid() {
-            let verdict = compiled(trace, model, cfg).verdict;
-            assert!(
-                !matches!(
-                    verdict,
-                    vermem_consistency::ConsistencyVerdict::Unknown { .. }
-                ),
-                "{ctx}: {} unbudgeted run returned Unknown under {cfg:?}",
-                model.name()
-            );
-            assert_eq!(
-                verdict.is_consistent(),
-                oracle,
-                "{ctx}: {} operational/axiomatic drift under {cfg:?}",
-                model.name()
-            );
-        }
+        let verdict = compiled(trace, model, KernelConfig::default()).verdict;
+        assert!(
+            !matches!(
+                verdict,
+                vermem_consistency::ConsistencyVerdict::Unknown { .. }
+            ),
+            "{ctx}: {} unbudgeted run returned Unknown",
+            model.name()
+        );
+        assert_eq!(
+            verdict.is_consistent(),
+            oracle,
+            "{ctx}: {} operational/axiomatic drift",
+            model.name()
+        );
     }
 }
 
@@ -96,8 +85,7 @@ fn assert_budget_determinism(trace: &Trace, ctx: &str) {
 }
 
 /// Family 3: small random traces mixing reads, writes and RMWs (the same
-/// shape the cross-validation suite uses, but driven through the kernel
-/// knob grid).
+/// shape the cross-validation suite uses).
 fn arb_trace(rng: &mut StdRng) -> Trace {
     let procs = rng.gen_range(1..=3usize);
     let mut b = TraceBuilder::new();

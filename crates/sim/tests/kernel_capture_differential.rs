@@ -1,23 +1,16 @@
 //! Kernel parity on *captured* executions: traces recorded from the MESI
 //! simulator (healthy and fault-injected) must get the same verdict from
 //! each buffer-lowered compiled machine (SC, TSO, PSO) as from the
-//! serialization oracle — with feasibility pruning on or off.
+//! serialization oracle.
 //! (Coherence-only runs on the per-address lowering, the VMC dispatcher;
 //! its parity is checked by `consistency/tests/kernel_differential.rs`.)
 
 use vermem_consistency::oracle::serializes;
-use vermem_consistency::{verify_axiom, AxiomConfig, ConsistencyVerdict, KernelConfig, ModelId};
+use vermem_consistency::{verify_axiom, AxiomConfig, ConsistencyVerdict, ModelId};
 use vermem_sim::{random_program, FaultKind, FaultPlan, Machine, MachineConfig, WorkloadConfig};
 use vermem_trace::Trace;
 
 const BUFFER_LOWERED: [ModelId; 3] = [ModelId::Sc, ModelId::Tso, ModelId::Pso];
-
-fn knob_grid() -> [KernelConfig; 2] {
-    [true, false].map(|feasibility| KernelConfig {
-        feasibility,
-        ..Default::default()
-    })
-}
 
 /// Assert operational/axiomatic parity on one capture; returns whether it
 /// is sequentially consistent.
@@ -28,24 +21,18 @@ fn assert_capture_parity(trace: &Trace, ctx: &str) -> bool {
         if model == ModelId::Sc {
             sc = oracle;
         }
-        for kernel in knob_grid() {
-            let cfg = AxiomConfig {
-                kernel,
-                ..AxiomConfig::default()
-            };
-            let verdict = verify_axiom(trace, model, &cfg).verdict;
-            assert!(
-                !matches!(verdict, ConsistencyVerdict::Unknown { .. }),
-                "{ctx}: {} unbudgeted capture run returned Unknown",
-                model.name()
-            );
-            assert_eq!(
-                verdict.is_consistent(),
-                oracle,
-                "{ctx}: {} drift on capture under {kernel:?}",
-                model.name()
-            );
-        }
+        let verdict = verify_axiom(trace, model, &AxiomConfig::default()).verdict;
+        assert!(
+            !matches!(verdict, ConsistencyVerdict::Unknown { .. }),
+            "{ctx}: {} unbudgeted capture run returned Unknown",
+            model.name()
+        );
+        assert_eq!(
+            verdict.is_consistent(),
+            oracle,
+            "{ctx}: {} drift on capture",
+            model.name()
+        );
     }
     sc
 }

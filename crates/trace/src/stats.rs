@@ -2,9 +2,10 @@
 //! mix, per-address sharing and contention, value-reuse — used by the CLI
 //! and useful when deciding which verification strategy will be cheap.
 
-use crate::op::Addr;
+use crate::index::{AddrIndex, AddrOps};
+use crate::op::{Addr, Op};
 use crate::trace::Trace;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Per-address profile.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,6 +29,25 @@ pub struct AddrStats {
 }
 
 impl AddrStats {
+    /// The profile of one address's operations.
+    fn of(ops: &AddrOps) -> AddrStats {
+        let count = |pred: fn(&Op) -> bool| ops.iter().filter(|(_, op)| pred(op)).count();
+        AddrStats {
+            ops: ops.num_ops(),
+            reads: count(Op::is_reading),
+            writes: count(Op::is_writing),
+            rmws: count(Op::is_rmw),
+            sharers: ops.nonempty_procs(),
+            writers: ops
+                .per_proc()
+                .iter()
+                .filter(|list| list.iter().any(|(_, op)| op.is_writing()))
+                .count(),
+            distinct_values: ops.write_counts().len(),
+            max_writes_per_value: ops.max_writes_per_value(),
+        }
+    }
+
     /// A location written by more than one process (true sharing with
     /// write contention — where coherence protocols earn their keep).
     pub fn is_write_shared(&self) -> bool {
@@ -53,59 +73,17 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
-    /// Compute statistics for a trace.
+    /// Compute statistics for a trace: one profile per address of its
+    /// [`AddrIndex`], including an address that carries only a final
+    /// value (a profile with no operations).
     pub fn of(trace: &Trace) -> TraceStats {
-        let mut per_addr: BTreeMap<Addr, AddrStats> = BTreeMap::new();
-        let mut sharers: BTreeMap<Addr, BTreeSet<u16>> = BTreeMap::new();
-        let mut writers: BTreeMap<Addr, BTreeSet<u16>> = BTreeMap::new();
-        let mut value_writes: BTreeMap<Addr, BTreeMap<u64, usize>> = BTreeMap::new();
-
-        for (r, op) in trace.iter_ops() {
-            let addr = op.addr();
-            let s = per_addr.entry(addr).or_insert(AddrStats {
-                ops: 0,
-                reads: 0,
-                writes: 0,
-                rmws: 0,
-                sharers: 0,
-                writers: 0,
-                distinct_values: 0,
-                max_writes_per_value: 0,
-            });
-            s.ops += 1;
-            if op.is_reading() {
-                s.reads += 1;
-            }
-            if op.is_writing() {
-                s.writes += 1;
-                writers.entry(addr).or_default().insert(r.proc.0);
-                if let Some(v) = op.written_value() {
-                    *value_writes
-                        .entry(addr)
-                        .or_default()
-                        .entry(v.0)
-                        .or_insert(0) += 1;
-                }
-            }
-            if op.is_rmw() {
-                s.rmws += 1;
-            }
-            sharers.entry(addr).or_default().insert(r.proc.0);
-        }
-
-        for (addr, s) in per_addr.iter_mut() {
-            s.sharers = sharers.get(addr).map_or(0, BTreeSet::len);
-            s.writers = writers.get(addr).map_or(0, BTreeSet::len);
-            if let Some(vw) = value_writes.get(addr) {
-                s.distinct_values = vw.len();
-                s.max_writes_per_value = vw.values().copied().max().unwrap_or(0);
-            }
-        }
-
         TraceStats {
             active_procs: trace.histories().iter().filter(|h| !h.is_empty()).count(),
             total_ops: trace.num_ops(),
-            per_addr,
+            per_addr: AddrIndex::build(trace)
+                .iter()
+                .map(|ops| (ops.addr(), AddrStats::of(ops)))
+                .collect(),
         }
     }
 
@@ -141,7 +119,6 @@ impl TraceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::Op;
     use crate::trace::TraceBuilder;
 
     fn sample() -> Trace {
@@ -188,6 +165,29 @@ mod tests {
         // 3 reading components of 5 ops.
         assert!((stats.read_fraction() - 0.6).abs() < 1e-9);
         assert_eq!(TraceStats::of(&Trace::new()).read_fraction(), 0.0);
+    }
+
+    /// An address that carries only a final value is an address of the
+    /// trace, as every per-address view lists it: a profile with no
+    /// operations, counted in the report's `addrs`.
+    #[test]
+    fn final_only_address_is_profiled() {
+        let t = TraceBuilder::new()
+            .proc([Op::write(0u32, 1u64), Op::read(0u32, 1u64)])
+            .proc([Op::read(0u32, 1u64)])
+            .final_value(1u32, 5u64)
+            .build();
+        let stats = TraceStats::of(&t);
+        assert_eq!(
+            stats.per_addr.keys().copied().collect::<Vec<_>>(),
+            t.addresses()
+        );
+        let only = &stats.per_addr[&Addr(1)];
+        assert_eq!(only.ops, 0);
+        assert!(only.is_read_only() && !only.is_write_shared());
+        assert_eq!((only.distinct_values, only.max_writes_per_value), (0, 0));
+        assert!(stats.to_report().to_inline().contains("addrs=2"));
+        assert_eq!(stats.write_shared_addrs().count(), 0);
     }
 
     #[test]

@@ -145,10 +145,10 @@ fi
 # AxiomPlan (axiom/witness.rs). The naive evaluator rebuilds every
 # relation per call; graph.rs may reach it only inside a debug_assert
 # (the debug-build cross-check), and the retired per-state entry point
-# must not come back. The per-state question is incremental: outside a
-# debug_assert, graph.rs calls the plan's whole-witness check
-# (`plan.violated(`) exactly once, at the fallback for a state whose
-# parent was never checked.
+# must not come back. The per-state question is incremental: the kernel
+# checks every state before expanding it, so a state's parent has always
+# passed, and graph.rs never calls a whole-witness check
+# (`plan.violated(`) outside a debug_assert.
 if grep -rn 'partial_infeasible' crates/; then
     echo "retired per-state evaluator partial_infeasible found (use AxiomPlan)" >&2
     exit 1
@@ -177,9 +177,28 @@ bad = [f for f in ('check_witness_ev', 'violated_axiom', 'push_rel')
 if bad:
     sys.exit(f"axiom/graph.rs calls the naive evaluator outside a debug_assert: {bad}")
 whole = len(re.findall(r'\bplan\.violated\(', rest))
-if whole != 1:
+if whole != 0:
     sys.exit(f"axiom/graph.rs calls the whole-witness plan.violated( {whole} times "
-             "outside a debug_assert (expected 1: the unverified-parent fallback)")
+             "outside a debug_assert (expected 0: every parent passed)")
+EOF
+# One trace layout per verify_axiom check: verify_axiom builds the trace's
+# AddrIndex once, and the precheck, every compiled lowering, the RA fast
+# tier and the SAT compiler read it. Outside their unit tests, the axiom
+# modules never list a trace's addresses, never binary-search an address
+# list for a slot, and build an AddrIndex only in axiom/mod.rs.
+python3 - crates/consistency/src/axiom/*.rs <<'EOF'
+import re, sys
+bad = []
+for path in sys.argv[1:]:
+    src = open(path).read().split('#[cfg(test)]')[0]
+    src = re.sub(r'//[^\n]*', '', src)      # comments
+    for n, line in enumerate(src.splitlines(), 1):
+        if re.search(r'\.addresses\(\)|\bbinary_search', line) or (
+                'AddrIndex::build' in line and not path.endswith('/mod.rs')):
+            bad.append(f"{path}: {line.strip()}")
+if bad:
+    sys.exit("a second trace layout under crates/consistency/src/axiom/ "
+             "(read the check's AddrIndex):\n" + "\n".join(bad))
 EOF
 echo "    ok"
 
