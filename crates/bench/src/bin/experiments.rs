@@ -32,8 +32,8 @@
 use std::time::Instant;
 use vermem_bench::{loglog_slope, mean_growth_ratio, median_secs};
 use vermem_coherence::{
-    backtrack, one_op, readmap, rmw, solve_with_write_order, verify_execution_par, PruneConfig,
-    SearchConfig, TierConfig, TierStats, VmcVerifier,
+    backtrack, one_op, readmap, rmw, solve_with_write_order, verify_execution_par, SearchConfig,
+    TierConfig, TierStats, VmcVerifier,
 };
 use vermem_consistency::{
     merge_coherent_schedules, verify_axiom, AxiomConfig, Engine, MergeOutcome, ModelId,
@@ -246,7 +246,7 @@ fn e5_reduction(title: &str, reduce: &dyn Fn(&vermem_sat::Cnf) -> Trace) {
     const CAP: u64 = 2_000_000;
     let cfg_capped = SearchConfig {
         max_states: Some(CAP),
-        prune: PruneConfig::none(),
+        prune: false,
     };
     let mut points = Vec::new();
     let solve_row = |family: &str, m: u32, f: &vermem_sat::Cnf| -> (u64, bool) {
@@ -707,8 +707,9 @@ fn e_online_checker() {
 // BENCH_vmc.json.
 // ---------------------------------------------------------------------------
 
-/// One row of the E-PRUNE inference-layer ablation: a blow-up instance
-/// solved under one [`PruneConfig`], with every prune counter recorded.
+/// One row of the E-PRUNE ablation: a blow-up instance solved with
+/// [`SearchConfig::prune`] off (`none`) or on (`all`), with every prune
+/// counter recorded.
 struct PruneRow {
     case: String,
     config: &'static str,
@@ -717,8 +718,6 @@ struct PruneRow {
     memo_misses: u64,
     window_prunes: u64,
     symmetry_prunes: u64,
-    nogood_hits: u64,
-    nogoods_learned: u64,
     verdict: &'static str,
 }
 
@@ -1425,25 +1424,21 @@ fn e_stream() -> (Vec<EstreamRow>, BoundedMemoryProbe) {
     (rows, probe)
 }
 
-/// E-PRUNE: the inference-layer ablation on the E-5.1/E-5.2 blow-up
-/// instances. Each technique runs alone and all together, against the
-/// unpruned baseline, under a 500k-state cap. All configurations must agree
-/// on the verdict (they provably do — the assertion enforces it), every
-/// pruned configuration must explore at most the baseline's states
-/// (monotonicity), and on the §5.2 instance `all` must explore at least 5×
-/// fewer states than `none`.
+/// E-PRUNE: the pruning switch on the E-5.1/E-5.2 blow-up instances, off
+/// (`none`) and on (`all`: windows and symmetry breaking), under a
+/// 500k-state cap. Both settings must agree on the verdict when both decide
+/// (they provably do — the assertion enforces it), the pruned search must
+/// explore at most the baseline's states (monotonicity), and on both §5.2
+/// instances `all` must explore at least 5× fewer states than `none`: the
+/// over-constrained one is decided by the window pre-pass, the twins one
+/// (Figure 5.2's per-variable process pairs) by symmetry breaking.
 fn prune_ablation() -> Vec<PruneRow> {
     const CAP: u64 = 500_000;
-    let configs: [(&'static str, PruneConfig); 5] = [
-        ("none", PruneConfig::none()),
-        ("windows", PruneConfig::parse("windows").unwrap()),
-        ("symmetry", PruneConfig::parse("symmetry").unwrap()),
-        ("nogoods", PruneConfig::parse("nogoods").unwrap()),
-        ("all", PruneConfig::all()),
-    ];
+    let configs = [("none", false), ("all", true)];
     let wall = vermem_sat::random::gen_forced_sat(&RandomSatConfig::three_sat(6, 1.0, 31 * 6));
     let overcons = gen_random_ksat(&RandomSatConfig::three_sat(3, 5.0, 93));
-    let instances: [(String, Trace); 3] = [
+    let twins = gen_random_ksat(&RandomSatConfig::three_sat(3, 6.0, 7));
+    let instances: [(String, Trace); 4] = [
         (
             "e5.1-m6-wall".to_string(),
             reduce_3sat_restricted(&wall).trace,
@@ -1456,6 +1451,7 @@ fn prune_ablation() -> Vec<PruneRow> {
             "e5.2-overcons".to_string(),
             reduce_3sat_rmw(&overcons).trace,
         ),
+        ("e5.2-twins".to_string(), reduce_3sat_rmw(&twins).trace),
     ];
     let mut rows = Vec::new();
     for (case, trace) in &instances {
@@ -1498,8 +1494,6 @@ fn prune_ablation() -> Vec<PruneRow> {
                 memo_misses: stats.memo_misses,
                 window_prunes: stats.window_prunes,
                 symmetry_prunes: stats.symmetry_prunes,
-                nogood_hits: stats.nogood_hits,
-                nogoods_learned: stats.nogoods_learned,
                 verdict: verdict_str,
             });
         }
@@ -1508,44 +1502,43 @@ fn prune_ablation() -> Vec<PruneRow> {
             "prune configurations disagree on {case}"
         );
     }
-    let misses = |config: &str| {
-        rows.iter()
-            .find(|r| r.case == "e5.2-overcons" && r.config == config)
-            .map(|r| r.memo_misses)
-            .expect("e5.2 row")
-    };
-    assert!(
-        misses("none") >= 5 * misses("all").max(1),
-        "E-PRUNE: e5.2 prune ratio regressed below 5x ({} -> {})",
-        misses("none"),
-        misses("all")
-    );
+    for case in ["e5.2-overcons", "e5.2-twins"] {
+        let misses = |config: &str| {
+            rows.iter()
+                .find(|r| r.case == case && r.config == config)
+                .map(|r| r.memo_misses)
+                .expect("e5.2 row")
+        };
+        assert!(
+            misses("none") >= 5 * misses("all").max(1),
+            "E-PRUNE: {case} prune ratio regressed below 5x ({} -> {})",
+            misses("none"),
+            misses("all")
+        );
+    }
     rows
 }
 
 fn e_prune() -> Vec<PruneRow> {
-    header("E-PRUNE  inference-layer ablation: windows / symmetry / nogoods");
+    header("E-PRUNE  pruning switch: none / all (windows + symmetry)");
     let rows = prune_ablation();
     println!(
-        "{:>14} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}",
-        "case", "config", "states", "win.pr", "sym.pr", "ng.hits", "ng.learn", "hits", "verdict"
+        "{:>14} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}",
+        "case", "config", "states", "win.pr", "sym.pr", "hits", "verdict"
     );
     for r in &rows {
         println!(
-            "{:>14} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}",
-            r.case,
-            r.config,
-            r.states,
-            r.window_prunes,
-            r.symmetry_prunes,
-            r.nogood_hits,
-            r.nogoods_learned,
-            r.memo_hits,
-            r.verdict
+            "{:>14} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}",
+            r.case, r.config, r.states, r.window_prunes, r.symmetry_prunes, r.memo_hits, r.verdict
         );
     }
     // Headline: states-explored reduction of `all` vs `none` per case.
-    for case in ["e5.1-m6-wall", "e5.1-overcons", "e5.2-overcons"] {
+    for case in [
+        "e5.1-m6-wall",
+        "e5.1-overcons",
+        "e5.2-overcons",
+        "e5.2-twins",
+    ] {
         let states_of = |cfg: &str| {
             rows.iter()
                 .find(|r| r.case == case && r.config == cfg)
@@ -1574,7 +1567,7 @@ fn bench_json(
         s.push_str(&rows.join(",\n    "));
         s.push_str("\n  ],\n");
     }
-    let mut s = String::from("{\n  \"schema\": \"vermem-bench-vmc/v12\",\n");
+    let mut s = String::from("{\n  \"schema\": \"vermem-bench-vmc/v13\",\n");
     array(
         &mut s,
         "prune_ablation",
@@ -1584,8 +1577,7 @@ fn bench_json(
                 format!(
                     "{{\"case\": \"{}\", \"config\": \"{}\", \"states\": {}, \
                      \"memo_hits\": {}, \"memo_misses\": {}, \"window_prunes\": {}, \
-                     \"symmetry_prunes\": {}, \"nogood_hits\": {}, \
-                     \"nogoods_learned\": {}, \"verdict\": \"{}\"}}",
+                     \"symmetry_prunes\": {}, \"verdict\": \"{}\"}}",
                     r.case,
                     r.config,
                     r.states,
@@ -1593,8 +1585,6 @@ fn bench_json(
                     r.memo_misses,
                     r.window_prunes,
                     r.symmetry_prunes,
-                    r.nogood_hits,
-                    r.nogoods_learned,
                     r.verdict
                 )
             })

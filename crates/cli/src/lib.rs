@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! vermem verify <trace> [--addr N] [--strategy auto|backtracking|sat] [--budget N] [--jobs N]
-//!               [--tier closure,exact|exact] [--prune all|none|windows,symmetry,nogoods]
+//!               [--tier closure,exact|exact] [--prune all|none]
 //!               [--metrics[=json|text]] [--trace-out FILE]
 //! vermem sc <trace> [--model sc|tso|pso|coherence|ra|arm-dob]
 //!           [--engine compiled|sat] [--tier closure,exact|exact] [--budget N]
@@ -17,7 +17,7 @@
 //! vermem inject <trace> --kind corrupt-read|stale-read|lost-write|reorder [--seed N]
 //! vermem reduce <dimacs> [--figure 4.1|5.1|5.2]
 //! vermem sim --cpus N --instrs N [--addrs N] [--tso|--directory] [--seed N] [--verify] [--online] [--jobs N]
-//!            [--tier SPEC] [--prune SPEC] [--metrics[=json|text]] [--trace-out FILE]
+//!            [--tier SPEC] [--prune all|none] [--metrics[=json|text]] [--trace-out FILE]
 //! vermem serve [<stream.bin>...] [--streams N] [--window W|unbounded] [--jobs N] [--chunk BYTES]
 //!              [--cpus N] [--instrs N] [--addrs N] [--seed N] [--fault]
 //!              [--obs-addr HOST:PORT] [--forensics DIR]
@@ -46,7 +46,7 @@
 mod obs_server;
 
 use std::fmt::Write as _;
-use vermem_coherence::{PruneConfig, SearchConfig, Strategy, TierConfig, Verdict, VmcVerifier};
+use vermem_coherence::{SearchConfig, Strategy, TierConfig, Verdict, VmcVerifier};
 use vermem_consistency::{verify_axiom, AxiomConfig, Engine, ModelId};
 use vermem_trace::{Addr, AddrOps, Trace};
 use vermem_util::obs;
@@ -74,7 +74,7 @@ vermem — verify memory coherence and consistency of execution traces
 
 USAGE:
   vermem verify <trace> [--addr N] [--strategy auto|backtracking|sat] [--budget N]
-                [--jobs N] [--tier SPEC] [--prune SPEC]
+                [--jobs N] [--tier SPEC] [--prune all|none]
                 [--metrics[=json|text]] [--trace-out FILE]
   vermem sc <trace> [--model sc|tso|pso|coherence|ra|arm-dob]
             [--engine compiled|sat] [--tier closure,exact|exact]
@@ -85,7 +85,7 @@ USAGE:
   vermem inject <trace> --kind corrupt-read|stale-read|lost-write|reorder [--seed N]
   vermem reduce <dimacs> [--figure 4.1|5.1|5.2]
   vermem sim --cpus N --instrs N [--addrs N] [--tso|--directory] [--seed N]
-             [--verify] [--online] [--jobs N] [--tier SPEC] [--prune SPEC]
+             [--verify] [--online] [--jobs N] [--tier SPEC] [--prune all|none]
              [--metrics[=json|text]] [--trace-out FILE]
   vermem serve [<stream.bin>...] [--streams N] [--window W|unbounded] [--jobs N]
                [--chunk BYTES] [--cpus N] [--instrs N] [--addrs N] [--seed N]
@@ -102,9 +102,8 @@ runs the polynomial constraint-closure frontline and escalates only
 ambiguous addresses to the exact search; 'exact' is the ablation that
 sends every general instance straight to the exact tier. Verdicts are
 bit-identical under both.
---prune SPEC selects the verdict-preserving search prunings: 'all'
-(default), 'none', or a comma-separated subset of
-windows,symmetry,nogoods (e.g. --prune=windows,nogoods).
+--prune switches the verdict-preserving search prunings (the window
+pre-pass and symmetry breaking): 'all' (default) or 'none'.
 sc decides consistency under a declared memory model, compiled from its
 axioms: the serialization-based four plus 'ra' (Release–Acquire) and
 'arm-dob' (ARM-like dependency ordering). --engine picks the decider —
@@ -364,9 +363,15 @@ fn parse_strategy(args: &Args) -> Result<Strategy, CliError> {
     })
 }
 
-/// Parse `--prune` into a [`PruneConfig`] (default: all prunings on).
-fn parse_prune(args: &Args) -> Result<PruneConfig, CliError> {
-    PruneConfig::parse(args.flag("prune").unwrap_or("all")).map_err(err)
+/// Parse `--prune` into [`SearchConfig::prune`] (default `all`: on).
+fn parse_prune(args: &Args) -> Result<bool, CliError> {
+    match args.flag("prune").unwrap_or("all") {
+        "all" => Ok(true),
+        "none" => Ok(false),
+        other => Err(err(format!(
+            "unknown --prune value '{other}' (expected all or none)"
+        ))),
+    }
 }
 
 /// Parse `--tier` into a [`TierConfig`] (default: closure frontline +
@@ -1218,12 +1223,12 @@ mod tests {
                 .join("\n")
         };
         let baseline = run_ok(&["verify", "-"], &trace);
-        for spec in ["all", "none", "windows", "symmetry,nogoods"] {
+        for spec in ["all", "none"] {
             let out = run_ok(&["verify", "-", &format!("--prune={spec}")], &trace);
             assert_eq!(strip(&out), strip(&baseline), "prune {spec}");
         }
         // Verdict parity on a violating trace too.
-        for spec in ["all", "none", "windows,symmetry,nogoods"] {
+        for spec in ["all", "none"] {
             let out = run_ok(&["verify", "-", &format!("--prune={spec}")], VIOLATING);
             assert!(out.contains("NOT coherent"), "prune {spec}");
         }
@@ -1284,22 +1289,37 @@ mod tests {
 
     #[test]
     fn verify_prune_rejects_unknown_technique() {
-        for spec in ["bogus", "windows,bogus", ""] {
+        // The switch has two values; the retired per-technique spellings
+        // are errors that name them.
+        for spec in [
+            "windows",
+            "symmetry",
+            "nogoods",
+            "windows,nogoods",
+            "bogus",
+            "",
+        ] {
             let e = run(
                 &["verify".into(), "-".into(), format!("--prune={spec}")],
                 COHERENT,
             )
             .expect_err(&format!("--prune={spec} should fail"));
-            assert!(e.0.contains("prune"), "{spec}: {}", e.0);
+            assert!(
+                e.0.contains("--prune") && e.0.contains("expected all or none"),
+                "{spec}: {}",
+                e.0
+            );
         }
     }
 
     #[test]
     fn verify_metrics_include_prune_counters() {
         let out = run_ok(&["verify", "-", "--metrics"], CONTENDED);
-        for field in ["window_prunes=", "symmetry_prunes=", "nogood_hits="] {
+        for field in ["window_prunes=", "symmetry_prunes="] {
             assert!(out.contains(field), "expected {field} in:\n{out}");
         }
+        // The retired nogood counters are no longer reported.
+        assert!(!out.contains("nogood"), "{out}");
         // Inline `# search:` line carries them even without --metrics.
         let out = run_ok(&["verify", "-"], CONTENDED);
         assert!(out.contains("window_prunes="), "inline report:\n{out}");

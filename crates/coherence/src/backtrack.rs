@@ -24,12 +24,11 @@
 //! immediately (uncounted). Writes that some blocked read is waiting for
 //! are explored first.
 //!
-//! The inference prunings of [`PruneConfig`] ride on the kernel's hooks:
-//! position windows reject branches in [`TransitionSystem::admit`], the
-//! nogood probe runs in [`TransitionSystem::refute`] (after the dead-end
-//! check) and nogoods are learned in [`TransitionSystem::exhausted`];
-//! symmetry breaking drops interchangeable moves as
-//! [`TransitionSystem::enabled_moves`] enumerates them.
+//! With [`SearchConfig::prune`] on, two admissible prunings ride on the
+//! kernel: position windows reject branches in [`TransitionSystem::admit`],
+//! and symmetry breaking drops interchangeable moves as
+//! [`TransitionSystem::enabled_moves`] enumerates them. The dead-end check
+//! runs in [`TransitionSystem::refute`].
 
 use crate::closure::{self, ClosureOutcome, Tier};
 use crate::kernel::{self, KernelConfig, KernelOutcome, TransitionSystem};
@@ -42,110 +41,30 @@ use vermem_util::obs;
 
 pub use crate::kernel::SearchStats;
 
-/// Which inference-driven prunings the exact search applies. All three
-/// are *admissible*: they shrink the explored tree but provably never
-/// change the verdict (soundness arguments in DESIGN.md §4b), so each is
-/// independently switchable for ablation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PruneConfig {
-    /// Feasibility-interval propagation ([`crate::windows`]): a polynomial
-    /// pre-pass that can fast-reject (emptied serving window / must-precede
-    /// cycle / RMW pigeonhole), fast-accept (acyclic forced serving order
-    /// that simulates coherent), and otherwise leaves per-op position
-    /// windows that prune DFS branches scheduling an op outside them.
-    pub windows: bool,
-    /// Value-symmetry breaking: branch-time canonicalization of moves whose
-    /// remaining program-order suffixes are identical (interchangeable
-    /// processes) — only the lowest-numbered process branches.
-    pub symmetry: bool,
-    /// Conflict-driven nogood learning: refuted `(frontier, value)` states
-    /// are recorded under a process-identity-erased canonical key, so the
-    /// refutation also prunes every permuted twin state (a strict
-    /// generalization of the exact-state memo table).
-    pub nogoods: bool,
-}
-
-impl Default for PruneConfig {
-    fn default() -> Self {
-        PruneConfig::all()
-    }
-}
-
-impl PruneConfig {
-    /// All three techniques enabled (the default).
-    pub fn all() -> Self {
-        PruneConfig {
-            windows: true,
-            symmetry: true,
-            nogoods: true,
-        }
-    }
-
-    /// Every technique disabled.
-    pub fn none() -> Self {
-        PruneConfig {
-            windows: false,
-            symmetry: false,
-            nogoods: false,
-        }
-    }
-
-    /// Parse a CLI spec: `all`, `none`, or a comma-separated subset of
-    /// `windows`, `symmetry`, `nogoods` (e.g. `windows,nogoods`).
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        match spec {
-            "all" => return Ok(Self::all()),
-            "none" => return Ok(Self::none()),
-            _ => {}
-        }
-        let mut cfg = Self::none();
-        for part in spec.split(',') {
-            match part.trim() {
-                "windows" => cfg.windows = true,
-                "symmetry" => cfg.symmetry = true,
-                "nogoods" => cfg.nogoods = true,
-                other => {
-                    return Err(format!(
-                        "unknown prune technique '{other}' (expected all, none, \
-                         or a comma-separated subset of windows/symmetry/nogoods)"
-                    ))
-                }
-            }
-        }
-        Ok(cfg)
-    }
-
-    /// Canonical spec string (`all`, `none`, or the comma-joined subset).
-    pub fn spec(&self) -> String {
-        match (self.windows, self.symmetry, self.nogoods) {
-            (true, true, true) => "all".into(),
-            (false, false, false) => "none".into(),
-            _ => {
-                let mut parts = Vec::new();
-                if self.windows {
-                    parts.push("windows");
-                }
-                if self.symmetry {
-                    parts.push("symmetry");
-                }
-                if self.nogoods {
-                    parts.push("nogoods");
-                }
-                parts.join(",")
-            }
-        }
-    }
-}
-
-/// Budget and pruning knobs for the exact search. Flipping a
-/// [`PruneConfig`] technique changes performance only, never answers.
-#[derive(Clone, Copy, Debug, Default)]
+/// Budget and pruning switch for the exact search. The switch changes
+/// performance only, never answers.
+#[derive(Clone, Copy, Debug)]
 pub struct SearchConfig {
     /// Maximum distinct states to visit before giving up with
     /// [`Verdict::Unknown`]. `None` = unlimited.
     pub max_states: Option<u64>,
-    /// Inference-driven pruning techniques. Defaults to all on.
-    pub prune: PruneConfig,
+    /// Run the admissible prunings (soundness arguments in DESIGN.md §4b):
+    /// the closure frontline's feasibility-interval pre-pass
+    /// ([`crate::windows`]), which can decide the instance outright and
+    /// otherwise leaves per-op position windows that prune DFS branches,
+    /// and value-symmetry breaking, which lets only the lowest-numbered of
+    /// several processes with identical remaining suffixes branch.
+    /// Default `true`; `false` is the unpruned search.
+    pub prune: bool,
+}
+
+impl Default for SearchConfig {
+    fn default() -> Self {
+        SearchConfig {
+            max_states: None,
+            prune: true,
+        }
+    }
 }
 
 /// Static prechecks shared by all solvers: values read but never written,
@@ -199,12 +118,12 @@ pub fn solve_backtracking_ops_with_stats(
 }
 
 /// As [`solve_backtracking_ops_with_stats`], also naming the tier that
-/// decided. With `prune.windows` on, the precheck and feasibility-interval
+/// decided. With `prune` on, the precheck and feasibility-interval
 /// pre-pass are the closure frontline ([`closure::analyze_ops`]): it can
 /// decide the instance outright ([`Tier::Frontline`]), and otherwise hands
 /// its window table to the search ([`Tier::Exact`]).
 pub(crate) fn solve_tiered_ops(ops: &AddrOps, cfg: &SearchConfig) -> (Verdict, SearchStats, Tier) {
-    if !cfg.prune.windows {
+    if !cfg.prune {
         if let Some(v) = precheck_ops(ops) {
             return (Verdict::Incoherent(v), SearchStats::default(), Tier::Exact);
         }
@@ -227,8 +146,7 @@ pub(crate) fn solve_tiered_ops(ops: &AddrOps, cfg: &SearchConfig) -> (Verdict, S
 ///
 /// Contract: the caller must have run [`precheck_ops`] (the frontline
 /// does), and `window` must be the table from that same analysis when
-/// `cfg.prune.windows` is on (`None` disables window pruning in the search,
-/// matching `prune.windows = false`). Under that contract the result —
+/// `cfg.prune` is on (`None` when it is off). Under that contract the result —
 /// verdict, witness, and [`SearchStats`] — is bit-identical to
 /// [`solve_backtracking_ops_with_stats`], which delegates here after the
 /// frontline.
@@ -237,19 +155,17 @@ pub fn solve_escalated_ops_with_stats(
     cfg: &SearchConfig,
     window_table: Option<WindowTable>,
 ) -> (Verdict, SearchStats) {
-    let mut sys = VmcSystem::new(ops, &cfg.prune, window_table);
+    let mut sys = VmcSystem::new(ops, cfg.prune, window_table);
     let kernel_cfg = KernelConfig {
         max_states: cfg.max_states,
     };
     let (outcome, mut stats) = kernel::run_search(&mut sys, &kernel_cfg, None);
     stats.symmetry_prunes = sys.symmetry_prunes.get();
 
-    // The kernel flushed the counters every system shares; these fields
+    // The kernel flushed the counters every system shares; this field
     // only VMC sets.
     if obs::enabled() {
         obs::counter_add("search.symmetry.prunes", stats.symmetry_prunes);
-        obs::counter_add("search.nogood.hits", stats.nogood_hits);
-        obs::counter_add("search.nogood.learned", stats.nogoods_learned);
     }
 
     let verdict = match outcome {
@@ -311,46 +227,24 @@ struct VmcSystem<'a> {
     remaining_writes: FxHashMap<Value, u32>,
     /// Memo key layout: per-process frontiers, then the current value.
     key: kernel::KeyPacker,
-    /// Surviving feasibility windows from [`crate::windows::analyze`]
-    /// (`None` when the technique is off or the pre-pass was skipped).
+    /// Surviving feasibility windows from the closure frontline (`None`
+    /// when pruning is off).
     window: Option<WindowTable>,
-    symmetry: bool,
-    /// Program-order suffix classes (see [`suffix_classes`]); empty when
-    /// neither symmetry breaking nor nogood learning is on.
+    /// Program-order suffix classes (see [`suffix_classes`]) for symmetry
+    /// breaking; empty when pruning is off.
     suffix_class: Vec<Vec<u32>>,
-    /// True iff nogood learning is on *and* at least two processes have
-    /// identical full histories (otherwise the canonical key is a
-    /// bijection of the memo key and the table would only duplicate it).
-    has_twins: bool,
-    /// Learned nogoods: canonical keys of refuted `(frontier, value)`
-    /// states. The key erases process identity — the sorted multiset of
-    /// per-process `(full-history class, frontier position)` pairs with
-    /// the current value appended — so one refutation prunes every state
-    /// reachable by permuting identical-history processes.
-    nogoods: FxHashSet<Box<[u64]>>,
-    /// Key-construction scratch (probe allocates nothing).
-    nogood_scratch: Vec<u64>,
     /// Moves dropped by symmetry breaking, tallied during enumeration
     /// (which only borrows the machine) and added to the stats at the end.
     symmetry_prunes: Cell<u64>,
 }
 
 impl<'a> VmcSystem<'a> {
-    fn new(ops: &'a AddrOps, prune: &PruneConfig, window: Option<WindowTable>) -> Self {
+    fn new(ops: &'a AddrOps, prune: bool, window: Option<WindowTable>) -> Self {
         let per_proc = ops.per_proc();
-        // Hash-consed program-order suffix classes (computed only when a
-        // technique that consumes them is on).
-        let suffix_class = if prune.symmetry || prune.nogoods {
+        let suffix_class = if prune {
             suffix_classes(per_proc)
         } else {
             Vec::new()
-        };
-        // Nogood learning only pays (and is only distinct from the memo
-        // table) when at least two processes have identical full histories.
-        let has_twins = prune.nogoods && {
-            let mut roots: Vec<u32> = suffix_class.iter().map(|c| c[0]).collect();
-            roots.sort_unstable();
-            roots.windows(2).any(|w| w[0] == w[1])
         };
         VmcSystem {
             per_proc,
@@ -370,11 +264,7 @@ impl<'a> VmcSystem<'a> {
                     .chain([u64::MAX]),
             ),
             window,
-            symmetry: prune.symmetry,
             suffix_class,
-            has_twins,
-            nogoods: FxHashSet::default(),
-            nogood_scratch: Vec::new(),
             symmetry_prunes: Cell::new(0),
         }
     }
@@ -389,14 +279,6 @@ impl<'a> VmcSystem<'a> {
     /// A value other than the current one with no write left to supply it.
     fn starved(&self, v: Value) -> bool {
         v != self.current && self.remaining_writes.get(&v).copied().unwrap_or(0) == 0
-    }
-
-    /// Canonical nogood key of the current state, built in the scratch
-    /// buffer taken from `self`; the caller hands the buffer back.
-    fn nogood_key(&mut self) -> Vec<u64> {
-        let mut key = std::mem::take(&mut self.nogood_scratch);
-        build_nogood_key(&mut key, &self.suffix_class, &self.frontier, self.current);
-        key
     }
 }
 
@@ -490,7 +372,9 @@ impl TransitionSystem for VmcSystem<'_> {
                 if !enabled || op.written_value().is_some_and(|v| demanded.contains(&v)) != hot {
                     continue;
                 }
-                if self.symmetry && moves.iter().any(|mv| class(mv.proc) == class(p)) {
+                if !self.suffix_class.is_empty()
+                    && moves.iter().any(|mv| class(mv.proc) == class(p))
+                {
                     self.symmetry_prunes.set(self.symmetry_prunes.get() + 1);
                     continue;
                 }
@@ -502,34 +386,16 @@ impl TransitionSystem for VmcSystem<'_> {
         }
     }
 
+    /// Dead ends (uncounted): a blocked read, or the final value, needs a
+    /// value no remaining write can supply.
     #[inline]
-    fn refute(&mut self, stats: &mut SearchStats) -> bool {
-        // Dead ends (uncounted): a blocked read, or the final value, needs
-        // a value no remaining write can supply.
+    fn refute(&self) -> bool {
         let blocked = (0..self.frontier.len()).any(|p| {
             self.next_op(p)
                 .and_then(|op| op.read_value())
                 .is_some_and(|v| self.starved(v))
         });
-        if blocked || self.final_value.is_some_and(|f| self.starved(f)) {
-            return true;
-        }
-
-        // Nogood probe: the canonical key erases process identity, so a
-        // hit means some permuted twin of this state was already refuted —
-        // and the instance is invariant under permutations of
-        // identical-history processes, so this state is refuted too.
-        // Probed after the memo insert so `memo_misses == states` holds.
-        if self.has_twins {
-            let key = self.nogood_key();
-            let hit = self.nogoods.contains(key.as_slice());
-            self.nogood_scratch = key;
-            if hit {
-                stats.nogood_hits += 1;
-                return true;
-            }
-        }
-        false
+        blocked || self.final_value.is_some_and(|f| self.starved(f))
     }
 
     /// Window prune: the op would occupy schedule position `depth`; if its
@@ -562,33 +428,6 @@ impl TransitionSystem for VmcSystem<'_> {
         }
         self.current = mv.prev;
     }
-
-    /// Every move failed without a budget hit: learn this state's
-    /// canonical projection as a nogood.
-    #[inline]
-    fn exhausted(&mut self, stats: &mut SearchStats) {
-        if self.has_twins {
-            let key = self.nogood_key();
-            if self.nogoods.insert(key.clone().into_boxed_slice()) {
-                stats.nogoods_learned += 1;
-            }
-            self.nogood_scratch = key;
-        }
-    }
-}
-
-/// Canonical nogood key of a post-absorption search state: the sorted
-/// multiset of per-process `(full-history class << 32) | frontier` words,
-/// with the current value appended. Sorting erases process identity, which
-/// is exactly the invariance the instance has under permutations of
-/// identical-history processes.
-fn build_nogood_key(key: &mut Vec<u64>, suffix_class: &[Vec<u32>], frontier: &[u32], value: Value) {
-    key.clear();
-    for (p, &f) in frontier.iter().enumerate() {
-        key.push((u64::from(suffix_class[p][0]) << 32) | u64::from(f));
-    }
-    key.sort_unstable();
-    key.push(value.0);
 }
 
 #[cfg(test)]
@@ -757,19 +596,7 @@ mod tests {
         let configs = [
             SearchConfig::default(),
             SearchConfig {
-                prune: PruneConfig::none(),
-                ..Default::default()
-            },
-            SearchConfig {
-                prune: PruneConfig::parse("windows").unwrap(),
-                ..Default::default()
-            },
-            SearchConfig {
-                prune: PruneConfig::parse("symmetry").unwrap(),
-                ..Default::default()
-            },
-            SearchConfig {
-                prune: PruneConfig::parse("nogoods").unwrap(),
+                prune: false,
                 ..Default::default()
             },
         ];

@@ -23,7 +23,7 @@
 //! ## Soundness (why a tiered verdict is bit-identical to exact-only)
 //!
 //! The closure is the composition of two passes the exact search runs
-//! first when `prune.windows` is on: the static prechecks
+//! first when `prune` is on: the static prechecks
 //! ([`precheck_ops`]) and the feasibility-interval fixpoint
 //! ([`windows::analyze`]). Both are deterministic pure functions of the
 //! per-address operations, and every constraint they derive is *necessary*

@@ -26,13 +26,12 @@
 //! visits at most `n + 1` states and a cancelled search stops within one
 //! poll interval.
 //!
-//! Three optional hooks carry inference that only some systems have (VMC's
-//! dead-end check, position windows and nogood learning); their no-op
-//! defaults inline away for every other system:
-//! [`TransitionSystem::refute`] (per state, after the memo, budget and
-//! feasibility checks), [`TransitionSystem::admit`] (per branch, counted
-//! as a feasibility prune) and [`TransitionSystem::exhausted`] (when every
-//! move of a state failed and no budget or cancellation fired).
+//! Two optional hooks carry inference that only VMC has (its dead-end
+//! check and position windows); their no-op defaults inline away for every
+//! other system: [`TransitionSystem::refute`] (per state, after the memo,
+//! budget and feasibility checks) and [`TransitionSystem::admit`] (per
+//! branch, counted as a feasibility prune). A third defaulted hook,
+//! [`TransitionSystem::memoize`], lets a tree-shaped system skip the memo.
 //!
 //! ## Key-canonicalization contract
 //!
@@ -60,8 +59,8 @@ use vermem_util::pool::CancelToken;
 /// Plain always-on fields (not gated by observability): they are part of
 /// the determinism contract — identical whether `vermem_util::obs` is
 /// enabled or not, and summed field-wise by the parallel reducer
-/// ([`SearchStats::absorb`]). The last three fields are VMC's
-/// ([`crate::backtrack::PruneConfig`]); other systems leave them at 0.
+/// ([`SearchStats::absorb`]). `symmetry_prunes` is VMC's
+/// ([`crate::SearchConfig::prune`]); other systems leave it at 0.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Distinct (post-absorption) states visited.
@@ -78,15 +77,16 @@ pub struct SearchStats {
     /// States refuted by [`TransitionSystem::infeasible`] and branches
     /// rejected by [`TransitionSystem::admit`] — for VMC, DFS branches
     /// outside their position window, or a whole instance fast-rejected by
-    /// the window pre-pass ([`crate::backtrack::PruneConfig::windows`]).
+    /// the window pre-pass ([`crate::SearchConfig::prune`]).
     pub window_prunes: u64,
     /// Branches skipped by value-symmetry canonicalization
-    /// ([`crate::backtrack::PruneConfig::symmetry`]).
+    /// ([`crate::SearchConfig::prune`]).
     pub symmetry_prunes: u64,
-    /// States refuted by a learned nogood that was *not* an exact memo
-    /// repeat ([`crate::backtrack::PruneConfig::nogoods`]).
+    /// Retired: always 0. The VMC search no longer learns nogoods; the
+    /// field stays only for callers that still read it, and goes with
+    /// them.
     pub nogood_hits: u64,
-    /// Nogoods recorded from refuted subtrees.
+    /// Retired: always 0, like [`SearchStats::nogood_hits`].
     pub nogoods_learned: u64,
 }
 
@@ -100,8 +100,6 @@ impl SearchStats {
         self.memo_misses += other.memo_misses;
         self.window_prunes += other.window_prunes;
         self.symmetry_prunes += other.symmetry_prunes;
-        self.nogood_hits += other.nogood_hits;
-        self.nogoods_learned += other.nogoods_learned;
     }
 
     /// Render as a `search` section of the unified run report (the one
@@ -114,8 +112,6 @@ impl SearchStats {
             .with("memo_misses", self.memo_misses)
             .with("window_prunes", self.window_prunes)
             .with("symmetry_prunes", self.symmetry_prunes)
-            .with("nogood_hits", self.nogood_hits)
-            .with("nogoods_learned", self.nogoods_learned)
     }
 }
 
@@ -215,10 +211,9 @@ pub trait TransitionSystem {
 
     /// Per-state refutation, consulted after the memo, budget and
     /// [`TransitionSystem::infeasible`] checks and before
-    /// [`TransitionSystem::enabled_moves`]:
-    /// `true` only if no completion can exist from this state. Counts
-    /// what it reports in `stats`. Default: refutes nothing.
-    fn refute(&mut self, _stats: &mut SearchStats) -> bool {
+    /// [`TransitionSystem::enabled_moves`]: `true` only if no completion
+    /// can exist from this state. Uncounted. Default: refutes nothing.
+    fn refute(&self) -> bool {
         false
     }
 
@@ -230,11 +225,6 @@ pub trait TransitionSystem {
     fn admit(&self, _mv: Self::Move, _depth: usize) -> bool {
         true
     }
-
-    /// Called when every move of the current state failed and no budget
-    /// or cancellation fired: the state is refuted, and the system may
-    /// learn from it (counting in `stats`). Default: no-op.
-    fn exhausted(&mut self, _stats: &mut SearchStats) {}
 
     /// Apply `mv`; returns the operation it commits, if any (store-buffer
     /// writes commit at drain, not at issue).
@@ -539,7 +529,7 @@ impl<S: TransitionSystem> Kernel<'_, S> {
             fail!();
         }
 
-        if self.sys.refute(&mut self.stats) {
+        if self.sys.refute() {
             fail!();
         }
 
@@ -569,9 +559,6 @@ impl<S: TransitionSystem> Kernel<'_, S> {
             }
         }
         self.move_bufs.push(moves);
-        if !self.budget_hit && !self.cancelled {
-            self.sys.exhausted(&mut self.stats);
-        }
         fail!();
     }
 }

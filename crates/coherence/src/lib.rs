@@ -68,8 +68,9 @@
 //! The exponential tier is one reusable engine: [`kernel`] owns the memo
 //! table, packed/interned keys, state budget and cancellation, and
 //! searches anything implementing [`TransitionSystem`]. The single-address
-//! VMC solver in [`backtrack`] is one such system, its windows, symmetry
-//! breaking and nogoods riding on the kernel's hooks. The other client is
+//! VMC solver in [`backtrack`] is one such system, its position windows
+//! and symmetry breaking (one switch, [`SearchConfig::prune`]) riding on
+//! the kernel's hooks. The other client is
 //! the `vermem-consistency` crate's *axiom framework* — memory models (SC, TSO,
 //! PSO, RA, ARM-dob, coherence-only) are declared as `ModelSpec` **data** (relation
 //! generators plus acyclicity/irreflexivity axioms) and lowered by an
@@ -118,7 +119,7 @@ mod verdict;
 pub mod windows;
 pub mod write_order;
 
-pub use backtrack::{PruneConfig, SearchConfig, SearchStats};
+pub use backtrack::{SearchConfig, SearchStats};
 pub use closure::{ClosureOutcome, Tier, TierStats};
 pub use explain::{minimize_incoherent_core, ExplainConfig, MinimalCore};
 pub use kernel::{KernelConfig, KernelOutcome, TransitionSystem};
@@ -170,7 +171,7 @@ pub enum Strategy {
 /// closure ([`closure`]) fronts the exact search, which only sees
 /// escalated residues. `exact` does **not** skip the closure: the closure
 /// is the exact search's own precheck and window pre-pass, so it runs
-/// either way (whenever `search.prune.windows` is on) and `exact` only
+/// either way (whenever `search.prune` is on) and `exact` only
 /// reports every general instance as [`Tier::Exact`]. Equal wall clock
 /// under the two settings therefore says nothing about the frontline's
 /// overhead. The Figure 5.3 polynomial fast paths are part of the
@@ -182,9 +183,8 @@ pub enum Strategy {
 pub struct TierConfig {
     /// Credit closure-decided general instances to [`Tier::Frontline`].
     /// With `false` they are labelled [`Tier::Exact`]; the closure still
-    /// runs. Only meaningful while `search.prune.windows` is on: the
-    /// frontline *is* the window-inference pass, so `--prune=none` (and
-    /// any windows-off ablation) skips it.
+    /// runs. Only meaningful while `search.prune` is on: the frontline
+    /// *is* the window-inference pass, so `--prune=none` skips it.
     pub frontline: bool,
 }
 

@@ -148,7 +148,7 @@ pub fn probe_open_cell(
     // PR-4 inference layer would mask exactly the signal being probed.
     let cfg = SearchConfig {
         max_states: Some(PROBE_STATE_CAP),
-        prune: crate::backtrack::PruneConfig::none(),
+        prune: false,
     };
     let mut max_states = 0u64;
     let mut coherent = 0;

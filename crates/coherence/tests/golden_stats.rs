@@ -19,10 +19,11 @@
 //!   `KeyPacker` replaced: one frontier word vs two, so the flat short-key
 //!   tier vs the interned tier), also with values at `0`,
 //!   `u64::MAX - 1` and `u64::MAX`;
-//! * VMC prunings: the §5.2 over-constrained RMW reduction under each
-//!   `PruneConfig` (nogood hits), state budgets of 16, 64 and 256
-//!   (`Unknown`), hard coherent instances with several window prunes
-//!   inside the DFS, and one escalation from the closure's window table;
+//! * VMC prunings: the §5.2 over-constrained RMW reduction with pruning
+//!   off and on, state budgets of 16, 64 and 256 (`Unknown`), a §5.2
+//!   instance whose twin processes only symmetry breaking collapses, hard
+//!   coherent instances with several window prunes inside the DFS, and
+//!   one escalation from the closure's window table;
 //! * kernel memo: 2-word vs 3-word state keys (the flat short-key tier vs
 //!   the interned long-key tier);
 //! * stream engine: coherent, violating and retiring streams at several
@@ -43,9 +44,7 @@ use vermem_coherence::backtrack::{
 use vermem_coherence::closure::{analyze_ops, ClosureOutcome};
 use vermem_coherence::kernel::{run_search, KernelConfig, TransitionSystem};
 use vermem_coherence::readmap::{applicable_ops, solve_readmap_ops};
-use vermem_coherence::{
-    verify_stream_bytes, PruneConfig, RecorderConfig, SearchConfig, StreamConfig,
-};
+use vermem_coherence::{verify_stream_bytes, RecorderConfig, SearchConfig, StreamConfig};
 use vermem_reductions::reduce_3sat_rmw;
 use vermem_sat::random::{gen_random_ksat, RandomSatConfig};
 use vermem_trace::binary::{encode_event_stream, encode_trace};
@@ -126,11 +125,14 @@ fn serial_trace(lens: &[usize], seed: u64) -> Trace {
         .build()
 }
 
+/// The search config a row label names: `all` (pruning on) or `none`.
 fn prune(spec: &str, max_states: Option<u64>) -> SearchConfig {
-    SearchConfig {
-        max_states,
-        prune: PruneConfig::parse(spec).expect("static spec"),
-    }
+    let prune = match spec {
+        "all" => true,
+        "none" => false,
+        other => panic!("unknown prune label {other}"),
+    };
+    SearchConfig { max_states, prune }
 }
 
 fn render_vmc() -> String {
@@ -159,7 +161,7 @@ fn render_vmc() -> String {
         (
             "no-prune",
             SearchConfig {
-                prune: PruneConfig::none(),
+                prune: false,
                 ..SearchConfig::default()
             },
         ),
@@ -189,13 +191,24 @@ fn render_vmc() -> String {
     }
 
     // The §5.2 RMW reduction of an over-constrained random 3-SAT formula
-    // (94 processes): nogoods alone learn and hit here, and the unpruned
+    // (94 processes): the window pre-pass decides it, and the unpruned
     // search runs into its cap.
     let rmw = reduce_3sat_rmw(&gen_random_ksat(&RandomSatConfig::three_sat(3, 5.0, 93))).trace;
     let rmw = AddrOps::of(&rmw, Addr::ZERO);
-    for spec in ["none", "windows", "symmetry", "nogoods", "all"] {
+    for spec in ["none", "all"] {
         let (verdict, stats) = solve_backtracking_ops_with_stats(&rmw, &prune(spec, Some(4096)));
         writeln!(out, "e5.2-overcons {spec} | {verdict:?} | {stats:?}").unwrap();
+    }
+
+    // A §5.2 reduction the window pre-pass leaves to the search: Figure
+    // 5.2's twin processes per variable are what symmetry breaking
+    // collapses (tens of thousands of states unpruned, a few hundred
+    // pruned).
+    let twins = reduce_3sat_rmw(&gen_random_ksat(&RandomSatConfig::three_sat(3, 6.0, 7))).trace;
+    let twins = AddrOps::of(&twins, Addr::ZERO);
+    for spec in ["none", "all"] {
+        let (verdict, stats) = solve_backtracking_ops_with_stats(&twins, &prune(spec, None));
+        writeln!(out, "e5.2-twins {spec} | {verdict:?} | {stats:?}").unwrap();
     }
 
     // Hard coherent instances whose DFS prunes on the position windows
@@ -218,24 +231,19 @@ fn render_vmc() -> String {
     .collect();
     for (ctx, trace) in &hard {
         let ops = AddrOps::of(trace, Addr::ZERO);
-        for spec in ["all", "windows"] {
-            let (verdict, stats) = solve_backtracking_ops_with_stats(&ops, &prune(spec, None));
-            writeln!(out, "{ctx} {spec} | {verdict:?} | {stats:?}").unwrap();
-        }
+        let (verdict, stats) = solve_backtracking_ops_with_stats(&ops, &prune("all", None));
+        writeln!(out, "{ctx} all | {verdict:?} | {stats:?}").unwrap();
     }
 
-    // State budgets: a capped search answers `Unknown`, and learns no
-    // nogood once the cap is hit.
+    // State budgets: a capped search answers `Unknown`.
     for budget in [16, 64, 256] {
-        for spec in ["none", "symmetry", "nogoods"] {
-            let (verdict, stats) =
-                solve_backtracking_ops_with_stats(&rmw, &prune(spec, Some(budget)));
-            writeln!(
-                out,
-                "e5.2-overcons {spec} budget={budget} | {verdict:?} | {stats:?}"
-            )
-            .unwrap();
-        }
+        let (verdict, stats) =
+            solve_backtracking_ops_with_stats(&rmw, &prune("none", Some(budget)));
+        writeln!(
+            out,
+            "e5.2-overcons none budget={budget} | {verdict:?} | {stats:?}"
+        )
+        .unwrap();
         let (ctx, trace) = &hard[2];
         let ops = AddrOps::of(trace, Addr::ZERO);
         let (verdict, stats) = solve_backtracking_ops_with_stats(&ops, &prune("all", Some(budget)));

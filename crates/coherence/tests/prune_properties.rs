@@ -1,58 +1,47 @@
-//! Property tests for the PR-4 inference layer: every one of the 8
-//! `PruneConfig` combinations must agree with the unpruned PR-2 baseline
-//! search — same coherence verdict on every address, same first violation
-//! when incoherent — on coherent generated traces AND fault-injected
-//! mutants. A companion differential asserts the monotonicity contract:
-//! pruning only ever removes explored states, never adds them.
+//! Property tests for the search's pruning switch
+//! ([`SearchConfig::prune`]: the window pre-pass and symmetry breaking):
+//! the pruned search must agree with the unpruned one — same coherence
+//! verdict on every address, same first violation when incoherent — on
+//! coherent generated traces AND fault-injected mutants. A companion
+//! differential asserts the monotonicity contract: pruning only ever
+//! removes explored states, never adds them.
 
 use vermem_coherence::backtrack::solve_backtracking_ops_with_stats;
-use vermem_coherence::{PruneConfig, SearchConfig, Verdict};
+use vermem_coherence::{SearchConfig, Verdict};
 use vermem_trace::gen::{gen_hard_coherent, gen_sc_trace, inject_violation, GenConfig};
 use vermem_trace::{Addr, AddrIndex, AddrOps, Trace};
 use vermem_util::prop::PropConfig;
 use vermem_util::rng::StdRng;
 use vermem_util::{prop_assert, prop_check};
 
-/// All 8 subsets of {windows, symmetry, nogoods}.
-fn all_combos() -> [PruneConfig; 8] {
-    std::array::from_fn(|bits| PruneConfig {
-        windows: bits & 1 != 0,
-        symmetry: bits & 2 != 0,
-        nogoods: bits & 4 != 0,
-    })
-}
-
-fn cfg_with(prune: PruneConfig) -> SearchConfig {
+fn cfg_with(prune: bool) -> SearchConfig {
     SearchConfig {
         prune,
         ..Default::default()
     }
 }
 
-/// Check one address: every combo agrees with the unpruned baseline on
-/// the verdict class, on the violation when incoherent, and explores at
-/// most as many states.
-fn assert_combo_parity(ops: &AddrOps, ctx: &str) {
-    let (base_verdict, base_stats) =
-        solve_backtracking_ops_with_stats(ops, &cfg_with(PruneConfig::none()));
-    for combo in all_combos() {
-        let (verdict, stats) = solve_backtracking_ops_with_stats(ops, &cfg_with(combo));
-        match (&base_verdict, &verdict) {
-            (Verdict::Coherent(_), Verdict::Coherent(_)) => {}
-            (Verdict::Incoherent(a), Verdict::Incoherent(b)) => {
-                assert_eq!(a, b, "{ctx}: first-violation drift under {combo:?}");
-            }
-            (a, b) => panic!("{ctx}: verdict class drift under {combo:?}: {a:?} vs {b:?}"),
+/// Check one address: the pruned search agrees with the unpruned
+/// baseline on the verdict class, on the violation when incoherent, and
+/// explores at most as many states.
+fn assert_prune_parity(ops: &AddrOps, ctx: &str) {
+    let (base_verdict, base_stats) = solve_backtracking_ops_with_stats(ops, &cfg_with(false));
+    let (verdict, stats) = solve_backtracking_ops_with_stats(ops, &cfg_with(true));
+    match (&base_verdict, &verdict) {
+        (Verdict::Coherent(_), Verdict::Coherent(_)) => {}
+        (Verdict::Incoherent(a), Verdict::Incoherent(b)) => {
+            assert_eq!(a, b, "{ctx}: first-violation drift under pruning");
         }
-        // Monotonicity: the pruned visited-state set is a subset of the
-        // baseline's, so the counter can only shrink.
-        assert!(
-            stats.states <= base_stats.states,
-            "{ctx}: {combo:?} explored {} states, baseline {}",
-            stats.states,
-            base_stats.states
-        );
+        (a, b) => panic!("{ctx}: verdict class drift under pruning: {a:?} vs {b:?}"),
     }
+    // Monotonicity: the pruned visited-state set is a subset of the
+    // baseline's, so the counter can only shrink.
+    assert!(
+        stats.states <= base_stats.states,
+        "{ctx}: pruned search explored {} states, baseline {}",
+        stats.states,
+        base_stats.states
+    );
 }
 
 fn arb_gen_config(rng: &mut StdRng, size: usize) -> GenConfig {
@@ -68,13 +57,13 @@ fn arb_gen_config(rng: &mut StdRng, size: usize) -> GenConfig {
 }
 
 #[test]
-fn prop_all_combos_agree_on_coherent_traces() {
+fn prop_pruning_agrees_on_coherent_traces() {
     prop_check!(
         PropConfig::with_cases(48),
         |rng, size| gen_sc_trace(&arb_gen_config(rng, size)).0,
         |trace: &Trace| {
             for ops in AddrIndex::build(trace).iter() {
-                assert_combo_parity(ops, "coherent");
+                assert_prune_parity(ops, "coherent");
             }
             Ok(())
         }
@@ -82,7 +71,7 @@ fn prop_all_combos_agree_on_coherent_traces() {
 }
 
 #[test]
-fn prop_all_combos_agree_on_fault_injected_traces() {
+fn prop_pruning_agrees_on_fault_injected_traces() {
     use vermem_trace::gen::ViolationKind::*;
     prop_check!(
         PropConfig::with_cases(48),
@@ -98,7 +87,7 @@ fn prop_all_combos_agree_on_fault_injected_traces() {
                 return Ok(()); // no eligible site — vacuously fine
             };
             for ops in AddrIndex::build(&mutated).iter() {
-                assert_combo_parity(ops, "injected");
+                assert_prune_parity(ops, "injected");
             }
             prop_assert!(true);
             Ok(())
@@ -113,35 +102,30 @@ fn hard_coherent_instances_keep_parity_and_monotonicity() {
     for seed in 0..6u64 {
         let (trace, _) = gen_hard_coherent(4, 7, 2, seed);
         let ops = AddrOps::of(&trace, Addr::ZERO);
-        assert_combo_parity(&ops, &format!("hard seed {seed}"));
+        assert_prune_parity(&ops, &format!("hard seed {seed}"));
     }
 }
 
 /// The `SearchStats` counters themselves stay self-consistent under
 /// pruning: memo discipline (`memo_misses == states` with memoization on)
-/// holds for every combo, and prune counters are zero when their technique
-/// is off.
+/// holds either way, prune counters are zero with pruning off, and the
+/// retired nogood counters are zero always.
 #[test]
-fn prune_counters_are_gated_by_their_technique() {
+fn prune_counters_are_gated_by_the_switch() {
     for seed in 0..4u64 {
         let (trace, _) = gen_hard_coherent(4, 7, 2, seed);
         let ops = AddrOps::of(&trace, Addr::ZERO);
-        for combo in all_combos() {
-            let (_, stats) = solve_backtracking_ops_with_stats(&ops, &cfg_with(combo));
+        for prune in [false, true] {
+            let (_, stats) = solve_backtracking_ops_with_stats(&ops, &cfg_with(prune));
             assert_eq!(
                 stats.memo_misses, stats.states,
-                "memo discipline broken under {combo:?}"
+                "memo discipline broken with prune={prune}"
             );
-            if !combo.windows {
-                assert_eq!(stats.window_prunes, 0, "{combo:?}");
+            if !prune {
+                assert_eq!(stats.window_prunes, 0);
+                assert_eq!(stats.symmetry_prunes, 0);
             }
-            if !combo.symmetry {
-                assert_eq!(stats.symmetry_prunes, 0, "{combo:?}");
-            }
-            if !combo.nogoods {
-                assert_eq!(stats.nogood_hits, 0, "{combo:?}");
-                assert_eq!(stats.nogoods_learned, 0, "{combo:?}");
-            }
+            assert_eq!((stats.nogood_hits, stats.nogoods_learned), (0, 0));
         }
     }
 }

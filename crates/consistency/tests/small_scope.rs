@@ -30,7 +30,7 @@
 use vermem_coherence::closure::{analyze_ops, ClosureOutcome};
 use vermem_coherence::{
     one_op, readmap, rmw, solve_sat_ops, solve_with_write_order, verify_execution,
-    verify_execution_par, verify_stream_bytes, OnlineVerifier, PruneConfig, SearchConfig, Strategy,
+    verify_execution_par, verify_stream_bytes, OnlineVerifier, SearchConfig, Strategy,
     StreamConfig, Verdict, VmcVerifier,
 };
 use vermem_consistency::oracle::serializes;
@@ -145,7 +145,7 @@ fn vmc_space_every_decider_agrees() {
     let unpruned = VmcVerifier {
         strategy: Strategy::Backtracking,
         search: SearchConfig {
-            prune: PruneConfig::none(),
+            prune: false,
             ..SearchConfig::default()
         },
         ..VmcVerifier::default()

@@ -24,6 +24,13 @@ impl std::error::Error for DimacsError {}
 /// Parse a DIMACS CNF file. The `p cnf <vars> <clauses>` header is required;
 /// comment lines (`c ...`) are skipped; clauses may span lines and are
 /// terminated by `0`.
+///
+/// The header's variable count may not exceed the input's length in bytes.
+/// Solvers and reductions size their tables by the declared count, so this
+/// keeps what a formula can make them allocate proportional to the text
+/// that declares it. The bound never rejects a formula whose clauses
+/// mention every variable, since each mention takes at least two bytes
+/// (a digit and a separator).
 pub fn parse_dimacs(input: &str) -> Result<Cnf, DimacsError> {
     let mut cnf = Cnf::new();
     let mut header: Option<(u32, usize)> = None;
@@ -58,6 +65,15 @@ pub fn parse_dimacs(input: &str) -> Result<Cnf, DimacsError> {
                     line: lineno,
                     message: format!("invalid variable count '{}'", parts[1]),
                 })?;
+            if vars as usize > input.len() {
+                return Err(DimacsError {
+                    line: lineno,
+                    message: format!(
+                        "variable count {vars} exceeds the input's {} bytes",
+                        input.len()
+                    ),
+                });
+            }
             let clauses = parts[2].parse::<usize>().map_err(|_| DimacsError {
                 line: lineno,
                 message: format!("invalid clause count '{}'", parts[2]),
@@ -168,7 +184,20 @@ mod tests {
         }
         let e = parse_dimacs("p cnf 2147483648 0\n").unwrap_err();
         assert!(e.message.contains("invalid variable count"), "{e}");
-        assert!(parse_dimacs("p cnf 2147483647 0\n").is_ok());
+    }
+
+    /// A count the text cannot back is rejected before anything is sized
+    /// by it: a 19-byte header must not make a solver allocate tables for
+    /// 2^31 - 1 variables.
+    #[test]
+    fn variable_count_is_bounded_by_input_length() {
+        let e = parse_dimacs("p cnf 2147483647 0\n").unwrap_err();
+        assert_eq!(e.line, 1, "{e}");
+        assert!(e.message.contains("exceeds the input's 19 bytes"), "{e}");
+        // Exactly one variable per byte is the largest count accepted.
+        let text = "p cnf 11 0\n";
+        assert_eq!(parse_dimacs(text).unwrap().num_vars(), 11);
+        assert!(parse_dimacs("p cnf 12 0\n").is_err());
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Differential suite for the PR-4 inference layer under the parallel
-//! per-address engine: for every `PruneConfig` combination and every
-//! thread count in {1, 2, 8}, the execution verdict (and the first
-//! violation when incoherent) must match the unpruned sequential baseline
-//! — on generated traces, healthy MESI simulator captures, and
-//! fault-injected incoherent captures.
+//! Differential suite for the search's pruning switch under the parallel
+//! per-address engine: with pruning on and off and at every thread count
+//! in {1, 2, 8}, the execution verdict (and the first violation when
+//! incoherent) must match the unpruned sequential baseline — on generated
+//! traces, healthy MESI simulator captures, and fault-injected incoherent
+//! captures.
 
 use vermem_coherence::{
-    verify_execution_par, verify_execution_with, ExecutionVerdict, PruneConfig, SearchConfig,
-    VmcVerifier,
+    verify_execution_par, verify_execution_with, ExecutionVerdict, SearchConfig, VmcVerifier,
 };
 use vermem_sim::{random_program, FaultKind, FaultPlan, Machine, MachineConfig, WorkloadConfig};
 use vermem_trace::gen::{gen_sc_trace, GenConfig};
@@ -15,15 +14,7 @@ use vermem_trace::Trace;
 
 const JOBS: [usize; 3] = [1, 2, 8];
 
-fn all_combos() -> [PruneConfig; 8] {
-    std::array::from_fn(|bits| PruneConfig {
-        windows: bits & 1 != 0,
-        symmetry: bits & 2 != 0,
-        nogoods: bits & 4 != 0,
-    })
-}
-
-fn verifier_with(prune: PruneConfig) -> VmcVerifier {
+fn verifier_with(prune: bool) -> VmcVerifier {
     VmcVerifier {
         search: SearchConfig {
             prune,
@@ -36,30 +27,30 @@ fn verifier_with(prune: PruneConfig) -> VmcVerifier {
 /// Assert the full prune-parity contract on one trace; returns whether it
 /// is coherent (per the unpruned baseline).
 fn assert_prune_parity(trace: &Trace, ctx: &str) -> bool {
-    let baseline = verify_execution_with(trace, &verifier_with(PruneConfig::none()));
-    for combo in all_combos() {
-        let verifier = verifier_with(combo);
+    let baseline = verify_execution_with(trace, &verifier_with(false));
+    for prune in [false, true] {
+        let verifier = verifier_with(prune);
         let seq = verify_execution_with(trace, &verifier);
         match (&baseline, &seq) {
             (ExecutionVerdict::Coherent(_), ExecutionVerdict::Coherent(_)) => {}
             (ExecutionVerdict::Incoherent(a), ExecutionVerdict::Incoherent(b)) => {
-                assert_eq!(a, b, "{ctx}: first-violation drift under {combo:?}");
+                assert_eq!(a, b, "{ctx}: first-violation drift with prune={prune}");
             }
-            (a, b) => panic!("{ctx}: verdict class drift under {combo:?}: {a:?} vs {b:?}"),
+            (a, b) => panic!("{ctx}: verdict class drift with prune={prune}: {a:?} vs {b:?}"),
         }
         // The parallel engine must agree with its own sequential run at
         // every thread count, stats included (thread-count invariance).
         let par1 = verify_execution_par(trace, &verifier, 1);
-        assert_eq!(par1.verdict, seq, "{ctx}: jobs=1 drift under {combo:?}");
+        assert_eq!(par1.verdict, seq, "{ctx}: jobs=1 drift with prune={prune}");
         for jobs in JOBS {
             let par = verify_execution_par(trace, &verifier, jobs);
             assert_eq!(
                 par.verdict, seq,
-                "{ctx}: verdict drift at jobs={jobs} under {combo:?}"
+                "{ctx}: verdict drift at jobs={jobs} with prune={prune}"
             );
             assert_eq!(
                 par.stats, par1.stats,
-                "{ctx}: stats drift at jobs={jobs} under {combo:?}"
+                "{ctx}: stats drift at jobs={jobs} with prune={prune}"
             );
         }
     }

@@ -8,8 +8,8 @@
 //! addresses than the ablation, never fewer.
 
 use vermem_coherence::{
-    verify_execution_par, verify_execution_with, ExecutionReport, PruneConfig, SearchConfig,
-    TierConfig, VmcVerifier,
+    verify_execution_par, verify_execution_with, ExecutionReport, SearchConfig, TierConfig,
+    VmcVerifier,
 };
 use vermem_sim::{random_program, FaultKind, FaultPlan, Machine, MachineConfig, WorkloadConfig};
 use vermem_trace::gen::{gen_sc_trace, GenConfig};
@@ -197,7 +197,7 @@ fn tier_parity_holds_with_window_pruning_disabled() {
     // pipelines collapse to the identical unpruned search.
     let with_prune_none = |tier: TierConfig| VmcVerifier {
         search: SearchConfig {
-            prune: PruneConfig::none(),
+            prune: false,
             ..Default::default()
         },
         tier,

@@ -41,10 +41,9 @@ def render(d):
     out = {}
     out["e-prune"] = table(
         ["case", "config", "states", "window prunes", "symmetry prunes",
-         "nogood hits", "nogoods learned", "verdict"],
+         "verdict"],
         [[r["case"], r["config"], n(r["states"]), n(r["window_prunes"]),
-          n(r["symmetry_prunes"]), n(r["nogood_hits"]),
-          n(r["nogoods_learned"]), r["verdict"]]
+          n(r["symmetry_prunes"]), r["verdict"]]
          for r in d["prune_ablation"]])
     out["e-tier"] = table(
         ["family", "tier", "traces", "addresses", "frontline", "escalated",

@@ -112,10 +112,14 @@ if [[ -n "$bad" ]]; then
     exit 1
 fi
 # Every memo key is built by the kernel's KeyPacker: the retired
-# byte-per-process frontier encoder must not come back either.
-if grep -rn 'greedy_absorption\|hot_move_ordering\|Visited::\|encode_frontier\|frontier_packs' \
-    crates/ src/ tests/ examples/; then
-    echo "retired VMC search knob, visited-set enum or frontier key encoder found" >&2
+# byte-per-process frontier encoder must not come back either. The search
+# has one pruning switch (SearchConfig::prune): the per-technique config,
+# nogood learning (its canonical keys and twin gate) and the kernel hook
+# it alone used must not come back. Comments count too.
+retired_search='greedy_absorption\|hot_move_ordering\|Visited::\|encode_frontier\|frontier_packs'
+retired_search+='\|PruneConfig\|nogood_key\|build_nogood_key\|has_twins\|fn exhausted'
+if grep -rn "$retired_search" crates/ src/ tests/ examples/; then
+    echo "retired VMC search knob, visited-set enum, frontier key encoder or nogood learning found" >&2
     exit 1
 fi
 # The store-buffer lowering runs on dense ids: values interned once per
