@@ -111,6 +111,11 @@ compiled' (default) lowers the model onto the exact-search kernel,
 'sat' runs the spec-to-CNF compiler. For models with a polynomial fast
 tier (ra), --tier exact disables it; the default pipeline tries the
 fast tier first and escalates only when it cannot decide.
+--budget N caps the states of the exact search (0 or default: no cap);
+under coherence it caps each address's search. Under tso, pso, ra and
+arm-dob the exact tier first searches the SC sub-space and accepts a
+certified SC witness; that SC stage spends from the same budget, and the
+model's own machine gets the rest.
 --metrics appends the unified run report (text, or JSON with
 --metrics=json); --trace-out FILE writes a Chrome trace-event JSON file
 loadable in chrome://tracing or https://ui.perfetto.dev.
@@ -535,7 +540,8 @@ fn cmd_sc(args: &Args, stdin: &str) -> Result<String, CliError> {
         }
         vermem_consistency::ConsistencyVerdict::Unknown { stats } => {
             // The budget bounds each search (each address's, for a model
-            // decided address by address); the count sums every search.
+            // decided address by address; the SC stage and the model's
+            // own machine share one); the count sums every search.
             let _ = writeln!(
                 out,
                 "{model_name}: unknown (budget exhausted: a search passed its \

@@ -123,7 +123,10 @@ pub struct KernelConfig {
     /// stops at the first state past the budget, so it visits at most
     /// `max_states + 1`. A model the consistency crate decides address by
     /// address (coherence-only) gets this budget per address, as
-    /// [`crate::SearchConfig::max_states`].
+    /// [`crate::SearchConfig::max_states`]. The models it decides after an
+    /// SC stage (TSO, PSO, RA, ARM-dob) spend one budget on both searches:
+    /// the stage's states count against it, and the model's own machine
+    /// gets what is left.
     pub max_states: Option<u64>,
 }
 

@@ -20,7 +20,9 @@
 //!   those whose table is SC's, TSO's or PSO's lower to one store-buffer
 //!   machine in the matching buffer shape; the other specs
 //!   (Release–Acquire, ARM-dob) lower to a witness-search machine that
-//!   decides `rf` and `mo` event by event;
+//!   decides `rf` and `mo` event by event. Every model weaker than SC but
+//!   the coherence-only one runs the SC machine first and keeps a found
+//!   order only through its own certificate;
 //! * the **SAT compiler** ([`solve_spec_sat`]) lowers the same spec to a
 //!   CNF over read-selector, coherence-order and closure variables, so
 //!   every declared model gets an independent differential oracle for
@@ -53,7 +55,7 @@ mod witness;
 pub use witness::{check_model_schedule, check_witness, RfCand, Witness};
 
 use crate::verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
-use operational::Lowering;
+use operational::{BufferKind, Lowering};
 use vermem_coherence::closure::Tier;
 use vermem_coherence::{KernelConfig, SearchStats, TierConfig};
 use vermem_trace::{AddrIndex, Trace};
@@ -455,6 +457,13 @@ fn sat_verdict(trace: &Trace, idx: &AddrIndex, spec: &ModelSpec) -> ConsistencyV
 /// tier and the SAT compiler read that index (the graph lowering takes
 /// over the RA fast tier's event universe when that tier escalates).
 ///
+/// The exact tier of TSO, PSO, RA and ARM-dob starts with an SC stage:
+/// the SC machine, on a budget of a fixed number of states per operation
+/// taken from `cfg.kernel`'s, whose order is accepted only through the
+/// model's own certificate. Otherwise the model's own machine decides
+/// with the budget left, and the report's stats sum both searches. The
+/// stage runs after the RA fast tier and whatever `cfg.tier` says.
+///
 /// ```
 /// use vermem_consistency::{verify_axiom, AxiomConfig, ModelId};
 /// use vermem_trace::{Op, TraceBuilder};
@@ -468,7 +477,8 @@ fn sat_verdict(trace: &Trace, idx: &AddrIndex, spec: &ModelSpec) -> ConsistencyV
 /// // TSO's per-process FIFO store buffer explains it.
 /// let tso = verify_axiom(&sb, ModelId::Tso, &cfg);
 /// assert!(tso.verdict.is_consistent());
-/// assert!(tso.stats.states > 0); // the compiled machine really searched
+/// // SC refuted SB first: the stats sum both searches.
+/// assert!(tso.stats.states > verify_axiom(&sb, ModelId::Sc, &cfg).stats.states);
 ///
 /// // A budget of one state is exhausted immediately: explicit Unknown,
 /// // never a silent give-up.
@@ -500,7 +510,15 @@ pub fn verify_axiom(trace: &Trace, id: ModelId, cfg: &AxiomConfig) -> AxiomRepor
     let kernel = &cfg.kernel;
     match operational::lowering(spec) {
         Lowering::PerAddress => operational::solve_per_address(trace, &idx, spec, kernel),
-        Lowering::Buffer(kind) => operational::solve_buffer(trace, &idx, spec, kind, kernel),
+        Lowering::Buffer(BufferKind::Atomic) => {
+            operational::solve_buffer(trace, &idx, spec, BufferKind::Atomic, kernel)
+        }
+        // A weaker model searches the SC sub-space first (the SC stage,
+        // part of the exact tier), then runs its own machine.
+        Lowering::Buffer(kind) => operational::sc_stage(trace, &idx, kernel, |order| {
+            operational::certify_schedule(trace, spec, order)
+        })
+        .or_else(|rest| operational::solve_buffer(trace, &idx, spec, kind, rest)),
         Lowering::Graph => {
             let ev = Events::new(trace, &idx);
             if id == ModelId::Ra && cfg.tier.frontline {
@@ -508,7 +526,10 @@ pub fn verify_axiom(trace: &Trace, id: ModelId, cfg: &AxiomConfig) -> AxiomRepor
                     return frontline(verdict);
                 }
             }
-            operational::solve_graph(spec, ev, kernel)
+            operational::sc_stage(trace, &idx, kernel, |order| {
+                operational::certify_order_witness(spec, &ev, &order)
+            })
+            .or_else(|rest| operational::solve_graph(spec, ev, rest))
         }
     }
 }

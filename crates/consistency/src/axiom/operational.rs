@@ -37,6 +37,19 @@
 //!   takes over the event universe ([`Events`]) the RA fast tier already
 //!   built when that tier escalates.
 //!
+//! **SC stage.** SC is the strongest declared model: every SC
+//! serialization is a TSO/PSO commit order and induces an RA/ARM-dob
+//! `rf`/`mo` witness. So a spec that lowers to a buffered machine or to
+//! the graph machine first runs the SC machine ([`sc_stage`]) on a fixed
+//! budget of [`SC_STAGE_STATES_PER_OP`] states per operation, taken from
+//! the caller's. A found order becomes a verdict only through the model's
+//! own certificate: the schedule checker for TSO/PSO
+//! ([`certify_schedule`]), the reference axiom evaluator on the induced
+//! witness for RA/ARM-dob ([`certify_order_witness`]). Anything else — a
+//! refutation, a spent stage budget, a rejected order — falls through to
+//! the model's own machine ([`solve_buffer`], [`solve_graph`]) with the
+//! budget left, and the report sums both searches' stats.
+//!
 //! The serialization equivalence justifying the buffer lowering — a
 //! single `ppo`-extending order with reads-see-latest exists iff some
 //! witness satisfies `acyclic(ppo ∪ rf ∪ mo ∪ fr)` plus atomicity and
@@ -55,7 +68,7 @@
 //! satisfied, because memory can never hold `v` again.
 
 use super::graph::GraphMachine;
-use super::witness::{check_witness_ev, spec_serializes, witness_schedule, Events};
+use super::witness::{check_witness_ev, spec_serializes, witness_schedule, Events, Witness};
 use super::{AxiomReport, ModelSpec};
 use crate::axiom::check_model_schedule;
 use crate::verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
@@ -139,8 +152,113 @@ fn exact(verdict: Option<ConsistencyVerdict>, stats: SearchStats) -> AxiomReport
     }
 }
 
+/// States per operation the SC stage may visit: the stage of a trace of
+/// `n` operations stops after `SC_STAGE_STATES_PER_OP * n` states (or the
+/// caller's budget, if smaller). On the generated multi-address
+/// executions of the `models-batch` benchmark (seeds 1–5) the stage
+/// accepts after a median of about 1.2 and at most 9.2 states per
+/// operation, so this leaves room before a trace pays for both searches.
+pub(crate) const SC_STAGE_STATES_PER_OP: u64 = 16;
+
+/// What the SC stage ([`sc_stage`]) settled.
+pub(crate) enum ScStage {
+    /// The model's certificate accepted the SC order, or the stage spent
+    /// the caller's whole budget.
+    Decided(AxiomReport),
+    /// Neither: the model's own machine decides within `rest`, and its
+    /// report adds the stage's `stats`.
+    FallBack {
+        rest: KernelConfig,
+        stats: SearchStats,
+    },
+}
+
+impl ScStage {
+    /// The stage's report, or else `machine`'s within the budget the
+    /// stage left, with the stats of both searches summed.
+    pub(crate) fn or_else(self, machine: impl FnOnce(&KernelConfig) -> AxiomReport) -> AxiomReport {
+        match self {
+            ScStage::Decided(report) => report,
+            ScStage::FallBack { rest, stats } => {
+                let mut report = machine(&rest);
+                report.stats.absorb(&stats);
+                if let ConsistencyVerdict::Unknown { stats } = &mut report.verdict {
+                    *stats = report.stats;
+                }
+                report
+            }
+        }
+    }
+}
+
+/// The SC stage of a model weaker than SC: search the SC sub-space first,
+/// with the SC machine ([`BufferKind::Atomic`]) over the layout `idx` of
+/// `trace`. Every SC serialization is a witness of TSO, PSO, RA and
+/// ARM-dob, but a found order is accepted only if `certify`, the model's
+/// own certificate, turns it into a schedule. The stage's budget is
+/// [`SC_STAGE_STATES_PER_OP`] per operation, taken from `cfg`'s: a
+/// refutation, a rejected order or an exhausted stage budget leaves the
+/// rest to the model's own machine, unless the stage spent all of `cfg`'s.
+pub(crate) fn sc_stage(
+    trace: &Trace,
+    idx: &AddrIndex,
+    cfg: &KernelConfig,
+    certify: impl FnOnce(Vec<OpRef>) -> Option<Schedule>,
+) -> ScStage {
+    let cap = SC_STAGE_STATES_PER_OP.saturating_mul(trace.num_ops() as u64);
+    let budget = cfg.max_states.map_or(cap, |max| max.min(cap));
+    let mut sys = CompiledMachine::new(trace, idx, BufferKind::Atomic);
+    let (outcome, stats) = run_search(&mut sys, &KernelConfig::with_budget(budget), None);
+    match outcome {
+        KernelOutcome::Accepted(order) => {
+            if let Some(schedule) = certify(order) {
+                let verdict = ConsistencyVerdict::Consistent(schedule);
+                return ScStage::Decided(exact(Some(verdict), stats));
+            }
+        }
+        KernelOutcome::BudgetExhausted if cfg.max_states == Some(budget) => {
+            return ScStage::Decided(exact(None, stats));
+        }
+        _ => {}
+    }
+    ScStage::FallBack {
+        rest: KernelConfig {
+            max_states: cfg.max_states.map(|max| max.saturating_sub(stats.states)),
+        },
+        stats,
+    }
+}
+
+/// Certificate of a serialization model: `commits` as a schedule, if the
+/// model's schedule checker accepts it.
+pub(crate) fn certify_schedule(
+    trace: &Trace,
+    spec: &ModelSpec,
+    commits: Vec<OpRef>,
+) -> Option<Schedule> {
+    let schedule = Schedule::from_refs(commits);
+    check_model_schedule(trace, spec.id, &schedule)
+        .is_ok()
+        .then_some(schedule)
+}
+
+/// Certificate of a graph-lowered model: the witness the serialization
+/// `order` induces ([`Witness::of_order`]), if the reference evaluator
+/// accepts it, reported as its witness schedule.
+pub(crate) fn certify_order_witness(
+    spec: &ModelSpec,
+    ev: &Events,
+    order: &[OpRef],
+) -> Option<Schedule> {
+    let w = Witness::of_order(ev, order);
+    check_witness_ev(spec, ev, &w)
+        .is_ok()
+        .then(|| witness_schedule(spec, ev, &w))
+}
+
 /// The buffer lowering: one store-buffer machine of shape `kind` over the
-/// layout `idx` of `trace`.
+/// layout `idx` of `trace`. It is the model's own machine: the SC stage
+/// of the weaker shapes runs before it, in [`super::verify_axiom`].
 pub(crate) fn solve_buffer(
     trace: &Trace,
     idx: &AddrIndex,
@@ -151,13 +269,10 @@ pub(crate) fn solve_buffer(
     let mut sys = CompiledMachine::new(trace, idx, kind);
     let (outcome, stats) = run_search(&mut sys, cfg, None);
     let verdict = match outcome {
+        // Certificate: a commit order the model's schedule checker
+        // rejects is never reported as consistent.
         KernelOutcome::Accepted(commits) => {
-            let witness = Schedule::from_refs(commits);
-            // Certificate: a commit order the model's schedule checker
-            // rejects is never reported as consistent.
-            check_model_schedule(trace, spec.id, &witness)
-                .is_ok()
-                .then_some(ConsistencyVerdict::Consistent(witness))
+            certify_schedule(trace, spec, commits).map(ConsistencyVerdict::Consistent)
         }
         KernelOutcome::Refuted => Some(no_schedule()),
         KernelOutcome::BudgetExhausted | KernelOutcome::Cancelled => None,
@@ -165,7 +280,8 @@ pub(crate) fn solve_buffer(
     exact(verdict, stats)
 }
 
-/// The graph lowering: the witness-search machine over `ev`.
+/// The graph lowering: the witness-search machine over `ev`, the model's
+/// own machine (the SC stage runs before it, in [`super::verify_axiom`]).
 pub(crate) fn solve_graph(spec: &ModelSpec, ev: Events, cfg: &KernelConfig) -> AxiomReport {
     if ev.some_read_unsatisfiable() {
         return exact(Some(no_schedule()), SearchStats::default());
@@ -804,6 +920,238 @@ mod tests {
             .filter(|&id| lowering(spec(id)) == Lowering::Graph)
             .collect();
         assert_eq!(graph, [ModelId::Ra, ModelId::ArmDob]);
+    }
+
+    /// The weaker models, which run the SC stage before their own machine.
+    const STAGED: [ModelId; 4] = [ModelId::Tso, ModelId::Pso, ModelId::Ra, ModelId::ArmDob];
+
+    /// The compiled engine without the SC stage: the precheck, then the
+    /// lowering's own machine, with the RA fast tier off.
+    fn own_machine(trace: &Trace, id: ModelId, cfg: &KernelConfig) -> AxiomReport {
+        let (spec, idx) = (spec(id), AddrIndex::build(trace));
+        if let Some(v) = super::super::precheck(&idx) {
+            return AxiomReport {
+                verdict: ConsistencyVerdict::Violating(v),
+                stats: SearchStats::default(),
+                tier: Tier::Frontline,
+            };
+        }
+        match lowering(spec) {
+            Lowering::Buffer(kind) => solve_buffer(trace, &idx, spec, kind, cfg),
+            Lowering::Graph => solve_graph(spec, Events::new(trace, &idx), cfg),
+            Lowering::PerAddress => unreachable!("{} is not staged", spec.name),
+        }
+    }
+
+    /// `verify_axiom` with the RA fast tier off, so every staged model
+    /// reaches its SC stage.
+    fn staged(trace: &Trace, id: ModelId, kernel: KernelConfig) -> AxiomReport {
+        let cfg = crate::axiom::AxiomConfig {
+            kernel,
+            tier: vermem_coherence::TierConfig::exact_only(),
+            ..Default::default()
+        };
+        crate::axiom::verify_axiom(trace, id, &cfg)
+    }
+
+    fn sat(trace: &Trace, id: ModelId) -> ConsistencyVerdict {
+        super::super::sat_verdict(trace, &AddrIndex::build(trace), spec(id))
+    }
+
+    /// Each weaker model's own machine, which the SC stage now runs only
+    /// when SC fails, still decides like the SAT compiler: over the whole
+    /// 3-op small-scope space and the litmus set.
+    #[test]
+    fn own_machines_without_the_sc_stage_equal_sat() {
+        let mut beyond_sc = [0; 4];
+        let mut check = |t: &Trace, ctx: &dyn Fn() -> String| {
+            let sc = sat(t, ModelId::Sc).is_consistent();
+            for (n, id) in STAGED.into_iter().enumerate() {
+                let own = own_machine(t, id, &KernelConfig::default()).verdict;
+                let want = sat(t, id);
+                assert!(own.unknown_stats().is_none(), "{}: {}", id.name(), ctx());
+                assert_eq!(
+                    own.is_consistent(),
+                    want.is_consistent(),
+                    "{}: {}",
+                    id.name(),
+                    ctx()
+                );
+                beyond_sc[n] += usize::from(own.is_consistent() && !sc);
+            }
+        };
+        let mut traces = 0;
+        vermem_trace::gen::small_traces(
+            &vermem_trace::gen::SmallScope {
+                max_ops: 3,
+                addrs: 2,
+                values: 3,
+            },
+            |t| {
+                traces += 1;
+                check(t, &|| format!("{t:?}"));
+            },
+        );
+        assert_eq!(traces, 15_255);
+        for test in crate::litmus::all_litmus_tests() {
+            check(&test.trace, &|| test.name.to_string());
+        }
+        // Each machine decided traces the SC stage cannot accept.
+        assert!(beyond_sc.iter().all(|&n| n > 0), "{beyond_sc:?}");
+    }
+
+    /// On an SC execution the SC stage decides every weaker model: its
+    /// stats are the SC search's, and the store-buffer models report the
+    /// SC schedule itself.
+    #[test]
+    fn sc_stage_decides_sc_executions_with_the_sc_search_stats() {
+        for seed in 0..12 {
+            let (t, _) = gen_sc_trace(&GenConfig {
+                procs: 3,
+                total_ops: 24,
+                addrs: 3,
+                value_reuse: 0.5,
+                seed: 30_000 + seed,
+                ..Default::default()
+            });
+            let sc = staged(&t, ModelId::Sc, KernelConfig::default());
+            assert!(
+                sc.verdict.is_consistent() && sc.stats.states > 0,
+                "seed {seed}"
+            );
+            for id in STAGED {
+                let r = staged(&t, id, KernelConfig::default());
+                assert!(r.verdict.is_consistent(), "{} seed {seed}", id.name());
+                assert_eq!(r.stats, sc.stats, "{} seed {seed}", id.name());
+                assert_eq!(r.tier, Tier::Exact, "{} seed {seed}", id.name());
+                if matches!(id, ModelId::Tso | ModelId::Pso) {
+                    assert_eq!(r.verdict, sc.verdict, "{} seed {seed}", id.name());
+                }
+                // A budget the SC search overruns is spent by the stage
+                // alone: the same Unknown as SC's under that budget.
+                let tight = KernelConfig::with_budget(sc.stats.states / 2);
+                let (a, b) = (staged(&t, id, tight), staged(&t, ModelId::Sc, tight));
+                assert!(
+                    a.verdict.unknown_stats().is_some(),
+                    "{} seed {seed}",
+                    id.name()
+                );
+                assert_eq!(a.verdict, b.verdict, "{} seed {seed}", id.name());
+                assert_eq!(a.stats, b.stats, "{} seed {seed}", id.name());
+            }
+        }
+    }
+
+    /// On litmus outcomes SC forbids, the SC stage refutes and the model's
+    /// own machine decides: the verdict and schedule are the machine's,
+    /// and the stats are the refuted SC attempt's plus the machine's.
+    #[test]
+    fn sc_forbidden_outcomes_fall_back_to_the_own_machine() {
+        let mut allowed = 0;
+        for test in crate::litmus::all_litmus_tests() {
+            let t = &test.trace;
+            let sc = staged(t, ModelId::Sc, KernelConfig::default());
+            if sc.verdict.is_consistent() {
+                continue;
+            }
+            for id in STAGED {
+                let own = own_machine(t, id, &KernelConfig::default());
+                let r = staged(t, id, KernelConfig::default());
+                let ctx = format!("{} under {}", test.name, id.name());
+                let mut sum = sc.stats;
+                sum.absorb(&own.stats);
+                assert_eq!(r.verdict, own.verdict, "{ctx}");
+                assert_eq!(r.stats, sum, "{ctx}");
+                assert_eq!(r.tier, own.tier, "{ctx}");
+                allowed += usize::from(r.verdict.is_consistent());
+            }
+        }
+        assert!(allowed >= 8, "only {allowed} SC-forbidden outcomes allowed");
+    }
+
+    /// A rejected certificate falls through, unchanged, to the model's own
+    /// machine.
+    #[test]
+    fn a_rejected_certificate_falls_through() {
+        let (t, _) = gen_sc_trace(&GenConfig {
+            procs: 3,
+            total_ops: 18,
+            addrs: 2,
+            seed: 7,
+            ..Default::default()
+        });
+        let idx = AddrIndex::build(&t);
+        let sc = staged(&t, ModelId::Sc, KernelConfig::default());
+        for kind in [BufferKind::ProcFifo, BufferKind::SlotFifo] {
+            let spec = spec(if kind == BufferKind::ProcFifo {
+                ModelId::Tso
+            } else {
+                ModelId::Pso
+            });
+            let cfg = KernelConfig::default();
+            let r = sc_stage(&t, &idx, &cfg, |_| None)
+                .or_else(|rest| solve_buffer(&t, &idx, spec, kind, rest));
+            let own = solve_buffer(&t, &idx, spec, kind, &cfg);
+            let mut sum = sc.stats;
+            sum.absorb(&own.stats);
+            assert_eq!(r.verdict, own.verdict, "{}", spec.name);
+            assert_eq!(r.stats, sum, "{}", spec.name);
+        }
+    }
+
+    /// The certificates accept exactly the orders that witness their
+    /// model. On the message-passing outcome (P1 sees the flag but not
+    /// the data), the order that lets the flag store pass the data store
+    /// witnesses PSO and ARM-dob but not TSO or RA; an order in which a
+    /// read does not see its value witnesses nothing.
+    #[test]
+    fn certificates_reject_orders_that_witness_nothing() {
+        let mp = TraceBuilder::new()
+            .proc([Op::write(0u32, 1u64), Op::write(1u32, 1u64)])
+            .proc([Op::read(1u32, 1u64), Op::read(0u32, 0u64)])
+            .build();
+        let idx = AddrIndex::build(&mp);
+        let ev = Events::new(&mp, &idx);
+        let refs = |order: &[(u16, u32)]| -> Vec<OpRef> {
+            order.iter().map(|&(p, i)| OpRef::new(p, i)).collect()
+        };
+        let passed = refs(&[(0, 1), (1, 0), (1, 1), (0, 0)]);
+        let stale = refs(&[(1, 0), (0, 0), (0, 1), (1, 1)]);
+        for (id, allows) in [
+            (ModelId::Tso, false),
+            (ModelId::Pso, true),
+            (ModelId::Ra, false),
+            (ModelId::ArmDob, true),
+        ] {
+            let spec = spec(id);
+            let certify = |order: &[OpRef]| match lowering(spec) {
+                Lowering::Graph => certify_order_witness(spec, &ev, order),
+                _ => certify_schedule(&mp, spec, order.to_vec()),
+            };
+            assert_eq!(certify(&passed).is_some(), allows, "{}", spec.name);
+            assert!(certify(&stale).is_none(), "{}", spec.name);
+        }
+    }
+
+    /// The witness of a serialization reads from the latest earlier write
+    /// of each slot, and orders each slot's writes as the serialization
+    /// does.
+    #[test]
+    fn order_witness_reads_the_latest_write() {
+        let t = TraceBuilder::new()
+            .proc([Op::write(0u32, 1u64), Op::write(0u32, 1u64)])
+            .proc([Op::read(0u32, 1u64), Op::rmw(0u32, 1u64, 2u64)])
+            .build();
+        let ev = Events::new(&t, &AddrIndex::build(&t));
+        // W1(e0) R(e2) W1(e1) RMW(e3).
+        let order = [(0, 0), (1, 0), (0, 1), (1, 1)].map(|(p, i)| OpRef::new(p, i));
+        let w = Witness::of_order(&ev, &order);
+        use crate::axiom::RfCand;
+        assert_eq!(
+            w.rf,
+            [None, None, Some(RfCand::From(0)), Some(RfCand::From(1))]
+        );
+        assert_eq!(w.mo, [vec![0, 1, 3]]);
     }
 
     /// What a walk step did, for undo.

@@ -69,6 +69,29 @@ impl Witness {
             mo: vec![Vec::new(); n_slots],
         }
     }
+
+    /// The witness a serialization `order` of every event of `ev`
+    /// induces: each read's `rf` is the latest write to its slot earlier
+    /// in `order` (`Init` if none), and each slot's `mo` is its writes in
+    /// `order`. An RMW reads before it writes. Nothing is checked here:
+    /// the witness answers to [`check_witness_ev`] like any other.
+    pub(crate) fn of_order(ev: &Events, order: &[OpRef]) -> Witness {
+        let mut w = Witness::empty(ev.len(), ev.writes_by_slot.len());
+        let mut latest = vec![RfCand::Init; ev.writes_by_slot.len()];
+        for r in order {
+            let e = ev.by_proc[r.proc.0 as usize][r.index as usize];
+            let slot = ev.slot_of[e as usize] as usize;
+            let op = ev.ops[e as usize].1;
+            if op.is_reading() {
+                w.rf[e as usize] = Some(latest[slot]);
+            }
+            if op.is_writing() {
+                w.mo[slot].push(e);
+                latest[slot] = RfCand::From(e);
+            }
+        }
+        w
+    }
 }
 
 /// The event universe of one trace, precomputed once per check from its

@@ -4,17 +4,20 @@
 //! oracle (`oracle::serializes`) — not derived from `ModelSpec` — across
 //! the litmus suite, generated workloads, fault-injected traces and
 //! unconstrained random traces. The compiled engine's verdicts and
-//! `SearchStats` on the same corpus are pinned by a golden file. The RA
-//! fast tier must never mask the exact verdict, and must actually decide
-//! healthy unique-value workloads.
+//! `SearchStats` on the same corpus are pinned by a golden file, and the
+//! tiered pipeline recomposed from its public parts must reproduce them
+//! exactly. The RA fast tier must never mask the exact verdict, and must
+//! actually decide healthy unique-value workloads.
 
 use std::fmt::Write as _;
-use vermem_coherence::{verify_execution, verify_stream_bytes, StreamConfig, TierConfig};
+use vermem_coherence::{
+    verify_execution, verify_stream_bytes, SearchStats, StreamConfig, Tier, TierConfig,
+};
 use vermem_consistency::axiom::ra_fast::{self, FastOutcome};
 use vermem_consistency::oracle::serializes;
 use vermem_consistency::{
-    check_model_schedule, litmus::all_litmus_tests, precheck_sc, verify_axiom, AxiomConfig, Engine,
-    KernelConfig, ModelId, ViolationClass,
+    check_model_schedule, litmus::all_litmus_tests, precheck_sc, verify_axiom, AxiomConfig,
+    ConsistencyVerdict, Engine, KernelConfig, ModelId, ViolationClass,
 };
 use vermem_trace::binary::encode_trace;
 use vermem_trace::gen::{gen_sc_trace, inject_violation, GenConfig, ViolationKind};
@@ -146,19 +149,24 @@ fn random_traces() -> Vec<(String, Trace)> {
         .collect()
 }
 
+/// Every trace of the suite's four families.
+fn corpus() -> Vec<(String, Trace)> {
+    [
+        litmus_traces(),
+        generated_traces(),
+        fault_injected_traces(),
+        random_traces(),
+    ]
+    .concat()
+}
+
 /// The compiled engine on the whole corpus, one line per trace × model,
 /// then the E-5.2 budget-exhaustion family (the
 /// all-RMW 3SAT reduction of Figure 5.2 at clause ratio 5.0) for the
 /// three machine-backed base models.
 fn render_compiled() -> String {
     let mut out = String::new();
-    let corpus = [
-        litmus_traces(),
-        generated_traces(),
-        fault_injected_traces(),
-        random_traces(),
-    ];
-    for (ctx, trace) in corpus.iter().flatten() {
+    for (ctx, trace) in &corpus() {
         for id in ModelId::ALL {
             let r = verify_axiom(trace, id, &AxiomConfig::default());
             writeln!(
@@ -219,6 +227,52 @@ fn compiled_engine_matches_golden_stats() {
             .count()
             >= 3,
         "E-5.2 family no longer exhausts its budgets"
+    );
+}
+
+/// The tiered pipeline recomposed from its public parts, as vmcbench's
+/// traced `models-batch` pass runs it: the per-address precheck, the RA
+/// fast tier (RA only), then the compiled engine with the frontline off.
+/// It must give exactly the verdict, stats and tier of
+/// `verify_axiom(default)` on every trace and model: the exact tier,
+/// the SC stage of the weaker models included, runs the same either way.
+#[test]
+fn recomposed_pipeline_equals_verify_axiom() {
+    let exact = AxiomConfig {
+        tier: TierConfig::exact_only(),
+        ..AxiomConfig::default()
+    };
+    let recompose = |trace: &Trace, id: ModelId| {
+        if let Some(v) = precheck_sc(trace) {
+            return (
+                ConsistencyVerdict::Violating(v),
+                SearchStats::default(),
+                Tier::Frontline,
+            );
+        }
+        if id == ModelId::Ra {
+            if let FastOutcome::Decided(v) = ra_fast::try_decide(trace) {
+                return (v, SearchStats::default(), Tier::Frontline);
+            }
+        }
+        let r = verify_axiom(trace, id, &exact);
+        (r.verdict, r.stats, r.tier)
+    };
+    let mut exact_checks = 0;
+    for (ctx, trace) in &corpus() {
+        for id in ModelId::ALL {
+            let whole = verify_axiom(trace, id, &AxiomConfig::default());
+            let (verdict, stats, tier) = recompose(trace, id);
+            let ctx = format!("{ctx} under {}", id.name());
+            assert_eq!(verdict, whole.verdict, "{ctx}: verdict");
+            assert_eq!(stats, whole.stats, "{ctx}: stats");
+            assert_eq!(tier, whole.tier, "{ctx}: tier");
+            exact_checks += usize::from(tier == Tier::Exact);
+        }
+    }
+    assert!(
+        exact_checks > 100,
+        "only {exact_checks} checks reached the exact tier"
     );
 }
 

@@ -13,7 +13,7 @@ use vermem_coherence::{
     verify_execution_par, verify_execution_with, RecorderConfig, StreamConfig, TierConfig,
     VmcVerifier,
 };
-use vermem_consistency::{verify_axiom, AxiomConfig, ModelId};
+use vermem_consistency::{litmus::all_litmus_tests, verify_axiom, AxiomConfig, ModelId};
 use vermem_sim::{
     event_stream_bytes, random_program, FaultKind, FaultPlan, Machine, MachineConfig,
     WorkloadConfig,
@@ -157,15 +157,47 @@ fn obs_toggle_changes_no_observable_result() {
     );
 
     // 5. The graph-lowered models (RA, ARM-dob, the RA fast tier off so
-    //    every check searches): verdicts and SearchStats are bit-identical
-    //    with obs on, and only then does the solve flush its
-    //    `axiom.plan.visits` work count. Coherence, decided address by
-    //    address by the VMC dispatcher, keeps its verdict, stats and tier
-    //    with obs on and builds no graph machine.
+    //    every check searches). On litmus outcomes both allow and SC
+    //    forbids, the SC stage refutes and the graph machine decides:
+    //    verdicts and SearchStats are bit-identical with obs on, and only
+    //    then does the solve flush its `axiom.plan.visits` work count.
     let cfg = AxiomConfig {
         tier: TierConfig::exact_only(),
         ..AxiomConfig::default()
     };
+    let weak_only: Vec<_> = all_litmus_tests()
+        .into_iter()
+        .filter(|t| {
+            !t.expected[&ModelId::Sc] && t.expected[&ModelId::Ra] && t.expected[&ModelId::ArmDob]
+        })
+        .collect();
+    assert!(
+        weak_only.len() >= 2,
+        "too few SC-forbidden RA/ARM-dob outcomes"
+    );
+    for test in &weak_only {
+        for id in [ModelId::Ra, ModelId::ArmDob] {
+            let (off, on) = differential(|| {
+                let report = verify_axiom(&test.trace, id, &cfg);
+                let visits = obs::snapshot().counters.get("axiom.plan.visits").copied();
+                (report, visits)
+            });
+            let ctx = format!("{} on litmus {}", id.name(), test.name);
+            assert!(
+                off.0.verdict.is_consistent(),
+                "{ctx}: allowed outcome refuted"
+            );
+            assert_eq!(off.0.verdict, on.0.verdict, "{ctx}: verdict drift");
+            assert_eq!(off.0.stats, on.0.stats, "{ctx}: SearchStats drift");
+            assert_eq!(off.0.tier, on.0.tier, "{ctx}: tier drift");
+            assert_eq!(off.1, None, "{ctx}: obs off recorded a counter");
+            assert!(on.1.is_some_and(|v| v > 0), "{ctx}: no plan visits flushed");
+        }
+    }
+    // On generated SC executions the SC stage decides RA and ARM-dob, and
+    // Coherence is decided address by address by the VMC dispatcher:
+    // verdict, stats and tier are the same with obs on, and no graph
+    // machine is built.
     for seed in 0..4u64 {
         let (trace, _) = gen_sc_trace(&GenConfig {
             procs: 3,
@@ -185,11 +217,7 @@ fn obs_toggle_changes_no_observable_result() {
             assert_eq!(off.0.stats, on.0.stats, "{ctx}: SearchStats drift");
             assert_eq!(off.0.tier, on.0.tier, "{ctx}: tier drift");
             assert_eq!(off.1, None, "{ctx}: obs off recorded a counter");
-            if id == ModelId::CoherenceOnly {
-                assert_eq!(on.1, None, "{ctx}: a graph machine ran");
-            } else {
-                assert!(on.1.is_some_and(|v| v > 0), "{ctx}: no plan visits flushed");
-            }
+            assert_eq!(on.1, None, "{ctx}: a graph machine ran");
         }
     }
 }
