@@ -1,42 +1,27 @@
-//! Exact VMC decision: the single-address search as a
-//! [`TransitionSystem`] on the exact-search kernel ([`crate::kernel`]).
+//! Exact VMC decision: the single-address search on the exact-search
+//! kernel ([`crate::kernel`]).
 //!
 //! Worst-case exponential — necessarily so, since VMC is NP-complete
-//! (Theorem 4.2) — but with two powerful admissible prunings:
+//! (Theorem 4.2). VMC is VSC restricted to one address, so the search is
+//! the SC machine ([`crate::machine`], [`BufferKind::Atomic`]) built on
+//! the address's [`AddrOps`]: greedy absorption of reads memory serves,
+//! memoization of `(frontiers, current value)` (which makes this same
+//! procedure the polynomial algorithm for the "constant processes" row of
+//! Figure 5.3), an uncounted supply refutation of dead ends, and writes
+//! some blocked read waits for explored first. Its witness is the commit
+//! order of the address's original operations.
 //!
-//! 1. **Greedy read absorption** ([`TransitionSystem::absorb`]). A pending
-//!    read whose value matches the current memory value can always be
-//!    scheduled immediately: doing so changes no state and only releases
-//!    program-order successors, so any coherent schedule can be rewritten
-//!    into one that schedules it now.
-//! 2. **Memoization** (the kernel's memo). After greedy absorption, the
-//!    search state is exactly `(frontier, current value)`, packed by a
-//!    [`crate::kernel::KeyPacker`]: each process's frontier in the bits
-//!    its history length needs, then the value in a word of its own;
-//!    re-entering a visited state cannot succeed. For `k`
-//!    processes this also bounds the state space polynomially —
-//!    O(n^k · n) states — so this same procedure *is* the polynomial
-//!    algorithm for the "constant processes" row of Figure 5.3 (cf.
-//!    Gibbons & Korach's O(k·n^k) bound).
-//!
-//! Dead-end detection: a pending read needing value `v ≠ current` with no
-//! remaining writes of `v` can never be served; the state is refuted
-//! immediately (uncounted). Writes that some blocked read is waiting for
-//! are explored first.
-//!
-//! With [`SearchConfig::prune`] on, two admissible prunings ride on the
-//! kernel: position windows reject branches in [`TransitionSystem::admit`],
-//! and symmetry breaking drops interchangeable moves as
-//! [`TransitionSystem::enabled_moves`] enumerates them. The dead-end check
-//! runs in [`TransitionSystem::refute`].
+//! With [`SearchConfig::prune`] on, the machine also takes VMC's two
+//! admissible prunings: the closure frontline's position windows reject
+//! branches in [`crate::kernel::TransitionSystem::admit`], and symmetry
+//! breaking drops interchangeable moves as the machine enumerates them.
 
 use crate::closure::{self, ClosureOutcome, Tier};
-use crate::kernel::{self, KernelConfig, KernelOutcome, TransitionSystem};
+use crate::kernel::{self, KernelConfig, KernelOutcome};
+use crate::machine::{BufferKind, CompiledMachine};
 use crate::verdict::{Verdict, Violation, ViolationKind};
 use crate::windows::WindowTable;
-use std::cell::Cell;
-use vermem_trace::{AddrOps, Op, OpRef, Schedule, Value};
-use vermem_util::hash::{FxHashMap, FxHashSet};
+use vermem_trace::{AddrOps, Schedule};
 use vermem_util::obs;
 
 pub use crate::kernel::SearchStats;
@@ -155,12 +140,13 @@ pub fn solve_escalated_ops_with_stats(
     cfg: &SearchConfig,
     window_table: Option<WindowTable>,
 ) -> (Verdict, SearchStats) {
-    let mut sys = VmcSystem::new(ops, cfg.prune, window_table);
+    let mut sys =
+        CompiledMachine::new([ops], BufferKind::Atomic).with_pruning(window_table, cfg.prune);
     let kernel_cfg = KernelConfig {
         max_states: cfg.max_states,
     };
     let (outcome, mut stats) = kernel::run_search(&mut sys, &kernel_cfg, None);
-    stats.symmetry_prunes = sys.symmetry_prunes.get();
+    stats.symmetry_prunes = sys.symmetry_prunes();
 
     // The kernel flushed the counters every system shares; this field
     // only VMC sets.
@@ -179,261 +165,10 @@ pub fn solve_escalated_ops_with_stats(
     (verdict, stats)
 }
 
-/// Hash-cons program-order suffixes from the back: `out[p][j]` is the
-/// class id of the op sequence `per_proc[p][j..]`, with `0` reserved for
-/// the empty suffix. Equal ids ⇔ identical remaining op sequences.
-fn suffix_classes(per_proc: &[Vec<(OpRef, Op)>]) -> Vec<Vec<u32>> {
-    let mut intern: FxHashMap<(Op, u32), u32> = FxHashMap::default();
-    let mut next = 1u32;
-    per_proc
-        .iter()
-        .map(|h| {
-            let mut cls = vec![0u32; h.len() + 1];
-            for j in (0..h.len()).rev() {
-                let key = (h[j].1, cls[j + 1]);
-                let id = match intern.get(&key) {
-                    Some(&id) => id,
-                    None => {
-                        let id = next;
-                        next += 1;
-                        intern.insert(key, id);
-                        id
-                    }
-                };
-                cls[j] = id;
-            }
-            cls
-        })
-        .collect()
-}
-
-/// One VMC move: schedule the next op of process `proc`. `prev` is the
-/// memory value before the move, restored by undo.
-#[derive(Clone, Copy, Debug)]
-struct VmcMove {
-    proc: usize,
-    prev: Value,
-}
-
-/// The single-address VMC machine: per-process frontiers over the
-/// address's operations, the current memory value, and how many writes of
-/// each value are still unscheduled.
-struct VmcSystem<'a> {
-    per_proc: &'a [Vec<(OpRef, Op)>],
-    total: usize,
-    final_value: Option<Value>,
-    frontier: Vec<u32>,
-    current: Value,
-    remaining_writes: FxHashMap<Value, u32>,
-    /// Memo key layout: per-process frontiers, then the current value.
-    key: kernel::KeyPacker,
-    /// Surviving feasibility windows from the closure frontline (`None`
-    /// when pruning is off).
-    window: Option<WindowTable>,
-    /// Program-order suffix classes (see [`suffix_classes`]) for symmetry
-    /// breaking; empty when pruning is off.
-    suffix_class: Vec<Vec<u32>>,
-    /// Moves dropped by symmetry breaking, tallied during enumeration
-    /// (which only borrows the machine) and added to the stats at the end.
-    symmetry_prunes: Cell<u64>,
-}
-
-impl<'a> VmcSystem<'a> {
-    fn new(ops: &'a AddrOps, prune: bool, window: Option<WindowTable>) -> Self {
-        let per_proc = ops.per_proc();
-        let suffix_class = if prune {
-            suffix_classes(per_proc)
-        } else {
-            Vec::new()
-        };
-        VmcSystem {
-            per_proc,
-            total: ops.num_ops(),
-            final_value: ops.final_value(),
-            frontier: vec![0; per_proc.len()],
-            current: ops.initial(),
-            remaining_writes: ops
-                .write_counts()
-                .iter()
-                .map(|(&v, &c)| (v, c as u32))
-                .collect(),
-            key: kernel::KeyPacker::new(
-                per_proc
-                    .iter()
-                    .map(|ops| ops.len() as u64)
-                    .chain([u64::MAX]),
-            ),
-            window,
-            suffix_class,
-            symmetry_prunes: Cell::new(0),
-        }
-    }
-
-    /// The next unscheduled op of process `p`, if any.
-    fn next_op(&self, p: usize) -> Option<Op> {
-        self.per_proc[p]
-            .get(self.frontier[p] as usize)
-            .map(|&(_, op)| op)
-    }
-
-    /// A value other than the current one with no write left to supply it.
-    fn starved(&self, v: Value) -> bool {
-        v != self.current && self.remaining_writes.get(&v).copied().unwrap_or(0) == 0
-    }
-}
-
-// The kernel's recursive DFS calls these once per state or branch; left
-// to the inliner's defaults, several of them stay out of line there.
-impl TransitionSystem for VmcSystem<'_> {
-    type Move = VmcMove;
-
-    #[inline]
-    fn total_commits(&self) -> usize {
-        self.total
-    }
-
-    #[inline]
-    fn accepting(&self) -> bool {
-        self.final_value.is_none_or(|f| f == self.current)
-    }
-
-    #[inline]
-    fn absorb(&mut self, commits: &mut Vec<OpRef>) {
-        loop {
-            let mut progressed = false;
-            for p in 0..self.frontier.len() {
-                while let Some(&(r, Op::Read { value, .. })) =
-                    self.per_proc[p].get(self.frontier[p] as usize)
-                {
-                    if value != self.current {
-                        break;
-                    }
-                    commits.push(r);
-                    self.frontier[p] += 1;
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-    }
-
-    #[inline]
-    fn retract_read(&mut self, r: OpRef) {
-        self.frontier[r.proc.0 as usize] -= 1;
-    }
-
-    #[inline]
-    fn infeasible(&self) -> bool {
-        false
-    }
-
-    #[inline]
-    fn state_key(&self, key: &mut Vec<u64>) {
-        self.key.pack(
-            self.frontier
-                .iter()
-                .map(|&f| u64::from(f))
-                .chain([self.current.0]),
-            key,
-        );
-    }
-
-    /// Writes and current-value RMWs (pending matching reads were
-    /// absorbed), writes whose value some blocked read is waiting for
-    /// first, each group in process order.
-    ///
-    /// Value-symmetry breaking: moves whose processes have identical
-    /// remaining suffixes are interchangeable — a coherent completion
-    /// taking one exists iff one taking the other does (role-swap of the
-    /// identical suffixes) — so only the first (lowest process id)
-    /// branches. Equal suffixes mean equal ops, hence equal hotness, so
-    /// the first of each class in exploration order is the lowest id.
-    #[inline]
-    fn enabled_moves(&self, moves: &mut Vec<VmcMove>) {
-        let mut demanded: FxHashSet<Value> = FxHashSet::default();
-        for p in 0..self.frontier.len() {
-            if let Some(need) = self.next_op(p).and_then(|op| op.read_value()) {
-                if need != self.current {
-                    demanded.insert(need);
-                }
-            }
-        }
-        let class = |p: usize| self.suffix_class[p][self.frontier[p] as usize];
-        for hot in [true, false] {
-            for p in 0..self.frontier.len() {
-                let Some(op) = self.next_op(p) else { continue };
-                let enabled = match op {
-                    Op::Write { .. } => true,
-                    Op::Rmw { read, .. } => read == self.current,
-                    Op::Read { .. } => false,
-                };
-                if !enabled || op.written_value().is_some_and(|v| demanded.contains(&v)) != hot {
-                    continue;
-                }
-                if !self.suffix_class.is_empty()
-                    && moves.iter().any(|mv| class(mv.proc) == class(p))
-                {
-                    self.symmetry_prunes.set(self.symmetry_prunes.get() + 1);
-                    continue;
-                }
-                moves.push(VmcMove {
-                    proc: p,
-                    prev: self.current,
-                });
-            }
-        }
-    }
-
-    /// Dead ends (uncounted): a blocked read, or the final value, needs a
-    /// value no remaining write can supply.
-    #[inline]
-    fn refute(&self) -> bool {
-        let blocked = (0..self.frontier.len()).any(|p| {
-            self.next_op(p)
-                .and_then(|op| op.read_value())
-                .is_some_and(|v| self.starved(v))
-        });
-        blocked || self.final_value.is_some_and(|f| self.starved(f))
-    }
-
-    /// Window prune: the op would occupy schedule position `depth`; if its
-    /// propagated feasibility window excludes that position, no coherent
-    /// schedule places it there.
-    #[inline]
-    fn admit(&self, mv: VmcMove, depth: usize) -> bool {
-        self.window
-            .as_ref()
-            .is_none_or(|w| w.allows(mv.proc, self.frontier[mv.proc], depth))
-    }
-
-    #[inline]
-    fn apply(&mut self, mv: VmcMove) -> Option<OpRef> {
-        let (r, op) = self.per_proc[mv.proc][self.frontier[mv.proc] as usize];
-        self.frontier[mv.proc] += 1;
-        if let Some(written) = op.written_value() {
-            *self.remaining_writes.get_mut(&written).expect("counted") -= 1;
-            self.current = written;
-        }
-        Some(r)
-    }
-
-    #[inline]
-    fn undo(&mut self, mv: VmcMove) {
-        self.frontier[mv.proc] -= 1;
-        let (_, op) = self.per_proc[mv.proc][self.frontier[mv.proc] as usize];
-        if let Some(written) = op.written_value() {
-            *self.remaining_writes.get_mut(&written).expect("counted") += 1;
-        }
-        self.current = mv.prev;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vermem_trace::{check_coherent_schedule, Addr, Op, Trace, TraceBuilder};
+    use vermem_trace::{check_coherent_schedule, Addr, Op, OpRef, Trace, TraceBuilder, Value};
 
     fn solve(trace: &Trace) -> Verdict {
         let ops = AddrOps::of(trace, Addr::ZERO);

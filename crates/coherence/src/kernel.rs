@@ -8,9 +8,11 @@
 //! framework): explore the reachable states of an operational machine,
 //! memoize states already refuted, accept when every operation has
 //! committed. This module is that search, behind the [`TransitionSystem`]
-//! trait: the VMC machine of [`crate::backtrack`] and the machines compiled
-//! from `ModelSpec` declarations (in `vermem-consistency`) run on the same
-//! memo, budget, cancellation, statistics and observability stack.
+//! trait: the dense serialization machine of [`crate::machine`] (the VMC
+//! search at one address, and the SC, TSO and PSO lowerings of the
+//! `ModelSpec` declarations in `vermem-consistency`) and that crate's
+//! witness-construction graph machine run on the same memo, budget,
+//! cancellation, statistics and observability stack.
 //!
 //! ## What the kernel owns vs. what the system owns
 //!
@@ -19,27 +21,29 @@
 //! batch-flushed observability counters. The **system** owns the machine
 //! state (frontiers, store buffers, memory) and defines: which moves are
 //! enabled (in preferred exploration order), how to apply/undo one move,
-//! which pending reads can be absorbed for free, when a state is accepting,
-//! a sound feasibility check, and — critically — the *canonical state key*.
-//! A spent budget or a fired token stops the whole search: every open
-//! state then returns without trying another move, so a budget of `n`
-//! visits at most `n + 1` states and a cancelled search stops within one
-//! poll interval.
+//! when a state is accepting, one sound refutation rule
+//! ([`TransitionSystem::refute`]), and — critically — the *canonical state
+//! key*. A spent budget or a fired token stops the whole search: every
+//! open state then returns without trying another move, so a budget of
+//! `n` visits at most `n + 1` states and a cancelled search stops within
+//! one poll interval.
 //!
-//! Two optional hooks carry inference that only VMC has (its dead-end
-//! check and position windows); their no-op defaults inline away for every
-//! other system: [`TransitionSystem::refute`] (per state, after the memo,
-//! budget and feasibility checks) and [`TransitionSystem::admit`] (per
-//! branch, counted as a feasibility prune). A third defaulted hook,
-//! [`TransitionSystem::memoize`], lets a tree-shaped system skip the memo.
+//! One refutation hook, consulted once per state and never counted: a
+//! refuted state is a dead end the system proves, not a pruned branch.
+//! The defaulted hooks cost nothing where unused:
+//! [`TransitionSystem::absorb`] (zero-effect reads committed for free;
+//! absorbs nothing by default), [`TransitionSystem::admit`] (per branch,
+//! the one pruning [`SearchStats::window_prunes`] counts; admits every
+//! move by default) and [`TransitionSystem::memoize`] (lets a tree-shaped
+//! system skip the memo).
 //!
 //! ## Key-canonicalization contract
 //!
 //! [`TransitionSystem::state_key`] must emit an **injective** encoding of
 //! the post-absorption search state into `u64` words: two states may
 //! produce the same word sequence only if they are the same state
-//! (variable-length parts must be length-prefixed). The VMC machine and
-//! the store-buffer machines build theirs with [`KeyPacker`], which gives
+//! (variable-length parts must be length-prefixed). The serialization
+//! machine builds its key with [`KeyPacker`], which gives
 //! each field of the state exactly the bits its per-instance maximum
 //! needs. The kernel never hashes a key down to fewer bits than the
 //! system emitted — short keys (≤ 2 words) are stored verbatim in a
@@ -74,10 +78,11 @@ pub struct SearchStats {
     /// equals `states` for memoizing systems; both stay 0 for systems
     /// that opt out ([`TransitionSystem::memoize`]).
     pub memo_misses: u64,
-    /// States refuted by [`TransitionSystem::infeasible`] and branches
-    /// rejected by [`TransitionSystem::admit`] — for VMC, DFS branches
-    /// outside their position window, or a whole instance fast-rejected by
-    /// the window pre-pass ([`crate::SearchConfig::prune`]).
+    /// Branches rejected by [`TransitionSystem::admit`] — for VMC, DFS
+    /// branches outside their position window — plus a whole instance
+    /// fast-rejected by the closure's window pre-pass
+    /// ([`crate::SearchConfig::prune`]). A state
+    /// [`TransitionSystem::refute`] refutes is not counted here.
     pub window_prunes: u64,
     /// Branches skipped by value-symmetry canonicalization
     /// ([`crate::SearchConfig::prune`]).
@@ -159,7 +164,9 @@ pub enum KernelOutcome {
 /// Implementations own the mutable machine state; the kernel drives it
 /// strictly in apply/undo (LIFO) discipline, so implementations may store
 /// undo information inside [`TransitionSystem::Move`] captured at
-/// enumeration time.
+/// enumeration time. A system states its dead ends through one required,
+/// uncounted hook, [`TransitionSystem::refute`]; the only pruning the
+/// kernel counts is a branch [`TransitionSystem::admit`] rejects.
 pub trait TransitionSystem {
     /// One branching move, cheap to copy. Enumeration-time state (e.g. the
     /// memory value a drain will overwrite) may be embedded for undo.
@@ -177,17 +184,15 @@ pub trait TransitionSystem {
     /// refs onto `commits`. Must be verdict-preserving (the exchange
     /// argument: a zero-effect commit changes no machine state and only
     /// enables more moves) and must push only moves undoable by
-    /// [`TransitionSystem::retract_read`].
-    fn absorb(&mut self, commits: &mut Vec<OpRef>);
+    /// [`TransitionSystem::retract_read`]. Default: absorbs nothing.
+    fn absorb(&mut self, _commits: &mut Vec<OpRef>) {}
 
     /// Undo one absorbed read (the kernel pops them in reverse order).
-    fn retract_read(&mut self, r: OpRef);
-
-    /// Sound refutation: `true` only if **no** completion can exist from
-    /// this state (e.g. a frontier read demands a value with zero
-    /// remaining supply). Consulted at every state after the memo and
-    /// budget checks; counted in [`SearchStats::window_prunes`].
-    fn infeasible(&self) -> bool;
+    /// Default: never called, because the default
+    /// [`TransitionSystem::absorb`] absorbs nothing.
+    fn retract_read(&mut self, _r: OpRef) {
+        unreachable!("this system absorbs nothing")
+    }
 
     /// Emit the canonical state key (see the module docs for the
     /// injectivity contract). `key` arrives empty.
@@ -212,13 +217,14 @@ pub trait TransitionSystem {
     /// exploration order (first pushed is explored first).
     fn enabled_moves(&self, moves: &mut Vec<Self::Move>);
 
-    /// Per-state refutation, consulted after the memo, budget and
-    /// [`TransitionSystem::infeasible`] checks and before
-    /// [`TransitionSystem::enabled_moves`]: `true` only if no completion
-    /// can exist from this state. Uncounted. Default: refutes nothing.
-    fn refute(&self) -> bool {
-        false
-    }
+    /// Sound per-state refutation: `true` only if **no** completion can
+    /// exist from this state (e.g. a frontier read demands a value no
+    /// remaining write can supply, or a partial witness already violates
+    /// an axiom). Consulted at every state after the memo, budget and
+    /// cancellation checks and before [`TransitionSystem::enabled_moves`].
+    /// Uncounted: a refuted state is still counted in
+    /// [`SearchStats::states`], and no other counter moves.
+    fn refute(&self) -> bool;
 
     /// Per-branch feasibility, consulted just before `mv` is explored from
     /// a state at commit depth `depth`: `false` only if no completion
@@ -526,12 +532,7 @@ impl<S: TransitionSystem> Kernel<'_, S> {
             }
         }
 
-        // Sound feasibility refutation (the per-model frontier bound).
-        if self.sys.infeasible() {
-            self.stats.window_prunes += 1;
-            fail!();
-        }
-
+        // Sound refutation (the system's own dead-end rule).
         if self.sys.refute() {
             fail!();
         }
@@ -588,11 +589,7 @@ mod tests {
         fn accepting(&self) -> bool {
             self.accept
         }
-        fn absorb(&mut self, _commits: &mut Vec<OpRef>) {}
-        fn retract_read(&mut self, _r: OpRef) {
-            unreachable!("no absorption in the toy system")
-        }
-        fn infeasible(&self) -> bool {
+        fn refute(&self) -> bool {
             false
         }
         fn state_key(&self, key: &mut Vec<u64>) {
@@ -660,14 +657,8 @@ mod tests {
         fn accepting(&self) -> bool {
             self.0.accepting()
         }
-        fn absorb(&mut self, commits: &mut Vec<OpRef>) {
-            self.0.absorb(commits)
-        }
-        fn retract_read(&mut self, r: OpRef) {
-            self.0.retract_read(r)
-        }
-        fn infeasible(&self) -> bool {
-            self.0.infeasible()
+        fn refute(&self) -> bool {
+            self.0.refute()
         }
         fn state_key(&self, key: &mut Vec<u64>) {
             self.0.state_key(key)

@@ -67,10 +67,12 @@
 //!
 //! The exponential tier is one reusable engine: [`kernel`] owns the memo
 //! table, packed/interned keys, state budget and cancellation, and
-//! searches anything implementing [`TransitionSystem`]. The single-address
-//! VMC solver in [`backtrack`] is one such system, its position windows
-//! and symmetry breaking (one switch, [`SearchConfig::prune`]) riding on
-//! the kernel's hooks. The other client is
+//! searches anything implementing [`TransitionSystem`]. The main system
+//! is the dense serialization machine of [`machine`]: the single-address
+//! VMC solver in [`backtrack`] runs it at one address (VMC is VSC
+//! restricted to one address), with its position windows and symmetry
+//! breaking (one switch, [`SearchConfig::prune`]) as machine inputs. The
+//! other client is
 //! the `vermem-consistency` crate's *axiom framework* — memory models (SC, TSO,
 //! PSO, RA, ARM-dob, coherence-only) are declared as `ModelSpec` **data** (relation
 //! generators plus acyclicity/irreflexivity axioms) and lowered by an
@@ -107,6 +109,7 @@ pub mod backtrack;
 pub mod closure;
 pub mod explain;
 pub mod kernel;
+pub mod machine;
 pub mod one_op;
 pub mod online;
 pub mod open_problems;

@@ -279,11 +279,7 @@ impl TransitionSystem for Counters {
     fn accepting(&self) -> bool {
         self.accept
     }
-    fn absorb(&mut self, _commits: &mut Vec<OpRef>) {}
-    fn retract_read(&mut self, _r: OpRef) {
-        unreachable!("no absorption")
-    }
-    fn infeasible(&self) -> bool {
+    fn refute(&self) -> bool {
         false
     }
     fn state_key(&self, key: &mut Vec<u64>) {

@@ -102,18 +102,12 @@ impl TransitionSystem for GraphMachine<'_> {
         // A complete witness is well-formed by construction (every read
         // took one of its candidates, every write was placed), so it is
         // accepted iff nothing refutes it.
-        !self.infeasible()
+        !self.refute()
     }
 
-    fn absorb(&mut self, _commits: &mut Vec<OpRef>) {
-        // Every decision is a branching move; nothing commits for free.
-    }
+    // Every decision is a branching move; nothing is absorbed for free.
 
-    fn retract_read(&mut self, _r: OpRef) {
-        unreachable!("the graph machine absorbs nothing")
-    }
-
-    fn infeasible(&self) -> bool {
+    fn refute(&self) -> bool {
         self.ev.finals_missed(&self.w) || self.violated().is_some()
     }
 

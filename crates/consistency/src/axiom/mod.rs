@@ -55,8 +55,9 @@ mod witness;
 pub use witness::{check_model_schedule, check_witness, RfCand, Witness};
 
 use crate::verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
-use operational::{BufferKind, Lowering};
+use operational::Lowering;
 use vermem_coherence::closure::Tier;
+use vermem_coherence::machine::BufferKind;
 use vermem_coherence::{KernelConfig, SearchStats, TierConfig};
 use vermem_trace::{AddrIndex, Trace};
 use witness::Events;

@@ -3,14 +3,23 @@
 //! lowering, coherence-only on the per-address lowering) must agree with the
 //! serialization oracle (`oracle::serializes`) on every trace family, and
 //! budget-limited runs must be deterministic. (Budget exhaustion on the E-5.2 family is pinned, stats
-//! included, by the golden file of `axiom_differential.rs`.)
+//! included, by the golden file of `axiom_differential.rs`.) At one
+//! address, compiled SC runs the very search the unpruned VMC solver runs:
+//! the same verdict, witness and search counts.
 
+use vermem_coherence::backtrack::solve_backtracking_ops_with_stats;
+use vermem_coherence::{SearchConfig, SearchStats, Verdict};
 use vermem_consistency::oracle::serializes;
 use vermem_consistency::{
-    litmus::all_litmus_tests, verify_axiom, AxiomConfig, AxiomReport, KernelConfig, ModelId,
+    litmus::all_litmus_tests, verify_axiom, AxiomConfig, AxiomReport, ConsistencyVerdict,
+    KernelConfig, ModelId,
 };
-use vermem_trace::gen::{gen_sc_trace, inject_violation, GenConfig, ViolationKind};
-use vermem_trace::{Op, Trace, TraceBuilder};
+use vermem_reductions::{reduce_3sat_restricted, reduce_3sat_rmw, reduce_sat_to_vmc};
+use vermem_sat::random::{gen_forced_sat, gen_random_ksat, RandomSatConfig};
+use vermem_trace::gen::{
+    gen_hard_coherent, gen_sc_trace, inject_violation, GenConfig, ViolationKind,
+};
+use vermem_trace::{Addr, AddrOps, Op, Trace, TraceBuilder};
 use vermem_util::rng::StdRng;
 
 /// The compiled engine under `kernel`, as `verify_axiom` runs it.
@@ -190,5 +199,78 @@ fn budget_hits_are_deterministic() {
     assert_budget_determinism(&t, "gen contended");
     for test in all_litmus_tests().iter().filter(|t| t.name == "IRIW") {
         assert_budget_determinism(&test.trace, test.name);
+    }
+}
+
+/// Compiled SC at one address is the unpruned VMC search: on each trace,
+/// under its cap, the same verdict class and witness refs, and the same
+/// states, branches and memo traffic.
+#[test]
+fn compiled_sc_at_one_address_is_the_unpruned_vmc_search() {
+    let mut cases: Vec<(String, Trace, Option<u64>)> = Vec::new();
+    // Random one-address traces: hard coherent ones, and SC executions
+    // with RMWs, healthy and with each injected violation.
+    for seed in 0..40 {
+        let (t, _) = gen_hard_coherent(3 + seed as usize % 3, 5, 2, seed);
+        cases.push((format!("hard {seed}"), t, None));
+    }
+    for seed in 0..30 {
+        let (t, _) = gen_sc_trace(&GenConfig {
+            procs: 3 + seed as usize % 2,
+            total_ops: 16,
+            addrs: 1,
+            rmw_fraction: 0.2,
+            value_reuse: 0.5,
+            seed: 60_000 + seed,
+            ..Default::default()
+        });
+        for kind in [
+            ViolationKind::StaleRead,
+            ViolationKind::LostWrite,
+            ViolationKind::ReorderAdjacent,
+        ] {
+            if let Some((bad, _)) = inject_violation(&t, kind, seed) {
+                cases.push((format!("sc {seed} {kind:?}"), bad, None));
+            }
+        }
+        cases.push((format!("sc {seed}"), t, None));
+    }
+    assert!(cases.len() >= 130, "only {} random traces", cases.len());
+    // The Figure 4.1 reductions, and the E-PRUNE blow-up instances of
+    // Figures 5.1 and 5.2 under a cap.
+    for m in 3..=5 {
+        let f = gen_forced_sat(&RandomSatConfig::three_sat(m, 3.0, 6));
+        cases.push((format!("fig 4.1 m={m}"), reduce_sat_to_vmc(&f).trace, None));
+    }
+    let wall = gen_forced_sat(&RandomSatConfig::three_sat(6, 1.0, 31 * 6));
+    let overcons = gen_random_ksat(&RandomSatConfig::three_sat(3, 5.0, 93));
+    let twins = gen_random_ksat(&RandomSatConfig::three_sat(3, 6.0, 7));
+    for (case, t) in [
+        ("e5.1-m6-wall", reduce_3sat_restricted(&wall).trace),
+        ("e5.1-overcons", reduce_3sat_restricted(&overcons).trace),
+        ("e5.2-overcons", reduce_3sat_rmw(&overcons).trace),
+        ("e5.2-twins", reduce_3sat_rmw(&twins).trace),
+    ] {
+        cases.push((case.to_string(), t, Some(20_000)));
+    }
+    let search = |s: SearchStats| (s.states, s.branches, s.memo_hits, s.memo_misses);
+    for (ctx, trace, cap) in &cases {
+        let ops = AddrOps::of(trace, Addr::ZERO);
+        assert_eq!(ops.num_ops(), trace.num_ops(), "{ctx}: one address");
+        let unpruned = SearchConfig {
+            max_states: *cap,
+            prune: false,
+        };
+        let (vmc, vmc_stats) = solve_backtracking_ops_with_stats(&ops, &unpruned);
+        let sc = compiled(trace, ModelId::Sc, KernelConfig { max_states: *cap });
+        match (&vmc, &sc.verdict) {
+            (Verdict::Coherent(a), ConsistencyVerdict::Consistent(b)) => {
+                assert_eq!(a.refs(), b.refs(), "{ctx}: witness")
+            }
+            (Verdict::Incoherent(_), ConsistencyVerdict::Violating(_))
+            | (Verdict::Unknown, ConsistencyVerdict::Unknown { .. }) => {}
+            (a, b) => panic!("{ctx}: VMC {a:?} against SC {b:?}"),
+        }
+        assert_eq!(search(sc.stats), search(vmc_stats), "{ctx}: stats");
     }
 }

@@ -20,7 +20,8 @@
 //!   default VMC dispatcher, the unpruned backtracking search, certified
 //!   SAT, every outcome the closure frontline decides, every Figure 5.3
 //!   fast path on each trace its own predicate admits, and compiled
-//!   Coherence agree. On the same space the stream engine, on each
+//!   Coherence agree. Compiled SC reports the unpruned search's witness
+//!   and its states, branches and memo traffic. On the same space the stream engine, on each
 //!   trace's v2 encoding at windows 1 and unbounded, reports the batch
 //!   verdict, `SearchStats` and tier counts, and the §5.2 placement
 //!   monitor (`OnlineVerifier`), fed the operations in process-major
@@ -30,7 +31,7 @@
 use vermem_coherence::closure::{analyze_ops, ClosureOutcome};
 use vermem_coherence::{
     one_op, readmap, rmw, solve_sat_ops, solve_with_write_order, verify_execution,
-    verify_execution_par, verify_stream_bytes, OnlineVerifier, SearchConfig, Strategy,
+    verify_execution_par, verify_stream_bytes, OnlineVerifier, SearchConfig, SearchStats, Strategy,
     StreamConfig, Verdict, VmcVerifier,
 };
 use vermem_consistency::oracle::serializes;
@@ -169,7 +170,15 @@ fn vmc_space_every_decider_agrees() {
         let ops = AddrOps::of(t, Addr::ZERO);
         let ok = decided(VmcVerifier::new().verify_ops(&ops).0);
         coherent += usize::from(ok);
-        assert_eq!(decided(unpruned.verify_ops(&ops).0), ok, "{t:?}");
+        let (vmc, vmc_stats, _) = unpruned.verify_ops(&ops);
+        assert_eq!(decided(vmc.clone()), ok, "{t:?}");
+        // Compiled SC at one address is the unpruned search: the same
+        // witness and search counts.
+        let sc = verify_axiom(t, ModelId::Sc, &AxiomConfig::default());
+        assert_eq!(sc.verdict.schedule(), vmc.schedule(), "{t:?}");
+        assert_eq!(sc.verdict.is_violating(), !ok, "{t:?}");
+        let search = |s: SearchStats| (s.states, s.branches, s.memo_hits, s.memo_misses);
+        assert_eq!(search(sc.stats), search(vmc_stats), "{t:?}");
         assert_eq!(decided(solve_sat_ops(&ops)), ok, "{t:?}");
         assert_eq!(
             compiled(t, ModelId::CoherenceOnly).is_consistent(),

@@ -100,7 +100,8 @@ if grep -n 'ppo_cross\|preserves\|ModelSpec\|spec(\|check_model_schedule' \
 fi
 # One exact search in the coherence crate: the kernel
 # (crates/coherence/src/kernel.rs) owns the only DFS and the only memo
-# table; VMC runs on it as a TransitionSystem. A private DFS, a slice
+# table; VMC runs on it as the serialization machine at one address
+# (crates/coherence/src/machine.rs). A private DFS, a slice
 # interner or a tuple-keyed visited set elsewhere means a search grew
 # its own memoization again. The retired VMC ablation knobs and its
 # private visited-set enum must not come back either.
@@ -115,26 +116,31 @@ fi
 # byte-per-process frontier encoder must not come back either. The search
 # has one pruning switch (SearchConfig::prune): the per-technique config,
 # nogood learning (its canonical keys and twin gate) and the kernel hook
-# it alone used must not come back. Comments count too.
+# it alone used must not come back. One serialization machine and one
+# refutation hook: the retired second VMC machine, its move type, the
+# counted per-state refutation hook and the machine's counted refutation
+# must not come back either. Comments count too.
 retired_search='greedy_absorption\|hot_move_ordering\|Visited::\|encode_frontier\|frontier_packs'
 retired_search+='\|PruneConfig\|nogood_key\|build_nogood_key\|has_twins\|fn exhausted'
+retired_search+='\|VmcSystem\|VmcMove\|fn infeasible\|demand_infeasible'
 if grep -rn "$retired_search" crates/ src/ tests/ examples/; then
-    echo "retired VMC search knob, visited-set enum, frontier key encoder or nogood learning found" >&2
+    echo "retired VMC search knob, visited-set enum, frontier key encoder, nogood learning, second VMC machine or counted refutation hook found" >&2
     exit 1
 fi
-# The store-buffer lowering runs on dense ids: values interned once per
+# The serialization machine runs on dense ids: values interned once per
 # slot at construction, supply a flat table. A hash map in it means a
 # per-state probe came back. Comments count too.
-if grep -n 'HashMap' crates/consistency/src/axiom/operational.rs; then
-    echo "hash map in the store-buffer lowering (use the dense value ids)" >&2
+if grep -n 'HashMap' crates/coherence/src/machine.rs crates/consistency/src/axiom/operational.rs; then
+    echo "hash map in the serialization machine or its lowering (use the dense value ids)" >&2
     exit 1
 fi
 echo "    ok"
 
 echo "==> axiom framework: transition systems only in the compilers"
 # The PR-10 contract: memory models are declared as ModelSpec data and
-# lowered by the two compilers — axiom/operational.rs (buffer machines on
-# the shared kernel) and axiom/graph.rs (acyclicity models). A
+# lowered by the two compilers — axiom/operational.rs (onto the shared
+# serialization machine, crates/coherence/src/machine.rs) and
+# axiom/graph.rs (acyclicity models). A
 # TransitionSystem impl anywhere else in the consistency crate means a
 # model grew its own hand-rolled search again instead of a ModelSpec
 # declaration.
@@ -267,7 +273,7 @@ trace_fns() {
     perl -0777 -ne 'while (/pub fn (\w+)[^{;]*?\b\w+: &(?:\w+::)*Trace\b/g) { print "$ARGV: $1\n" }' \
         "$@"
 }
-fast_path_fns=$(trace_fns crates/coherence/src/{readmap,one_op,rmw,explain,backtrack,write_order}.rs)
+fast_path_fns=$(trace_fns crates/coherence/src/{readmap,one_op,rmw,explain,backtrack,machine,write_order}.rs)
 sat_fns=$(trace_fns crates/coherence/src/sat_encode.rs)
 detached_sites=$(grep -rn 'verify_ops_detached' crates/ || true)
 if [[ -n "$fast_path_fns" || "$sat_fns" != "crates/coherence/src/sat_encode.rs: solve_sat_certified" \
