@@ -97,11 +97,13 @@ USAGE:
 Traces use the vermem text format; pass '-' to read stdin.
 --jobs N verifies addresses on N worker threads (0 or default: all cores);
 the verdict is deterministic and identical at every thread count.
---tier SPEC selects the verification pipeline: 'closure,exact' (default)
-runs the polynomial constraint-closure frontline and escalates only
-ambiguous addresses to the exact search; 'exact' is the ablation that
-sends every general instance straight to the exact tier. Verdicts are
-bit-identical under both.
+--tier SPEC selects the tier accounting: 'closure,exact' (default) credits
+general instances the polynomial constraint-closure frontline decides to
+the frontline and counts only the ambiguous rest as escalated to the exact
+search; 'exact' only relabels, counting every general instance as
+escalated. The closure runs under both (it is the exact search's own
+precheck and window pre-pass), so verdicts and the '# search:' line are
+bit-identical; under 'sc', 'exact' also skips RA's fast tier.
 --prune switches the verdict-preserving search prunings (the window
 pre-pass and symmetry breaking): 'all' (default) or 'none'.
 sc decides consistency under a declared memory model, compiled from its
@@ -1291,6 +1293,36 @@ mod tests {
             "",
         );
         assert!(exact.contains("tier: pipeline=exact"), "{exact}");
+    }
+
+    #[test]
+    fn verify_tier_only_relabels() {
+        // `--tier exact` moves addresses from the frontline count to the
+        // escalated one; the verdicts and the search work are the same.
+        let generated = run_ok(
+            &[
+                "gen", "--procs", "4", "--ops", "120", "--addrs", "3", "--seed", "5",
+            ],
+            "",
+        );
+        for trace in [generated.as_str(), CONTENDED, VIOLATING] {
+            let [tiered, exact] = ["closure,exact", "exact"]
+                .map(|tier| run_ok(&["verify", "-", "--jobs", "1", "--tier", tier], trace));
+            let untiered = |out: &str| -> Vec<String> {
+                out.lines()
+                    .filter(|l| !l.starts_with("# tier:"))
+                    .map(str::to_string)
+                    .collect()
+            };
+            assert_eq!(untiered(&tiered), untiered(&exact), "{tiered}\n{exact}");
+            assert!(tiered.contains("# search:"), "{tiered}");
+        }
+        let exact = run_ok(
+            &["verify", "-", "--jobs", "1", "--tier", "exact"],
+            &generated,
+        );
+        assert!(exact.contains("escalated=3"), "{exact}");
+        assert!(exact.contains("# search: states=0 "), "{exact}");
     }
 
     #[test]

@@ -57,11 +57,12 @@
 //! verified through the same tiered pipeline and discarded. Detections
 //! surface while the stream is still running (the p99 detection latency is
 //! a first-class receipt), verdicts are bit-identical to a batch run over
-//! the same events, and the ingest hot path runs on allocation-free
-//! dense-slab tables. Each address is summarized by the same §5.2
-//! placement monitor [`OnlineVerifier`] runs ([`online`]). An optional
-//! flight recorder ([`RecorderConfig`]) keeps a per-shard ring of recent
-//! windows and emits [`ForensicBundle`] JSONL on each detection.
+//! the same events, and steady-state ingest allocates nothing (its tables
+//! are Fx-hashed std maps and recycled vectors). Each address is
+//! summarized by the same §5.2 placement monitor [`OnlineVerifier`] runs
+//! ([`online`]). An optional flight recorder ([`RecorderConfig`]) keeps a
+//! per-shard ring of recent windows and emits [`ForensicBundle`] JSONL on
+//! each detection.
 //!
 //! ## The exact-search kernel and declared memory models
 //!

@@ -30,7 +30,7 @@
 
 use std::collections::VecDeque;
 use vermem_trace::{Addr, Op, ProcId, Value};
-use vermem_util::densemap::{Arena, DenseMap, Slab};
+use vermem_util::hash::FxHashMap;
 use vermem_util::obs;
 
 /// A violation reported by the online checker.
@@ -136,11 +136,13 @@ pub(crate) struct PlacementMonitor {
     /// read of it places at `slots_len` without a table probe.
     current_single: bool,
     /// The value table: `value → row`.
-    values: DenseMap<u64, ValueRow>,
-    /// The sorted live-slot list of each value with two or more live slots.
-    buckets: Slab<VecDeque<usize>>,
-    /// Emptied bucket lists, shelved with their capacity for reuse.
-    bucket_arena: Arena<VecDeque<usize>>,
+    values: FxHashMap<u64, ValueRow>,
+    /// The sorted live-slot list of each value with two or more live
+    /// slots, indexed by [`ValueRow::bucket`].
+    buckets: Vec<VecDeque<usize>>,
+    /// Indices of cleared buckets. A new bucket reuses one (capacity
+    /// intact) before `buckets` grows, so bucket churn allocates nothing.
+    free_buckets: Vec<u32>,
     /// Some value was written (committed at a slot > 0) twice.
     rewrote: bool,
     /// Per-process cursor, [`NO_CURSOR`] = absent.
@@ -163,9 +165,9 @@ impl PlacementMonitor {
             live_values: VecDeque::new(),
             last_value: None,
             current_single: true,
-            values: DenseMap::new(),
-            buckets: Slab::new(),
-            bucket_arena: Arena::new(),
+            values: FxHashMap::default(),
+            buckets: Vec::new(),
+            free_buckets: Vec::new(),
             rewrote: false,
             cursors: vec![NO_CURSOR; procs],
             deferred: vec![Vec::new(); procs],
@@ -408,13 +410,18 @@ impl PlacementMonitor {
             // A value with one live slot keeps it inline, and an inline
             // slot below `live_from` is dead: only bucketed values need
             // their lists trimmed.
-            if !self.buckets.is_empty() {
+            if self.live_buckets() > 0 {
                 self.retire_slot(value, self.live_from);
             }
             self.live_from += 1;
             retired += 1;
         }
         retired
+    }
+
+    /// Values with two or more live slots.
+    fn live_buckets(&self) -> usize {
+        self.buckets.len() - self.free_buckets.len()
     }
 
     #[inline]
@@ -432,14 +439,11 @@ impl PlacementMonitor {
         if self.current_single && value == self.current_value() {
             return (self.slots_len >= min).then_some(self.slots_len);
         }
-        let row = self.values.get(value.0)?;
+        let row = self.values.get(&value.0)?;
         if row.bucket == NO_BUCKET {
             return (row.slot >= min.max(self.live_from)).then_some(row.slot);
         }
-        let slots = self
-            .buckets
-            .get(row.bucket)
-            .expect("indexed bucket is live");
+        let slots = &self.buckets[row.bucket as usize];
         slots.get(slots.partition_point(|&s| s < min)).copied()
     }
 
@@ -447,7 +451,7 @@ impl PlacementMonitor {
     #[inline]
     fn commit_slot(&mut self, value: Value, slot: usize) {
         let mut fresh = false;
-        let row = self.values.get_or_insert_with(value.0, || {
+        let row = self.values.entry(value.0).or_insert_with(|| {
             fresh = true;
             ValueRow {
                 slot,
@@ -457,16 +461,16 @@ impl PlacementMonitor {
         });
         if !fresh {
             if row.bucket != NO_BUCKET {
-                self.buckets
-                    .get_mut(row.bucket)
-                    .expect("indexed bucket is live")
-                    .push_back(slot);
+                self.buckets[row.bucket as usize].push_back(slot);
             } else if row.slot >= self.live_from {
                 // A second live slot: the value moves to a bucket.
-                let mut bucket = self.bucket_arena.alloc();
+                row.bucket = self.free_buckets.pop().unwrap_or_else(|| {
+                    self.buckets.push(VecDeque::new());
+                    (self.buckets.len() - 1) as u32
+                });
+                let bucket = &mut self.buckets[row.bucket as usize];
                 bucket.push_back(row.slot);
                 bucket.push_back(slot);
-                row.bucket = self.buckets.insert(bucket);
             }
             row.slot = slot;
         }
@@ -482,21 +486,18 @@ impl PlacementMonitor {
     fn retire_slot(&mut self, value: Value, slot: usize) {
         let row = self
             .values
-            .get_mut(value.0)
+            .get_mut(&value.0)
             .expect("every committed value has a row");
         if row.bucket == NO_BUCKET {
             return;
         }
-        let bucket = self
-            .buckets
-            .get_mut(row.bucket)
-            .expect("indexed bucket is live");
+        let bucket = &mut self.buckets[row.bucket as usize];
         debug_assert_eq!(bucket.front().copied(), Some(slot));
         bucket.pop_front();
         if bucket.len() == 1 {
             debug_assert_eq!(bucket.front().copied(), Some(row.slot));
-            let bucket = self.buckets.remove(row.bucket).expect("just trimmed");
-            self.bucket_arena.free(bucket);
+            bucket.clear();
+            self.free_buckets.push(row.bucket);
             row.bucket = NO_BUCKET;
         }
     }
@@ -516,10 +517,10 @@ impl PlacementMonitor {
 /// ```
 #[derive(Default)]
 pub struct OnlineVerifier {
-    addrs: DenseMap<u32, PlacementMonitor>,
+    addrs: FxHashMap<u32, PlacementMonitor>,
     /// Declared non-default initial values, read when a location's monitor
     /// is created.
-    initial: DenseMap<u32, Value>,
+    initial: FxHashMap<u32, Value>,
     violations: Vec<OnlineViolation>,
     events: u64,
 }
@@ -566,8 +567,9 @@ impl OnlineVerifier {
         let violations = &mut self.violations;
         let initial = &self.initial;
         self.addrs
-            .get_or_insert_with(addr.0, || {
-                PlacementMonitor::new(0, initial.get(addr.0).copied().unwrap_or(Value::INITIAL))
+            .entry(addr.0)
+            .or_insert_with(|| {
+                PlacementMonitor::new(0, initial.get(&addr.0).copied().unwrap_or(Value::INITIAL))
             })
             .observe(seq, addr, proc, op, false, &mut |v, _| violations.push(v));
         self.violations.len() - before
@@ -579,7 +581,7 @@ impl OnlineVerifier {
     pub fn finish(mut self) -> Vec<OnlineViolation> {
         let end = self.events;
         let mut stragglers = Vec::new();
-        for (addr, monitor) in self.addrs.iter_mut() {
+        for (&addr, monitor) in self.addrs.iter_mut() {
             monitor.end_of_stream(end, Addr(addr), &mut stragglers);
         }
         // Events report in order; only the end-of-stream reads, detected
@@ -865,7 +867,7 @@ mod tests {
         let (mut got, mut want) = (Vec::new(), Vec::new());
         for (seq, &step) in steps.iter().enumerate() {
             let seq = seq as u64;
-            let buckets_before = m.buckets.len();
+            let buckets_before = m.live_buckets();
             match step {
                 Step::Event(proc, op) => {
                     if let Some(v) = op.written_value() {
@@ -880,11 +882,11 @@ mod tests {
                     {
                         cov.initial_at_slot_0 += 1;
                     }
-                    cov.to_bucket += u32::from(m.buckets.len() > buckets_before);
+                    cov.to_bucket += u32::from(m.live_buckets() > buckets_before);
                 }
                 Step::Retire(w) => {
                     prop_assert_eq!(m.retire_slots(w), naive.retire(w), "retired at step {seq}");
-                    cov.to_inline += u32::from(m.buckets.len() < buckets_before);
+                    cov.to_inline += u32::from(m.live_buckets() < buckets_before);
                 }
             }
             prop_assert_eq!(got, want, "violations after step {seq}");

@@ -72,16 +72,18 @@
 
 //! ## Dense hot paths
 //!
-//! Steady-state ingest runs on dense, index-addressed storage: the
-//! open-addressing Fx-hash maps, slabs and arenas of
-//! [`vermem_util::densemap`], per-process cursor vectors, and block decode
-//! through [`ChunkReader::next_batch`] — no per-event heap allocation, no
-//! SipHash. An op event costs one probe of the router's intern table,
-//! which hands the shard a dense address id (the shard's address table is
-//! a `Vec`), and at most one probe of the address's value table: a write
-//! commits its slot and detects a rewrite in one `get_or_insert`, and a
-//! read of the value just committed needs no probe at all. The replay pass
-//! decodes in blocks too and picks its addresses with a per-id flag.
+//! Steady-state ingest runs on two Fx-hashed tables
+//! ([`vermem_util::hash::FxHashMap`]: the router's intern table and each
+//! address's value table), index-addressed vectors (the shard's address
+//! table, per-process cursors, the monitor's recycled slot buckets), and
+//! block decode through [`ChunkReader::next_batch`] — no per-event heap
+//! allocation, no SipHash. An op event costs one probe of the router's
+//! intern table, which hands the shard a dense address id (the shard's
+//! address table is a `Vec`), and at most one probe of the address's value
+//! table: a write commits its slot and detects a rewrite in one `entry`
+//! probe, and a read of the value just committed needs no probe at all.
+//! The replay pass decodes in blocks too and picks its addresses with a
+//! per-id flag.
 
 mod tables;
 

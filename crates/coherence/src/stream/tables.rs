@@ -6,15 +6,16 @@
 //! (`crate::online::PlacementMonitor`), which commits a write and detects a
 //! value written twice in one probe. A shard keeps its addresses in a
 //! plain `Vec` indexed by that id, and the replay pass tests membership
-//! with a per-id flag. Everything is dense: open-addressing Fx-hash maps
-//! ([`DenseMap`]), slab-allocated bucket lists with free-list + arena
-//! reuse, and plain per-process and per-id vectors. Steady-state ingest
-//! performs no heap allocation and no SipHash — every structure reaches
-//! its working-set high-water mark and then only reuses memory (asserted
-//! by the counting-allocator harness in `tests/stream_alloc.rs`).
+//! with a per-id flag. Both tables are [`FxHashMap`]s (std's SwissTable
+//! on the in-tree Fx hasher); the monitor's multi-slot buckets are a `Vec`
+//! with a free list, and the rest are plain per-process and per-id
+//! vectors. Steady-state ingest performs no heap allocation and no
+//! SipHash — every structure reaches its working-set high-water mark and
+//! then only reuses memory (asserted by the counting-allocator harness in
+//! `tests/stream_alloc.rs`).
 
 use vermem_trace::{Addr, Value};
-use vermem_util::densemap::DenseMap;
+use vermem_util::hash::FxHashMap;
 
 /// One interned address: its router id (first-touch order over the whole
 /// stream), its shard lane, and its dense id within that lane.
@@ -29,9 +30,9 @@ struct Interned {
 /// values plus the address intern table.
 #[derive(Default)]
 pub(crate) struct DenseRouter {
-    initials: DenseMap<u32, Value>,
-    finals: DenseMap<u32, Value>,
-    ids: DenseMap<u32, Interned>,
+    initials: FxHashMap<u32, Value>,
+    finals: FxHashMap<u32, Value>,
+    ids: FxHashMap<u32, Interned>,
     /// Addresses interned so far per lane.
     lane_len: Vec<u32>,
 }
@@ -53,9 +54,9 @@ impl DenseRouter {
     pub(crate) fn final_only(&self) -> impl Iterator<Item = (Addr, Value, Value)> + '_ {
         self.finals
             .iter()
-            .filter(|&(a, _)| !self.ids.contains(a))
-            .map(|(a, &f)| {
-                let initial = self.initials.get(a).copied().unwrap_or(Value::INITIAL);
+            .filter(|&(a, _)| !self.ids.contains_key(a))
+            .map(|(&a, &f)| {
+                let initial = self.initials.get(&a).copied().unwrap_or(Value::INITIAL);
                 (Addr(a), initial, f)
             })
     }
@@ -68,7 +69,7 @@ impl DenseRouter {
     /// The router id of `addr`, if the stream has touched it.
     #[inline]
     pub(crate) fn id(&self, addr: Addr) -> Option<u32> {
-        self.ids.get(addr.0).map(|i| i.id)
+        self.ids.get(&addr.0).map(|i| i.id)
     }
 
     /// Route `addr` over `lanes` shard lanes (`0` = one inline shard):
@@ -83,7 +84,7 @@ impl DenseRouter {
         let mut first = false;
         let next_id = self.ids.len() as u32;
         let lane_len = &mut self.lane_len;
-        let interned = *self.ids.get_or_insert_with(addr.0, || {
+        let interned = *self.ids.entry(addr.0).or_insert_with(|| {
             first = true;
             let lane = if lanes == 0 { 0 } else { shard_of(addr, lanes) };
             if lane_len.len() <= lane {
@@ -99,8 +100,11 @@ impl DenseRouter {
         });
         let meta = first.then(|| {
             (
-                self.initials.get(addr.0).copied().unwrap_or(Value::INITIAL),
-                self.finals.get(addr.0).copied(),
+                self.initials
+                    .get(&addr.0)
+                    .copied()
+                    .unwrap_or(Value::INITIAL),
+                self.finals.get(&addr.0).copied(),
             )
         });
         (interned.lane as usize, interned.local, meta)

@@ -1,12 +1,14 @@
-//! Counting-allocator harness for the dense streaming hot path.
+//! Counting-allocator harness for the streaming hot path.
 //!
-//! The dense-slab rework promises that steady-state ingest performs *no*
-//! heap allocation: every table, queue, scratch buffer, and retention
-//! vector reaches its working-set high-water mark during warmup and then
-//! only reuses memory. This binary installs a counting
+//! The streaming engine promises that steady-state ingest performs *no*
+//! heap allocation: every table, bucket, queue, scratch buffer, and
+//! retention vector reaches its working-set high-water mark during warmup
+//! and then only reuses memory. This binary installs a counting
 //! `#[global_allocator]` and asserts exactly that on a single-threaded
 //! (`jobs = 1`) engine — warm up on the front of a long stream, then
-//! require the allocation counter to stay put across the middle chunks.
+//! require the allocation counter to stay put across the middle chunks —
+//! for two streams: reads of one value, and value churn that keeps the
+//! placement monitor opening and clearing slot buckets.
 //! (The library crates `forbid(unsafe_code)`; the allocator shim lives
 //! here, in an integration-test binary, where the forbid does not apply.)
 //!
@@ -53,19 +55,12 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-fn main() {
-    // A steady-state workload: one write, then a long run of reads of
-    // that value alternating between two processes. Every read places
-    // immediately (no deferred queues grow), the write-count and
-    // placement tables stay at fixed size, and window retirement drains
-    // the retention buffer in place — so after warmup the per-event path
-    // has nothing left to grow.
-    let mut events: Vec<(ProcId, Op)> = vec![(ProcId(0), Op::w(1u64))];
-    for i in 0..200_000usize {
-        events.push((ProcId((i % 2) as u16), Op::r(1u64)));
-    }
-    let bytes = encode_event_stream(2, &BTreeMap::new(), &BTreeMap::new(), &events);
-
+/// Ingest `events` through a single-threaded engine with a 16-slot
+/// window: warm up on the first quarter of the chunks, count allocations
+/// over the middle half, then ingest the rest and end the input. Returns
+/// the engine, the allocation count and the number of measured events.
+fn ingest_measured(events: &[(ProcId, Op)]) -> (StreamVerifier, u64, u64) {
+    let bytes = encode_event_stream(2, &BTreeMap::new(), &BTreeMap::new(), events);
     let mut engine = StreamVerifier::new(StreamConfig {
         window: Some(16),
         jobs: 1,
@@ -96,19 +91,52 @@ fn main() {
         measured_events > 50_000,
         "measured span must be substantial"
     );
-    assert_eq!(
-        delta, 0,
-        "dense steady-state ingest allocated {delta} times over {measured_events} events"
-    );
 
     for piece in &chunks[measured..] {
         engine.ingest(piece).expect("stream decodes");
     }
     engine.end_input().expect("clean end of stream");
+    assert_eq!(engine.events(), events.len() as u64);
+    (engine, delta, measured_events)
+}
+
+fn main() {
+    // Phase 1, a steady-state workload: one write, then a long run of
+    // reads of that value alternating between two processes. Every read
+    // places immediately (no deferred queues grow), the value table stays
+    // at fixed size, and window retirement drains the retention buffer in
+    // place — so after warmup the per-event path has nothing left to
+    // grow.
+    let mut events: Vec<(ProcId, Op)> = vec![(ProcId(0), Op::w(1u64))];
+    for i in 0..200_000usize {
+        events.push((ProcId((i % 2) as u16), Op::r(1u64)));
+    }
+    let (engine, delta, measured_events) = ingest_measured(&events);
+    assert_eq!(
+        delta, 0,
+        "steady-state ingest allocated {delta} times over {measured_events} events"
+    );
     assert!(!engine.needs_replay(), "sealed workload needs no replay");
     let report = engine.finish();
     assert!(report.is_coherent(), "workload is coherent by construction");
-    assert_eq!(report.events, events.len() as u64);
-
     println!("stream_alloc: {measured_events} steady-state events allocated 0 times — ok");
+
+    // Phase 2, bucket churn: write/read pairs of 64 unique values (so the
+    // window retires the retention buffer), then write/read pairs cycling
+    // through ten values. With a 16-slot window each value keeps moving
+    // between one live slot (inline in its value row) and two (a bucket),
+    // so the monitor opens and clears a bucket every few events; a cleared
+    // bucket's index must be reused before the bucket vector grows.
+    let mut events: Vec<(ProcId, Op)> = Vec::new();
+    let values = (1..=64u64).chain((0..100_000u64).map(|i| 100 + i % 10));
+    for v in values {
+        events.push((ProcId(0), Op::w(v)));
+        events.push((ProcId(1), Op::r(v)));
+    }
+    let (_, delta, measured_events) = ingest_measured(&events);
+    assert_eq!(
+        delta, 0,
+        "bucket churn allocated {delta} times over {measured_events} events"
+    );
+    println!("stream_alloc: {measured_events} bucket-churn events allocated 0 times — ok");
 }

@@ -22,9 +22,14 @@
 //! but the per-key hash values themselves are part of the reproducibility
 //! contract and must not change silently.
 //!
-//! Use [`FxHashMap`]/[`FxHashSet`] wherever keys are trusted (internal
-//! search state, counters over values); keep SipHash maps for anything
-//! fed by untrusted external input.
+//! The hasher is unkeyed, so keys chosen to collide can degrade a table
+//! to long probe chains. The workspace nevertheless uses [`FxHashMap`] /
+//! [`FxHashSet`] for every table, including ones keyed on input-supplied
+//! numbers: the trace index, the read map and the closure key on a
+//! trace's addresses and values, and `vermem serve` keys its intern and
+//! value tables on the addresses and values of the event stream. No
+//! table falls back to SipHash; whether a crafted colliding input bites
+//! is unmeasured (ROADMAP item 11, "Crafted hash collisions").
 
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 

@@ -1,8 +1,8 @@
 //! Slice interning: map each distinct slice to a dense `u32` id.
 //!
-//! The memoized searches (the VMC backtracking engine and the
-//! model-agnostic transition-system kernel) probe a visited-state set once
-//! per explored state. When the state key does not fit in a couple of
+//! The exact-search kernel (`vermem_coherence::kernel`), which runs VMC's
+//! exact search and every compiled memory-model machine, probes its
+//! visited-state set once per explored state. When the state key does not fit in a couple of
 //! machine words, the cheap alternative to hashing a freshly allocated
 //! `Vec` per probe is to *intern* the key: box each distinct slice once,
 //! hand out a dense id, and let re-probes hash only the id. The interner
@@ -11,7 +11,7 @@
 //! a search unsound.
 //!
 //! Allocation accounting is first-class ([`SliceInterner::allocations`]):
-//! the bench receipts gate the kernel's fewer-allocations claim on it.
+//! the kernel reports it as the `kernel.memo.key_allocs` obs counter.
 
 use crate::hash::FxHashMap;
 use std::hash::Hash;

@@ -12,7 +12,6 @@
 //! | [`prop`]  | `proptest`          | `prop_check!` seeded cases + size-descent shrinking |
 //! | [`codec`] | `bytes` (+ `serde`) | varint/fixed-width binary reader & writer           |
 //! | [`hash`]  | `rustc-hash`/`fxhash` | frozen-stream Fx hasher + `FxHashMap`/`FxHashSet` |
-//! | [`densemap`] | `slab`/`hashbrown` | open-addressing int-key map, slab, arena recycler |
 //! | [`pool`]  | `rayon`/`crossbeam` | scoped work-stealing chunk pool with cancellation   |
 //! | [`json`]  | `serde_json`        | order-preserving JSON writer + strict parser        |
 //! | [`obs`]   | `tracing`/`metrics` | toggleable registry, spans, Chrome-trace, RunReport |
@@ -36,7 +35,6 @@
 #![forbid(unsafe_code)]
 
 pub mod codec;
-pub mod densemap;
 pub mod hash;
 pub mod intern;
 pub mod json;

@@ -45,10 +45,12 @@ def render(d):
         [[r["case"], r["config"], n(r["states"]), n(r["window_prunes"]),
           n(r["symmetry_prunes"]), r["verdict"]]
          for r in d["prune_ablation"]])
+    # E-TIER records the default closure,exact accounting only; the exact
+    # setting relabels without changing work (tier_differential.rs).
     out["e-tier"] = table(
-        ["family", "tier", "traces", "addresses", "frontline", "escalated",
+        ["family", "traces", "addresses", "frontline", "escalated",
          "coh/inc/unk"],
-        [[r["family"], r["tier"], r["traces"], r["addresses"],
+        [[r["family"], r["traces"], r["addresses"],
           r["frontline_decided"], r["escalated"],
           f"{r['coherent']}/{r['incoherent']}/{r['unknown']}"]
          for r in d["tier_ablation"]])

@@ -212,15 +212,19 @@ if bad:
 EOF
 echo "    ok"
 
-echo "==> stream hot path: no std HashMap in the stream engine, one value table per address"
-# The PR-9 contract: the ingest hot path (every file of the stream engine,
-# the per-address placement monitor in online.rs, plus the batch decoder)
-# runs on index-addressed dense structures only. No file is exempt, and
-# neither are comments.
-hash_sites=$(grep -rn 'HashMap' crates/coherence/src/stream/ crates/coherence/src/online.rs \
-    crates/trace/src/binary.rs || true)
+echo "==> stream hot path: no SipHash map, one value table per address, no retired dense-map substrate"
+# The ingest hot path (every file of the stream engine, the per-address
+# placement monitor in online.rs, plus the batch decoder) hashes with the
+# in-tree Fx hasher only: a HashMap or HashSet not spelled FxHashMap or
+# FxHashSet, or any RandomState, is a SipHash table. No file is exempt,
+# and neither are comments.
+hash_sites=$(find crates/coherence/src/stream/ crates/coherence/src/online.rs \
+    crates/trace/src/binary.rs -name '*.rs' -exec awk '{
+        line = $0; gsub(/FxHash(Map|Set)/, "", line)
+        if (line ~ /Hash(Map|Set)|RandomState/) print FILENAME ":" FNR ": " $0
+    }' {} +)
 if [[ -n "$hash_sites" ]]; then
-    echo "std HashMap on the stream hot path:" >&2
+    echo "SipHash map or set on the stream hot path (use FxHashMap/FxHashSet):" >&2
     echo "$hash_sites" >&2
     exit 1
 fi
@@ -233,16 +237,27 @@ if [[ $(grep -c . <<<"$pending_defs") -ne 1 ]]; then
     echo "$pending_defs" >&2
     exit 1
 fi
-# One value table per address: the placement monitor's `DenseMap<u64, _>`
+# One value table per address: the placement monitor's `FxHashMap<u64, _>`
 # (value → row) both places reads and detects a value written twice, so
 # the stream engine declares no value-keyed map of its own and online.rs
 # declares exactly one. Comments count too.
-stream_value_maps=$(grep -rn 'DenseMap<u64' crates/coherence/src/stream/ || true)
-online_value_maps=$(grep -n 'DenseMap<u64' crates/coherence/src/online.rs || true)
+stream_value_maps=$(grep -rn 'FxHashMap<u64' crates/coherence/src/stream/ || true)
+online_value_maps=$(grep -n 'FxHashMap<u64' crates/coherence/src/online.rs || true)
 if [[ -n "$stream_value_maps" || $(grep -c . <<<"$online_value_maps") -ne 1 ]]; then
-    echo "expected no DenseMap<u64 under crates/coherence/src/stream/ and exactly one in online.rs, found:" >&2
+    echo "expected no FxHashMap<u64 under crates/coherence/src/stream/ and exactly one in online.rs, found:" >&2
     echo "$stream_value_maps" >&2
     echo "$online_value_maps" >&2
+    exit 1
+fi
+# One hash map implementation: the hand-written open-addressing map, its
+# key trait, slab, collection recycler and their module must not come
+# back (the stream tables are std maps on the Fx hasher). Comments count
+# too.
+dense_sites=$(grep -rnF -e 'densemap' -e 'DenseMap' -e 'DenseKey' -e 'Slab<' -e 'Arena<' \
+    -e 'Recycle' crates/ src/ tests/ examples/ || true)
+if [[ -n "$dense_sites" ]]; then
+    echo "retired dense-map substrate found (use vermem_util::hash::FxHashMap):" >&2
+    echo "$dense_sites" >&2
     exit 1
 fi
 echo "    ok"
