@@ -95,6 +95,8 @@ USAGE:
   vermem litmus
 
 Traces use the vermem text format; pass '-' to read stdin.
+verify --addr N decides address N alone, so it prints that address's
+verdict and no execution verdict.
 --jobs N verifies addresses on N worker threads (0 or default: all cores);
 the verdict is deterministic and identical at every thread count.
 --tier SPEC selects the tier accounting: 'closure,exact' (default) credits
@@ -412,11 +414,12 @@ fn cmd_verify(args: &Args, stdin: &str) -> Result<String, CliError> {
     };
     let mut out = String::new();
 
-    // Single-address mode: keep the historical direct solve.
+    // Single-address mode: it decides one address, so it prints that
+    // address's verdict and no execution verdict.
     if let Some(a) = args.flag("addr") {
         let addr = Addr(a.parse().map_err(|_| err("invalid --addr"))?);
         let (verdict, stats, _) = verifier.verify_ops(&AddrOps::of(&trace, addr));
-        let all_ok = match verdict {
+        let coherent = match verdict {
             Verdict::Coherent(s) => {
                 let _ = writeln!(out, "address {}: coherent ({} ops)", addr.0, s.len());
                 true
@@ -430,15 +433,6 @@ fn cmd_verify(args: &Args, stdin: &str) -> Result<String, CliError> {
                 false
             }
         };
-        let _ = writeln!(
-            out,
-            "{}",
-            if all_ok {
-                "execution: coherent"
-            } else {
-                "execution: NOT coherent"
-            }
-        );
         let _ = writeln!(out, "# {}", stats.to_report().to_inline());
         if let Some(session) = session {
             let mut run = RunReport::new();
@@ -446,7 +440,7 @@ fn cmd_verify(args: &Args, stdin: &str) -> Result<String, CliError> {
                 RunReportSection::new("verify")
                     .with("mode", "single-address")
                     .with("addr", u64::from(addr.0))
-                    .with("coherent", u64::from(all_ok)),
+                    .with("coherent", u64::from(coherent)),
             );
             run.push_section(stats.to_report());
             session.finish(&mut out, run)?;
@@ -1167,6 +1161,20 @@ mod tests {
         let out = run_ok(&["verify", "-"], COHERENT);
         assert!(out.contains("address 0: coherent"));
         assert!(out.contains("execution: coherent"));
+    }
+
+    /// `--addr` decides one address, so it must not report the whole
+    /// execution: here a0 is incoherent and a99 has no operation.
+    #[test]
+    fn verify_addr_prints_only_the_address_verdict() {
+        let trace = "P0: R(0,5)\n";
+        assert!(run_ok(&["verify", "-"], trace).contains("execution: NOT coherent"));
+        let out = run_ok(&["verify", "-", "--addr", "99"], trace);
+        assert!(out.starts_with("address 99: coherent (0 ops)\n"), "{out}");
+        assert!(!out.contains("execution"), "{out}");
+        let out = run_ok(&["verify", "-", "--addr", "0"], trace);
+        assert!(out.starts_with("address 0: VIOLATION"), "{out}");
+        assert!(!out.contains("execution"), "{out}");
     }
 
     #[test]

@@ -62,13 +62,6 @@ pub enum ClosureOutcome {
     Escalate(WindowTable),
 }
 
-impl ClosureOutcome {
-    /// True if the frontline decided the address (no escalation needed).
-    pub fn is_decided(&self) -> bool {
-        !matches!(self, ClosureOutcome::Escalate(_))
-    }
-}
-
 /// Run the constraint-closure frontline on one address.
 ///
 /// Returns the outcome plus its [`SearchStats`] contribution: zero for a

@@ -52,14 +52,14 @@ pub mod ra_fast;
 mod sat;
 mod witness;
 
-pub use witness::{check_model_schedule, check_witness, RfCand, Witness};
+pub use witness::{check_witness, RfCand, Witness};
 
 use crate::verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
 use operational::Lowering;
 use vermem_coherence::closure::Tier;
 use vermem_coherence::machine::BufferKind;
 use vermem_coherence::{KernelConfig, SearchStats, TierConfig};
-use vermem_trace::{AddrIndex, Trace};
+use vermem_trace::{check_serialization, AddrIndex, Schedule, ScheduleError, Trace};
 use witness::Events;
 
 /// The declared models: the crate's one model vocabulary. Each id names a
@@ -197,9 +197,10 @@ pub struct ModelSpec {
     /// Display name (mirrors [`ModelId::name`]).
     pub name: &'static str,
     /// Cross-address program-order enforcement, indexed by
-    /// `[earlier class][later class]` with classes read = 0, write = 1,
-    /// RMW = 2. Same-address pairs are always preserved (coherence).
-    /// Only consulted by [`Rel::Ppo`].
+    /// `[earlier class][later class]` ([`vermem_trace::Op::class`]).
+    /// Same-address pairs are always preserved (coherence). Consulted by
+    /// [`Rel::Ppo`] and by the schedule checker
+    /// ([`vermem_trace::check_serialization`]).
     pub ppo_cross: [[bool; 3]; 3],
     /// The axioms. Every spec must include a per-location coherence axiom
     /// (an [`AxiomKind::Acyclic`] over `rf`, `mo`, `fr` and a
@@ -423,6 +424,31 @@ fn precheck(idx: &AddrIndex) -> Option<ConsistencyViolation> {
         })
 }
 
+/// Check that `schedule` witnesses adherence of `trace` to the
+/// serialization model `id`: [`vermem_trace::check_serialization`] with
+/// the spec's [`ModelSpec::ppo_cross`] table, so a permutation of all
+/// operations, coherent at every address and honouring every
+/// cross-address program-order pair the spec preserves. For
+/// [`ModelId::Sc`] this is [`vermem_trace::check_sc_schedule`].
+///
+/// # Panics
+///
+/// If `id` is not in [`ModelId::SERIALIZING`]: RA and ARM-dob have no
+/// single-serialization witness (check theirs with [`check_witness`]).
+pub fn check_model_schedule(
+    trace: &Trace,
+    id: ModelId,
+    schedule: &Schedule,
+) -> Result<(), ScheduleError> {
+    let spec = spec(id);
+    assert!(
+        witness::spec_serializes(spec),
+        "{} is not a single-serialization model",
+        spec.name
+    );
+    check_serialization(trace, &AddrIndex::build(trace), &spec.ppo_cross, schedule)
+}
+
 /// The event universe of `trace` on its own, for the entry points that
 /// take a bare trace ([`ra_fast::try_decide`], [`check_witness`]).
 pub(crate) fn events(trace: &Trace) -> Events {
@@ -517,7 +543,7 @@ pub fn verify_axiom(trace: &Trace, id: ModelId, cfg: &AxiomConfig) -> AxiomRepor
         // A weaker model searches the SC sub-space first (the SC stage,
         // part of the exact tier), then runs its own machine.
         Lowering::Buffer(kind) => operational::sc_stage(trace, &idx, kernel, |order| {
-            operational::certify_schedule(trace, spec, order)
+            operational::certify_schedule(trace, &idx, spec, order)
         })
         .or_else(|rest| operational::solve_buffer(trace, &idx, spec, kind, rest)),
         Lowering::Graph => {

@@ -55,12 +55,11 @@
 use super::graph::GraphMachine;
 use super::witness::{check_witness_ev, spec_serializes, witness_schedule, Events, Witness};
 use super::{AxiomReport, ModelSpec};
-use crate::axiom::check_model_schedule;
 use crate::verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
 use vermem_coherence::kernel::{run_search, KernelConfig, KernelOutcome};
 use vermem_coherence::machine::{BufferKind, CompiledMachine};
 use vermem_coherence::{SearchConfig, SearchStats, Tier, Verdict, VmcVerifier};
-use vermem_trace::{AddrIndex, OpRef, Schedule, Trace};
+use vermem_trace::{check_serialization, AddrIndex, OpRef, Schedule, Trace};
 use vermem_util::obs;
 
 /// The cross-address enforcement table the machine of shape `kind`
@@ -200,14 +199,16 @@ pub(crate) fn sc_stage(
 }
 
 /// Certificate of a serialization model: `commits` as a schedule, if the
-/// model's schedule checker accepts it.
+/// schedule checker accepts it under the model's table, on the layout
+/// `idx` of `trace` the check already built.
 pub(crate) fn certify_schedule(
     trace: &Trace,
+    idx: &AddrIndex,
     spec: &ModelSpec,
     commits: Vec<OpRef>,
 ) -> Option<Schedule> {
     let schedule = Schedule::from_refs(commits);
-    check_model_schedule(trace, spec.id, &schedule)
+    check_serialization(trace, idx, &spec.ppo_cross, &schedule)
         .is_ok()
         .then_some(schedule)
 }
@@ -242,7 +243,7 @@ pub(crate) fn solve_buffer(
         // Certificate: a commit order the model's schedule checker
         // rejects is never reported as consistent.
         KernelOutcome::Accepted(commits) => {
-            certify_schedule(trace, spec, commits).map(ConsistencyVerdict::Consistent)
+            certify_schedule(trace, idx, spec, commits).map(ConsistencyVerdict::Consistent)
         }
         KernelOutcome::Refuted => Some(no_schedule()),
         KernelOutcome::BudgetExhausted | KernelOutcome::Cancelled => None,
@@ -318,12 +319,10 @@ pub(crate) fn solve_per_address(
             tier,
         };
     }
-    let schedule = Schedule::from_refs(order);
     // Certificate, as for the buffer machines.
-    let verdict = if check_model_schedule(trace, spec.id, &schedule).is_ok() {
-        ConsistencyVerdict::Consistent(schedule)
-    } else {
-        ConsistencyVerdict::Unknown { stats }
+    let verdict = match certify_schedule(trace, idx, spec, order) {
+        Some(schedule) => ConsistencyVerdict::Consistent(schedule),
+        None => ConsistencyVerdict::Unknown { stats },
     };
     AxiomReport {
         verdict,
@@ -573,7 +572,7 @@ mod tests {
             let spec = spec(id);
             let certify = |order: &[OpRef]| match lowering(spec) {
                 Lowering::Graph => certify_order_witness(spec, &ev, order),
-                _ => certify_schedule(&mp, spec, order.to_vec()),
+                _ => certify_schedule(&mp, &idx, spec, order.to_vec()),
             };
             assert_eq!(certify(&passed).is_some(), allows, "{}", spec.name);
             assert!(certify(&stale).is_none(), "{}", spec.name);

@@ -31,11 +31,11 @@
 //! ever adds edges, so an axiom violated by a partial witness is violated
 //! by every completion — the soundness argument behind pruning on it.
 
-use super::{spec, Axiom, AxiomKind, ModelId, ModelSpec, Rel};
+use super::{Axiom, AxiomKind, ModelSpec, Rel};
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-use vermem_trace::{Addr, AddrIndex, Op, OpRef, Schedule, ScheduleError, Trace, Value};
+use std::collections::BinaryHeap;
+use vermem_trace::{AddrIndex, Op, OpRef, Schedule, Trace, Value};
 
 /// One reads-from candidate for a read event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -217,20 +217,11 @@ impl Events {
     }
 }
 
-/// Program-order class used by [`ModelSpec::ppo_cross`].
-pub(crate) fn op_class(op: Op) -> usize {
-    match op {
-        Op::Read { .. } => 0,
-        Op::Write { .. } => 1,
-        Op::Rmw { .. } => 2,
-    }
-}
-
 /// Does `spec` preserve the program-order pair `x` (earlier) → `y`
 /// (later)? Same-address pairs always (coherence); cross-address pairs per
 /// [`ModelSpec::ppo_cross`]. This is [`Rel::Ppo`]'s membership test.
 pub(crate) fn preserves(spec: &ModelSpec, x: Op, y: Op) -> bool {
-    x.addr() == y.addr() || spec.ppo_cross[op_class(x)][op_class(y)]
+    x.addr() == y.addr() || spec.ppo_cross[x.class()][y.class()]
 }
 
 /// Materialize one relation generator's edges from a (partial) witness.
@@ -1051,117 +1042,6 @@ pub(crate) fn check_witness_ev(
     }
 }
 
-/// Check that `schedule` witnesses adherence of `trace` to the
-/// serialization model `id`: a permutation of all operations, honouring
-/// every program-order pair the spec preserves ([`ModelSpec::ppo_cross`]),
-/// with reads returning the immediately preceding same-address write and
-/// final values written last. For [`ModelId::Sc`] this coincides with
-/// [`vermem_trace::check_sc_schedule`].
-///
-/// # Panics
-///
-/// If `id` is not in [`ModelId::SERIALIZING`]: RA and ARM-dob have no
-/// single-serialization witness (check theirs with [`check_witness`]).
-pub fn check_model_schedule(
-    trace: &Trace,
-    id: ModelId,
-    schedule: &Schedule,
-) -> Result<(), ScheduleError> {
-    let spec = spec(id);
-    assert!(
-        spec_serializes(spec),
-        "{} is not a single-serialization model",
-        spec.name
-    );
-    // Permutation + duplicates + dangling (but NOT program order, which is
-    // model-relative here). `pos` is indexed by process-major op number.
-    let expected = trace.num_ops();
-    let first: Vec<usize> = trace
-        .histories()
-        .iter()
-        .scan(0, |next, h| {
-            let at = *next;
-            *next += h.len();
-            Some(at)
-        })
-        .collect();
-    let mut pos = vec![usize::MAX; expected];
-    for (i, &r) in schedule.refs().iter().enumerate() {
-        if trace.op(r).is_none() {
-            return Err(ScheduleError::DanglingRef(r));
-        }
-        let at = &mut pos[first[r.proc.0 as usize] + r.index as usize];
-        if *at != usize::MAX {
-            return Err(ScheduleError::DuplicateOp(r));
-        }
-        *at = i;
-    }
-    if schedule.len() != expected {
-        return Err(ScheduleError::MissingOps {
-            expected,
-            found: schedule.len(),
-        });
-    }
-
-    // Preserved program order: every preserved pair of each process must
-    // appear in order.
-    for (p, h) in trace.histories().iter().enumerate() {
-        let pos = &pos[first[p]..first[p] + h.len()];
-        for i in 0..h.len() {
-            for j in i + 1..h.len() {
-                let (x, y) = (h.op(i).expect("in range"), h.op(j).expect("in range"));
-                if preserves(spec, x, y) {
-                    let rx = OpRef::new(p as u16, i as u32);
-                    let ry = OpRef::new(p as u16, j as u32);
-                    if pos[i] > pos[j] {
-                        return Err(ScheduleError::ProgramOrder {
-                            earlier: rx,
-                            later: ry,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    // Value legality per address.
-    let mut current: BTreeMap<Addr, Value> = BTreeMap::new();
-    for &r in schedule.refs() {
-        let op = trace.op(r).expect("validated");
-        let addr = op.addr();
-        let cur = current
-            .get(&addr)
-            .copied()
-            .unwrap_or_else(|| trace.initial(addr));
-        if let Some(read) = op.read_value() {
-            if read != cur {
-                return Err(ScheduleError::ReadValue {
-                    read: r,
-                    expected: cur,
-                    actual: read,
-                });
-            }
-        }
-        if let Some(written) = op.written_value() {
-            current.insert(addr, written);
-        }
-    }
-    for (&addr, &expected) in trace.final_values() {
-        let actual = current
-            .get(&addr)
-            .copied()
-            .unwrap_or_else(|| trace.initial(addr));
-        if actual != expected {
-            return Err(ScheduleError::FinalValue {
-                addr,
-                expected,
-                actual,
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Does this spec's axiom set pin a single serialization order
 /// (an acyclicity axiom over `ppo ∪ rf ∪ mo ∪ fr`)?
 pub(crate) fn spec_serializes(spec: &ModelSpec) -> bool {
@@ -1234,9 +1114,10 @@ pub(crate) fn witness_schedule(spec: &ModelSpec, ev: &Events, w: &Witness) -> Sc
 mod tests {
     use super::*;
     use crate::axiom::{
-        events, ARM_DOB_SPEC, COHERENCE_SPEC, PSO_SPEC, RA_SPEC, SC_SPEC, TSO_SPEC,
+        check_model_schedule, events, spec, ModelId, ARM_DOB_SPEC, COHERENCE_SPEC, PSO_SPEC,
+        RA_SPEC, SC_SPEC, TSO_SPEC,
     };
-    use vermem_trace::TraceBuilder;
+    use vermem_trace::{ScheduleError, TraceBuilder};
     use vermem_util::rng::StdRng;
 
     /// W(x)1 ; R(x)1 across two procs: the unique witness is valid.

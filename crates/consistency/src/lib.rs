@@ -14,8 +14,11 @@
 //!   ([`solve_spec_sat`]) — covering SC (VSC, Definition 6.1), TSO, PSO,
 //!   coherence-only, Release–Acquire and an ARM-like dob model, with a
 //!   polynomial RA fast tier ([`axiom::ra_fast`]). Schedules of the four
-//!   serialization models are checked by [`check_model_schedule`], other
-//!   witnesses by [`check_witness`];
+//!   serialization models are checked by [`check_model_schedule`]: the
+//!   one schedule checker, [`vermem_trace::check_serialization`] (Theorem
+//!   4.2's check at each address plus one cross-address pass), under the
+//!   spec's program-order table. Other witnesses are checked by
+//!   [`check_witness`];
 //! * [`oracle`] — the serialization definition of the four serialization
 //!   models, run by exhaustive search over a hand-written preserved
 //!   program order: the reference the differential suites hold both

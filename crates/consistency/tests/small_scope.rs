@@ -15,7 +15,12 @@
 //!   Coherence equal the serialization oracle, and for Coherence so do
 //!   the SAT engine and `verify_execution`; on every trace with an
 //!   address that carries only a final value, the stream engine reports
-//!   the batch verdict.
+//!   the batch verdict. Under SC, TSO, PSO and Coherence, some ordering
+//!   of each trace's operations passes the schedule checker iff the
+//!   serialization oracle accepts the trace; `check_sc_schedule` and the
+//!   SC model checker agree on every ordering and on its defective
+//!   variants (an operation dropped, duplicated or replaced by a dangling
+//!   reference), which both reject; and a digest pins every accept bit.
 //! * **VMC space** (≤4 ops, ≤3 processes, 1 address, values {0,1,2}): the
 //!   default VMC dispatcher, the unpruned backtracking search, certified
 //!   SAT, every outcome the closure frontline decides, every Figure 5.3
@@ -35,10 +40,14 @@ use vermem_coherence::{
     StreamConfig, Verdict, VmcVerifier,
 };
 use vermem_consistency::oracle::serializes;
-use vermem_consistency::{verify_axiom, AxiomConfig, ConsistencyVerdict, Engine, ModelId};
+use vermem_consistency::{
+    check_model_schedule, verify_axiom, AxiomConfig, ConsistencyVerdict, Engine, ModelId,
+};
 use vermem_trace::binary::encode_trace;
 use vermem_trace::gen::{small_traces, SmallScope};
-use vermem_trace::{check_coherent_schedule_ops, Addr, AddrOps, Trace};
+use vermem_trace::{
+    check_coherent_schedule_ops, check_sc_schedule, Addr, AddrOps, OpRef, Schedule, Trace,
+};
 
 fn compiled(trace: &Trace, id: ModelId) -> ConsistencyVerdict {
     verify_axiom(trace, id, &AxiomConfig::default()).verdict
@@ -139,6 +148,62 @@ fn three_op_space_with_final_values_equals_oracle() {
     });
     assert_eq!((traces, final_only), (16 * 15_255, 47_376));
     assert_eq!(consistent, [9_272; 4]);
+}
+
+/// Every ordering of `refs`.
+fn permutations(refs: &[OpRef]) -> Vec<Vec<OpRef>> {
+    if refs.is_empty() {
+        return vec![Vec::new()];
+    }
+    (0..refs.len())
+        .flat_map(|i| {
+            let mut rest = refs.to_vec();
+            let first = rest.remove(i);
+            permutations(&rest).into_iter().map(move |mut p| {
+                p.insert(0, first);
+                p
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn three_op_space_schedule_checkers_equal_oracle() {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let (mut traces, mut checked, mut accepted) = (0, 0, 0);
+    space(3, 2, 3, |t| {
+        traces += 1;
+        let refs: Vec<OpRef> = t.iter_ops().map(|(r, _)| r).collect();
+        for id in ModelId::SERIALIZING {
+            let mut some_accepted = false;
+            for order in permutations(&refs) {
+                let mut defective = Vec::new();
+                if let Some(&first) = order.first() {
+                    defective.push(order[1..].to_vec());
+                    defective.push([order.as_slice(), &[first]].concat());
+                    let mut dangling = order.clone();
+                    dangling[0] = OpRef::new(0u16, 99);
+                    defective.push(dangling);
+                }
+                let valid = std::iter::once((order, true));
+                for (refs, complete) in valid.chain(defective.into_iter().map(|d| (d, false))) {
+                    let s = Schedule::from_refs(refs);
+                    let ok = check_model_schedule(t, id, &s).is_ok();
+                    if id == ModelId::Sc {
+                        assert_eq!(ok, check_sc_schedule(t, &s).is_ok(), "{t:?} {s:?}");
+                    }
+                    assert!(complete || !ok, "{}: {t:?} {s:?}", id.name());
+                    some_accepted |= ok;
+                    checked += 1;
+                    accepted += usize::from(ok);
+                    hash = (hash ^ u64::from(ok)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            assert_eq!(some_accepted, serializes(t, id), "{}: {t:?}", id.name());
+        }
+    });
+    assert_eq!((traces, checked, accepted), (15_255, 1_440_336, 18_824));
+    assert_eq!(hash, 0xfb51_ffa3_1475_19d5, "{hash:#018x}");
 }
 
 #[test]

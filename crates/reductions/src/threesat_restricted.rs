@@ -24,7 +24,7 @@
 //! operations. Both Figure 5.3 NP-complete rows are therefore witnessed by
 //! a single construction, as the paper notes.
 
-use vermem_sat::{Cnf, Lit, Var};
+use vermem_sat::Cnf;
 use vermem_trace::{Op, ProcessHistory, Trace, Value};
 
 /// The constructed restricted instance.
@@ -186,16 +186,12 @@ pub fn reduce_3sat_restricted(cnf: &Cnf) -> Restricted3SatReduction {
     }
 }
 
-/// Check whether a literal occurs in a clause (used by tests).
-pub fn clause_contains(clause: &[Lit], var: Var, positive: bool) -> bool {
-    clause.contains(&var.lit(positive))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vermem_coherence::backtrack::solve_backtracking_ops_with_stats;
     use vermem_coherence::SearchConfig;
+    use vermem_sat::Lit;
     use vermem_trace::classify::{InstanceProfile, OpMix};
     use vermem_trace::{Addr, AddrOps};
 

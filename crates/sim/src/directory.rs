@@ -320,11 +320,6 @@ impl DirectoryMachine {
         }
     }
 
-    /// Current directory state of an address (for tests and diagnostics).
-    pub fn directory_state(&self, addr: Addr) -> Option<&DirState> {
-        self.directory.get(&addr)
-    }
-
     /// Access the configuration.
     pub fn config(&self) -> &DirectoryConfig {
         &self.cfg

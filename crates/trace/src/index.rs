@@ -276,10 +276,12 @@ impl AddrIndex {
 
     /// Look up one address (binary search).
     pub fn get(&self, addr: Addr) -> Option<&AddrOps> {
-        self.entries
-            .binary_search_by_key(&addr, AddrOps::addr)
-            .ok()
-            .map(|i| &self.entries[i])
+        self.position(addr).map(|i| &self.entries[i])
+    }
+
+    /// The position of `addr`'s entry in address order (binary search).
+    pub(crate) fn position(&self, addr: Addr) -> Option<usize> {
+        self.entries.binary_search_by_key(&addr, AddrOps::addr).ok()
     }
 }
 

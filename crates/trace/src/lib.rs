@@ -15,8 +15,10 @@
 //! * the [per-address index](index) — one [`AddrOps`] per address, the VMC
 //!   instance of Definition 4.1;
 //! * [schedules](Schedule) — interleavings, plus the polynomial certificate
-//!   checkers of Theorem 4.2 ([`check_coherent_schedule_ops`] on one
-//!   address's [`AddrOps`], [`check_sc_schedule`]);
+//!   checker of Theorem 4.2 ([`check_coherent_schedule_ops`] on one
+//!   address's [`AddrOps`]; [`check_serialization`] runs it at every
+//!   address plus one cross-address program-order pass, and
+//!   [`check_sc_schedule`] is its SC case);
 //! * the [Figure 5.3 classifier](classify) mapping instances to the paper's
 //!   complexity table;
 //! * [workload generators and violation injectors](gen);
@@ -40,7 +42,7 @@ pub use history::ProcessHistory;
 pub use index::{AddrIndex, AddrOps};
 pub use op::{Addr, Op, OpRef, ProcId, Value};
 pub use schedule::{
-    check_coherent_schedule, check_coherent_schedule_ops, check_sc_schedule, Schedule,
-    ScheduleError,
+    check_coherent_schedule, check_coherent_schedule_ops, check_sc_schedule, check_serialization,
+    Schedule, ScheduleError,
 };
 pub use trace::{Trace, TraceBuilder};

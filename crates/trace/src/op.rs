@@ -207,6 +207,19 @@ impl Op {
         matches!(self, Op::Rmw { .. })
     }
 
+    /// The operation's row and column in a cross-address program-order
+    /// table (`ppo_cross[earlier][later]` of
+    /// [`check_serialization`](crate::check_serialization) and of the
+    /// declared memory models): read = 0, write = 1, RMW = 2.
+    #[inline]
+    pub fn class(&self) -> usize {
+        match self {
+            Op::Read { .. } => 0,
+            Op::Write { .. } => 1,
+            Op::Rmw { .. } => 2,
+        }
+    }
+
     /// Returns a copy of this operation with its address replaced.
     #[inline]
     pub fn with_addr(self, addr: Addr) -> Self {

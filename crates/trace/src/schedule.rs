@@ -1,12 +1,21 @@
-//! Schedules (interleavings) and the polynomial-time certificate checkers of
+//! Schedules (interleavings) and the polynomial-time certificate checker of
 //! Theorem 4.2: given a schedule, decide whether it is a *coherent schedule*
-//! (single address, §3) or a *sequentially consistent schedule* (all
-//! addresses, Definition 6.1).
+//! (single address, §3) or a serialization of a whole trace: a
+//! *sequentially consistent schedule* (Definition 6.1), or the schedule of
+//! a weaker serialization model.
+//!
+//! There is one checker. [`check_coherent_schedule_ops`] checks one
+//! address's projection: completeness, duplicates, same-address program
+//! order, read values and the final value. [`check_serialization`] routes
+//! each scheduled operation to its address, runs that check on every entry
+//! of the trace's [`AddrIndex`], and adds one linear pass per process over
+//! the cross-address program-order pairs a 3×3 read/write/RMW table
+//! ([`Op::class`](crate::Op::class)) preserves. SC's table preserves every
+//! pair ([`check_sc_schedule`]); a declared model passes its own.
 
-use crate::index::AddrOps;
+use crate::index::{AddrIndex, AddrOps};
 use crate::op::{Addr, OpRef, Value};
 use crate::trace::Trace;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A schedule: a total order over (a subset of) the operations of a trace,
@@ -151,47 +160,6 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// Structural validation for the SC checker: the schedule must be a
-/// permutation of all operations of `trace`, respecting each process's
-/// program order.
-fn check_structure(trace: &Trace, schedule: &Schedule) -> Result<(), ScheduleError> {
-    let expected = trace.num_ops();
-    // Track, per process, the last scheduled program-order index, and
-    // detect duplicates with a seen-set.
-    let mut seen: std::collections::BTreeSet<OpRef> = std::collections::BTreeSet::new();
-    let mut last_index: BTreeMap<u16, u32> = BTreeMap::new();
-
-    for &r in schedule.refs() {
-        trace.op(r).ok_or(ScheduleError::DanglingRef(r))?;
-        if !seen.insert(r) {
-            return Err(ScheduleError::DuplicateOp(r));
-        }
-        if let Some(&prev) = last_index.get(&r.proc.0) {
-            if r.index <= prev {
-                return Err(ScheduleError::ProgramOrder {
-                    earlier: r,
-                    later: OpRef {
-                        proc: r.proc,
-                        index: prev,
-                    },
-                });
-            }
-        }
-        last_index.insert(r.proc.0, r.index);
-    }
-
-    // Completeness (exact count, no duplicates, no dangling refs) plus
-    // monotone indices per process imply the schedule holds each history
-    // exactly, in program order.
-    if schedule.len() != expected {
-        return Err(ScheduleError::MissingOps {
-            expected,
-            found: schedule.len(),
-        });
-    }
-    Ok(())
-}
-
 /// Check that `schedule` is a **coherent schedule** for the operations of
 /// `trace` at address `addr` (§3): an interleaving of the per-process
 /// projections in which every read returns the value written by the
@@ -302,42 +270,77 @@ pub fn check_coherent_schedule_ops(
 /// operations of `trace` (Definition 6.1): a single interleaving of every
 /// process history in which each read returns the value written by the
 /// immediately preceding write *to the same address*, with per-address
-/// initial and final values honoured.
+/// initial and final values honoured. This is [`check_serialization`] with
+/// every program-order pair preserved.
 pub fn check_sc_schedule(trace: &Trace, schedule: &Schedule) -> Result<(), ScheduleError> {
-    check_structure(trace, schedule)?;
+    check_serialization(trace, &AddrIndex::build(trace), &[[true; 3]; 3], schedule)
+}
 
-    let mut current: BTreeMap<Addr, Value> = BTreeMap::new();
-    for &r in schedule.refs() {
-        let op = trace.op(r).expect("structure checked");
-        let addr = op.addr();
-        let cur = current
-            .get(&addr)
-            .copied()
-            .unwrap_or_else(|| trace.initial(addr));
-        if let Some(read) = op.read_value() {
-            if read != cur {
-                return Err(ScheduleError::ReadValue {
-                    read: r,
-                    expected: cur,
-                    actual: read,
+/// Check that `schedule` serializes `trace`: a permutation of all its
+/// operations that is a coherent schedule at every address and keeps each
+/// cross-address program-order pair the table preserves.
+/// `ppo_cross[x][y]` says whether an operation of class `x` must be
+/// scheduled before a program-order-later one of class `y` at another
+/// address ([`Op::class`](crate::Op::class): read, write, RMW);
+/// same-address pairs are always preserved. `idx` must be
+/// `AddrIndex::build(trace)`.
+///
+/// Each reference is routed to its address, each entry of `idx` checks its
+/// projection with [`check_coherent_schedule_ops`], then one pass per
+/// process compares each operation's schedule position with the latest
+/// position of each earlier class: O(ops + addresses × processes), the
+/// cost of building `idx`, with no pairwise scan. A reference to no
+/// operation is a [`ScheduleError::DanglingRef`]; otherwise the first
+/// error of the first failing address, in ascending address order, comes
+/// before any cross-address [`ScheduleError::ProgramOrder`]. So on a
+/// schedule with defects at several addresses, the error reported follows
+/// address order, not schedule order.
+///
+/// # Panics
+///
+/// If `idx` lacks the address of a scheduled operation.
+pub fn check_serialization(
+    trace: &Trace,
+    idx: &AddrIndex,
+    ppo_cross: &[[bool; 3]; 3],
+    schedule: &Schedule,
+) -> Result<(), ScheduleError> {
+    // `at[p][i]`: the schedule position of process p's i-th operation.
+    let mut at: Vec<Vec<usize>> = trace.histories().iter().map(|h| vec![0; h.len()]).collect();
+    let mut parts: Vec<Vec<OpRef>> = idx
+        .iter()
+        .map(|e| Vec::with_capacity(e.num_ops()))
+        .collect();
+    for (pos, &r) in schedule.refs().iter().enumerate() {
+        let op = trace.op(r).ok_or(ScheduleError::DanglingRef(r))?;
+        let entry = idx.position(op.addr()).expect("idx indexes the trace");
+        parts[entry].push(r);
+        at[usize::from(r.proc.0)][r.index as usize] = pos;
+    }
+    for (ops, part) in idx.iter().zip(parts) {
+        check_coherent_schedule_ops(ops, &Schedule::from_refs(part))?;
+    }
+    // Every operation is now scheduled exactly once, so `at` is complete.
+    for (p, h) in trace.histories().iter().enumerate() {
+        let proc = p as u16;
+        // Per class: the latest schedule position among this process's
+        // operations so far, and that operation's index.
+        let mut latest: [Option<(usize, u32)>; 3] = [None; 3];
+        for (i, op) in h.iter().enumerate() {
+            let (pos, later) = (at[p][i], op.class());
+            let passed = (0..3)
+                .filter(|&class| ppo_cross[class][later])
+                .filter_map(|class| latest[class])
+                .find(|&(q, _)| q > pos);
+            if let Some((_, earlier)) = passed {
+                return Err(ScheduleError::ProgramOrder {
+                    earlier: OpRef::new(proc, earlier),
+                    later: OpRef::new(proc, i as u32),
                 });
             }
-        }
-        if let Some(written) = op.written_value() {
-            current.insert(addr, written);
-        }
-    }
-    for (&addr, &expected) in trace.final_values() {
-        let actual = current
-            .get(&addr)
-            .copied()
-            .unwrap_or_else(|| trace.initial(addr));
-        if actual != expected {
-            return Err(ScheduleError::FinalValue {
-                addr,
-                expected,
-                actual,
-            });
+            if latest[later].is_none_or(|(q, _)| q < pos) {
+                latest[later] = Some((pos, i as u32));
+            }
         }
     }
     Ok(())
@@ -468,10 +471,10 @@ mod tests {
     }
 
     /// On a one-address trace an SC schedule is exactly a coherent
-    /// schedule, so the SC checker is an independent reference for the
-    /// coherent checker: over every small one-address trace, with and
-    /// without a final value, both return the same result on valid and
-    /// broken candidate schedules alike.
+    /// schedule: over every small one-address trace, with and without a
+    /// final value, the whole-trace checker (routing, then the
+    /// cross-address pass) returns what the one-address check returns, on
+    /// valid and broken candidate schedules alike.
     #[test]
     fn coherent_checker_equals_sc_checker_on_one_address() {
         use crate::gen::{small_traces, SmallScope};

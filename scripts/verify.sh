@@ -329,6 +329,43 @@ if [[ -n "$view_sites" ]]; then
 fi
 echo "    ok"
 
+echo "==> one schedule checker: the value and final rules live in check_coherent_schedule_ops"
+# Theorem 4.2's certificate checker is written once. Every whole-trace
+# serialization check (check_sc_schedule, check_model_schedule, the
+# certificates of verify_axiom) is check_serialization: the one-address
+# check at each address plus a cross-address program-order pass. So,
+# outside ScheduleError's Display impl and test code, each value-rule
+# error is built at exactly one site, inside check_coherent_schedule_ops,
+# and the retired whole-trace structure check must not come back
+# (comments count for that name).
+if grep -rn 'check_structure' crates/ src/ tests/ examples/; then
+    echo "retired whole-trace schedule structure check found (use check_serialization)" >&2
+    exit 1
+fi
+python3 - $(find crates/*/src src examples -name '*.rs') <<'EOF'
+import re, sys
+sites = {'ReadValue': [], 'FinalValue': []}
+for path in sys.argv[1:]:
+    src = open(path).read().split('#[cfg(test)]')[0]
+    src = re.sub(r'//[^\n]*', '', src)      # comments
+    m = re.search(r'impl\s+(?:std::)?fmt::Display\s+for\s+ScheduleError\s*\{', src)
+    if m:                                   # drop the Display impl
+        depth, j = 1, m.end()
+        while depth:
+            depth += {'{': 1, '}': -1}.get(src[j], 0)
+            j += 1
+        src = src[:m.start()] + src[j:]
+    for m in re.finditer(r'ScheduleError::(ReadValue|FinalValue)\s*\{', src):
+        fns = re.findall(r'\bfn\s+(\w+)', src[:m.start()])
+        sites[m.group(1)].append((path, fns[-1] if fns else None))
+want = [('crates/trace/src/schedule.rs', 'check_coherent_schedule_ops')]
+bad = {k: v for k, v in sites.items() if v != want}
+if bad:
+    sys.exit("expected ScheduleError::ReadValue and ::FinalValue each built once, in "
+             f"check_coherent_schedule_ops; found: {bad}")
+EOF
+echo "    ok"
+
 echo "==> obs hot path: exactly one clock-read site in crates/util/src/obs/"
 # The zero-overhead-when-off contract (DESIGN.md §Observability): every
 # clock read funnels through obs::now_us(), which is only reached from
