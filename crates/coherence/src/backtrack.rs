@@ -21,7 +21,7 @@ use crate::kernel::{self, KernelConfig, KernelOutcome};
 use crate::machine::{BufferKind, CompiledMachine};
 use crate::verdict::{Verdict, Violation, ViolationKind};
 use crate::windows::WindowTable;
-use vermem_trace::{AddrOps, Schedule};
+use vermem_trace::{AddrOps, OpIds, Schedule};
 use vermem_util::obs;
 
 pub use crate::kernel::SearchStats;
@@ -57,22 +57,25 @@ impl Default for SearchConfig {
 /// Reports the first violation in [`AddrOps::iter`] order, which is the
 /// filtered-`iter_ops` order of the trace.
 pub fn precheck_ops(ops: &AddrOps) -> Option<Violation> {
-    let initial = ops.initial();
-    for (r, op) in ops.iter() {
-        if let Some(v) = op.read_value() {
-            if v != initial && ops.writes_of(v) == 0 {
-                return Some(Violation {
-                    addr: ops.addr(),
-                    kind: ViolationKind::NoWriterForValue { read: r, value: v },
-                });
-            }
-        }
+    // Ids from `memory_ids` on are values no operation writes.
+    let unwritten = |ids: &OpIds| ids.read().is_some_and(|id| id >= ops.memory_ids());
+    if let Some(k) = ops.ids().iter().position(unwritten) {
+        let (r, op) = ops.iter().nth(k).expect("one id pair per op");
+        return Some(Violation {
+            addr: ops.addr(),
+            kind: ViolationKind::NoWriterForValue {
+                read: r,
+                value: op.read_value().expect("a read"),
+            },
+        });
     }
-    if let Some(f) = ops.final_value() {
-        let producible = if ops.write_counts().is_empty() {
-            f == initial
+    if let (Some(f), Some(id)) = (ops.final_value(), ops.final_id()) {
+        // With no write at all, d_F must be d_I; otherwise some operation
+        // must write it.
+        let producible = if ops.max_writes_per_value() == 0 {
+            id == 0
         } else {
-            ops.writes_of(f) > 0
+            ops.writes_of(id) > 0
         };
         if !producible {
             return Some(Violation {

@@ -59,7 +59,7 @@ use crate::kernel::{KeyPacker, TransitionSystem};
 use crate::windows::WindowTable;
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use vermem_trace::{AddrOps, Op, OpRef, Value};
+use vermem_trace::{AddrOps, OpRef};
 
 /// The store-buffer shapes of the machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,11 +107,11 @@ impl DenseOp {
 /// text, frontiers, dense memory, supply accounting and final-value
 /// constraints.
 ///
-/// Values are interned per slot: id 0 is the slot's initial value, the
-/// ids after it the values written to the slot, and the ids after those
-/// the values only read or required finally (their supply is 0 forever).
-/// Memory therefore only ever holds an id below the slot's count of
-/// written-or-initial values.
+/// A slot's value ids are its entry's numbering ([`AddrOps::values`]):
+/// id 0 is the slot's initial value, the ids after it the values written
+/// to the slot, and the ids after those the values only read or required
+/// finally (their supply is 0 forever). Memory therefore only ever holds
+/// an id below the slot's [`AddrOps::memory_ids`].
 struct MachineBase {
     /// Program text per process, in program order: each operation's
     /// original ref and its lowered form. A frontier is a position in
@@ -155,46 +155,29 @@ impl MachineBase {
             if per_proc.len() < entry.per_proc().len() {
                 per_proc.resize_with(entry.per_proc().len(), Vec::new);
             }
-            // Intern in three rounds so the ids memory can hold come
-            // first: the initial value, the written values, then values
-            // only read or required finally. Each round takes values in
-            // first-occurrence order.
-            let mut ids = BTreeMap::from([(entry.initial(), 0)]);
-            let intern = |ids: &mut BTreeMap<Value, u32>, v: Value| {
-                let fresh = ids.len() as u32;
-                *ids.entry(v).or_insert(fresh)
-            };
-            for (_, op) in entry.iter() {
-                if let Some(v) = op.written_value() {
-                    intern(&mut ids, v);
-                }
-            }
-            memory_values.push(ids.len() as u32);
+            // The entry's value numbering: the ids memory can hold come
+            // first (the initial value, then the written values), then
+            // values only read or required finally.
+            memory_values.push(entry.memory_ids());
+            let mut ids = entry.ids();
             for (ops, list) in per_proc.iter_mut().zip(entry.per_proc()) {
-                ops.extend(list.iter().map(|&(r, op)| {
-                    let dense = match op {
-                        Op::Read { value, .. } => DenseOp::Read {
-                            slot,
-                            value: intern(&mut ids, value),
-                        },
-                        Op::Write { value, .. } => DenseOp::Write {
-                            slot,
-                            value: intern(&mut ids, value),
-                        },
-                        Op::Rmw { read, write, .. } => DenseOp::Rmw {
-                            slot,
-                            read: intern(&mut ids, read),
-                            write: intern(&mut ids, write),
-                        },
+                let (list_ids, rest) = ids.split_at(list.len());
+                ids = rest;
+                ops.extend(list.iter().zip(list_ids).map(|(&(r, _), op_ids)| {
+                    let dense = match (op_ids.read(), op_ids.write()) {
+                        (Some(read), Some(write)) => DenseOp::Rmw { slot, read, write },
+                        (Some(value), None) => DenseOp::Read { slot, value },
+                        (None, Some(value)) => DenseOp::Write { slot, value },
+                        (None, None) => unreachable!("every operation reads or writes"),
                     };
                     (r, dense)
                 }));
             }
-            if let Some(v) = entry.final_value() {
-                finals.push((slot, intern(&mut ids, v)));
+            if let Some(v) = entry.final_id() {
+                finals.push((slot, v));
             }
             supply_at.push(next);
-            next += ids.len() as u32;
+            next += entry.values().len() as u32;
         }
         // Each entry lists a process's operations in program order; those
         // of several entries interleave.
@@ -724,7 +707,7 @@ impl TransitionSystem for CompiledMachine {
 mod tests {
     use super::*;
     use vermem_trace::gen::{gen_sc_trace, GenConfig};
-    use vermem_trace::{Addr, AddrIndex, Trace, TraceBuilder};
+    use vermem_trace::{Addr, AddrIndex, Op, Trace, TraceBuilder, Value};
     use vermem_util::rng::StdRng;
 
     /// What a walk step did, for undo.

@@ -6,12 +6,13 @@
 //! final value producible) a coherent schedule can always be *constructed*:
 //! reads of `d_I` first, then the writes grouped by value with each group's
 //! reads immediately after it, the `d_F` group last. The paper lists
-//! O(n lg n); grouping with hashing gives O(n).
+//! O(n lg n); grouping by the entry's value ids gives O(n), plus a sort of
+//! the written values.
 
 use crate::backtrack::precheck_ops;
 use crate::verdict::Verdict;
-use std::collections::HashMap;
-use vermem_trace::{AddrOps, OpRef, Schedule, Value};
+use vermem_trace::{AddrOps, OpRef, Schedule};
+use vermem_util::csr::Csr;
 
 /// True if every process issues at most one operation in the instance,
 /// and all of them are simple reads/writes. Decided in O(procs) from the
@@ -30,67 +31,48 @@ pub fn solve_one_op_ops(indexed: &AddrOps) -> Verdict {
     if let Some(v) = precheck_ops(indexed) {
         return Verdict::Incoherent(v);
     }
-    let initial = indexed.initial();
-    let final_value = indexed.final_value();
+    let refs: Vec<OpRef> = indexed.iter().map(|(r, _)| r).collect();
+    let ids = indexed.ids();
+    let values = indexed.values();
 
-    let mut initial_reads: Vec<OpRef> = Vec::new();
-    let mut writes_by_value: HashMap<Value, Vec<OpRef>> = HashMap::new();
-    let mut reads_by_value: HashMap<Value, Vec<OpRef>> = HashMap::new();
-    for (r, op) in indexed.iter() {
-        if let Some(v) = op.written_value() {
-            writes_by_value.entry(v).or_default().push(r);
-        } else {
-            let v = op.read_value().expect("simple read");
-            if v == initial && !writes_by_value.contains_key(&v) {
-                // Tentative: may be re-bucketed below if v gets written.
-                initial_reads.push(r);
-            } else {
-                reads_by_value.entry(v).or_default().push(r);
-            }
-        }
-    }
-    // Reads of d_I noted before a write of d_I appeared are still fine up
-    // front; but reads of a written d_I collected in reads_by_value need a
-    // group. Both placements are valid; only the grouping below matters.
-    // Re-bucket initial reads if d_I is written and d_F == d_I is required:
-    // keeping them up front is always valid, so no action needed.
-
-    let mut values: Vec<Value> = writes_by_value.keys().copied().collect();
-    values.sort_unstable();
-    // The final value's group must come last.
-    if let Some(f) = final_value {
-        if let Some(pos) = values.iter().position(|&v| v == f) {
-            let v = values.remove(pos);
-            values.push(v);
-        }
-        // If f == initial and nothing writes it, precheck guaranteed there
-        // are no writes at all; `values` is empty and the schedule is reads
-        // only.
-    }
-
-    let mut refs: Vec<OpRef> = Vec::new();
-    refs.extend(initial_reads);
-    for &v in &values {
-        refs.extend(writes_by_value[&v].iter().copied());
-        if let Some(reads) = reads_by_value.get(&v) {
-            refs.extend(reads.iter().copied());
-        }
-    }
-    // Reads of values that are never written can only be reads of d_I that
-    // were bucketed into reads_by_value because d_I is also written: they
-    // are served by the d_I write group, handled above. Any other unwritten
-    // value was rejected by precheck.
-    for (&v, reads) in &reads_by_value {
-        if !writes_by_value.contains_key(&v) {
-            debug_assert!(v == initial);
-            // d_I never written (else covered above): serve up front.
-            let mut all = reads.clone();
-            all.extend(refs.iter().copied());
-            refs = all;
+    // Reads of d_I issued before any write of it go up front; every other
+    // operation joins its value's group. The precheck leaves no read of a
+    // value nobody writes, other than d_I before it is written.
+    let d_i_written_at = ids
+        .iter()
+        .position(|i| i.write() == Some(0))
+        .unwrap_or(ids.len());
+    let up_front = |i: usize| i < d_i_written_at && ids[i].read() == Some(0);
+    let writes = (0..ids.len() as u32).filter_map(|i| ids[i as usize].write().map(|w| (w, i)));
+    let reads = (0..ids.len() as u32)
+        .filter(|&i| ids[i as usize].write().is_none() && !up_front(i as usize))
+        .map(|i| (ids[i as usize].read().expect("a read"), i));
+    let (writes, reads) = (
+        Csr::new(values.len(), writes),
+        Csr::new(values.len(), reads),
+    );
+    // The written values in ascending value order, the final value's group
+    // last. If d_F = d_I and nothing writes it, the precheck guaranteed
+    // there are no writes at all, and the schedule is reads only.
+    let mut order: Vec<u32> = (0..indexed.memory_ids())
+        .filter(|&id| indexed.writes_of(id) > 0)
+        .collect();
+    order.sort_unstable_by_key(|&id| values[id as usize]);
+    if let Some(f) = indexed.final_id() {
+        if let Some(pos) = order.iter().position(|&id| id == f) {
+            let id = order.remove(pos);
+            order.push(id);
         }
     }
 
-    Verdict::Coherent(Schedule::from_refs(refs))
+    let mut schedule: Vec<OpRef> = Vec::with_capacity(refs.len());
+    schedule.extend((0..refs.len()).filter(|&i| up_front(i)).map(|i| refs[i]));
+    for &id in &order {
+        let group = writes.row(id).iter().chain(reads.row(id));
+        schedule.extend(group.map(|&i| refs[i as usize]));
+    }
+    debug_assert_eq!(schedule.len(), refs.len(), "every operation placed");
+    Verdict::Coherent(Schedule::from_refs(schedule))
 }
 
 #[cfg(test)]

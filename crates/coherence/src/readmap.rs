@@ -10,20 +10,19 @@
 
 use crate::backtrack::precheck_ops;
 use crate::verdict::{Verdict, Violation, ViolationKind};
-use vermem_trace::{AddrOps, Op, OpRef, Schedule, Value};
-use vermem_util::hash::FxHashMap;
+use vermem_trace::{AddrOps, Op, OpRef, Schedule};
+use vermem_util::csr::Csr;
 
 /// True if the read-map fast path applies to the instance: simple
 /// reads/writes only, every value written at most once, and no write
 /// re-installs the initial value (which would make read binding ambiguous).
 /// Decided in O(values) from the entry's cached structure.
 pub fn applicable_ops(ops: &AddrOps) -> bool {
-    !ops.has_rmw() && ops.max_writes_per_value() <= 1 && ops.writes_of(ops.initial()) == 0
+    !ops.has_rmw() && ops.max_writes_per_value() <= 1 && ops.writes_of(0) == 0
 }
 
 /// Decide coherence of the instance assuming [`applicable_ops`].
-/// O(n + blocks) after one hash lookup per op, which binds the op to its
-/// block.
+/// O(n + blocks), hashing nothing: the entry's value ids are the blocks.
 ///
 /// # Panics
 /// Debug-asserts applicability; behaviour is unspecified otherwise.
@@ -33,55 +32,42 @@ pub fn solve_readmap_ops(indexed: &AddrOps) -> Verdict {
         "read-map fast path preconditions violated"
     );
     let addr = indexed.addr();
-    let initial = indexed.initial();
 
     // Flatten the per-address operations (proc-major, program order, so
-    // in ascending `OpRef` order); block 0 is the virtual initial block,
-    // block b ≥ 1 belongs to the b-th write of the flat order.
-    let ops: Vec<(OpRef, Op)> = indexed.iter().collect();
-    let mut writer_block: FxHashMap<Value, u32> =
-        FxHashMap::with_capacity_and_hasher(indexed.write_counts().len(), Default::default());
+    // in ascending `OpRef` order). Block 0 is the virtual initial block.
+    // Every value is written at most once and d_I never, so the b-th write
+    // of the flat order writes value id b (written values are numbered in
+    // first-occurrence order): block b ≥ 1 is that write's block, and a
+    // read joins the block of its value id.
+    let mut ops: Vec<(OpRef, Op)> = Vec::with_capacity(indexed.num_ops());
+    ops.extend(indexed.iter());
+    let nblocks = indexed.memory_ids() as usize;
     // Flat index of each block's write; block 0 has none.
-    let mut write_of_block: Vec<u32> = vec![u32::MAX];
-    for (i, (_, op)) in ops.iter().enumerate() {
-        if let Some(v) = op.written_value() {
-            writer_block.insert(v, write_of_block.len() as u32);
-            write_of_block.push(i as u32);
-        }
-    }
-    let nblocks = write_of_block.len();
+    let mut write_of_block: Vec<u32> = vec![u32::MAX; nblocks];
 
-    // Each op's block, bound once: a write opens the next block, a read
-    // joins its value's writer or the initial block. A read with neither,
-    // or a final value nobody produces, is exactly what the static
-    // precheck reports, so the precheck runs only to name it.
+    // Each op's block, bound once. A read of a value nobody writes, or a
+    // final value nobody produces, is exactly what the static precheck
+    // reports, so the precheck runs only to name it.
     let precheck_violation =
         || Verdict::Incoherent(precheck_ops(indexed).expect("an op has no producible value"));
     let mut block: Vec<u32> = Vec::with_capacity(ops.len());
-    let mut writes_seen = 0u32;
-    for (_, op) in &ops {
-        let b = match op.read_value() {
-            None => {
-                writes_seen += 1;
-                writes_seen
+    for (i, ids) in indexed.ids().iter().enumerate() {
+        let b = match (ids.write(), ids.read()) {
+            (Some(w), _) => {
+                write_of_block[w as usize] = i as u32;
+                w
             }
-            Some(v) if v == initial => 0,
-            Some(v) => match writer_block.get(&v) {
-                Some(&b) => b,
-                None => return precheck_violation(),
-            },
+            (None, Some(v)) if (v as usize) < nblocks => v,
+            _ => return precheck_violation(),
         };
         block.push(b);
     }
-    let final_block = match indexed.final_value() {
+    let final_block = match indexed.final_id() {
         None => None,
         // Applicability excludes rewrites of d_I, so a final d_I is
         // producible only when nothing is written; block 0 is then last.
-        Some(f) if f == initial && nblocks == 1 => Some(0),
-        Some(f) => match writer_block.get(&f) {
-            Some(&b) => Some(b as usize),
-            None => return precheck_violation(),
-        },
+        Some(f) if (f as usize) < nblocks && (f > 0 || nblocks == 1) => Some(f as usize),
+        Some(_) => return precheck_violation(),
     };
 
     // A read program-order-before its own writer is a same-block cycle.
@@ -105,10 +91,10 @@ pub fn solve_readmap_ops(indexed: &AddrOps) -> Verdict {
     let po_edges = (1..ops.len())
         .filter(|&i| ops[i - 1].0.proc == ops[i].0.proc && block[i - 1] != block[i])
         .map(|i| (block[i - 1], block[i]));
-    let (start, succ) = bucket(nblocks, (1..nblocks as u32).map(|b| (0, b)).chain(po_edges));
-    let succs_of = |b: usize| &succ[start[b] as usize..start[b + 1] as usize];
+    let succ = Csr::new(nblocks, (1..nblocks as u32).map(|b| (0, b)).chain(po_edges));
+    let succs_of = |b: usize| succ.row(b as u32);
     let mut indeg = vec![0u32; nblocks];
-    for &b in &succ {
+    for &b in succ.items() {
         indeg[b as usize] += 1;
     }
 
@@ -125,9 +111,8 @@ pub fn solve_readmap_ops(indexed: &AddrOps) -> Verdict {
     }
 
     // Kahn's algorithm; if a final block is required, emit it last.
-    let mut queue: Vec<usize> = (0..nblocks)
-        .filter(|&b| indeg[b] == 0 && Some(b) != final_block)
-        .collect();
+    let mut queue: Vec<usize> = Vec::with_capacity(nblocks);
+    queue.extend((0..nblocks).filter(|&b| indeg[b] == 0 && Some(b) != final_block));
     let mut order: Vec<usize> = Vec::with_capacity(nblocks);
     while let Some(b) = queue.pop() {
         order.push(b);
@@ -165,38 +150,15 @@ pub fn solve_readmap_ops(indexed: &AddrOps) -> Verdict {
     let block_reads = (0..ops.len() as u32)
         .filter(|&i| !ops[i as usize].1.is_writing())
         .map(|i| (block[i as usize], i));
-    let (read_start, reads) = bucket(nblocks, block_reads);
+    let reads = Csr::new(nblocks, block_reads);
     let mut refs: Vec<OpRef> = Vec::with_capacity(ops.len());
     for &b in &order {
         if b != 0 {
             refs.push(ops[write_of_block[b] as usize].0);
         }
-        let block_reads = &reads[read_start[b] as usize..read_start[b + 1] as usize];
-        refs.extend(block_reads.iter().map(|&i| ops[i as usize].0));
+        refs.extend(reads.row(b as u32).iter().map(|&i| ops[i as usize].0));
     }
     Verdict::Coherent(Schedule::from_refs(refs))
-}
-
-/// Group `items` by key with a counting sort: bucket `k` of the result is
-/// `values[start[k]..start[k + 1]]`, in the order `items` yields them.
-fn bucket(
-    nbuckets: usize,
-    items: impl Iterator<Item = (u32, u32)> + Clone,
-) -> (Vec<u32>, Vec<u32>) {
-    let mut start = vec![0u32; nbuckets + 1];
-    for (k, _) in items.clone() {
-        start[k as usize + 1] += 1;
-    }
-    for k in 0..nbuckets {
-        start[k + 1] += start[k];
-    }
-    let mut fill = start.clone();
-    let mut values = vec![0; start[nbuckets] as usize];
-    for (k, v) in items {
-        values[fill[k as usize] as usize] = v;
-        fill[k as usize] += 1;
-    }
-    (start, values)
 }
 
 #[cfg(test)]

@@ -16,8 +16,9 @@
 
 use crate::backtrack::precheck_ops;
 use crate::verdict::{Verdict, Violation, ViolationKind};
-use std::collections::HashMap;
-use vermem_trace::{AddrOps, OpRef, Schedule, Value};
+use crate::write_order::process_starts;
+use vermem_trace::{AddrOps, OpRef, Schedule};
+use vermem_util::csr::Csr;
 
 /// True if every operation of the instance is an RMW and each process
 /// issues at most one of them, from the entry's cached structure.
@@ -29,7 +30,7 @@ pub fn one_op_applicable_ops(ops: &AddrOps) -> bool {
 /// written at most once, and no operation re-installs the initial value,
 /// from the entry's cached structure.
 pub fn readmap_applicable_ops(ops: &AddrOps) -> bool {
-    ops.all_rmw() && ops.max_writes_per_value() <= 1 && ops.writes_of(ops.initial()) == 0
+    ops.all_rmw() && ops.max_writes_per_value() <= 1 && ops.writes_of(0) == 0
 }
 
 /// Eulerian-path decision for single-RMW-per-process instances. O(n).
@@ -49,24 +50,30 @@ pub fn solve_rmw_one_op_ops(indexed: &AddrOps) -> Verdict {
             _ => Verdict::Coherent(Schedule::new()),
         };
     }
-    let initial = indexed.initial();
+    let ids = indexed.ids();
+    let read = |i: usize| ids[i].read().expect("rmw");
+    let write = |i: usize| ids[i].write().expect("rmw");
 
-    // Out-edges per value: indices of unused ops reading that value.
-    let mut out: HashMap<Value, Vec<usize>> = HashMap::new();
-    for (i, (_, op)) in ops.iter().enumerate() {
-        out.entry(op.read_value().expect("rmw"))
-            .or_default()
-            .push(i);
-    }
+    // Out-edges per value id: indices of ops reading that value, taken
+    // from the back; `unused[v]` counts those not yet walked.
+    let out = Csr::new(
+        indexed.values().len(),
+        (0..ops.len() as u32).map(|i| (read(i as usize), i)),
+    );
+    let mut unused: Vec<u32> = (0..indexed.values().len() as u32)
+        .map(|v| out.row(v).len() as u32)
+        .collect();
 
-    // Hierholzer from d_I: walk greedily, splicing detours.
-    let mut stack: Vec<Value> = vec![initial];
+    // Hierholzer from d_I (id 0): walk greedily, splicing detours.
+    let mut stack: Vec<u32> = vec![0];
     let mut path_ops: Vec<usize> = Vec::with_capacity(ops.len());
     let mut walk_ops: Vec<usize> = Vec::new(); // op taken to reach stack[i+1]
     while let Some(&v) = stack.last() {
-        if let Some(next) = out.get_mut(&v).and_then(|es| es.pop()) {
+        if unused[v as usize] > 0 {
+            unused[v as usize] -= 1;
+            let next = out.row(v)[unused[v as usize] as usize] as usize;
             walk_ops.push(next);
-            stack.push(ops[next].1.written_value().expect("rmw"));
+            stack.push(write(next));
         } else {
             stack.pop();
             if let Some(op) = walk_ops.pop() {
@@ -90,9 +97,9 @@ pub fn solve_rmw_one_op_ops(indexed: &AddrOps) -> Verdict {
     }
     // Validate chain continuity (Hierholzer may produce a valid Eulerian
     // path only if one exists; re-check linkage defensively).
-    let mut current = initial;
+    let mut current = 0;
     for &i in &path_ops {
-        if ops[i].1.read_value() != Some(current) {
+        if read(i) != current {
             return Verdict::Incoherent(Violation {
                 addr,
                 kind: ViolationKind::BrokenRmwChain {
@@ -100,10 +107,10 @@ pub fn solve_rmw_one_op_ops(indexed: &AddrOps) -> Verdict {
                 },
             });
         }
-        current = ops[i].1.written_value().expect("rmw");
+        current = write(i);
     }
-    if let Some(f) = indexed.final_value() {
-        if current != f {
+    if let (Some(f), Some(fid)) = (indexed.final_value(), indexed.final_id()) {
+        if current != fid {
             return Verdict::Incoherent(Violation {
                 addr,
                 kind: ViolationKind::FinalValueUnwritable { value: f },
@@ -121,51 +128,56 @@ pub fn solve_rmw_readmap_ops(indexed: &AddrOps) -> Verdict {
         return Verdict::Incoherent(v);
     }
     let ops: Vec<(OpRef, vermem_trace::Op)> = indexed.iter().collect();
-    let initial = indexed.initial();
+    let ids = indexed.ids();
 
     // Each value is written at most once and d_I never rewritten, so at most
     // one reader per value is serviceable; a second reader is immediately
     // incoherent.
-    let mut reader_of: HashMap<Value, usize> = HashMap::new();
-    for (i, (_, op)) in ops.iter().enumerate() {
-        let r = op.read_value().expect("rmw");
-        if reader_of.insert(r, i).is_some() {
+    const NONE: u32 = u32::MAX;
+    let mut reader_of: Vec<u32> = vec![NONE; indexed.values().len()];
+    for (i, op_ids) in ids.iter().enumerate() {
+        let r = op_ids.read().expect("rmw") as usize;
+        if reader_of[r] != NONE {
+            let value = indexed.values()[r];
             return Verdict::Incoherent(Violation {
                 addr,
                 kind: ViolationKind::BrokenRmwChain {
-                    detail: format!("two RMWs read {r:?}, which is available only once"),
+                    detail: format!("two RMWs read {value:?}, which is available only once"),
                 },
             });
         }
+        reader_of[r] = i as u32;
     }
 
     // Follow the forced chain, checking program order as we go. Values along
     // the chain are pairwise distinct (each written once, d_I never
     // rewritten), so no operation can be revisited; the `used` guard is
-    // defensive.
+    // defensive. `last[first[i]]` is the position of the last op of op
+    // `i`'s process on the chain so far.
+    let first = process_starts(&ops);
+    let mut last: Vec<u32> = vec![NONE; ops.len()];
     let mut chain: Vec<usize> = Vec::with_capacity(ops.len());
     let mut used = vec![false; ops.len()];
-    let mut last_index: HashMap<u16, u32> = HashMap::new();
-    let mut current = initial;
-    while let Some(&i) = reader_of.get(&current) {
-        let (r, op) = ops[i];
+    let mut current = 0;
+    while reader_of[current] != NONE {
+        let i = reader_of[current] as usize;
+        let r = ops[i].0;
         if used[i] {
             break; // value cycle returned to a consumed op
         }
         used[i] = true;
-        if let Some(&prev) = last_index.get(&r.proc.0) {
-            if r.index <= prev {
-                return Verdict::Incoherent(Violation {
-                    addr,
-                    kind: ViolationKind::BrokenRmwChain {
-                        detail: format!("forced chain violates program order at {r:?}"),
-                    },
-                });
-            }
+        let prev = &mut last[first[i] as usize];
+        if *prev != NONE && i as u32 <= *prev {
+            return Verdict::Incoherent(Violation {
+                addr,
+                kind: ViolationKind::BrokenRmwChain {
+                    detail: format!("forced chain violates program order at {r:?}"),
+                },
+            });
         }
-        last_index.insert(r.proc.0, r.index);
+        *prev = i as u32;
         chain.push(i);
-        current = op.written_value().expect("rmw");
+        current = ids[i].write().expect("rmw") as usize;
     }
     if chain.len() != ops.len() {
         return Verdict::Incoherent(Violation {
@@ -179,8 +191,8 @@ pub fn solve_rmw_readmap_ops(indexed: &AddrOps) -> Verdict {
             },
         });
     }
-    if let Some(f) = indexed.final_value() {
-        if current != f {
+    if let (Some(f), Some(fid)) = (indexed.final_value(), indexed.final_id()) {
+        if current != fid as usize {
             return Verdict::Incoherent(Violation {
                 addr,
                 kind: ViolationKind::FinalValueUnwritable { value: f },

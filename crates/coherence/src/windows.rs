@@ -57,8 +57,8 @@
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use vermem_trace::{AddrOps, Op, OpRef, Value};
-use vermem_util::hash::FxHashMap;
+use vermem_trace::{AddrOps, Op, OpRef};
+use vermem_util::csr::Csr;
 
 /// Per-operation feasible position windows, indexed densely by
 /// `(process, program-order index)`.
@@ -275,7 +275,19 @@ struct Scratch {
     queue: Vec<u32>,
     /// The round's topological order.
     order: Vec<u32>,
+    /// Dense ids of the write-capable ops, by written value id.
+    writers: Csr,
+    /// RMW reads per value id (the pigeonhole).
+    rmw_reads: Vec<u32>,
+    /// Fast accept: released plain reads, by the value id they wait for.
+    ready_reads: Vec<Ready>,
+    /// Fast accept: released RMWs, by the value id they read.
+    ready_rmws: Vec<Ready>,
 }
+
+/// Released-but-unscheduled ops of the fast-accept simulation, least
+/// `(lo, hi, id)` first.
+type Ready = BinaryHeap<Reverse<(u32, u32, u32)>>;
 
 /// Re-shape `rows` to `n` cleared rows, reusing its allocation.
 fn reset_rows(rows: &mut Vec<Row>, n: usize) {
@@ -323,10 +335,15 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
         indeg,
         queue,
         order,
+        writers,
+        rmw_reads,
+        ready_reads,
+        ready_rmws,
     } = scratch;
     let per_proc = ops.per_proc();
     let n = ops.num_ops();
-    let initial = ops.initial();
+    let ids = ops.ids();
+    let nvalues = ops.values().len();
 
     // Dense layout.
     let mut offsets = Vec::with_capacity(per_proc.len());
@@ -351,22 +368,19 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
         hi[i] = n as u32 - (len - j);
     }
 
-    // Writers per value, and the RMW pigeonhole.
-    let mut writers: FxHashMap<Value, Vec<u32>> = FxHashMap::default();
-    let mut rmw_reads: FxHashMap<Value, usize> = FxHashMap::default();
-    for (i, &(_, _, _, op)) in flat.iter().enumerate() {
-        if let Some(v) = op.written_value() {
-            writers.entry(v).or_default().push(i as u32);
-        }
-        if op.is_rmw() {
-            if let Some(v) = op.read_value() {
-                *rmw_reads.entry(v).or_insert(0) += 1;
-            }
+    // Writers per value id, and the RMW pigeonhole.
+    let written = (0..n as u32).filter_map(|i| ids[i as usize].write().map(|w| (w, i)));
+    writers.fill(nvalues, written);
+    rmw_reads.clear();
+    rmw_reads.resize(nvalues, 0);
+    for op_ids in ids {
+        if let (Some(v), Some(_)) = (op_ids.read(), op_ids.write()) {
+            rmw_reads[v as usize] += 1;
         }
     }
-    for (&v, &consumers) in &rmw_reads {
-        let supply = writers.get(&v).map_or(0, Vec::len) + usize::from(v == initial);
-        if consumers > supply {
+    for (v, &consumers) in rmw_reads.iter().enumerate() {
+        let supply = writers.row(v as u32).len() + usize::from(v == 0);
+        if consumers as usize > supply {
             // More atomic observers of `v` than distinct suppliers: the
             // latest-write-before an RMW is unique per RMW (an RMW is
             // itself a write), so this is a pigeonhole contradiction.
@@ -381,23 +395,21 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
         let mut prev_write: Option<u32> = None;
         for (j, &(_, op)) in h.iter().enumerate() {
             let id = offsets[p] + j as u32;
-            if let Some(v) = op.read_value() {
-                let has_init = v == initial && prev_write.is_none();
+            if let Some(v) = ids[id as usize].read() {
+                let has_init = v == 0 && prev_write.is_none();
                 let mut cands = Vec::new();
-                if let Some(ws) = writers.get(&v) {
-                    for &w in ws {
-                        if w == id {
-                            continue; // an RMW cannot serve its own read
-                        }
-                        let (wp, _, _, _) = flat[w as usize];
-                        if wp == p && prev_write != Some(w) {
-                            // Own-process writes other than the last one
-                            // before the read are shadowed by it (or are
-                            // program-order after the read).
-                            continue;
-                        }
-                        cands.push(w);
+                for &w in writers.row(v) {
+                    if w == id {
+                        continue; // an RMW cannot serve its own read
                     }
+                    let (wp, _, _, _) = flat[w as usize];
+                    if wp == p && prev_write != Some(w) {
+                        // Own-process writes other than the last one
+                        // before the read are shadowed by it (or are
+                        // program-order after the read).
+                        continue;
+                    }
+                    cands.push(w);
                 }
                 if cands.is_empty() && !has_init {
                     return WindowOutcome::Infeasible;
@@ -466,19 +478,15 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
     // follow every other write (an O(writes) fan-out — deep rule). No
     // writer at all is a contradiction unless the final value is the
     // (never overwritten) initial value; that check is always on.
-    if let Some(f) = ops.final_value() {
-        match writers.get(&f).map(Vec::as_slice) {
-            Some(&[wf]) if deep => {
+    if let Some(f) = ops.final_id() {
+        match writers.row(f) {
+            &[wf] if deep => {
                 for &w in &write_ids {
                     graph.add(w, wf);
                 }
             }
-            Some(_) => {}
-            None => {
-                if f != initial || !write_ids.is_empty() {
-                    return WindowOutcome::Infeasible;
-                }
-            }
+            [] if f != 0 || !write_ids.is_empty() => return WindowOutcome::Infeasible,
+            _ => {}
         }
     }
 
@@ -637,60 +645,51 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
         indeg.clear();
         indeg.extend(preds.iter().map(|p| p.len() as u32));
         // Released-but-unscheduled ops, bucketed by what can unblock them:
-        // plain reads and RMWs wait for their read value to become
+        // plain reads and RMWs wait for their read value id to become
         // current; plain writes are always eligible.
-        type Bucket = FxHashMap<Value, BinaryHeap<Reverse<(u32, u32, u32)>>>;
-        fn pop_bucket(bucket: &mut Bucket, v: Value) -> Option<u32> {
-            let q = bucket.get_mut(&v)?;
-            let i = q.pop().map(|Reverse((_, _, i))| i);
-            if q.is_empty() {
-                bucket.remove(&v);
-            }
-            i
+        for ready in [&mut *ready_reads, &mut *ready_rmws] {
+            ready.resize_with(ready.len().max(nvalues), Ready::new);
+            ready[..nvalues].iter_mut().for_each(Ready::clear);
         }
-        let mut ready_reads: Bucket = FxHashMap::default();
-        let mut ready_rmws: Bucket = FxHashMap::default();
-        let mut ready_writes: BinaryHeap<Reverse<(u32, u32, u32)>> = BinaryHeap::new();
-        let release = |i: u32,
-                       reads: &mut Bucket,
-                       rmws: &mut Bucket,
-                       writes: &mut BinaryHeap<Reverse<(u32, u32, u32)>>| {
-            let (_, _, _, op) = flat[i as usize];
+        let mut ready_writes = Ready::new();
+        let release = |i: u32, reads: &mut [Ready], rmws: &mut [Ready], writes: &mut Ready| {
             let key = Reverse((lo[i as usize], hi[i as usize], i));
-            match op.read_value() {
-                Some(v) if op.written_value().is_some() => rmws.entry(v).or_default().push(key),
-                Some(v) => reads.entry(v).or_default().push(key),
-                None => writes.push(key),
+            let op_ids = ids[i as usize];
+            match (op_ids.read(), op_ids.write()) {
+                (Some(v), Some(_)) => rmws[v as usize].push(key),
+                (Some(v), None) => reads[v as usize].push(key),
+                (None, _) => writes.push(key),
             }
         };
+        let pop = |ready: &mut [Ready], v: u32| ready[v as usize].pop().map(|Reverse((_, _, i))| i);
         for i in 0..n as u32 {
             if indeg[i as usize] == 0 {
-                release(i, &mut ready_reads, &mut ready_rmws, &mut ready_writes);
+                release(i, ready_reads, ready_rmws, &mut ready_writes);
             }
         }
         let mut sched: Vec<u32> = Vec::with_capacity(n);
-        let mut current = initial;
+        let mut current = 0;
         while sched.len() < n {
             // Absorb phase first, then the RMW consuming the current
             // value, then the lowest-window plain write.
-            let next = pop_bucket(&mut ready_reads, current)
-                .or_else(|| pop_bucket(&mut ready_rmws, current))
+            let next = pop(ready_reads, current)
+                .or_else(|| pop(ready_rmws, current))
                 .or_else(|| ready_writes.pop().map(|Reverse((_, _, i))| i));
             let Some(i) = next else {
                 break; // released ops all wait on a value nobody can produce now
             };
-            if let Some(v) = flat[i as usize].3.written_value() {
+            if let Some(v) = ids[i as usize].write() {
                 current = v;
             }
             sched.push(i);
             for &s in &succs[i as usize] {
                 indeg[s as usize] -= 1;
                 if indeg[s as usize] == 0 {
-                    release(s, &mut ready_reads, &mut ready_rmws, &mut ready_writes);
+                    release(s, ready_reads, ready_rmws, &mut ready_writes);
                 }
             }
         }
-        if sched.len() == n && ops.final_value().is_none_or(|f| f == current) {
+        if sched.len() == n && ops.final_id().is_none_or(|f| f == current) {
             return WindowOutcome::Schedule(
                 sched.into_iter().map(|i| flat[i as usize].2).collect(),
             );

@@ -10,7 +10,6 @@
 
 use crate::backtrack::precheck_ops;
 use crate::verdict::{Verdict, Violation, ViolationKind};
-use std::collections::HashMap;
 use vermem_trace::{check_coherent_schedule_ops, AddrOps, Op, OpRef, Schedule, Value};
 
 /// Decide coherence of one address's VMC instance given the order in which
@@ -40,31 +39,42 @@ pub fn solve_with_write_order(instance: &AddrOps, write_order: &[OpRef]) -> Verd
             },
         });
     }
-    let op_of = |w: OpRef| {
-        let i = writes.binary_search_by_key(&w, |&(r, _)| r);
-        writes[i.expect("validated")].1
+    // `k` names the `k`-th write of `writes`; `position[k]` is its place
+    // in `write_order`.
+    let index_of = |w: OpRef| {
+        writes
+            .binary_search_by_key(&w, |&(r, _)| r)
+            .expect("validated")
     };
-    // Validate program order within each process.
-    let mut last_index: HashMap<u16, u32> = HashMap::new();
+    let op_of = |w: OpRef| writes[index_of(w)].1;
+    let mut position: Vec<usize> = vec![0; writes.len()];
+    for (j, &w) in write_order.iter().enumerate() {
+        position[index_of(w)] = j;
+    }
+    // Validate program order within each process: `last[first[k]]` is
+    // the index of the last write of write `k`'s process seen so far in
+    // `write_order`.
+    const NONE: u32 = u32::MAX;
+    let first = process_starts(&writes);
+    let mut last: Vec<u32> = vec![NONE; writes.len()];
     for &r in write_order {
-        if let Some(&prev) = last_index.get(&r.proc.0) {
-            if r.index <= prev {
-                return Verdict::Incoherent(Violation {
-                    addr,
-                    kind: ViolationKind::InvalidWriteOrder {
-                        detail: format!(
-                            "{:?} ordered after {:?} against program order",
-                            OpRef {
-                                proc: r.proc,
-                                index: prev
-                            },
-                            r
-                        ),
-                    },
-                });
-            }
+        let prev = &mut last[first[index_of(r)] as usize];
+        if *prev != NONE && r.index <= *prev {
+            return Verdict::Incoherent(Violation {
+                addr,
+                kind: ViolationKind::InvalidWriteOrder {
+                    detail: format!(
+                        "{:?} ordered after {:?} against program order",
+                        OpRef {
+                            proc: r.proc,
+                            index: *prev
+                        },
+                        r
+                    ),
+                },
+            });
         }
-        last_index.insert(r.proc.0, r.index);
+        *prev = r.index;
     }
 
     if let Some(v) = precheck_ops(instance) {
@@ -82,11 +92,6 @@ pub fn solve_with_write_order(instance: &AddrOps, write_order: &[OpRef]) -> Verd
     }
 
     // RMW read components must observe the value at their own slot.
-    // position_of[write ref] = index in write_order.
-    let mut position_of: HashMap<OpRef, usize> = HashMap::with_capacity(m);
-    for (j, &w) in write_order.iter().enumerate() {
-        position_of.insert(w, j);
-    }
     for (j, &w) in write_order.iter().enumerate() {
         if let Some(need) = op_of(w).read_value() {
             if value_at_slot[j] != need {
@@ -114,15 +119,20 @@ pub fn solve_with_write_order(instance: &AddrOps, write_order: &[OpRef]) -> Verd
     // Place pure reads greedily at the earliest feasible slot. reads at
     // slot i are scheduled after the first i writes (before write i).
     let mut reads_at_slot: Vec<Vec<OpRef>> = vec![Vec::new(); m + 1];
+    // The index in `writes` of the next write-capable op met, walking the
+    // processes in order as `writes` lists them.
+    let mut k = 0;
     for ops in instance.per_proc() {
         let mut min_slot = 0usize;
-        for (k, &(r, op)) in ops.iter().enumerate() {
+        for &(r, op) in ops {
             if op.is_writing() {
                 // Slot just after this write; the write's own position is
                 // consistent with earlier placements by construction (min
                 // slot never exceeds the next write's position, checked in
                 // the read branch below).
-                let j = position_of[&r];
+                debug_assert_eq!(writes[k].0, r);
+                let j = position[k];
+                k += 1;
                 if min_slot > j {
                     return Verdict::Incoherent(Violation {
                         addr,
@@ -139,11 +149,10 @@ pub fn solve_with_write_order(instance: &AddrOps, write_order: &[OpRef]) -> Verd
                 let need = op.read_value().expect("pure read");
                 // Feasible window: [min_slot, max_slot], where max_slot is
                 // the position of the next write-capable op of this process.
-                let max_slot = ops[k + 1..]
-                    .iter()
-                    .find(|(_, o)| o.is_writing())
-                    .map(|(w, _)| position_of[w])
-                    .unwrap_or(m);
+                let max_slot = match writes.get(k) {
+                    Some(&(w, _)) if w.proc == r.proc => position[k],
+                    _ => m,
+                };
                 let mut placed = None;
                 for (i, &val) in value_at_slot
                     .iter()
@@ -189,6 +198,22 @@ pub fn solve_with_write_order(instance: &AddrOps, write_order: &[OpRef]) -> Verd
         "write-order solver produced invalid witness"
     );
     Verdict::Coherent(witness)
+}
+
+/// For each position of `ops`, which lists each process's operations
+/// together (as [`AddrOps::iter`] does), the position of its process's
+/// first operation: a dense per-process key, O(ops) where a table by
+/// process id would be O(declared processes).
+pub(crate) fn process_starts(ops: &[(OpRef, Op)]) -> Vec<u32> {
+    let mut start = 0;
+    (0..ops.len())
+        .map(|i| {
+            if i > 0 && ops[i - 1].0.proc != ops[i].0.proc {
+                start = i as u32;
+            }
+            start
+        })
+        .collect()
 }
 
 #[cfg(test)]

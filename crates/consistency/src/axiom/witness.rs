@@ -36,6 +36,7 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use vermem_trace::{AddrIndex, Op, OpRef, Schedule, Trace, Value};
+use vermem_util::csr::Csr;
 
 /// One reads-from candidate for a read event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -139,42 +140,49 @@ impl Events {
         let mut initial = Vec::with_capacity(idx.len());
         let mut finals = Vec::new();
         let mut writes_by_slot = Vec::with_capacity(idx.len());
+        let mut candidates: Vec<Vec<RfCand>> = vec![Vec::new(); n];
         for (slot, entry) in idx.iter().enumerate() {
             initial.push(entry.initial());
             if let Some(v) = entry.final_value() {
                 finals.push((slot as u32, v));
             }
+            // The entry lists its ops in ascending event-id order.
+            let events: Vec<u32> = entry
+                .iter()
+                .map(|(r, _)| by_proc[r.proc.0 as usize][r.index as usize])
+                .collect();
             let mut writes = Vec::new();
-            for (r, op) in entry.iter() {
-                let e = by_proc[r.proc.0 as usize][r.index as usize];
+            for (&e, ids) in events.iter().zip(entry.ids()) {
                 slot_of[e as usize] = slot as u32;
-                if op.is_writing() {
+                if ids.write().is_some() {
                     writes.push(e);
                 }
             }
-            writes_by_slot.push(writes);
-        }
-
-        let candidates: Vec<Vec<RfCand>> = ops
-            .iter()
-            .enumerate()
-            .map(|(e, &(_, op))| {
-                let Some(need) = op.read_value() else {
-                    return Vec::new();
-                };
-                let slot = slot_of[e] as usize;
-                let mut c = Vec::new();
-                if initial[slot] == need {
+            // A read's candidates: `Init` when it reads d_I (id 0), then
+            // every other write of its value id, ascending.
+            let writers = Csr::new(
+                entry.values().len(),
+                events
+                    .iter()
+                    .zip(entry.ids())
+                    .filter_map(|(&e, ids)| ids.write().map(|w| (w, e))),
+            );
+            for (&e, ids) in events.iter().zip(entry.ids()) {
+                let Some(need) = ids.read() else { continue };
+                let c = &mut candidates[e as usize];
+                if need == 0 {
                     c.push(RfCand::Init);
                 }
-                for &w in &writes_by_slot[slot] {
-                    if w != e as u32 && ops[w as usize].1.written_value() == Some(need) {
-                        c.push(RfCand::From(w));
-                    }
-                }
-                c
-            })
-            .collect();
+                c.extend(
+                    writers
+                        .row(need)
+                        .iter()
+                        .filter(|&&w| w != e)
+                        .map(|&w| RfCand::From(w)),
+                );
+            }
+            writes_by_slot.push(writes);
+        }
 
         Events {
             ops,
@@ -312,40 +320,6 @@ fn union_edges(rels: &[Rel], spec: &ModelSpec, ev: &Events, w: &Witness) -> Vec<
     out
 }
 
-/// Compressed adjacency rows over events `0..n`: `v`'s successors are
-/// `targets[start[v]..start[v + 1]]`.
-struct Csr {
-    start: Vec<u32>,
-    targets: Vec<u32>,
-}
-
-impl Csr {
-    fn new(n: usize, edges: &[(u32, u32)]) -> Csr {
-        let mut start = vec![0u32; n + 1];
-        for &(a, _) in edges {
-            start[a as usize + 1] += 1;
-        }
-        for v in 0..n {
-            start[v + 1] += start[v];
-        }
-        let mut targets = vec![0; edges.len()];
-        // Place each edge at its row's cursor; the cursors end one row
-        // ahead, so shift them back.
-        for &(a, b) in edges {
-            let cursor = &mut start[a as usize];
-            targets[*cursor as usize] = b;
-            *cursor += 1;
-        }
-        start.copy_within(0..n, 1);
-        start[0] = 0;
-        Csr { start, targets }
-    }
-
-    fn row(&self, v: u32) -> &[u32] {
-        &self.targets[self.start[v as usize] as usize..self.start[v as usize + 1] as usize]
-    }
-}
-
 /// Cycle detection by iterative three-color DFS over events `0..n`;
 /// `succ(v, i)` is `v`'s successor number `i`.
 fn has_cycle(
@@ -397,7 +371,7 @@ pub(crate) struct Reach {
 impl Reach {
     pub(crate) fn new(n: usize, edges: &[(u32, u32)]) -> Reach {
         let words = n.div_ceil(64);
-        let adj = Csr::new(n, edges);
+        let adj = Csr::new(n, edges.iter().copied());
         let mut bits = vec![0u64; n * words];
         let mut queue = Vec::new();
         for start in 0..n {
@@ -432,7 +406,7 @@ fn axiom_violated(ax: &Axiom, spec: &ModelSpec, ev: &Events, w: &Witness) -> boo
     let n = ev.len();
     match ax.kind {
         AxiomKind::Acyclic(rels) => {
-            let adj = Csr::new(n, &union_edges(rels, spec, ev, w));
+            let adj = Csr::new(n, union_edges(rels, spec, ev, w).into_iter());
             let succ = |v: u32, i: usize| adj.row(v).get(i).copied();
             has_cycle(n, succ, &mut Vec::new(), &mut Vec::new())
         }
@@ -678,8 +652,8 @@ impl UnionPlan {
         }
         let reversed: Vec<(u32, u32)> = edges.iter().map(|&(a, b)| (b, a)).collect();
         UnionPlan {
-            fixed: Csr::new(ev.len(), &edges),
-            fixed_rev: Csr::new(ev.len(), &reversed),
+            fixed: Csr::new(ev.len(), edges.iter().copied()),
+            fixed_rev: Csr::new(ev.len(), reversed.iter().copied()),
             live,
             chain,
             fr_first: chain && rels.contains(&Rel::Mo),
@@ -1087,7 +1061,7 @@ pub(crate) fn witness_schedule(spec: &ModelSpec, ev: &Events, w: &Witness) -> Sc
             edges.extend(evs.windows(2).map(|p| (p[0], p[1])));
         }
     }
-    let adj = Csr::new(n, &edges);
+    let adj = Csr::new(n, edges.iter().copied());
     let mut indegree = vec![0u32; n];
     for &(_, b) in &edges {
         indegree[b as usize] += 1;

@@ -242,17 +242,20 @@ pub fn inject_violation(
             // Find a write of a uniquely-written value that some read observes.
             let index = AddrIndex::build(trace);
             let mut candidates: Vec<OpRef> = Vec::new();
-            for (r, op) in trace.iter_ops() {
-                if let Op::Write { addr, value } = op {
-                    let ops = index.get(addr).expect("every written address is indexed");
-                    let observed = ops
-                        .iter()
-                        .any(|(r2, o2)| r2 != r && o2.read_value() == Some(value));
-                    if ops.writes_of(value) == 1 && observed && value != ops.initial() {
+            for ops in index.iter() {
+                // Reads per value id, to find the observed ones.
+                let mut reads = vec![0usize; ops.values().len()];
+                for id in ops.ids().iter().filter_map(|ids| ids.read()) {
+                    reads[id as usize] += 1;
+                }
+                for ((r, op), ids) in ops.iter().zip(ops.ids()) {
+                    let Some(w) = ids.write() else { continue };
+                    if !op.is_rmw() && w != 0 && ops.writes_of(w) == 1 && reads[w as usize] > 0 {
                         candidates.push(r);
                     }
                 }
             }
+            candidates.sort_unstable();
             let site = *candidates.choose(&mut rng)?;
             remove_op(&mut mutated, site);
             Some((

@@ -7,75 +7,141 @@
 //! verification, and each solver historically repeated the scan several
 //! times (applicability check, precheck, op collection).
 //!
-//! [`AddrIndex::build`] performs **one** pass over the trace and produces,
+//! [`AddrIndex::build`] performs two passes over the trace and produces,
 //! for every address of [`Trace::addresses`], an [`AddrOps`]: the
-//! per-process operation lists (with original [`OpRef`]s), the per-value
-//! write counts, the initial/final values and the structural facts the
-//! Figure 5.3 classifier and the solver dispatcher condition on.
-//! Whole-execution setup therefore drops from quadratic-in-addresses to
-//! O(ops), and the per-address solves of the parallel engine share one
-//! immutable index.
+//! per-process operation lists (with original [`OpRef`]s), the initial and
+//! final values, the structural facts the Figure 5.3 classifier and the
+//! solver dispatcher condition on, and one dense **value numbering** of
+//! the VMC instance (Definition 4.1):
+//!
+//! * id 0 is `d_I`;
+//! * next come the written values (RMW write parts included), in
+//!   first-occurrence order over [`AddrOps::iter`];
+//! * then the values only read (RMW read parts included), in
+//!   first-occurrence order;
+//! * then `d_F`, if no operation mentions it and it is not `d_I`.
+//!
+//! So ids `0..memory_ids()` are exactly the values memory can ever hold,
+//! and a read whose id is at or past [`AddrOps::memory_ids`] has no
+//! writer. The entry keeps the `id → Value` table, the write count of each
+//! id and each operation's `(read id, write id)`, so the precheck, the
+//! Figure 5.3 fast paths, the closure and the serialization machine index
+//! `Vec`s by id and never hash a [`Value`]. The only value-keyed map is
+//! the build-time interning map, dropped when the build returns. Every
+//! table is O(ops + values) per address.
+//!
+//! Whole-execution setup is O(ops + addrs·procs), and the per-address
+//! solves of the parallel engine share one immutable index.
 
 use crate::op::{Addr, Op, OpRef, Value};
 use crate::trace::Trace;
-use std::collections::BTreeMap;
 use vermem_util::hash::FxHashMap;
+
+/// The build-time interning map, `value → id`: one per build, reused
+/// entry by entry.
+type Interner = FxHashMap<Value, u32>;
+
+/// The value ids of one operation (see [`AddrOps::ids`]): the id of the
+/// value it reads and of the value it writes, either absent.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OpIds {
+    read: u32,
+    write: u32,
+}
+
+impl OpIds {
+    /// Marks an absent component.
+    const NONE: u32 = u32::MAX;
+
+    /// The id of the value read (reads and RMWs).
+    #[inline]
+    pub fn read(self) -> Option<u32> {
+        (self.read != OpIds::NONE).then_some(self.read)
+    }
+
+    /// The id of the value written (writes and RMWs).
+    #[inline]
+    pub fn write(self) -> Option<u32> {
+        (self.write != OpIds::NONE).then_some(self.write)
+    }
+}
 
 /// All operations of one address, organised for the VMC solvers: one
 /// program-ordered `(OpRef, Op)` list per process (refs point into the
-/// *original* trace), plus per-value write counts and cached structure.
+/// *original* trace), the instance's value numbering (module docs) and
+/// cached structure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AddrOps {
     addr: Addr,
     initial: Value,
     final_value: Option<Value>,
     per_proc: Vec<Vec<(OpRef, Op)>>,
-    write_counts: BTreeMap<Value, usize>,
-    num_ops: usize,
+    /// `id → Value`.
+    values: Vec<Value>,
+    /// How many operations write each id.
+    writes: Vec<u32>,
+    /// Each operation's value ids, in [`AddrOps::iter`] order.
+    ids: Vec<OpIds>,
+    /// Ids below this are `d_I` or written.
+    memory_ids: u32,
+    final_id: Option<u32>,
+    max_writes: u32,
     rmw_ops: usize,
 }
 
 impl AddrOps {
+    /// The entry for `per_proc`, its values numbered (module docs) with
+    /// `interner` in two passes over its operations: the first numbers the
+    /// written values, the second the values only read, then `d_F`.
     fn new(
         addr: Addr,
         initial: Value,
         final_value: Option<Value>,
         per_proc: Vec<Vec<(OpRef, Op)>>,
+        interner: &mut Interner,
     ) -> AddrOps {
+        interner.clear();
+        interner.insert(initial, 0);
+        let mut values = vec![initial];
+        let mut intern = |v: Value| {
+            *interner.entry(v).or_insert_with(|| {
+                values.push(v);
+                (values.len() - 1) as u32
+            })
+        };
+        let mut ids = Vec::with_capacity(per_proc.iter().map(Vec::len).sum());
+        ids.extend(per_proc.iter().flatten().map(|&(_, op)| OpIds {
+            read: OpIds::NONE,
+            write: op.written_value().map_or(OpIds::NONE, &mut intern),
+        }));
+        // The written ids are the ones after d_I's, numbered so far.
+        let memory_ids = 1 + ids.iter().filter_map(|i| i.write()).max().unwrap_or(0);
+        for (&(_, op), op_ids) in per_proc.iter().flatten().zip(&mut ids) {
+            if let Some(v) = op.read_value() {
+                op_ids.read = intern(v);
+            }
+        }
+        let final_id = final_value.map(&mut intern);
+        let mut writes = vec![0; values.len()];
+        let mut rmw_ops = 0;
+        for op_ids in &ids {
+            if let Some(w) = op_ids.write() {
+                writes[w as usize] += 1;
+                rmw_ops += usize::from(op_ids.read().is_some());
+            }
+        }
         AddrOps {
             addr,
             initial,
             final_value,
             per_proc,
-            write_counts: BTreeMap::new(),
-            num_ops: 0,
-            rmw_ops: 0,
-        }
-    }
-
-    /// An empty entry for `addr` of `trace`, with each per-process list
-    /// pre-sized to an exact capacity (the [`AddrIndex::build`] counting
-    /// pass), so filling it never reallocates.
-    fn with_capacities(trace: &Trace, addr: Addr, caps: &[u32]) -> AddrOps {
-        debug_assert_eq!(caps.len(), trace.num_procs());
-        let per_proc = caps.iter().map(|&c| Vec::with_capacity(c as usize));
-        AddrOps::new(
-            addr,
-            trace.initial(addr),
-            trace.final_value(addr),
-            per_proc.collect(),
-        )
-    }
-
-    fn push(&mut self, r: OpRef, op: Op) {
-        debug_assert_eq!(op.addr(), self.addr);
-        self.per_proc[r.proc.0 as usize].push((r, op));
-        self.num_ops += 1;
-        if op.is_rmw() {
-            self.rmw_ops += 1;
-        }
-        if let Some(v) = op.written_value() {
-            *self.write_counts.entry(v).or_insert(0) += 1;
+            max_writes: writes.iter().copied().max().unwrap_or(0),
+            values,
+            writes,
+            ids,
+            memory_ids,
+            final_id,
+            rmw_ops,
         }
     }
 
@@ -92,29 +158,28 @@ impl AddrOps {
         final_value: Option<Value>,
         per_proc: Vec<Vec<(OpRef, Op)>>,
     ) -> AddrOps {
-        let lists = per_proc.iter().map(|list| Vec::with_capacity(list.len()));
-        let mut ops = AddrOps::new(addr, initial, final_value, lists.collect());
-        for (p, list) in per_proc.into_iter().enumerate() {
+        for (p, list) in per_proc.iter().enumerate() {
             for (r, op) in list {
                 debug_assert_eq!(usize::from(r.proc.0), p, "ref/process mismatch");
-                ops.push(r, op);
+                debug_assert_eq!(op.addr(), addr);
             }
         }
-        ops
+        let n: usize = per_proc.iter().map(Vec::len).sum();
+        let mut interner = Interner::with_capacity_and_hasher(n + 2, Default::default());
+        AddrOps::new(addr, initial, final_value, per_proc, &mut interner)
     }
 
     /// Index the operations of `trace` at one `addr` (a single O(ops)
     /// scan). Prefer [`AddrIndex::build`] when several addresses are
-    /// needed — it indexes them all in the same single scan.
+    /// needed — it indexes them all in the same two passes.
     pub fn of(trace: &Trace, addr: Addr) -> AddrOps {
-        let per_proc = vec![Vec::new(); trace.num_procs()];
-        let mut ops = AddrOps::new(addr, trace.initial(addr), trace.final_value(addr), per_proc);
+        let mut per_proc = vec![Vec::new(); trace.num_procs()];
         for (r, op) in trace.iter_ops() {
             if op.addr() == addr {
-                ops.push(r, op);
+                per_proc[r.proc.0 as usize].push((r, op));
             }
         }
-        ops
+        AddrOps::from_parts(addr, trace.initial(addr), trace.final_value(addr), per_proc)
     }
 
     /// The indexed address.
@@ -144,29 +209,46 @@ impl AddrOps {
         self.per_proc.iter().flatten().copied()
     }
 
+    /// Each operation's value ids, in [`AddrOps::iter`] order.
+    pub fn ids(&self) -> &[OpIds] {
+        &self.ids
+    }
+
+    /// The value numbering, `id → Value` (module docs): id 0 is `d_I`.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// Ids `0..memory_ids()` are `d_I` and the written values: the values
+    /// memory can ever hold. Later ids are only read, or only `d_F`.
+    pub fn memory_ids(&self) -> u32 {
+        self.memory_ids
+    }
+
+    /// How many operations write value id `id` (RMW write components
+    /// count).
+    pub fn writes_of(&self, id: u32) -> usize {
+        self.writes[id as usize] as usize
+    }
+
+    /// The id of `d_F`, if configured.
+    pub fn final_id(&self) -> Option<u32> {
+        self.final_id
+    }
+
     /// Number of operations at this address.
     pub fn num_ops(&self) -> usize {
-        self.num_ops
+        self.ids.len()
     }
 
     /// True if no operation touches this address.
     pub fn is_empty(&self) -> bool {
-        self.num_ops == 0
-    }
-
-    /// How many times each value is written (RMW write components count).
-    pub fn write_counts(&self) -> &BTreeMap<Value, usize> {
-        &self.write_counts
-    }
-
-    /// How many operations write `value`.
-    pub fn writes_of(&self, value: Value) -> usize {
-        self.write_counts.get(&value).copied().unwrap_or(0)
+        self.ids.is_empty()
     }
 
     /// Maximum number of writes of any single value.
     pub fn max_writes_per_value(&self) -> usize {
-        self.write_counts.values().copied().max().unwrap_or(0)
+        self.max_writes as usize
     }
 
     /// Longest per-process operation list.
@@ -182,7 +264,7 @@ impl AddrOps {
     /// True if every operation is an atomic read-modify-write (vacuously
     /// true when empty, matching the historical applicability checks).
     pub fn all_rmw(&self) -> bool {
-        self.rmw_ops == self.num_ops
+        self.rmw_ops == self.num_ops()
     }
 
     /// True if at least one operation is an RMW.
@@ -193,7 +275,7 @@ impl AddrOps {
 
 /// A per-address index over a whole trace: one [`AddrOps`] per address of
 /// [`Trace::addresses`] (touched, or carrying only a final value), sorted
-/// by address, built in a single pass.
+/// by address.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AddrIndex {
     entries: Vec<AddrOps>,
@@ -203,13 +285,13 @@ impl AddrIndex {
     /// Index every address of `trace` in O(ops + addrs·procs). The address
     /// set and order match [`Trace::addresses`] exactly.
     ///
-    /// Two passes, zero reallocation: the first pass only *counts* ops per
-    /// `(address, process)` into one flat buffer, the second fills
-    /// exact-capacity per-process vectors. The historical single-pass
-    /// build grew every per-process `Vec` by doubling, so large traces
-    /// paid O(ops) redundant element moves plus one realloc chain per
-    /// `(address, process)` pair; now every element is written exactly
-    /// once into its final slot.
+    /// Two passes over the trace, zero reallocation: the first pass only
+    /// *counts* ops per `(address, process)` into one flat buffer, the
+    /// second fills exact-capacity per-process vectors, so every element
+    /// is written exactly once into its final slot. Each entry is then
+    /// numbered (module docs) with one interning map, pre-sized to the
+    /// largest entry and reused entry by entry, so the map stays as small
+    /// as one address's values and is dropped on return.
     pub fn build(trace: &Trace) -> AddrIndex {
         let procs = trace.num_procs();
         let mut slot: FxHashMap<Addr, usize> = FxHashMap::default();
@@ -234,17 +316,31 @@ impl AddrIndex {
                 counts.resize(counts.len() + procs, 0);
             }
         }
-        let mut entries: Vec<AddrOps> = discovered
-            .iter()
-            .enumerate()
-            .map(|(i, &addr)| {
-                AddrOps::with_capacities(trace, addr, &counts[i * procs..(i + 1) * procs])
+        let caps = |i: usize| &counts[i * procs..(i + 1) * procs];
+        let mut lists: Vec<Vec<Vec<(OpRef, Op)>>> = (0..discovered.len())
+            .map(|i| {
+                caps(i)
+                    .iter()
+                    .map(|&c| Vec::with_capacity(c as usize))
+                    .collect()
             })
             .collect();
         for (r, op) in trace.iter_ops() {
-            let i = slot[&op.addr()];
-            entries[i].push(r, op);
+            lists[slot[&op.addr()]][r.proc.0 as usize].push((r, op));
         }
+        let largest = (0..discovered.len())
+            .map(|i| caps(i).iter().sum::<u32>())
+            .max();
+        let capacity = largest.unwrap_or(0) as usize + 2;
+        let mut interner = Interner::with_capacity_and_hasher(capacity, Default::default());
+        let mut entries: Vec<AddrOps> = discovered
+            .into_iter()
+            .zip(lists)
+            .map(|(addr, per_proc)| {
+                let (initial, fin) = (trace.initial(addr), trace.final_value(addr));
+                AddrOps::new(addr, initial, fin, per_proc, &mut interner)
+            })
+            .collect();
         entries.sort_unstable_by_key(AddrOps::addr);
         AddrIndex { entries }
     }
@@ -329,7 +425,8 @@ mod tests {
         assert_eq!(a0.num_ops(), 3);
         assert_eq!(a0.initial(), Value(9));
         assert_eq!(a0.final_value(), None);
-        assert_eq!(a0.writes_of(Value(1)), 2);
+        assert_eq!(a0.values(), &[Value(9), Value(1)]);
+        assert_eq!(a0.writes_of(1), 2);
         assert_eq!(a0.max_writes_per_value(), 2);
         assert_eq!(a0.max_ops_per_proc(), 2);
         assert_eq!(a0.nonempty_procs(), 2);
@@ -340,16 +437,37 @@ mod tests {
         assert_eq!(a2.initial(), Value::INITIAL);
         assert!(a2.has_rmw());
         assert!(!a2.all_rmw());
-        assert_eq!(a2.writes_of(Value(5)), 1);
-        assert_eq!(a2.writes_of(Value(6)), 1);
+        assert_eq!(a2.values(), &[Value(0), Value(5), Value(6)]);
+        assert_eq!((a2.writes_of(1), a2.writes_of(2)), (1, 1));
+        assert_eq!(a2.final_id(), Some(2));
 
-        // An RMW's write component counts as a write of its value.
+        // An RMW's write component counts as a write of its value, and
+        // its read component as a read.
         let t = TraceBuilder::new()
             .proc([Op::w(1u64), Op::rw(1u64, 2u64)])
             .proc([Op::w(2u64)])
             .build();
-        let counts = AddrOps::of(&t, Addr::ZERO).write_counts().clone();
-        assert_eq!(counts, BTreeMap::from([(Value(1), 1), (Value(2), 2)]));
+        let a = AddrOps::of(&t, Addr::ZERO);
+        assert_eq!(a.values(), &[Value(0), Value(1), Value(2)]);
+        assert_eq!((a.writes_of(1), a.writes_of(2)), (1, 2));
+        let ids: Vec<_> = a.ids().iter().map(|i| (i.read(), i.write())).collect();
+        assert_eq!(ids, [(None, Some(1)), (Some(1), Some(2)), (None, Some(2))]);
+    }
+
+    #[test]
+    fn written_values_are_numbered_before_values_only_read() {
+        // R(5) comes first, but 5 is also written, so it takes a written
+        // id; 7 is only read and 8 only final.
+        let t = TraceBuilder::new()
+            .proc([Op::r(5u64), Op::r(7u64), Op::w(3u64)])
+            .proc([Op::w(5u64), Op::rw(7u64, 0u64)])
+            .final_value(0u32, 8u64)
+            .build();
+        let a = AddrOps::of(&t, Addr::ZERO);
+        assert_eq!(a.values(), &[0u64, 3, 5, 7, 8].map(Value));
+        assert_eq!(a.memory_ids(), 3);
+        assert_eq!(a.writes_of(0), 1); // d_I is rewritten by the RMW
+        assert_eq!(a.final_id(), Some(4));
     }
 
     #[test]
@@ -396,6 +514,10 @@ mod tests {
         assert!(none.is_empty());
         assert!(none.all_rmw()); // vacuous, as for the solvers
         assert_eq!(none.max_writes_per_value(), 0);
+        assert_eq!(
+            (none.values(), none.memory_ids()),
+            (&[Value::INITIAL][..], 1)
+        );
     }
 
     #[test]
@@ -427,6 +549,115 @@ mod tests {
                 let e = idx.get(addr).unwrap();
                 assert_eq!(e, &AddrOps::of(&t, addr));
             }
+        }
+    }
+
+    /// Check `e`'s numbering against the definition (module docs),
+    /// recomputed by linear search, and its per-op ids and write counts
+    /// against a recount.
+    fn check_numbering(e: &AddrOps) {
+        let mut reference = vec![e.initial()];
+        let number = |reference: &mut Vec<Value>, v: Value| {
+            if !reference.contains(&v) {
+                reference.push(v);
+            }
+        };
+        for (_, op) in e.iter() {
+            if let Some(v) = op.written_value() {
+                number(&mut reference, v);
+            }
+        }
+        let memory = reference.len();
+        for (_, op) in e.iter() {
+            if let Some(v) = op.read_value() {
+                number(&mut reference, v);
+            }
+        }
+        if let Some(f) = e.final_value() {
+            number(&mut reference, f);
+        }
+        assert_eq!(e.values(), reference, "{:?}", e.addr());
+        assert_eq!(e.values()[0], e.initial());
+        assert_eq!(e.memory_ids() as usize, memory);
+        assert_eq!(
+            e.final_id().map(|f| e.values()[f as usize]),
+            e.final_value()
+        );
+
+        let value = |id: u32| e.values()[id as usize];
+        let mut recount = vec![0; e.values().len()];
+        assert_eq!(e.ids().len(), e.num_ops());
+        for ((_, op), ids) in e.iter().zip(e.ids()) {
+            assert_eq!(ids.read().map(value), op.read_value());
+            assert_eq!(ids.write().map(value), op.written_value());
+            if let Some(w) = ids.write() {
+                recount[w as usize] += 1;
+            }
+        }
+        for (id, &count) in recount.iter().enumerate() {
+            assert_eq!(e.writes_of(id as u32), count);
+            // Written ids come before the ids only read (or only final);
+            // d_I may or may not be rewritten.
+            if id > 0 {
+                assert_eq!(id < memory, count > 0, "id {id}");
+            }
+        }
+        assert_eq!(e.max_writes_per_value(), recount.into_iter().max().unwrap());
+    }
+
+    /// Check every entry of `t`'s index, and that the single-address and
+    /// from-parts builds number it identically.
+    fn check_trace(t: &Trace) {
+        let idx = AddrIndex::build(t);
+        assert_eq!(idx.addresses().collect::<Vec<_>>(), t.addresses());
+        for e in idx.iter() {
+            check_numbering(e);
+            assert_eq!(e, &AddrOps::of(t, e.addr()));
+            let parts = AddrOps::from_parts(
+                e.addr(),
+                e.initial(),
+                e.final_value(),
+                e.per_proc().to_vec(),
+            );
+            assert_eq!(&parts, e);
+        }
+    }
+
+    #[test]
+    fn numbering_property_over_small_scope_and_generated_traces() {
+        use crate::gen::{gen_sc_trace, small_traces, GenConfig, SmallScope};
+        let scope = SmallScope {
+            max_ops: 3,
+            addrs: 2,
+            values: 3,
+        };
+        let mut traces = 0;
+        small_traces(&scope, |t| {
+            traces += 1;
+            check_trace(t);
+            // Finals: one on a touched address (possibly a value nobody
+            // mentions), and one on an address no operation touches.
+            let mut t = t.clone();
+            t.set_final(0u32, 1u64);
+            t.set_final(1u32, 2u64);
+            t.set_final(5u32, 4u64);
+            t.set_initial(1u32, 2u64);
+            check_trace(&t);
+        });
+        assert_eq!(traces, 15_255);
+        for seed in 0..20u64 {
+            let (mut t, _) = gen_sc_trace(&GenConfig {
+                procs: 4,
+                total_ops: 80,
+                addrs: 4,
+                rmw_fraction: 0.2,
+                value_reuse: 0.5,
+                seed,
+                ..Default::default()
+            });
+            check_trace(&t);
+            t.set_final(9u32, 3u64);
+            check_trace(&t);
         }
     }
 }

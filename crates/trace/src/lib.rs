@@ -39,7 +39,7 @@ pub mod stats;
 mod trace;
 
 pub use history::ProcessHistory;
-pub use index::{AddrIndex, AddrOps};
+pub use index::{AddrIndex, AddrOps, OpIds};
 pub use op::{Addr, Op, OpRef, ProcId, Value};
 pub use schedule::{
     check_coherent_schedule, check_coherent_schedule_ops, check_sc_schedule, check_serialization,

@@ -43,7 +43,9 @@ impl AddrStats {
                 .iter()
                 .filter(|list| list.iter().any(|(_, op)| op.is_writing()))
                 .count(),
-            distinct_values: ops.write_counts().len(),
+            distinct_values: (0..ops.values().len() as u32)
+                .filter(|&id| ops.writes_of(id) > 0)
+                .count(),
             max_writes_per_value: ops.max_writes_per_value(),
         }
     }

@@ -35,6 +35,7 @@
 #![forbid(unsafe_code)]
 
 pub mod codec;
+pub mod csr;
 pub mod hash;
 pub mod intern;
 pub mod json;

@@ -34,6 +34,26 @@ for dep in rand proptest criterion crossbeam serde bytes; do
 done
 echo "    ok"
 
+echo "==> one value table per VMC instance"
+# Each AddrOps entry numbers its values once, at index build time
+# (crates/trace/src/index.rs): the precheck, the Figure 5.3 fast paths,
+# the closure and the serialization machine index Vecs by value id. A map
+# or set keyed by Value (alone or in a tuple key), or any std HashMap, in
+# those files means a per-call value table came back. The one allowed
+# site is the index's build-time interning map. A pure text gate, so it
+# runs before the build. Comments count too.
+vmc_files=(crates/trace/src/index.rs
+    crates/coherence/src/{readmap,windows,one_op,rmw,backtrack,machine,write_order}.rs)
+bad=$( (grep -nE '(Map|Set)<[[:space:]]*(\([^)]*\bValue\b[^)]*\)|Value\b)' "${vmc_files[@]}" \
+        | grep -vE '^crates/trace/src/index.rs:[0-9]+:type Interner = FxHashMap<Value, u32>;$';
+    grep -nE '(^|[^A-Za-z_])HashMap' "${vmc_files[@]}") || true)
+if [[ -n "$bad" ]]; then
+    echo "value-keyed map or std HashMap in a VMC solver (use the entry's value ids):" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+echo "    ok"
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
@@ -262,13 +282,12 @@ if [[ -n "$dense_sites" ]]; then
 fi
 echo "    ok"
 
-echo "==> VMC frontline: no hash set in the closure fixpoint, no SipHash map in the read map"
+echo "==> VMC frontline: no hash set in the closure fixpoint"
 # The closure fixpoint answers must-precede edge membership from a bit
-# matrix (deep mode) or an adjacency-list scan, never a hash set; the
-# read-map fast path binds ops to blocks through one Fx map, never a
-# SipHash std HashMap. Comments count too.
-frontline_sites=$( { grep -Hn 'HashSet' crates/coherence/src/windows.rs
-    grep -Hn 'std::collections::HashMap' crates/coherence/src/readmap.rs; } || true)
+# matrix (deep mode) or an adjacency-list scan, never a hash set. (The
+# read-map fast path binds ops to blocks by value id: the "one value
+# table per VMC instance" gate covers it.) Comments count too.
+frontline_sites=$(grep -Hn 'HashSet' crates/coherence/src/windows.rs || true)
 if [[ -n "$frontline_sites" ]]; then
     echo "hashing on the VMC frontline:" >&2
     echo "$frontline_sites" >&2
