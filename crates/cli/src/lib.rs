@@ -1098,9 +1098,11 @@ fn cmd_sat(args: &Args, stdin: &str) -> Result<String, CliError> {
     };
     let cnf = vermem_sat::dimacs::parse_dimacs(&text)
         .map_err(|e| err(format!("DIMACS parse error: {e}")))?;
-    let mut solver = vermem_sat::CdclSolver::new(&cnf);
+    // An UNSATISFIABLE answer is printed only after its refutation proof
+    // passed the RUP checker.
+    let (result, stats) = vermem_sat::solve_certified(&cnf);
     let mut out = String::new();
-    match solver.solve() {
+    match result {
         vermem_sat::SatResult::Sat(model) => {
             let _ = write!(out, "s SATISFIABLE\nv");
             for i in 0..cnf.num_vars() {
@@ -1114,7 +1116,6 @@ fn cmd_sat(args: &Args, stdin: &str) -> Result<String, CliError> {
             let _ = writeln!(out, "s UNSATISFIABLE");
         }
     }
-    let stats = solver.stats();
     let _ = writeln!(out, "c {}", stats.to_report().to_inline());
     Ok(out)
 }
@@ -1868,6 +1869,22 @@ mod tests {
         assert!(out.contains("v "));
         let out = run_ok(&["sat", "-"], "p cnf 1 2\n1 0\n-1 0\n");
         assert!(out.contains("s UNSATISFIABLE"));
+    }
+
+    #[test]
+    fn sat_command_certifies_pigeonhole_refutation() {
+        // Three pigeons, two holes: variable 2(i-1)+j puts pigeon i in
+        // hole j. Refuting it takes conflict analysis, so the certified
+        // answer rests on a proof with learnt lemmas.
+        let php = "p cnf 6 9\n1 2 0\n3 4 0\n5 6 0\n\
+                   -1 -3 0\n-1 -5 0\n-3 -5 0\n-2 -4 0\n-2 -6 0\n-4 -6 0\n";
+        let out = run_ok(&["sat", "-"], php);
+        assert!(out.starts_with("s UNSATISFIABLE\n"), "{out}");
+        let (result, stats) =
+            vermem_sat::solve_certified(&vermem_sat::dimacs::parse_dimacs(php).unwrap());
+        assert!(matches!(result, vermem_sat::SatResult::Unsat));
+        assert!(stats.conflicts > 0, "{stats:?}");
+        assert!(out.contains(&stats.to_report().to_inline()), "{out}");
     }
 
     #[test]

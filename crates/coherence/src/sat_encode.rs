@@ -30,7 +30,7 @@
 
 use crate::backtrack::precheck_ops;
 use crate::verdict::{Verdict, Violation, ViolationKind};
-use vermem_sat::{CdclSolver, Cnf, Lit, Model, SatResult};
+use vermem_sat::{solve_certified, Cnf, Lit, Model, SatResult};
 use vermem_trace::{check_coherent_schedule_ops, Addr, AddrOps, Op, OpRef, Schedule, Trace};
 
 /// A compiled VMC-to-CNF encoding, retaining enough structure to decode a
@@ -303,7 +303,7 @@ pub fn encode_vmc(instance: &AddrOps) -> VmcEncoding {
 /// answers machine-checked: a coherent verdict's witness is decoded from
 /// the model and validated by the Theorem 4.2 checker, and when the CDCL
 /// solver reports the encoding unsatisfiable, its clausal proof is checked
-/// by the independent RUP checker ([`vermem_sat::check_unsat_proof`])
+/// by the independent RUP checker ([`vermem_sat::solve_certified`])
 /// before the incoherence verdict is returned.
 ///
 /// # Panics
@@ -321,9 +321,7 @@ pub fn solve_sat_ops(instance: &AddrOps) -> Verdict {
     if enc.trivially_unsat {
         return exhausted;
     }
-    let mut solver = CdclSolver::new(enc.cnf());
-    solver.enable_proof_logging();
-    match solver.solve() {
+    match solve_certified(enc.cnf()).0 {
         SatResult::Sat(model) => {
             let schedule = enc.decode(&model);
             assert!(
@@ -332,15 +330,7 @@ pub fn solve_sat_ops(instance: &AddrOps) -> Verdict {
             );
             Verdict::Coherent(schedule)
         }
-        SatResult::Unsat => {
-            let proof = solver.take_proof().expect("logging enabled");
-            assert_eq!(
-                vermem_sat::check_unsat_proof(enc.cnf(), &proof),
-                vermem_sat::ProofCheck::Valid,
-                "CDCL produced an invalid refutation proof — solver bug"
-            );
-            exhausted
-        }
+        SatResult::Unsat => exhausted,
     }
 }
 

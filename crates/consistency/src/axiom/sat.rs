@@ -19,7 +19,7 @@
 //! are certified: decoded models are validated against
 //! [`check_witness_ev`] — the reference evaluator — before a `Consistent`
 //! verdict is issued, and every `Unsat` carries a CDCL refutation proof
-//! checked by RUP ([`vermem_sat::check_unsat_proof`]) before a violation is
+//! checked by RUP ([`vermem_sat::solve_certified`]) before a violation is
 //! issued. An encoding bug can therefore produce a crash or a disagreement
 //! in the differential suites, never a bogus witness, and a solver bug
 //! never a bogus refutation.
@@ -27,7 +27,7 @@
 use super::witness::{check_witness_ev, push_rel, witness_schedule, Events, RfCand, Witness};
 use super::{AxiomKind, ModelSpec, Rel};
 use crate::verdict::{ConsistencyVerdict, ConsistencyViolation, ViolationClass};
-use vermem_sat::{CdclSolver, Cnf, Model, SatResult, Var};
+use vermem_sat::{solve_certified, Cnf, Model, SatResult, Var};
 
 /// A coherence-order decision: constant for program-ordered same-process
 /// write pairs (forced by the per-location coherence axiom every spec
@@ -390,9 +390,7 @@ pub(crate) fn solve(ev: Events, spec: &ModelSpec) -> ConsistencyVerdict {
             class: ViolationClass::NoConsistentSchedule,
         });
     }
-    let mut solver = CdclSolver::new(&enc.cnf);
-    solver.enable_proof_logging();
-    match solver.solve() {
+    match solve_certified(&enc.cnf).0 {
         SatResult::Sat(m) => {
             let w = enc.decode(&m);
             assert!(
@@ -402,18 +400,9 @@ pub(crate) fn solve(ev: Events, spec: &ModelSpec) -> ConsistencyVerdict {
             );
             ConsistencyVerdict::Consistent(witness_schedule(spec, &enc.ev, &w))
         }
-        SatResult::Unsat => {
-            let proof = solver.take_proof().expect("logging enabled");
-            assert_eq!(
-                vermem_sat::check_unsat_proof(&enc.cnf, &proof),
-                vermem_sat::ProofCheck::Valid,
-                "CDCL produced an invalid refutation proof — solver bug ({})",
-                spec.name
-            );
-            ConsistencyVerdict::Violating(ConsistencyViolation {
-                class: ViolationClass::NoConsistentSchedule,
-            })
-        }
+        SatResult::Unsat => ConsistencyVerdict::Violating(ConsistencyViolation {
+            class: ViolationClass::NoConsistentSchedule,
+        }),
     }
 }
 

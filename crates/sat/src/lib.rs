@@ -33,4 +33,4 @@ pub use cnf::{Cnf, Model, SatResult};
 pub use dpll::solve_dpll;
 pub use drat::{check_unsat_proof, Proof, ProofCheck};
 pub use lit::{LBool, Lit, Var};
-pub use solver::{solve_cdcl, CdclSolver, SolverStats};
+pub use solver::{solve_cdcl, solve_certified, CdclSolver, SolverStats};

@@ -619,6 +619,30 @@ pub fn solve_cdcl(cnf: &Cnf) -> SatResult {
     CdclSolver::new(cnf).solve()
 }
 
+/// Solve `cnf` with the CDCL solver and certify an `Unsat` answer: the
+/// solver logs its learnt clauses, and the refutation is checked by the
+/// independent RUP checker ([`crate::drat::check_unsat_proof`]) before it
+/// is returned. Returns the result and the solver's statistics. A `Sat`
+/// model is the caller's to check against what the formula encodes.
+///
+/// # Panics
+///
+/// If the refutation proof fails the checker (a solver bug).
+pub fn solve_certified(cnf: &Cnf) -> (SatResult, SolverStats) {
+    let mut solver = CdclSolver::new(cnf);
+    solver.enable_proof_logging();
+    let result = solver.solve();
+    if matches!(result, SatResult::Unsat) {
+        let proof = solver.take_proof().expect("logging enabled");
+        assert_eq!(
+            crate::drat::check_unsat_proof(cnf, &proof),
+            crate::drat::ProofCheck::Valid,
+            "CDCL produced an invalid refutation proof — solver bug"
+        );
+    }
+    (result, solver.stats())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

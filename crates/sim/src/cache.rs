@@ -44,20 +44,9 @@ impl Cache {
         addr.0 as usize % self.lines.len()
     }
 
-    /// The line that `addr` maps to.
-    pub fn line(&self, addr: Addr) -> &Line {
-        &self.lines[self.index(addr)]
-    }
-
-    /// Mutable access to the line `addr` maps to.
-    pub fn line_mut(&mut self, addr: Addr) -> &mut Line {
-        let i = self.index(addr);
-        &mut self.lines[i]
-    }
-
     /// The valid line currently holding exactly `addr`, if any.
     pub fn lookup(&self, addr: Addr) -> Option<&Line> {
-        let line = self.line(addr);
+        let line = &self.lines[self.index(addr)];
         (line.state.is_valid() && line.addr == addr).then_some(line)
     }
 
@@ -124,7 +113,7 @@ mod tests {
     fn invalid_line_never_matches() {
         let mut c = Cache::new(2);
         c.fill(Addr(0), Value(1), MesiState::Shared);
-        c.line_mut(Addr(0)).state = MesiState::Invalid;
+        c.lookup_mut(Addr(0)).expect("filled").state = MesiState::Invalid;
         assert!(c.lookup(Addr(0)).is_none());
     }
 }

@@ -10,15 +10,17 @@
 //! sequentially consistent, and the same fault classes as the snooping
 //! machine can be injected — including directory-specific ones
 //! (out-of-date sharer sets manifest exactly like dropped invalidations).
+//!
+//! The machine runs on the execution core of [`crate::machine`] with store
+//! buffers off; this module holds only the directory's coherence actions.
 
-use crate::cache::Cache;
-use crate::fault::{FaultPlan, FaultState};
-use crate::machine::{CapturedExecution, MachineStats};
+use crate::cache::Line;
+use crate::fault::FaultPlan;
+use crate::machine::{self, CapturedExecution, Hierarchy, MachineConfig, Protocol};
 use crate::mesi::MesiState;
-use crate::program::{Instr, Program, RmwKind};
+use crate::program::Program;
 use std::collections::BTreeMap;
-use vermem_trace::{Addr, Op, OpRef, ProcId, ProcessHistory, Trace, Value};
-use vermem_util::rng::StdRng;
+use vermem_trace::{Addr, Value};
 
 /// Global state of one address in the directory.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -53,283 +55,131 @@ impl Default for DirectoryConfig {
 }
 
 /// The directory-based multiprocessor.
-pub struct DirectoryMachine {
-    cfg: DirectoryConfig,
-    caches: Vec<Cache>,
-    memory: BTreeMap<Addr, Value>,
-    directory: BTreeMap<Addr, DirState>,
-    histories: Vec<ProcessHistory>,
-    write_order: BTreeMap<Addr, Vec<OpRef>>,
-    event_log: Vec<(ProcId, Op)>,
-    faults: FaultState,
-    stats: MachineStats,
-}
+pub struct DirectoryMachine(());
 
 impl DirectoryMachine {
     /// Execute `program` to completion under the directory protocol.
     pub fn run(program: &Program, cfg: DirectoryConfig) -> CapturedExecution {
-        let mut span = vermem_util::span!("sim.run");
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let faults = FaultState::new(&cfg.faults);
-        let mut m = DirectoryMachine {
-            caches: (0..program.num_cpus())
-                .map(|_| Cache::new(cfg.cache_lines))
-                .collect(),
-            memory: BTreeMap::new(),
-            directory: BTreeMap::new(),
-            histories: vec![ProcessHistory::new(); program.num_cpus()],
-            write_order: BTreeMap::new(),
-            event_log: Vec::new(),
-            faults,
-            stats: MachineStats::default(),
-            cfg,
+        // Store buffers off: the directory machine is SC.
+        let cfg = MachineConfig {
+            cache_lines: cfg.cache_lines,
+            store_buffers: false,
+            seed: cfg.seed,
+            faults: cfg.faults,
+            ..MachineConfig::default()
         };
+        machine::run(program, cfg, Directory::default())
+    }
+}
 
-        let mut pc = vec![0usize; program.num_cpus()];
-        loop {
-            let ready: Vec<usize> = (0..program.num_cpus())
-                .filter(|&c| pc[c] < program.streams()[c].len())
-                .collect();
-            if ready.is_empty() {
-                break;
+/// The directory: one entry per address a cache has requested. It grants
+/// lines Shared or Modified, never Exclusive.
+#[derive(Default)]
+struct Directory {
+    entries: BTreeMap<Addr, DirState>,
+}
+
+impl Directory {
+    fn entry(&mut self, addr: Addr) -> &mut DirState {
+        self.entries.entry(addr).or_insert(DirState::Uncached)
+    }
+
+    /// The owner writes its copy back for `cpu`'s fill — unless a
+    /// stale-fill fault at `cpu` swallows the writeback.
+    fn fetch_from_owner(hw: &mut Hierarchy, cpu: usize, owner: usize, addr: Addr) {
+        let stale = hw.faults.stale_fill(hw.stats.steps, cpu);
+        if let Some(value) = hw.caches[owner].lookup(addr).map(|l| l.value) {
+            if !stale {
+                hw.write_back(addr, value);
             }
-            let cpu = ready[rng.gen_range(0..ready.len())];
-            m.stats.steps += 1;
-            let instr = program.streams()[cpu][pc[cpu]];
-            pc[cpu] += 1;
-            m.execute(cpu, instr);
         }
+    }
 
-        // Final flush of owned dirty lines for the memory image.
-        for cache in &m.caches {
-            for line in cache.lines() {
-                if line.state.is_dirty() {
-                    m.memory.insert(line.addr, line.value);
+    fn invalidate_at(hw: &mut Hierarchy, cpu: usize, addr: Addr) {
+        if hw.faults.drop_invalidation(hw.stats.steps, cpu) {
+            return; // the fault: sharer keeps a stale copy
+        }
+        if let Some(line) = hw.caches[cpu].lookup_mut(addr) {
+            line.state = MesiState::Invalid;
+            hw.stats.invalidations += 1;
+        }
+    }
+}
+
+impl Protocol for Directory {
+    /// GetS: an owner writes back and downgrades to Shared, and the
+    /// requester joins the sharers.
+    fn read_miss(&mut self, hw: &mut Hierarchy, cpu: usize, addr: Addr) -> MesiState {
+        let sharers = match self.entry(addr).clone() {
+            DirState::Owned(owner) => {
+                Directory::fetch_from_owner(hw, cpu, owner, addr);
+                if let Some(line) = hw.caches[owner].lookup_mut(addr) {
+                    line.state = MesiState::Shared;
                 }
+                vec![owner, cpu]
             }
-        }
-
-        let mut trace = Trace::from_histories(m.histories);
-        let final_memory = m.memory.clone();
-        for (&addr, &value) in &final_memory {
-            trace.set_final(addr, value);
-        }
-        if span.is_recording() {
-            span.arg("cpus", program.num_cpus() as u64);
-            span.arg("steps", m.stats.steps);
-            m.stats.flush_obs();
-        }
-        CapturedExecution {
-            trace,
-            write_order: m.write_order,
-            event_log: m.event_log,
-            final_memory,
-            stats: m.stats,
-        }
-    }
-
-    fn record(&mut self, cpu: usize, op: Op) -> OpRef {
-        let index = self.histories[cpu].len() as u32;
-        self.histories[cpu].push(op);
-        OpRef::new(cpu as u16, index)
-    }
-
-    fn dir(&mut self, addr: Addr) -> &mut DirState {
-        self.directory.entry(addr).or_insert(DirState::Uncached)
-    }
-
-    fn execute(&mut self, cpu: usize, instr: Instr) {
-        match instr {
-            Instr::Read(addr) => {
-                let value = self.load(cpu, addr);
-                self.record(cpu, Op::Read { addr, value });
-                self.event_log
-                    .push((ProcId(cpu as u16), Op::Read { addr, value }));
-            }
-            Instr::Write(addr, value) => {
-                let op_ref = self.record(cpu, Op::Write { addr, value });
-                self.store(cpu, addr, value, op_ref);
-                self.event_log
-                    .push((ProcId(cpu as u16), Op::Write { addr, value }));
-            }
-            Instr::Rmw(addr, kind) => {
-                let old = self.get_exclusive(cpu, addr);
-                let new = match kind {
-                    RmwKind::Increment => Value(old.0.wrapping_add(1)),
-                    RmwKind::Swap(v) => v,
-                    RmwKind::CompareAndSwap { expected, new } => {
-                        if old == expected {
-                            new
-                        } else {
-                            old
-                        }
-                    }
-                };
-                let line = self.caches[cpu].lookup_mut(addr).expect("exclusive");
-                line.value = new;
-                line.state = MesiState::Modified;
-                let op_ref = self.record(
-                    cpu,
-                    Op::Rmw {
-                        addr,
-                        read: old,
-                        write: new,
-                    },
-                );
-                self.write_order.entry(addr).or_default().push(op_ref);
-                self.event_log.push((
-                    ProcId(cpu as u16),
-                    Op::Rmw {
-                        addr,
-                        read: old,
-                        write: new,
-                    },
-                ));
-            }
-            Instr::Fence => {} // SC machine: nothing buffered
-        }
-    }
-
-    fn load(&mut self, cpu: usize, addr: Addr) -> Value {
-        if let Some(line) = self.caches[cpu].lookup(addr) {
-            self.stats.hits += 1;
-            return line.value;
-        }
-        // GetS to the directory.
-        self.stats.misses += 1;
-        let state = self.dir(addr).clone();
-        if let DirState::Owned(owner) = state {
-            // Fetch: owner writes back and downgrades to Shared — unless a
-            // stale-fill fault swallows the writeback.
-            let stale = self.faults.stale_fill(self.stats.steps, cpu);
-            if let Some(line) = self.caches[owner].lookup(addr) {
-                if !stale {
-                    self.memory.insert(addr, line.value);
-                    self.stats.writebacks += 1;
+            DirState::Shared(mut sharers) => {
+                if !sharers.contains(&cpu) {
+                    sharers.push(cpu);
                 }
-                let line = self.caches[owner].lookup_mut(addr).expect("owner");
-                line.state = MesiState::Shared;
+                sharers
             }
-            *self.dir(addr) = DirState::Shared(vec![owner, cpu]);
-        } else {
-            let mut sharers = match state {
-                DirState::Shared(s) => s,
-                _ => Vec::new(),
-            };
-            if !sharers.contains(&cpu) {
-                sharers.push(cpu);
-            }
-            *self.dir(addr) = DirState::Shared(sharers);
-        }
-        let mut value = self.memory.get(&addr).copied().unwrap_or(Value::INITIAL);
-        if let Some(mask) = self.faults.corrupt_fill(self.stats.steps, cpu) {
-            value = Value(value.0 ^ mask.0);
-        }
-        self.fill(cpu, addr, value, MesiState::Shared);
-        value
+            DirState::Uncached => vec![cpu],
+        };
+        *self.entry(addr) = DirState::Shared(sharers);
+        MesiState::Shared
     }
 
-    /// Obtain exclusive ownership; returns the pre-write value.
-    fn get_exclusive(&mut self, cpu: usize, addr: Addr) -> Value {
-        if let Some(line) = self.caches[cpu].lookup(addr) {
-            if line.state.is_dirty() {
-                self.stats.hits += 1;
-                return line.value;
-            }
-        }
-        // GetM to the directory.
-        self.stats.misses += 1;
-        let state = self.dir(addr).clone();
-        match state {
+    /// GetM: a remote owner writes back and is invalidated, or every other
+    /// sharer is; the requester becomes the owner.
+    fn acquire(&mut self, hw: &mut Hierarchy, cpu: usize, addr: Addr) -> Value {
+        hw.stats.misses += 1;
+        match self.entry(addr).clone() {
             DirState::Owned(owner) if owner != cpu => {
-                let stale = self.faults.stale_fill(self.stats.steps, cpu);
-                if let Some(line) = self.caches[owner].lookup(addr) {
-                    if !stale {
-                        self.memory.insert(addr, line.value);
-                        self.stats.writebacks += 1;
-                    }
-                }
-                self.invalidate_at(owner, addr);
+                Directory::fetch_from_owner(hw, cpu, owner, addr);
+                Directory::invalidate_at(hw, owner, addr);
             }
             DirState::Shared(sharers) => {
                 for s in sharers {
                     if s != cpu {
-                        self.invalidate_at(s, addr);
+                        Directory::invalidate_at(hw, s, addr);
                     }
                 }
             }
             _ => {}
         }
-        *self.dir(addr) = DirState::Owned(cpu);
-        let value = match self.caches[cpu].lookup(addr) {
+        *self.entry(addr) = DirState::Owned(cpu);
+        match hw.caches[cpu].lookup(addr) {
             Some(line) => line.value, // was Shared locally: upgrade
             None => {
-                let mut v = self.memory.get(&addr).copied().unwrap_or(Value::INITIAL);
-                if let Some(mask) = self.faults.corrupt_fill(self.stats.steps, cpu) {
-                    v = Value(v.0 ^ mask.0);
-                }
-                self.fill(cpu, addr, v, MesiState::Modified);
-                v
-            }
-        };
-        let line = self.caches[cpu]
-            .lookup_mut(addr)
-            .expect("filled or upgraded");
-        line.state = MesiState::Modified;
-        value
-    }
-
-    fn store(&mut self, cpu: usize, addr: Addr, value: Value, op_ref: OpRef) {
-        let _ = self.get_exclusive(cpu, addr);
-        let lost = self.faults.lose_write(self.stats.steps, cpu);
-        let line = self.caches[cpu].lookup_mut(addr).expect("exclusive");
-        if !lost {
-            line.value = value;
-        }
-        line.state = MesiState::Modified;
-        self.write_order.entry(addr).or_default().push(op_ref);
-    }
-
-    fn invalidate_at(&mut self, cpu: usize, addr: Addr) {
-        if self.faults.drop_invalidation(self.stats.steps, cpu) {
-            return; // the fault: sharer keeps a stale copy
-        }
-        if let Some(line) = self.caches[cpu].lookup_mut(addr) {
-            line.state = MesiState::Invalid;
-            self.stats.invalidations += 1;
-        }
-    }
-
-    fn fill(&mut self, cpu: usize, addr: Addr, value: Value, state: MesiState) {
-        if let Some(victim) = self.caches[cpu].fill(addr, value, state) {
-            if victim.state.is_dirty() {
-                // PutM: write back and clear the directory entry.
-                self.memory.insert(victim.addr, victim.value);
-                self.stats.writebacks += 1;
-                *self.dir(victim.addr) = DirState::Uncached;
-            } else {
-                // Drop this CPU from the sharer set.
-                let d = self.dir(victim.addr);
-                if let DirState::Shared(sharers) = d {
-                    sharers.retain(|&s| s != cpu);
-                    if sharers.is_empty() {
-                        *d = DirState::Uncached;
-                    }
-                }
+                let value = hw.fetch(cpu, addr);
+                hw.fill(self, cpu, addr, value, MesiState::Modified);
+                value
             }
         }
     }
 
-    /// Access the configuration.
-    pub fn config(&self) -> &DirectoryConfig {
-        &self.cfg
+    /// PutM clears a dirty victim's entry; a clean victim leaves the
+    /// sharer set.
+    fn evicted(&mut self, cpu: usize, victim: &Line) {
+        let d = self.entry(victim.addr);
+        if victim.state.is_dirty() {
+            *d = DirState::Uncached;
+        } else if let DirState::Shared(sharers) = d {
+            sharers.retain(|&s| s != cpu);
+            if sharers.is_empty() {
+                *d = DirState::Uncached;
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::{Instr, RmwKind};
     use crate::workload::{random_program, shared_counter, WorkloadConfig};
+    use vermem_trace::Op;
 
     #[test]
     fn single_cpu_round_trip() {

@@ -1,9 +1,14 @@
 //! # vermem-sim
 //!
 //! An executable multiprocessor memory-system substrate for the `vermem`
-//! verifier suite: per-CPU MESI caches on an atomic snooping bus over a
-//! word-granular shared memory, with optional TSO store buffers
-//! (store-to-load forwarding) and deterministic protocol fault injection.
+//! verifier suite: per-CPU caches over a word-granular shared memory, kept
+//! coherent by a MESI snooping bus ([`Machine`]) or an MSI directory
+//! ([`DirectoryMachine`]), with optional TSO store buffers and
+//! deterministic protocol fault injection. A load never forwards from its
+//! store buffer: it drains the buffer through the youngest store to its
+//! address. Both machines run on one execution core (scheduler, store
+//! buffers, commits and capture, in [`machine`]); the directory supplies
+//! only its own coherence actions.
 //!
 //! The paper motivates its complexity study with *dynamic verification*:
 //! checking the execution of real (possibly faulty) memory-system hardware.

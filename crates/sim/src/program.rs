@@ -20,6 +20,23 @@ pub enum RmwKind {
     },
 }
 
+impl RmwKind {
+    /// The value the atomic installs after reading `old`.
+    pub(crate) fn apply(self, old: Value) -> Value {
+        match self {
+            RmwKind::Increment => Value(old.0.wrapping_add(1)),
+            RmwKind::Swap(v) => v,
+            RmwKind::CompareAndSwap { expected, new } => {
+                if old == expected {
+                    new
+                } else {
+                    old
+                }
+            }
+        }
+    }
+}
+
 /// One instruction of a processor's program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Instr {

@@ -1,6 +1,5 @@
-//! Deterministic exposition encoders over the metrics registry: the
-//! Prometheus text format and a JSON snapshot, both built on the in-tree
-//! [`crate::json`] writer — no serde, no external formats crate.
+//! Deterministic exposition encoder over the metrics registry: the
+//! Prometheus text format, written by hand — no external formats crate.
 //!
 //! Everything here is a pure function of a [`MetricsSnapshot`], so output
 //! order is exactly the registry's `BTreeMap` order: two snapshots with
@@ -21,11 +20,7 @@
 
 use super::registry::MetricsSnapshot;
 use super::Histogram;
-use crate::json::JsonWriter;
 use std::fmt::Write as _;
-
-/// Schema tag embedded in [`metrics_json`] documents.
-pub const METRICS_JSON_SCHEMA: &str = "vermem-metrics/v1";
 
 /// Rewrite a registry metric name into a legal Prometheus metric name:
 /// `vermem_` prefix, every byte outside `[a-zA-Z0-9_:]` replaced by `_`.
@@ -78,52 +73,6 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
         prometheus_histogram(&mut out, &sanitize_metric_name(name), hist);
     }
     out
-}
-
-/// Render the registry snapshot as one JSON document: schema tag plus
-/// `counters` / `gauges` / `histograms` objects (histograms carry summary
-/// statistics and their cumulative log2 buckets). Deterministic order.
-pub fn metrics_json(snap: &MetricsSnapshot) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("schema").string(METRICS_JSON_SCHEMA);
-    w.key("counters").begin_object();
-    for (name, value) in &snap.counters {
-        w.key(name).u64(*value);
-    }
-    w.end_object();
-    w.key("gauges").begin_object();
-    for (name, gauge) in &snap.gauges {
-        w.key(name).begin_object();
-        w.key("last").u64(gauge.last);
-        w.key("max").u64(gauge.max);
-        w.key("samples").u64(gauge.samples);
-        w.end_object();
-    }
-    w.end_object();
-    w.key("histograms").begin_object();
-    for (name, hist) in &snap.histograms {
-        w.key(name).begin_object();
-        w.key("count").u64(hist.count());
-        w.key("sum").u64(hist.sum());
-        w.key("min").u64(hist.min());
-        w.key("max").u64(hist.max());
-        w.key("p50").u64(hist.p50());
-        w.key("p90").u64(hist.p90());
-        w.key("p99").u64(hist.p99());
-        w.key("buckets").begin_array();
-        for (le, cumulative) in hist.cumulative_buckets() {
-            w.begin_object();
-            w.key("le").u64(le);
-            w.key("cumulative").u64(cumulative);
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-    }
-    w.end_object();
-    w.end_object();
-    w.finish()
 }
 
 #[cfg(test)]
@@ -200,40 +149,15 @@ mod tests {
     }
 
     #[test]
-    fn metrics_json_parses_and_round_trips_values() {
-        let doc = metrics_json(&sample_snapshot());
-        let json = crate::json::parse_json(&doc).expect("valid JSON");
-        assert_eq!(
-            json.get("schema").and_then(|s| s.as_str()),
-            Some(METRICS_JSON_SCHEMA)
-        );
-        let counters = json.get("counters").expect("counters");
-        assert_eq!(
-            counters.get("search.states").and_then(|v| v.as_u64()),
-            Some(17)
-        );
-        let hist = json
-            .get("histograms")
-            .and_then(|h| h.get("tier.exact.us"))
-            .expect("histogram");
-        assert_eq!(hist.get("count").and_then(|v| v.as_u64()), Some(5));
-        assert_eq!(hist.get("sum").and_then(|v| v.as_u64()), Some(1107));
-        assert!(hist.get("buckets").and_then(|b| b.as_arr()).is_some());
-    }
-
-    #[test]
     fn rendering_is_deterministic() {
         let a = sample_snapshot();
         let b = sample_snapshot();
         assert_eq!(prometheus_text(&a), prometheus_text(&b));
-        assert_eq!(metrics_json(&a), metrics_json(&b));
     }
 
     #[test]
     fn empty_snapshot_renders_empty_families() {
         let empty = MetricsSnapshot::default();
         assert_eq!(prometheus_text(&empty), "");
-        let json = crate::json::parse_json(&metrics_json(&empty)).unwrap();
-        assert!(json.get("counters").is_some());
     }
 }

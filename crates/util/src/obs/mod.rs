@@ -17,8 +17,8 @@
 //!   JSON writer ([`crate::json`]);
 //! * lock-free **rolling time-series** ([`timeseries`]) — windowed
 //!   histograms over rotation epochs for live ops/s and sliding
-//!   percentiles — and deterministic **exposition encoders** ([`expo`])
-//!   rendering the registry as Prometheus text or JSON for the
+//!   percentiles — and a deterministic **exposition encoder** ([`expo`])
+//!   rendering the registry as Prometheus text for the
 //!   `vermem serve --obs-addr` introspection endpoint.
 //!
 //! ## The zero-overhead-when-off contract

@@ -54,6 +54,26 @@ if [[ -n "$bad" ]]; then
 fi
 echo "    ok"
 
+echo "==> one simulator core"
+# Both machines run on the one execution core in crates/sim/src/machine.rs:
+# its scheduler, store buffers, instruction executor, commits and capture.
+# The snooping bus and the directory (directory.rs) supply only their
+# coherence actions. A second scheduler draw, a second `fn execute(` or a
+# second RMW value rule (the match in RmwKind::apply) outside the test
+# modules means a machine grew its own run loop again. A pure text gate.
+sim_src=$(awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 }
+    !skip { print FILENAME ":" FNR ":" $0 }' crates/sim/src/*.rs)
+for pattern in 'CompareAndSwap \{[^}]*\}[[:space:]]*=>' \
+    'gen_range\(0\.\.ready\.len\(\)\)' 'fn execute\('; do
+    n=$(grep -cE "$pattern" <<< "$sim_src" || true)
+    if [[ "$n" != 1 ]]; then
+        echo "'$pattern' appears $n times outside tests in crates/sim/src (want exactly 1):" >&2
+        grep -E "$pattern" <<< "$sim_src" >&2 || true
+        exit 1
+    fi
+done
+echo "    ok"
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
