@@ -8,7 +8,10 @@
 //! `closure::analyze_ops` call is the same on instances that differ only
 //! in how many distinct values they use. Each family keeps the operation
 //! count and the shape of every read's serving candidates fixed while the
-//! distinct values grow from 4 to 128.
+//! distinct values grow from 4 to 128. A third family keeps 256 operations
+//! and grows the number of reads from 32 to 128: the closure keeps every
+//! read's candidates in one pooled vector of its thread's scratch, so its
+//! count does not grow with the reads either.
 //!
 //! The binary is `harness = false` (see `stream_alloc.rs`): libtest's own
 //! threads allocate and would race the process-global counter.
@@ -52,6 +55,8 @@ const VALUES: [u64; 6] = [4, 8, 16, 32, 64, 128];
 const PROCS: u64 = 4;
 /// Write/read pairs per process.
 const PAIRS: u64 = 32;
+/// Reads per instance of the read-count family, smallest first.
+const READS: [u64; 4] = [32, 64, 96, 128];
 
 /// Allocations made by `f`.
 fn allocs_of<T>(f: impl FnOnce() -> T) -> u64 {
@@ -92,10 +97,27 @@ fn closure_instance(k: u64) -> AddrOps {
     AddrOps::of(&b.build(), Addr::ZERO)
 }
 
+/// Read-count instances: each process writes fresh values of its own and
+/// ends with `reads / 4` pairs `W(v) R(v)`, so every read has exactly one
+/// serving candidate (its own write); 256 operations in all.
+fn reads_instance(reads: u64) -> AddrOps {
+    let per_proc = reads / PROCS;
+    let mut b = TraceBuilder::new();
+    for p in 0..PROCS {
+        let writes = 2 * PAIRS - 2 * per_proc;
+        let value = move |j: u64| 1 + p + PROCS * j;
+        let pairs =
+            (writes..writes + per_proc).flat_map(move |j| [Op::w(value(j)), Op::r(value(j))]);
+        b = b.proc((0..writes).map(move |j| Op::w(value(j))).chain(pairs));
+    }
+    AddrOps::of(&b.build(), Addr::ZERO)
+}
+
 /// Warm every instance once (the closure keeps per-thread scratch that
 /// grows to the largest instance), then count one more call on each and
-/// require the same count at every value count.
-fn check<T>(name: &str, instances: &[AddrOps], call: impl Fn(&AddrOps) -> T) {
+/// require the same count on every instance; `sizes` names the parameter
+/// that varies.
+fn check<T>(name: &str, sizes: &str, instances: &[AddrOps], call: impl Fn(&AddrOps) -> T) {
     for ops in instances {
         assert_eq!(ops.num_ops() as u64, PROCS * 2 * PAIRS);
         drop(call(ops));
@@ -104,19 +126,13 @@ fn check<T>(name: &str, instances: &[AddrOps], call: impl Fn(&AddrOps) -> T) {
         .iter()
         .map(|ops| allocs_of(|| call(ops)))
         .collect();
-    for (ops, &count) in instances.iter().zip(&counts) {
-        assert_eq!(
-            count,
-            counts[0],
-            "{name}: {count} allocations with {} values, {} with {}",
-            ops.values().len(),
-            counts[0],
-            instances[0].values().len()
-        );
-    }
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "{name}: {counts:?} allocations per call at {sizes}"
+    );
     println!(
-        "frontline_alloc: {name} allocates {} times per call at {:?} distinct values — ok",
-        counts[0], VALUES
+        "frontline_alloc: {name} allocates {} times per call at {sizes} — ok",
+        counts[0]
     );
 }
 
@@ -127,7 +143,8 @@ fn main() {
         assert!(solve_readmap_ops(ops).is_coherent());
         assert_eq!(ops.values().len() as u64, k + 1);
     }
-    check("solve_readmap_ops", &readmap, solve_readmap_ops);
+    let values = format!("{VALUES:?} distinct values");
+    check("solve_readmap_ops", &values, &readmap, solve_readmap_ops);
 
     let frontline: Vec<AddrOps> = VALUES.iter().map(|&k| closure_instance(k)).collect();
     for (ops, &k) in frontline.iter().zip(&VALUES) {
@@ -138,5 +155,27 @@ fn main() {
             "{outcome:?}"
         );
     }
-    check("closure::analyze_ops", &frontline, closure::analyze_ops);
+    check(
+        "closure::analyze_ops",
+        &values,
+        &frontline,
+        closure::analyze_ops,
+    );
+
+    let reads: Vec<AddrOps> = READS.iter().map(|&r| reads_instance(r)).collect();
+    for (ops, &r) in reads.iter().zip(&READS) {
+        let count = ops
+            .per_proc()
+            .iter()
+            .flatten()
+            .filter(|(_, op)| op.read_value().is_some());
+        assert_eq!(count.count() as u64, r);
+        let (outcome, _) = closure::analyze_ops(ops);
+        assert!(
+            matches!(outcome, ClosureOutcome::Coherent(_)),
+            "{outcome:?}"
+        );
+    }
+    let sizes = format!("{READS:?} reads");
+    check("closure::analyze_ops", &sizes, &reads, closure::analyze_ops);
 }

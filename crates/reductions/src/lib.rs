@@ -12,12 +12,13 @@
 //! | 6.1 | the Figure 4.1 instance under LRC synchronization | [`lrc`] |
 //! | 6.2 | SAT → VSCC (coherent by construction, Figure 6.3) | [`sat_to_vscc`] |
 //!
-//! Every construction is validated in tests by *differential
-//! equisatisfiability*: the source formula is solved with the CDCL solver
-//! and the constructed instance with the exact coherence/consistency
-//! solvers, and the two answers must agree; satisfying assignments are
-//! extracted back out of witness schedules and re-checked against the
-//! formula.
+//! Every construction is tested for *differential equisatisfiability*:
+//! the source formula is solved with the CDCL solver and the constructed
+//! instance with the exact coherence/consistency solvers, and the two
+//! answers must agree; satisfying assignments are extracted back out of
+//! witness schedules and re-checked against the formula. Figures 4.1, 5.1
+//! and 5.2 are checked this way on every formula of 2–3 variables and 1–3
+//! distinct clauses (`tests/exhaustive_small.rs`).
 //!
 //! Figures 5.1 and 5.2 are OCR-damaged in the available text of the paper;
 //! the constructions here are reconstructions that meet the same stated

@@ -6,7 +6,9 @@
 //! this reconstruction keeps its visible architecture (a `B`-token spine
 //! through the variables, `t`/`c` token–clause alternation, per-occurrence
 //! two-RMW literal histories, a final value `d_F`) and provably meets the
-//! same restrictions, with equisatisfiability validated differentially.
+//! same restrictions. Equisatisfiability is checked exhaustively on every
+//! formula of 2–3 variables and 1–3 distinct clauses
+//! (`tests/exhaustive_small.rs`) and differentially on random 3SAT.
 //!
 //! Because every operation is an RMW, a coherent schedule is a single chain
 //! through value space: op `k+1` reads what op `k` wrote. The construction
@@ -32,44 +34,85 @@
 //!   `RW(c_j, t_j)` producers), ending in the final value `d_F` that the
 //!   instance's final-value constraint pins.
 //!
+//! * **Unit clauses** are rewritten first: `(l)` becomes `(l ∨ y)(l ∨ ¬y)`
+//!   with a fresh variable `y`, an equisatisfiable pair. Nothing orders
+//!   pass A's exit from `B_{m+1}` (to `t₁`) before pass B's (to the first
+//!   pass-B clause), and pass B skips unit clauses, so without the rewrite
+//!   a schedule can run pass B in the first traversal and then serve pass
+//!   A with both families of a variable: `(x₁)(¬x₁)(x₁ ∨ x₂)` came out
+//!   coherent. With two-literal clauses every clause takes part in both
+//!   passes.
+//!
 //! Write counts: `t_j` is written `|c_j| ≤ 3` times; `B₁` and `B_{m+1}`
 //! twice; everything else at most twice.
 
 use std::collections::BTreeMap;
-use vermem_sat::{Cnf, Lit};
-use vermem_trace::{Op, ProcessHistory, Trace, Value};
+use vermem_sat::{Cnf, Lit, Model, Var};
+use vermem_trace::{Op, OpRef, ProcessHistory, Schedule, Trace, Value};
 
 /// The constructed all-RMW instance.
 pub struct Rmw3SatReduction {
     /// The single-address, all-RMW VMC instance with a final-value
     /// constraint.
     pub trace: Trace,
-    /// Number of SAT variables.
+    /// Number of SAT variables of the source formula (the fresh variables
+    /// of the unit-clause rewrite come after them).
     pub num_vars: u32,
+    /// For each source variable, the first RMW of its positive family
+    /// (the one leaving `B_i`).
+    pub positive_first: Vec<OpRef>,
+    /// The rewind RMW `R → B₁`.
+    pub rewind: OpRef,
+}
+
+impl Rmw3SatReduction {
+    /// Extract the truth assignment encoded by a coherent schedule: a
+    /// variable is true iff its positive family leaves `B_i` before the
+    /// rewind, in the first traversal.
+    pub fn extract_assignment(&self, schedule: &Schedule) -> Model {
+        let pos = |r: OpRef| schedule.refs().iter().position(|&s| s == r);
+        let rewind = pos(self.rewind);
+        let values = self
+            .positive_first
+            .iter()
+            .map(|&r| pos(r) < rewind)
+            .collect();
+        Model::from_values(values)
+    }
 }
 
 /// Build the all-RMW restricted instance for a CNF with at most three
-/// literals per clause.
+/// literals per clause; unit clauses are rewritten first (module docs).
 ///
 /// # Panics
 /// Panics if some clause has more than three literals.
 pub fn reduce_3sat_rmw(cnf: &Cnf) -> Rmw3SatReduction {
+    // Unit clauses become two-literal pairs over fresh variables (module
+    // docs); every other clause is kept as it is.
+    let mut clauses: Vec<Vec<Lit>> = Vec::with_capacity(cnf.num_clauses());
+    let mut m = cnf.num_vars() as usize;
     for clause in cnf.clauses() {
         assert!(
             clause.len() <= 3,
             "3SAT reduction requires clauses of at most 3 literals"
         );
+        if let &[l] = clause.as_slice() {
+            let y = Var(m as u32);
+            m += 1;
+            clauses.extend([vec![l, y.pos()], vec![l, y.neg()]]);
+        } else {
+            clauses.push(clause.clone());
+        }
     }
-    let m = cnf.num_vars() as usize;
-    let n = cnf.num_clauses();
+    let n = clauses.len();
 
     // Deduplicated occurrence lists per literal (lit -> clause indices).
     let mut occurrences: BTreeMap<Lit, Vec<usize>> = BTreeMap::new();
     for i in 0..m as u32 {
-        occurrences.insert(vermem_sat::Var(i).pos(), Vec::new());
-        occurrences.insert(vermem_sat::Var(i).neg(), Vec::new());
+        occurrences.insert(Var(i).pos(), Vec::new());
+        occurrences.insert(Var(i).neg(), Vec::new());
     }
-    for (j, clause) in cnf.clauses().iter().enumerate() {
+    for (j, clause) in clauses.iter().enumerate() {
         for &lit in clause {
             occurrences.get_mut(&lit).expect("declared var").push(j);
         }
@@ -94,9 +137,13 @@ pub fn reduce_3sat_rmw(cnf: &Cnf) -> Rmw3SatReduction {
     histories.push(ProcessHistory::from_ops([Op::rw(Value::INITIAL, b[0])]));
 
     // Variable gadgets.
+    let mut positive_first = Vec::with_capacity(cnf.num_vars() as usize);
     for i in 0..m {
         for positive in [true, false] {
-            let lit = vermem_sat::Var(i as u32).lit(positive);
+            if positive && i < cnf.num_vars() as usize {
+                positive_first.push(OpRef::new(histories.len() as u16, 0));
+            }
+            let lit = Var(i as u32).lit(positive);
             let occ = &occurrences[&lit];
             if occ.is_empty() {
                 histories.push(ProcessHistory::from_ops([Op::rw(b[i], b[i + 1])]));
@@ -131,17 +178,18 @@ pub fn reduce_3sat_rmw(cnf: &Cnf) -> Rmw3SatReduction {
     }
 
     // Rewind: R → B_1 (second pass for the false families).
+    let rewind = OpRef::new(histories.len() as u16, 0);
     histories.push(ProcessHistory::from_ops([Op::rw(rewind_token, b[0])]));
 
     // Pass B: serve the remaining r_j = |c_j| - 1 literal consumers per
     // clause, then end in d_F.
-    let pass_b: Vec<usize> = (0..n).filter(|&j| cnf.clauses()[j].len() > 1).collect();
+    let pass_b: Vec<usize> = (0..n).filter(|&j| clauses[j].len() > 1).collect();
     if pass_b.is_empty() {
         histories.push(ProcessHistory::from_ops([Op::rw(b[m], final_value)]));
     } else {
         histories.push(ProcessHistory::from_ops([Op::rw(b[m], t[pass_b[0]])]));
         for (a, &j) in pass_b.iter().enumerate() {
-            let r_j = cnf.clauses()[j].len() - 1;
+            let r_j = clauses[j].len() - 1;
             // Internal producers: r_j - 1 extra t_j instances.
             for _ in 0..r_j.saturating_sub(1) {
                 histories.push(ProcessHistory::from_ops([Op::rw(c[j], t[j])]));
@@ -160,7 +208,9 @@ pub fn reduce_3sat_rmw(cnf: &Cnf) -> Rmw3SatReduction {
     trace.set_final(0u32, final_value);
     Rmw3SatReduction {
         trace,
-        num_vars: m as u32,
+        num_vars: cnf.num_vars(),
+        positive_first,
+        rewind,
     }
 }
 
