@@ -27,7 +27,7 @@
 //! kernel memoization ([`TransitionSystem::memoize`] = false). Budgets,
 //! cancellation and [`SearchStats::states`] keep their meaning.
 
-use super::witness::{violated_axiom, AxiomPlan, Events, Links, RfCand, Witness};
+use super::witness::{axiom_by_axiom, AxiomPlan, Events, Links, RfCand, Witness};
 use super::ModelSpec;
 use vermem_coherence::kernel::TransitionSystem;
 use vermem_trace::OpRef;
@@ -84,8 +84,8 @@ impl<'a> GraphMachine<'a> {
         });
         debug_assert_eq!(
             found,
-            violated_axiom(self.spec, &self.ev, &self.w),
-            "axiom plan disagrees with the reference evaluator"
+            axiom_by_axiom(self.spec, &self.ev, &self.w),
+            "axiom plan disagrees with the axiom-by-axiom evaluator"
         );
         found
     }

@@ -42,7 +42,10 @@
 //! the caller's. A found order becomes a verdict only through the model's
 //! own certificate: the schedule checker for TSO/PSO
 //! ([`certify_schedule`]), the reference axiom evaluator on the induced
-//! witness for RA/ARM-dob ([`certify_order_witness`]). Anything else — a
+//! witness for RA/ARM-dob ([`certify_order_witness`]). An SC order's
+//! witness has an acyclic `po ∪ rf ∪ mo ∪ fr` (the order extends it), so
+//! the evaluator accepts it with its one linear sort, without evaluating
+//! any axiom on its own. Anything else — a
 //! refutation, a spent stage budget, a rejected order — falls through to
 //! the model's own machine ([`solve_buffer`], [`solve_graph`]) with the
 //! budget left, and the report sums both searches' stats.

@@ -4,12 +4,18 @@
 //! A *witness* fixes everything a declarative model quantifies over: `rf`
 //! (each read's writer) and `mo` (a total per-address coherence order).
 //! The reference evaluator ([`violated_axiom`], [`check_witness`])
-//! materializes every [`Rel`] a spec may mention from a (possibly
-//! partial) witness and evaluates [`Axiom`]s over the result, rebuilding
-//! everything per call. It is the independent certificate checker: the
+//! answers for a (possibly partial) witness with one sort first, axiom by
+//! axiom only on a cycle. Every [`Rel`] generator is contained in one of
+//! `po`, `rf`, `mo` and `fr` ([`base`]), so when one topological sort of
+//! the union of those a spec mentions finds no cycle, every axiom holds.
+//! Only when it finds one are the relations each axiom names materialized
+//! and the [`Axiom`]s evaluated one by one, to name the first violated.
+//! The answer is the same either way. It is the independent certificate
+//! checker: the SC stage's orders under RA and ARM-dob, the
 //! graph-lowered machine's accepted witnesses, the SAT compiler's decoded
 //! models and the RA fast tier's saturated witnesses are all validated
-//! against it before they become a `Consistent` verdict.
+//! against it before they become a `Consistent` verdict. An SC-shaped
+//! witness, the common case, costs one linear sort.
 //!
 //! [`AxiomPlan`] is what the graph-lowered machine asks at every search
 //! state instead: the same axioms compiled once per solve. The static
@@ -421,12 +427,110 @@ fn axiom_violated(ax: &Axiom, spec: &ModelSpec, ev: &Events, w: &Witness) -> boo
     }
 }
 
-/// First axiom of `spec` violated by the witness, if any.
+/// First axiom of `spec` violated by the witness, if any: the reference
+/// evaluator. One sort first ([`union_acyclic`]): when it finds the
+/// union of the base relations the spec mentions acyclic, every axiom
+/// holds. Only on a cycle is each axiom evaluated on its own
+/// ([`axiom_by_axiom`]), to name the first one violated.
 pub(crate) fn violated_axiom(spec: &ModelSpec, ev: &Events, w: &Witness) -> Option<&'static str> {
+    if union_acyclic(spec, ev, w) {
+        return None;
+    }
+    axiom_by_axiom(spec, ev, w)
+}
+
+/// First axiom of `spec` violated by the witness, each axiom evaluated on
+/// its own from its materialized relations. Reached through
+/// [`violated_axiom`], which sorts first; the graph machine's debug-build
+/// cross-check calls it directly, so that its reference is independent of
+/// the sort.
+pub(crate) fn axiom_by_axiom(spec: &ModelSpec, ev: &Events, w: &Witness) -> Option<&'static str> {
     spec.axioms
         .iter()
         .find(|ax| axiom_violated(ax, spec, ev, w))
         .map(|ax| ax.name)
+}
+
+/// The base relation — `po`, `rf`, `mo` or `fr` — that contains every
+/// pair `rel` generates on every witness: `po ⊇ po|loc, ppo, dob`,
+/// `rf ⊇ rfe`, `mo ⊇ moe`, `fr ⊇ fre`. No wildcard arm: a new generator
+/// must be classified here before [`violated_axiom`] can discharge it.
+fn base(rel: Rel) -> Rel {
+    match rel {
+        Rel::Po | Rel::PoLoc | Rel::Ppo | Rel::Dob => Rel::Po,
+        Rel::Rf | Rel::Rfe => Rel::Rf,
+        Rel::Mo | Rel::Moe => Rel::Mo,
+        Rel::Fr | Rel::Fre => Rel::Fr,
+    }
+}
+
+/// Is the union of the base relations ([`base`]) of every generator
+/// `spec` mentions acyclic on the (partial) witness? If so, every axiom
+/// holds: an `Acyclic` union is a subgraph of it, and an
+/// `IrreflexiveSeq` violation — a head edge `a → b` with `b ⇝⁺ a` in the
+/// closure — is a cycle in it. One Kahn pass over the edges that carry
+/// the union's reachability, O(events): consecutive pairs of each
+/// process for `po`, every `rf` edge, and the `mo`/`fr` chains of
+/// [`push_mo_fr_chain`].
+fn union_acyclic(spec: &ModelSpec, ev: &Events, w: &Witness) -> bool {
+    let rels = spec.axioms.iter().flat_map(|ax| match ax.kind {
+        AxiomKind::Acyclic(rels) => rels.iter().chain(&[]),
+        AxiomKind::IrreflexiveSeq { head, closure } => head.iter().chain(closure),
+    });
+    let [po, rf, mo, fr] =
+        [Rel::Po, Rel::Rf, Rel::Mo, Rel::Fr].map(|b| rels.clone().any(|&r| base(r) == b));
+    let n = ev.len();
+    let mut edges = Vec::with_capacity(3 * n);
+    if po {
+        for evs in &ev.by_proc {
+            edges.extend(evs.windows(2).map(|p| (p[0], p[1])));
+        }
+    }
+    if rf {
+        push_rel(Rel::Rf, spec, ev, w, &mut edges);
+    }
+    if mo || fr {
+        push_mo_fr_chain(ev, w, fr, &mut edges);
+    }
+    let adj = Csr::new(n, edges.iter().copied());
+    let mut indegree = vec![0u32; n];
+    for &(_, b) in &edges {
+        indegree[b as usize] += 1;
+    }
+    let mut ready: Vec<u32> = (0..n as u32)
+        .filter(|&e| indegree[e as usize] == 0)
+        .collect();
+    let mut sorted = 0;
+    while let Some(e) = ready.pop() {
+        sorted += 1;
+        for &b in adj.row(e) {
+            indegree[b as usize] -= 1;
+            if indegree[b as usize] == 0 {
+                ready.push(b);
+            }
+        }
+    }
+    sorted == n
+}
+
+/// Append the edges that carry the reachability of `mo`, and with `fr`
+/// also of `mo ∪ fr`, on a (partial) witness: consecutive pairs of each
+/// slot's `mo`, and each decided read's edge to its first [`fr_after`]
+/// target other than itself. The `mo` chain reaches every later target.
+fn push_mo_fr_chain(ev: &Events, w: &Witness, fr: bool, out: &mut Vec<(u32, u32)>) {
+    for order in &w.mo {
+        out.extend(order.windows(2).map(|p| (p[0], p[1])));
+    }
+    if !fr {
+        return;
+    }
+    for (e, rf) in w.rf.iter().enumerate() {
+        let e = e as u32;
+        let Some(cand) = *rf else { continue };
+        if let Some(&x) = fr_after(ev, w, e, cand).iter().find(|&&x| x != e) {
+            out.push((e, x));
+        }
+    }
 }
 
 /// Marks an absent entry in [`Links`]: no position, no reader.
@@ -968,11 +1072,21 @@ impl AxiomPlan {
 
 /// Validate a *complete* witness against `spec` and the trace's final
 /// values. This is the reference evaluator: every compiled decision path
-/// (operational acceptance, SAT decode, RA fast tier) answers to it.
+/// (operational acceptance, SAT decode, RA fast tier) answers to it. The
+/// witness's shape is checked first (each read's `rf` one of its
+/// candidates, each address's `mo` a permutation of its writes, the final
+/// values `mo`-last); then one topological sort of the union of the base
+/// relations the spec mentions (of `po ∪ rf ∪ mo ∪ fr`, for every
+/// declared model) discharges every axiom when it finds no cycle, and
+/// only on a cycle are the axioms evaluated one by one. `Err` names the
+/// first check failed.
 pub fn check_witness(trace: &Trace, spec: &ModelSpec, w: &Witness) -> Result<(), &'static str> {
     check_witness_ev(spec, &super::events(trace), w)
 }
 
+/// [`check_witness`] on the trace's event universe `ev`, as the compiled
+/// paths hold it: the shape checks, then [`violated_axiom`] (one sort
+/// first, axiom by axiom only on a cycle).
 pub(crate) fn check_witness_ev(
     spec: &ModelSpec,
     ev: &Events,
@@ -994,10 +1108,20 @@ pub(crate) fn check_witness_ev(
             (false, None) => {}
         }
     }
+    // Each slot's `mo` must list its writes, each once: as many events as
+    // it has writes, each a write of the slot seen for the first time.
+    let mut seen = vec![false; n];
     for (slot, writes) in ev.writes_by_slot.iter().enumerate() {
-        let mut placed: Vec<u32> = w.mo[slot].clone();
-        placed.sort_unstable();
-        if placed != *writes {
+        let placed = &w.mo[slot];
+        let permutes = placed.len() == writes.len()
+            && placed.iter().all(|&x| {
+                let x = x as usize;
+                x < n
+                    && ev.slot_of[x] == slot as u32
+                    && ev.ops[x].1.is_writing()
+                    && !std::mem::replace(&mut seen[x], true)
+            });
+        if !permutes {
             return Err("mo is not a permutation of the address's writes");
         }
     }
@@ -1046,16 +1170,7 @@ pub(crate) fn witness_schedule(spec: &ModelSpec, ev: &Events, w: &Witness) -> Sc
     push_rel(Rel::Rf, spec, ev, w, &mut edges);
     if spec_serializes(spec) {
         push_rel(Rel::Ppo, spec, ev, w, &mut edges);
-        for order in &w.mo {
-            edges.extend(order.windows(2).map(|p| (p[0], p[1])));
-        }
-        for (e, rf) in w.rf.iter().enumerate() {
-            let e = e as u32;
-            let Some(cand) = *rf else { continue };
-            if let Some(&x) = fr_after(ev, w, e, cand).iter().find(|&&x| x != e) {
-                edges.push((e, x));
-            }
-        }
+        push_mo_fr_chain(ev, w, true, &mut edges);
     } else {
         for evs in &ev.by_proc {
             edges.extend(evs.windows(2).map(|p| (p[0], p[1])));
@@ -1408,6 +1523,151 @@ mod tests {
             reader_first > 100 && rmw_first > 50 && init_retargeted > 400,
             "{reader_first} readers first, {rmw_first} RMWs first, \
              {init_retargeted} initial reads re-targeted"
+        );
+    }
+
+    /// Every complete witness of `ev`: each read's every `rf` candidate
+    /// times each slot's every `mo` arrangement.
+    fn all_witnesses(ev: &Events) -> Vec<Witness> {
+        let mut out = vec![Witness::empty(ev.len(), ev.writes_by_slot.len())];
+        for (e, cands) in ev.candidates.iter().enumerate() {
+            if cands.is_empty() {
+                continue;
+            }
+            out = out
+                .iter()
+                .flat_map(|w| {
+                    cands.iter().map(move |&c| {
+                        let mut w = w.clone();
+                        w.rf[e] = Some(c);
+                        w
+                    })
+                })
+                .collect();
+        }
+        for (slot, writes) in ev.writes_by_slot.iter().enumerate() {
+            for &x in writes {
+                out = out
+                    .iter()
+                    .flat_map(|w| {
+                        (0..=w.mo[slot].len()).map(move |i| {
+                            let mut w = w.clone();
+                            w.mo[slot].insert(i, x);
+                            w
+                        })
+                    })
+                    .collect();
+            }
+        }
+        out
+    }
+
+    /// How often the one sort decided, and how often it fell through to
+    /// a violated axiom or to none.
+    #[derive(Default, Debug)]
+    struct Branches {
+        sorted: u64,
+        violated: u64,
+        cycle_allowed: u64,
+    }
+
+    /// [`violated_axiom`] answers as [`axiom_by_axiom`] does on `w` under
+    /// `spec`; `b` counts which branch the answer came from.
+    fn sort_agrees(spec: &ModelSpec, ev: &Events, w: &Witness, b: &mut Branches) -> bool {
+        let expected = axiom_by_axiom(spec, ev, w);
+        match (union_acyclic(spec, ev, w), expected) {
+            (true, _) => b.sorted += 1,
+            (false, Some(_)) => b.violated += 1,
+            (false, None) => b.cycle_allowed += 1,
+        }
+        violated_axiom(spec, ev, w) == expected
+    }
+
+    /// On every 3-op small-scope trace and every complete witness of it,
+    /// the one sort never changes the evaluator's answer, and each branch
+    /// is taken. The specs are the six declared ones and the synthetic
+    /// ones that mention every relation (all 218 specs would take over a
+    /// minute in a debug build; the random test below runs them all).
+    #[test]
+    fn one_sort_equals_axiom_by_axiom_on_the_three_op_space() {
+        use vermem_trace::gen::{small_traces, SmallScope};
+        let specs: Vec<ModelSpec> = plan_specs()
+            .into_iter()
+            .filter(|s| {
+                s.name != "synthetic"
+                    || match s.axioms[0].kind {
+                        AxiomKind::Acyclic(rels) => rels.len(),
+                        AxiomKind::IrreflexiveSeq { head, closure } => head.len() + closure.len(),
+                    } >= ALL_RELS.len()
+            })
+            .collect();
+        assert_eq!(specs.len(), 18);
+        let (mut traces, mut witnesses, mut b) = (0u64, 0u64, Branches::default());
+        let scope = SmallScope {
+            max_ops: 3,
+            addrs: 2,
+            values: 3,
+        };
+        small_traces(&scope, |t| {
+            traces += 1;
+            let ev = events(t);
+            for w in all_witnesses(&ev) {
+                witnesses += 1;
+                for spec in &specs {
+                    assert!(
+                        sort_agrees(spec, &ev, &w, &mut b),
+                        "{}: {w:?} on {t:?}",
+                        spec.name
+                    );
+                }
+            }
+        });
+        assert_eq!((traces, witnesses), (15_255, 48_754));
+        assert_eq!(
+            (b.sorted, b.violated, b.cycle_allowed),
+            (258_894, 495_306, 123_372)
+        );
+    }
+
+    /// The same on random traces of up to six operations, on complete
+    /// witnesses and on partial ones (reads undecided, writes left out of
+    /// `mo`), as the graph machine's debug-build cross-check meets them.
+    #[test]
+    fn one_sort_equals_axiom_by_axiom_on_random_partial_witnesses() {
+        use vermem_util::prop::PropConfig;
+        use vermem_util::{prop_assert, prop_check};
+        let specs = plan_specs();
+        let mut b = Branches::default();
+        let cfg = PropConfig::with_cases(1000).max_size(6);
+        prop_check!(
+            cfg,
+            |rng, size| {
+                let trace = arb_trace(rng, size);
+                let ev = events(&trace);
+                let mut w = arb_witness(rng, &ev);
+                if rng.gen_range(0..2u8) == 0 {
+                    for rf in &mut w.rf {
+                        if rng.gen_range(0..3u8) == 0 {
+                            *rf = None;
+                        }
+                    }
+                    for order in &mut w.mo {
+                        order.retain(|_| rng.gen_range(0..3u8) != 0);
+                    }
+                }
+                (trace, w)
+            },
+            |(trace, w): &(Trace, Witness)| {
+                let ev = events(trace);
+                for spec in &specs {
+                    prop_assert!(sort_agrees(spec, &ev, w, &mut b), "{}: {w:?}", spec.name);
+                }
+                Ok(())
+            }
+        );
+        assert!(
+            b.sorted > 20_000 && b.violated > 2_000 && b.cycle_allowed > 2_000,
+            "{b:?}"
         );
     }
 

@@ -19,10 +19,12 @@
 //!   4.2's check at each address plus one cross-address pass), under the
 //!   spec's program-order table. Other witnesses are checked by
 //!   [`check_witness`];
-//! * [`oracle`] — the serialization definition of the four serialization
-//!   models, run by exhaustive search over a hand-written preserved
-//!   program order: the reference the differential suites hold both
-//!   compilers to (no production path calls it);
+//! * [`oracle`] — the definition of every declared model, run by
+//!   exhaustive search: the four serialization models over a
+//!   hand-written preserved program order, RA and ARM-dob over every
+//!   `rf` × `mo` witness against hand-written axioms. It is the reference
+//!   the differential suites hold both compilers to (no production path
+//!   calls it);
 //! * [`vsc_conflict`] — the O(n lg n) merge of per-address coherent
 //!   schedules into an SC schedule (and its §6.3 incompleteness);
 //! * [`vscc`] — the VSCC promise-problem pipeline (Definition 6.2):

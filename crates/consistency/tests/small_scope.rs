@@ -7,10 +7,12 @@
 //!   compiled Coherence equals per-address coherence, and
 //!   SC ⊆ TSO ⊆ PSO ⊆ Coherence. Four operations is the smallest bound
 //!   at which the models differ, and flipping any one cross-address
-//!   enforcement cell of SC, TSO or PSO fails this test.
+//!   enforcement cell of SC, TSO or PSO fails this test. The compiled RA
+//!   and ARM-dob equal the witness oracle (`oracle::witnessed`).
 //! * **3-op space** (≤3 ops, ≤3 processes, 2 addresses, values {0,1,2}):
 //!   the compiled engine equals the SAT engine for all six models, and
-//!   neither answers `Unknown`. With each address, touched or not, given
+//!   neither answers `Unknown`; for RA and ARM-dob both equal the witness
+//!   oracle. With each address, touched or not, given
 //!   no final value or one of 0, 1, 2: the compiled SC, TSO, PSO and
 //!   Coherence equal the serialization oracle, and for Coherence so do
 //!   the SAT engine and `verify_execution`; on every trace with an
@@ -39,7 +41,7 @@ use vermem_coherence::{
     verify_execution_par, verify_stream_bytes, OnlineVerifier, SearchConfig, SearchStats, Strategy,
     StreamConfig, Verdict, VmcVerifier,
 };
-use vermem_consistency::oracle::serializes;
+use vermem_consistency::oracle::{serializes, witnessed};
 use vermem_consistency::{
     check_model_schedule, verify_axiom, AxiomConfig, ConsistencyVerdict, Engine, ModelId,
 };
@@ -86,21 +88,42 @@ fn four_op_space_compiled_equals_oracle() {
 }
 
 #[test]
+fn four_op_space_compiled_equals_witness_oracle() {
+    let (mut traces, mut consistent) = (0, [0; 2]);
+    space(4, 2, 2, |t| {
+        traces += 1;
+        for (n, id) in consistent.iter_mut().zip([ModelId::Ra, ModelId::ArmDob]) {
+            let ok = witnessed(t, id);
+            assert_eq!(compiled(t, id).is_consistent(), ok, "{}: {t:?}", id.name());
+            *n += usize::from(ok);
+        }
+    });
+    assert_eq!(traces, 104_168);
+    assert_eq!(consistent, [24_936, 24_956]);
+}
+
+#[test]
 fn three_op_space_compiled_equals_sat() {
     let sat = AxiomConfig {
         engine: Engine::Sat,
         ..AxiomConfig::default()
     };
-    let mut traces = 0;
+    let (mut traces, mut consistent) = (0, [0; 2]);
     space(3, 2, 3, |t| {
         traces += 1;
         for id in ModelId::ALL {
             let (c, s) = (compiled(t, id), verify_axiom(t, id, &sat).verdict);
             assert!(c.unknown_stats().is_none() && s.unknown_stats().is_none());
             assert_eq!(c.is_consistent(), s.is_consistent(), "{}: {t:?}", id.name());
+            if let Some(k) = [ModelId::Ra, ModelId::ArmDob].iter().position(|&m| m == id) {
+                let ok = witnessed(t, id);
+                assert_eq!(c.is_consistent(), ok, "{}: {t:?}", id.name());
+                consistent[k] += usize::from(ok);
+            }
         }
     });
     assert_eq!(traces, 15_255);
+    assert_eq!(consistent, [2_230, 2_230]);
 }
 
 #[test]

@@ -1,15 +1,24 @@
-//! Every small formula through the VMC reductions.
+//! Every small formula through every reduction.
 //!
 //! For 2 and 3 variables, every CNF formula of one to three distinct
 //! clauses, each clause of one to three literals over distinct variables
-//! (92 and 2,951 formulas), goes through Figures 4.1, 5.1 and 5.2. The
-//! exact search decides each instance; its verdict must equal CDCL's on
-//! the formula, and the assignment extracted from every coherent witness
-//! must satisfy the formula.
+//! (92 and 2,951 formulas), goes through Figures 4.1, 5.1, 5.2, 6.1 and
+//! 6.2. A decider of the target problem decides each instance: the exact
+//! VMC search for 4.1, 5.1 and 5.2, the LRC check for 6.1 and the
+//! compiled SC model for 6.2. Its verdict must equal CDCL's on the
+//! formula, the assignment extracted from every positive witness must
+//! satisfy the formula, and the instance's operation count must equal the
+//! figure's size formula.
 
 use vermem_coherence::backtrack::solve_backtracking_ops_with_stats;
-use vermem_coherence::{SearchConfig, Verdict};
-use vermem_reductions::{reduce_3sat_restricted, reduce_3sat_rmw, reduce_sat_to_vmc};
+use vermem_coherence::{ExecutionVerdict, SearchConfig, Verdict};
+use vermem_consistency::lrc::verify_lrc_fully_synchronized;
+use vermem_consistency::{verify_axiom, AxiomConfig, ConsistencyVerdict, ModelId};
+use vermem_reductions::lrc::LOCK;
+use vermem_reductions::{
+    reduce_3sat_restricted, reduce_3sat_rmw, reduce_sat_to_lrc, reduce_sat_to_vmc,
+    reduce_sat_to_vscc,
+};
 use vermem_sat::{solve_cdcl, Cnf, Lit, Model, Var};
 use vermem_trace::{Addr, AddrOps, Schedule, Trace};
 
@@ -67,16 +76,36 @@ fn decide(trace: &Trace) -> Option<Schedule> {
     }
 }
 
+/// `m`, `n` and the total literal count `L` of `cnf`.
+fn shape(cnf: &Cnf) -> (usize, usize, usize) {
+    let literals = cnf.clauses().iter().map(Vec::len).sum();
+    (cnf.num_vars() as usize, cnf.num_clauses(), literals)
+}
+
 /// Run every formula over `vars` variables through `reduce_and_decide`,
-/// which returns the assignment extracted from the instance's witness or
-/// `None` when the instance is incoherent: that must match CDCL, and an
-/// assignment must satisfy the formula.
-fn check(figure: &str, vars: u32, reduce_and_decide: impl Fn(&Cnf) -> Option<Model>) {
+/// which returns the instance's operation count and the assignment
+/// extracted from its witness, or `None` when the instance has none: the
+/// count must equal `size` of the formula, the verdict must match CDCL,
+/// and an assignment must satisfy the formula.
+fn check(
+    figure: &str,
+    vars: u32,
+    size: impl Fn(&Cnf) -> usize,
+    reduce_and_decide: impl Fn(&Cnf) -> (usize, Option<Model>),
+) {
     let formulas = all_formulas(vars);
     let mut wrong = Vec::new();
     for cnf in &formulas {
         let sat = solve_cdcl(cnf).is_sat();
-        match reduce_and_decide(cnf) {
+        let (ops, model) = reduce_and_decide(cnf);
+        if ops != size(cnf) {
+            wrong.push(format!(
+                "{:?} has {ops} ops, not {}",
+                cnf.clauses(),
+                size(cnf)
+            ));
+        }
+        match model {
             Some(model) if !sat || cnf.eval(&model) != Some(true) => {
                 wrong.push(format!("{:?} coherent, sat: {sat}", cnf.clauses()))
             }
@@ -93,6 +122,15 @@ fn check(figure: &str, vars: u32, reduce_and_decide: impl Fn(&Cnf) -> Option<Mod
     );
 }
 
+/// Figure 4.1's size: `h₁` and `h₂` write one value per variable (2m),
+/// each of the 2m literal histories reads two values and writes one per
+/// clause it is in (4m + L), and `h₃` reads each clause value and
+/// rewrites every variable value (n + 2m).
+fn figure_4_1_size(cnf: &Cnf) -> usize {
+    let (m, n, l) = shape(cnf);
+    8 * m + n + l
+}
+
 #[test]
 fn formula_counts() {
     assert_eq!(all_formulas(2).len(), 92);
@@ -102,29 +140,118 @@ fn formula_counts() {
 #[test]
 fn figure_4_1_on_every_small_formula() {
     for vars in [2, 3] {
-        check("4.1", vars, |cnf| {
+        check("4.1", vars, figure_4_1_size, |cnf| {
             let red = reduce_sat_to_vmc(cnf);
-            decide(&red.trace).map(|s| red.extract_assignment(&s))
+            let model = decide(&red.trace).map(|s| red.extract_assignment(&s));
+            (red.trace.num_ops(), model)
         });
     }
+}
+
+/// Figure 5.1's size: `h₁` and `h₂` (2m writes), three operations per
+/// literal occurrence (3L), the clause funnels (2, 6 or 8 operations for
+/// a clause of 1, 2 or 3 literals), the chain (2 operations, then 3 per
+/// further clause) and one read and two writes per variable's rewrite
+/// (3m).
+fn figure_5_1_size(cnf: &Cnf) -> usize {
+    let (m, n, l) = shape(cnf);
+    let funnels: usize = cnf.clauses().iter().map(|c| [0, 2, 6, 8][c.len()]).sum();
+    5 * m + 3 * l + funnels + 3 * n - 1
 }
 
 #[test]
 fn figure_5_1_on_every_small_formula() {
     for vars in [2, 3] {
-        check("5.1", vars, |cnf| {
+        check("5.1", vars, figure_5_1_size, |cnf| {
             let red = reduce_3sat_restricted(cnf);
-            decide(&red.trace).map(|s| red.extract_assignment(&s))
+            let model = decide(&red.trace).map(|s| red.extract_assignment(&s));
+            (red.trace.num_ops(), model)
         });
     }
+}
+
+/// Figure 5.2's size. Each of the `u` unit clauses becomes two
+/// two-literal clauses over a fresh variable, so `L' = L + 3u` literal
+/// occurrences remain, every clause has two or more literals, and a
+/// literal without occurrences is one of the `z` original literals the
+/// formula never uses. The instance is the spine start, two RMWs per
+/// occurrence and one per unused literal (2L' + z), pass A's spine
+/// (n' + 1), the rewind, and pass B (L' − n' + 1): 3L' + z + 4.
+fn figure_5_2_size(cnf: &Cnf) -> usize {
+    let (m, _, l) = shape(cnf);
+    let units = cnf.clauses().iter().filter(|c| c.len() == 1).count();
+    let unused = (0..m as u32)
+        .flat_map(|v| [Var(v).pos(), Var(v).neg()])
+        .filter(|lit| !cnf.clauses().iter().any(|c| c.contains(lit)))
+        .count();
+    3 * (l + 3 * units) + unused + 4
 }
 
 #[test]
 fn figure_5_2_on_every_small_formula() {
     for vars in [2, 3] {
-        check("5.2", vars, |cnf| {
+        check("5.2", vars, figure_5_2_size, |cnf| {
             let red = reduce_3sat_rmw(cnf);
-            decide(&red.trace).map(|s| red.extract_assignment(&s))
+            let model = decide(&red.trace).map(|s| red.extract_assignment(&s));
+            (red.trace.num_ops(), model)
+        });
+    }
+}
+
+/// Figure 6.1 wraps each of Figure 4.1's operations in an acquire and a
+/// release of one lock; the count is of memory and synchronization
+/// operations together. The LRC check decides the instance, and the
+/// assignment comes from its schedule at Figure 4.1's one address.
+#[test]
+fn figure_6_1_on_every_small_formula() {
+    for vars in [2, 3] {
+        check(
+            "6.1",
+            vars,
+            |cnf| 3 * figure_4_1_size(cnf),
+            |cnf| {
+                let red = reduce_sat_to_lrc(cnf);
+                let ops = red
+                    .sync_trace
+                    .histories()
+                    .iter()
+                    .map(|h| h.ops().len())
+                    .sum();
+                let verdict = verify_lrc_fully_synchronized(&red.sync_trace, LOCK)
+                    .expect("the construction is fully synchronized");
+                let model = match verdict {
+                    ExecutionVerdict::Coherent(schedules) => {
+                        Some(red.vmc.extract_assignment(&schedules[&Addr::ZERO]))
+                    }
+                    ExecutionVerdict::Incoherent(_) => None,
+                    ExecutionVerdict::Unknown { .. } => panic!("the LRC check has no budget"),
+                };
+                (ops, model)
+            },
+        );
+    }
+}
+
+/// Figure 6.2's size: `h₁` and `h₂` each write every variable twice and
+/// read the gate (2m + 1 each), the literal histories as in Figure 4.1
+/// (4m + L), and `h₃` reads every clause address and writes the gate
+/// (n + 1). The compiled SC model decides the instance.
+#[test]
+fn figure_6_2_on_every_small_formula() {
+    let size = |cnf: &Cnf| {
+        let (m, n, l) = shape(cnf);
+        8 * m + l + n + 3
+    };
+    for vars in [2, 3] {
+        check("6.2", vars, size, |cnf| {
+            let red = reduce_sat_to_vscc(cnf);
+            let model = match verify_axiom(&red.trace, ModelId::Sc, &AxiomConfig::default()).verdict
+            {
+                ConsistencyVerdict::Consistent(s) => Some(red.extract_assignment(&s)),
+                ConsistencyVerdict::Violating(_) => None,
+                ConsistencyVerdict::Unknown { .. } => panic!("the SC search has no budget"),
+            };
+            (red.trace.num_ops(), model)
         });
     }
 }

@@ -74,6 +74,52 @@ for pattern in 'CompareAndSwap \{[^}]*\}[[:space:]]*=>' \
 done
 echo "    ok"
 
+echo "==> one witness evaluator: the sort first, axiom by axiom only on a cycle"
+# The reference axiom evaluator (crates/consistency/src/axiom/witness.rs)
+# discharges every axiom with one topological sort of the union of the
+# base relations the spec mentions (union_acyclic), and evaluates the
+# axioms one by one (axiom_by_axiom, over axiom_violated) only when that
+# union has a cycle. Outside test code, axiom_violated is called only by
+# axiom_by_axiom, and axiom_by_axiom only by violated_axiom, after
+# union_acyclic. The one exception is the graph machine's debug-build
+# cross-check, the debug_assert in GraphMachine::violated
+# (axiom/graph.rs), whose reference stays independent of the sort. A
+# second caller fails here. A pure text gate; comments do not count.
+python3 - $(find crates/consistency/src -name '*.rs' | sort) <<'EOF'
+import re, sys
+sites = []
+for path in sys.argv[1:]:
+    src = open(path).read().split('#[cfg(test)]')[0]
+    src = re.sub(r'//[^\n]*', '', src)      # comments
+    src = re.sub(r'\buse\s[^;]*;', '', src)  # imports
+    debug = []                              # debug_assert argument lists
+    for m in re.finditer(r'debug_assert\w*!\s*\(', src):
+        depth, j = 0, m.end() - 1
+        while True:
+            depth += {'(': 1, ')': -1}.get(src[j], 0)
+            j += 1
+            if depth == 0:
+                break
+        debug.append((m.start(), j))
+    for m in re.finditer(r'\b(axiom_by_axiom|axiom_violated)\b', src):
+        if re.search(r'\bfn\s+$', src[:m.start()]):
+            continue                        # the definition
+        fns = re.findall(r'\bfn\s+(\w+)', src[:m.start()])
+        in_debug = any(a <= m.start() < b for a, b in debug)
+        sites.append((path, fns[-1] if fns else None, m.group(1), in_debug))
+want = [('crates/consistency/src/axiom/graph.rs', 'violated', 'axiom_by_axiom', True),
+        ('crates/consistency/src/axiom/witness.rs', 'axiom_by_axiom', 'axiom_violated', False),
+        ('crates/consistency/src/axiom/witness.rs', 'violated_axiom', 'axiom_by_axiom', False)]
+if sorted(sites) != want:
+    sys.exit("the per-axiom evaluation is reached other than through violated_axiom "
+             f"or the graph machine's debug_assert:\n  found {sorted(sites)}\n  want  {want}")
+src = re.sub(r'//[^\n]*', '', open('crates/consistency/src/axiom/witness.rs').read())
+m = re.search(r'\bfn violated_axiom\b[^{]*\{(.*?)\n\}', src, re.S)
+if not m or not re.search(r'\bunion_acyclic\(.*\baxiom_by_axiom\(', m.group(1), re.S):
+    sys.exit("violated_axiom must run union_acyclic before axiom_by_axiom")
+EOF
+echo "    ok"
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
@@ -201,10 +247,11 @@ if [[ -n "$bad" ]]; then
     exit 1
 fi
 # One per-state axiom evaluator: the graph machine asks the compiled
-# AxiomPlan (axiom/witness.rs). The naive evaluator rebuilds every
-# relation per call; graph.rs may reach it only inside a debug_assert
-# (the debug-build cross-check), and the retired per-state entry point
-# must not come back. The per-state question is incremental: the kernel
+# AxiomPlan (axiom/witness.rs). The reference evaluator and its
+# axiom-by-axiom half, which rebuilds every relation per call, are
+# whole-witness checks; graph.rs may reach them only inside a
+# debug_assert (the debug-build cross-check), and the retired per-state
+# entry point must not come back. The per-state question is incremental: the kernel
 # checks every state before expanding it, so a state's parent has always
 # passed, and graph.rs never calls a whole-witness check
 # (`plan.violated(`) outside a debug_assert.
@@ -231,7 +278,7 @@ for m in re.finditer(r'debug_assert\w*!\s*\(', src):
     i = j
 kept.append(src[i:])
 rest = ''.join(kept)
-bad = [f for f in ('check_witness_ev', 'violated_axiom', 'push_rel')
+bad = [f for f in ('check_witness_ev', 'violated_axiom', 'axiom_by_axiom', 'push_rel')
        if re.search(r'\b' + f + r'\b', rest)]
 if bad:
     sys.exit(f"axiom/graph.rs calls the naive evaluator outside a debug_assert: {bad}")
