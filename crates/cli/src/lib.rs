@@ -16,7 +16,7 @@
 //! vermem gen --procs N --ops N [--addrs N] [--seed N] [--rmw PCT] [--reuse PCT]
 //! vermem inject <trace> --kind corrupt-read|stale-read|lost-write|reorder [--seed N]
 //! vermem reduce <dimacs> [--figure 4.1|5.1|5.2]
-//! vermem sim --cpus N --instrs N [--addrs N] [--tso|--directory] [--seed N] [--verify] [--online] [--jobs N]
+//! vermem sim --cpus N --instrs N [--addrs N] [--tso] [--seed N] [--verify] [--online] [--jobs N]
 //!            [--tier SPEC] [--prune all|none] [--metrics[=json|text]] [--trace-out FILE]
 //! vermem serve [<stream.bin>...] [--streams N] [--window W|unbounded] [--jobs N] [--chunk BYTES]
 //!              [--cpus N] [--instrs N] [--addrs N] [--seed N] [--fault]
@@ -84,8 +84,8 @@ USAGE:
   vermem gen --procs N --ops N [--addrs N] [--seed N] [--rmw PCT] [--reuse PCT]
   vermem inject <trace> --kind corrupt-read|stale-read|lost-write|reorder [--seed N]
   vermem reduce <dimacs> [--figure 4.1|5.1|5.2]
-  vermem sim --cpus N --instrs N [--addrs N] [--tso|--directory] [--seed N]
-             [--verify] [--online] [--jobs N] [--tier SPEC] [--prune all|none]
+  vermem sim --cpus N --instrs N [--addrs N] [--tso] [--seed N] [--verify]
+             [--online] [--jobs N] [--tier SPEC] [--prune all|none]
              [--metrics[=json|text]] [--trace-out FILE]
   vermem serve [<stream.bin>...] [--streams N] [--window W|unbounded] [--jobs N]
                [--chunk BYTES] [--cpus N] [--instrs N] [--addrs N] [--seed N]
@@ -150,15 +150,7 @@ struct Args {
 
 /// Flags that take no value. `metrics` is special: bare `--metrics`
 /// means text, `--metrics=json` selects the JSON rendering.
-const BOOL_FLAGS: &[&str] = &[
-    "tso",
-    "verify",
-    "online",
-    "directory",
-    "fault",
-    "help",
-    "metrics",
-];
+const BOOL_FLAGS: &[&str] = &["tso", "verify", "online", "fault", "help", "metrics"];
 
 impl Args {
     fn parse(args: &[String]) -> Result<Args, CliError> {
@@ -172,10 +164,9 @@ impl Args {
                 } else if BOOL_FLAGS.contains(&name) {
                     flags.push((name.to_string(), None));
                 } else {
-                    let value = it
-                        .next()
-                        .ok_or_else(|| err(format!("--{name} requires a value")))?;
-                    flags.push((name.to_string(), Some(value.clone())));
+                    // A missing value is reported by `expect_flags`, after
+                    // an unknown name.
+                    flags.push((name.to_string(), it.next().cloned()));
                 }
             } else {
                 positional.push(a.clone());
@@ -209,11 +200,17 @@ impl Args {
     /// allowed). Every command calls this so a typo like `--sed 7` is an
     /// error instead of a silently ignored no-op.
     fn expect_flags(&self, allowed: &[&str]) -> Result<(), CliError> {
-        for (name, _) in &self.flags {
-            if name != "help" && !allowed.contains(&name.as_str()) {
+        for (name, value) in &self.flags {
+            if name == "help" {
+                continue;
+            }
+            if !allowed.contains(&name.as_str()) {
                 return Err(err(format!(
                     "unknown flag --{name} for this command (try --help)"
                 )));
+            }
+            if value.is_none() && !BOOL_FLAGS.contains(&name.as_str()) {
+                return Err(err(format!("--{name} requires a value")));
             }
         }
         Ok(())
@@ -700,7 +697,6 @@ fn cmd_sim(args: &Args) -> Result<String, CliError> {
         "instrs",
         "addrs",
         "tso",
-        "directory",
         "seed",
         "verify",
         "online",
@@ -721,27 +717,14 @@ fn cmd_sim(args: &Args) -> Result<String, CliError> {
         rmw_fraction: 0.1,
         seed: args.num("seed", 1u64)?,
     });
-    if args.has("tso") && args.has("directory") {
-        return Err(err("--tso and --directory are mutually exclusive"));
-    }
-    let cap = if args.has("directory") {
-        vermem_sim::DirectoryMachine::run(
-            &program,
-            vermem_sim::DirectoryConfig {
-                seed: args.num("seed", 1u64)?,
-                ..Default::default()
-            },
-        )
-    } else {
-        vermem_sim::Machine::run(
-            &program,
-            vermem_sim::MachineConfig {
-                store_buffers: args.has("tso"),
-                seed: args.num("seed", 1u64)?,
-                ..Default::default()
-            },
-        )
-    };
+    let cap = vermem_sim::Machine::run(
+        &program,
+        vermem_sim::MachineConfig {
+            store_buffers: args.has("tso"),
+            seed: args.num("seed", 1u64)?,
+            ..Default::default()
+        },
+    );
     let mut out = String::new();
     let mut run = RunReport::new();
     let _ = writeln!(
@@ -1602,23 +1585,14 @@ mod tests {
     }
 
     #[test]
-    fn sim_online_and_directory_modes() {
+    fn sim_online_mode() {
         let out = run_ok(&["sim", "--cpus", "3", "--instrs", "30", "--online"], "");
         assert!(out.contains("# online check: clean"));
-        let out = run_ok(
-            &[
-                "sim",
-                "--cpus",
-                "3",
-                "--instrs",
-                "30",
-                "--directory",
-                "--verify",
-            ],
-            "",
-        );
+        let out = run_ok(&["sim", "--cpus", "3", "--instrs", "30", "--verify"], "");
         assert!(out.contains("# verification: coherent"));
-        assert!(run(&["sim".into(), "--tso".into(), "--directory".into()], "").is_err());
+        // The directory machine is retired: its flag is an unknown flag.
+        let e = run(&["sim".into(), "--directory".into()], "").expect_err("--directory is retired");
+        assert!(e.0.contains("unknown flag --directory"), "{}", e.0);
     }
 
     #[test]
@@ -2030,13 +2004,11 @@ mod tests {
         ] {
             let args: Vec<String> = cmd.iter().map(|s| s.to_string()).collect();
             let e = run(&args, COHERENT).expect_err(&format!("{cmd:?} should fail"));
-            // A bare trailing `--bogus` fails at parse time ("requires a
-            // value"); a valued one reaches the per-command flag check.
-            assert!(
-                e.0.contains("unknown flag") || e.0.contains("requires a value"),
-                "{cmd:?}: {}",
-                e.0
-            );
+            // Bare or valued, an unknown name is reported as unknown.
+            assert!(e.0.contains("unknown flag --"), "{cmd:?}: {}", e.0);
         }
+        // A known flag without its value is reported as such.
+        let e = run(&["sim".into(), "--cpus".into()], "").expect_err("no value");
+        assert!(e.0.contains("--cpus requires a value"), "{}", e.0);
     }
 }

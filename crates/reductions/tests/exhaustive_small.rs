@@ -8,7 +8,8 @@
 //! compiled SC model for 6.2. Its verdict must equal CDCL's on the
 //! formula, the assignment extracted from every positive witness must
 //! satisfy the formula, and the instance's operation count must equal the
-//! figure's size formula.
+//! figure's size formula. The Figure 5.3 classifier must place every
+//! Figure 5.1 and 5.2 instance inside its figure's restrictions.
 
 use vermem_coherence::backtrack::solve_backtracking_ops_with_stats;
 use vermem_coherence::{ExecutionVerdict, SearchConfig, Verdict};
@@ -20,6 +21,7 @@ use vermem_reductions::{
     reduce_sat_to_vscc,
 };
 use vermem_sat::{solve_cdcl, Cnf, Lit, Model, Var};
+use vermem_trace::classify::{InstanceProfile, OpMix};
 use vermem_trace::{Addr, AddrOps, Schedule, Trace};
 
 /// Every clause over `vars` variables: one to three literals on distinct
@@ -74,6 +76,26 @@ fn decide(trace: &Trace) -> Option<Schedule> {
         Verdict::Incoherent(_) => None,
         Verdict::Unknown => panic!("the search has no budget, so it never answers Unknown"),
     }
+}
+
+/// The Figure 5.3 classifier's profile of `trace` at address 0, checked
+/// against a figure's restrictions: only `mix` operations, at most
+/// `ops_per_proc` per process and each value written at most
+/// `writes_per_value` times.
+fn assert_restricted(
+    figure: &str,
+    cnf: &Cnf,
+    trace: &Trace,
+    (mix, ops_per_proc, writes_per_value): (OpMix, usize, usize),
+) {
+    let profile = InstanceProfile::of_ops(&AddrOps::of(trace, Addr::ZERO));
+    assert!(
+        profile.mix == mix
+            && profile.max_ops_per_proc <= ops_per_proc
+            && profile.max_writes_per_value <= writes_per_value,
+        "Figure {figure} leaves its restrictions on {:?}: {profile:?}",
+        cnf.clauses()
+    );
 }
 
 /// `m`, `n` and the total literal count `L` of `cnf`.
@@ -164,6 +186,7 @@ fn figure_5_1_on_every_small_formula() {
     for vars in [2, 3] {
         check("5.1", vars, figure_5_1_size, |cnf| {
             let red = reduce_3sat_restricted(cnf);
+            assert_restricted("5.1", cnf, &red.trace, (OpMix::SimpleOnly, 3, 2));
             let model = decide(&red.trace).map(|s| red.extract_assignment(&s));
             (red.trace.num_ops(), model)
         });
@@ -192,6 +215,7 @@ fn figure_5_2_on_every_small_formula() {
     for vars in [2, 3] {
         check("5.2", vars, figure_5_2_size, |cnf| {
             let red = reduce_3sat_rmw(cnf);
+            assert_restricted("5.2", cnf, &red.trace, (OpMix::RmwOnly, 2, 3));
             let model = decide(&red.trace).map(|s| red.extract_assignment(&s));
             (red.trace.num_ops(), model)
         });

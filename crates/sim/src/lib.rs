@@ -2,13 +2,10 @@
 //!
 //! An executable multiprocessor memory-system substrate for the `vermem`
 //! verifier suite: per-CPU caches over a word-granular shared memory, kept
-//! coherent by a MESI snooping bus ([`Machine`]) or an MSI directory
-//! ([`DirectoryMachine`]), with optional TSO store buffers and
-//! deterministic protocol fault injection. A load never forwards from its
-//! store buffer: it drains the buffer through the youngest store to its
-//! address. Both machines run on one execution core (scheduler, store
-//! buffers, commits and capture, in [`machine`]); the directory supplies
-//! only its own coherence actions.
+//! coherent by a MESI snooping bus ([`Machine`]), with optional TSO store
+//! buffers and deterministic protocol fault injection. A load never
+//! forwards from its store buffer: it drains the buffer through the
+//! youngest store to its address.
 //!
 //! The paper motivates its complexity study with *dynamic verification*:
 //! checking the execution of real (possibly faulty) memory-system hardware.
@@ -16,7 +13,10 @@
 //! verifiers' input — per-process operation [traces](vermem_trace::Trace)
 //! in program order with observed values — plus the per-address committed
 //! **write order**, the §5.2 augmentation under which coherence checking is
-//! polynomial.
+//! polynomial. That input depends only on the order in which the machine
+//! commits operations, not on how the coherence protocol reaches it, so
+//! one protocol (the bus) stands for the paper's snooping hierarchies and
+//! directory controllers alike.
 //!
 //! Simplifications (documented substitutions per DESIGN.md): lines hold a
 //! single word (so coherence is word-granular and captured values are
@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
-pub mod directory;
 pub mod fault;
 pub mod machine;
 pub mod mesi;
@@ -38,7 +37,6 @@ pub mod program;
 pub mod stream;
 pub mod workload;
 
-pub use directory::{DirState, DirectoryConfig, DirectoryMachine};
 pub use fault::{FaultKind, FaultPlan};
 pub use machine::{CapturedExecution, Machine, MachineConfig, MachineStats};
 pub use mesi::MesiState;

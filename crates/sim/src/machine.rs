@@ -1,15 +1,15 @@
-//! The multiprocessor: per-CPU caches over a word memory, optional per-CPU
-//! store buffers (TSO mode), deterministic seeded scheduling, trace capture
-//! and write-order capture (§5.2's augmented memory system).
+//! The multiprocessor: per-CPU caches over a word memory, kept coherent by
+//! a MESI snooping bus, with optional per-CPU store buffers (TSO mode),
+//! deterministic seeded scheduling, trace capture and write-order capture
+//! (§5.2's augmented memory system).
 //!
-//! One execution core runs every program. What differs between the two
-//! organizations the paper's introduction names sits behind a private
-//! `Protocol`: the read miss, the exclusive acquisition and the
-//! eviction bookkeeping. [`Machine`] runs the core on the MESI snooping
-//! bus defined here; [`crate::directory::DirectoryMachine`] runs it on the
-//! MSI directory.
+//! The paper's introduction names snooping hierarchies and directory
+//! controllers as two sources of executions. The verifiers read only what
+//! a run commits — the per-process histories and the per-address write
+//! order — so one organization suffices to produce their input: the bus
+//! here.
 
-use crate::cache::{Cache, Line};
+use crate::cache::Cache;
 use crate::fault::{FaultPlan, FaultState};
 use crate::mesi::{snoop_transition, BusTransaction, MesiState};
 use crate::program::{Instr, Program};
@@ -117,161 +117,84 @@ pub struct CapturedExecution {
     pub stats: MachineStats,
 }
 
-/// The coherence actions in which the snooping bus and the directory
-/// differ. Everything else (scheduling, store buffers, hits, data fetch,
-/// commits and capture) is the core's.
-pub(crate) trait Protocol {
-    /// The coherence actions of a read miss at `cpu`, before memory
-    /// supplies the word; returns the state the line is filled in.
-    fn read_miss(&mut self, hw: &mut Hierarchy, cpu: usize, addr: Addr) -> MesiState;
-
-    /// Make `addr` writable at `cpu`, whose cache does not hold it
-    /// Modified or Exclusive; returns the line's current value. On return
-    /// the line is valid at `cpu`, and the core's commit turns it
-    /// Modified before anything else runs.
-    fn acquire(&mut self, hw: &mut Hierarchy, cpu: usize, addr: Addr) -> Value;
-
-    /// Bookkeeping after `cpu` evicted `victim`, which has already been
-    /// written back if it was dirty.
-    fn evicted(&mut self, cpu: usize, victim: &Line);
-}
-
-/// The caches over the word memory, with the armed faults and the run
-/// counters: the state the core and a [`Protocol`] both act on.
-pub(crate) struct Hierarchy {
-    pub(crate) caches: Vec<Cache>,
-    pub(crate) memory: BTreeMap<Addr, Value>,
-    pub(crate) faults: FaultState,
-    pub(crate) stats: MachineStats,
-}
-
-impl Hierarchy {
-    /// The word memory holds at `addr`.
-    fn word(&self, addr: Addr) -> Value {
-        self.memory.get(&addr).copied().unwrap_or(Value::INITIAL)
-    }
-
-    /// The word memory supplies to a fill at `cpu`, through an armed
-    /// `CorruptFill` fault.
-    pub(crate) fn fetch(&mut self, cpu: usize, addr: Addr) -> Value {
-        let value = self.word(addr);
-        match self.faults.corrupt_fill(self.stats.steps, cpu) {
-            Some(mask) => Value(value.0 ^ mask.0),
-            None => value,
-        }
-    }
-
-    /// Write a dirty word back to memory.
-    pub(crate) fn write_back(&mut self, addr: Addr, value: Value) {
-        self.memory.insert(addr, value);
-        self.stats.writebacks += 1;
-    }
-
-    /// Install `addr` at `cpu`, writing back a dirty victim and telling the
-    /// protocol of any victim.
-    pub(crate) fn fill(
-        &mut self,
-        protocol: &mut impl Protocol,
-        cpu: usize,
-        addr: Addr,
-        value: Value,
-        state: MesiState,
-    ) {
-        if let Some(victim) = self.caches[cpu].fill(addr, value, state) {
-            if victim.state.is_dirty() {
-                self.write_back(victim.addr, victim.value);
-            }
-            protocol.evicted(cpu, &victim);
-        }
-    }
-}
-
 /// The snooping machine: MESI caches on an atomic broadcast bus.
 pub struct Machine(());
 
 impl Machine {
     /// Execute `program` to completion (all instructions issued, all store
     /// buffers drained) and return the captured execution.
+    ///
+    /// Each step draws the CPU to act from the CPUs that can; a CPU with a
+    /// non-empty store buffer then draws whether to drain one entry
+    /// instead of issuing. Without store buffers a step therefore draws
+    /// exactly one number.
     pub fn run(program: &Program, cfg: MachineConfig) -> CapturedExecution {
-        run(program, cfg, Bus)
-    }
-}
+        let mut span = vermem_util::span!("sim.run");
+        let num_cpus = program.num_cpus();
+        let mut m = Core {
+            caches: (0..num_cpus).map(|_| Cache::new(cfg.cache_lines)).collect(),
+            memory: BTreeMap::new(),
+            faults: FaultState::new(&cfg.faults),
+            stats: MachineStats::default(),
+            buffers: (0..num_cpus).map(|_| VecDeque::new()).collect(),
+            histories: vec![ProcessHistory::new(); num_cpus],
+            write_order: BTreeMap::new(),
+            event_log: Vec::new(),
+            rng: StdRng::seed_from_u64(cfg.seed),
+            cfg,
+        };
+        let mut pc = vec![0usize; num_cpus];
+        loop {
+            // CPUs that can still act: instructions left or buffer entries.
+            let ready: Vec<usize> = (0..num_cpus)
+                .filter(|&c| pc[c] < program.streams()[c].len() || !m.buffers[c].is_empty())
+                .collect();
+            if ready.is_empty() {
+                break;
+            }
+            let cpu = ready[m.rng.gen_range(0..ready.len())];
+            m.stats.steps += 1;
 
-/// The snooping bus: every transaction is broadcast to all other caches.
-struct Bus;
-
-impl Bus {
-    /// Broadcast `txn` for `addr` to all other caches; returns true if any
-    /// other cache retains a valid copy afterwards. Dirty copies are
-    /// flushed to memory so the issuer's fill observes them — unless a
-    /// `StaleFill` fault swallows the flush.
-    fn snoop(hw: &mut Hierarchy, cpu: usize, addr: Addr, txn: BusTransaction) -> bool {
-        // A stale-fill fault is only meaningful when a remote dirty copy
-        // would have supplied fresher data; don't burn the plan otherwise.
-        let any_remote_dirty = (0..hw.caches.len()).any(|o| {
-            o != cpu
-                && hw.caches[o]
-                    .lookup(addr)
-                    .is_some_and(|l| l.state.is_dirty())
-        });
-        let stale = any_remote_dirty && hw.faults.stale_fill(hw.stats.steps, cpu);
-        let mut shared = false;
-        for other in 0..hw.caches.len() {
-            if other == cpu {
+            let must_drain = pc[cpu] >= program.streams()[cpu].len();
+            let wants_drain = !m.buffers[cpu].is_empty()
+                && (must_drain || m.rng.gen_bool(m.cfg.drain_probability));
+            if wants_drain {
+                m.drain_one(cpu);
                 continue;
             }
-            let Some(line) = hw.caches[other].lookup(addr) else {
-                continue;
-            };
-            let action = snoop_transition(line.state, txn);
-            if action.flush && !stale {
-                let value = line.value;
-                hw.write_back(addr, value);
-            }
-            let invalidating = action.next_state == MesiState::Invalid;
-            if invalidating && hw.faults.drop_invalidation(hw.stats.steps, other) {
-                // Fault: the victim keeps its stale copy.
-                shared = true;
-                continue;
-            }
-            if invalidating {
-                hw.stats.invalidations += 1;
-            }
-            let line = hw.caches[other].lookup_mut(addr).expect("present");
-            line.state = action.next_state;
-            if line.state.is_valid() {
-                shared = true;
+            let instr = program.streams()[cpu][pc[cpu]];
+            pc[cpu] += 1;
+            m.execute(cpu, instr);
+        }
+        debug_assert!(m.buffers.iter().all(VecDeque::is_empty));
+
+        // Flush dirty lines so the memory image is the coherent final state.
+        for cache in &m.caches {
+            for line in cache.lines() {
+                if line.state.is_dirty() {
+                    m.memory.insert(line.addr, line.value);
+                }
             }
         }
-        shared
-    }
-}
 
-impl Protocol for Bus {
-    /// BusRd: Exclusive when no other cache keeps a copy, else Shared.
-    fn read_miss(&mut self, hw: &mut Hierarchy, cpu: usize, addr: Addr) -> MesiState {
-        if Bus::snoop(hw, cpu, addr, BusTransaction::BusRd) {
-            MesiState::Shared
-        } else {
-            MesiState::Exclusive
+        let mut trace = Trace::from_histories(m.histories);
+        let final_memory = m.memory;
+        for (&addr, &value) in &final_memory {
+            trace.set_final(addr, value);
+        }
+        if span.is_recording() {
+            span.arg("cpus", num_cpus as u64);
+            span.arg("steps", m.stats.steps);
+            m.stats.flush_obs();
+        }
+        CapturedExecution {
+            trace,
+            write_order: m.write_order,
+            event_log: m.event_log,
+            final_memory,
+            stats: m.stats,
         }
     }
-
-    /// BusUpgr on a Shared line; otherwise a BusRdX miss.
-    fn acquire(&mut self, hw: &mut Hierarchy, cpu: usize, addr: Addr) -> Value {
-        if let Some(value) = hw.caches[cpu].lookup(addr).map(|l| l.value) {
-            Bus::snoop(hw, cpu, addr, BusTransaction::BusUpgr);
-            return value;
-        }
-        hw.stats.misses += 1;
-        Bus::snoop(hw, cpu, addr, BusTransaction::BusRdX);
-        let value = hw.word(addr);
-        hw.fill(self, cpu, addr, value, MesiState::Exclusive);
-        value
-    }
-
-    /// The bus keeps no state beyond the caches.
-    fn evicted(&mut self, _cpu: usize, _victim: &Line) {}
 }
 
 struct BufferedStore {
@@ -280,11 +203,15 @@ struct BufferedStore {
     op_ref: OpRef,
 }
 
-/// The execution core: one run of a program on a protocol.
-struct Core<P> {
+/// The execution core: one run of a program — the caches over the word
+/// memory, the store buffers, the armed faults, the scheduler and the
+/// capture.
+struct Core {
     cfg: MachineConfig,
-    protocol: P,
-    hw: Hierarchy,
+    caches: Vec<Cache>,
+    memory: BTreeMap<Addr, Value>,
+    faults: FaultState,
+    stats: MachineStats,
     buffers: Vec<VecDeque<BufferedStore>>,
     histories: Vec<ProcessHistory>,
     write_order: BTreeMap<Addr, Vec<OpRef>>,
@@ -292,89 +219,7 @@ struct Core<P> {
     rng: StdRng,
 }
 
-/// Execute `program` to completion on `protocol` (all instructions issued,
-/// all store buffers drained) and return the captured execution.
-///
-/// Each step draws the CPU to act from the CPUs that can; a CPU with a
-/// non-empty store buffer then draws whether to drain one entry instead of
-/// issuing. Without store buffers a step therefore draws exactly one
-/// number.
-pub(crate) fn run<P: Protocol>(
-    program: &Program,
-    cfg: MachineConfig,
-    protocol: P,
-) -> CapturedExecution {
-    let mut span = vermem_util::span!("sim.run");
-    let num_cpus = program.num_cpus();
-    let mut m = Core {
-        hw: Hierarchy {
-            caches: (0..num_cpus).map(|_| Cache::new(cfg.cache_lines)).collect(),
-            memory: BTreeMap::new(),
-            faults: FaultState::new(&cfg.faults),
-            stats: MachineStats::default(),
-        },
-        buffers: (0..num_cpus).map(|_| VecDeque::new()).collect(),
-        histories: vec![ProcessHistory::new(); num_cpus],
-        write_order: BTreeMap::new(),
-        event_log: Vec::new(),
-        rng: StdRng::seed_from_u64(cfg.seed),
-        protocol,
-        cfg,
-    };
-    let mut pc = vec![0usize; num_cpus];
-    loop {
-        // CPUs that can still act: instructions left or buffer entries.
-        let ready: Vec<usize> = (0..num_cpus)
-            .filter(|&c| pc[c] < program.streams()[c].len() || !m.buffers[c].is_empty())
-            .collect();
-        if ready.is_empty() {
-            break;
-        }
-        let cpu = ready[m.rng.gen_range(0..ready.len())];
-        m.hw.stats.steps += 1;
-
-        let must_drain = pc[cpu] >= program.streams()[cpu].len();
-        let wants_drain =
-            !m.buffers[cpu].is_empty() && (must_drain || m.rng.gen_bool(m.cfg.drain_probability));
-        if wants_drain {
-            m.drain_one(cpu);
-            continue;
-        }
-        let instr = program.streams()[cpu][pc[cpu]];
-        pc[cpu] += 1;
-        m.execute(cpu, instr);
-    }
-    debug_assert!(m.buffers.iter().all(VecDeque::is_empty));
-
-    // Flush dirty lines so the memory image is the coherent final state.
-    for cache in &m.hw.caches {
-        for line in cache.lines() {
-            if line.state.is_dirty() {
-                m.hw.memory.insert(line.addr, line.value);
-            }
-        }
-    }
-
-    let mut trace = Trace::from_histories(m.histories);
-    let final_memory = m.hw.memory;
-    for (&addr, &value) in &final_memory {
-        trace.set_final(addr, value);
-    }
-    if span.is_recording() {
-        span.arg("cpus", num_cpus as u64);
-        span.arg("steps", m.hw.stats.steps);
-        m.hw.stats.flush_obs();
-    }
-    CapturedExecution {
-        trace,
-        write_order: m.write_order,
-        event_log: m.event_log,
-        final_memory,
-        stats: m.hw.stats,
-    }
-}
-
-impl<P: Protocol> Core<P> {
+impl Core {
     fn record(&mut self, cpu: usize, op: Op) -> OpRef {
         let index = self.histories[cpu].len() as u32;
         self.histories[cpu].push(op);
@@ -424,7 +269,7 @@ impl<P: Protocol> Core<P> {
 
     fn drain_one(&mut self, cpu: usize) {
         if let Some(entry) = self.buffers[cpu].pop_front() {
-            self.hw.stats.drains += 1;
+            self.stats.drains += 1;
             self.commit_write(cpu, entry.addr, entry.value, entry.op_ref);
         }
     }
@@ -442,37 +287,133 @@ impl<P: Protocol> Core<P> {
     /// behaviour no single global serialization can express (and hence
     /// outside the relaxed-order TSO model the verifiers check). Draining
     /// is always TSO-legal and keeps the machine's traces checkable.
+    ///
+    /// A miss broadcasts BusRd and fills Exclusive when no other cache
+    /// keeps a copy, else Shared.
     fn load(&mut self, cpu: usize, addr: Addr) -> Value {
         if let Some(last_match) = self.buffers[cpu].iter().rposition(|e| e.addr == addr) {
             for _ in 0..=last_match {
                 self.drain_one(cpu);
             }
         }
-        if let Some(line) = self.hw.caches[cpu].lookup(addr) {
-            self.hw.stats.hits += 1;
+        if let Some(line) = self.caches[cpu].lookup(addr) {
+            self.stats.hits += 1;
             return line.value;
         }
-        self.hw.stats.misses += 1;
-        let state = self.protocol.read_miss(&mut self.hw, cpu, addr);
-        let value = self.hw.fetch(cpu, addr);
-        self.hw.fill(&mut self.protocol, cpu, addr, value, state);
+        self.stats.misses += 1;
+        let state = if self.snoop(cpu, addr, BusTransaction::BusRd) {
+            MesiState::Shared
+        } else {
+            MesiState::Exclusive
+        };
+        let value = self.fetch(cpu, addr);
+        self.fill(cpu, addr, value, state);
         value
     }
 
-    /// Obtain the line in a writable state, returning its current value.
+    /// Obtain the line in a writable state, returning its current value:
+    /// silently on a Modified or Exclusive line, by BusUpgr on a Shared
+    /// one, otherwise by a BusRdX miss. The core's commit turns the line
+    /// Modified before anything else runs.
     fn acquire_exclusive(&mut self, cpu: usize, addr: Addr) -> Value {
-        match self.hw.caches[cpu].lookup(addr) {
+        match self.caches[cpu].lookup(addr) {
             Some(line) if line.state.can_write_silently() => {
-                self.hw.stats.hits += 1;
+                self.stats.hits += 1;
                 line.value
             }
-            _ => self.protocol.acquire(&mut self.hw, cpu, addr),
+            Some(line) => {
+                let value = line.value;
+                self.snoop(cpu, addr, BusTransaction::BusUpgr);
+                value
+            }
+            None => {
+                self.stats.misses += 1;
+                self.snoop(cpu, addr, BusTransaction::BusRdX);
+                let value = self.word(addr);
+                self.fill(cpu, addr, value, MesiState::Exclusive);
+                value
+            }
+        }
+    }
+
+    /// Broadcast `txn` for `addr` to all other caches; returns true if any
+    /// other cache retains a valid copy afterwards. Dirty copies are
+    /// flushed to memory so the issuer's fill observes them — unless a
+    /// `StaleFill` fault swallows the flush.
+    fn snoop(&mut self, cpu: usize, addr: Addr, txn: BusTransaction) -> bool {
+        // A stale-fill fault is only meaningful when a remote dirty copy
+        // would have supplied fresher data; don't burn the plan otherwise.
+        let any_remote_dirty = (0..self.caches.len()).any(|o| {
+            o != cpu
+                && self.caches[o]
+                    .lookup(addr)
+                    .is_some_and(|l| l.state.is_dirty())
+        });
+        let stale = any_remote_dirty && self.faults.stale_fill(self.stats.steps, cpu);
+        let mut shared = false;
+        for other in 0..self.caches.len() {
+            if other == cpu {
+                continue;
+            }
+            let Some(line) = self.caches[other].lookup(addr) else {
+                continue;
+            };
+            let action = snoop_transition(line.state, txn);
+            if action.flush && !stale {
+                let value = line.value;
+                self.write_back(addr, value);
+            }
+            let invalidating = action.next_state == MesiState::Invalid;
+            if invalidating && self.faults.drop_invalidation(self.stats.steps, other) {
+                // Fault: the victim keeps its stale copy.
+                shared = true;
+                continue;
+            }
+            if invalidating {
+                self.stats.invalidations += 1;
+            }
+            let line = self.caches[other].lookup_mut(addr).expect("present");
+            line.state = action.next_state;
+            if line.state.is_valid() {
+                shared = true;
+            }
+        }
+        shared
+    }
+
+    /// The word memory holds at `addr`.
+    fn word(&self, addr: Addr) -> Value {
+        self.memory.get(&addr).copied().unwrap_or(Value::INITIAL)
+    }
+
+    /// The word memory supplies to a read-miss fill at `cpu`, through an
+    /// armed `CorruptFill` fault.
+    fn fetch(&mut self, cpu: usize, addr: Addr) -> Value {
+        let value = self.word(addr);
+        match self.faults.corrupt_fill(self.stats.steps, cpu) {
+            Some(mask) => Value(value.0 ^ mask.0),
+            None => value,
+        }
+    }
+
+    /// Write a dirty word back to memory.
+    fn write_back(&mut self, addr: Addr, value: Value) {
+        self.memory.insert(addr, value);
+        self.stats.writebacks += 1;
+    }
+
+    /// Install `addr` at `cpu`, writing back a dirty victim.
+    fn fill(&mut self, cpu: usize, addr: Addr, value: Value, state: MesiState) {
+        if let Some(victim) = self.caches[cpu].fill(addr, value, state) {
+            if victim.state.is_dirty() {
+                self.write_back(victim.addr, victim.value);
+            }
         }
     }
 
     fn commit_write(&mut self, cpu: usize, addr: Addr, value: Value, op_ref: OpRef) {
         self.acquire_exclusive(cpu, addr);
-        let lost = self.hw.faults.lose_write(self.hw.stats.steps, cpu);
+        let lost = self.faults.lose_write(self.stats.steps, cpu);
         let data = (!lost).then_some(value);
         self.commit(cpu, addr, data, op_ref, Op::Write { addr, value });
     }
@@ -481,7 +422,7 @@ impl<P: Protocol> Core<P> {
     /// line takes `data` (none when a `LostWrite` fault dropped it) and
     /// turns Modified, and `op` joins the write order and the event log.
     fn commit(&mut self, cpu: usize, addr: Addr, data: Option<Value>, op_ref: OpRef, op: Op) {
-        let line = self.hw.caches[cpu].lookup_mut(addr).expect("acquired");
+        let line = self.caches[cpu].lookup_mut(addr).expect("acquired");
         if let Some(value) = data {
             line.value = value;
         }

@@ -2,19 +2,19 @@
 //! trace (via [`format_trace`]), the write order, the event log, the final
 //! memory and the run statistics.
 //!
-//! The runs cover the snooping machine in SC mode and in TSO mode (store
-//! buffer capacity 1 and 4, drain probability 0.1 and 0.3), every
-//! [`FaultKind`] on both machines, the directory machine without faults,
-//! programs that use every RMW kind and fences, small caches that force
-//! evictions, and the three simulator shapes the `vmcbench` workloads
-//! prepare their inputs from. A change to the simulator that moves any
-//! draw of the scheduler, any commit or any counter changes a digest; the
-//! table is only re-recorded for an intended behaviour change.
+//! The runs cover the machine in SC mode and in TSO mode (store buffer
+//! capacity 1 and 4, drain probability 0.1 and 0.3), every [`FaultKind`]
+//! in both modes, programs that use every RMW kind and fences, small
+//! caches that force evictions, and the three simulator shapes the
+//! `vmcbench` workloads prepare their inputs from. A change to the
+//! simulator that moves any draw of the scheduler, any commit or any
+//! counter changes a digest; the table is only re-recorded for an
+//! intended behaviour change.
 
 use std::fmt::Write as _;
 use vermem_sim::{
-    random_program, CapturedExecution, DirectoryConfig, DirectoryMachine, FaultKind, FaultPlan,
-    Instr, Machine, MachineConfig, Program, RmwKind, WorkloadConfig,
+    random_program, CapturedExecution, FaultKind, FaultPlan, Instr, Machine, MachineConfig,
+    Program, RmwKind, WorkloadConfig,
 };
 use vermem_trace::fmt::format_trace;
 use vermem_trace::{Op, ProcId, Value};
@@ -111,25 +111,14 @@ const FAULTS: [FaultKind; 4] = [
     FaultKind::DropInvalidation { victim_cpu: 2 },
 ];
 
-/// A machine: (directory?, cache lines, store buffer (capacity, drain)).
-type Setup = (bool, usize, Option<(usize, f64)>);
-const SC: Setup = (false, 8, None);
-const TSO: Setup = (false, 8, Some((4, 0.3)));
-const DIR: Setup = (true, 8, None);
+/// A machine: (cache lines, store buffer (capacity, drain)).
+type Setup = (usize, Option<(usize, f64)>);
+const SC: Setup = (8, None);
+const TSO: Setup = (8, Some((4, 0.3)));
 
 /// A run of `p` on `setup` with `fault` armed.
 fn run(p: &Program, seed: u64, setup: Setup, fault: Option<FaultPlan>) -> CapturedExecution {
-    let ((dir, cache_lines, tso), faults) = (setup, fault.into_iter().collect());
-    if dir {
-        return DirectoryMachine::run(
-            p,
-            DirectoryConfig {
-                cache_lines,
-                seed,
-                faults,
-            },
-        );
-    }
+    let ((cache_lines, tso), faults) = (setup, fault.into_iter().collect());
     let (store_buffer_capacity, drain_probability) = tso.unwrap_or((4, 0.3));
     Machine::run(
         p,
@@ -151,24 +140,20 @@ fn runs() -> Vec<(String, CapturedExecution)> {
         let (p, mixed) = (program(3, 60, 3, 0.1, seed), mixed_program(seed));
         let mut cases = vec![
             ("snoop-sc".to_string(), &p, SC, None),
-            ("snoop-sc-evict".to_string(), &p, (false, 2, None), None),
+            ("snoop-sc-evict".to_string(), &p, (2, None), None),
         ];
         for (cap, drain) in [(1, 0.1), (1, 0.3), (4, 0.1), (4, 0.3)] {
             let label = format!("snoop-tso cap={cap} drain={drain}");
-            cases.push((label, &p, (false, 8, Some((cap, drain))), None));
+            cases.push((label, &p, (8, Some((cap, drain))), None));
         }
         cases.extend([
-            ("dir".to_string(), &p, DIR, None),
-            ("dir-evict".to_string(), &p, (true, 2, None), None),
             ("snoop-mixed".to_string(), &mixed, SC, None),
             ("snoop-tso-mixed".to_string(), &mixed, TSO, None),
-            ("dir-mixed".to_string(), &mixed, DIR, None),
         ]);
         for (i, kind) in FAULTS.into_iter().enumerate() {
             cases.extend([
                 (format!("snoop-fault{i}"), &p, SC, Some(kind)),
                 (format!("snoop-tso-fault{i}"), &p, TSO, Some(kind)),
-                (format!("dir-fault{i}"), &p, DIR, Some(kind)),
             ]);
         }
         for (label, p, setup, fault) in cases {

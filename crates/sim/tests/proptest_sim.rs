@@ -1,12 +1,10 @@
-//! Property tests for the simulators: for *arbitrary* programs, the
+//! Property tests for the simulator: for *arbitrary* programs, the
 //! snooping machine without store buffers is sequentially consistent, the
-//! TSO machine satisfies TSO, the directory machine is SC, and both
-//! capture write orders that re-verify through the §5.2 fast path.
+//! TSO machine satisfies TSO, and its captured write orders re-verify
+//! through the §5.2 fast path.
 
 use vermem_consistency::{verify_axiom, AxiomConfig, ConsistencyVerdict, ModelId};
-use vermem_sim::{
-    DirectoryConfig, DirectoryMachine, Instr, Machine, MachineConfig, Program, RmwKind,
-};
+use vermem_sim::{Instr, Machine, MachineConfig, Program, RmwKind};
 use vermem_trace::{Addr, AddrIndex, Trace, Value};
 use vermem_util::prop::PropConfig;
 use vermem_util::rng::StdRng;
@@ -93,52 +91,20 @@ fn tso_machine_satisfies_tso() {
 }
 
 #[test]
-fn directory_machine_is_sequentially_consistent() {
-    prop_check!(
-        PropConfig::with_cases(64),
-        |rng, size| arb_case(rng, size, 1000),
-        |(program, seed): &(Program, u64)| {
-            let cap = DirectoryMachine::run(
-                program,
-                DirectoryConfig {
-                    seed: *seed,
-                    ..Default::default()
-                },
-            );
-            let v = decide(&cap.trace, ModelId::Sc);
-            prop_assert!(v.is_consistent(), "trace: {:?}", cap.trace);
-            Ok(())
-        }
-    );
-}
-
-#[test]
-fn write_orders_reverify_on_both_machines() {
+fn write_orders_reverify() {
     prop_check!(
         PropConfig::with_cases(64),
         |rng, size| arb_case(rng, size, 500),
         |(program, seed): &(Program, u64)| {
-            let snoop = Machine::run(
+            let cap = Machine::run(
                 program,
                 MachineConfig {
                     seed: *seed,
                     ..Default::default()
                 },
             );
-            let index = AddrIndex::build(&snoop.trace);
-            for (addr, order) in &snoop.write_order {
-                let ops = index.get(*addr).unwrap();
-                prop_assert!(vermem_coherence::solve_with_write_order(ops, order).is_coherent());
-            }
-            let dir = DirectoryMachine::run(
-                program,
-                DirectoryConfig {
-                    seed: *seed,
-                    ..Default::default()
-                },
-            );
-            let index = AddrIndex::build(&dir.trace);
-            for (addr, order) in &dir.write_order {
+            let index = AddrIndex::build(&cap.trace);
+            for (addr, order) in &cap.write_order {
                 let ops = index.get(*addr).unwrap();
                 prop_assert!(vermem_coherence::solve_with_write_order(ops, order).is_coherent());
             }

@@ -112,30 +112,6 @@ fn main() {
         println!("{name:<36}{wl:<11}{hit}/{total}");
     }
 
-    // The directory-based machine goes through the same pipeline.
-    let mut dir_false_pos = 0;
-    for seed in 0..RUNS {
-        let program = random_program(&WorkloadConfig {
-            cpus: 4,
-            instrs_per_cpu: 40,
-            addrs: 3,
-            write_fraction: 0.45,
-            rmw_fraction: 0.1,
-            seed,
-        });
-        let cap = vermem::sim::DirectoryMachine::run(
-            &program,
-            vermem::sim::DirectoryConfig {
-                seed,
-                ..Default::default()
-            },
-        );
-        if !verify_execution(&cap.trace).is_coherent() {
-            dir_false_pos += 1;
-        }
-    }
-    println!("\ndirectory-MSI machine healthy runs flagged: {dir_false_pos}/{RUNS} (must be 0)");
-
     println!(
         "\nNote: detection below 100% is inherent, not a verifier gap — a fault \
          that leaves the trace schedulable produced no observable coherence \

@@ -55,12 +55,14 @@ fi
 echo "    ok"
 
 echo "==> one simulator core"
-# Both machines run on the one execution core in crates/sim/src/machine.rs:
-# its scheduler, store buffers, instruction executor, commits and capture.
-# The snooping bus and the directory (directory.rs) supply only their
-# coherence actions. A second scheduler draw, a second `fn execute(` or a
-# second RMW value rule (the match in RmwKind::apply) outside the test
-# modules means a machine grew its own run loop again. A pure text gate.
+# One machine, one protocol: the execution core in crates/sim/src/machine.rs
+# holds the scheduler, store buffers, instruction executor, the snooping
+# bus's coherence actions, commits and capture. The verifiers read only
+# the commit order, so a second protocol adds no verifier input. A second
+# scheduler draw, a second `fn execute(` or a second RMW value rule (the
+# match in RmwKind::apply) outside the test modules means a second machine
+# grew its own run loop. A pure text gate. The retired directory machine's
+# names must not come back either.
 sim_src=$(awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 }
     !skip { print FILENAME ":" FNR ":" $0 }' crates/sim/src/*.rs)
 for pattern in 'CompareAndSwap \{[^}]*\}[[:space:]]*=>' \
@@ -72,6 +74,10 @@ for pattern in 'CompareAndSwap \{[^}]*\}[[:space:]]*=>' \
         exit 1
     fi
 done
+if grep -rnwE 'DirectoryMachine|DirectoryConfig|DirState' crates/ src/ tests/ examples/; then
+    echo "retired directory machine found (the snooping Machine is the one simulator)" >&2
+    exit 1
+fi
 echo "    ok"
 
 echo "==> one witness evaluator: the sort first, axiom by axiom only on a cycle"

@@ -1,13 +1,13 @@
 //! The online checker against real machine event streams: it must agree
 //! with the offline §5.2 write-order verification on every run — healthy,
-//! TSO, directory-based, or fault-injected.
+//! TSO, or fault-injected.
 
 use vermem::coherence::{
     solve_with_write_order, verify_stream_bytes, OnlineVerifier, StreamConfig,
 };
 use vermem::sim::{
-    event_stream_bytes, random_program, shared_counter, DirectoryConfig, DirectoryMachine,
-    FaultKind, FaultPlan, Machine, MachineConfig, WorkloadConfig,
+    event_stream_bytes, random_program, shared_counter, FaultKind, FaultPlan, Machine,
+    MachineConfig, WorkloadConfig,
 };
 
 fn offline_clean(cap: &vermem::sim::CapturedExecution) -> bool {
@@ -64,23 +64,6 @@ fn online_accepts_healthy_tso_runs() {
         assert!(
             online_clean(&cap),
             "false positive online under TSO (seed {seed})"
-        );
-    }
-}
-
-#[test]
-fn online_accepts_healthy_directory_runs() {
-    for seed in 0..25 {
-        let cap = DirectoryMachine::run(
-            &workload(200 + seed),
-            DirectoryConfig {
-                seed,
-                ..Default::default()
-            },
-        );
-        assert!(
-            online_clean(&cap),
-            "false positive online on directory machine (seed {seed})"
         );
     }
 }
