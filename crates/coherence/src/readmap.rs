@@ -7,11 +7,34 @@
 //! coherent schedule exists iff the block precedence graph induced by
 //! program order is acyclic, because within a block the write simply comes
 //! first and reads never change memory state.
+//!
+//! The entry's value ids are the blocks (block 0 is `d_I`, block `b ≥ 1`
+//! the value its one write writes), so the solver reads only
+//! [`AddrOps::ids`], the process boundaries and, for the schedule and the
+//! violations, the refs. It builds no graph; four passes decide:
+//!
+//! 1. **Bind.** One pass over the ops gives each op its block, records
+//!    each block's write, counts each block's members and program-order
+//!    in-degree (one per pair of consecutive same-process ops in different
+//!    blocks, plus one from block 0 for every other block), and catches a
+//!    read that precedes its own block's write in the same process.
+//! 2. **Offsets.** A prefix sum over the member counts.
+//! 3. **Group.** A counting sort places each op, with the block of its
+//!    program-order successor, in its block's member range, in flat
+//!    (process-major, program) order.
+//! 4. **Order.** Kahn's algorithm on the blocks, with a LIFO stack. A
+//!    popped block is emitted (its write, then its reads in flat order)
+//!    and releases its members' successors in member order; block 0 first
+//!    releases blocks `1..nb` in ascending order. A block holding `d_F`
+//!    is never pushed: it goes last, once everything before it is placed.
+//!
+//! The release rule fixes the witness: it is the order in which the
+//! block graph's edges, grouped by source and listed in flat order, would
+//! be walked, so each instance has one schedule.
 
 use crate::backtrack::precheck_ops;
 use crate::verdict::{Verdict, Violation, ViolationKind};
-use vermem_trace::{AddrOps, Op, OpRef, Schedule};
-use vermem_util::csr::Csr;
+use vermem_trace::{AddrOps, OpIds, OpRef, Schedule};
 
 /// True if the read-map fast path applies to the instance: simple
 /// reads/writes only, every value written at most once, and no write
@@ -19,6 +42,16 @@ use vermem_util::csr::Csr;
 /// Decided in O(values) from the entry's cached structure.
 pub fn applicable_ops(ops: &AddrOps) -> bool {
     !ops.has_rmw() && ops.max_writes_per_value() <= 1 && ops.writes_of(0) == 0
+}
+
+/// Marks an op whose program-order successor is in its own block, or
+/// which has none.
+const NO_SUCCESSOR: u32 = u32::MAX;
+
+/// An op's block: the value it writes, else the value it reads.
+#[inline]
+fn block_of(ids: OpIds) -> Option<u32> {
+    ids.write().or(ids.read())
 }
 
 /// Decide coherence of the instance assuming [`applicable_ops`].
@@ -32,131 +65,159 @@ pub fn solve_readmap_ops(indexed: &AddrOps) -> Verdict {
         "read-map fast path preconditions violated"
     );
     let addr = indexed.addr();
-
-    // Flatten the per-address operations (proc-major, program order, so
-    // in ascending `OpRef` order). Block 0 is the virtual initial block.
-    // Every value is written at most once and d_I never, so the b-th write
-    // of the flat order writes value id b (written values are numbered in
-    // first-occurrence order): block b ≥ 1 is that write's block, and a
-    // read joins the block of its value id.
-    let mut ops: Vec<(OpRef, Op)> = Vec::with_capacity(indexed.num_ops());
-    ops.extend(indexed.iter());
+    let ids = indexed.ids();
+    let per_proc = indexed.per_proc();
     let nblocks = indexed.memory_ids() as usize;
-    // Flat index of each block's write; block 0 has none.
-    let mut write_of_block: Vec<u32> = vec![u32::MAX; nblocks];
 
-    // Each op's block, bound once. A read of a value nobody writes, or a
-    // final value nobody produces, is exactly what the static precheck
-    // reports, so the precheck runs only to name it.
+    // A read of a value nobody writes, or a final value nobody produces,
+    // is exactly what the static precheck reports, so the precheck runs
+    // only to name it.
     let precheck_violation =
         || Verdict::Incoherent(precheck_ops(indexed).expect("an op has no producible value"));
-    let mut block: Vec<u32> = Vec::with_capacity(ops.len());
-    for (i, ids) in indexed.ids().iter().enumerate() {
-        let b = match (ids.write(), ids.read()) {
-            (Some(w), _) => {
-                write_of_block[w as usize] = i as u32;
-                w
-            }
-            (None, Some(v)) if (v as usize) < nblocks => v,
-            _ => return precheck_violation(),
-        };
-        block.push(b);
-    }
     let final_block = match indexed.final_id() {
-        None => None,
+        None => u32::MAX,
         // Applicability excludes rewrites of d_I, so a final d_I is
         // producible only when nothing is written; block 0 is then last.
-        Some(f) if (f as usize) < nblocks && (f > 0 || nblocks == 1) => Some(f as usize),
+        Some(f) if (f as usize) < nblocks && (f > 0 || nblocks == 1) => f,
         Some(_) => return precheck_violation(),
     };
 
-    // A read program-order-before its own writer is a same-block cycle.
-    for (i, &(r, op)) in ops.iter().enumerate() {
-        let b = block[i] as usize;
-        if op.is_writing() || b == 0 {
-            continue;
+    // Pass 1: bind. Every value is written at most once and d_I never,
+    // so a write's value id is its block, and a read joins the block of
+    // its value id. `first_read[b]` is one past the flat index of the
+    // first read of block b in the current process, or at most the
+    // process's start when it has none there yet.
+    let mut write_at: Vec<OpRef> = vec![OpRef::new(0u16, 0); nblocks];
+    let mut count: Vec<u32> = vec![0; nblocks + 1];
+    let mut indeg: Vec<u32> = vec![1; nblocks];
+    indeg[0] = 0;
+    let mut first_read: Vec<u32> = vec![0; nblocks];
+    // The first read, in flat order, program-order-before its own writer.
+    let mut self_cycle: Option<(u32, OpRef, OpRef)> = None;
+    let mut final_has_successor = false;
+    let mut start = 0u32;
+    for list in per_proc {
+        let mut prev = NO_SUCCESSOR;
+        for (j, (&op_ids, &(r, _))) in ids[start as usize..].iter().zip(list).enumerate() {
+            let i = start + j as u32;
+            let b = match (op_ids.write(), op_ids.read()) {
+                (Some(w), _) => {
+                    write_at[w as usize] = r;
+                    let read = first_read[w as usize];
+                    if read > start && self_cycle.is_none_or(|(k, ..)| read - 1 < k) {
+                        let reader = list[(read - 1 - start) as usize].0;
+                        self_cycle = Some((read - 1, reader, r));
+                    }
+                    w
+                }
+                (None, Some(v)) if (v as usize) < nblocks => {
+                    if first_read[v as usize] <= start {
+                        first_read[v as usize] = i + 1;
+                    }
+                    v
+                }
+                _ => return precheck_violation(),
+            };
+            count[b as usize] += 1;
+            if prev != NO_SUCCESSOR && prev != b {
+                indeg[b as usize] += 1;
+                final_has_successor |= prev == final_block;
+            }
+            prev = b;
         }
-        let w = ops[write_of_block[b] as usize].0;
-        if w.proc == r.proc && r.index < w.index {
-            return Verdict::Incoherent(Violation {
-                addr,
-                kind: ViolationKind::PrecedenceCycle { cycle: vec![r, w] },
-            });
-        }
+        start += list.len() as u32;
+    }
+    if let Some((_, r, w)) = self_cycle {
+        return Verdict::Incoherent(Violation {
+            addr,
+            kind: ViolationKind::PrecedenceCycle { cycle: vec![r, w] },
+        });
+    }
+    // Final value: its block must have no successor so it can be last.
+    if final_has_successor {
+        return Verdict::Incoherent(Violation {
+            addr,
+            kind: ViolationKind::FinalValueUnwritable {
+                value: indexed.final_value().expect("checked"),
+            },
+        });
     }
 
-    // Block precedence edges, as CSR: block 0 before every other block
-    // (initial reads precede the first write), then one edge per pair of
-    // consecutive same-process operations in different blocks.
-    let po_edges = (1..ops.len())
-        .filter(|&i| ops[i - 1].0.proc == ops[i].0.proc && block[i - 1] != block[i])
-        .map(|i| (block[i - 1], block[i]));
-    let succ = Csr::new(nblocks, (1..nblocks as u32).map(|b| (0, b)).chain(po_edges));
-    let succs_of = |b: usize| succ.row(b as u32);
-    let mut indeg = vec![0u32; nblocks];
-    for &b in succ.items() {
-        indeg[b as usize] += 1;
+    // Pass 2: offsets. `count[b]` becomes the start of block b's range.
+    let mut sum = 0;
+    for c in &mut count {
+        (*c, sum) = (sum, sum + *c);
     }
 
-    // Final value: its block must carry no outgoing edges so it can be last.
-    if let Some(fb) = final_block {
-        if !succs_of(fb).is_empty() {
-            return Verdict::Incoherent(Violation {
-                addr,
-                kind: ViolationKind::FinalValueUnwritable {
-                    value: indexed.final_value().expect("checked"),
-                },
-            });
+    // Pass 3: group. Each op lands at its block's cursor with its
+    // successor's block; the cursors end one block ahead.
+    let mut members: Vec<(OpRef, u32)> = vec![(OpRef::new(0u16, 0), 0); ids.len()];
+    let mut start = 0;
+    for list in per_proc {
+        let proc_ids = &ids[start..start + list.len()];
+        for (j, &(r, _)) in list.iter().enumerate() {
+            let b = block_of(proc_ids[j]).expect("bound in pass 1");
+            let next = proc_ids
+                .get(j + 1)
+                .and_then(|&n| block_of(n))
+                .filter(|&n| n != b)
+                .unwrap_or(NO_SUCCESSOR);
+            let slot = &mut count[b as usize];
+            members[*slot as usize] = (r, next);
+            *slot += 1;
         }
+        start += list.len();
     }
+    count.copy_within(..nblocks, 1);
+    count[0] = 0;
 
-    // Kahn's algorithm; if a final block is required, emit it last.
-    let mut queue: Vec<usize> = Vec::with_capacity(nblocks);
-    queue.extend((0..nblocks).filter(|&b| indeg[b] == 0 && Some(b) != final_block));
-    let mut order: Vec<usize> = Vec::with_capacity(nblocks);
-    while let Some(b) = queue.pop() {
-        order.push(b);
-        for &next in succs_of(b) {
-            let next = next as usize;
-            indeg[next] -= 1;
-            if indeg[next] == 0 && Some(next) != final_block {
-                queue.push(next);
+    // Pass 4: order. Only block 0 can start at in-degree 0: every other
+    // block waits for it.
+    let mut stack: Vec<u32> = Vec::with_capacity(nblocks);
+    if indeg[0] == 0 && final_block != 0 {
+        stack.push(0);
+    }
+    let mut refs: Vec<OpRef> = Vec::with_capacity(ids.len());
+    let mut placed = 0;
+    // The final block goes last, once its in-degree is satisfied.
+    let mut last = ((final_block as usize) < nblocks).then_some(final_block);
+    let release = |b: u32, indeg: &mut [u32], stack: &mut Vec<u32>| {
+        indeg[b as usize] -= 1;
+        if indeg[b as usize] == 0 && b != final_block {
+            stack.push(b);
+        }
+    };
+    while let Some(b) = stack
+        .pop()
+        .or_else(|| last.take().filter(|&f| indeg[f as usize] == 0))
+    {
+        placed += 1;
+        if b == 0 {
+            for c in 1..nblocks as u32 {
+                release(c, &mut indeg, &mut stack);
+            }
+        }
+        let write = (b != 0).then(|| write_at[b as usize]);
+        refs.extend(write);
+        let range = count[b as usize] as usize..count[b as usize + 1] as usize;
+        for &(r, next) in &members[range] {
+            if Some(r) != write {
+                refs.push(r);
+            }
+            if next != NO_SUCCESSOR {
+                release(next, &mut indeg, &mut stack);
             }
         }
     }
-    if let Some(fb) = final_block {
-        // fb's in-degree must have been fully satisfied.
-        if indeg[fb] == 0 {
-            order.push(fb);
-        }
-    }
-    if order.len() != nblocks {
-        let mut placed = vec![false; nblocks];
-        for &b in &order {
-            placed[b] = true;
-        }
+    if placed != nblocks {
         let cycle: Vec<OpRef> = (1..nblocks)
-            .filter(|&b| !placed[b])
-            .map(|b| ops[write_of_block[b] as usize].0)
+            .filter(|&b| indeg[b] > 0)
+            .map(|b| write_at[b])
             .collect();
         return Verdict::Incoherent(Violation {
             addr,
             kind: ViolationKind::PrecedenceCycle { cycle },
         });
-    }
-
-    // Emit the schedule: per block, the write then its reads in (proc,
-    // program-order) order, which is the flat order the buckets keep.
-    let block_reads = (0..ops.len() as u32)
-        .filter(|&i| !ops[i as usize].1.is_writing())
-        .map(|i| (block[i as usize], i));
-    let reads = Csr::new(nblocks, block_reads);
-    let mut refs: Vec<OpRef> = Vec::with_capacity(ops.len());
-    for &b in &order {
-        if b != 0 {
-            refs.push(ops[write_of_block[b] as usize].0);
-        }
-        refs.extend(reads.row(b as u32).iter().map(|&i| ops[i as usize].0));
     }
     Verdict::Coherent(Schedule::from_refs(refs))
 }
@@ -165,7 +226,7 @@ pub fn solve_readmap_ops(indexed: &AddrOps) -> Verdict {
 mod tests {
     use super::*;
     use crate::backtrack::{solve_backtracking_ops_with_stats, SearchConfig};
-    use vermem_trace::{check_coherent_schedule, Addr, Trace, TraceBuilder};
+    use vermem_trace::{check_coherent_schedule, Addr, Op, Trace, TraceBuilder};
 
     fn applicable(t: &Trace, addr: Addr) -> bool {
         applicable_ops(&AddrOps::of(t, addr))

@@ -34,7 +34,14 @@
 //!   hard coherent traces that escalate, and read-map addresses with a
 //!   precedence cycle, a read before its own writer and an unwritable
 //!   final value. Every op's position window is pinned, not just the
-//!   verdict.
+//!   verdict;
+//! * read-map fast path (`readmap.txt`, recorded before the solver stopped
+//!   building a block graph): a seeded corpus of read-map-class instances,
+//!   coherent with and without `d_F` and with reads of `d_I`, with several
+//!   reads before their own writers (the first one is named), with
+//!   multi-block precedence cycles, with unwritable finals and with reads
+//!   of values nobody writes. The witness schedule and the violation are
+//!   pinned whole, so a change to the release order shows.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -44,7 +51,10 @@ use vermem_coherence::backtrack::{
 use vermem_coherence::closure::{analyze_ops, ClosureOutcome};
 use vermem_coherence::kernel::{run_search, KernelConfig, TransitionSystem};
 use vermem_coherence::readmap::{applicable_ops, solve_readmap_ops};
-use vermem_coherence::{verify_stream_bytes, RecorderConfig, SearchConfig, StreamConfig};
+use vermem_coherence::{
+    verify_stream_bytes, RecorderConfig, SearchConfig, StreamConfig, Verdict,
+    ViolationKind as VmcViolation,
+};
 use vermem_reductions::reduce_3sat_rmw;
 use vermem_sat::random::{gen_random_ksat, RandomSatConfig};
 use vermem_trace::binary::{encode_event_stream, encode_trace};
@@ -608,6 +618,237 @@ fn render_frontline() -> String {
     out
 }
 
+/// Address 0's value in the read-map corpus that no operation writes.
+const STRAY: u64 = 999;
+
+/// Histories for [`readmap_trace`]: address-0 ops, each process's list
+/// interleaved with ops at address 1 so that the refs of address 0 skip
+/// positions.
+fn with_noise(rng: &mut StdRng, hists: Vec<Vec<Op>>) -> TraceBuilder {
+    hists.into_iter().fold(TraceBuilder::new(), |b, h| {
+        let mut out = Vec::with_capacity(2 * h.len());
+        for op in h {
+            if rng.gen_bool(0.25) {
+                out.push(if rng.gen_bool(0.5) {
+                    Op::read(1u32, rng.gen_range(0..3u64))
+                } else {
+                    Op::write(1u32, rng.gen_range(0..3u64))
+                });
+            }
+            out.push(op);
+        }
+        b.proc(out)
+    })
+}
+
+/// A serial interleaving of `lens` at address 0: each op writes a fresh
+/// value (from 1 up) or reads the current one, `initial` first. Returns
+/// the histories and the values written, in the serial order.
+fn serial_fresh(rng: &mut StdRng, lens: &[usize], initial: u64) -> (Vec<Vec<Op>>, Vec<u64>) {
+    let mut hists: Vec<Vec<Op>> = vec![Vec::new(); lens.len()];
+    let (mut current, mut written) = (initial, Vec::new());
+    loop {
+        let open: Vec<usize> = (0..lens.len())
+            .filter(|&p| hists[p].len() < lens[p])
+            .collect();
+        if open.is_empty() {
+            return (hists, written);
+        }
+        let p = open[rng.gen_range(0..open.len())];
+        if rng.gen_bool(0.45) {
+            current = written.len() as u64 + 1;
+            written.push(current);
+            hists[p].push(Op::w(current));
+        } else {
+            hists[p].push(Op::r(current));
+        }
+    }
+}
+
+/// One seeded instance of the read-map class at address 0: every value
+/// written at most once, no RMW, `d_I` never rewritten.
+///
+/// * `serial`: a coherent serial interleaving (reads of `d_I` first),
+///   under no final value, the last value written, an earlier one, `d_I`
+///   or a value nobody writes;
+/// * `self-cycle`: a serial interleaving in which two or three reads are
+///   moved before their own writer in its process: several same-block
+///   cycles;
+/// * `ring`: processes each writing a value and reading the next
+///   process's, around a ring, with serial traffic around it: a
+///   multi-block precedence cycle;
+/// * `random`: random writes of fresh values and reads of any written
+///   value, of `d_I` or (sometimes) of a value nobody writes.
+fn readmap_trace(family: &str, seed: u64) -> Trace {
+    let mut rng = StdRng::seed_from_u64(781_000 + seed);
+    let procs = rng.gen_range(1..=5usize);
+    let lens: Vec<usize> = (0..procs).map(|_| rng.gen_range(0..=6usize)).collect();
+    let initial = if rng.gen_bool(0.3) { 1000 } else { 0 };
+    let (hists, written) = match family {
+        "serial" => serial_fresh(&mut rng, &lens, initial),
+        "self-cycle" => {
+            let (mut hists, written) = serial_fresh(&mut rng, &lens, initial);
+            for _ in 0..rng.gen_range(2..=3) {
+                let writers: Vec<(usize, usize)> = hists
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(p, h)| {
+                        h.iter()
+                            .enumerate()
+                            .filter(|(_, op)| op.is_writing())
+                            .map(move |(j, _)| (p, j))
+                    })
+                    .collect();
+                if writers.is_empty() {
+                    break;
+                }
+                let (p, j) = writers[rng.gen_range(0..writers.len())];
+                let v = hists[p][j].written_value().expect("a write");
+                let at = rng.gen_range(0..=j);
+                hists[p].insert(at, Op::r(v));
+            }
+            (hists, written)
+        }
+        "ring" => {
+            let (mut hists, mut written) = serial_fresh(&mut rng, &lens, initial);
+            let k = rng.gen_range(2..=4usize);
+            let first = written.len() as u64 + 1;
+            for i in 0..k as u64 {
+                written.push(first + i);
+                hists.push(vec![Op::w(first + i), Op::r(first + (i + 1) % k as u64)]);
+            }
+            (hists, written)
+        }
+        "random" => {
+            // Which positions write, then fresh values for the writes in
+            // flat order, then each read's value.
+            let stray = rng.gen_bool(0.15);
+            let kinds: Vec<Vec<bool>> = lens
+                .iter()
+                .map(|&len| (0..len).map(|_| rng.gen_bool(0.5)).collect())
+                .collect();
+            let writes = kinds.iter().flatten().filter(|&&w| w).count() as u64;
+            let mut next = 0;
+            let hists = kinds
+                .iter()
+                .map(|h| {
+                    h.iter()
+                        .map(|&w| {
+                            if w {
+                                next += 1;
+                                Op::w(next)
+                            } else if stray && rng.gen_bool(0.2) {
+                                Op::r(STRAY)
+                            } else if writes == 0 || rng.gen_bool(0.2) {
+                                Op::r(initial)
+                            } else {
+                                Op::r(rng.gen_range(1..=writes))
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            (hists, (1..=writes).collect())
+        }
+        other => panic!("unknown read-map family {other}"),
+    };
+    let mut builder = with_noise(&mut rng, hists);
+    if initial != 0 {
+        builder = builder.initial(0u32, initial);
+    }
+    let last = written.last().copied().unwrap_or(initial);
+    let final_value = match rng.gen_range(0..10) {
+        0..=3 => None,
+        4..=6 => Some(last),
+        7 if !written.is_empty() => Some(written[rng.gen_range(0..written.len())]),
+        8 => Some(initial),
+        _ => Some(STRAY),
+    };
+    if let Some(f) = final_value {
+        builder = builder.final_value(0u32, f);
+    }
+    builder.build()
+}
+
+/// The read-map verdict of every corpus instance, one line each, then a
+/// line of per-class counts. Every instance must be in the read-map
+/// class.
+fn render_readmap() -> String {
+    let mut out = String::new();
+    // coherent with d_F, coherent without, coherent reading d_I,
+    // same-block cycle with several offending reads, multi-block cycle,
+    // unwritable final (the rule), precheck violation.
+    let mut classes = [0u32; 7];
+    for (family, seeds) in [
+        ("serial", 160),
+        ("self-cycle", 120),
+        ("ring", 80),
+        ("random", 240),
+    ] {
+        for seed in 0..seeds {
+            let trace = readmap_trace(family, seed);
+            let ops = AddrOps::of(&trace, Addr::ZERO);
+            assert!(applicable_ops(&ops), "{family} seed={seed}: {trace:?}");
+            let verdict = solve_readmap_ops(&ops);
+            writeln!(
+                out,
+                "{family} seed={seed} n={} | {verdict:?}",
+                ops.num_ops()
+            )
+            .unwrap();
+            let offending_reads = ops
+                .iter()
+                .filter(|&(r, op)| {
+                    op.read_value().is_some_and(|v| {
+                        ops.iter().any(|(w, o)| {
+                            o.written_value() == Some(v) && w.proc == r.proc && r.index < w.index
+                        })
+                    })
+                })
+                .count();
+            let reads_initial = ops.ids().iter().any(|i| i.read() == Some(0));
+            match &verdict {
+                Verdict::Coherent(_) => {
+                    classes[usize::from(ops.final_value().is_none())] += 1;
+                    classes[2] += u32::from(reads_initial);
+                }
+                Verdict::Incoherent(v) => match &v.kind {
+                    VmcViolation::PrecedenceCycle { cycle } => {
+                        let first = trace.op(cycle[0]).expect("a ref into the trace");
+                        if !first.is_writing() {
+                            classes[3] += u32::from(offending_reads >= 2);
+                        } else {
+                            classes[4] += 1;
+                        }
+                    }
+                    VmcViolation::FinalValueUnwritable { value } => {
+                        let written = ops.iter().any(|(_, op)| op.written_value() == Some(*value));
+                        classes[if written { 5 } else { 6 }] += 1;
+                    }
+                    VmcViolation::NoWriterForValue { .. } => classes[6] += 1,
+                    other => panic!("{family} seed={seed}: unexpected {other:?}"),
+                },
+                Verdict::Unknown => panic!("{family} seed={seed}: the read map never gives up"),
+            }
+        }
+    }
+    for (class, &count) in classes.iter().enumerate() {
+        assert!(
+            count >= 5,
+            "read-map corpus class {class} has {count} instances"
+        );
+    }
+    let [fin, nofin, initial, self_cycles, multi, unwritable, precheck] = classes;
+    writeln!(
+        out,
+        "classes: coherent+final={fin} coherent={nofin} coherent+reads-d_I={initial} \
+         self-cycles>=2={self_cycles} multi-block-cycle={multi} final-unwritable={unwritable} \
+         precheck={precheck}"
+    )
+    .unwrap();
+    out
+}
+
 #[test]
 fn frontline_matches_golden_at_bit_word_and_deep_gate_boundaries() {
     assert_golden(
@@ -641,5 +882,14 @@ fn stream_reports_match_golden() {
         &render_stream(),
         include_str!("golden/stream_reports.txt"),
         "stream_reports",
+    );
+}
+
+#[test]
+fn readmap_matches_golden_on_seeded_corpus() {
+    assert_golden(
+        &render_readmap(),
+        include_str!("golden/readmap.txt"),
+        "readmap",
     );
 }

@@ -10,9 +10,16 @@
 //! satisfy the formula, and the instance's operation count must equal the
 //! figure's size formula. The Figure 5.3 classifier must place every
 //! Figure 5.1 and 5.2 instance inside its figure's restrictions.
+//!
+//! Certified SAT is a second decider for Figures 4.1 and 5.2: its verdict
+//! on each instance must equal the kernel's. Its refutations carry
+//! checked clausal proofs, which cost seconds each on Figure 5.2's
+//! unsatisfiable instances in a debug build, so the default run covers
+//! Figure 4.1 over two variables and an ignored test (run in release)
+//! covers both figures over two and three variables.
 
 use vermem_coherence::backtrack::solve_backtracking_ops_with_stats;
-use vermem_coherence::{ExecutionVerdict, SearchConfig, Verdict};
+use vermem_coherence::{solve_sat_ops, ExecutionVerdict, SearchConfig, Verdict};
 use vermem_consistency::lrc::verify_lrc_fully_synchronized;
 use vermem_consistency::{verify_axiom, AxiomConfig, ConsistencyVerdict, ModelId};
 use vermem_reductions::lrc::LOCK;
@@ -277,5 +284,54 @@ fn figure_6_2_on_every_small_formula() {
             };
             (red.trace.num_ops(), model)
         });
+    }
+}
+
+/// Certified SAT ([`solve_sat_ops`]: a checked witness, or a refutation
+/// whose clausal proof the RUP checker accepts) as a second decider: on
+/// every formula over `vars` variables, its verdict on the instance
+/// `reduce` builds must equal the kernel's.
+fn check_second_decider(figure: &str, vars: u32, reduce: impl Fn(&Cnf) -> Trace) {
+    let formulas = all_formulas(vars);
+    let mut wrong = Vec::new();
+    for cnf in &formulas {
+        let trace = reduce(cnf);
+        let kernel = decide(&trace).is_some();
+        let sat = solve_sat_ops(&AddrOps::of(&trace, Addr::ZERO)).is_coherent();
+        if kernel != sat {
+            wrong.push(format!(
+                "{:?}: kernel coherent {kernel}, SAT coherent {sat}",
+                cnf.clauses()
+            ));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "Figure {figure}, {vars} variables: the deciders disagree on {} of {} formulas, first: {}",
+        wrong.len(),
+        formulas.len(),
+        wrong[0]
+    );
+}
+
+#[test]
+fn certified_sat_agrees_with_the_kernel_on_figure_4_1_over_two_variables() {
+    check_second_decider("4.1", 2, |cnf| reduce_sat_to_vmc(cnf).trace);
+}
+
+/// The second decider on every formula of two and three variables for
+/// Figures 4.1 and 5.2. The refutations' proof checks dominate: about
+/// 80 s in a release build, and minutes in a debug one (Figure 4.1 at
+/// three variables alone takes about two), so the test is ignored by
+/// default and `scripts/verify.sh` runs it in release:
+/// `cargo test --release -p vermem-reductions --test exhaustive_small --
+/// --ignored`. Figure 5.1 is left out: its instances are the largest
+/// encodings, about 110 s more in release.
+#[test]
+#[ignore = "minutes in a debug build; scripts/verify.sh runs it in release"]
+fn certified_sat_agrees_with_the_kernel_on_figures_4_1_and_5_2() {
+    for vars in [2, 3] {
+        check_second_decider("4.1", vars, |cnf| reduce_sat_to_vmc(cnf).trace);
+        check_second_decider("5.2", vars, |cnf| reduce_3sat_rmw(cnf).trace);
     }
 }

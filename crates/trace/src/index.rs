@@ -91,8 +91,11 @@ pub struct AddrOps {
 
 impl AddrOps {
     /// The entry for `per_proc`, its values numbered (module docs) with
-    /// `interner` in two passes over its operations: the first numbers the
-    /// written values, the second the values only read, then `d_F`.
+    /// `interner` in two passes over its operations. The first interns the
+    /// written values and counts each one's writes and the RMWs; the
+    /// values numbered by then are `d_I` and the written ones, so
+    /// `memory_ids` is their count. The second numbers the values only
+    /// read, then `d_F`.
     fn new(
         addr: Addr,
         initial: Value,
@@ -103,44 +106,51 @@ impl AddrOps {
         interner.clear();
         interner.insert(initial, 0);
         let mut values = vec![initial];
+        let mut writes = vec![0];
+        let mut rmw_ops = 0;
+        let mut ids = Vec::with_capacity(per_proc.iter().map(Vec::len).sum());
+        for &(_, op) in per_proc.iter().flatten() {
+            let mut write = OpIds::NONE;
+            if let Some(v) = op.written_value() {
+                write = *interner.entry(v).or_insert_with(|| {
+                    values.push(v);
+                    writes.push(0);
+                    (values.len() - 1) as u32
+                });
+                writes[write as usize] += 1;
+                rmw_ops += usize::from(op.read_value().is_some());
+            }
+            ids.push(OpIds {
+                read: OpIds::NONE,
+                write,
+            });
+        }
+        let memory_ids = values.len() as u32;
+        let max_writes = writes.iter().copied().max().unwrap_or(0);
         let mut intern = |v: Value| {
             *interner.entry(v).or_insert_with(|| {
                 values.push(v);
                 (values.len() - 1) as u32
             })
         };
-        let mut ids = Vec::with_capacity(per_proc.iter().map(Vec::len).sum());
-        ids.extend(per_proc.iter().flatten().map(|&(_, op)| OpIds {
-            read: OpIds::NONE,
-            write: op.written_value().map_or(OpIds::NONE, &mut intern),
-        }));
-        // The written ids are the ones after d_I's, numbered so far.
-        let memory_ids = 1 + ids.iter().filter_map(|i| i.write()).max().unwrap_or(0);
         for (&(_, op), op_ids) in per_proc.iter().flatten().zip(&mut ids) {
             if let Some(v) = op.read_value() {
                 op_ids.read = intern(v);
             }
         }
         let final_id = final_value.map(&mut intern);
-        let mut writes = vec![0; values.len()];
-        let mut rmw_ops = 0;
-        for op_ids in &ids {
-            if let Some(w) = op_ids.write() {
-                writes[w as usize] += 1;
-                rmw_ops += usize::from(op_ids.read().is_some());
-            }
-        }
+        writes.resize(values.len(), 0);
         AddrOps {
             addr,
             initial,
             final_value,
             per_proc,
-            max_writes: writes.iter().copied().max().unwrap_or(0),
             values,
             writes,
             ids,
             memory_ids,
             final_id,
+            max_writes,
             rmw_ops,
         }
     }
@@ -285,28 +295,32 @@ impl AddrIndex {
     /// Index every address of `trace` in O(ops + addrs·procs). The address
     /// set and order match [`Trace::addresses`] exactly.
     ///
-    /// Two passes over the trace, zero reallocation: the first pass only
-    /// *counts* ops per `(address, process)` into one flat buffer, the
-    /// second fills exact-capacity per-process vectors, so every element
-    /// is written exactly once into its final slot. Each entry is then
-    /// numbered (module docs) with one interning map, pre-sized to the
-    /// largest entry and reused entry by entry, so the map stays as small
-    /// as one address's values and is dropped on return.
+    /// Two passes over the trace, zero reallocation: the first pass finds
+    /// each op's address slot, keeps it, and *counts* ops per
+    /// `(address, process)` into one flat buffer; the second reads the
+    /// kept slots, so it probes no map, and fills exact-capacity
+    /// per-process vectors, so every element is written exactly once into
+    /// its final slot. Each entry is then numbered (module docs) with one
+    /// interning map, pre-sized to the largest entry and reused entry by
+    /// entry, so the map stays as small as one address's values and is
+    /// dropped on return.
     pub fn build(trace: &Trace) -> AddrIndex {
         let procs = trace.num_procs();
-        let mut slot: FxHashMap<Addr, usize> = FxHashMap::default();
+        let mut slot: FxHashMap<Addr, u32> = FxHashMap::default();
         // Discovery order of addresses; `counts[slot * procs + p]` is the
         // number of ops of process `p` at that address.
         let mut discovered: Vec<Addr> = Vec::new();
         let mut counts: Vec<u32> = Vec::new();
+        let mut slots: Vec<u32> = Vec::with_capacity(trace.num_ops());
         for (r, op) in trace.iter_ops() {
             let addr = op.addr();
             let i = *slot.entry(addr).or_insert_with(|| {
                 discovered.push(addr);
                 counts.resize(counts.len() + procs, 0);
-                discovered.len() - 1
+                (discovered.len() - 1) as u32
             });
-            counts[i * procs + r.proc.0 as usize] += 1;
+            slots.push(i);
+            counts[i as usize * procs + r.proc.0 as usize] += 1;
         }
         // An address that only carries a declared final value is an
         // instance with no operations: its `d_F` alone decides it.
@@ -325,8 +339,8 @@ impl AddrIndex {
                     .collect()
             })
             .collect();
-        for (r, op) in trace.iter_ops() {
-            lists[slot[&op.addr()]][r.proc.0 as usize].push((r, op));
+        for ((r, op), &i) in trace.iter_ops().zip(&slots) {
+            lists[i as usize][r.proc.0 as usize].push((r, op));
         }
         let largest = (0..discovered.len())
             .map(|i| caps(i).iter().sum::<u32>())

@@ -52,6 +52,16 @@ if [[ -n "$bad" ]]; then
     echo "$bad" >&2
     exit 1
 fi
+# The read-map row reads the entry's value ids, process boundaries and
+# refs in place: a copied (OpRef, Op) list or a Csr block graph in
+# readmap.rs means the per-call copy and the graph build came back.
+bad=$(grep -nE 'Vec<[[:space:]]*\([[:space:]]*OpRef[[:space:]]*,[[:space:]]*Op[[:space:]]*\)[[:space:]]*>|\bCsr\b' \
+    crates/coherence/src/readmap.rs || true)
+if [[ -n "$bad" ]]; then
+    echo "readmap.rs copies the ops or builds a Csr (read AddrOps::ids in place):" >&2
+    echo "$bad" >&2
+    exit 1
+fi
 echo "    ok"
 
 echo "==> one simulator core"
@@ -131,6 +141,12 @@ cargo build --release --offline --workspace
 
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
+
+echo "==> second decider on the small-formula reductions (release)"
+# Certified SAT must agree with the kernel on Figures 4.1 and 5.2 over
+# every formula of two and three variables; its proof checks make this a
+# release-only run (crates/reductions/tests/exhaustive_small.rs).
+cargo test -q --release --offline -p vermem-reductions --test exhaustive_small -- --ignored
 
 echo "==> cargo fmt --check"
 cargo fmt --check
