@@ -28,6 +28,11 @@
 //! `n` visits at most `n + 1` states and a cancelled search stops within
 //! one poll interval.
 //!
+//! The kernel's tables outlive a search: the memo, the key scratch and the
+//! one flat move stack live in a per-thread arena between searches,
+//! cleared with their storage kept, so a warm search allocates only its
+//! commit order (see `Arena`).
+//!
 //! One refutation hook, consulted once per state and never counted: a
 //! refuted state is a dead end the system proves, not a pruned branch.
 //! The defaulted hooks cost nothing where unused:
@@ -52,6 +57,8 @@
 //! exactly once — because a colliding "already visited" answer would be an
 //! unsound refutation.
 
+use std::any::Any;
+use std::cell::RefCell;
 use vermem_trace::OpRef;
 use vermem_util::hash::FxHashSet;
 use vermem_util::intern::SliceInterner;
@@ -170,7 +177,8 @@ pub enum KernelOutcome {
 pub trait TransitionSystem {
     /// One branching move, cheap to copy. Enumeration-time state (e.g. the
     /// memory value a drain will overwrite) may be embedded for undo.
-    type Move: Copy;
+    /// `'static`, so its thread's search arena can keep the move stack.
+    type Move: Copy + 'static;
 
     /// Number of commits a complete run performs (= total operations).
     fn total_commits(&self) -> usize;
@@ -213,8 +221,11 @@ pub trait TransitionSystem {
         true
     }
 
-    /// Enumerate the enabled state-changing moves, in preferred
-    /// exploration order (first pushed is explored first).
+    /// Append the enabled state-changing moves to `moves`, in preferred
+    /// exploration order (first appended is explored first). `moves` is
+    /// the kernel's one flat move stack: it arrives holding the open
+    /// states' moves below this state's, which the system must neither
+    /// read nor change.
     fn enabled_moves(&self, moves: &mut Vec<Self::Move>);
 
     /// Sound per-state refutation: `true` only if **no** completion can
@@ -272,7 +283,8 @@ struct KeyField {
 impl KeyPacker {
     /// Lay out fields with these maxima, in order.
     pub fn new(maxima: impl IntoIterator<Item = u64>) -> KeyPacker {
-        let mut fields = Vec::new();
+        let maxima = maxima.into_iter();
+        let mut fields = Vec::with_capacity(maxima.size_hint().0);
         let (mut words, mut used) = (0u32, 64u32);
         for max in maxima {
             let width = u64::BITS - max.leading_zeros();
@@ -353,6 +365,18 @@ impl Memo {
         }
     }
 
+    /// Forget every key, keeping the tables' storage.
+    fn clear(&mut self) {
+        self.small.clear();
+        self.prefixes.clear();
+        self.long.clear();
+    }
+
+    /// Keys the tables hold room for.
+    fn capacity(&self) -> usize {
+        self.small.capacity() + self.prefixes.capacity() + self.long.capacity()
+    }
+
     /// Record `key`; true iff it was not already present.
     fn insert(&mut self, key: &[u64]) -> bool {
         match *key {
@@ -373,6 +397,91 @@ impl Memo {
     }
 }
 
+/// The most keys a memo, or moves a move stack, may hold room for and
+/// still go back to its thread's [`Arena`]: a larger one is dropped, so a
+/// long-lived thread never keeps a large search's tables.
+const ARENA_CAP: usize = 1 << 13;
+
+/// One thread's search scratch. Each [`run_search`] takes the memo, the
+/// key scratch and the move stack of its move type out for the search and
+/// puts them back after, cleared with their storage kept, so a warm
+/// search allocates only its answer. Taken, not borrowed: a search that
+/// started inside another on the same thread would find the slots empty
+/// and use fresh tables.
+#[derive(Default)]
+struct Arena {
+    memo: Option<Memo>,
+    key: Vec<u64>,
+    /// One flat move stack (`Vec<M>`) per move type `M` searched on this
+    /// thread.
+    moves: Vec<Box<dyn Any>>,
+}
+
+thread_local! {
+    static ARENA: RefCell<Arena> = RefCell::default();
+}
+
+/// What one search takes from its thread's arena.
+struct Scratch {
+    memo: Memo,
+    key: Vec<u64>,
+    /// A `Vec<M>` for the search's move type `M`, empty.
+    moves: Box<dyn Any>,
+}
+
+impl Scratch {
+    /// Take the scratch of a search with move type `M` from this thread's
+    /// arena, or fresh tables for any part the arena does not hold.
+    fn take<M: 'static>() -> Scratch {
+        let (memo, key, moves) = ARENA
+            .try_with(|arena| {
+                let mut arena = arena.borrow_mut();
+                let at = arena.moves.iter().position(|m| m.is::<Vec<M>>());
+                (
+                    arena.memo.take(),
+                    std::mem::take(&mut arena.key),
+                    at.map(|at| arena.moves.swap_remove(at)),
+                )
+            })
+            .unwrap_or_default();
+        Scratch {
+            memo: memo.unwrap_or_else(Memo::new),
+            key,
+            moves: moves.unwrap_or_else(|| Box::new(Vec::<M>::new())),
+        }
+    }
+
+    /// Put the scratch of a search with move type `M` back, cleared; a
+    /// table above [`ARENA_CAP`] is dropped instead.
+    fn give_back<M: 'static>(self) {
+        let Scratch {
+            mut memo,
+            mut key,
+            mut moves,
+        } = self;
+        let stack = moves
+            .downcast_mut::<Vec<M>>()
+            .expect("the search's move type");
+        let keep_memo = memo.capacity() <= ARENA_CAP;
+        let keep_stack = stack.capacity() <= ARENA_CAP;
+        if keep_memo {
+            memo.clear();
+        }
+        stack.clear();
+        key.clear();
+        let _ = ARENA.try_with(|arena| {
+            let mut arena = arena.borrow_mut();
+            if keep_memo {
+                arena.memo = Some(memo);
+            }
+            arena.key = key;
+            if keep_stack {
+                arena.moves.push(moves);
+            }
+        });
+    }
+}
+
 /// Run the memoized backtracking search over `sys`.
 ///
 /// The returned [`SearchStats`] are always-on, deterministic and identical
@@ -390,9 +499,14 @@ pub fn run_search<S: TransitionSystem>(
 ) -> (KernelOutcome, SearchStats) {
     let total = sys.total_commits();
     let memoize = sys.memoize();
+    let mut scratch = Scratch::take::<S::Move>();
+    let moves = scratch
+        .moves
+        .downcast_mut()
+        .expect("the search's move type");
     let mut kernel = Kernel {
         sys,
-        memo: Memo::new(),
+        memo: &mut scratch.memo,
         memoize,
         commits: Vec::with_capacity(total),
         total,
@@ -401,8 +515,8 @@ pub fn run_search<S: TransitionSystem>(
         stats: SearchStats::default(),
         budget_hit: false,
         cancelled: false,
-        key_scratch: Vec::new(),
-        move_bufs: Vec::new(),
+        key_scratch: &mut scratch.key,
+        moves,
         depth_hist: if obs::enabled() {
             Some(obs::Histogram::new())
         } else {
@@ -411,7 +525,6 @@ pub fn run_search<S: TransitionSystem>(
     };
     let found = kernel.dfs();
     let Kernel {
-        memo,
         commits,
         stats,
         budget_hit,
@@ -426,11 +539,12 @@ pub fn run_search<S: TransitionSystem>(
         obs::counter_add("search.memo.hits", stats.memo_hits);
         obs::counter_add("search.memo.misses", stats.memo_misses);
         obs::counter_add("search.window.prunes", stats.window_prunes);
-        obs::counter_add("kernel.memo.key_allocs", memo.key_allocs());
+        obs::counter_add("kernel.memo.key_allocs", scratch.memo.key_allocs());
         if let Some(h) = &depth_hist {
             obs::merge_histogram("search.depth", h);
         }
     }
+    scratch.give_back::<S::Move>();
 
     let outcome = if found {
         debug_assert_eq!(commits.len(), total, "accepting run must be complete");
@@ -450,7 +564,7 @@ const CANCEL_POLL_MASK: u64 = 0x3FF;
 
 struct Kernel<'a, S: TransitionSystem> {
     sys: &'a mut S,
-    memo: Memo,
+    memo: &'a mut Memo,
     /// Cached [`TransitionSystem::memoize`] answer for this run.
     memoize: bool,
     commits: Vec<OpRef>,
@@ -464,11 +578,12 @@ struct Kernel<'a, S: TransitionSystem> {
     cancelled: bool,
     /// Key-construction scratch: probing allocates nothing beyond the
     /// memo's own storage.
-    key_scratch: Vec<u64>,
-    /// Free move buffers: each expanded state takes one for its moves and
-    /// returns it, so the stack settles at one buffer per search depth
-    /// and expansion allocates nothing once it has.
-    move_bufs: Vec<Vec<S::Move>>,
+    key_scratch: &'a mut Vec<u64>,
+    /// The flat move stack: each open state's moves, above its parent's.
+    /// An expanded state appends its moves and truncates back to where
+    /// they started when it fails, so the stack grows only to the deepest
+    /// path's moves and expansion allocates nothing once it has.
+    moves: &'a mut Vec<S::Move>,
     /// `Some` only while observability is enabled: per-state commit
     /// depths, batch-merged into the registry at solve end.
     depth_hist: Option<obs::Histogram>,
@@ -502,12 +617,9 @@ impl<S: TransitionSystem> Kernel<'_, S> {
         // Memoization: one exact probe per state (skipped entirely for
         // tree-shaped systems that opted out — their memo never hits).
         if self.memoize {
-            let mut key = std::mem::take(&mut self.key_scratch);
-            key.clear();
-            self.sys.state_key(&mut key);
-            let fresh = self.memo.insert(&key);
-            self.key_scratch = key;
-            if !fresh {
+            self.key_scratch.clear();
+            self.sys.state_key(self.key_scratch);
+            if !self.memo.insert(self.key_scratch) {
                 self.stats.memo_hits += 1;
                 fail!();
             }
@@ -537,11 +649,11 @@ impl<S: TransitionSystem> Kernel<'_, S> {
             fail!();
         }
 
-        let mut moves = self.move_bufs.pop().unwrap_or_default();
-        moves.clear();
-        self.sys.enabled_moves(&mut moves);
+        let base = self.moves.len();
+        self.sys.enabled_moves(self.moves);
         let depth = self.commits.len();
-        for &mv in &moves {
+        for i in base..self.moves.len() {
+            let mv = self.moves[i];
             if !self.sys.admit(mv, depth) {
                 self.stats.window_prunes += 1;
                 continue;
@@ -562,7 +674,7 @@ impl<S: TransitionSystem> Kernel<'_, S> {
                 break;
             }
         }
-        self.move_bufs.push(moves);
+        self.moves.truncate(base);
         fail!();
     }
 }
@@ -783,6 +895,110 @@ mod tests {
 
         let (_, stats) = run_search(&mut sys, &cfg, None);
         assert!(stats.states > 0);
+    }
+
+    /// The capacity of the memo this thread's arena holds, if any.
+    fn arena_memo_capacity() -> Option<usize> {
+        ARENA.with_borrow(|a| a.memo.as_ref().map(Memo::capacity))
+    }
+
+    /// The capacity of every move stack this thread's arena holds.
+    fn arena_stack_capacities() -> Vec<usize> {
+        ARENA.with_borrow(|a| {
+            a.moves
+                .iter()
+                .map(|m| m.downcast_ref::<Vec<usize>>().map_or(0, Vec::capacity))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn a_search_above_the_cap_leaves_no_large_table_behind() {
+        let mut small = Counters {
+            vals: vec![0; 2],
+            limit: 2,
+            accept: false,
+        };
+        run_search(&mut small, &KernelConfig::default(), None);
+        let kept = arena_memo_capacity().expect("a small search's memo is kept");
+        assert!(kept > 0 && kept <= ARENA_CAP);
+        // 4^7 = 16,384 lattice points: more states than the cap.
+        let mut large = Counters {
+            vals: vec![0; 7],
+            limit: 3,
+            accept: false,
+        };
+        let (_, stats) = run_search(&mut large, &KernelConfig::default(), None);
+        assert!(stats.states as usize > ARENA_CAP);
+        assert_eq!(arena_memo_capacity(), None, "the large memo is dropped");
+        assert!(arena_stack_capacities().iter().all(|&c| c <= ARENA_CAP));
+        // The next search starts from fresh tables and keeps them again.
+        run_search(&mut small, &KernelConfig::default(), None);
+        assert!(arena_memo_capacity().is_some_and(|c| c <= ARENA_CAP));
+    }
+
+    /// The `kernel_memo` golden family: every key tier, with and without
+    /// acceptance and a budget.
+    fn kernel_memo_family() -> Vec<(KernelOutcome, SearchStats)> {
+        let mut out = Vec::new();
+        for words in 1..=4usize {
+            for accept in [false, true] {
+                for budget in [None, Some(7)] {
+                    let mut sys = Counters {
+                        vals: vec![0; words],
+                        limit: 2,
+                        accept,
+                    };
+                    let cfg = KernelConfig { max_states: budget };
+                    out.push(run_search(&mut sys, &cfg, None));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_warm_arena_changes_no_search() {
+        let first = kernel_memo_family();
+        let second = kernel_memo_family();
+        let fresh = std::thread::spawn(kernel_memo_family)
+            .join()
+            .expect("family runs");
+        assert_eq!(first, fresh);
+        assert_eq!(second, fresh);
+    }
+
+    #[test]
+    fn key_allocs_count_one_search_at_a_time() {
+        let prefixes = |memo: &mut Memo| {
+            for k in 0..5u64 {
+                memo.insert(&[k, 1, 2]);
+                memo.insert(&[k, 1, 3]);
+            }
+        };
+        let mut scratch = Scratch::take::<usize>();
+        prefixes(&mut scratch.memo);
+        assert_eq!(scratch.memo.key_allocs(), 5);
+        scratch.give_back::<usize>();
+        // The same keys in the next search on this thread: fresh, and
+        // counted again from zero.
+        let mut scratch = Scratch::take::<usize>();
+        assert_eq!(scratch.memo.key_allocs(), 0);
+        assert!(scratch.memo.insert(&[0, 1, 2]));
+        prefixes(&mut scratch.memo);
+        assert_eq!(scratch.memo.key_allocs(), 5);
+        scratch.give_back::<usize>();
+        // A search with 3-word keys leaves its memo cleared.
+        let mut sys = Counters {
+            vals: vec![0; 3],
+            limit: 2,
+            accept: false,
+        };
+        run_search(&mut sys, &KernelConfig::default(), None);
+        let scratch = Scratch::take::<usize>();
+        assert_eq!(scratch.memo.key_allocs(), 0);
+        assert_eq!(scratch.memo.small.len() + scratch.memo.long.len(), 0);
+        scratch.give_back::<usize>();
     }
 
     #[test]

@@ -113,16 +113,16 @@ impl DenseOp {
 /// finally (their supply is 0 forever). Memory therefore only ever holds
 /// an id below the slot's [`AddrOps::memory_ids`].
 struct MachineBase {
-    /// Program text per process, in program order: each operation's
-    /// original ref and its lowered form. A frontier is a position in
-    /// this list.
-    per_proc: Vec<Vec<(OpRef, DenseOp)>>,
+    /// Program text, one process after another, each in program order:
+    /// each operation's original ref and its lowered form.
+    ops: Vec<(OpRef, DenseOp)>,
+    /// Process `p`'s list is `ops[start[p]..start[p + 1]]`; a frontier is
+    /// a position in it.
+    start: Vec<u32>,
     /// Next position to issue, per process.
     frontier: Vec<u32>,
     /// Current memory value id, by slot.
     memory: Vec<u32>,
-    /// Number of value ids memory can hold, by slot.
-    memory_values: Vec<u32>,
     /// Where each slot's value ids start in `supply`.
     supply_at: Vec<u32>,
     /// Remaining future memory-writes of each `(slot, value id)` (see
@@ -143,64 +143,83 @@ struct MachineBase {
 }
 
 impl MachineBase {
-    /// The machine over `entries`: slot `i` is the `i`-th entry.
-    fn new<'a>(entries: impl IntoIterator<Item = &'a AddrOps>) -> MachineBase {
-        let mut per_proc: Vec<Vec<(OpRef, DenseOp)>> = Vec::new();
-        let mut memory_values = Vec::new();
-        let mut supply_at = Vec::new();
-        let mut finals = Vec::new();
-        let mut next = 0;
-        for (slot, entry) in entries.into_iter().enumerate() {
-            let slot = slot as u32;
-            if per_proc.len() < entry.per_proc().len() {
-                per_proc.resize_with(entry.per_proc().len(), Vec::new);
+    /// The machine over `entries`: slot `i` is the `i`-th entry. Every
+    /// table is sized once, from a counting pass over the entries.
+    fn new<'a, I>(entries: I) -> MachineBase
+    where
+        I: IntoIterator<Item = &'a AddrOps>,
+        I::IntoIter: Clone,
+    {
+        let entries = entries.into_iter();
+        let (mut nslots, mut nvalues, mut nfinals) = (0, 0, 0);
+        let mut start: Vec<u32> = Vec::new();
+        for entry in entries.clone() {
+            let lists = entry.per_proc();
+            if start.len() <= lists.len() {
+                start.resize(lists.len() + 1, 0);
             }
-            // The entry's value numbering: the ids memory can hold come
-            // first (the initial value, then the written values), then
-            // values only read or required finally.
-            memory_values.push(entry.memory_ids());
-            let mut ids = entry.ids();
-            for (ops, list) in per_proc.iter_mut().zip(entry.per_proc()) {
-                let (list_ids, rest) = ids.split_at(list.len());
-                ids = rest;
-                ops.extend(list.iter().zip(list_ids).map(|(&(r, _), op_ids)| {
+            for (n, list) in start[1..].iter_mut().zip(lists) {
+                *n += list.len() as u32;
+            }
+            nslots += 1;
+            nvalues += entry.values().len();
+            nfinals += usize::from(entry.final_id().is_some());
+        }
+        let nprocs = start.len().saturating_sub(1);
+        for p in 0..nprocs {
+            start[p + 1] += start[p];
+        }
+        let total = start.last().map_or(0, |&n| n as usize);
+        // `frontier` is each process's fill cursor until the lists are
+        // laid out, then every process's first position.
+        let mut frontier = vec![0u32; nprocs];
+        let unset = (OpRef::new(0, 0), DenseOp::Read { slot: 0, value: 0 });
+        let mut ops = vec![unset; total];
+        let mut supply_at = Vec::with_capacity(nslots);
+        let mut finals = Vec::with_capacity(nfinals);
+        let mut supply = vec![0; nvalues];
+        let mut next = 0;
+        for (slot, entry) in entries.enumerate() {
+            let slot = slot as u32;
+            // The slot's cells start at `next`, one per id of the entry's
+            // value numbering: the ids memory can hold first (the initial
+            // value, then the written values), then values only read or
+            // required finally.
+            supply_at.push(next);
+            let mut ids = entry.ids().iter();
+            for (p, list) in entry.per_proc().iter().enumerate() {
+                for (&(r, _), op_ids) in list.iter().zip(ids.by_ref()) {
                     let dense = match (op_ids.read(), op_ids.write()) {
                         (Some(read), Some(write)) => DenseOp::Rmw { slot, read, write },
                         (Some(value), None) => DenseOp::Read { slot, value },
                         (None, Some(value)) => DenseOp::Write { slot, value },
                         (None, None) => unreachable!("every operation reads or writes"),
                     };
-                    (r, dense)
-                }));
+                    if let Some(write) = op_ids.write() {
+                        supply[(next + write) as usize] += 1;
+                    }
+                    ops[(start[p] + frontier[p]) as usize] = (r, dense);
+                    frontier[p] += 1;
+                }
             }
             if let Some(v) = entry.final_id() {
                 finals.push((slot, v));
             }
-            supply_at.push(next);
             next += entry.values().len() as u32;
         }
         // Each entry lists a process's operations in program order; those
         // of several entries interleave.
-        for ops in &mut per_proc {
-            ops.sort_unstable_by_key(|&(r, _)| r.index);
+        for p in 0..nprocs {
+            ops[start[p] as usize..start[p + 1] as usize].sort_unstable_by_key(|&(r, _)| r.index);
         }
-        let mut supply = vec![0; next as usize];
-        for &(_, op) in per_proc.iter().flatten() {
-            if let DenseOp::Write { slot, value }
-            | DenseOp::Rmw {
-                slot, write: value, ..
-            } = op
-            {
-                supply[(supply_at[slot as usize] + value) as usize] += 1;
-            }
-        }
+        frontier.fill(0);
 
         MachineBase {
-            frontier: vec![0; per_proc.len()],
-            total: per_proc.iter().map(Vec::len).sum(),
-            per_proc,
-            memory: vec![0; memory_values.len()],
-            memory_values,
+            frontier,
+            total,
+            ops,
+            start,
+            memory: vec![0; nslots],
             supply_at,
             demand: vec![Cell::new(0); supply.len()],
             stamp: Cell::new(0),
@@ -209,18 +228,36 @@ impl MachineBase {
         }
     }
 
+    /// Number of processes.
+    #[inline]
+    fn procs(&self) -> usize {
+        self.frontier.len()
+    }
+
+    /// Process `p`'s program text.
+    #[inline]
+    fn list(&self, p: usize) -> &[(OpRef, DenseOp)] {
+        &self.ops[self.start[p] as usize..self.start[p + 1] as usize]
+    }
+
     /// The next unissued operation of process `p`, if any.
     #[inline]
     fn next_op(&self, p: usize) -> Option<DenseOp> {
-        self.per_proc[p]
-            .get(self.frontier[p] as usize)
-            .map(|&(_, op)| op)
+        let at = self.start[p] + self.frontier[p];
+        (at < self.start[p + 1]).then(|| self.ops[at as usize].1)
+    }
+
+    /// Process `p`'s operation at `position`: its original ref and its
+    /// lowered form.
+    #[inline]
+    fn op(&self, p: usize, position: u32) -> (OpRef, DenseOp) {
+        self.ops[(self.start[p] + position) as usize]
     }
 
     /// The original ref of process `p`'s operation at `position`.
     #[inline]
     fn op_ref(&self, p: usize, position: u32) -> OpRef {
-        self.per_proc[p][position as usize].0
+        self.op(p, position).0
     }
 
     /// Are the final-value constraints satisfied by current memory?
@@ -255,7 +292,7 @@ impl MachineBase {
     fn mark_demand(&self) {
         let stamp = self.stamp.get() + 1;
         self.stamp.set(stamp);
-        for p in 0..self.frontier.len() {
+        for p in 0..self.procs() {
             let Some(op) = self.next_op(p) else { continue };
             if let Some(v) = op.read_value() {
                 let slot = op.slot();
@@ -344,9 +381,14 @@ impl CompiledMachine {
     /// iteration order: a whole [`vermem_trace::AddrIndex`] for a trace's
     /// serialization, or one [`AddrOps`] for its VMC instance. Commits
     /// name the entries' original refs.
-    pub fn new<'a>(entries: impl IntoIterator<Item = &'a AddrOps>, kind: BufferKind) -> Self {
-        let base = MachineBase::new(entries);
-        let nprocs = base.per_proc.len();
+    pub fn new<'a, I>(entries: I, kind: BufferKind) -> Self
+    where
+        I: IntoIterator<Item = &'a AddrOps>,
+        I::IntoIter: Clone,
+    {
+        let entries = entries.into_iter();
+        let base = MachineBase::new(entries.clone());
+        let nprocs = base.procs();
         let nslots = base.memory.len();
         let queues = match kind {
             BufferKind::Atomic => 0,
@@ -355,8 +397,8 @@ impl CompiledMachine {
         };
         let mut queue_writes = vec![Vec::new(); queues];
         if kind != BufferKind::Atomic {
-            for (p, ops) in base.per_proc.iter().enumerate() {
-                for (i, &(_, op)) in ops.iter().enumerate() {
+            for p in 0..nprocs {
+                for (i, &(_, op)) in base.list(p).iter().enumerate() {
                     if let DenseOp::Write { slot, .. } = op {
                         queue_writes[queue_of(kind, nslots, p, slot)].push(i as u32);
                     }
@@ -366,10 +408,9 @@ impl CompiledMachine {
         // Field maxima: a frontier reaches its list's length, memory its
         // slot's last memory-capable id, and a queue its write count.
         let key = KeyPacker::new(
-            base.per_proc
-                .iter()
-                .map(|ops| ops.len() as u64)
-                .chain(base.memory_values.iter().map(|&n| u64::from(n - 1)))
+            (0..nprocs)
+                .map(|p| base.list(p).len() as u64)
+                .chain(entries.map(|e| u64::from(e.memory_ids() - 1)))
                 .chain(queue_writes.iter().map(|w| w.len() as u64)),
         );
         CompiledMachine {
@@ -398,7 +439,7 @@ impl CompiledMachine {
         debug_assert!(self.kind == BufferKind::Atomic && self.nslots <= 1);
         self.window = window;
         if symmetry {
-            self.suffix_class = suffix_classes(&self.base.per_proc);
+            self.suffix_class = suffix_classes(&self.base);
         }
         self
     }
@@ -431,7 +472,7 @@ impl CompiledMachine {
             return None;
         }
         let index = self.queue_writes[q][self.drained[q] as usize];
-        let (_, DenseOp::Write { slot, value }) = self.base.per_proc[p][index as usize] else {
+        let (_, DenseOp::Write { slot, value }) = self.base.op(p, index) else {
             unreachable!("queues hold writes only")
         };
         let mv = CompiledMove::Drain {
@@ -445,12 +486,12 @@ impl CompiledMachine {
     }
 
     /// Symmetry breaking: has a process whose remaining suffix equals
-    /// `p`'s already been given an issue move among `moves`? Identical
-    /// suffixes are interchangeable — a completion issuing one exists iff
-    /// one issuing the other does (swap their roles) — so only the first
-    /// branches. Equal suffixes mean equal operations, hence equal
-    /// hotness, so the first of a class in enumeration order is its
-    /// lowest process.
+    /// `p`'s already been given an issue move among `moves`, this state's
+    /// moves so far? Identical suffixes are interchangeable — a completion
+    /// issuing one exists iff one issuing the other does (swap their
+    /// roles) — so only the first branches. Equal suffixes mean equal
+    /// operations, hence equal hotness, so the first of a class in
+    /// enumeration order is its lowest process.
     #[inline]
     fn twin_issued(&self, moves: &[CompiledMove], p: u16) -> bool {
         let class = |p: u16| self.suffix_class[p as usize][self.base.frontier[p as usize] as usize];
@@ -471,14 +512,14 @@ fn queue_of(kind: BufferKind, nslots: usize, p: usize, slot: u32) -> usize {
 }
 
 /// Hash-cons program-order suffixes from the back: `out[p][j]` is the
-/// class id of the operation sequence `per_proc[p][j..]`, with `0`
+/// class id of the operation sequence `base.list(p)[j..]`, with `0`
 /// reserved for the empty suffix. Equal ids ⇔ identical remaining
 /// sequences (at one slot, equal dense operations are equal operations).
-fn suffix_classes(per_proc: &[Vec<(OpRef, DenseOp)>]) -> Vec<Vec<u32>> {
+fn suffix_classes(base: &MachineBase) -> Vec<Vec<u32>> {
     let mut intern: BTreeMap<(DenseOp, u32), u32> = BTreeMap::new();
-    per_proc
-        .iter()
-        .map(|ops| {
+    (0..base.procs())
+        .map(|p| {
+            let ops = base.list(p);
             let mut cls = vec![0u32; ops.len() + 1];
             for j in (0..ops.len()).rev() {
                 let fresh = intern.len() as u32 + 1;
@@ -503,7 +544,7 @@ impl TransitionSystem for CompiledMachine {
     }
 
     fn absorb(&mut self, commits: &mut Vec<OpRef>) {
-        for p in 0..self.base.frontier.len() {
+        for p in 0..self.base.procs() {
             while let Some(DenseOp::Read { slot, value }) = self.base.next_op(p) {
                 if self.blocked(p, slot) || self.base.memory[slot as usize] != value {
                     break;
@@ -532,11 +573,14 @@ impl TransitionSystem for CompiledMachine {
         self.base.mark_demand();
         // Memory-effecting moves that supply a demanded value go first,
         // each group in enumeration order: a hot move is inserted after
-        // the hot ones already placed.
-        let mut hot_end = moves.len();
+        // the hot ones already placed. This state's moves start at
+        // `base`: below it lie the open states' moves (the kernel's flat
+        // move stack).
+        let base = moves.len();
+        let mut hot_end = base;
         let mut push = |mv: CompiledMove, hot: bool| {
             if let CompiledMove::Issue { p, .. } = mv {
-                if self.twin_issued(moves, p) {
+                if self.twin_issued(&moves[base..], p) {
                     self.symmetry_prunes.set(self.symmetry_prunes.get() + 1);
                     return;
                 }
@@ -548,7 +592,7 @@ impl TransitionSystem for CompiledMachine {
                 moves.push(mv);
             }
         };
-        for p in 0..self.base.frontier.len() {
+        for p in 0..self.base.procs() {
             // Drains first: the single FIFO head (ProcFifo) or every
             // per-slot head in ascending slot order (SlotFifo).
             match self.kind {
@@ -598,7 +642,7 @@ impl TransitionSystem for CompiledMachine {
     /// *withholds* a refutation, never makes one unsound.)
     fn refute(&self) -> bool {
         let base = &self.base;
-        (0..base.frontier.len()).any(|p| {
+        (0..base.procs()).any(|p| {
             base.next_op(p)
                 .and_then(|op| op.read_value().map(|need| base.starved(op.slot(), need)))
                 .unwrap_or(false)
@@ -639,7 +683,7 @@ impl TransitionSystem for CompiledMachine {
             }
             CompiledMove::Issue { p, .. } => {
                 let p = p as usize;
-                let (r, op) = self.base.per_proc[p][self.base.frontier[p] as usize];
+                let (r, op) = self.base.op(p, self.base.frontier[p]);
                 self.base.frontier[p] += 1;
                 match op {
                     DenseOp::Write { slot, value } if self.kind == BufferKind::Atomic => {

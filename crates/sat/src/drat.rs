@@ -10,8 +10,11 @@
 //! minimized ones) are always RUP, so every proof this solver emits checks.
 //!
 //! The checker shares no code with the solver's propagation engine — it is
-//! a deliberately simple counter-based propagator — so a bug would have to
-//! exist twice, independently, to slip through.
+//! a deliberately simple propagator that rescans every clause until a scan
+//! assigns nothing — so a bug would have to exist twice, independently, to
+//! slip through. That simplicity has a price: each lemma costs one scan of
+//! every clause and earlier lemma per propagation round, so checking a
+//! proof costs lemmas × rounds × literals (see [`check_unsat_proof`]).
 
 use crate::cnf::Cnf;
 use crate::lit::{LBool, Lit};
@@ -35,8 +38,13 @@ pub enum ProofCheck {
     NoEmptyClause,
 }
 
-/// Check a refutation proof for `cnf`. Runs in O(total-literals) per lemma
-/// in the worst case.
+/// Check a refutation proof for `cnf`. Each lemma's RUP check rescans the
+/// formula and every earlier lemma once per propagation round, until a
+/// round assigns nothing or finds a conflict: O(rounds × L) for a lemma,
+/// where L is the total literal count of the formula and the earlier
+/// lemmas, and a round may assign as little as one variable, so rounds
+/// can reach the variable count. A refutation costs the sum over its
+/// lemmas.
 pub fn check_unsat_proof(cnf: &Cnf, proof: &Proof) -> ProofCheck {
     let mut clauses: Vec<Vec<Lit>> = cnf.clauses().to_vec();
     let mut derived_empty = clauses.iter().any(Vec::is_empty);

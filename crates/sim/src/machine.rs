@@ -259,7 +259,7 @@ impl Core {
                 let write = kind.apply(read);
                 let op = Op::Rmw { addr, read, write };
                 let op_ref = self.record(cpu, op);
-                self.commit(cpu, addr, Some(write), op_ref, op);
+                self.commit(cpu, addr, write, op_ref, op);
             }
             Instr::Fence => {
                 self.drain_all(cpu);
@@ -413,17 +413,16 @@ impl Core {
 
     fn commit_write(&mut self, cpu: usize, addr: Addr, value: Value, op_ref: OpRef) {
         self.acquire_exclusive(cpu, addr);
-        let lost = self.faults.lose_write(self.stats.steps, cpu);
-        let data = (!lost).then_some(value);
-        self.commit(cpu, addr, data, op_ref, Op::Write { addr, value });
+        self.commit(cpu, addr, value, op_ref, Op::Write { addr, value });
     }
 
     /// The tail of every store and RMW, on a line already acquired: the
-    /// line takes `data` (none when a `LostWrite` fault dropped it) and
+    /// line takes `value`, unless an armed `LostWrite` fault drops it, and
     /// turns Modified, and `op` joins the write order and the event log.
-    fn commit(&mut self, cpu: usize, addr: Addr, data: Option<Value>, op_ref: OpRef, op: Op) {
+    fn commit(&mut self, cpu: usize, addr: Addr, value: Value, op_ref: OpRef, op: Op) {
+        let lost = self.faults.lose_write(self.stats.steps, cpu);
         let line = self.caches[cpu].lookup_mut(addr).expect("acquired");
-        if let Some(value) = data {
+        if !lost {
             line.value = value;
         }
         line.state = MesiState::Modified;

@@ -127,6 +127,17 @@ fn lost_write_is_detected_sometimes() {
     assert!(hits > 0, "lost writes never detected");
 }
 
+/// A lost write hits the CPU's next committed write, an RMW's included:
+/// on the all-RMW counter a dropped increment leaves two RMWs reading the
+/// same value, which no coherent schedule explains.
+#[test]
+fn lost_rmw_write_is_detected() {
+    let hits = (1..=50)
+        .filter(|&seed| detected_counter(FaultKind::LostWrite { cpu: 1 }, seed))
+        .count();
+    assert!(hits > 0, "lost RMW writes never detected in 50 runs");
+}
+
 #[test]
 fn stale_fill_is_detected_sometimes() {
     let mut hits = 0;

@@ -37,9 +37,40 @@ use crate::op::{Addr, Op, OpRef, Value};
 use crate::trace::Trace;
 use vermem_util::hash::FxHashMap;
 
-/// The build-time interning map, `value → id`: one per build, reused
-/// entry by entry.
+/// The build-time interning map, `value → id`.
 type Interner = FxHashMap<Value, u32>;
+
+/// The build-time numbering scratch, one per build, reused entry by entry:
+/// the interning map, and the `id → Value` table and per-id write counts
+/// it grows, which each entry copies out at their exact size.
+struct Numbering {
+    interner: Interner,
+    values: Vec<Value>,
+    writes: Vec<u32>,
+}
+
+impl Numbering {
+    /// Scratch for entries of up to `ops` operations.
+    fn with_capacity(ops: usize) -> Numbering {
+        // `d_I`, `d_F` and one value per operation: only an entry whose
+        // RMWs read values nothing writes can need more, and then grows.
+        let n = ops + 2;
+        Numbering {
+            interner: Interner::with_capacity_and_hasher(n, Default::default()),
+            values: Vec::with_capacity(n),
+            writes: Vec::with_capacity(n),
+        }
+    }
+
+    /// The id of `v`, numbering it next if it is new.
+    fn number(&mut self, v: Value) -> u32 {
+        let values = &mut self.values;
+        *self.interner.entry(v).or_insert_with(|| {
+            values.push(v);
+            (values.len() - 1) as u32
+        })
+    }
+}
 
 /// The value ids of one operation (see [`AddrOps::ids`]): the id of the
 /// value it reads and of the value it writes, either absent.
@@ -91,32 +122,36 @@ pub struct AddrOps {
 
 impl AddrOps {
     /// The entry for `per_proc`, its values numbered (module docs) with
-    /// `interner` in two passes over its operations. The first interns the
-    /// written values and counts each one's writes and the RMWs; the
-    /// values numbered by then are `d_I` and the written ones, so
-    /// `memory_ids` is their count. The second numbers the values only
-    /// read, then `d_F`.
+    /// the scratch `numbering` in two passes over its operations. The
+    /// first interns the written values and counts each one's writes and
+    /// the RMWs; the values numbered by then are `d_I` and the written
+    /// ones, so `memory_ids` is their count. The second numbers the values
+    /// only read, then `d_F`. The entry's value table and write counts are
+    /// copied out of the scratch at their exact size.
     fn new(
         addr: Addr,
         initial: Value,
         final_value: Option<Value>,
         per_proc: Vec<Vec<(OpRef, Op)>>,
-        interner: &mut Interner,
+        numbering: &mut Numbering,
     ) -> AddrOps {
-        interner.clear();
-        interner.insert(initial, 0);
-        let mut values = vec![initial];
-        let mut writes = vec![0];
+        numbering.interner.clear();
+        numbering.values.clear();
+        numbering.writes.clear();
+        numbering.number(initial);
+        numbering.writes.push(0);
         let mut rmw_ops = 0;
         let mut ids = Vec::with_capacity(per_proc.iter().map(Vec::len).sum());
         for &(_, op) in per_proc.iter().flatten() {
             let mut write = OpIds::NONE;
             if let Some(v) = op.written_value() {
-                write = *interner.entry(v).or_insert_with(|| {
-                    values.push(v);
+                write = numbering.number(v);
+                // Only written values are numbered so far: a fresh id is
+                // the next count.
+                let writes = &mut numbering.writes;
+                if write as usize == writes.len() {
                     writes.push(0);
-                    (values.len() - 1) as u32
-                });
+                }
                 writes[write as usize] += 1;
                 rmw_ops += usize::from(op.read_value().is_some());
             }
@@ -125,21 +160,18 @@ impl AddrOps {
                 write,
             });
         }
-        let memory_ids = values.len() as u32;
-        let max_writes = writes.iter().copied().max().unwrap_or(0);
-        let mut intern = |v: Value| {
-            *interner.entry(v).or_insert_with(|| {
-                values.push(v);
-                (values.len() - 1) as u32
-            })
-        };
+        let memory_ids = numbering.values.len() as u32;
         for (&(_, op), op_ids) in per_proc.iter().flatten().zip(&mut ids) {
             if let Some(v) = op.read_value() {
-                op_ids.read = intern(v);
+                op_ids.read = numbering.number(v);
             }
         }
-        let final_id = final_value.map(&mut intern);
+        let final_id = final_value.map(|v| numbering.number(v));
+        let values = numbering.values.clone();
+        let mut writes = Vec::with_capacity(values.len());
+        writes.extend_from_slice(&numbering.writes);
         writes.resize(values.len(), 0);
+        let max_writes = writes.iter().copied().max().unwrap_or(0);
         AddrOps {
             addr,
             initial,
@@ -175,8 +207,13 @@ impl AddrOps {
             }
         }
         let n: usize = per_proc.iter().map(Vec::len).sum();
-        let mut interner = Interner::with_capacity_and_hasher(n + 2, Default::default());
-        AddrOps::new(addr, initial, final_value, per_proc, &mut interner)
+        AddrOps::new(
+            addr,
+            initial,
+            final_value,
+            per_proc,
+            &mut Numbering::with_capacity(n),
+        )
     }
 
     /// Index the operations of `trace` at one `addr` (a single O(ops)
@@ -296,39 +333,46 @@ impl AddrIndex {
     /// set and order match [`Trace::addresses`] exactly.
     ///
     /// Two passes over the trace, zero reallocation: the first pass finds
-    /// each op's address slot, keeps it, and *counts* ops per
-    /// `(address, process)` into one flat buffer; the second reads the
-    /// kept slots, so it probes no map, and fills exact-capacity
+    /// each op's address slot and keeps it; a pass over the kept slots
+    /// *counts* ops per `(address, process)` into one flat buffer; the
+    /// second pass over the trace reads the kept slots, so it probes no
+    /// map, and fills exact-capacity
     /// per-process vectors, so every element is written exactly once into
     /// its final slot. Each entry is then numbered (module docs) with one
-    /// interning map, pre-sized to the largest entry and reused entry by
-    /// entry, so the map stays as small as one address's values and is
-    /// dropped on return.
+    /// numbering scratch (the interning map and the tables it grows),
+    /// pre-sized to the largest entry and reused entry by entry, so it
+    /// stays as small as one address's values and is dropped on return.
     pub fn build(trace: &Trace) -> AddrIndex {
         let procs = trace.num_procs();
         let mut slot: FxHashMap<Addr, u32> = FxHashMap::default();
-        // Discovery order of addresses; `counts[slot * procs + p]` is the
-        // number of ops of process `p` at that address.
+        // Discovery order of addresses, and each op's address slot.
         let mut discovered: Vec<Addr> = Vec::new();
-        let mut counts: Vec<u32> = Vec::new();
         let mut slots: Vec<u32> = Vec::with_capacity(trace.num_ops());
-        for (r, op) in trace.iter_ops() {
+        for (_, op) in trace.iter_ops() {
             let addr = op.addr();
             let i = *slot.entry(addr).or_insert_with(|| {
                 discovered.push(addr);
-                counts.resize(counts.len() + procs, 0);
                 (discovered.len() - 1) as u32
             });
             slots.push(i);
-            counts[i as usize * procs + r.proc.0 as usize] += 1;
         }
         // An address that only carries a declared final value is an
         // instance with no operations: its `d_F` alone decides it.
         for &addr in trace.final_values().keys() {
             if !slot.contains_key(&addr) {
                 discovered.push(addr);
-                counts.resize(counts.len() + procs, 0);
             }
+        }
+        // `counts[slot * procs + p]` is the number of ops of process `p`
+        // at that address; process p's ops are the p-th run of `slots`.
+        let mut counts = vec![0u32; discovered.len() * procs];
+        let mut run = slots.as_slice();
+        for (p, h) in trace.histories().iter().enumerate() {
+            let (ops, rest) = run.split_at(h.len());
+            for &i in ops {
+                counts[i as usize * procs + p] += 1;
+            }
+            run = rest;
         }
         let caps = |i: usize| &counts[i * procs..(i + 1) * procs];
         let mut lists: Vec<Vec<Vec<(OpRef, Op)>>> = (0..discovered.len())
@@ -345,14 +389,13 @@ impl AddrIndex {
         let largest = (0..discovered.len())
             .map(|i| caps(i).iter().sum::<u32>())
             .max();
-        let capacity = largest.unwrap_or(0) as usize + 2;
-        let mut interner = Interner::with_capacity_and_hasher(capacity, Default::default());
+        let mut numbering = Numbering::with_capacity(largest.unwrap_or(0) as usize);
         let mut entries: Vec<AddrOps> = discovered
             .into_iter()
             .zip(lists)
             .map(|(addr, per_proc)| {
                 let (initial, fin) = (trace.initial(addr), trace.final_value(addr));
-                AddrOps::new(addr, initial, fin, per_proc, &mut interner)
+                AddrOps::new(addr, initial, fin, per_proc, &mut numbering)
             })
             .collect();
         entries.sort_unstable_by_key(AddrOps::addr);
@@ -375,7 +418,7 @@ impl AddrIndex {
     }
 
     /// The entries, sorted by address.
-    pub fn iter(&self) -> impl Iterator<Item = &AddrOps> {
+    pub fn iter(&self) -> std::slice::Iter<'_, AddrOps> {
         self.entries.iter()
     }
 

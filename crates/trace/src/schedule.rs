@@ -14,7 +14,7 @@
 //! pair ([`check_sc_schedule`]); a declared model passes its own.
 
 use crate::index::{AddrIndex, AddrOps};
-use crate::op::{Addr, OpRef, Value};
+use crate::op::{Addr, Op, OpRef, Value};
 use crate::trace::Trace;
 use std::fmt;
 
@@ -62,6 +62,12 @@ impl Schedule {
 impl fmt::Debug for Schedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.order.iter()).finish()
+    }
+}
+
+impl AsRef<[OpRef]> for Schedule {
+    fn as_ref(&self) -> &[OpRef] {
+        &self.order
     }
 }
 
@@ -203,17 +209,19 @@ pub fn check_coherent_schedule(
 /// reference out of program order costs a binary search. A reference the
 /// entry does not hold is a [`ScheduleError::DanglingRef`]. Structural
 /// errors (in schedule order) take precedence over a wrong read value,
-/// which takes precedence over the final value.
+/// which takes precedence over the final value. `schedule` is a
+/// [`Schedule`] or a slice of [`OpRef`]s.
 pub fn check_coherent_schedule_ops(
     ops: &AddrOps,
-    schedule: &Schedule,
+    schedule: &(impl AsRef<[OpRef]> + ?Sized),
 ) -> Result<(), ScheduleError> {
+    let refs = schedule.as_ref();
     let per_proc = ops.per_proc();
     // `next[p]`: one past the position of process p's last scheduled op.
     let mut next: Vec<usize> = vec![0; per_proc.len()];
     let mut current = ops.initial();
     let mut wrong_read: Option<ScheduleError> = None;
-    for (i, &r) in schedule.refs().iter().enumerate() {
+    for (i, &r) in refs.iter().enumerate() {
         let p = usize::from(r.proc.0);
         let list = per_proc.get(p).ok_or(ScheduleError::DanglingRef(r))?;
         let pos = match list.get(next[p]) {
@@ -223,7 +231,7 @@ pub fn check_coherent_schedule_ops(
                 .map_err(|_| ScheduleError::DanglingRef(r))?,
         };
         if pos < next[p] {
-            return Err(if schedule.refs()[..i].contains(&r) {
+            return Err(if refs[..i].contains(&r) {
                 ScheduleError::DuplicateOp(r)
             } else {
                 ScheduleError::ProgramOrder {
@@ -247,10 +255,10 @@ pub fn check_coherent_schedule_ops(
             current = written;
         }
     }
-    if schedule.len() != ops.num_ops() {
+    if refs.len() != ops.num_ops() {
         return Err(ScheduleError::MissingOps {
             expected: ops.num_ops(),
-            found: schedule.len(),
+            found: refs.len(),
         });
     }
     if let Some(e) = wrong_read {
@@ -305,20 +313,37 @@ pub fn check_serialization(
     ppo_cross: &[[bool; 3]; 3],
     schedule: &Schedule,
 ) -> Result<(), ScheduleError> {
-    // `at[p][i]`: the schedule position of process p's i-th operation.
-    let mut at: Vec<Vec<usize>> = trace.histories().iter().map(|h| vec![0; h.len()]).collect();
-    let mut parts: Vec<Vec<OpRef>> = idx
-        .iter()
-        .map(|e| Vec::with_capacity(e.num_ops()))
-        .collect();
+    // Process p's i-th operation is `start[p] + i` in the flat tables.
+    let histories = trace.histories();
+    let mut start = Vec::with_capacity(histories.len() + 1);
+    start.push(0);
+    for h in histories {
+        start.push(start[start.len() - 1] + h.len());
+    }
+    // `at[start[p] + i]`: the schedule position of process p's i-th
+    // operation.
+    let mut at = vec![0; start[histories.len()]];
+    // Each entry's projection, entry after entry, each in schedule order
+    // (a counting sort, filled from the back): entry e's is
+    // `parts[bounds[e]..bounds[e + 1]]` once filled.
+    let entry = |op: Op| idx.position(op.addr()).expect("idx indexes the trace");
+    let mut bounds = vec![0; idx.len() + 1];
     for (pos, &r) in schedule.refs().iter().enumerate() {
         let op = trace.op(r).ok_or(ScheduleError::DanglingRef(r))?;
-        let entry = idx.position(op.addr()).expect("idx indexes the trace");
-        parts[entry].push(r);
-        at[usize::from(r.proc.0)][r.index as usize] = pos;
+        bounds[entry(op)] += 1;
+        at[start[usize::from(r.proc.0)] + r.index as usize] = pos;
     }
-    for (ops, part) in idx.iter().zip(parts) {
-        check_coherent_schedule_ops(ops, &Schedule::from_refs(part))?;
+    for e in 0..idx.len() {
+        bounds[e + 1] += bounds[e];
+    }
+    let mut parts = vec![OpRef::new(0, 0); schedule.len()];
+    for &r in schedule.refs().iter().rev() {
+        let e = entry(trace.op(r).expect("routed"));
+        bounds[e] -= 1;
+        parts[bounds[e]] = r;
+    }
+    for (e, ops) in idx.iter().enumerate() {
+        check_coherent_schedule_ops(ops, &parts[bounds[e]..bounds[e + 1]])?;
     }
     // Every operation is now scheduled exactly once, so `at` is complete.
     for (p, h) in trace.histories().iter().enumerate() {
@@ -327,7 +352,7 @@ pub fn check_serialization(
         // operations so far, and that operation's index.
         let mut latest: [Option<(usize, u32)>; 3] = [None; 3];
         for (i, op) in h.iter().enumerate() {
-            let (pos, later) = (at[p][i], op.class());
+            let (pos, later) = (at[start[p] + i], op.class());
             let passed = (0..3)
                 .filter(|&class| ppo_cross[class][later])
                 .filter_map(|class| latest[class])

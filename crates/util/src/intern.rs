@@ -67,10 +67,21 @@ impl<T: Hash + Eq + Clone> SliceInterner<T> {
         self.ids.is_empty()
     }
 
-    /// Number of heap allocations performed so far: exactly one boxed
-    /// slice per distinct key (re-probes allocate nothing).
+    /// Number of heap allocations performed since the interner was made or
+    /// last cleared: exactly one boxed slice per distinct key (re-probes
+    /// allocate nothing).
     pub fn allocations(&self) -> u64 {
         self.ids.len() as u64
+    }
+
+    /// Forget every slice (ids restart at 0), keeping the map's storage.
+    pub fn clear(&mut self) {
+        self.ids.clear();
+    }
+
+    /// Slices the map holds room for without growing.
+    pub fn capacity(&self) -> usize {
+        self.ids.capacity()
     }
 }
 
@@ -101,6 +112,20 @@ mod tests {
         assert!(a != b && b != c && a != c);
         assert_eq!(i.get(&[1u64, 2]), Some(a));
         assert_eq!(i.get(&[1u64]), None);
+    }
+
+    #[test]
+    fn clear_restarts_ids_and_allocation_count() {
+        let mut i = SliceInterner::new();
+        for k in 0..10u64 {
+            i.intern(&[k, k]);
+        }
+        let room = i.capacity();
+        i.clear();
+        assert!(i.is_empty());
+        assert_eq!((i.allocations(), i.capacity()), (0, room));
+        assert_eq!(i.intern(&[7u64, 7]), (0, true));
+        assert_eq!(i.allocations(), 1);
     }
 
     #[test]

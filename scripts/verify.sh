@@ -136,6 +136,35 @@ if not m or not re.search(r'\bunion_acyclic\(.*\baxiom_by_axiom\(', m.group(1), 
 EOF
 echo "    ok"
 
+echo "==> one search arena"
+# A compiled check allocates its answer, not its search. The kernel
+# (crates/coherence/src/kernel.rs) takes its memo, key scratch and one
+# flat move stack from a per-thread arena (Scratch::take) and puts them
+# back cleared; the serialization machine (crates/coherence/src/machine.rs)
+# keeps its program text in one flat table with per-process starts. A
+# per-depth move buffer pool (move_bufs, a Vec<Vec<S::Move>>), a memo made
+# outside the arena, or per-process program lists mean per-search
+# allocations came back. A pure text gate; comments count for the names,
+# and only non-test code counts for Memo::new.
+python3 - crates/coherence/src/kernel.rs crates/coherence/src/machine.rs <<'EOF'
+import re, sys
+kernel, machine = (open(p).read() for p in sys.argv[1:])
+bad = [f"kernel.rs:{n}: {line.strip()}" for n, line in enumerate(kernel.splitlines(), 1)
+       if re.search(r'\bmove_bufs\b|Vec<\s*Vec<\s*S::Move\s*>\s*>', line)]
+bad += [f"machine.rs:{n}: {line.strip()}" for n, line in enumerate(machine.splitlines(), 1)
+        if re.search(r'Vec<\s*Vec<\s*\(\s*OpRef\s*,\s*DenseOp\s*\)\s*>\s*>', line)]
+src = re.sub(r'//[^\n]*', '', kernel.split('#[cfg(test)]')[0])
+for m in re.finditer(r'\bMemo::new\b', src):
+    fns = re.findall(r'\bfn\s+(\w+)', src[:m.start()])
+    impls = re.findall(r'\bimpl\s+(\w+)', src[:m.start()])
+    if (impls[-1:], fns[-1:]) != (['Scratch'], ['take']):
+        bad.append(f"kernel.rs: Memo::new in fn {fns[-1:]} outside the arena (Scratch::take)")
+if bad:
+    sys.exit("per-search allocation plumbing found (use the kernel's search arena "
+             "and the machine's flat program table):\n" + "\n".join(bad))
+EOF
+echo "    ok"
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
